@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import yaml
 
 from .errors import InvalidSpec
+from .textio import safe_load
 
 _IMAGE_NAME_RE = re.compile(r"^[a-z0-9][a-z0-9_.\-/]*$")
 
@@ -320,7 +321,7 @@ def job_graph(document_text: str) -> dict[str, list[str]]:
     are top-level mappings with a ``stage`` key. Edges come from ``needs``.
     """
 
-    doc = yaml.safe_load(document_text)
+    doc = safe_load(document_text)
     if not isinstance(doc, dict):
         raise InvalidSpec("pipeline document is not a mapping")
     graph: dict[str, list[str]] = {}

@@ -60,7 +60,14 @@ from .engine import (
     run_builds,
     run_argv,
 )
-from .errors import ConfigError, ForgeError, MissingCredential, UnresolvedDependencies
+from .errors import (
+    ConfigError,
+    ForgeError,
+    MalformedDatabase,
+    MalformedReposFile,
+    MissingCredential,
+    UnresolvedDependencies,
+)
 from .manifest import Workspace, internal_package_names, scan_workspace
 from .matrix import (
     build_plan_document,
@@ -76,6 +83,7 @@ from .sources import (
     parse_repos,
     required_credential_vars,
 )
+from .textio import read_utf8, safe_load
 
 DEFAULT_REGISTRY = "localhost"
 DEFAULT_DISTRO = "humble"
@@ -96,8 +104,32 @@ class GlobalConfig:
     config_path: Path | None = None
 
 
-def _env_flag(value: str) -> bool:
-    return value.strip().lower() in ("1", "true", "yes", "on")
+_TRUE_WORDS = ("1", "true", "yes", "on")
+_FALSE_WORDS = ("0", "false", "no", "off", "")
+
+
+def _parse_flag(value: object, name: str) -> bool:
+    """A YAML bool, or one of the true/false words in any case."""
+
+    if isinstance(value, bool):
+        return value
+    word = value.strip().lower() if isinstance(value, str) else None
+    if word in _TRUE_WORDS:
+        return True
+    if word in _FALSE_WORDS:
+        return False
+    raise ConfigError(f"{name} must be a boolean, got {value!r}")
+
+
+def _parse_int(value: object, name: str) -> int:
+    """An integer, or a string holding one; bools are rejected."""
+
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def load_config(args: argparse.Namespace, workspace_root: Path | None) -> GlobalConfig:
@@ -117,7 +149,7 @@ def load_config(args: argparse.Namespace, workspace_root: Path | None) -> Global
 
     if config_path is not None:
         try:
-            doc = yaml.safe_load(config_path.read_text(encoding="utf-8")) or {}
+            doc = safe_load(read_utf8(config_path, ConfigError)) or {}
         except yaml.YAMLError as exc:
             raise ConfigError(f"config file {config_path} is not valid YAML: {exc}") from exc
         if not isinstance(doc, dict):
@@ -135,9 +167,9 @@ def load_config(args: argparse.Namespace, workspace_root: Path | None) -> Global
         if "distro_index" in doc:
             cfg.distro_index_path = str(doc["distro_index"])
         if "parallelism" in doc:
-            cfg.parallelism = int(doc["parallelism"])
+            cfg.parallelism = _parse_int(doc["parallelism"], "config key parallelism")
         if "strict" in doc:
-            cfg.strict = bool(doc["strict"])
+            cfg.strict = _parse_flag(doc["strict"], "config key strict")
 
     env = os.environ
     if "FORGE_REGISTRY" in env:
@@ -151,12 +183,9 @@ def load_config(args: argparse.Namespace, workspace_root: Path | None) -> Global
     if "FORGE_DISTRO_INDEX" in env:
         cfg.distro_index_path = env["FORGE_DISTRO_INDEX"]
     if "FORGE_PARALLELISM" in env:
-        try:
-            cfg.parallelism = int(env["FORGE_PARALLELISM"])
-        except ValueError as exc:
-            raise ConfigError("FORGE_PARALLELISM must be an integer") from exc
+        cfg.parallelism = _parse_int(env["FORGE_PARALLELISM"], "FORGE_PARALLELISM")
     if "FORGE_STRICT" in env:
-        cfg.strict = _env_flag(env["FORGE_STRICT"])
+        cfg.strict = _parse_flag(env["FORGE_STRICT"], "FORGE_STRICT")
 
     if getattr(args, "registry", None):
         cfg.registry = args.registry
@@ -168,7 +197,7 @@ def load_config(args: argparse.Namespace, workspace_root: Path | None) -> Global
         cfg.rosdep_db_paths = cfg.rosdep_db_paths + tuple(args.rosdep_db)
     if getattr(args, "distro_index", None):
         cfg.distro_index_path = args.distro_index
-    if getattr(args, "parallelism", None):
+    if getattr(args, "parallelism", None) is not None:
         cfg.parallelism = args.parallelism
     if getattr(args, "strict", False):
         cfg.strict = True
@@ -200,29 +229,44 @@ class WorkspaceAnalysis:
     resolved_exec: ResolvedDependencies | None = None
 
 
+def cache_dir() -> Path | None:
+    """forge's cache directory: ``$XDG_CACHE_HOME/forge``, else ``~/.cache/forge``.
+
+    None when neither base is an absolute path. Deleting it is always safe.
+    """
+
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(base, "forge") if os.path.isabs(base) else None
+
+
 def analyze_workspace(
-    root: Path, cfg: GlobalConfig, repos_paths: tuple[str, ...] = ()
+    root: Path,
+    cfg: GlobalConfig,
+    repos_paths: tuple[str, ...] = (),
+    write_cache: bool = True,
 ) -> WorkspaceAnalysis:
+    """Scan and resolve a workspace; ``write_cache=False`` only reads the cache."""
+
     distro = cfg.default_distro
     if cfg.distro_index_path:
-        index = load_distro_index(Path(cfg.distro_index_path).read_text(encoding="utf-8"))
+        index = load_distro_index(read_utf8(Path(cfg.distro_index_path), MalformedDatabase))
         distro = index.distro
     else:
         index = packaged_distro_index(distro)
 
     documents = packaged_rosdep_documents()
     for path in cfg.rosdep_db_paths:
-        documents.append(Path(path).read_text(encoding="utf-8"))
-    db = load_rosdep_db(documents)
+        documents.append(read_utf8(Path(path), MalformedDatabase))
+    db = load_rosdep_db(documents, cache_dir=cache_dir(), write_cache=write_cache)
 
     condition_env = {"ROS_VERSION": str(index.ros_version), "ROS_DISTRO": distro}
     workspace = scan_workspace(root, condition_env)
 
     repo_lists = []
-    for path in sorted(root.glob("*.repos")):
-        repo_lists.append(parse_repos(path.read_text(encoding="utf-8")))
-    for path in repos_paths:
-        repo_lists.append(parse_repos(Path(path).read_text(encoding="utf-8")))
+    for path in [*sorted(root.glob("*.repos")), *map(Path, repos_paths)]:
+        repo_lists.append(parse_repos(read_utf8(path, MalformedReposFile)))
     repos = combine_repos(repo_lists)
 
     declared = DeclaredKeys.from_workspace(workspace)
@@ -281,7 +325,9 @@ def _print_bucket(label: str, items: tuple[str, ...]) -> None:
 def cmd_analyze(args: argparse.Namespace, driver: EngineDriver | None) -> int:
     root = Path(args.workspace)
     cfg = load_config(args, root if root.is_dir() else None)
-    analysis = analyze_workspace(root, cfg, tuple(args.repos or ()))
+    analysis = analyze_workspace(
+        root, cfg, tuple(args.repos or ()), write_cache=not args.dry_run
+    )
     resolved = analysis.resolved
     assert resolved is not None
 
@@ -359,7 +405,9 @@ def _render_for_workspace(
 def cmd_generate_dockerfile(args: argparse.Namespace, driver: EngineDriver | None) -> int:
     root = Path(args.workspace)
     cfg = load_config(args, root if root.is_dir() else None)
-    analysis = analyze_workspace(root, cfg, tuple(args.repos or ()))
+    analysis = analyze_workspace(
+        root, cfg, tuple(args.repos or ()), write_cache=not args.dry_run
+    )
     text = _render_for_workspace(args, analysis, cfg)
 
     output = args.output or str(root / "Dockerfile")
@@ -417,7 +465,9 @@ def _make_driver(args: argparse.Namespace, driver: EngineDriver | None) -> Engin
 def cmd_build(args: argparse.Namespace, driver: EngineDriver | None) -> int:
     root = Path(args.workspace)
     cfg = load_config(args, root if root.is_dir() else None)
-    analysis = analyze_workspace(root, cfg, tuple(args.repos or ()))
+    analysis = analyze_workspace(
+        root, cfg, tuple(args.repos or ()), write_cache=not args.dry_run
+    )
     text = _render_for_workspace(args, analysis, cfg)
 
     dockerfile = Path(args.dockerfile_out or root / GENERATED_DIR / "Dockerfile")

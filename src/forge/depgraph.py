@@ -7,20 +7,33 @@ then a rosdep-style database, and finally the unresolved remainder.
 
 Both the rosdep snapshot and the distro indexes ship with the package as
 versioned YAML fixtures and can be overridden from the command line.
+Parsed rosdep databases can be memoized in a cache directory, keyed by
+the content of their documents.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import json
+import os
 import re
+import tempfile
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
 import yaml
 
+from . import __version__
 from .errors import MalformedDatabase
 from .manifest import Workspace
 from .sources import RepoSpec
+from .textio import safe_load
+
+ROSDEP_CACHE_FORMAT = 1
+"""Layout version of cached rosdep databases; part of every cache key."""
 
 KNOWN_DISTROS: dict[str, int] = {
     "noetic": 1,
@@ -105,7 +118,10 @@ def distro_package_name(distro: str, key: str) -> str:
 
 
 def load_rosdep_db(
-    documents: Iterable[str], os_target: str = "ubuntu"
+    documents: Iterable[str],
+    os_target: str = "ubuntu",
+    cache_dir: Path | None = None,
+    write_cache: bool = True,
 ) -> RosdepDatabase:
     """Build a database from YAML documents, later documents winning key-wise.
 
@@ -113,12 +129,29 @@ def load_rosdep_db(
     packages, or ``{pip: {packages: [...]}}`` for pip-installed keys. A key
     without an entry for the target OS is skipped (it simply cannot be
     resolved here); any other shape raises :class:`MalformedDatabase`.
+
+    With ``cache_dir``, the merged target-OS records are memoized there as
+    ``rosdep-<key>.json``, where the key is a sha256 over the cache format,
+    the forge version, ``os_target`` and the length-prefixed documents.
+    Cached records pass the same record checks as parsed ones; a cache
+    file that cannot be read, decoded or checked is a miss. The cache is
+    written only after a successful parse, and only when ``write_cache``
+    is true. Cache I/O errors fall back silently to parsing.
     """
 
+    documents = list(documents)
+    cache_path = None
+    if cache_dir is not None:
+        cache_path = Path(cache_dir) / f"rosdep-{_cache_key(documents, os_target)}.json"
+        cached = _read_cached_entries(cache_path)
+        if cached is not None:
+            return RosdepDatabase(entries=cached, os_target=os_target)
+
+    records: dict[str, object] = {}
     entries: dict[str, RosdepEntry] = {}
     for n, text in enumerate(documents):
         try:
-            doc = yaml.safe_load(text)
+            doc = safe_load(text)
         except yaml.YAMLError as exc:
             raise MalformedDatabase(f"database document {n} is not valid YAML: {exc}") from exc
         if doc is None:
@@ -134,9 +167,53 @@ def load_rosdep_db(
                 raise MalformedDatabase(f"key {key!r} does not map OS names to records")
             if os_target not in per_os:
                 continue
-            record = per_os[os_target]
-            entries[key] = _parse_record(key, record)
+            records[key] = per_os[os_target]
+            entries[key] = _parse_record(key, records[key])
+
+    if cache_path is not None and write_cache:
+        _write_cache(cache_path, records)
     return RosdepDatabase(entries=entries, os_target=os_target)
+
+
+def _cache_key(documents: list[str], os_target: str) -> str:
+    digest = hashlib.sha256()
+    for part in (f"rosdep/{ROSDEP_CACHE_FORMAT}", __version__, os_target, *documents):
+        data = part.encode("utf-8")
+        digest.update(len(data).to_bytes(8, "big"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def _read_cached_entries(path: Path) -> dict[str, RosdepEntry] | None:
+    """Checked entries from a cache file, or None when it is not usable."""
+
+    try:
+        records = json.loads(path.read_bytes())
+    except (OSError, ValueError, RecursionError):
+        return None
+    if not isinstance(records, dict) or "" in records:
+        return None
+    try:
+        return {key: _parse_record(key, record) for key, record in records.items()}
+    except MalformedDatabase:
+        return None
+
+
+def _write_cache(path: Path, records: dict[str, object]) -> None:
+    """Replace ``path`` atomically with ``records`` as JSON; ignore I/O errors."""
+
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".rosdep-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                json.dump(records, handle, separators=(",", ":"))
+            os.replace(tmp, path)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+    except OSError:
+        pass
 
 
 def _parse_record(key: str, record: object) -> RosdepEntry:
@@ -165,7 +242,7 @@ def load_distro_index(text: str) -> DistroIndex:
     """Parse a distro index file: ``distro: {name, ros_version, packages}``."""
 
     try:
-        doc = yaml.safe_load(text)
+        doc = safe_load(text)
     except yaml.YAMLError as exc:
         raise MalformedDatabase(f"distro index is not valid YAML: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("distro"), dict):

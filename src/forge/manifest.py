@@ -20,6 +20,7 @@ from .errors import (
     MalformedManifest,
     UnsupportedFormat,
 )
+from .textio import read_utf8
 
 PACKAGE_NAME_RE = re.compile(r"^[a-zA-Z][a-zA-Z0-9_]*$")
 VERSION_RE = re.compile(r"^\d+(\.\d+)*$")
@@ -290,7 +291,7 @@ def scan_workspace(
             rel = PurePosixPath(directory.relative_to(root).as_posix())
             packages.append(
                 parse_manifest(
-                    manifest_path.read_text(encoding="utf-8"),
+                    read_utf8(manifest_path, MalformedManifest),
                     condition_env,
                     source_dir=rel,
                 )

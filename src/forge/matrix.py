@@ -18,6 +18,7 @@ import yaml
 
 from .depgraph import KNOWN_DISTROS
 from .errors import InvalidSpec, MalformedDatabase
+from .textio import safe_load
 
 DISTROS = ("noetic", "foxy", "humble", "iron", "rolling")
 COMPONENTS = ("core", "base", "robot", "perception", "desktop", "desktop-full")
@@ -61,7 +62,7 @@ def load_base_image_table(text: str | None = None) -> BaseImageTable:
 
     if text is None:
         text = resources.files("forge.data").joinpath("ml_bases.yaml").read_text("utf-8")
-    doc = yaml.safe_load(text)
+    doc = safe_load(text)
     if not isinstance(doc, dict):
         raise MalformedDatabase("base image table must be a mapping")
     os_bases = doc.get("os_bases")

@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import yaml
 
 from .errors import MalformedReposFile, MissingCredential, UnsupportedVcsType
+from .textio import safe_load
 
 _SEGMENT_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 _PLACEHOLDER_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
@@ -64,7 +65,7 @@ def parse_repos(yaml_text: str) -> ReposList:
     """Parse one repository list file, sorted by local name."""
 
     try:
-        doc = yaml.safe_load(yaml_text)
+        doc = safe_load(yaml_text)
     except yaml.YAMLError as exc:
         raise MalformedReposFile(f"not valid YAML: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("repositories"), dict):

@@ -17,6 +17,20 @@ def analysis_for(name: str, distro: str = "humble") -> WorkspaceAnalysis:
     return analyze_workspace(FIXTURE_ROOT / name, cfg)
 
 
+@pytest.fixture(scope="session", autouse=True)
+def private_cache_home(tmp_path_factory):
+    """Point XDG_CACHE_HOME at a temporary directory for the whole session.
+
+    The CLI caches parsed rosdep databases there; without this a test run
+    would write into the developer's real ``~/.cache/forge``.
+    """
+
+    with pytest.MonkeyPatch.context() as patch:
+        cache_home = tmp_path_factory.mktemp("xdg-cache")
+        patch.setenv("XDG_CACHE_HOME", str(cache_home))
+        yield cache_home
+
+
 @pytest.fixture(scope="session")
 def fixture_root() -> Path:
     return FIXTURE_ROOT

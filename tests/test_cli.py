@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from forge.cli import GlobalConfig, load_config, main
+from forge.cli import GlobalConfig, cache_dir, load_config, main
 from forge.devrun import HostEnvironment
 from forge.engine import EngineResult, RecordingDriver
 from forge.errors import ConfigError
@@ -96,6 +96,110 @@ def test_config_bad_env_parallelism(monkeypatch, tmp_path) -> None:
     monkeypatch.setenv("FORGE_PARALLELISM", "many")
     with pytest.raises(ConfigError):
         load_config(ns(), None)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    ['parallelism: "x"\n', "parallelism: true\n", "strict: maybe\n", "strict: 1\n"],
+)
+def test_cli_bad_config_value_exits_2(capsys, monkeypatch, tmp_path, doc: str) -> None:
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "forge.yaml").write_text(doc, encoding="utf-8")
+    code = main(["analyze", MINIMAL, "--config", "forge.yaml"])
+    assert code == 2
+    assert "forge: error: ConfigError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("value", "strict"),
+    [('"no"', False), ('"Off"', False), ("no", False), ('"yes"', True), ("true", True)],
+)
+def test_config_strict_words(tmp_path, value: str, strict: bool) -> None:
+    path = tmp_path / "forge.yaml"
+    path.write_text(f"strict: {value}\n", encoding="utf-8")
+    assert load_config(ns(config=str(path)), None).strict is strict
+
+
+def test_cli_strict_no_in_config_is_false(capsys, monkeypatch, tmp_path) -> None:
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "forge.yaml").write_text('strict: "no"\n', encoding="utf-8")
+    assert main(["analyze", UNRESOLVED, "--config", "forge.yaml"]) == 0
+    assert "unresolved (1): no_such_thing" in capsys.readouterr().out
+
+
+def test_cli_parallelism_zero_exits_2(capsys, monkeypatch, tmp_path) -> None:
+    monkeypatch.chdir(tmp_path)
+    code = main(["matrix", "list", "--parallelism", "0"])
+    assert code == 2
+    assert "parallelism must be at least 1" in capsys.readouterr().err
+
+
+def test_cli_non_utf8_config_exits_2(capsys, monkeypatch, tmp_path) -> None:
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "forge.yaml").write_bytes(b"registry: caf\xe9\n")
+    assert main(["matrix", "list", "--config", "forge.yaml"]) == 2
+    assert "forge: error: ConfigError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("flag", "error"),
+    [("--rosdep-db", "MalformedDatabase"), ("--distro-index", "MalformedDatabase"),
+     ("--repos", "MalformedReposFile")],
+)
+def test_cli_non_utf8_input_file_exits_2(capsys, monkeypatch, tmp_path, flag, error) -> None:
+    monkeypatch.chdir(tmp_path)
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"# caf\xe9\n{}\n")
+    code = main(["analyze", MINIMAL, flag, str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"forge: error: {error}: {bad} is not UTF-8" in err
+
+
+def test_cli_non_utf8_manifest_exits_2(capsys, monkeypatch, tmp_path) -> None:
+    monkeypatch.chdir(tmp_path)
+    manifest = tmp_path / "ws" / "src" / "pkg" / "package.xml"
+    manifest.parent.mkdir(parents=True)
+    manifest.write_bytes(b"<?xml version='1.0'?>\n<package><name>caf\xe9</name></package>\n")
+    code = main(["analyze", str(tmp_path / "ws")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"forge: error: MalformedManifest: {manifest} is not UTF-8" in err
+
+
+# --- parsed-database cache ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    ("xdg", "expected"),
+    [("/xdg", "/xdg/forge"), ("relative", "/home/u/.cache/forge"), (None, "/home/u/.cache/forge")],
+)
+def test_cache_dir_location(monkeypatch, xdg, expected) -> None:
+    monkeypatch.setenv("HOME", "/home/u")
+    if xdg is None:
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    else:
+        monkeypatch.setenv("XDG_CACHE_HOME", xdg)
+    assert cache_dir() == Path(expected)
+
+
+def test_analyze_writes_cache_and_dry_run_reads_only(capsys, monkeypatch, tmp_path) -> None:
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    out = str(tmp_path / "Dockerfile")
+    assert main(["build", MINIMAL, "--dry-run", "--dockerfile-out", out]) == 0
+    assert main(["analyze", MINIMAL, "--dry-run"]) == 0
+    assert not (tmp_path / "xdg").exists()
+
+    capsys.readouterr()
+    assert main(["analyze", MULTI, "--format", "json"]) == 0
+    (cached,) = (tmp_path / "xdg" / "forge").iterdir()
+    assert cached.name.startswith("rosdep-") and cached.suffix == ".json"
+    first = capsys.readouterr().out
+    assert "libeigen3-dev" in first
+    assert main(["analyze", MULTI, "--format", "json"]) == 0
+    assert capsys.readouterr().out == first
+    assert list((tmp_path / "xdg" / "forge").iterdir()) == [cached]
 
 
 # --- analyze ---------------------------------------------------------------

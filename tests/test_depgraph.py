@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import random
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forge.depgraph import (
     DeclaredKeys,
     DistroIndex,
+    RosdepDatabase,
+    RosdepEntry,
     distro_package_name,
     load_distro_index,
     load_rosdep_db,
@@ -278,3 +285,167 @@ def test_partition_counts_cover_every_key() -> None:
             )
         )
         assert classified == len(chosen)
+
+
+# --- parsed-database cache ---------------------------------------------------
+
+_KEYS = [f"key{i}" for i in range(12)]
+_package_names = st.lists(
+    st.from_regex(r"[a-z][a-z0-9.+-]{0,8}", fullmatch=True), min_size=1, max_size=3
+)
+_records = st.one_of(_package_names, _package_names.map(lambda p: {"pip": {"packages": p}}))
+_per_os = st.one_of(
+    st.none(),
+    st.dictionaries(st.sampled_from(["ubuntu", "fedora", "debian"]), _records, min_size=1),
+)
+_databases = st.lists(
+    st.dictionaries(st.sampled_from(_KEYS), _per_os, max_size=8), min_size=1, max_size=4
+)
+
+
+def cache_files(cache: Path) -> list[Path]:
+    return sorted(cache.glob("rosdep-*.json"))
+
+
+def cold_cache(tmp_path: Path, documents: list[str]) -> tuple[Path, Path]:
+    """A cache directory filled from ``documents``, and its one file."""
+
+    cache = tmp_path / "cache"
+    load_rosdep_db(documents, cache_dir=cache)
+    (path,) = cache_files(cache)
+    return cache, path
+
+
+@settings(max_examples=60, deadline=None)
+@given(_databases)
+def test_cache_round_trip_matches_uncached(docs: list[dict]) -> None:
+    documents = [yaml.safe_dump(doc) for doc in docs]
+    expected: dict[str, RosdepEntry] = {}
+    for doc in docs:
+        for key, per_os in doc.items():
+            record = (per_os or {}).get("ubuntu")
+            if isinstance(record, list):
+                expected[key] = RosdepEntry("system", tuple(record))
+            elif record is not None:
+                expected[key] = RosdepEntry("python", tuple(record["pip"]["packages"]))
+
+    uncached = load_rosdep_db(documents)
+    assert uncached == RosdepDatabase(expected)
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = Path(tmp)
+        assert load_rosdep_db(documents, cache_dir=cache) == uncached
+        assert len(cache_files(cache)) == 1
+        with mock.patch("forge.depgraph.safe_load", side_effect=AssertionError("parsed")):
+            assert load_rosdep_db(documents, cache_dir=cache) == uncached
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda good: good[: len(good) // 2],
+        lambda good: b"",
+        lambda good: b"not json",
+        lambda good: b"\xff\xfe\x00",
+        lambda good: b'["a list"]',
+        lambda good: b'{"eigen": {"apt": ["x"]}}',
+        lambda good: b'{"eigen": []}',
+        lambda good: b'{"": ["x"]}',
+        lambda good: b"[" * 100_000,
+    ],
+    ids=["truncated", "empty", "not-json", "not-utf8", "list", "bad-record", "empty-list",
+         "empty-key", "deep"],
+)
+def test_unusable_cache_file_is_a_rewritten_miss(tmp_path, damage) -> None:
+    cache, path = cold_cache(tmp_path, [DB_DOC])
+    good = path.read_bytes()
+    path.write_bytes(damage(good))
+    assert load_rosdep_db([DB_DOC], cache_dir=cache) == small_db()
+    assert path.read_bytes() == good
+
+
+def test_unwritable_cache_falls_back(tmp_path, monkeypatch) -> None:
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    cache.chmod(0o555)
+
+    # Mode bits do not stop root, so also refuse the temp file directly.
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Read-only file system")
+
+    monkeypatch.setattr(tempfile, "mkstemp", refuse)
+    assert load_rosdep_db([DB_DOC], cache_dir=cache) == small_db()
+    assert cache_files(cache) == []
+
+
+def test_cache_dir_that_is_a_file_falls_back(tmp_path) -> None:
+    cache = tmp_path / "cache"
+    cache.write_text("", encoding="utf-8")
+    assert load_rosdep_db([DB_DOC], cache_dir=cache) == small_db()
+    assert cache.read_text(encoding="utf-8") == ""
+
+
+def test_read_only_cache_still_hits(tmp_path) -> None:
+    cache, _ = cold_cache(tmp_path, [DB_DOC])
+    cache.chmod(0o555)
+    expected = small_db()
+    with mock.patch("forge.depgraph.safe_load", side_effect=AssertionError("parsed")):
+        assert load_rosdep_db([DB_DOC], cache_dir=cache) == expected
+
+
+def test_no_write_leaves_cache_untouched(tmp_path) -> None:
+    cache = tmp_path / "cache"
+    assert load_rosdep_db([DB_DOC], cache_dir=cache, write_cache=False) == small_db()
+    assert not cache.exists()
+
+
+def test_malformed_document_is_never_cached(tmp_path) -> None:
+    cache, good = cold_cache(tmp_path, [DB_DOC])
+    bad = "eigen:\n  ubuntu: [1, 2]\n"
+    for _ in range(2):
+        with pytest.raises(MalformedDatabase):
+            load_rosdep_db([DB_DOC, bad], cache_dir=cache)
+        assert cache_files(cache) == [good]
+        assert list(cache.glob(".rosdep-*")) == []
+
+
+def test_cache_key_covers_order_bytes_boundaries_and_os(tmp_path) -> None:
+    override = "eigen:\n  ubuntu: [libeigen3-newer]\n"
+    cache = tmp_path / "cache"
+    variants = [
+        ([DB_DOC, override], "ubuntu"),
+        ([override, DB_DOC], "ubuntu"),
+        ([DB_DOC, override.replace("newer", "newes")], "ubuntu"),
+        ([DB_DOC + override], "ubuntu"),
+        ([DB_DOC, override], "debian"),
+    ]
+    for n, (documents, os_target) in enumerate(variants, start=1):
+        uncached = load_rosdep_db(documents, os_target)
+        assert load_rosdep_db(documents, os_target, cache_dir=cache) == uncached
+        assert len(cache_files(cache)) == n
+    # Reordered documents give a different database, and each is its own hit.
+    with mock.patch("forge.depgraph.safe_load", side_effect=AssertionError("parsed")):
+        assert load_rosdep_db([DB_DOC, override], cache_dir=cache).entries["eigen"].packages == (
+            "libeigen3-newer",
+        )
+        assert load_rosdep_db([override, DB_DOC], cache_dir=cache).entries["eigen"].packages == (
+            "libeigen3-dev",
+        )
+
+
+def test_pure_python_yaml_fallback_matches_libyaml(monkeypatch) -> None:
+    documents = packaged_rosdep_documents() + [DB_DOC]
+    loaders = []
+    real_load = yaml.load
+
+    def recording_load(stream, Loader):
+        loaders.append(Loader)
+        return real_load(stream, Loader=Loader)
+
+    monkeypatch.setattr(yaml, "load", recording_load)
+    with_libyaml = load_rosdep_db(documents)
+    assert set(loaders) == {getattr(yaml, "CSafeLoader", yaml.SafeLoader)}
+
+    loaders.clear()
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert load_rosdep_db(documents) == with_libyaml
+    assert set(loaders) == {yaml.SafeLoader}

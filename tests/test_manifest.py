@@ -281,6 +281,16 @@ def test_scan_empty_workspace(tmp_path) -> None:
         scan_workspace(tmp_path, ENV)
 
 
+def test_scan_rejects_non_utf8_manifest(tmp_path) -> None:
+    _write_pkg(tmp_path, "src/good", "good")
+    bad = tmp_path / "src" / "bad" / "package.xml"
+    bad.parent.mkdir(parents=True)
+    bad.write_bytes(MINIMAL_XML.replace("demo", "bad").encode() + b"<!-- caf\xe9 -->\n")
+    with pytest.raises(MalformedManifest, match="not UTF-8") as info:
+        scan_workspace(tmp_path, ENV)
+    assert str(bad) in str(info.value)
+
+
 def test_with_source_dir() -> None:
     manifest = parse_manifest(MINIMAL_XML, ENV)
     moved = with_source_dir(manifest, PurePosixPath("src/demo"))
