@@ -66,6 +66,48 @@ def ci_gitlab() -> str:
     return generate_pipeline(_ci_spec("gitlab"))
 
 
+def _ci_grid_specs() -> list[PipelineSpec]:
+    """Both platforms x one or two arches x test on/off x target sets.
+
+    Multi-arch specs without a test job build from a custom base image and
+    GitLab specs with a test job push from a release branch, so both of
+    those inputs appear in the grid too.
+    """
+
+    specs = []
+    for platform in ("github", "gitlab"):
+        for arches in (("amd64",), ("amd64", "arm64")):
+            for test in (False, True):
+                for targets in (("dev",), ("run",), ("dev", "run")):
+                    if test and "dev" not in targets:
+                        continue
+                    specs.append(
+                        PipelineSpec(
+                            platform=platform,
+                            image_name="robot-stack",
+                            registry="registry.example.com/acme",
+                            platforms=arches,
+                            enable_test_stage=test,
+                            push_on_branch="release" if test and platform == "gitlab" else "main",
+                            base_image="ros:humble-ros-base" if len(arches) > 1 and not test else "",
+                            target_stages=targets,
+                        )
+                    )
+    return specs
+
+
+def ci_grid() -> str:
+    parts = []
+    for spec in _ci_grid_specs():
+        parts.append(
+            f"# {spec.platform} platforms={','.join(spec.platforms)} "
+            f"test={spec.enable_test_stage} targets={','.join(spec.target_stages)} "
+            f"base={spec.base_image or '-'} branch={spec.push_on_branch}\n"
+        )
+        parts.append(generate_pipeline(spec))
+    return "".join(parts)
+
+
 CASES: dict[str, Callable[[], str]] = {
     "minimal_dev.Dockerfile": minimal_dev,
     "minimal_run.Dockerfile": minimal_run,
@@ -73,4 +115,5 @@ CASES: dict[str, Callable[[], str]] = {
     "catkin_noetic_run.Dockerfile": catkin_noetic_run,
     "ci_github.yml": ci_github,
     "ci_gitlab.yml": ci_gitlab,
+    "ci_grid.yml": ci_grid,
 }
