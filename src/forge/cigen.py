@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import yaml
 
 from .errors import InvalidSpec
-from .textio import safe_load
 
 _IMAGE_NAME_RE = re.compile(r"^[a-z0-9][a-z0-9_.\-/]*$")
 
@@ -73,68 +72,70 @@ def _check_spec(spec: PipelineSpec) -> None:
         raise InvalidSpec("push_on_branch must be non-empty")
 
 
-def _ordered_stages(spec: PipelineSpec) -> list[str]:
-    order = [s for s in ("dev", "run") if s in spec.target_stages]
-    return order
-
-
-def _image_base(spec: PipelineSpec) -> str:
-    return f"{spec.registry}/{spec.image_name}"
-
-
-def _arch_tag(spec: PipelineSpec, stage: str, arch: str) -> str:
-    return f"{_image_base(spec)}:{stage}-{arch}"
-
-
-def _candidate_tag(spec: PipelineSpec, stage: str) -> str:
-    return f"{_image_base(spec)}:{stage}-candidate"
-
-
-def _final_tag(spec: PipelineSpec, stage: str) -> str:
-    return f"{_image_base(spec)}:{stage}"
-
-
-def _build_jobs(spec: PipelineSpec) -> list[tuple[str, str, str]]:
-    """(job name, stage, arch) triples in canonical order."""
-
-    return [
-        (f"build-{stage}-{arch}", stage, arch)
-        for stage in _ordered_stages(spec)
-        for arch in spec.platforms
-    ]
-
-
-def _merge_needed(spec: PipelineSpec) -> bool:
-    return len(spec.platforms) > 1
+def _tag(spec: PipelineSpec, suffix: str) -> str:
+    return f"{spec.registry}/{spec.image_name}:{suffix}"
 
 
 def _forge_build_command(spec: PipelineSpec, stage: str, arch: str) -> str:
     parts = ["forge", "build", ".", "--target", stage, "--platform", arch]
     if spec.base_image:
         parts += ["--base", spec.base_image]
-    parts += ["--tag", _arch_tag(spec, stage, arch), "--push"]
+    parts += ["--tag", _tag(spec, f"{stage}-{arch}"), "--push"]
     return " ".join(parts)
 
 
-def _merge_command(spec: PipelineSpec, stage: str) -> str:
-    sources = " ".join(_arch_tag(spec, stage, arch) for arch in spec.platforms)
-    return (
-        "docker buildx imagetools create --tag "
-        f"{_candidate_tag(spec, stage)} {sources}"
-    )
+def _imagetools_create(target: str, *sources: str) -> str:
+    return f"docker buildx imagetools create --tag {target} {' '.join(sources)}"
 
 
-def _push_commands(spec: PipelineSpec) -> list[str]:
-    commands = []
-    for stage in _ordered_stages(spec):
-        if _merge_needed(spec):
-            source = _candidate_tag(spec, stage)
-        else:
-            source = _arch_tag(spec, stage, spec.platforms[0])
-        commands.append(
-            f"docker buildx imagetools create --tag {_final_tag(spec, stage)} {source}"
-        )
-    return commands
+@dataclass(frozen=True)
+class Job:
+    """One platform-neutral CI job.
+
+    ``stage`` is ``build``, ``test``, ``merge`` or ``push``; the emitters
+    add each platform's setup steps for it. The push job is the only one
+    gated on ``PipelineSpec.push_on_branch``.
+    """
+
+    name: str
+    stage: str
+    needs: tuple[str, ...]
+    commands: tuple[str, ...]
+    arch: str = "amd64"
+
+
+def _jobs(spec: PipelineSpec) -> list[Job]:
+    """The build -> test -> merge -> push graph, in emission order."""
+
+    stages = [stage for stage in ("dev", "run") if stage in spec.target_stages]
+    jobs = [
+        Job(f"build-{stage}-{arch}", "build", (), (_forge_build_command(spec, stage, arch),), arch)
+        for stage in stages
+        for arch in spec.platforms
+    ]
+    last_layer = tuple(job.name for job in jobs)
+
+    if spec.enable_test_stage:
+        image = _tag(spec, f"dev-{spec.platforms[0]}")
+        test = f"docker run --rm {image} /bin/sh -c '{TEST_HOOK}'"
+        jobs.append(Job("test", "test", last_layer, (test,)))
+        last_layer = ("test",)
+
+    # What push publishes per stage: the merged candidate, or the only arch.
+    published = {stage: _tag(spec, f"{stage}-{spec.platforms[0]}") for stage in stages}
+    if len(spec.platforms) > 1:
+        for stage in stages:
+            published[stage] = _tag(spec, f"{stage}-candidate")
+            arch_tags = [_tag(spec, f"{stage}-{arch}") for arch in spec.platforms]
+            merge = _imagetools_create(published[stage], *arch_tags)
+            builds = tuple(f"build-{stage}-{arch}" for arch in spec.platforms)
+            needs = ("test",) if spec.enable_test_stage else builds
+            jobs.append(Job(f"merge-{stage}", "merge", needs, (merge,)))
+        last_layer = tuple(f"merge-{stage}" for stage in stages)
+
+    publish = tuple(_imagetools_create(_tag(spec, stage), published[stage]) for stage in stages)
+    jobs.append(Job("push", "push", last_layer, publish))
+    return jobs
 
 
 def generate_pipeline(spec: PipelineSpec) -> str:
@@ -145,9 +146,9 @@ def generate_pipeline(spec: PipelineSpec) -> str:
     """
 
     _check_spec(spec)
-    if spec.platform == "github":
-        return _generate_github(spec)
-    return _generate_gitlab(spec)
+    emit = _github_document if spec.platform == "github" else _gitlab_document
+    document = emit(spec, _jobs(spec))
+    return yaml.safe_dump(document, sort_keys=False, default_flow_style=False, width=120)
 
 
 # --- GitHub Actions --------------------------------------------------------
@@ -165,76 +166,36 @@ def _github_login_step(spec: PipelineSpec) -> dict[str, object]:
     }
 
 
-def _generate_github(spec: PipelineSpec) -> str:
-    build_jobs = _build_jobs(spec)
-    build_names = [name for name, _, _ in build_jobs]
-    jobs: dict[str, object] = {}
-
-    for name, stage, arch in build_jobs:
-        steps: list[object] = [{"uses": "actions/checkout@v4"}]
-        if arch != "amd64":
+def _github_job(spec: PipelineSpec, job: Job) -> dict[str, object]:
+    # Every step dict is new: one shared between jobs would make safe_dump
+    # emit YAML anchors and aliases.
+    steps: list[dict[str, object]] = []
+    if job.stage == "build":
+        steps.append({"uses": "actions/checkout@v4"})
+        if job.arch != "amd64":
             steps.append({"uses": "docker/setup-qemu-action@v3"})
+    if job.stage != "test":
         steps.append({"uses": "docker/setup-buildx-action@v3"})
-        steps.append(_github_login_step(spec))
+    steps.append(_github_login_step(spec))
+    if job.stage == "build":
         steps.append({"run": "python3 -m pip install forge"})
-        steps.append({"run": _forge_build_command(spec, stage, arch)})
-        jobs[name] = {"runs-on": "ubuntu-latest", "steps": steps}
+    steps += [{"run": command} for command in job.commands]
 
-    last_layer = list(build_names)
+    body: dict[str, object] = {"runs-on": "ubuntu-latest"}
+    if job.stage == "push":
+        body["if"] = f"github.ref == 'refs/heads/{spec.push_on_branch}'"
+    if job.needs:
+        body["needs"] = list(job.needs)
+    body["steps"] = steps
+    return body
 
-    if spec.enable_test_stage:
-        jobs["test"] = {
-            "runs-on": "ubuntu-latest",
-            "needs": list(build_names),
-            "steps": [
-                _github_login_step(spec),
-                {
-                    "run": "docker run --rm "
-                    + _arch_tag(spec, "dev", spec.platforms[0])
-                    + f" /bin/sh -c '{TEST_HOOK}'"
-                },
-            ],
-        }
-        last_layer = ["test"]
 
-    if _merge_needed(spec):
-        merge_names = []
-        for stage in _ordered_stages(spec):
-            name = f"merge-{stage}"
-            needs = (
-                ["test"]
-                if spec.enable_test_stage
-                else [f"build-{stage}-{arch}" for arch in spec.platforms]
-            )
-            jobs[name] = {
-                "runs-on": "ubuntu-latest",
-                "needs": needs,
-                "steps": [
-                    {"uses": "docker/setup-buildx-action@v3"},
-                    _github_login_step(spec),
-                    {"run": _merge_command(spec, stage)},
-                ],
-            }
-            merge_names.append(name)
-        last_layer = merge_names
-
-    jobs["push"] = {
-        "runs-on": "ubuntu-latest",
-        "if": f"github.ref == 'refs/heads/{spec.push_on_branch}'",
-        "needs": list(last_layer),
-        "steps": [
-            {"uses": "docker/setup-buildx-action@v3"},
-            _github_login_step(spec),
-            *({"run": command} for command in _push_commands(spec)),
-        ],
-    }
-
-    document = {
+def _github_document(spec: PipelineSpec, jobs: list[Job]) -> dict[str, object]:
+    return {
         "name": "forge",
         "on": {"push": {"branches": ["**"]}},
-        "jobs": jobs,
+        "jobs": {job.name: _github_job(spec, job) for job in jobs},
     }
-    return yaml.safe_dump(document, sort_keys=False, default_flow_style=False, width=120)
 
 
 # --- GitLab CI -------------------------------------------------------------
@@ -242,98 +203,27 @@ def _generate_github(spec: PipelineSpec) -> str:
 _GITLAB_LOGIN = 'docker login -u "$CI_REGISTRY_USER" -p "$CI_REGISTRY_PASSWORD" "$CI_REGISTRY"'
 
 
-def _generate_gitlab(spec: PipelineSpec) -> str:
-    build_jobs = _build_jobs(spec)
-    build_names = [name for name, _, _ in build_jobs]
-    stages = ["build"]
-    if spec.enable_test_stage:
-        stages.append("test")
-    if _merge_needed(spec):
-        stages.append("merge")
-    stages.append("push")
+def _gitlab_job(spec: PipelineSpec, job: Job) -> dict[str, object]:
+    script = [_GITLAB_LOGIN]
+    if job.stage == "build":
+        script += ["apk add --no-cache python3 py3-pip", "pip3 install forge"]
+    script += job.commands
 
+    body: dict[str, object] = {"stage": job.stage, "needs": list(job.needs)}
+    if job.stage == "push":
+        body["rules"] = [{"if": f'$CI_COMMIT_BRANCH == "{spec.push_on_branch}"'}]
+    body["script"] = script
+    return body
+
+
+def _gitlab_document(spec: PipelineSpec, jobs: list[Job]) -> dict[str, object]:
     document: dict[str, object] = {
-        "stages": stages,
+        "stages": list(dict.fromkeys(job.stage for job in jobs)),
         "default": {
             "image": "docker:24.0",
             "services": ["docker:24.0-dind"],
         },
     }
-
-    for name, stage, arch in build_jobs:
-        document[name] = {
-            "stage": "build",
-            "needs": [],
-            "script": [
-                _GITLAB_LOGIN,
-                "apk add --no-cache python3 py3-pip",
-                "pip3 install forge",
-                _forge_build_command(spec, stage, arch),
-            ],
-        }
-
-    last_layer = list(build_names)
-
-    if spec.enable_test_stage:
-        document["test"] = {
-            "stage": "test",
-            "needs": list(build_names),
-            "script": [
-                _GITLAB_LOGIN,
-                "docker run --rm "
-                + _arch_tag(spec, "dev", spec.platforms[0])
-                + f" /bin/sh -c '{TEST_HOOK}'",
-            ],
-        }
-        last_layer = ["test"]
-
-    if _merge_needed(spec):
-        merge_names = []
-        for stage in _ordered_stages(spec):
-            name = f"merge-{stage}"
-            needs = (
-                ["test"]
-                if spec.enable_test_stage
-                else [f"build-{stage}-{arch}" for arch in spec.platforms]
-            )
-            document[name] = {
-                "stage": "merge",
-                "needs": needs,
-                "script": [_GITLAB_LOGIN, _merge_command(spec, stage)],
-            }
-            merge_names.append(name)
-        last_layer = merge_names
-
-    document["push"] = {
-        "stage": "push",
-        "needs": list(last_layer),
-        "rules": [{"if": f'$CI_COMMIT_BRANCH == "{spec.push_on_branch}"'}],
-        "script": [_GITLAB_LOGIN, *_push_commands(spec)],
-    }
-
-    return yaml.safe_dump(document, sort_keys=False, default_flow_style=False, width=120)
-
-
-def job_graph(document_text: str) -> dict[str, list[str]]:
-    """Job name to dependency list, extracted from generated YAML.
-
-    Works for both platforms: GitHub jobs live under ``jobs``; GitLab jobs
-    are top-level mappings with a ``stage`` key. Edges come from ``needs``.
-    """
-
-    doc = safe_load(document_text)
-    if not isinstance(doc, dict):
-        raise InvalidSpec("pipeline document is not a mapping")
-    graph: dict[str, list[str]] = {}
-    if "jobs" in doc and isinstance(doc["jobs"], dict):
-        items = doc["jobs"].items()
-    else:
-        items = [
-            (name, body)
-            for name, body in doc.items()
-            if isinstance(body, dict) and "stage" in body and "script" in body
-        ]
-    for name, body in items:
-        needs = body.get("needs") or []
-        graph[str(name)] = [str(n) for n in needs]
-    return graph
+    for job in jobs:
+        document[job.name] = _gitlab_job(spec, job)
+    return document

@@ -51,6 +51,7 @@ from .devrun import (
 from .dockergen import ImageSpec, plan_stages, render, spec_for_workspace, validate_plan
 from .engine import (
     BuildRequest,
+    ContainerState,
     EngineCommand,
     EngineDriver,
     SubprocessDriver,
@@ -58,7 +59,6 @@ from .engine import (
     execute,
     inspect_container,
     run_builds,
-    run_argv,
 )
 from .errors import (
     ConfigError,
@@ -66,10 +66,12 @@ from .errors import (
     MalformedDatabase,
     MalformedReposFile,
     MissingCredential,
+    NonZeroExit,
     UnresolvedDependencies,
 )
 from .manifest import Workspace, internal_package_names, scan_workspace
 from .matrix import (
+    MatrixEntry,
     build_plan_document,
     base_dockerfile_args,
     enumerate_matrix,
@@ -81,6 +83,7 @@ from .sources import (
     clone_plan,
     combine_repos,
     parse_repos,
+    redact,
     required_credential_vars,
 )
 from .textio import read_utf8, safe_load
@@ -132,6 +135,29 @@ def _parse_int(value: object, name: str) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _parse_str(value: object, name: str) -> str:
+    return str(value)
+
+
+def _parse_paths(value: object, name: str) -> tuple[str, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list of paths")
+    return tuple(str(p) for p in value)
+
+
+# GlobalConfig field, forge.yaml key, environment variable, parser. A parser
+# takes the YAML value or the variable's text plus the name to report;
+# FORGE_ROSDEP_DBS is split on os.pathsep before parsing.
+_CONFIG_TABLE = (
+    ("registry", "registry", "FORGE_REGISTRY", _parse_str),
+    ("default_distro", "default_distro", "FORGE_DISTRO", _parse_str),
+    ("rosdep_db_paths", "rosdep_dbs", "FORGE_ROSDEP_DBS", _parse_paths),
+    ("distro_index_path", "distro_index", "FORGE_DISTRO_INDEX", _parse_str),
+    ("parallelism", "parallelism", "FORGE_PARALLELISM", _parse_int),
+    ("strict", "strict", "FORGE_STRICT", _parse_flag),
+)
+
+
 def load_config(args: argparse.Namespace, workspace_root: Path | None) -> GlobalConfig:
     cfg = GlobalConfig()
 
@@ -155,37 +181,15 @@ def load_config(args: argparse.Namespace, workspace_root: Path | None) -> Global
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {config_path} must hold a mapping")
         cfg.config_path = config_path
-        if "registry" in doc:
-            cfg.registry = str(doc["registry"])
-        if "default_distro" in doc:
-            cfg.default_distro = str(doc["default_distro"])
-        if "rosdep_dbs" in doc:
-            raw = doc["rosdep_dbs"]
-            if not isinstance(raw, list):
-                raise ConfigError("config key rosdep_dbs must be a list of paths")
-            cfg.rosdep_db_paths = tuple(str(p) for p in raw)
-        if "distro_index" in doc:
-            cfg.distro_index_path = str(doc["distro_index"])
-        if "parallelism" in doc:
-            cfg.parallelism = _parse_int(doc["parallelism"], "config key parallelism")
-        if "strict" in doc:
-            cfg.strict = _parse_flag(doc["strict"], "config key strict")
+        for field_name, key, _, parse in _CONFIG_TABLE:
+            if key in doc:
+                setattr(cfg, field_name, parse(doc[key], f"config key {key}"))
 
-    env = os.environ
-    if "FORGE_REGISTRY" in env:
-        cfg.registry = env["FORGE_REGISTRY"]
-    if "FORGE_DISTRO" in env:
-        cfg.default_distro = env["FORGE_DISTRO"]
-    if "FORGE_ROSDEP_DBS" in env:
-        cfg.rosdep_db_paths = tuple(
-            p for p in env["FORGE_ROSDEP_DBS"].split(os.pathsep) if p
-        )
-    if "FORGE_DISTRO_INDEX" in env:
-        cfg.distro_index_path = env["FORGE_DISTRO_INDEX"]
-    if "FORGE_PARALLELISM" in env:
-        cfg.parallelism = _parse_int(env["FORGE_PARALLELISM"], "FORGE_PARALLELISM")
-    if "FORGE_STRICT" in env:
-        cfg.strict = _parse_flag(env["FORGE_STRICT"], "FORGE_STRICT")
+    for field_name, _, var, parse in _CONFIG_TABLE:
+        if var in os.environ:
+            text = os.environ[var]
+            value = [p for p in text.split(os.pathsep) if p] if parse is _parse_paths else text
+            setattr(cfg, field_name, parse(value, var))
 
     if getattr(args, "registry", None):
         cfg.registry = args.registry
@@ -286,6 +290,17 @@ def analyze_workspace(
     )
 
 
+def _analyze_args(args: argparse.Namespace) -> tuple[GlobalConfig, WorkspaceAnalysis]:
+    """Config and analysis for a workspace subcommand's arguments."""
+
+    root = Path(args.workspace)
+    cfg = load_config(args, root if root.is_dir() else None)
+    analysis = analyze_workspace(
+        root, cfg, tuple(args.repos or ()), write_cache=not args.dry_run
+    )
+    return cfg, analysis
+
+
 def _resolution_doc(analysis: WorkspaceAnalysis) -> dict[str, object]:
     resolved = analysis.resolved
     resolved_exec = analysis.resolved_exec
@@ -323,11 +338,7 @@ def _print_bucket(label: str, items: tuple[str, ...]) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace, driver: EngineDriver | None) -> int:
-    root = Path(args.workspace)
-    cfg = load_config(args, root if root.is_dir() else None)
-    analysis = analyze_workspace(
-        root, cfg, tuple(args.repos or ()), write_cache=not args.dry_run
-    )
+    cfg, analysis = _analyze_args(args)
     resolved = analysis.resolved
     assert resolved is not None
 
@@ -403,22 +414,22 @@ def _render_for_workspace(
 
 
 def cmd_generate_dockerfile(args: argparse.Namespace, driver: EngineDriver | None) -> int:
-    root = Path(args.workspace)
-    cfg = load_config(args, root if root.is_dir() else None)
-    analysis = analyze_workspace(
-        root, cfg, tuple(args.repos or ()), write_cache=not args.dry_run
-    )
+    cfg, analysis = _analyze_args(args)
     text = _render_for_workspace(args, analysis, cfg)
+    _write_output(text, args.output or str(analysis.root / "Dockerfile"))
+    return 0
 
-    output = args.output or str(root / "Dockerfile")
+
+def _write_output(text: str, output: str) -> None:
+    """Print ``text`` for ``-``, else write it to the path ``output``."""
+
     if output == "-":
         print(text, end="")
-    else:
-        path = Path(output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-        print(f"wrote {path}")
-    return 0
+        return
+    path = Path(output)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    print(f"wrote {path}")
 
 
 def cmd_generate_ci(args: argparse.Namespace, driver: EngineDriver | None) -> int:
@@ -433,15 +444,7 @@ def cmd_generate_ci(args: argparse.Namespace, driver: EngineDriver | None) -> in
         base_image=args.base or "",
         target_stages=tuple(args.targets.split(",")) if args.targets else ("dev", "run"),
     )
-    text = generate_pipeline(spec)
-    output = args.output or default_output_path(args.platform)
-    if output == "-":
-        print(text, end="")
-    else:
-        path = Path(output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-        print(f"wrote {path}")
+    _write_output(generate_pipeline(spec), args.output or default_output_path(args.platform))
     return 0
 
 
@@ -449,27 +452,18 @@ def _print_dry_run(
     commands: list[EngineCommand], binary: str, secrets: tuple[str, ...] = ()
 ) -> None:
     for command in commands:
-        line = f"[dry-run] {binary} {shlex.join(command.argv)}"
-        for value in secrets:
-            if value:
-                line = line.replace(value, "***")
-        print(line)
+        print(redact(f"[dry-run] {binary} {shlex.join(command.argv)}", secrets))
 
 
 def _make_driver(args: argparse.Namespace, driver: EngineDriver | None) -> EngineDriver:
-    if driver is not None:
-        return driver
-    return SubprocessDriver(getattr(args, "engine", None) or "docker")
+    return driver if driver is not None else SubprocessDriver(args.engine)
 
 
 def cmd_build(args: argparse.Namespace, driver: EngineDriver | None) -> int:
-    root = Path(args.workspace)
-    cfg = load_config(args, root if root.is_dir() else None)
-    analysis = analyze_workspace(
-        root, cfg, tuple(args.repos or ()), write_cache=not args.dry_run
-    )
+    cfg, analysis = _analyze_args(args)
     text = _render_for_workspace(args, analysis, cfg)
 
+    root = analysis.root
     dockerfile = Path(args.dockerfile_out or root / GENERATED_DIR / "Dockerfile")
     dockerfile.parent.mkdir(parents=True, exist_ok=True)
     dockerfile.write_text(text, encoding="utf-8")
@@ -502,24 +496,35 @@ def cmd_build(args: argparse.Namespace, driver: EngineDriver | None) -> int:
     )
     command = build_argv(request)
 
-    binary = getattr(args, "engine", None) or "docker"
     if args.dry_run:
-        _print_dry_run([command], binary, secrets)
+        _print_dry_run([command], args.engine, secrets)
         return 0
-    engine = _make_driver(args, driver)
-    execute(command, engine)
+    try:
+        execute(command, _make_driver(args, driver))
+    except NonZeroExit as exc:
+        # The argv carries credential build args and the engine may echo
+        # them; the original exception is dropped so no traceback holds them.
+        raise NonZeroExit(
+            [redact(arg, secrets) for arg in exc.argv],
+            exc.exit_code,
+            redact(exc.stderr, secrets),
+        ) from None
     print(f"built {', '.join(tags)}")
     return 0
 
 
-def cmd_matrix_list(args: argparse.Namespace, driver: EngineDriver | None) -> int:
-    cfg = load_config(args, None)
-    entries = enumerate_matrix(
+def _matrix_entries(args: argparse.Namespace) -> list[MatrixEntry]:
+    return enumerate_matrix(
         distros=args.distro or None,
         components=args.component or None,
         ml_flavors=args.ml or None,
         architectures=args.arch or None,
     )
+
+
+def cmd_matrix_list(args: argparse.Namespace, driver: EngineDriver | None) -> int:
+    cfg = load_config(args, None)
+    entries = _matrix_entries(args)
     if args.format in ("json", "yaml"):
         table = load_base_image_table()
         doc = [
@@ -545,12 +550,7 @@ def cmd_matrix_list(args: argparse.Namespace, driver: EngineDriver | None) -> in
 
 def cmd_matrix_build(args: argparse.Namespace, driver: EngineDriver | None) -> int:
     cfg = load_config(args, None)
-    entries = enumerate_matrix(
-        distros=args.distro or None,
-        components=args.component or None,
-        ml_flavors=args.ml or None,
-        architectures=args.arch or None,
-    )
+    entries = _matrix_entries(args)
     table = load_base_image_table()
 
     if args.plan_out:
@@ -572,9 +572,8 @@ def cmd_matrix_build(args: argparse.Namespace, driver: EngineDriver | None) -> i
         )
         tagged.append((tag, build_argv(request)))
 
-    binary = getattr(args, "engine", None) or "docker"
     if args.dry_run:
-        _print_dry_run([command for _, command in tagged], binary)
+        _print_dry_run([command for _, command in tagged], args.engine)
         return 0
     engine = _make_driver(args, driver)
     run_builds(tagged, engine, max_workers=cfg.parallelism)
@@ -616,43 +615,32 @@ def cmd_run(args: argparse.Namespace, driver: EngineDriver | None) -> int:
         plugins = load_plugins(Path(args.plugin_dir))
         invocation = apply_plugins(invocation, plugins)
 
-    binary = getattr(args, "engine", None) or "docker"
+    name = invocation.name or ""
     if args.dry_run:
-        commands = attach_or_run(
-            invocation.name or "", invocation,
-            state=_dry_run_state(invocation.name or ""),
-        )
-        _print_dry_run(list(commands), binary)
+        state = ContainerState(name=name, exists=False, running=False)
+        _print_dry_run(list(attach_or_run(name, invocation, state)), args.engine)
         return 0
 
     engine = _make_driver(args, driver)
-    state = inspect_container(invocation.name or "", engine)
-    commands = attach_or_run(invocation.name or "", invocation, state)
+    commands = attach_or_run(name, invocation, inspect_container(name, engine))
 
     # All but the last command are housekeeping (container removal); the
     # final run/exec inherits this terminal.
     for command in commands[:-1]:
         execute(command, engine)
     final = commands[-1]
-    completed = subprocess.run([binary, *final.argv], check=False)
+    completed = subprocess.run([args.engine, *final.argv], check=False)
     return completed.returncode
 
 
-def _dry_run_state(name: str):
-    from .engine import ContainerState
-
-    return ContainerState(name=name, exists=False, running=False)
-
-
 def cmd_bench_startup(args: argparse.Namespace, driver: EngineDriver | None) -> int:
-    binary = getattr(args, "engine", None) or "docker"
     command = EngineCommand(
         verb="run",
         argv=("run", "--rm", args.image, "true"),
         description="startup overhead probe",
     )
     if args.dry_run:
-        _print_dry_run([command], binary)
+        _print_dry_run([command], args.engine)
         return 0
     engine = _make_driver(args, driver)
     timings: list[float] = []
@@ -684,7 +672,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="print the engine commands that would run, execute nothing",
     )
-    parser.add_argument("--engine", help="container engine binary (default: docker)")
+    parser.add_argument(
+        "--engine", default="docker", help="container engine binary (default: docker)"
+    )
 
 
 def _add_workspace_options(parser: argparse.ArgumentParser) -> None:

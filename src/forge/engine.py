@@ -14,7 +14,7 @@ import subprocess
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from .errors import (
     EngineUnavailable,
@@ -23,33 +23,15 @@ from .errors import (
     NonZeroExit,
 )
 
-VERBS = ("build", "run", "exec", "push", "tag", "inspect", "manifest-merge", "rm")
-
-# Verb to acceptable argv[0] values; multi-platform builds and manifest
-# merges go through the buildx subcommand.
+# Engine verb to acceptable argv[0] values; multi-platform builds go
+# through the buildx subcommand.
 _VERB_HEADS = {
     "build": ("build", "buildx"),
     "run": ("run",),
     "exec": ("exec",),
-    "push": ("push",),
-    "tag": ("tag",),
     "inspect": ("inspect",),
-    "manifest-merge": ("buildx",),
     "rm": ("rm",),
 }
-
-_TRANSIENT_MARKERS = (
-    "timeout",
-    "timed out",
-    "temporar",
-    "connection refused",
-    "connection reset",
-    "tls handshake",
-    "i/o timeout",
-    "unexpected eof",
-    "502",
-    "503",
-)
 
 
 @dataclass(frozen=True)
@@ -61,7 +43,7 @@ class EngineCommand:
     description: str = ""
 
     def __post_init__(self) -> None:
-        if self.verb not in VERBS:
+        if self.verb not in _VERB_HEADS:
             raise InvalidRequest(f"unknown engine verb {self.verb!r}")
         if not self.argv or self.argv[0] not in _VERB_HEADS[self.verb]:
             raise InvalidRequest(
@@ -214,25 +196,6 @@ def rm_argv(name: str) -> EngineCommand:
     )
 
 
-def push_argv(tag: str) -> EngineCommand:
-    return EngineCommand(verb="push", argv=("push", tag), description=f"push {tag}")
-
-
-def tag_argv(source: str, target: str) -> EngineCommand:
-    return EngineCommand(
-        verb="tag", argv=("tag", source, target), description=f"tag {source} as {target}"
-    )
-
-
-def manifest_merge_argv(target: str, sources: Sequence[str]) -> EngineCommand:
-    argv = ["buildx", "imagetools", "create", "--tag", target, *sources]
-    return EngineCommand(
-        verb="manifest-merge",
-        argv=tuple(argv),
-        description=f"merge {len(sources)} manifests into {target}",
-    )
-
-
 def inspect_argv(name: str) -> EngineCommand:
     return EngineCommand(
         verb="inspect",
@@ -302,24 +265,6 @@ def execute(
     return result
 
 
-def _is_transient(stderr: str) -> bool:
-    lowered = stderr.lower()
-    return any(marker in lowered for marker in _TRANSIENT_MARKERS)
-
-
-def execute_push(command: EngineCommand, driver: EngineDriver) -> EngineResult:
-    """Push with exactly one retry on a transient network failure."""
-
-    if command.verb != "push":
-        raise InvalidRequest("execute_push only accepts push commands")
-    result = driver.execute(command)
-    if result.exit_code != 0 and _is_transient(result.stderr):
-        result = driver.execute(command)
-    if result.exit_code != 0:
-        raise NonZeroExit(list(command.argv), result.exit_code, result.stderr)
-    return result
-
-
 def inspect_container(name: str, driver: EngineDriver) -> ContainerState:
     """Existence and run state of a named container."""
 
@@ -359,9 +304,3 @@ def run_builds(
         return [worker(item) for item in tagged_commands]
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         return list(pool.map(worker, tagged_commands))
-
-
-def environment_pairs(env: Mapping[str, str]) -> tuple[tuple[str, str], ...]:
-    """Normalize a mapping into the sorted pair form RunInvocation uses."""
-
-    return tuple(sorted(env.items()))

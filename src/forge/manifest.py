@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 
 from .errors import (
@@ -229,38 +229,6 @@ def parse_manifest(
     )
 
 
-def render_manifest(manifest: PackageManifest) -> str:
-    """Serialize a manifest back to canonical XML.
-
-    Keys in both build and exec scope are emitted as ``<depend>``; the
-    remainder use their narrowest tag. ``parse_manifest`` applied to the
-    output reproduces the input manifest.
-    """
-
-    lines = [
-        '<?xml version="1.0"?>',
-        f'<package format="{manifest.manifest_format}">',
-        f"  <name>{manifest.name}</name>",
-        f"  <version>{manifest.version}</version>",
-    ]
-    both = sorted(manifest.deps_build & manifest.deps_exec)
-    build_only = sorted(manifest.deps_build - manifest.deps_exec)
-    exec_only = sorted(manifest.deps_exec - manifest.deps_build)
-    for key in both:
-        lines.append(f"  <depend>{key}</depend>")
-    for key in build_only:
-        lines.append(f"  <build_depend>{key}</build_depend>")
-    for key in exec_only:
-        lines.append(f"  <exec_depend>{key}</exec_depend>")
-    for key in sorted(manifest.deps_test):
-        lines.append(f"  <test_depend>{key}</test_depend>")
-    lines.append("  <export>")
-    lines.append(f"    <build_type>{manifest.build_type}</build_type>")
-    lines.append("  </export>")
-    lines.append("</package>")
-    return "\n".join(lines) + "\n"
-
-
 def _has_ignore_marker(directory: Path) -> bool:
     return any((directory / marker).exists() for marker in IGNORE_MARKERS)
 
@@ -321,9 +289,3 @@ def internal_package_names(workspace: Workspace) -> set[str]:
     """Names of all packages in the workspace, for self-dependency checks."""
 
     return {pkg.name for pkg in workspace.packages}
-
-
-def with_source_dir(manifest: PackageManifest, source_dir: PurePosixPath) -> PackageManifest:
-    """Copy of ``manifest`` relocated to ``source_dir``."""
-
-    return replace(manifest, source_dir=source_dir)

@@ -139,14 +139,23 @@ def substitute_url(url: str, credential_env: Mapping[str, str]) -> str:
     return _PLACEHOLDER_RE.sub(replace, url)
 
 
+def redact(text: str, secrets: Iterable[str]) -> str:
+    """``text`` with every non-empty secret value replaced by ``***``.
+
+    Longer values go first, so a secret that contains another is hidden
+    whole rather than in part.
+    """
+
+    for value in sorted(secrets, key=len, reverse=True):
+        if value:
+            text = text.replace(value, "***")
+    return text
+
+
 def redact_url(url: str, credential_env: Mapping[str, str]) -> str:
     """Substituted URL with every credential value replaced by ``***``."""
 
-    redacted = substitute_url(url, credential_env)
-    for value in credential_env.values():
-        if value:
-            redacted = redacted.replace(value, "***")
-    return redacted
+    return redact(substitute_url(url, credential_env), credential_env.values())
 
 
 def clone_plan(

@@ -22,10 +22,11 @@ import yaml
 from acceptance_report import RESULTS, record
 from conftest import FIXTURE_ROOT, GOLDEN_ROOT, analysis_for
 from golden_cases import CASES
+from pipeline_graph import job_graph
 from resolution_oracle import load_oracle_db, partition
 
 from forge import cli
-from forge.cigen import PipelineSpec, generate_pipeline, job_graph
+from forge.cigen import PipelineSpec, generate_pipeline
 from forge.depgraph import (
     DeclaredKeys,
     load_rosdep_db,

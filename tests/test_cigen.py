@@ -5,12 +5,9 @@ from __future__ import annotations
 import pytest
 import yaml
 
-from forge.cigen import (
-    PipelineSpec,
-    default_output_path,
-    generate_pipeline,
-    job_graph,
-)
+from pipeline_graph import job_graph
+
+from forge.cigen import PipelineSpec, default_output_path, generate_pipeline
 from forge.errors import InvalidSpec
 
 

@@ -17,18 +17,13 @@ from forge.engine import (
     RecordingDriver,
     RunInvocation,
     build_argv,
-    environment_pairs,
     exec_argv,
     execute,
-    execute_push,
     inspect_argv,
     inspect_container,
-    manifest_merge_argv,
-    push_argv,
     rm_argv,
     run_argv,
     run_builds,
-    tag_argv,
 )
 from forge.errors import InvalidRequest, MalformedEngineOutput, NonZeroExit
 
@@ -40,9 +35,9 @@ def test_command_rejects_unknown_verb() -> None:
 
 def test_command_rejects_wrong_head() -> None:
     with pytest.raises(InvalidRequest):
-        EngineCommand(verb="push", argv=("pull", "tag"))
+        EngineCommand(verb="rm", argv=("pull", "box"))
     with pytest.raises(InvalidRequest):
-        EngineCommand(verb="manifest-merge", argv=("manifest", "create"))
+        EngineCommand(verb="build", argv=("manifest", "create"))
 
 
 def test_command_accepts_buildx_head_for_build() -> None:
@@ -179,7 +174,7 @@ def test_run_argv_passthrough_contiguous_before_image(
     invocation = RunInvocation(
         image="the-image",
         name=name,
-        env=environment_pairs(env),
+        env=tuple(sorted(env.items())),
         gpu_all=gpu,
         passthrough=tuple(passthrough),
         command=("cmd",),
@@ -199,79 +194,21 @@ def test_exec_argv_shape() -> None:
 
 def test_small_argv_shapes() -> None:
     assert rm_argv("box").argv == ("rm", "-f", "box")
-    assert push_argv("t").argv == ("push", "t")
-    assert tag_argv("a", "b").argv == ("tag", "a", "b")
     assert inspect_argv("box").argv == ("inspect", "--type", "container", "box")
-    merge = manifest_merge_argv("t:final", ("t:amd64", "t:arm64"))
-    assert merge.argv == (
-        "buildx",
-        "imagetools",
-        "create",
-        "--tag",
-        "t:final",
-        "t:amd64",
-        "t:arm64",
-    )
 
 
 def test_execute_raises_on_failure() -> None:
-    driver = RecordingDriver(scripted={"push": EngineResult(1, "", "denied")})
+    driver = RecordingDriver(scripted={"rm": EngineResult(1, "", "denied")})
     with pytest.raises(NonZeroExit) as excinfo:
-        execute(push_argv("t"), driver)
+        execute(rm_argv("box"), driver)
     assert excinfo.value.exit_code == 1
     assert "denied" in str(excinfo.value)
 
 
 def test_execute_check_false_returns_result() -> None:
-    driver = RecordingDriver(scripted={"push": EngineResult(1, "", "denied")})
-    result = execute(push_argv("t"), driver, check=False)
+    driver = RecordingDriver(scripted={"rm": EngineResult(1, "", "denied")})
+    result = execute(rm_argv("box"), driver, check=False)
     assert result.exit_code == 1
-
-
-class SequencedDriver:
-    """Returns queued results in order; records every command."""
-
-    def __init__(self, results: list[EngineResult]) -> None:
-        self.results = list(results)
-        self.commands: list[EngineCommand] = []
-
-    def execute(self, command: EngineCommand) -> EngineResult:
-        self.commands.append(command)
-        return self.results.pop(0)
-
-
-def test_push_retries_once_on_transient_failure() -> None:
-    driver = SequencedDriver(
-        [EngineResult(1, "", "TLS handshake timeout"), EngineResult(0, "", "")]
-    )
-    result = execute_push(push_argv("t"), driver)
-    assert result.exit_code == 0
-    assert len(driver.commands) == 2
-
-
-def test_push_retry_is_single() -> None:
-    driver = SequencedDriver(
-        [
-            EngineResult(1, "", "connection reset by peer"),
-            EngineResult(1, "", "connection reset by peer"),
-            EngineResult(0, "", ""),
-        ]
-    )
-    with pytest.raises(NonZeroExit):
-        execute_push(push_argv("t"), driver)
-    assert len(driver.commands) == 2
-
-
-def test_push_no_retry_on_permanent_failure() -> None:
-    driver = SequencedDriver([EngineResult(1, "", "unauthorized: access denied")])
-    with pytest.raises(NonZeroExit):
-        execute_push(push_argv("t"), driver)
-    assert len(driver.commands) == 1
-
-
-def test_push_helper_rejects_other_verbs() -> None:
-    with pytest.raises(InvalidRequest):
-        execute_push(rm_argv("box"), RecordingDriver())
 
 
 def _inspect_payload(running: bool) -> str:
@@ -331,13 +268,9 @@ def test_run_builds_serial_path() -> None:
 def test_scripted_prefix_beats_verb() -> None:
     driver = RecordingDriver(
         scripted={
-            ("push", "special"): EngineResult(3, "", ""),
-            "push": EngineResult(0, "", ""),
+            ("rm", "-f", "special"): EngineResult(3, "", ""),
+            "rm": EngineResult(0, "", ""),
         }
     )
-    assert driver.execute(push_argv("special")).exit_code == 3
-    assert driver.execute(push_argv("other")).exit_code == 0
-
-
-def test_environment_pairs_sorted() -> None:
-    assert environment_pairs({"B": "2", "A": "1"}) == (("A", "1"), ("B", "2"))
+    assert driver.execute(rm_argv("special")).exit_code == 3
+    assert driver.execute(rm_argv("other")).exit_code == 0

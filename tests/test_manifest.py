@@ -18,9 +18,7 @@ from forge.manifest import (
     PackageManifest,
     evaluate_condition,
     parse_manifest,
-    render_manifest,
     scan_workspace,
-    with_source_dir,
 )
 
 ENV = {"ROS_VERSION": "2", "ROS_DISTRO": "humble"}
@@ -207,6 +205,38 @@ def manifests(draw: st.DrawFn) -> PackageManifest:
     )
 
 
+def render_manifest(manifest: PackageManifest) -> str:
+    """Serialize a manifest back to canonical XML.
+
+    Keys in both build and exec scope are emitted as ``<depend>``; the
+    remainder use their narrowest tag. ``parse_manifest`` applied to the
+    output reproduces the input manifest.
+    """
+
+    lines = [
+        '<?xml version="1.0"?>',
+        f'<package format="{manifest.manifest_format}">',
+        f"  <name>{manifest.name}</name>",
+        f"  <version>{manifest.version}</version>",
+    ]
+    both = sorted(manifest.deps_build & manifest.deps_exec)
+    build_only = sorted(manifest.deps_build - manifest.deps_exec)
+    exec_only = sorted(manifest.deps_exec - manifest.deps_build)
+    for key in both:
+        lines.append(f"  <depend>{key}</depend>")
+    for key in build_only:
+        lines.append(f"  <build_depend>{key}</build_depend>")
+    for key in exec_only:
+        lines.append(f"  <exec_depend>{key}</exec_depend>")
+    for key in sorted(manifest.deps_test):
+        lines.append(f"  <test_depend>{key}</test_depend>")
+    lines.append("  <export>")
+    lines.append(f"    <build_type>{manifest.build_type}</build_type>")
+    lines.append("  </export>")
+    lines.append("</package>")
+    return "\n".join(lines) + "\n"
+
+
 @settings(max_examples=150, deadline=None)
 @given(manifests())
 def test_render_parse_round_trip(manifest: PackageManifest) -> None:
@@ -289,14 +319,6 @@ def test_scan_rejects_non_utf8_manifest(tmp_path) -> None:
     with pytest.raises(MalformedManifest, match="not UTF-8") as info:
         scan_workspace(tmp_path, ENV)
     assert str(bad) in str(info.value)
-
-
-def test_with_source_dir() -> None:
-    manifest = parse_manifest(MINIMAL_XML, ENV)
-    moved = with_source_dir(manifest, PurePosixPath("src/demo"))
-    assert moved.source_dir == PurePosixPath("src/demo")
-    assert moved.name == manifest.name
-    assert manifest.source_dir == PurePosixPath(".")
 
 
 def test_fixture_workspaces_scan(minimal_analysis, multi_repo_analysis) -> None:

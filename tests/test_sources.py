@@ -17,6 +17,7 @@ from forge.sources import (
     combine_repos,
     credential_vars,
     parse_repos,
+    redact,
     redact_url,
     required_credential_vars,
     substitute_url,
@@ -156,3 +157,10 @@ def test_redacted_url_never_leaks_secret(env: dict[str, str], host: str) -> None
     for value in env.values():
         assert value not in redacted
     assert redacted.count("***") >= 1
+
+
+def test_redact_hides_a_secret_that_contains_another_whole() -> None:
+    text = "https://abc:abcdef@h/r.git"
+    assert redact(text, ["abc", "abcdef"]) == "https://***:***@h/r.git"
+    assert redact(text, ["abcdef", "abc"]) == "https://***:***@h/r.git"
+    assert redact(text, ["", "zzz"]) == text
