@@ -46,6 +46,10 @@ class EmptyWorkspace(UserError):
     """A workspace scan found no package manifests."""
 
 
+class UnreadableWorkspace(UserError):
+    """A workspace directory or package manifest could not be read."""
+
+
 # --- dependency databases --------------------------------------------------
 
 

@@ -9,6 +9,9 @@ manifest additions do not break scanning.
 
 from __future__ import annotations
 
+import errno
+import functools
+import os
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -18,6 +21,7 @@ from .errors import (
     DuplicatePackageName,
     EmptyWorkspace,
     MalformedManifest,
+    UnreadableWorkspace,
     UnsupportedFormat,
 )
 from .textio import read_utf8
@@ -147,11 +151,11 @@ def evaluate_condition(expression: str, env: dict[str, str]) -> bool:
     return result
 
 
-def _element_active(element: ET.Element, env: dict[str, str]) -> bool:
-    condition = element.get("condition")
-    if condition is None:
-        return True
-    return evaluate_condition(condition, env)
+@functools.lru_cache(maxsize=1024)
+def _condition_holds(expression: str, env_items: tuple[tuple[str, str], ...]) -> bool:
+    """:func:`evaluate_condition`, memoized: a workspace repeats few expressions."""
+
+    return evaluate_condition(expression, dict(env_items))
 
 
 def parse_manifest(
@@ -166,6 +170,12 @@ def parse_manifest(
     """
 
     env = condition_env or {}
+    env_items = tuple(sorted(env.items()))
+
+    def active(element: ET.Element) -> bool:
+        condition = element.get("condition")
+        return condition is None or _condition_holds(condition, env_items)
+
     try:
         root = ET.fromstring(xml_text)
     except ET.ParseError as exc:
@@ -198,9 +208,7 @@ def parse_manifest(
     scopes: dict[str, set[str]] = {"build": set(), "exec": set(), "test": set()}
     for element in root:
         targets = _DEP_TAG_SCOPES.get(element.tag)
-        if targets is None:
-            continue
-        if not _element_active(element, env):
+        if targets is None or not active(element):
             continue
         key = (element.text or "").strip()
         if not key:
@@ -212,7 +220,7 @@ def parse_manifest(
     export = root.find("export")
     if export is not None:
         for bt in export.findall("build_type"):
-            if _element_active(bt, env) and (bt.text or "").strip():
+            if active(bt) and (bt.text or "").strip():
                 build_type = (bt.text or "").strip()
     if build_type is None:
         build_type = "catkin" if env.get("ROS_VERSION") == "1" else "ament_cmake"
@@ -229,8 +237,18 @@ def parse_manifest(
     )
 
 
-def _has_ignore_marker(directory: Path) -> bool:
-    return any((directory / marker).exists() for marker in IGNORE_MARKERS)
+def _is_file(entry: os.DirEntry) -> bool:
+    """``entry.is_file()``, but False for a link that loops or runs through a file.
+
+    ``Path.is_file`` answers False there too; ``DirEntry.is_file`` raises.
+    """
+
+    try:
+        return entry.is_file()
+    except OSError as exc:
+        if exc.errno in (errno.ENOTDIR, errno.ELOOP):
+            return False
+        raise
 
 
 def scan_workspace(
@@ -239,8 +257,9 @@ def scan_workspace(
     """Discover every package under ``root``.
 
     Any subtree containing a COLCON_IGNORE or CATKIN_IGNORE marker is
-    skipped. Packages are returned sorted by name; duplicate names and
-    package-less trees are hard errors.
+    skipped, and symlinked directories are not followed. Directories are
+    visited parent first, children in name order. Packages are returned
+    sorted by name; duplicate names and package-less trees are hard errors.
     """
 
     root = Path(root)
@@ -249,26 +268,39 @@ def scan_workspace(
 
     packages: list[PackageManifest] = []
     ignored: list[Path] = []
-
-    def walk(directory: Path) -> None:
-        if _has_ignore_marker(directory):
-            ignored.append(directory)
-            return
-        manifest_path = directory / "package.xml"
-        if manifest_path.is_file():
-            rel = PurePosixPath(directory.relative_to(root).as_posix())
-            packages.append(
-                parse_manifest(
-                    read_utf8(manifest_path, MalformedManifest),
-                    condition_env,
-                    source_dir=rel,
-                )
-            )
-        for child in sorted(directory.iterdir()):
-            if child.is_dir() and not child.is_symlink():
-                walk(child)
-
-    walk(root)
+    # Directories left to visit as (path, path relative to root), next last.
+    stack = [(str(root), "")]
+    while stack:
+        directory, rel = stack.pop()
+        ignore = has_manifest = False
+        children: list[str] = []
+        try:
+            with os.scandir(directory) as entries:
+                for entry in entries:
+                    if entry.name in IGNORE_MARKERS:
+                        # A dangling marker symlink does not count.
+                        ignore = ignore or os.path.exists(entry.path)
+                    elif entry.name == "package.xml" and _is_file(entry):
+                        has_manifest = True
+                    elif entry.is_dir(follow_symlinks=False):
+                        children.append(entry.name)
+            if has_manifest and not ignore:
+                text = read_utf8(Path(directory, "package.xml"), MalformedManifest)
+        except OSError as exc:
+            raise UnreadableWorkspace(
+                f"cannot read {exc.filename or directory}: {exc.strerror}"
+            ) from exc
+        if ignore:
+            ignored.append(Path(directory))
+            continue
+        if has_manifest:
+            try:
+                manifest = parse_manifest(text, condition_env, PurePosixPath(rel or "."))
+            except (MalformedManifest, UnsupportedFormat) as exc:
+                raise type(exc)(f"{os.path.join(rel, 'package.xml')}: {exc}") from exc
+            packages.append(manifest)
+        children.sort(reverse=True)
+        stack.extend((os.path.join(directory, n), os.path.join(rel, n)) for n in children)
 
     if not packages:
         raise EmptyWorkspace(f"no package manifests found under {root}")

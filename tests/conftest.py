@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,34 @@ def private_cache_home(tmp_path_factory):
         cache_home = tmp_path_factory.mktemp("xdg-cache")
         patch.setenv("XDG_CACHE_HOME", str(cache_home))
         yield cache_home
+
+
+def _fixture_files() -> dict[str, tuple[str, int]]:
+    """Content hash and modification time of every file under ``tests/fixtures``."""
+
+    files = {}
+    for path in sorted(FIXTURE_ROOT.parent.rglob("*")):
+        if path.is_file():
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            files[str(path.relative_to(FIXTURE_ROOT.parent))] = (digest, path.stat().st_mtime_ns)
+    return files
+
+
+@pytest.fixture(scope="session", autouse=True)
+def fixtures_unchanged():
+    """Fail the session if any test created, changed or rewrote a fixture file.
+
+    Commands that write next to the workspace (``forge build`` without
+    ``--dockerfile-out``) must be pointed at a temporary directory instead.
+    """
+
+    before = _fixture_files()
+    yield
+    after = _fixture_files()
+    changed = sorted(
+        name for name in before.keys() | after.keys() if before.get(name) != after.get(name)
+    )
+    assert not changed, f"tests wrote into tests/fixtures: {', '.join(changed)}"
 
 
 @pytest.fixture(scope="session")

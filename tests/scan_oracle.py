@@ -1,0 +1,63 @@
+"""Reference workspace walk used to cross-check ``forge.manifest.scan_workspace``.
+
+This is the recursive pathlib walk that ``scan_workspace`` used before it
+read each directory with one ``os.scandir`` call. It is kept frozen as the
+statement of the scan rules; change it only if a rule changes. Manifests
+are parsed with ``forge.manifest.parse_manifest``, so the comparison
+covers the walk, not the parser. A parse error is re-raised with the
+manifest's workspace-relative path in front, as ``scan_workspace`` does.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path, PurePosixPath
+
+from forge.errors import (
+    DuplicatePackageName,
+    EmptyWorkspace,
+    MalformedManifest,
+    UnsupportedFormat,
+)
+from forge.manifest import IGNORE_MARKERS, PackageManifest, Workspace, parse_manifest
+from forge.textio import read_utf8
+
+
+def oracle_scan(root: Path, condition_env: dict[str, str] | None = None) -> Workspace:
+    root = Path(root)
+    if not root.is_dir():
+        raise EmptyWorkspace(f"workspace root {root} is not a directory")
+
+    packages: list[PackageManifest] = []
+    ignored: list[Path] = []
+
+    def walk(directory: Path) -> None:
+        if any((directory / marker).exists() for marker in IGNORE_MARKERS):
+            ignored.append(directory)
+            return
+        manifest_path = directory / "package.xml"
+        if manifest_path.is_file():
+            rel = PurePosixPath(directory.relative_to(root).as_posix())
+            text = read_utf8(manifest_path, MalformedManifest)
+            try:
+                packages.append(parse_manifest(text, condition_env, source_dir=rel))
+            except (MalformedManifest, UnsupportedFormat) as exc:
+                raise type(exc)(f"{rel / 'package.xml'}: {exc}") from exc
+        for child in sorted(directory.iterdir()):
+            if child.is_dir() and not child.is_symlink():
+                walk(child)
+
+    walk(root)
+
+    if not packages:
+        raise EmptyWorkspace(f"no package manifests found under {root}")
+
+    seen: dict[str, PurePosixPath] = {}
+    for pkg in packages:
+        if pkg.name in seen:
+            raise DuplicatePackageName(
+                f"package {pkg.name!r} appears in both {seen[pkg.name]} and {pkg.source_dir}"
+            )
+        seen[pkg.name] = pkg.source_dir
+
+    packages.sort(key=lambda p: p.name)
+    return Workspace(root=root, packages=packages, ignored_dirs=sorted(ignored))

@@ -587,7 +587,7 @@ def test_c8_pipeline_validity() -> str:
 
 
 @criterion("C9", "end-to-end build splits dev and run images")
-def test_c9_end_to_end(capsys) -> str:
+def test_c9_end_to_end(capsys, tmp_path) -> str:
     title = "end-to-end build splits dev and run images"
     binary = shutil.which("docker")
     if binary is None:
@@ -606,7 +606,16 @@ def test_c9_end_to_end(capsys) -> str:
     problems = []
     try:
         rc_dev = cli.main(
-            ["build", str(workspace), "--target", "dev", "--tag", dev_tag]
+            [
+                "build",
+                str(workspace),
+                "--target",
+                "dev",
+                "--tag",
+                dev_tag,
+                "--dockerfile-out",
+                str(tmp_path / "dev.Dockerfile"),
+            ]
         )
         rc_run = cli.main(
             [
@@ -618,6 +627,8 @@ def test_c9_end_to_end(capsys) -> str:
                 run_tag,
                 "--command",
                 "hello",
+                "--dockerfile-out",
+                str(tmp_path / "run.Dockerfile"),
             ]
         )
         capsys.readouterr()

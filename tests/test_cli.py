@@ -302,19 +302,22 @@ def test_generate_ci_writes_file(capsys, monkeypatch, tmp_path) -> None:
 
 def test_build_dry_run_prints_command(capsys, monkeypatch, tmp_path) -> None:
     monkeypatch.chdir(tmp_path)
-    code = main(["build", MINIMAL, "--dry-run", "--tag", "reg/app:run"])
+    dockerfile = tmp_path / "Dockerfile"
+    code = main(
+        ["build", MINIMAL, "--dry-run", "--tag", "reg/app:run", "--dockerfile-out", str(dockerfile)]
+    )
     out = capsys.readouterr().out
     assert code == 0
     assert "[dry-run] docker build" in out
     assert "--tag reg/app:run" in out
-    dockerfile = Path(MINIMAL) / ".forge" / "Dockerfile"
     assert dockerfile.is_file()
 
 
 def test_build_executes_through_driver(capsys, monkeypatch, tmp_path) -> None:
     monkeypatch.chdir(tmp_path)
     driver = RecordingDriver()
-    code = main(["build", MINIMAL, "--tag", "reg/app:run"], driver=driver)
+    out = str(tmp_path / "Dockerfile")
+    code = main(["build", MINIMAL, "--tag", "reg/app:run", "--dockerfile-out", out], driver=driver)
     assert code == 0
     assert len(driver.commands) == 1
     assert driver.commands[0].verb == "build"
@@ -324,7 +327,7 @@ def test_build_executes_through_driver(capsys, monkeypatch, tmp_path) -> None:
 def test_build_missing_credential_exits_2(capsys, monkeypatch, tmp_path) -> None:
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("GIT_TOKEN", raising=False)
-    code = main(["build", MULTI, "--dry-run"])
+    code = main(["build", MULTI, "--dry-run", "--dockerfile-out", str(tmp_path / "Dockerfile")])
     captured = capsys.readouterr()
     assert code == 2
     assert "MissingCredential" in captured.err
@@ -334,7 +337,7 @@ def test_build_missing_credential_exits_2(capsys, monkeypatch, tmp_path) -> None
 def test_build_dry_run_redacts_credentials(capsys, monkeypatch, tmp_path) -> None:
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("GIT_TOKEN", "sup3rs3cret")
-    code = main(["build", MULTI, "--dry-run"])
+    code = main(["build", MULTI, "--dry-run", "--dockerfile-out", str(tmp_path / "Dockerfile")])
     out = capsys.readouterr().out
     assert code == 0
     assert "sup3rs3cret" not in out
@@ -344,7 +347,7 @@ def test_build_dry_run_redacts_credentials(capsys, monkeypatch, tmp_path) -> Non
 def test_build_failure_exits_1(capsys, monkeypatch, tmp_path) -> None:
     monkeypatch.chdir(tmp_path)
     driver = RecordingDriver(scripted={"build": EngineResult(125, "", "boom")})
-    code = main(["build", MINIMAL], driver=driver)
+    code = main(["build", MINIMAL, "--dockerfile-out", str(tmp_path / "Dockerfile")], driver=driver)
     captured = capsys.readouterr()
     assert code == 1
     assert "forge: error: NonZeroExit" in captured.err
