@@ -12,3 +12,12 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 GENERATOR_NAME = "forge"
+
+# Supported ROS distros and the ROS major version of each.
+KNOWN_DISTROS: dict[str, int] = {
+    "noetic": 1,
+    "foxy": 2,
+    "humble": 2,
+    "iron": 2,
+    "rolling": 2,
+}

@@ -14,10 +14,10 @@ engine commands that would execute and runs nothing.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import shlex
-import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
@@ -25,41 +25,7 @@ from pathlib import Path
 
 import yaml
 
-from . import __version__
-from .cigen import PipelineSpec, default_output_path, generate_pipeline
-from .depgraph import (
-    DeclaredKeys,
-    DistroIndex,
-    KNOWN_DISTROS,
-    ResolvedDependencies,
-    RosdepDatabase,
-    load_distro_index,
-    load_rosdep_db,
-    packaged_distro_index,
-    packaged_rosdep_documents,
-    resolve,
-    runtime_subset,
-)
-from .devrun import (
-    UserArgs,
-    apply_plugins,
-    attach_or_run,
-    load_plugins,
-    probe_host,
-    synthesize_invocation,
-)
-from .dockergen import ImageSpec, plan_stages, render, spec_for_workspace, validate_plan
-from .engine import (
-    BuildRequest,
-    ContainerState,
-    EngineCommand,
-    EngineDriver,
-    SubprocessDriver,
-    build_argv,
-    execute,
-    inspect_container,
-    run_builds,
-)
+from . import KNOWN_DISTROS, __version__
 from .errors import (
     ConfigError,
     ForgeError,
@@ -68,23 +34,7 @@ from .errors import (
     MissingCredential,
     NonZeroExit,
     UnresolvedDependencies,
-)
-from .manifest import Workspace, internal_package_names, scan_workspace
-from .matrix import (
-    MatrixEntry,
-    build_plan_document,
-    base_dockerfile_args,
-    enumerate_matrix,
-    load_base_image_table,
-    tag_of,
-)
-from .sources import (
-    ReposList,
-    clone_plan,
-    combine_repos,
-    parse_repos,
-    redact,
-    required_credential_vars,
+    UnwritableOutput,
 )
 from .textio import read_utf8, safe_load
 
@@ -92,6 +42,61 @@ DEFAULT_REGISTRY = "localhost"
 DEFAULT_DISTRO = "humble"
 DEFAULT_PARALLELISM = 2
 GENERATED_DIR = ".forge"
+
+# The names this module uses from each layer. So that a command imports only
+# the layers it runs, every function that uses one of these names first calls
+# _bind for its layer; __getattr__ binds a name first read from outside.
+_LAYER_NAMES = {
+    "cigen": ("PipelineSpec", "default_output_path", "generate_pipeline"),
+    "depgraph": (
+        "DeclaredKeys", "DistroIndex", "ResolvedDependencies", "RosdepDatabase",
+        "load_distro_index", "load_rosdep_db", "packaged_distro_index",
+        "packaged_rosdep_documents", "resolve", "runtime_subset",
+    ),
+    "devrun": (
+        "UserArgs", "apply_plugins", "attach_or_run", "load_plugins", "probe_host",
+        "synthesize_invocation",
+    ),
+    "dockergen": ("ImageSpec", "plan_stages", "render", "spec_for_workspace", "validate_plan"),
+    "engine": (
+        "BuildRequest", "ContainerState", "EngineCommand", "EngineDriver", "SubprocessDriver",
+        "build_argv", "execute", "inspect_container", "run_builds",
+    ),
+    "manifest": ("Workspace", "internal_package_names", "scan_workspace"),
+    "matrix": (
+        "MatrixEntry", "build_plan_document", "base_dockerfile_args", "enumerate_matrix",
+        "load_base_image_table", "tag_of",
+    ),
+    "sources": (
+        "ReposList", "clone_plan", "combine_repos", "parse_repos", "redact",
+        "required_credential_vars",
+    ),
+}
+_LAYER_OF = {name: layer for layer, names in _LAYER_NAMES.items() for name in names}
+
+
+def _bind(*layers: str) -> None:
+    """Import ``layers`` and bind their names here, keeping any already bound.
+
+    A name that is already bound keeps its value, so a replacement set on
+    this module (a test's monkeypatch, a tracing wrapper) stays in effect.
+    """
+
+    namespace = globals()
+    for layer in layers:
+        module = importlib.import_module(f".{layer}", __package__)
+        for name in _LAYER_NAMES[layer]:
+            namespace.setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str) -> object:
+    """Bind a layer name on first access as an attribute (PEP 562)."""
+
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(layer)
+    return globals()[name]
 
 
 @dataclass
@@ -253,6 +258,7 @@ def analyze_workspace(
 ) -> WorkspaceAnalysis:
     """Scan and resolve a workspace; ``write_cache=False`` only reads the cache."""
 
+    _bind("depgraph", "manifest", "sources")
     distro = cfg.default_distro
     if cfg.distro_index_path:
         index = load_distro_index(read_utf8(Path(cfg.distro_index_path), MalformedDatabase))
@@ -270,7 +276,11 @@ def analyze_workspace(
 
     repo_lists = []
     for path in [*sorted(root.glob("*.repos")), *map(Path, repos_paths)]:
-        repo_lists.append(parse_repos(read_utf8(path, MalformedReposFile)))
+        try:
+            text = read_utf8(path, MalformedReposFile)
+        except OSError as exc:
+            raise MalformedReposFile(f"cannot read {path}: {exc.strerror}") from exc
+        repo_lists.append(parse_repos(text))
     repos = combine_repos(repo_lists)
 
     declared = DeclaredKeys.from_workspace(workspace)
@@ -373,6 +383,7 @@ def cmd_analyze(args: argparse.Namespace, driver: EngineDriver | None) -> int:
 def _image_spec_from_args(
     args: argparse.Namespace, analysis: WorkspaceAnalysis, cfg: GlobalConfig
 ) -> ImageSpec:
+    _bind("dockergen")
     launch_command: tuple[str, ...] = ("bash",)
     if getattr(args, "command", None):
         launch_command = tuple(shlex.split(args.command))
@@ -401,6 +412,7 @@ def _image_spec_from_args(
 def _render_for_workspace(
     args: argparse.Namespace, analysis: WorkspaceAnalysis, cfg: GlobalConfig
 ) -> str:
+    _bind("dockergen")
     spec = _image_spec_from_args(args, analysis, cfg)
     assert analysis.resolved is not None and analysis.resolved_exec is not None
     plan = plan_stages(
@@ -420,6 +432,17 @@ def cmd_generate_dockerfile(args: argparse.Namespace, driver: EngineDriver | Non
     return 0
 
 
+def _write_file(path: Path, text: str, parents: bool = True) -> None:
+    """Write ``text`` to ``path``, creating its directory unless ``parents`` is False."""
+
+    try:
+        if parents:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UnwritableOutput(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _write_output(text: str, output: str) -> None:
     """Print ``text`` for ``-``, else write it to the path ``output``."""
 
@@ -427,12 +450,12 @@ def _write_output(text: str, output: str) -> None:
         print(text, end="")
         return
     path = Path(output)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    _write_file(path, text)
     print(f"wrote {path}")
 
 
 def cmd_generate_ci(args: argparse.Namespace, driver: EngineDriver | None) -> int:
+    _bind("cigen")
     cfg = load_config(args, None)
     spec = PipelineSpec(
         platform=args.platform,
@@ -451,22 +474,24 @@ def cmd_generate_ci(args: argparse.Namespace, driver: EngineDriver | None) -> in
 def _print_dry_run(
     commands: list[EngineCommand], binary: str, secrets: tuple[str, ...] = ()
 ) -> None:
+    _bind("sources")
     for command in commands:
         print(redact(f"[dry-run] {binary} {shlex.join(command.argv)}", secrets))
 
 
 def _make_driver(args: argparse.Namespace, driver: EngineDriver | None) -> EngineDriver:
+    _bind("engine")
     return driver if driver is not None else SubprocessDriver(args.engine)
 
 
 def cmd_build(args: argparse.Namespace, driver: EngineDriver | None) -> int:
+    _bind("engine", "sources")
     cfg, analysis = _analyze_args(args)
     text = _render_for_workspace(args, analysis, cfg)
 
     root = analysis.root
     dockerfile = Path(args.dockerfile_out or root / GENERATED_DIR / "Dockerfile")
-    dockerfile.parent.mkdir(parents=True, exist_ok=True)
-    dockerfile.write_text(text, encoding="utf-8")
+    _write_file(dockerfile, text)
 
     build_args: list[tuple[str, str]] = []
     secrets: tuple[str, ...] = ()
@@ -514,6 +539,7 @@ def cmd_build(args: argparse.Namespace, driver: EngineDriver | None) -> int:
 
 
 def _matrix_entries(args: argparse.Namespace) -> list[MatrixEntry]:
+    _bind("matrix")
     return enumerate_matrix(
         distros=args.distro or None,
         components=args.component or None,
@@ -523,6 +549,7 @@ def _matrix_entries(args: argparse.Namespace) -> list[MatrixEntry]:
 
 
 def cmd_matrix_list(args: argparse.Namespace, driver: EngineDriver | None) -> int:
+    _bind("matrix")
     cfg = load_config(args, None)
     entries = _matrix_entries(args)
     if args.format in ("json", "yaml"):
@@ -549,13 +576,14 @@ def cmd_matrix_list(args: argparse.Namespace, driver: EngineDriver | None) -> in
 
 
 def cmd_matrix_build(args: argparse.Namespace, driver: EngineDriver | None) -> int:
+    _bind("matrix", "engine")
     cfg = load_config(args, None)
     entries = _matrix_entries(args)
     table = load_base_image_table()
 
     if args.plan_out:
         text = build_plan_document(entries, cfg.registry, args.dockerfile, table)
-        Path(args.plan_out).write_text(text, encoding="utf-8")
+        _write_file(Path(args.plan_out), text, parents=False)
         print(f"wrote {args.plan_out}")
 
     tagged: list[tuple[str, EngineCommand]] = []
@@ -597,6 +625,9 @@ def _split_run_argv(tokens: list[str]) -> tuple[list[str], list[str], list[str]]
 
 
 def cmd_run(args: argparse.Namespace, driver: EngineDriver | None) -> int:
+    import subprocess
+
+    _bind("devrun", "engine")
     overrides: dict[str, object] = {}
     host = probe_host(overrides)
     user_args = UserArgs(
@@ -634,6 +665,7 @@ def cmd_run(args: argparse.Namespace, driver: EngineDriver | None) -> int:
 
 
 def cmd_bench_startup(args: argparse.Namespace, driver: EngineDriver | None) -> int:
+    _bind("engine")
     command = EngineCommand(
         verb="run",
         argv=("run", "--rm", args.image, "true"),

@@ -26,7 +26,7 @@ from typing import Iterable, Literal, Sequence
 
 import yaml
 
-from . import __version__
+from . import KNOWN_DISTROS, __version__
 from .errors import MalformedDatabase
 from .manifest import Workspace
 from .sources import RepoSpec
@@ -34,14 +34,6 @@ from .textio import safe_load
 
 ROSDEP_CACHE_FORMAT = 1
 """Layout version of cached rosdep databases; part of every cache key."""
-
-KNOWN_DISTROS: dict[str, int] = {
-    "noetic": 1,
-    "foxy": 2,
-    "humble": 2,
-    "iron": 2,
-    "rolling": 2,
-}
 
 _INDEX_PACKAGE_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 

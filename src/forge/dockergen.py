@@ -19,7 +19,8 @@ import shlex
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
-from .depgraph import KNOWN_DISTROS, ResolvedDependencies
+from . import KNOWN_DISTROS
+from .depgraph import ResolvedDependencies
 from .errors import InvalidSpec, UnresolvedDependencies
 from .manifest import Workspace
 from .sources import RepoSpec, required_credential_vars

@@ -12,7 +12,6 @@ import json
 import shutil
 import subprocess
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
@@ -302,5 +301,7 @@ def run_builds(
 
     if max_workers <= 1 or len(tagged_commands) <= 1:
         return [worker(item) for item in tagged_commands]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         return list(pool.map(worker, tagged_commands))

@@ -87,6 +87,13 @@ class UnresolvedDependencies(UserError):
         self.keys = list(keys)
 
 
+# --- output files ----------------------------------------------------------
+
+
+class UnwritableOutput(UserError):
+    """A file forge was asked to write could not be written."""
+
+
 # --- configuration ---------------------------------------------------------
 
 

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import yaml
 
-from .depgraph import KNOWN_DISTROS
+from . import KNOWN_DISTROS
 from .errors import InvalidSpec, MalformedDatabase
 from .textio import safe_load
 

@@ -156,6 +156,20 @@ def test_cli_non_utf8_input_file_exits_2(capsys, monkeypatch, tmp_path, flag, er
     assert f"forge: error: {error}: {bad} is not UTF-8" in err
 
 
+@pytest.mark.parametrize(
+    ("name", "reason"), [("missing.repos", "No such file"), ("dir.repos", "Is a directory")]
+)
+def test_cli_unreadable_repos_file_exits_2(capsys, monkeypatch, tmp_path, name, reason) -> None:
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir.repos").mkdir()
+    path = tmp_path / name
+    code = main(["analyze", MINIMAL, "--repos", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"forge: error: MalformedReposFile: cannot read {path}: {reason}" in captured.err
+
+
 def test_cli_non_utf8_manifest_exits_2(capsys, monkeypatch, tmp_path) -> None:
     monkeypatch.chdir(tmp_path)
     manifest = tmp_path / "ws" / "src" / "pkg" / "package.xml"
@@ -430,6 +444,31 @@ def test_matrix_unknown_filter_exits_2(capsys, monkeypatch, tmp_path) -> None:
     code = main(["matrix", "list", "--distro", "jazzy"])
     assert code == 2
     assert "InvalidSpec" in capsys.readouterr().err
+
+
+# --- output files ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "dockerfile", MINIMAL, "-o", "{out}"],
+        ["generate", "ci", "--platform", "github", "--image-name", "app", "-o", "{out}"],
+        ["build", MINIMAL, "--dry-run", "--dockerfile-out", "{out}"],
+        ["matrix", "build", "--distro", "noetic", "--dry-run", "--plan-out", "{out}"],
+    ],
+    ids=["generate-dockerfile", "generate-ci", "build", "matrix-build"],
+)
+def test_unwritable_output_exits_2(capsys, monkeypatch, tmp_path, argv) -> None:
+    monkeypatch.chdir(tmp_path)
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    out = blocker / "sub" / "out.txt"
+    code = main([arg.format(out=out) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"forge: error: UnwritableOutput: cannot write {out}: Not a directory" in captured.err
 
 
 # --- run -------------------------------------------------------------------
