@@ -269,10 +269,11 @@ def analyze_workspace(
     documents = packaged_rosdep_documents()
     for path in cfg.rosdep_db_paths:
         documents.append(read_utf8(Path(path), MalformedDatabase))
-    db = load_rosdep_db(documents, cache_dir=cache_dir(), write_cache=write_cache)
+    cache = cache_dir()
+    db = load_rosdep_db(documents, cache_dir=cache, write_cache=write_cache)
 
     condition_env = {"ROS_VERSION": str(index.ros_version), "ROS_DISTRO": distro}
-    workspace = scan_workspace(root, condition_env)
+    workspace = scan_workspace(root, condition_env, cache_dir=cache, write_cache=write_cache)
 
     repo_lists = []
     for path in [*sorted(root.glob("*.repos")), *map(Path, repos_paths)]:
@@ -432,12 +433,11 @@ def cmd_generate_dockerfile(args: argparse.Namespace, driver: EngineDriver | Non
     return 0
 
 
-def _write_file(path: Path, text: str, parents: bool = True) -> None:
-    """Write ``text`` to ``path``, creating its directory unless ``parents`` is False."""
+def _write_file(path: Path, text: str) -> None:
+    """Write ``text`` to ``path``, creating its directory."""
 
     try:
-        if parents:
-            path.parent.mkdir(parents=True, exist_ok=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
     except OSError as exc:
         raise UnwritableOutput(f"cannot write {path}: {exc.strerror}") from exc
@@ -583,7 +583,7 @@ def cmd_matrix_build(args: argparse.Namespace, driver: EngineDriver | None) -> i
 
     if args.plan_out:
         text = build_plan_document(entries, cfg.registry, args.dockerfile, table)
-        _write_file(Path(args.plan_out), text, parents=False)
+        _write_file(Path(args.plan_out), text)
         print(f"wrote {args.plan_out}")
 
     tagged: list[tuple[str, EngineCommand]] = []

@@ -13,12 +13,7 @@ the content of their documents.
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import json
-import os
 import re
-import tempfile
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -30,7 +25,7 @@ from . import KNOWN_DISTROS, __version__
 from .errors import MalformedDatabase
 from .manifest import Workspace
 from .sources import RepoSpec
-from .textio import safe_load
+from .textio import cache_key, read_json, safe_load, write_json
 
 ROSDEP_CACHE_FORMAT = 1
 """Layout version of cached rosdep databases; part of every cache key."""
@@ -134,7 +129,8 @@ def load_rosdep_db(
     documents = list(documents)
     cache_path = None
     if cache_dir is not None:
-        cache_path = Path(cache_dir) / f"rosdep-{_cache_key(documents, os_target)}.json"
+        digest = cache_key(f"rosdep/{ROSDEP_CACHE_FORMAT}", __version__, os_target, *documents)
+        cache_path = Path(cache_dir) / f"rosdep-{digest}.json"
         cached = _read_cached_entries(cache_path)
         if cached is not None:
             return RosdepDatabase(entries=cached, os_target=os_target)
@@ -163,49 +159,20 @@ def load_rosdep_db(
             entries[key] = _parse_record(key, records[key])
 
     if cache_path is not None and write_cache:
-        _write_cache(cache_path, records)
+        write_json(cache_path, records)
     return RosdepDatabase(entries=entries, os_target=os_target)
-
-
-def _cache_key(documents: list[str], os_target: str) -> str:
-    digest = hashlib.sha256()
-    for part in (f"rosdep/{ROSDEP_CACHE_FORMAT}", __version__, os_target, *documents):
-        data = part.encode("utf-8")
-        digest.update(len(data).to_bytes(8, "big"))
-        digest.update(data)
-    return digest.hexdigest()
 
 
 def _read_cached_entries(path: Path) -> dict[str, RosdepEntry] | None:
     """Checked entries from a cache file, or None when it is not usable."""
 
-    try:
-        records = json.loads(path.read_bytes())
-    except (OSError, ValueError, RecursionError):
-        return None
+    records = read_json(path)
     if not isinstance(records, dict) or "" in records:
         return None
     try:
         return {key: _parse_record(key, record) for key, record in records.items()}
     except MalformedDatabase:
         return None
-
-
-def _write_cache(path: Path, records: dict[str, object]) -> None:
-    """Replace ``path`` atomically with ``records`` as JSON; ignore I/O errors."""
-
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".rosdep-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(records, handle, separators=(",", ":"))
-            os.replace(tmp, path)
-        finally:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(tmp)
-    except OSError:
-        pass
 
 
 def _parse_record(key: str, record: object) -> RosdepEntry:

@@ -5,18 +5,23 @@ manifests. Manifest formats 1 through 3 are accepted uniformly; the
 dependency tags of each format are folded into three scopes (build, exec,
 test). Elements outside the supported subset are ignored so that newer
 manifest additions do not break scanning.
+
+Parsed manifests can be memoized in a cache directory, keyed by the
+sha256 of their text; XML is parsed, and ``xml.etree`` imported, only for
+manifests the memo does not hold.
 """
 
 from __future__ import annotations
 
 import errno
 import functools
+import hashlib
 import os
 import re
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 
+from . import __version__
 from .errors import (
     DuplicatePackageName,
     EmptyWorkspace,
@@ -24,12 +29,15 @@ from .errors import (
     UnreadableWorkspace,
     UnsupportedFormat,
 )
-from .textio import read_utf8
+from .textio import cache_key, read_json, read_utf8, write_json
 
 PACKAGE_NAME_RE = re.compile(r"^[a-zA-Z][a-zA-Z0-9_]*$")
 VERSION_RE = re.compile(r"^\d+(\.\d+)*$")
 
-IGNORE_MARKERS = ("COLCON_IGNORE", "CATKIN_IGNORE")
+IGNORE_MARKERS = ("AMENT_IGNORE", "CATKIN_IGNORE", "COLCON_IGNORE")
+
+MANIFEST_MEMO_FORMAT = 1
+"""Layout version of memoized manifests; part of every memo key."""
 
 # Dependency tag -> scopes it contributes to. ``depend`` expands to both
 # build and exec; ``build_export_depend`` and ``buildtool_depend`` count as
@@ -74,6 +82,21 @@ class Workspace:
     root: Path
     packages: list[PackageManifest] = field(default_factory=list)
     ignored_dirs: list[Path] = field(default_factory=list)
+
+
+@dataclass
+class ManifestMemo:
+    """Parsed manifests by the sha256 of their text, for :func:`parse_manifest`.
+
+    ``cached`` holds the records read from a memo file and is only looked
+    up. ``records`` gets the record of every manifest parsed through the
+    memo, so it holds exactly one scan's manifests; ``missed`` tells
+    whether any of them had to be parsed.
+    """
+
+    cached: dict[str, object] = field(default_factory=dict)
+    records: dict[str, object] = field(default_factory=dict)
+    missed: bool = False
 
 
 def evaluate_condition(expression: str, env: dict[str, str]) -> bool:
@@ -162,14 +185,71 @@ def parse_manifest(
     xml_text: str,
     condition_env: dict[str, str] | None = None,
     source_dir: PurePosixPath = PurePosixPath("."),
+    memo: ManifestMemo | None = None,
 ) -> PackageManifest:
     """Parse one manifest document into a :class:`PackageManifest`.
 
     ``condition_env`` supplies the variables (conventionally ROS_VERSION
     and ROS_DISTRO) against which ``condition`` attributes are evaluated.
+    A ``memo`` must only ever be used with one ``condition_env``: a record
+    found there stands for the parse, once it passes the same checks.
     """
 
     env = condition_env or {}
+    if memo is None:
+        return _parse_xml(xml_text, env, source_dir)
+    digest = hashlib.sha256(xml_text.encode("utf-8")).hexdigest()
+    record = memo.cached.get(digest)
+    manifest = _from_record(record, source_dir)
+    if manifest is None:
+        memo.missed = True
+        manifest = _parse_xml(xml_text, env, source_dir)
+        record = [
+            manifest.name,
+            manifest.version,
+            manifest.manifest_format,
+            manifest.build_type,
+            sorted(manifest.deps_build),
+            sorted(manifest.deps_exec),
+            sorted(manifest.deps_test),
+        ]
+    memo.records[digest] = record
+    return manifest
+
+
+def _from_record(record: object, source_dir: PurePosixPath) -> PackageManifest | None:
+    """The manifest a memo record describes, or None unless it passes the parse checks."""
+
+    if not isinstance(record, list) or len(record) != 7:
+        return None
+    name, version, manifest_format, build_type, *scopes = record
+    if not (
+        isinstance(name, str)
+        and PACKAGE_NAME_RE.fullmatch(name)
+        and isinstance(version, str)
+        and VERSION_RE.fullmatch(version)
+        and type(manifest_format) is int
+        and manifest_format in (1, 2, 3)
+        and isinstance(build_type, str)
+        and build_type.strip()
+        and all(
+            isinstance(keys, list) and all(isinstance(key, str) and key for key in keys)
+            for keys in scopes
+        )
+    ):
+        return None
+    build, exec_, test = map(frozenset, scopes)
+    return PackageManifest(
+        name, version, manifest_format, build_type, build, exec_, test, source_dir
+    )
+
+
+def _parse_xml(
+    xml_text: str, env: dict[str, str], source_dir: PurePosixPath
+) -> PackageManifest:
+    # Imported on first use: a warm memo parses no XML.
+    import xml.etree.ElementTree as ET
+
     env_items = tuple(sorted(env.items()))
 
     def active(element: ET.Element) -> bool:
@@ -252,19 +332,42 @@ def _is_file(entry: os.DirEntry) -> bool:
 
 
 def scan_workspace(
-    root: Path, condition_env: dict[str, str] | None = None
+    root: Path,
+    condition_env: dict[str, str] | None = None,
+    cache_dir: Path | None = None,
+    write_cache: bool = True,
 ) -> Workspace:
-    """Discover every package under ``root``.
+    """Discover every package under ``root``, as colcon and catkin_pkg do.
 
-    Any subtree containing a COLCON_IGNORE or CATKIN_IGNORE marker is
-    skipped, and symlinked directories are not followed. Directories are
-    visited parent first, children in name order. Packages are returned
-    sorted by name; duplicate names and package-less trees are hard errors.
+    A directory holding an AMENT_IGNORE, CATKIN_IGNORE or COLCON_IGNORE
+    marker is skipped with its subtree. Otherwise a directory holding a
+    ``package.xml`` file is a package, and nothing below it is searched.
+    Child directories whose names start with ``.`` and symlinked
+    directories are not visited. Directories are visited parent first,
+    children in name order. Packages are returned sorted by name;
+    duplicate names and package-less trees are hard errors.
+
+    With ``cache_dir``, parsed manifests are memoized there as
+    ``manifests-<key>.json``, one file per workspace, where the key is a
+    sha256 over the memo format, the forge version, the absolute root and
+    the sorted ``condition_env``. After a scan that parsed any manifest,
+    and only when ``write_cache`` is true, the file is replaced by this
+    scan's manifests. Memo I/O errors fall back silently to parsing.
     """
 
     root = Path(root)
     if not root.is_dir():
         raise EmptyWorkspace(f"workspace root {root} is not a directory")
+
+    memo = memo_path = None
+    if cache_dir is not None:
+        env_parts = [part for item in sorted((condition_env or {}).items()) for part in item]
+        digest = cache_key(
+            f"manifests/{MANIFEST_MEMO_FORMAT}", __version__, os.path.abspath(root), *env_parts
+        )
+        memo_path = Path(cache_dir) / f"manifests-{digest}.json"
+        cached = read_json(memo_path)
+        memo = ManifestMemo(cached if isinstance(cached, dict) else {})
 
     packages: list[PackageManifest] = []
     ignored: list[Path] = []
@@ -277,30 +380,33 @@ def scan_workspace(
         try:
             with os.scandir(directory) as entries:
                 for entry in entries:
-                    if entry.name in IGNORE_MARKERS:
+                    name = entry.name
+                    if name in IGNORE_MARKERS:
                         # A dangling marker symlink does not count.
                         ignore = ignore or os.path.exists(entry.path)
-                    elif entry.name == "package.xml" and _is_file(entry):
+                    elif name == "package.xml" and _is_file(entry):
                         has_manifest = True
-                    elif entry.is_dir(follow_symlinks=False):
-                        children.append(entry.name)
+                    elif not name.startswith(".") and entry.is_dir(follow_symlinks=False):
+                        children.append(name)
             if has_manifest and not ignore:
-                text = read_utf8(Path(directory, "package.xml"), MalformedManifest)
+                text = read_utf8(os.path.join(directory, "package.xml"), MalformedManifest)
         except OSError as exc:
             raise UnreadableWorkspace(
                 f"cannot read {exc.filename or directory}: {exc.strerror}"
             ) from exc
         if ignore:
             ignored.append(Path(directory))
-            continue
-        if has_manifest:
+        elif has_manifest:
             try:
-                manifest = parse_manifest(text, condition_env, PurePosixPath(rel or "."))
+                manifest = parse_manifest(
+                    text, condition_env, PurePosixPath(rel or "."), memo=memo
+                )
             except (MalformedManifest, UnsupportedFormat) as exc:
                 raise type(exc)(f"{os.path.join(rel, 'package.xml')}: {exc}") from exc
             packages.append(manifest)
-        children.sort(reverse=True)
-        stack.extend((os.path.join(directory, n), os.path.join(rel, n)) for n in children)
+        else:
+            children.sort(reverse=True)
+            stack.extend((os.path.join(directory, n), os.path.join(rel, n)) for n in children)
 
     if not packages:
         raise EmptyWorkspace(f"no package manifests found under {root}")
@@ -314,6 +420,8 @@ def scan_workspace(
         seen[pkg.name] = pkg.source_dir
 
     packages.sort(key=lambda p: p.name)
+    if memo is not None and memo.missed and write_cache:
+        write_json(memo_path, memo.records)
     return Workspace(root=root, packages=packages, ignored_dirs=sorted(ignored))
 
 

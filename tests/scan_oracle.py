@@ -1,8 +1,11 @@
 """Reference workspace walk used to cross-check ``forge.manifest.scan_workspace``.
 
-This is the recursive pathlib walk that ``scan_workspace`` used before it
-read each directory with one ``os.scandir`` call. It is kept frozen as the
-statement of the scan rules; change it only if a rule changes. Manifests
+A plain recursive pathlib walk that follows catkin_pkg's
+``find_package_paths`` (and colcon's discovery): an ignore marker prunes
+its directory, a directory holding a ``package.xml`` file is a package
+and is not searched further, and neither dot-directories nor symlinked
+directories are entered. It is kept frozen as the statement of the scan
+rules; change it only if a rule changes. Manifests
 are parsed with ``forge.manifest.parse_manifest``, so the comparison
 covers the walk, not the parser. A parse error is re-raised with the
 manifest's workspace-relative path in front, as ``scan_workspace`` does.
@@ -42,8 +45,9 @@ def oracle_scan(root: Path, condition_env: dict[str, str] | None = None) -> Work
                 packages.append(parse_manifest(text, condition_env, source_dir=rel))
             except (MalformedManifest, UnsupportedFormat) as exc:
                 raise type(exc)(f"{rel / 'package.xml'}: {exc}") from exc
+            return
         for child in sorted(directory.iterdir()):
-            if child.is_dir() and not child.is_symlink():
+            if child.is_dir() and not child.is_symlink() and not child.name.startswith("."):
                 walk(child)
 
     walk(root)

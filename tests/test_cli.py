@@ -207,13 +207,16 @@ def test_analyze_writes_cache_and_dry_run_reads_only(capsys, monkeypatch, tmp_pa
 
     capsys.readouterr()
     assert main(["analyze", MULTI, "--format", "json"]) == 0
-    (cached,) = (tmp_path / "xdg" / "forge").iterdir()
-    assert cached.name.startswith("rosdep-") and cached.suffix == ".json"
+    cached = sorted((tmp_path / "xdg" / "forge").iterdir())
+    assert [(path.name.split("-")[0], path.suffix) for path in cached] == [
+        ("manifests", ".json"),
+        ("rosdep", ".json"),
+    ]
     first = capsys.readouterr().out
     assert "libeigen3-dev" in first
     assert main(["analyze", MULTI, "--format", "json"]) == 0
     assert capsys.readouterr().out == first
-    assert list((tmp_path / "xdg" / "forge").iterdir()) == [cached]
+    assert sorted((tmp_path / "xdg" / "forge").iterdir()) == cached
 
 
 # --- analyze ---------------------------------------------------------------
@@ -469,6 +472,23 @@ def test_unwritable_output_exits_2(capsys, monkeypatch, tmp_path, argv) -> None:
     assert code == 2
     assert captured.out == ""
     assert f"forge: error: UnwritableOutput: cannot write {out}: Not a directory" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "dockerfile", MINIMAL, "-o", "{out}"],
+        ["generate", "ci", "--platform", "github", "--image-name", "app", "-o", "{out}"],
+        ["build", MINIMAL, "--dry-run", "--dockerfile-out", "{out}"],
+        ["matrix", "build", "--distro", "noetic", "--dry-run", "--plan-out", "{out}"],
+    ],
+    ids=["generate-dockerfile", "generate-ci", "build", "matrix-build"],
+)
+def test_output_options_create_missing_directories(capsys, monkeypatch, tmp_path, argv) -> None:
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "new" / "dir" / "out.txt"
+    assert main([arg.format(out=out) for arg in argv]) == 0
+    assert out.read_text(encoding="utf-8")
 
 
 # --- run -------------------------------------------------------------------

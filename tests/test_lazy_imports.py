@@ -90,6 +90,13 @@ def test_command_imports_only_its_layers(tmp_path, argv, unloaded) -> None:
         assert "concurrent.futures" not in modules
 
 
+def test_warm_analyze_loads_no_xml_parser(tmp_path) -> None:
+    # The second run shares the first one's cache, so every manifest is a
+    # memo hit and no XML is parsed.
+    assert "xml.etree.ElementTree" in _modules_after(["analyze", MINIMAL], tmp_path)
+    assert "xml.etree.ElementTree" not in _modules_after(["analyze", MINIMAL], tmp_path)
+
+
 # --- the lazy-name contract --------------------------------------------------
 
 

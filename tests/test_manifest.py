@@ -278,7 +278,7 @@ def test_scan_is_sorted_by_name(tmp_path) -> None:
     assert [p.name for p in workspace.packages] == ["aaa", "zzz"]
 
 
-@pytest.mark.parametrize("marker", ["COLCON_IGNORE", "CATKIN_IGNORE"])
+@pytest.mark.parametrize("marker", ["COLCON_IGNORE", "CATKIN_IGNORE", "AMENT_IGNORE"])
 def test_scan_skips_ignored_subtrees(tmp_path, marker: str) -> None:
     _write_pkg(tmp_path, "src/kept", "kept")
     _write_pkg(tmp_path, "src/skipped", "skipped")
@@ -290,12 +290,12 @@ def test_scan_skips_ignored_subtrees(tmp_path, marker: str) -> None:
 
 
 def test_scan_descends_into_package_dirs(tmp_path) -> None:
-    # Every manifest directory counts, even below another package; only an
-    # ignore marker prunes a subtree.
+    # As in colcon and catkin_pkg, a package directory is not searched: a
+    # manifest below another package is not a package of the workspace.
     _write_pkg(tmp_path, "src/outer", "outer")
     _write_pkg(tmp_path, "src/outer/embedded", "embedded")
     workspace = scan_workspace(tmp_path, ENV)
-    assert [p.name for p in workspace.packages] == ["embedded", "outer"]
+    assert [p.name for p in workspace.packages] == ["outer"]
 
 
 def test_scan_duplicate_names(tmp_path) -> None:

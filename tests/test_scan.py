@@ -1,16 +1,19 @@
-"""Workspace scanning: equivalence with the reference walk, depth and errors."""
+"""Workspace scanning: the reference walk, the manifest memo, depth and errors."""
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 import tempfile
 from pathlib import Path, PurePosixPath
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forge import textio
 from forge.cli import main
 from forge.errors import (
     MalformedManifest,
@@ -74,18 +77,22 @@ _MARKERS = st.one_of(
 
 @st.composite
 def trees(draw: st.DrawFn, depth: int = 0) -> dict:
-    """A directory: maybe a manifest, rarely a marker, up to three children.
+    """A directory: maybe a manifest, rarely a marker, up to four children.
 
-    A child is a subtree or, rarely, a symlink to a package directory.
+    A child is a subtree, possibly a dot-directory, or, rarely, a symlink
+    to a package directory.
     """
 
     tree: dict = {}
-    if draw(st.integers(0, 3)):
+    if draw(st.booleans()):
         tree["package.xml"] = draw(manifest_entries())
     if draw(st.integers(0, 9)) == 0:
-        tree[draw(st.sampled_from(["COLCON_IGNORE", "CATKIN_IGNORE"]))] = draw(_MARKERS)
+        tree[draw(st.sampled_from(["AMENT_IGNORE", "CATKIN_IGNORE", "COLCON_IGNORE"]))] = draw(
+            _MARKERS
+        )
     if depth < 4:
-        for name in draw(st.lists(st.sampled_from(["a", "b", "c"]), unique=True, max_size=3)):
+        names = st.sampled_from(["a", "b", "c", ".git"])
+        for name in draw(st.lists(names, unique=True, max_size=4)):
             if draw(st.integers(0, 9)) == 0:
                 tree[name] = ("link", "store_dir")
             else:
@@ -112,33 +119,41 @@ def outcome(scan, root: Path) -> tuple:
         return ("error", type(exc), str(exc))
 
 
+def build_workspace(base: Path, tree: dict) -> Path:
+    """``tree`` built as ``base/ws``, next to the store its symlinks point into."""
+
+    store = base / "store"
+    (store / "store_dir").mkdir(parents=True)
+    (store / "store_file").write_text(manifest_xml("linked"), encoding="utf-8")
+    (store / "store_dir" / "package.xml").write_text(manifest_xml("followed"), encoding="utf-8")
+    root = base / "ws"
+    build_tree(root, tree, store)
+    return root
+
+
 @settings(max_examples=200, deadline=None)
 @given(trees())
 def test_scan_matches_reference_walk(tree: dict) -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        base = Path(tmp)
-        store = base / "store"
-        (store / "store_dir").mkdir(parents=True)
-        (store / "store_file").write_text(manifest_xml("linked"), encoding="utf-8")
-        (store / "store_dir" / "package.xml").write_text(
-            manifest_xml("followed"), encoding="utf-8"
-        )
-        root = base / "ws"
-        build_tree(root, tree, store)
+        root = build_workspace(Path(tmp), tree)
         assert outcome(scan_workspace, root) == outcome(oracle_scan, root)
 
 
 def test_reference_walk_sees_every_rule(tmp_path) -> None:
     # One fixed tree holding each case the property test draws from, so a
     # strategy change that stops producing them cannot go unnoticed.
-    store = tmp_path / "store"
-    (store / "store_dir").mkdir(parents=True)
-    (store / "store_file").write_text(manifest_xml("linked"), encoding="utf-8")
-    (store / "store_dir" / "package.xml").write_text(manifest_xml("followed"), encoding="utf-8")
     alpha, beta = (("file", manifest_xml(name).encode()) for name in ("alpha", "beta"))
     tree = {
-        # nested packages
-        "a": {"package.xml": alpha, "b": {"package.xml": beta}},
+        # a package directory is not searched, so its nested package and
+        # its bad manifest below are never read
+        "a": {
+            "package.xml": alpha,
+            "b": {"package.xml": beta},
+            "c": {"package.xml": ("file", _BAD[0])},
+        },
+        # dot-directories are not entered
+        ".git": {"package.xml": beta},
+        "g": {".hidden": {"package.xml": beta}, "h": {"package.xml": beta}},
         # a symlinked manifest counts; a dangling marker symlink does not
         "b": {"package.xml": ("link", "store_file"), "COLCON_IGNORE": ("link", "missing")},
         # a directory named package.xml is walked into
@@ -147,22 +162,23 @@ def test_reference_walk_sees_every_rule(tmp_path) -> None:
         # manifest is never read, so its bad bytes raise nothing
         "c": {"COLCON_IGNORE": {}, "package.xml": ("file", _BAD[2])},
         "d": {"CATKIN_IGNORE": ("file", b""), "e": {"package.xml": beta}},
+        # a marker symlinked to a file counts, and beats a manifest
+        "i": {"AMENT_IGNORE": ("link", "store_file"), "package.xml": alpha},
         # a symlinked package directory is not followed; a looping link is no file
         "e": ("link", "store_dir"),
         "f": {"package.xml": ("link", "loop")},
     }
-    root = tmp_path / "ws"
-    build_tree(root, {"src": tree}, store)
+    root = build_workspace(tmp_path, {"src": tree})
     workspace = scan_workspace(root, ENV)
     assert workspace == oracle_scan(root, ENV)
     assert [(p.name, str(p.source_dir)) for p in workspace.packages] == [
         ("alpha", "src/a"),
-        ("beta", "src/a/b"),
+        ("beta", "src/g/h"),
         ("gamma", "src/package.xml"),
         ("linked", "src/b"),
     ]
     assert workspace.packages[2].deps_build == frozenset({"rclcpp"})
-    assert workspace.ignored_dirs == [root / "src" / "c", root / "src" / "d"]
+    assert workspace.ignored_dirs == [root / "src" / name for name in ("c", "d", "i")]
 
 
 def test_scan_survives_a_tree_deeper_than_the_recursion_limit(tmp_path) -> None:
@@ -174,18 +190,207 @@ def test_scan_survives_a_tree_deeper_than_the_recursion_limit(tmp_path) -> None:
         bottom = bottom / "d"
         bottom.mkdir()
     (bottom / "package.xml").write_text(manifest_xml("deep"), encoding="utf-8")
-    (tmp_path / "package.xml").write_text(manifest_xml("top"), encoding="utf-8")
+    # A sibling of the chain: a manifest at the root would end the scan there.
+    (tmp_path / "top").mkdir()
+    (tmp_path / "top" / "package.xml").write_text(manifest_xml("top"), encoding="utf-8")
     try:
         workspace = scan_workspace(tmp_path, ENV)
         assert [(p.name, p.source_dir) for p in workspace.packages] == [
             ("deep", PurePosixPath("/".join(["d"] * depth))),
-            ("top", PurePosixPath(".")),
+            ("top", PurePosixPath("top")),
         ]
     finally:
         (bottom / "package.xml").unlink()
         while bottom != tmp_path:
             bottom.rmdir()
             bottom = bottom.parent
+
+
+# --- the manifest memo -------------------------------------------------------
+
+
+def memo_files(cache: Path) -> list[Path]:
+    return sorted(cache.glob("manifests-*.json"))
+
+
+def scan_with(cache: Path):
+    return lambda root, env: scan_workspace(root, env, cache)
+
+
+@settings(max_examples=100, deadline=None)
+@given(trees())
+def test_cold_and_warm_memo_scan_like_no_memo(tree: dict) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = build_workspace(Path(tmp), tree)
+        cache = Path(tmp) / "cache"
+        expected = outcome(scan_workspace, root)
+        assert outcome(scan_with(cache), root) == expected
+        if expected[0] == "ok":
+            with mock.patch("forge.manifest._parse_xml", side_effect=AssertionError("parsed")):
+                assert outcome(scan_with(cache), root) == expected
+        else:
+            assert outcome(scan_with(cache), root) == expected
+
+
+def _memo_workspace(root: Path) -> None:
+    for name in ("alpha", "beta"):
+        (root / "src" / name).mkdir(parents=True)
+        (root / "src" / name / "package.xml").write_text(
+            manifest_xml(name, CONDITIONAL + "<test_depend>gtest</test_depend>"),
+            encoding="utf-8",
+        )
+
+
+def _warm(tmp_path: Path) -> tuple[Path, Path, bytes]:
+    """A workspace, a cache holding its memo, and the memo file's bytes."""
+
+    root = tmp_path / "ws"
+    _memo_workspace(root)
+    cache = tmp_path / "cache"
+    scan_workspace(root, ENV, cache)
+    (path,) = memo_files(cache)
+    return root, cache, path.read_bytes()
+
+
+def test_warm_memo_skips_the_parse_and_the_write(tmp_path) -> None:
+    root, cache, good = _warm(tmp_path)
+    records = json.loads(good)
+    assert sorted(records.values()) == [
+        ["alpha", "1.0.0", 3, "ament_cmake", ["rclcpp"], ["rclcpp"], ["gtest"]],
+        ["beta", "1.0.0", 3, "ament_cmake", ["rclcpp"], ["rclcpp"], ["gtest"]],
+    ]
+    (path,) = memo_files(cache)
+    inode = path.stat().st_ino
+    expected = scan_workspace(root, ENV)
+    with mock.patch("forge.manifest._parse_xml", side_effect=AssertionError("parsed")):
+        assert scan_workspace(root, ENV, cache) == expected
+    # A scan without a miss leaves the file alone; a write would replace it.
+    assert path.stat().st_ino == inode
+
+
+def _set_field(index: int, value: object):
+    def damage(records: dict) -> object:
+        for record in records.values():
+            record[index] = value
+        return records
+
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda records: "not json",
+        lambda records: list(records.values()),
+        lambda records: {digest: dict(enumerate(r)) for digest, r in records.items()},
+        lambda records: {digest: r[:6] for digest, r in records.items()},
+        lambda records: {digest: "".join(map(str, r)) for digest, r in records.items()},
+        _set_field(0, "9lives"),
+        _set_field(0, "name\n"),
+        _set_field(1, "1.x"),
+        _set_field(1, 1),
+        _set_field(2, 4),
+        _set_field(2, True),
+        _set_field(3, ""),
+        _set_field(4, [7]),
+        _set_field(5, [""]),
+        _set_field(6, "gtest"),
+    ],
+    ids=["not-json", "not-a-dict", "record-dict", "record-short", "record-string", "bad-name",
+         "name-newline", "bad-version", "version-number", "format-4", "format-bool",
+         "empty-build-type", "non-string-dep", "empty-dep", "deps-not-list"],
+)
+def test_damaged_memo_is_a_rewritten_miss(tmp_path, damage) -> None:
+    root, cache, good = _warm(tmp_path)
+    (path,) = memo_files(cache)
+    damaged = damage(json.loads(good))
+    path.write_text(damaged if isinstance(damaged, str) else json.dumps(damaged), "utf-8")
+    assert scan_workspace(root, ENV, cache) == scan_workspace(root, ENV)
+    assert path.read_bytes() == good
+
+
+def test_unreadable_memo_is_a_miss(tmp_path) -> None:
+    root, cache, _ = _warm(tmp_path)
+    (path,) = memo_files(cache)
+    path.unlink()
+    path.mkdir()
+    assert scan_workspace(root, ENV, cache) == scan_workspace(root, ENV)
+    assert path.is_dir()
+
+
+def test_edited_manifest_is_parsed_again_and_replaces_its_record(tmp_path) -> None:
+    root, cache, _ = _warm(tmp_path)
+    (root / "src" / "beta" / "package.xml").write_text(
+        manifest_xml("beta", "<exec_depend>python3</exec_depend>"), encoding="utf-8"
+    )
+    workspace = scan_workspace(root, ENV, cache)
+    assert workspace.packages[1].deps_exec == frozenset({"python3"})
+    (path,) = memo_files(cache)
+    assert len(json.loads(path.read_bytes())) == 2
+    assert scan_workspace(root, ENV, cache) == workspace == scan_workspace(root, ENV)
+
+
+@pytest.mark.parametrize(
+    ("content", "error", "message"),
+    [
+        (b"<package><name>x</name>", MalformedManifest,
+         "src/bad/package.xml: not well formed XML"),
+        (manifest_xml("x").replace('format="3"', 'format="9"').encode(), UnsupportedFormat,
+         "src/bad/package.xml: manifest format 9"),
+        (manifest_xml("latin").encode() + b"<!-- caf\xe9 -->", MalformedManifest,
+         "/src/bad/package.xml is not UTF-8"),
+    ],
+    ids=["xml", "format", "utf8"],
+)
+def test_bad_manifest_raises_the_same_error_and_is_never_stored(
+    tmp_path, content: bytes, error: type, message: str
+) -> None:
+    root, cache, good = _warm(tmp_path)
+    (root / "src" / "bad").mkdir()
+    (root / "src" / "bad" / "package.xml").write_bytes(content)
+    expected = outcome(scan_workspace, root)
+    assert expected[1] is error and message in expected[2]
+    for _ in range(2):
+        assert outcome(scan_with(cache), root) == expected
+        assert [path.read_bytes() for path in memo_files(cache)] == [good]
+
+
+def test_condition_env_selects_its_own_memo(tmp_path) -> None:
+    root = tmp_path / "ws"
+    (root / "src" / "pkg").mkdir(parents=True)
+    (root / "src" / "pkg" / "package.xml").write_text(
+        manifest_xml("pkg", '<depend condition="$ROS_DISTRO == humble">humble_only</depend>'),
+        encoding="utf-8",
+    )
+    cache = tmp_path / "cache"
+    iron = {**ENV, "ROS_DISTRO": "iron"}
+    for _ in range(2):
+        assert scan_workspace(root, ENV, cache).packages[0].deps_exec == {"humble_only"}
+        assert scan_workspace(root, iron, cache).packages[0].deps_exec == frozenset()
+    assert len(memo_files(cache)) == 2
+
+
+def test_memo_is_not_written_without_write_cache(tmp_path) -> None:
+    root = tmp_path / "ws"
+    _memo_workspace(root)
+    cache = tmp_path / "cache"
+    assert scan_workspace(root, ENV, cache, write_cache=False) == scan_workspace(root, ENV)
+    assert not cache.exists()
+
+
+def test_build_dry_run_reads_the_memo_but_never_writes_it(tmp_path, monkeypatch) -> None:
+    root, _, _ = _warm(tmp_path)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    dockerfile = str(tmp_path / "Dockerfile")
+    assert main(["build", str(root), "--dry-run", "--dockerfile-out", dockerfile]) == 0
+    assert memo_files(tmp_path / "xdg" / "forge") == []
+    assert main(["analyze", str(root)]) == 0
+    (path,) = memo_files(tmp_path / "xdg" / "forge")
+    good = path.read_bytes()
+    (root / "src" / "beta" / "package.xml").write_text(manifest_xml("beta"), encoding="utf-8")
+    assert main(["build", str(root), "--dry-run", "--dockerfile-out", dockerfile]) == 0
+    assert memo_files(tmp_path / "xdg" / "forge") == [path]
+    assert path.read_bytes() == good
 
 
 # --- errors name the file ----------------------------------------------------
@@ -265,14 +470,14 @@ def test_unlistable_directory_is_a_user_error(tmp_path, monkeypatch, capsys) -> 
 def test_unreadable_manifest_is_a_user_error(tmp_path, monkeypatch, capsys) -> None:
     _two_packages(tmp_path)
     locked = tmp_path / "src" / "locked" / "package.xml"
-    real_read_text = Path.read_text
 
-    def read_text(self, *args, **kwargs):
-        if self == locked:
-            raise PermissionError(13, "Permission denied", str(self))
-        return real_read_text(self, *args, **kwargs)
+    def fake_open(path, *args, **kwargs):
+        if os.fspath(path) == str(locked):
+            raise PermissionError(13, "Permission denied", str(locked))
+        return open(path, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "read_text", read_text)
+    # textio.read_utf8 reads every manifest through the builtin open.
+    monkeypatch.setattr(textio, "open", fake_open, raising=False)
     with pytest.raises(UnreadableWorkspace, match=f"cannot read {locked}: Permission denied"):
         scan_workspace(tmp_path, ENV)
     assert main(["analyze", str(tmp_path)]) == 2
