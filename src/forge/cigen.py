@@ -21,9 +21,12 @@ from .errors import InvalidSpec
 
 _IMAGE_NAME_RE = re.compile(r"^[a-z0-9][a-z0-9_.\-/]*$")
 
+# The workspace tests inside the development image. The ROS setup script
+# sets ROS_VERSION, so ROS 1 images test with catkin and ROS 2 with colcon.
 TEST_HOOK = (
-    '. /opt/ros/$ROS_DISTRO/setup.sh && cd /ws && '
-    "colcon build && colcon test && colcon test-result --verbose"
+    '. /opt/ros/$ROS_DISTRO/setup.sh && cd /ws && if [ "$ROS_VERSION" = 1 ]; then '
+    "catkin_make_isolated --catkin-make-args run_tests && catkin_test_results build_isolated; "
+    "else colcon build && colcon test && colcon test-result --verbose; fi"
 )
 
 

@@ -20,7 +20,7 @@ import os
 import shlex
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -232,10 +232,10 @@ class WorkspaceAnalysis:
     distro: str
     index: DistroIndex
     db: RosdepDatabase
-    repos: ReposList = ()
-    declared: DeclaredKeys = field(default_factory=lambda: DeclaredKeys(frozenset(), frozenset()))
-    resolved: ResolvedDependencies | None = None
-    resolved_exec: ResolvedDependencies | None = None
+    repos: ReposList
+    declared: DeclaredKeys
+    resolved: ResolvedDependencies
+    resolved_exec: ResolvedDependencies
 
 
 def cache_dir() -> Path | None:
@@ -313,10 +313,6 @@ def _analyze_args(args: argparse.Namespace) -> tuple[GlobalConfig, WorkspaceAnal
 
 
 def _resolution_doc(analysis: WorkspaceAnalysis) -> dict[str, object]:
-    resolved = analysis.resolved
-    resolved_exec = analysis.resolved_exec
-    assert resolved is not None and resolved_exec is not None
-
     def bucket_doc(r: ResolvedDependencies) -> dict[str, object]:
         return {
             "internal": list(r.internal),
@@ -336,8 +332,8 @@ def _resolution_doc(analysis: WorkspaceAnalysis) -> dict[str, object]:
             {"name": r.local_name, "url": r.url, "version": r.version}
             for r in analysis.repos
         ],
-        "all": bucket_doc(resolved),
-        "exec_only": bucket_doc(resolved_exec),
+        "all": bucket_doc(analysis.resolved),
+        "exec_only": bucket_doc(analysis.resolved_exec),
     }
 
 
@@ -351,8 +347,6 @@ def _print_bucket(label: str, items: tuple[str, ...]) -> None:
 def cmd_analyze(args: argparse.Namespace, driver: EngineDriver | None) -> int:
     cfg, analysis = _analyze_args(args)
     resolved = analysis.resolved
-    assert resolved is not None
-
     if args.format == "json":
         print(json.dumps(_resolution_doc(analysis), indent=2, sort_keys=True))
     elif args.format == "yaml":
@@ -386,27 +380,27 @@ def _image_spec_from_args(
 ) -> ImageSpec:
     _bind("dockergen")
     launch_command: tuple[str, ...] = ("bash",)
-    if getattr(args, "command", None):
+    if args.command:
         launch_command = tuple(shlex.split(args.command))
     return spec_for_workspace(
         analysis.workspace,
         analysis.distro,
-        base_image=getattr(args, "base", None) or f"ros:{analysis.distro}",
+        base_image=args.base or "",
         target=args.target,
         launch_command=launch_command,
-        workspace_dir=getattr(args, "workspace_dir", None) or "/ws",
+        workspace_dir=args.workspace_dir or "/ws",
         repos_files=tuple(
             sorted(p.name for p in analysis.root.glob("*.repos"))
         ),
         source_repos=analysis.repos,
-        custom_script_pre=getattr(args, "script_pre", None),
-        custom_script_post=getattr(args, "script_post", None),
-        extra_apt=tuple(getattr(args, "extra_apt", None) or ()),
-        extra_pip=tuple(getattr(args, "extra_pip", None) or ()),
-        platforms=tuple(getattr(args, "platform", None) or ("amd64",)),
-        slim_runtime=bool(getattr(args, "slim_runtime", False)),
+        custom_script_pre=args.script_pre,
+        custom_script_post=args.script_post,
+        extra_apt=tuple(args.extra_apt or ()),
+        extra_pip=tuple(args.extra_pip or ()),
+        platforms=tuple(args.platform or ("amd64",)),
+        slim_runtime=args.slim_runtime,
         strict=cfg.strict,
-        nonroot_run=bool(getattr(args, "nonroot_run", False)),
+        nonroot_run=args.nonroot_run,
     )
 
 
@@ -415,7 +409,6 @@ def _render_for_workspace(
 ) -> str:
     _bind("dockergen")
     spec = _image_spec_from_args(args, analysis, cfg)
-    assert analysis.resolved is not None and analysis.resolved_exec is not None
     plan = plan_stages(
         spec, analysis.resolved, analysis.resolved_exec, context_root=analysis.root
     )
@@ -503,8 +496,7 @@ def cmd_build(args: argparse.Namespace, driver: EngineDriver | None) -> int:
                 "credential variables not set: " + ", ".join(missing)
             )
         credential_env = {name: os.environ[name] for name in needed}
-        plan = clone_plan(analysis.repos, credential_env)
-        for line in plan.redacted_log_form:
+        for line in clone_plan(analysis.repos, credential_env):
             print(line)
         build_args = [(name, credential_env[name]) for name in needed]
         secrets = tuple(credential_env.values())
@@ -666,11 +658,7 @@ def cmd_run(args: argparse.Namespace, driver: EngineDriver | None) -> int:
 
 def cmd_bench_startup(args: argparse.Namespace, driver: EngineDriver | None) -> int:
     _bind("engine")
-    command = EngineCommand(
-        verb="run",
-        argv=("run", "--rm", args.image, "true"),
-        description="startup overhead probe",
-    )
+    command = EngineCommand(verb="run", argv=("run", "--rm", args.image, "true"))
     if args.dry_run:
         _print_dry_run([command], args.engine)
         return 0

@@ -22,7 +22,7 @@ from typing import Iterable, Union
 from . import KNOWN_DISTROS
 from .depgraph import ResolvedDependencies
 from .errors import InvalidSpec, UnresolvedDependencies
-from .manifest import Workspace
+from .manifest import PackageManifest, Workspace
 from .sources import RepoSpec, required_credential_vars
 
 ARTIFACT_DIR = "/opt/forge"
@@ -124,7 +124,6 @@ class Stage:
 class DockerfilePlan:
     stages: tuple[Stage, ...]
     base_image: str
-    ros_distro: str
     target: str
     workspace_dir: str
     slim_runtime: bool
@@ -145,14 +144,6 @@ class Violation:
     detail: str
 
 
-@dataclass(frozen=True)
-class PackageLocation:
-    """Where one package lives, relative to the workspace root."""
-
-    name: str
-    source_dir: str
-
-
 @dataclass
 class ImageSpec:
     """Everything needed to plan one image build."""
@@ -162,7 +153,7 @@ class ImageSpec:
     target: str = "run"
     launch_command: tuple[str, ...] = ("bash",)
     workspace_dir: str = "/ws"
-    packages: tuple[PackageLocation, ...] = ()
+    packages: tuple[PackageManifest, ...] = ()
     repos_files: tuple[str, ...] = ()
     source_repos: tuple[RepoSpec, ...] = ()
     custom_script_pre: str | None = None
@@ -188,12 +179,9 @@ class ImageSpec:
 
 
 def spec_for_workspace(workspace: Workspace, ros_distro: str, **kwargs: object) -> ImageSpec:
-    """Convenience constructor taking package locations from a scan."""
+    """Convenience constructor taking the packages from a scan."""
 
-    packages = tuple(
-        PackageLocation(name=pkg.name, source_dir=str(pkg.source_dir))
-        for pkg in workspace.packages
-    )
+    packages = tuple(workspace.packages)
     return ImageSpec(ros_distro=ros_distro, packages=packages, **kwargs)  # type: ignore[arg-type]
 
 
@@ -223,12 +211,12 @@ def _check_spec(spec: ImageSpec, context_root: object = None) -> None:
                 raise InvalidSpec(f"custom script {script!r} not found in build context")
 
 
-def _container_rel_dir(location: PackageLocation) -> str:
+def _container_rel_dir(package: PackageManifest) -> str:
     """Package directory below the container workspace, always under src/."""
 
-    rel = location.source_dir
-    if rel in (".", ""):
-        return f"src/{location.name}"
+    rel = str(package.source_dir)
+    if rel == ".":
+        return f"src/{package.name}"
     if rel == "src" or rel.startswith("src/"):
         return rel
     return f"src/{rel}"
@@ -300,33 +288,28 @@ def _user_setup() -> RunShell:
     return RunShell(command=command, category="user-setup")
 
 
-def _os_transaction_from_file(packages: tuple[str, ...]) -> RunShell:
-    command = (
-        "apt-get update && DEBIAN_FRONTEND=noninteractive "
-        f"xargs -a {APT_LIST} apt-get install -y --no-install-recommends && "
-        + _apt_cleanup()
-    )
+def _os_transaction(packages: tuple[str, ...], list_file: str | None) -> RunShell:
+    """Install ``packages`` with apt, read from ``list_file`` or, if None, named inline."""
+
+    if list_file is None:
+        command = _apt_install(" ".join(packages))
+    else:
+        command = (
+            "apt-get update && DEBIAN_FRONTEND=noninteractive "
+            f"xargs -a {list_file} apt-get install -y --no-install-recommends && "
+            + _apt_cleanup()
+        )
     return RunShell(command=command, category="pkg-os", packages=packages)
 
 
-def _pip_transaction_from_file(packages: tuple[str, ...]) -> RunShell:
+def _pip_transaction(packages: tuple[str, ...], list_file: str | None) -> RunShell:
+    """Install ``packages`` with pip, read from ``list_file`` or, if None, named inline."""
+
     bootstrap = (
         "if ! command -v pip3 >/dev/null; then " + _apt_install("python3-pip") + "; fi"
     )
-    command = bootstrap + f" && pip3 install --no-cache-dir -r {PIP_LIST}"
-    return RunShell(command=command, category="pkg-pip", packages=packages)
-
-
-def _os_transaction_inline(packages: tuple[str, ...]) -> RunShell:
-    command = _apt_install(" ".join(packages))
-    return RunShell(command=command, category="pkg-os", packages=packages)
-
-
-def _pip_transaction_inline(packages: tuple[str, ...]) -> RunShell:
-    bootstrap = (
-        "if ! command -v pip3 >/dev/null; then " + _apt_install("python3-pip") + "; fi"
-    )
-    command = bootstrap + " && pip3 install --no-cache-dir " + " ".join(packages)
+    source = " ".join(packages) if list_file is None else f"-r {list_file}"
+    command = bootstrap + " && pip3 install --no-cache-dir " + source
     return RunShell(command=command, category="pkg-pip", packages=packages)
 
 
@@ -410,13 +393,9 @@ def plan_stages(
     # dependencies: manifests and repository lists only, then the three
     # dependency artifact files consumed by dependencies-install.
     dep_instructions: list[Instruction] = [Workdir(ws)]
-    for location in packages:
-        rel = _container_rel_dir(location)
-        src = (
-            "package.xml"
-            if location.source_dir in (".", "")
-            else f"{location.source_dir}/package.xml"
-        )
+    for package in packages:
+        rel = _container_rel_dir(package)
+        src = str(package.source_dir / "package.xml")
         dep_instructions.append(CopyContext(src=src, dst=f"{ws}/{rel}/package.xml"))
     for repos_file in sorted(spec.repos_files):
         dep_instructions.append(CopyContext(src=repos_file, dst=f"{ws}/{repos_file}"))
@@ -437,9 +416,9 @@ def plan_stages(
         CopyFromStage("dependencies", ARTIFACT_DIR, ARTIFACT_DIR),
     ]
     if shared_os:
-        install_instructions.append(_os_transaction_from_file(shared_os))
+        install_instructions.append(_os_transaction(shared_os, APT_LIST))
     if shared_pip:
-        install_instructions.append(_pip_transaction_from_file(shared_pip))
+        install_instructions.append(_pip_transaction(shared_pip, PIP_LIST))
     if spec.custom_script_pre is not None:
         install_instructions.append(
             CopyContext(src=spec.custom_script_pre, dst=f"{ARTIFACT_DIR}/custom-pre.sh")
@@ -465,20 +444,19 @@ def plan_stages(
     # full source, and a non-root user.
     dev_instructions: list[Instruction] = [_user_setup()]
     if delta_os:
-        dev_instructions.append(_os_transaction_inline(delta_os))
+        dev_instructions.append(_os_transaction(delta_os, None))
     if delta_pip:
-        dev_instructions.append(_pip_transaction_inline(delta_pip))
+        dev_instructions.append(_pip_transaction(delta_pip, None))
     tooling = ["build-essential", "git"]
     if spec.build_tool == "colcon":
         tooling.append("python3-colcon-common-extensions")
     dev_instructions.append(
         RunShell(command=_apt_install(" ".join(sorted(tooling))), category="tooling")
     )
-    for location in packages:
-        rel = _container_rel_dir(location)
-        src = "./" if location.source_dir in (".", "") else f"{location.source_dir}/"
+    for package in packages:
+        rel = _container_rel_dir(package)
         dev_instructions.append(
-            CopyContext(src=src, dst=f"{ws}/{rel}/", chown="1000:1000")
+            CopyContext(src=f"{package.source_dir}/", dst=f"{ws}/{rel}/", chown="1000:1000")
         )
     dev_instructions.append(
         RunShell(
@@ -525,7 +503,6 @@ def plan_stages(
     return DockerfilePlan(
         stages=tuple(stages),
         base_image=spec.base_image,
-        ros_distro=spec.ros_distro,
         target=spec.target,
         workspace_dir=ws,
         slim_runtime=spec.slim_runtime,
@@ -667,42 +644,6 @@ def validate_plan(plan: DockerfilePlan) -> list[Violation]:
 # --- rendering -------------------------------------------------------------
 
 
-def plan_fingerprint(plan: DockerfilePlan) -> str:
-    """Stable content hash of the semantic plan."""
-
-    def encode(value: object) -> object:
-        if isinstance(value, Stage):
-            return {
-                "name": value.name,
-                "parent": value.parent,
-                "instructions": [encode(i) for i in value.instructions],
-            }
-        if isinstance(value, tuple):
-            return [encode(v) for v in value]
-        if hasattr(value, "__dataclass_fields__"):
-            return {
-                "kind": type(value).__name__,
-                **{
-                    name: encode(getattr(value, name))
-                    for name in value.__dataclass_fields__
-                },
-            }
-        return value
-
-    payload = {
-        "stages": [encode(stage) for stage in plan.stages],
-        "base_image": plan.base_image,
-        "ros_distro": plan.ros_distro,
-        "target": plan.target,
-        "workspace_dir": plan.workspace_dir,
-        "slim_runtime": plan.slim_runtime,
-    }
-    digest = hashlib.sha256(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    )
-    return digest.hexdigest()
-
-
 def _render_run(command: str) -> list[str]:
     segments = command.split(" && ")
     if len(segments) == 1:
@@ -755,22 +696,26 @@ def _render_instruction(instruction: Instruction) -> list[str]:
 
 
 def render(plan: DockerfilePlan) -> str:
-    """Render a plan to Dockerfile text, byte-deterministic for equal plans."""
+    """Render a plan to Dockerfile text, byte-deterministic for equal plans.
+
+    The four header lines name the sha256 of the body below them, from
+    ``ARG BASE_IMAGE`` to the end, so ``tail -n +5 Dockerfile | sha256sum``
+    checks a file against its header.
+    """
 
     from . import GENERATOR_NAME, __version__
 
-    lines = [
-        "# syntax=docker/dockerfile:1",
-        f"# Generated by {GENERATOR_NAME} {__version__} "
-        f"(plan sha256 {plan_fingerprint(plan)})",
-        "# Regenerate instead of editing by hand.",
-        "",
-        f"ARG BASE_IMAGE={plan.base_image}",
-        f"ARG TARGET={plan.target}",
-    ]
+    lines = [f"ARG BASE_IMAGE={plan.base_image}", f"ARG TARGET={plan.target}"]
     for stage in plan.stages:
         lines.append("")
         lines.append(f"FROM {stage.parent} AS {stage.name}")
         for instruction in stage.instructions:
             lines.extend(_render_instruction(instruction))
-    return "\n".join(lines) + "\n"
+    body = "\n".join(lines) + "\n"
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return (
+        "# syntax=docker/dockerfile:1\n"
+        f"# Generated by {GENERATOR_NAME} {__version__} (plan sha256 {digest})\n"
+        "# Regenerate instead of editing by hand.\n"
+        "\n" + body
+    )

@@ -12,7 +12,7 @@ import json
 import shutil
 import subprocess
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 from .errors import (
@@ -39,7 +39,6 @@ class EngineCommand:
 
     verb: str
     argv: tuple[str, ...]
-    description: str = ""
 
     def __post_init__(self) -> None:
         if self.verb not in _VERB_HEADS:
@@ -132,11 +131,7 @@ def build_argv(request: BuildRequest) -> EngineCommand:
     if request.push:
         argv.append("--push")
     argv.append(request.context)
-    return EngineCommand(
-        verb="build",
-        argv=tuple(argv),
-        description=f"build {request.target} image " + ", ".join(request.tags),
-    )
+    return EngineCommand(verb="build", argv=tuple(argv))
 
 
 def run_argv(invocation: RunInvocation) -> EngineCommand:
@@ -168,9 +163,7 @@ def run_argv(invocation: RunInvocation) -> EngineCommand:
     argv += list(invocation.passthrough)
     argv.append(invocation.image)
     argv += list(invocation.command)
-    return EngineCommand(
-        verb="run", argv=tuple(argv), description=f"run {invocation.image}"
-    )
+    return EngineCommand(verb="run", argv=tuple(argv))
 
 
 def exec_argv(
@@ -186,21 +179,15 @@ def exec_argv(
         argv += ["--user", f"{user_map[0]}:{user_map[1]}"]
     argv.append(name)
     argv += list(command)
-    return EngineCommand(verb="exec", argv=tuple(argv), description=f"exec into {name}")
+    return EngineCommand(verb="exec", argv=tuple(argv))
 
 
 def rm_argv(name: str) -> EngineCommand:
-    return EngineCommand(
-        verb="rm", argv=("rm", "-f", name), description=f"remove container {name}"
-    )
+    return EngineCommand(verb="rm", argv=("rm", "-f", name))
 
 
 def inspect_argv(name: str) -> EngineCommand:
-    return EngineCommand(
-        verb="inspect",
-        argv=("inspect", "--type", "container", name),
-        description=f"inspect container {name}",
-    )
+    return EngineCommand(verb="inspect", argv=("inspect", "--type", "container", name))
 
 
 class EngineDriver(Protocol):
@@ -230,27 +217,6 @@ class SubprocessDriver:
             stdout=completed.stdout,
             stderr=completed.stderr,
         )
-
-
-@dataclass
-class RecordingDriver:
-    """Records commands and replays scripted results; default is success.
-
-    ``scripted`` maps an argv prefix (as a tuple) or a verb to the result
-    returned for matching commands; the most specific match wins.
-    """
-
-    commands: list[EngineCommand] = field(default_factory=list)
-    scripted: dict[object, EngineResult] = field(default_factory=dict)
-    default: EngineResult = EngineResult(0, "", "")
-
-    def execute(self, command: EngineCommand) -> EngineResult:
-        self.commands.append(command)
-        for length in range(len(command.argv), 0, -1):
-            key = tuple(command.argv[:length])
-            if key in self.scripted:
-                return self.scripted[key]
-        return self.scripted.get(command.verb, self.default)
 
 
 def execute(

@@ -3,8 +3,8 @@
 Repository lists follow the vcstool file convention: a ``repositories``
 mapping of local names to ``{type, url, version}`` entries. Only git is
 supported. URLs may embed credential placeholders (``${VAR}``) which are
-substituted from an environment mapping when a concrete clone plan is
-produced; log output always uses a redacted form.
+substituted from an environment mapping; the clone plan printed to logs
+shows each credential value as ``***``.
 """
 
 from __future__ import annotations
@@ -33,23 +33,6 @@ class RepoSpec:
     vcs_type: str
     url: str
     version: str | None = None
-
-
-@dataclass(frozen=True)
-class CloneStep:
-    """A single planned clone: repository, destination, concrete URL."""
-
-    repo: RepoSpec
-    destination: str
-    url: str
-
-
-@dataclass(frozen=True)
-class ClonePlan:
-    """Ordered clone steps plus a form safe to print or log."""
-
-    steps: tuple[CloneStep, ...]
-    redacted_log_form: tuple[str, ...]
 
 
 def _check_local_name(name: str) -> None:
@@ -162,21 +145,18 @@ def clone_plan(
     repos: Sequence[RepoSpec],
     credential_env: Mapping[str, str],
     dest_root: str = "/ws/src",
-) -> ClonePlan:
-    """Concrete clone steps for ``repos`` under ``dest_root``.
+) -> list[str]:
+    """One log line per clone of ``repos`` under ``dest_root``, safe to print.
 
-    Substitutes credentials into each URL and pairs every step with a
-    redacted line suitable for logs. Order follows the repository list.
+    Each URL has its credentials substituted and then redacted, so a
+    missing credential raises MissingCredential. Order follows the
+    repository list.
     """
 
-    steps: list[CloneStep] = []
-    redacted: list[str] = []
+    lines = []
     root = PurePosixPath(dest_root)
     for repo in repos:
-        destination = str(root / repo.local_name)
-        url = substitute_url(repo.url, credential_env)
-        steps.append(CloneStep(repo=repo, destination=destination, url=url))
         shown = redact_url(repo.url, credential_env)
         version = repo.version or "(default branch)"
-        redacted.append(f"clone {shown} @ {version} -> {destination}")
-    return ClonePlan(steps=tuple(steps), redacted_log_form=tuple(redacted))
+        lines.append(f"clone {shown} @ {version} -> {root / repo.local_name}")
+    return lines

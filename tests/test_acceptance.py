@@ -23,6 +23,7 @@ from acceptance_report import RESULTS, record
 from conftest import FIXTURE_ROOT, GOLDEN_ROOT, analysis_for
 from golden_cases import CASES
 from pipeline_graph import job_graph
+from recording_driver import RecordingDriver
 from resolution_oracle import load_oracle_db, partition
 
 from forge import cli
@@ -48,7 +49,6 @@ from forge.dockergen import (
 from forge.engine import (
     ContainerState,
     EngineResult,
-    RecordingDriver,
     RunInvocation,
     inspect_container,
     run_argv,

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import subprocess
+
 import pytest
 import yaml
 
 from pipeline_graph import job_graph
 
-from forge.cigen import PipelineSpec, default_output_path, generate_pipeline
+from forge.cigen import TEST_HOOK, PipelineSpec, default_output_path, generate_pipeline
 from forge.errors import InvalidSpec
 
 
@@ -100,7 +102,34 @@ def test_test_job_sits_between_build_and_merge(platform: str) -> None:
     assert any(dep.startswith("build-dev-") for dep in graph["test"])
     assert "test" in transitive_needs(graph, "merge-dev")
     assert "test" in transitive_needs(graph, "push")
+    assert "catkin_make_isolated" in text
     assert "colcon test" in text
+
+
+@pytest.mark.parametrize(
+    ("ros_version", "calls"),
+    [
+        (
+            "1",
+            ["catkin_make_isolated --catkin-make-args run_tests", "catkin_test_results build_isolated"],
+        ),
+        ("2", ["colcon build", "colcon test", "colcon test-result --verbose"]),
+    ],
+)
+def test_test_hook_picks_the_build_tool_by_ros_version(tmp_path, ros_version, calls) -> None:
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    for tool in ("catkin_make_isolated", "catkin_test_results", "colcon"):
+        stub = bin_dir / tool
+        stub.write_text(f'#!/bin/sh\necho {tool} "$@" >> "{tmp_path}/calls"\n')
+        stub.chmod(0o755)
+    setup = tmp_path / "setup.sh"
+    setup.write_text(f"ROS_VERSION={ros_version}\n")
+    hook = TEST_HOOK.replace("/opt/ros/$ROS_DISTRO/setup.sh", str(setup))
+    hook = hook.replace("cd /ws ", f"cd {tmp_path} ")
+    assert str(setup) in hook and f"cd {tmp_path} " in hook
+    subprocess.run(["/bin/sh", "-c", hook], check=True, env={"PATH": f"{bin_dir}:/usr/bin:/bin"})
+    assert (tmp_path / "calls").read_text().splitlines() == calls
 
 
 def test_test_stage_requires_dev_target() -> None:

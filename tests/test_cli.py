@@ -11,10 +11,11 @@ import yaml
 
 from forge.cli import GlobalConfig, cache_dir, load_config, main
 from forge.devrun import HostEnvironment
-from forge.engine import EngineResult, RecordingDriver
+from forge.engine import EngineResult
 from forge.errors import ConfigError
 
 from conftest import FIXTURE_ROOT
+from recording_driver import RecordingDriver
 
 MINIMAL = str(FIXTURE_ROOT / "minimal")
 MULTI = str(FIXTURE_ROOT / "multi_repo")

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,6 @@ from forge.dockergen import (
     RunShell,
     STAGE_ORDER,
     _render_run,
-    plan_fingerprint,
     plan_stages,
     render,
     spec_for_workspace,
@@ -218,13 +219,23 @@ def test_full_runtime_shares_everything(multi_repo_analysis) -> None:
 # --- rendering -------------------------------------------------------------
 
 
+def header_digest(dockerfile: str) -> str:
+    """The sha256 that a rendered Dockerfile's second line names."""
+
+    line = dockerfile.splitlines()[1]
+    match = re.fullmatch(r"# Generated by forge \S+ \(plan sha256 ([0-9a-f]{64})\)", line)
+    assert match, line
+    return match.group(1)
+
+
 def test_render_header_and_syntax(minimal_analysis) -> None:
-    plan = make_plan(minimal_analysis, target="run")
-    text = render(plan)
-    lines = text.splitlines()
-    assert lines[0] == "# syntax=docker/dockerfile:1"
-    assert "forge" in lines[1]
-    assert plan_fingerprint(plan)[:12] in text
+    text = render(make_plan(minimal_analysis, target="run"))
+    lines = text.splitlines(keepends=True)
+    assert lines[0] == "# syntax=docker/dockerfile:1\n"
+    assert lines[2:4] == ["# Regenerate instead of editing by hand.\n", "\n"]
+    body = "".join(lines[4:])
+    assert body.startswith("ARG BASE_IMAGE=ros:humble\n")
+    assert header_digest(text) == hashlib.sha256(body.encode("utf-8")).hexdigest()
     assert text.endswith("\n")
 
 
@@ -316,11 +327,13 @@ def test_render_colcon_build_command(minimal_analysis) -> None:
 
 
 def test_fingerprint_tracks_content(minimal_analysis) -> None:
-    base = make_plan(minimal_analysis, target="run")
-    same = make_plan(minimal_analysis, target="run")
-    different = make_plan(minimal_analysis, target="run", launch_command=("hello",))
-    assert plan_fingerprint(base) == plan_fingerprint(same)
-    assert plan_fingerprint(base) != plan_fingerprint(different)
+    base = render(make_plan(minimal_analysis, target="run"))
+    same = render(make_plan(minimal_analysis, target="run"))
+    different = render(
+        make_plan(minimal_analysis, target="run", launch_command=("hello",))
+    )
+    assert header_digest(base) == header_digest(same)
+    assert header_digest(base) != header_digest(different)
 
 
 # --- RUN wrapping ----------------------------------------------------------

@@ -14,7 +14,6 @@ from forge.engine import (
     EngineCommand,
     EngineResult,
     Mount,
-    RecordingDriver,
     RunInvocation,
     build_argv,
     exec_argv,
@@ -26,6 +25,8 @@ from forge.engine import (
     run_builds,
 )
 from forge.errors import InvalidRequest, MalformedEngineOutput, NonZeroExit
+
+from recording_driver import RecordingDriver
 
 
 def test_command_rejects_unknown_verb() -> None:

@@ -12,10 +12,8 @@ from pathlib import Path
 
 SOURCE_DIR = Path(__file__).resolve().parent.parent / "src" / "forge"
 
-# The recording engine driver is the fake that tests substitute for the
-# real engine; the package ships it so that users' tests can do the same.
 # A module-level __getattr__ is called by the import system (PEP 562).
-ALLOWED = {"RecordingDriver", "__getattr__"}
+ALLOWED = {"__getattr__"}
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
