@@ -29,6 +29,7 @@ from . import KNOWN_DISTROS, __version__
 from .errors import (
     ConfigError,
     ForgeError,
+    InvalidArgs,
     MalformedDatabase,
     MalformedReposFile,
     MissingCredential,
@@ -49,20 +50,20 @@ GENERATED_DIR = ".forge"
 _LAYER_NAMES = {
     "cigen": ("PipelineSpec", "default_output_path", "generate_pipeline"),
     "depgraph": (
-        "DeclaredKeys", "DistroIndex", "ResolvedDependencies", "RosdepDatabase",
-        "load_distro_index", "load_rosdep_db", "packaged_distro_index",
-        "packaged_rosdep_documents", "resolve", "runtime_subset",
+        "DeclaredKeys", "DistroIndex", "ResolvedDependencies", "load_distro_index",
+        "load_rosdep_db", "packaged_distro_index", "packaged_rosdep_documents", "resolve",
+        "runtime_subset",
     ),
     "devrun": (
         "UserArgs", "apply_plugins", "attach_or_run", "load_plugins", "probe_host",
         "synthesize_invocation",
     ),
-    "dockergen": ("ImageSpec", "plan_stages", "render", "spec_for_workspace", "validate_plan"),
+    "dockergen": ("ImageSpec", "plan_stages", "render", "validate_plan"),
     "engine": (
         "BuildRequest", "ContainerState", "EngineCommand", "EngineDriver", "SubprocessDriver",
         "build_argv", "execute", "inspect_container", "run_builds",
     ),
-    "manifest": ("Workspace", "internal_package_names", "scan_workspace"),
+    "manifest": ("Workspace", "scan_workspace"),
     "matrix": (
         "MatrixEntry", "build_plan_document", "base_dockerfile_args", "enumerate_matrix",
         "load_base_image_table", "tag_of",
@@ -109,7 +110,6 @@ class GlobalConfig:
     distro_index_path: str | None = None
     parallelism: int = DEFAULT_PARALLELISM
     strict: bool = False
-    config_path: Path | None = None
 
 
 _TRUE_WORDS = ("1", "true", "yes", "on")
@@ -167,16 +167,14 @@ def load_config(args: argparse.Namespace, workspace_root: Path | None) -> Global
     cfg = GlobalConfig()
 
     explicit = getattr(args, "config", None)
-    candidates = []
     if explicit:
-        candidates.append(Path(explicit))
-    elif workspace_root is not None:
-        candidates.append(workspace_root / "forge.yaml")
+        config_path = Path(explicit)
     else:
-        candidates.append(Path("forge.yaml"))
-    config_path = next((p for p in candidates if p.is_file()), None)
-    if explicit and config_path is None:
-        raise ConfigError(f"config file {explicit!r} not found")
+        config_path = (workspace_root or Path()) / "forge.yaml"
+    if not config_path.is_file():
+        if explicit:
+            raise ConfigError(f"config file {explicit!r} not found")
+        config_path = None
 
     if config_path is not None:
         try:
@@ -185,7 +183,6 @@ def load_config(args: argparse.Namespace, workspace_root: Path | None) -> Global
             raise ConfigError(f"config file {config_path} is not valid YAML: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {config_path} must hold a mapping")
-        cfg.config_path = config_path
         for field_name, key, _, parse in _CONFIG_TABLE:
             if key in doc:
                 setattr(cfg, field_name, parse(doc[key], f"config key {key}"))
@@ -229,11 +226,8 @@ class WorkspaceAnalysis:
 
     root: Path
     workspace: Workspace
-    distro: str
     index: DistroIndex
-    db: RosdepDatabase
     repos: ReposList
-    declared: DeclaredKeys
     resolved: ResolvedDependencies
     resolved_exec: ResolvedDependencies
 
@@ -259,12 +253,10 @@ def analyze_workspace(
     """Scan and resolve a workspace; ``write_cache=False`` only reads the cache."""
 
     _bind("depgraph", "manifest", "sources")
-    distro = cfg.default_distro
     if cfg.distro_index_path:
         index = load_distro_index(read_utf8(Path(cfg.distro_index_path), MalformedDatabase))
-        distro = index.distro
     else:
-        index = packaged_distro_index(distro)
+        index = packaged_distro_index(cfg.default_distro)
 
     documents = packaged_rosdep_documents()
     for path in cfg.rosdep_db_paths:
@@ -272,7 +264,7 @@ def analyze_workspace(
     cache = cache_dir()
     db = load_rosdep_db(documents, cache_dir=cache, write_cache=write_cache)
 
-    condition_env = {"ROS_VERSION": str(index.ros_version), "ROS_DISTRO": distro}
+    condition_env = {"ROS_VERSION": str(index.ros_version), "ROS_DISTRO": index.distro}
     workspace = scan_workspace(root, condition_env, cache_dir=cache, write_cache=write_cache)
 
     repo_lists = []
@@ -285,17 +277,14 @@ def analyze_workspace(
     repos = combine_repos(repo_lists)
 
     declared = DeclaredKeys.from_workspace(workspace)
-    internal = internal_package_names(workspace)
+    internal = {pkg.name for pkg in workspace.packages}
     resolved = resolve(declared, db, index, internal, repos)
     resolved_exec = runtime_subset(resolved, declared, db, index, internal, repos)
     return WorkspaceAnalysis(
         root=root,
         workspace=workspace,
-        distro=distro,
         index=index,
-        db=db,
         repos=repos,
-        declared=declared,
         resolved=resolved,
         resolved_exec=resolved_exec,
     )
@@ -325,7 +314,7 @@ def _resolution_doc(analysis: WorkspaceAnalysis) -> dict[str, object]:
 
     return {
         "workspace": str(analysis.root),
-        "distro": analysis.distro,
+        "distro": analysis.index.distro,
         "ros_version": analysis.index.ros_version,
         "packages": [p.name for p in analysis.workspace.packages],
         "source_repos": [
@@ -357,7 +346,7 @@ def cmd_analyze(args: argparse.Namespace, driver: EngineDriver | None) -> int:
             f"workspace: {analysis.root} "
             f"({len(analysis.workspace.packages)} packages)"
         )
-        print(f"distro: {analysis.distro} ({version})")
+        print(f"distro: {analysis.index.distro} ({version})")
         _print_bucket("internal", resolved.internal)
         _print_bucket("ros packages", resolved.ros_distro_pkgs)
         _print_bucket("system packages", resolved.system_pkgs)
@@ -382,13 +371,13 @@ def _image_spec_from_args(
     launch_command: tuple[str, ...] = ("bash",)
     if args.command:
         launch_command = tuple(shlex.split(args.command))
-    return spec_for_workspace(
-        analysis.workspace,
-        analysis.distro,
+    return ImageSpec(
+        ros_distro=analysis.index.distro,
+        packages=tuple(analysis.workspace.packages),
         base_image=args.base or "",
         target=args.target,
         launch_command=launch_command,
-        workspace_dir=args.workspace_dir or "/ws",
+        workspace_dir=args.workspace_dir,
         repos_files=tuple(
             sorted(p.name for p in analysis.root.glob("*.repos"))
         ),
@@ -496,7 +485,7 @@ def cmd_build(args: argparse.Namespace, driver: EngineDriver | None) -> int:
                 "credential variables not set: " + ", ".join(missing)
             )
         credential_env = {name: os.environ[name] for name in needed}
-        for line in clone_plan(analysis.repos, credential_env):
+        for line in clone_plan(analysis.repos, credential_env, f"{args.workspace_dir}/src"):
             print(line)
         build_args = [(name, credential_env[name]) for name in needed]
         secrets = tuple(credential_env.values())
@@ -620,8 +609,7 @@ def cmd_run(args: argparse.Namespace, driver: EngineDriver | None) -> int:
     import subprocess
 
     _bind("devrun", "engine")
-    overrides: dict[str, object] = {}
-    host = probe_host(overrides)
+    host = probe_host()
     user_args = UserArgs(
         image=args.image,
         command=tuple(args.run_command),
@@ -658,6 +646,8 @@ def cmd_run(args: argparse.Namespace, driver: EngineDriver | None) -> int:
 
 def cmd_bench_startup(args: argparse.Namespace, driver: EngineDriver | None) -> int:
     _bind("engine")
+    if args.runs < 1:
+        raise InvalidArgs(f"--runs must be at least 1, got {args.runs}")
     command = EngineCommand(verb="run", argv=("run", "--rm", args.image, "true"))
     if args.dry_run:
         _print_dry_run([command], args.engine)
@@ -719,7 +709,9 @@ def _add_image_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--command", help="deployment launch command (shell-style string)"
     )
-    parser.add_argument("--workspace-dir", help="workspace path inside the image")
+    parser.add_argument(
+        "--workspace-dir", default="/ws", help="workspace path inside the image"
+    )
     parser.add_argument(
         "--platform", action="append", help="target platform (repeatable)"
     )

@@ -30,6 +30,9 @@ from .textio import cache_key, read_json, safe_load, write_json
 ROSDEP_CACHE_FORMAT = 1
 """Layout version of cached rosdep databases; part of every cache key."""
 
+ROSDEP_OS = "ubuntu"
+"""The OS whose rosdep records forge resolves against; part of every cache key."""
+
 _INDEX_PACKAGE_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 
 
@@ -43,10 +46,9 @@ class RosdepEntry:
 
 @dataclass(frozen=True)
 class RosdepDatabase:
-    """Key to record mapping for one target OS."""
+    """Key to record mapping for :data:`ROSDEP_OS`."""
 
     entries: dict[str, RosdepEntry]
-    os_target: str = "ubuntu"
 
 
 @dataclass(frozen=True)
@@ -83,8 +85,7 @@ class DeclaredKeys:
 class ResolvedDependencies:
     """Outcome of classifying declared keys.
 
-    ``source_repos`` carries every repository in the clone plan;
-    ``source_keys`` records which declared keys those repositories
+    ``source_keys`` records which declared keys the source repositories
     satisfy. All name lists are sorted and duplicate free.
     """
 
@@ -92,7 +93,6 @@ class ResolvedDependencies:
     ros_distro_pkgs: tuple[str, ...]
     system_pkgs: tuple[str, ...]
     python_pkgs: tuple[str, ...]
-    source_repos: tuple[RepoSpec, ...]
     source_keys: tuple[str, ...]
     unresolved: tuple[str, ...]
     scope: Literal["all", "exec_only"]
@@ -106,20 +106,19 @@ def distro_package_name(distro: str, key: str) -> str:
 
 def load_rosdep_db(
     documents: Iterable[str],
-    os_target: str = "ubuntu",
     cache_dir: Path | None = None,
     write_cache: bool = True,
 ) -> RosdepDatabase:
     """Build a database from YAML documents, later documents winning key-wise.
 
-    Two record shapes are accepted under the target OS: a bare list of OS
-    packages, or ``{pip: {packages: [...]}}`` for pip-installed keys. A key
-    without an entry for the target OS is skipped (it simply cannot be
+    Two record shapes are accepted under :data:`ROSDEP_OS`: a bare list of
+    OS packages, or ``{pip: {packages: [...]}}`` for pip-installed keys. A
+    key without an entry for that OS is skipped (it simply cannot be
     resolved here); any other shape raises :class:`MalformedDatabase`.
 
-    With ``cache_dir``, the merged target-OS records are memoized there as
+    With ``cache_dir``, the merged records for that OS are memoized there as
     ``rosdep-<key>.json``, where the key is a sha256 over the cache format,
-    the forge version, ``os_target`` and the length-prefixed documents.
+    the forge version, :data:`ROSDEP_OS` and the length-prefixed documents.
     Cached records pass the same record checks as parsed ones; a cache
     file that cannot be read, decoded or checked is a miss. The cache is
     written only after a successful parse, and only when ``write_cache``
@@ -129,11 +128,11 @@ def load_rosdep_db(
     documents = list(documents)
     cache_path = None
     if cache_dir is not None:
-        digest = cache_key(f"rosdep/{ROSDEP_CACHE_FORMAT}", __version__, os_target, *documents)
+        digest = cache_key(f"rosdep/{ROSDEP_CACHE_FORMAT}", __version__, ROSDEP_OS, *documents)
         cache_path = Path(cache_dir) / f"rosdep-{digest}.json"
         cached = _read_cached_entries(cache_path)
         if cached is not None:
-            return RosdepDatabase(entries=cached, os_target=os_target)
+            return RosdepDatabase(entries=cached)
 
     records: dict[str, object] = {}
     entries: dict[str, RosdepEntry] = {}
@@ -153,14 +152,14 @@ def load_rosdep_db(
                 continue
             if not isinstance(per_os, dict):
                 raise MalformedDatabase(f"key {key!r} does not map OS names to records")
-            if os_target not in per_os:
+            if ROSDEP_OS not in per_os:
                 continue
-            records[key] = per_os[os_target]
+            records[key] = per_os[ROSDEP_OS]
             entries[key] = _parse_record(key, records[key])
 
     if cache_path is not None and write_cache:
         write_json(cache_path, records)
-    return RosdepDatabase(entries=entries, os_target=os_target)
+    return RosdepDatabase(entries=entries)
 
 
 def _read_cached_entries(path: Path) -> dict[str, RosdepEntry] | None:
@@ -294,7 +293,6 @@ def resolve(
         ),
         system_pkgs=tuple(sorted(system_pkgs)),
         python_pkgs=tuple(sorted(python_pkgs)),
-        source_repos=tuple(sorted(repos, key=lambda r: r.local_name)),
         source_keys=tuple(sorted(source_hits)),
         unresolved=tuple(sorted(unresolved)),
         scope=scope,

@@ -19,7 +19,7 @@ import re
 import shutil
 import subprocess
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -47,7 +47,6 @@ class HostEnvironment:
     """Facts about the machine a development container will run on."""
 
     display: str | None
-    x11_socket_dir: str | None
     gpu_count: int
     uid: int
     gid: int
@@ -104,43 +103,18 @@ def _find_workspace(start: Path) -> Path | None:
     return None
 
 
-def probe_host(overrides: dict[str, object] | None = None) -> HostEnvironment:
-    """Inspect the host; explicit overrides win over probed values.
+def probe_host() -> HostEnvironment:
+    """Inspect the host this process runs on."""
 
-    Overriding ``display`` re-derives the X11 socket directory unless that
-    is overridden too, so the pairing invariant holds either way.
-    """
-
-    overrides = dict(overrides or {})
-    cwd = Path(overrides.get("cwd", Path.cwd()))  # type: ignore[arg-type]
-
-    display = overrides.get("display", os.environ.get("DISPLAY") or None)
-    if "x11_socket_dir" in overrides:
-        x11_socket_dir = overrides["x11_socket_dir"]
-    else:
-        x11_socket_dir = X11_SOCKET_DIR if display else None
-
-    gpu_count = overrides.get("gpu_count", _count_gpus())
-    uid = overrides.get("uid", os.getuid())
-    gid = overrides.get("gid", os.getgid())
-    if "detected_workspace" in overrides:
-        raw = overrides["detected_workspace"]
-        detected = Path(raw) if raw is not None else None  # type: ignore[arg-type]
-    else:
-        detected = _find_workspace(cwd)
-    tty = overrides.get(
-        "tty_available", sys.stdin.isatty() and sys.stdout.isatty()
-    )
-
+    cwd = Path.cwd()
     return HostEnvironment(
-        display=display,  # type: ignore[arg-type]
-        x11_socket_dir=x11_socket_dir,  # type: ignore[arg-type]
-        gpu_count=int(gpu_count),  # type: ignore[call-overload]
-        uid=int(uid),  # type: ignore[call-overload]
-        gid=int(gid),  # type: ignore[call-overload]
+        display=os.environ.get("DISPLAY") or None,
+        gpu_count=_count_gpus(),
+        uid=os.getuid(),
+        gid=os.getgid(),
         cwd=cwd,
-        detected_workspace=detected,
-        tty_available=bool(tty),
+        detected_workspace=_find_workspace(cwd),
+        tty_available=sys.stdin.isatty() and sys.stdout.isatty(),
     )
 
 
@@ -164,11 +138,13 @@ def synthesize_invocation(
     Feature rules: X11 forwarding iff a display exists and was not
     suppressed; GPU access iff GPUs exist and were not suppressed; user
     mapping unless suppressed; the workspace source mount iff requested
-    and a workspace was detected.
+    and a workspace was detected. ``workspace_dir`` must be absolute.
     """
 
     if not args.image:
         raise InvalidArgs("an image reference is required")
+    if not workspace_dir.startswith("/"):
+        raise InvalidArgs(f"--workspace-dir must be an absolute path, got {workspace_dir!r}")
     name = args.name or default_container_name(args.image, host.cwd)
     if not _NAME_OK_RE.match(name):
         raise InvalidArgs(f"invalid container name {name!r}")
@@ -179,8 +155,7 @@ def synthesize_invocation(
 
     if host.display is not None and not args.no_x11:
         env.append(("DISPLAY", host.display))
-        socket_dir = host.x11_socket_dir or X11_SOCKET_DIR
-        mounts.append(Mount(host=socket_dir, container=socket_dir, mode="rw"))
+        mounts.append(Mount(host=X11_SOCKET_DIR, container=X11_SOCKET_DIR, mode="rw"))
 
     gpu_all = host.gpu_count > 0 and not args.no_gpu
     user_map = (host.uid, host.gid) if not args.no_user_map else None

@@ -16,13 +16,13 @@ from __future__ import annotations
 import hashlib
 import json
 import shlex
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Union
 
 from . import KNOWN_DISTROS
 from .depgraph import ResolvedDependencies
 from .errors import InvalidSpec, UnresolvedDependencies
-from .manifest import PackageManifest, Workspace
+from .manifest import PackageManifest
 from .sources import RepoSpec, required_credential_vars
 
 ARTIFACT_DIR = "/opt/forge"
@@ -176,13 +176,6 @@ class ImageSpec:
     @property
     def build_tool(self) -> str:
         return "catkin" if self.ros_version == 1 else "colcon"
-
-
-def spec_for_workspace(workspace: Workspace, ros_distro: str, **kwargs: object) -> ImageSpec:
-    """Convenience constructor taking the packages from a scan."""
-
-    packages = tuple(workspace.packages)
-    return ImageSpec(ros_distro=ros_distro, packages=packages, **kwargs)  # type: ignore[arg-type]
 
 
 def _check_spec(spec: ImageSpec, context_root: object = None) -> None:
@@ -369,7 +362,7 @@ def plan_stages(
 
     ws = spec.workspace_dir
     packages = tuple(sorted(spec.packages, key=lambda p: p.name))
-    repos = resolved.source_repos
+    repos = tuple(sorted(spec.source_repos, key=lambda r: r.local_name))
 
     shared = resolved_exec if spec.slim_runtime else resolved
     shared_os = _merged_os_packages(shared, spec.extra_apt)

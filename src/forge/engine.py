@@ -219,13 +219,11 @@ class SubprocessDriver:
         )
 
 
-def execute(
-    command: EngineCommand, driver: EngineDriver, check: bool = True
-) -> EngineResult:
-    """Run one command; with ``check`` a non-zero exit raises NonZeroExit."""
+def execute(command: EngineCommand, driver: EngineDriver) -> EngineResult:
+    """Run one command; a non-zero exit raises NonZeroExit."""
 
     result = driver.execute(command)
-    if check and result.exit_code != 0:
+    if result.exit_code != 0:
         raise NonZeroExit(list(command.argv), result.exit_code, result.stderr)
     return result
 

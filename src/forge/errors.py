@@ -133,7 +133,7 @@ class MalformedEngineOutput(EngineError):
 
 
 class InvalidArgs(UserError):
-    """Command line arguments for a development run are inconsistent."""
+    """Command line arguments for a development run or a benchmark are invalid."""
 
 
 class PluginViolation(EngineError):

@@ -77,9 +77,8 @@ class PackageManifest:
 
 @dataclass
 class Workspace:
-    """A scanned workspace: root directory plus discovered packages."""
+    """What a scan found: packages, and directories skipped for an ignore marker."""
 
-    root: Path
     packages: list[PackageManifest] = field(default_factory=list)
     ignored_dirs: list[Path] = field(default_factory=list)
 
@@ -422,10 +421,4 @@ def scan_workspace(
     packages.sort(key=lambda p: p.name)
     if memo is not None and memo.missed and write_cache:
         write_json(memo_path, memo.records)
-    return Workspace(root=root, packages=packages, ignored_dirs=sorted(ignored))
-
-
-def internal_package_names(workspace: Workspace) -> set[str]:
-    """Names of all packages in the workspace, for self-dependency checks."""
-
-    return {pkg.name for pkg in workspace.packages}
+    return Workspace(packages=packages, ignored_dirs=sorted(ignored))

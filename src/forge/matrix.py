@@ -139,9 +139,7 @@ def tag_of(entry: MatrixEntry, registry: str) -> str:
     return f"{registry}/{family}{suffix}:{entry.distro}-{entry.component}"
 
 
-def base_dockerfile_args(
-    entry: MatrixEntry, table: BaseImageTable | None = None
-) -> dict[str, str]:
+def base_dockerfile_args(entry: MatrixEntry, table: BaseImageTable) -> dict[str, str]:
     """Build arguments for the generic base image Dockerfile.
 
     Plain entries root on the distro's stock OS base. Accelerator flavors
@@ -150,8 +148,6 @@ def base_dockerfile_args(
     emitted instead of a single BASE_IMAGE.
     """
 
-    if table is None:
-        table = load_base_image_table()
     args = {
         "ROS_DISTRO": entry.distro,
         "ROS_COMPONENT": entry.component,
@@ -178,13 +174,11 @@ def base_dockerfile_args(
 def build_plan_document(
     entries: Sequence[MatrixEntry],
     registry: str,
-    dockerfile_path: str = "Dockerfile.base-matrix",
-    table: BaseImageTable | None = None,
+    dockerfile_path: str,
+    table: BaseImageTable,
 ) -> str:
     """Machine-readable build plan for the matrix, as YAML text."""
 
-    if table is None:
-        table = load_base_image_table()
     plan = {
         "images": [
             {

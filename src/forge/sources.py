@@ -144,7 +144,7 @@ def redact_url(url: str, credential_env: Mapping[str, str]) -> str:
 def clone_plan(
     repos: Sequence[RepoSpec],
     credential_env: Mapping[str, str],
-    dest_root: str = "/ws/src",
+    dest_root: str,
 ) -> list[str]:
     """One log line per clone of ``repos`` under ``dest_root``, safe to print.
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from forge.cli import GlobalConfig, WorkspaceAnalysis, analyze_workspace
+from forge.dockergen import ImageSpec
 
 FIXTURE_ROOT = Path(__file__).resolve().parent / "fixtures" / "workspaces"
 GOLDEN_ROOT = Path(__file__).resolve().parent / "goldens"
@@ -16,6 +17,17 @@ GOLDEN_ROOT = Path(__file__).resolve().parent / "goldens"
 def analysis_for(name: str, distro: str = "humble") -> WorkspaceAnalysis:
     cfg = GlobalConfig(default_distro=distro)
     return analyze_workspace(FIXTURE_ROOT / name, cfg)
+
+
+def image_spec(analysis: WorkspaceAnalysis, **fields) -> ImageSpec:
+    """The spec ``forge generate dockerfile`` builds for ``analysis``, with ``fields`` changed."""
+
+    defaults = {
+        "ros_distro": analysis.index.distro,
+        "packages": tuple(analysis.workspace.packages),
+        "source_repos": analysis.repos,
+    }
+    return ImageSpec(**{**defaults, **fields})
 
 
 @pytest.fixture(scope="session", autouse=True)

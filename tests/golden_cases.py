@@ -9,14 +9,14 @@ from __future__ import annotations
 from typing import Callable
 
 from forge.cigen import PipelineSpec, generate_pipeline
-from forge.dockergen import plan_stages, render, spec_for_workspace
+from forge.dockergen import plan_stages, render
 
-from conftest import analysis_for
+from conftest import analysis_for, image_spec
 
 
 def _dockerfile(fixture: str, distro: str, **spec_kwargs) -> str:
     analysis = analysis_for(fixture, distro=distro)
-    spec = spec_for_workspace(analysis.workspace, distro, **spec_kwargs)
+    spec = image_spec(analysis, **spec_kwargs)
     return render(plan_stages(spec, analysis.resolved, analysis.resolved_exec))
 
 

@@ -64,4 +64,4 @@ def oracle_scan(root: Path, condition_env: dict[str, str] | None = None) -> Work
         seen[pkg.name] = pkg.source_dir
 
     packages.sort(key=lambda p: p.name)
-    return Workspace(root=root, packages=packages, ignored_dirs=sorted(ignored))
+    return Workspace(packages=packages, ignored_dirs=sorted(ignored))

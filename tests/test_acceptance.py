@@ -20,7 +20,7 @@ import pytest
 import yaml
 
 from acceptance_report import RESULTS, record
-from conftest import FIXTURE_ROOT, GOLDEN_ROOT, analysis_for
+from conftest import FIXTURE_ROOT, GOLDEN_ROOT, analysis_for, image_spec
 from golden_cases import CASES
 from pipeline_graph import job_graph
 from recording_driver import RecordingDriver
@@ -43,7 +43,6 @@ from forge.dockergen import (
     RunShell,
     plan_stages,
     render,
-    spec_for_workspace,
     validate_plan,
 )
 from forge.engine import (
@@ -53,7 +52,6 @@ from forge.engine import (
     inspect_container,
     run_argv,
 )
-from forge.manifest import internal_package_names
 from forge.sources import RepoSpec, combine_repos, parse_repos
 
 RUN_FIXTURES = (
@@ -96,13 +94,7 @@ def _fail(cid: str, title: str, problems: list[str]) -> None:
 
 def _run_plan(name: str, distro: str, repos_files: tuple[str, ...], **kwargs):
     analysis = analysis_for(name, distro)
-    spec = spec_for_workspace(
-        analysis.workspace,
-        analysis.distro,
-        target="run",
-        repos_files=repos_files,
-        **kwargs,
-    )
+    spec = image_spec(analysis, target="run", repos_files=repos_files, **kwargs)
     return plan_stages(spec, analysis.resolved, analysis.resolved_exec)
 
 
@@ -266,9 +258,8 @@ def test_c5_determinism() -> str:
     problems = []
 
     def build_spec(analysis):
-        return spec_for_workspace(
-            analysis.workspace,
-            analysis.distro,
+        return image_spec(
+            analysis,
             target="run",
             repos_files=("deps.repos",),
             extra_apt=("curl", "zip"),
@@ -330,9 +321,10 @@ def test_c5_determinism() -> str:
         [parse_repos(yaml.safe_dump(reversed_doc, sort_keys=False))]
     )
 
-    internal = internal_package_names(first_analysis.workspace)
+    declared = DeclaredKeys.from_workspace(first_analysis.workspace)
+    internal = {pkg.name for pkg in first_analysis.workspace.packages}
     resolved = resolve(
-        first_analysis.declared,
+        declared,
         shuffled_db,
         first_analysis.index,
         internal,
@@ -340,13 +332,14 @@ def test_c5_determinism() -> str:
     )
     resolved_exec = runtime_subset(
         resolved,
-        first_analysis.declared,
+        declared,
         shuffled_db,
         first_analysis.index,
         internal,
         permuted_repos,
     )
-    if render(plan_stages(spec, resolved, resolved_exec)) != baseline:
+    repos_spec = dataclasses.replace(spec, source_repos=tuple(reversed(permuted_repos)))
+    if render(plan_stages(repos_spec, resolved, resolved_exec)) != baseline:
         problems.append("permuting database and repos documents changed the bytes")
 
     for platform in ("github", "gitlab"):
@@ -379,7 +372,6 @@ def _random_host(rng: random.Random) -> HostEnvironment:
     display = rng.choice([None, ":0", ":1", "localhost:10.0"])
     return HostEnvironment(
         display=display,
-        x11_socket_dir="/tmp/.X11-unix" if display else None,
         gpu_count=rng.choice([0, 0, 0, 1, 2, 8]),
         uid=rng.randint(0, 60000),
         gid=rng.randint(0, 60000),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -50,7 +51,6 @@ def test_config_file_layer(tmp_path) -> None:
     assert cfg.registry == "reg.file"
     assert cfg.default_distro == "iron"
     assert cfg.parallelism == 4
-    assert cfg.config_path == path
 
 
 def test_config_env_overrides_file(tmp_path, monkeypatch) -> None:
@@ -386,6 +386,24 @@ def test_build_failure_redacts_credentials(capsys, monkeypatch, tmp_path) -> Non
     assert "s3cr3tvalue" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("workspace_dir", [None, "/opt/ws"])
+def test_build_clone_log_names_the_dockerfile_clone_path(
+    capsys, monkeypatch, tmp_path, workspace_dir
+) -> None:
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("GIT_TOKEN", "t0ken")
+    dockerfile = tmp_path / "Dockerfile"
+    argv = ["build", MULTI, "--dry-run", "--dockerfile-out", str(dockerfile)]
+    if workspace_dir is not None:
+        argv += ["--workspace-dir", workspace_dir]
+    assert main(argv) == 0
+    logged = re.findall(r"^clone \S+ @ \S+ -> (\S+)$", capsys.readouterr().out, re.M)
+    (clone_root,) = re.findall(r'git clone --recurse-submodules "\$u" "([^"]*)\$name"',
+                               dockerfile.read_text(encoding="utf-8"))
+    assert clone_root == f"{workspace_dir or '/ws'}/src/"
+    assert logged == [clone_root + name for name in ("imaging_extras", "private_tools")]
+
+
 # --- matrix ----------------------------------------------------------------
 
 
@@ -499,7 +517,6 @@ def test_output_options_create_missing_directories(capsys, monkeypatch, tmp_path
 def fake_host(monkeypatch) -> HostEnvironment:
     probed = HostEnvironment(
         display=":1",
-        x11_socket_dir="/tmp/.X11-unix",
         gpu_count=1,
         uid=1000,
         gid=1000,
@@ -507,7 +524,7 @@ def fake_host(monkeypatch) -> HostEnvironment:
         detected_workspace=None,
         tty_available=True,
     )
-    monkeypatch.setattr("forge.cli.probe_host", lambda overrides=None: probed)
+    monkeypatch.setattr("forge.cli.probe_host", lambda: probed)
     return probed
 
 
@@ -533,6 +550,15 @@ def test_run_unknown_flags_become_passthrough(capsys, monkeypatch, tmp_path, fak
     assert "--privileged img" in out
 
 
+def test_run_relative_workspace_dir_exits_2(capsys, monkeypatch, tmp_path, fake_host) -> None:
+    monkeypatch.chdir(tmp_path)
+    code = main(["run", "--dry-run", "--workspace-dir", "ws", "img"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "forge: error: InvalidArgs: --workspace-dir must be an absolute path" in captured.err
+
+
 def test_run_feature_suppression_flags(capsys, monkeypatch, tmp_path, fake_host) -> None:
     monkeypatch.chdir(tmp_path)
     code = main(["run", "--dry-run", "--no-gpu", "--no-x11", "--no-user-map", "img"])
@@ -556,6 +582,20 @@ def test_bench_startup_reports(capsys, monkeypatch, tmp_path) -> None:
     assert "runs: 3" in out
     assert "mean startup overhead" in out
     assert "no threshold" in out
+
+
+@pytest.mark.parametrize("runs", ["0", "-2"])
+@pytest.mark.parametrize("dry_run", [False, True])
+def test_bench_startup_rejects_runs_below_one(capsys, monkeypatch, tmp_path, runs, dry_run) -> None:
+    monkeypatch.chdir(tmp_path)
+    driver = RecordingDriver()
+    argv = ["bench", "startup", "img", "--runs", runs] + (["--dry-run"] if dry_run else [])
+    code = main(argv, driver=driver)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert driver.commands == []
+    assert captured.out == ""
+    assert f"forge: error: InvalidArgs: --runs must be at least 1, got {runs}" in captured.err
 
 
 def test_bench_startup_dry_run(capsys, monkeypatch, tmp_path) -> None:

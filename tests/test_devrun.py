@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import forge.devrun as devrun
 from forge.devrun import (
     HostEnvironment,
     SCHEMA_ID,
@@ -30,43 +31,41 @@ from forge.devrun import (
 from forge.engine import ContainerState, Mount, RunInvocation, run_argv
 from forge.errors import InvalidArgs, PluginViolation
 
-BASE_OVERRIDES = {
-    "display": None,
-    "gpu_count": 0,
-    "uid": 1000,
-    "gid": 1000,
-    "cwd": Path("/somewhere"),
-    "detected_workspace": None,
-    "tty_available": True,
-}
-
-
 def host(**changes) -> HostEnvironment:
-    overrides = {**BASE_OVERRIDES, **changes}
-    return probe_host(overrides)
+    facts = {
+        "display": None,
+        "gpu_count": 0,
+        "uid": 1000,
+        "gid": 1000,
+        "cwd": Path("/somewhere"),
+        "detected_workspace": None,
+        "tty_available": True,
+    }
+    return HostEnvironment(**{**facts, **changes})
 
 
-def test_probe_display_override_pairs_socket_dir() -> None:
-    with_display = host(display=":1")
-    assert with_display.x11_socket_dir == X11_SOCKET_DIR
-    without = host(display=None)
-    assert without.x11_socket_dir is None
+@pytest.fixture
+def no_gpus(monkeypatch) -> None:
+    monkeypatch.setattr(devrun, "_count_gpus", lambda: 0)
 
 
-def test_probe_socket_override_wins() -> None:
-    overridden = host(display=":1", x11_socket_dir="/run/x11")
-    assert overridden.x11_socket_dir == "/run/x11"
+def test_probe_reads_display_from_environment(monkeypatch, tmp_path, no_gpus) -> None:
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("DISPLAY", ":1")
+    probed = probe_host()
+    assert probed.display == ":1"
+    assert probed.gpu_count == 0
+    assert probed.cwd == tmp_path
+    assert probed.detected_workspace is None
+    monkeypatch.setenv("DISPLAY", "")
+    assert probe_host().display is None
+    monkeypatch.delenv("DISPLAY")
+    assert probe_host().display is None
 
 
-def test_probe_detects_workspace_from_cwd(fixture_root) -> None:
-    inner = fixture_root / "minimal" / "src" / "hello_node"
-    probed = probe_host({**BASE_OVERRIDES, "cwd": inner, "detected_workspace": None})
-    assert probed.detected_workspace is None  # explicit override wins
-    detected = probe_host(
-        {k: v for k, v in BASE_OVERRIDES.items() if k != "detected_workspace"}
-        | {"cwd": inner}
-    )
-    assert detected.detected_workspace == fixture_root / "minimal"
+def test_probe_detects_workspace_from_cwd(monkeypatch, fixture_root, no_gpus) -> None:
+    monkeypatch.chdir(fixture_root / "minimal" / "src" / "hello_node")
+    assert probe_host().detected_workspace == fixture_root / "minimal"
 
 
 def test_default_container_name() -> None:
@@ -127,6 +126,21 @@ def test_synthesize_workspace_mount(fixture_root) -> None:
     assert skipped.workdir is None
     undetected = synthesize_invocation(host(), UserArgs(image="img"))
     assert all(m.container != "/ws/src" for m in undetected.mounts)
+    elsewhere = synthesize_invocation(
+        host(detected_workspace=ws), UserArgs(image="img"), workspace_dir="/opt/ws"
+    )
+    assert Mount(str(ws / "src"), "/opt/ws/src", "rw") in elsewhere.mounts
+    assert elsewhere.workdir == "/opt/ws"
+
+
+@pytest.mark.parametrize("workspace_dir", ["ws", "", "./ws"])
+def test_synthesize_rejects_relative_workspace_dir(fixture_root, workspace_dir) -> None:
+    with pytest.raises(InvalidArgs, match="--workspace-dir must be an absolute path"):
+        synthesize_invocation(
+            host(detected_workspace=fixture_root / "minimal"),
+            UserArgs(image="img"),
+            workspace_dir=workspace_dir,
+        )
 
 
 def test_synthesize_passthrough_and_command_preserved() -> None:
@@ -143,17 +157,12 @@ def test_synthesize_passthrough_and_command_preserved() -> None:
 hosts = st.builds(
     HostEnvironment,
     display=st.none() | st.sampled_from([":0", ":1", "localhost:10.0"]),
-    x11_socket_dir=st.just(None),
     gpu_count=st.integers(min_value=0, max_value=4),
     uid=st.integers(min_value=0, max_value=2**16),
     gid=st.integers(min_value=0, max_value=2**16),
     cwd=st.just(Path("/home/dev")),
     detected_workspace=st.none() | st.just(Path("/home/dev/ws")),
     tty_available=st.booleans(),
-).map(
-    lambda h: dataclasses.replace(
-        h, x11_socket_dir=X11_SOCKET_DIR if h.display else None
-    )
 )
 
 user_args = st.builds(

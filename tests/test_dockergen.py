@@ -21,14 +21,15 @@ from forge.dockergen import (
     _render_run,
     plan_stages,
     render,
-    spec_for_workspace,
     validate_plan,
 )
 from forge.errors import InvalidSpec, UnresolvedDependencies
 
+from conftest import image_spec
+
 
 def make_plan(analysis, **kwargs) -> DockerfilePlan:
-    spec = spec_for_workspace(analysis.workspace, analysis.distro, **kwargs)
+    spec = image_spec(analysis, **kwargs)
     return plan_stages(spec, analysis.resolved, analysis.resolved_exec)
 
 
@@ -82,18 +83,18 @@ def test_lenient_mode_tolerates_unresolved(unresolved_analysis) -> None:
     assert validate_plan(plan) == []
 
 
-def test_spec_properties(minimal_analysis, catkin_analysis) -> None:
-    ros2 = spec_for_workspace(minimal_analysis.workspace, "humble")
+def test_spec_properties() -> None:
+    ros2 = ImageSpec(ros_distro="humble")
     assert ros2.ros_version == 2
     assert ros2.build_tool == "colcon"
     assert ros2.base_image == "ros:humble"
-    ros1 = spec_for_workspace(catkin_analysis.workspace, "noetic")
+    ros1 = ImageSpec(ros_distro="noetic")
     assert ros1.ros_version == 1
     assert ros1.build_tool == "catkin"
 
 
 def test_spec_rejects_unknown_distro(minimal_analysis) -> None:
-    spec = spec_for_workspace(minimal_analysis.workspace, "navel", target="run")
+    spec = image_spec(minimal_analysis, ros_distro="navel", target="run")
     with pytest.raises(InvalidSpec):
         plan_stages(spec, minimal_analysis.resolved, minimal_analysis.resolved_exec)
 
@@ -246,7 +247,9 @@ def test_render_byte_deterministic(multi_repo_analysis) -> None:
 
 
 def test_render_invariant_under_input_permutation(multi_repo_analysis) -> None:
-    spec = spec_for_workspace(multi_repo_analysis.workspace, "humble", target="run")
+    spec = image_spec(multi_repo_analysis, target="run")
+    assert len(spec.packages) > 1
+    assert len(spec.source_repos) > 1
     permuted = dataclasses.replace(
         spec,
         packages=tuple(reversed(spec.packages)),

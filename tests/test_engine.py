@@ -206,12 +206,6 @@ def test_execute_raises_on_failure() -> None:
     assert "denied" in str(excinfo.value)
 
 
-def test_execute_check_false_returns_result() -> None:
-    driver = RecordingDriver(scripted={"rm": EngineResult(1, "", "denied")})
-    result = execute(rm_argv("box"), driver, check=False)
-    assert result.exit_code == 1
-
-
 def _inspect_payload(running: bool) -> str:
     return json.dumps([{"State": {"Running": running}}])
 
