@@ -13,7 +13,7 @@ mechanism and never inlined.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import yaml
 
@@ -30,8 +30,7 @@ TEST_HOOK = (
 )
 
 
-@dataclass(frozen=True)
-class PipelineSpec:
+class PipelineSpec(NamedTuple):
     """What to generate: platform, image coordinates, matrix, gating."""
 
     platform: str
@@ -91,8 +90,7 @@ def _imagetools_create(target: str, *sources: str) -> str:
     return f"docker buildx imagetools create --tag {target} {' '.join(sources)}"
 
 
-@dataclass(frozen=True)
-class Job:
+class Job(NamedTuple):
     """One platform-neutral CI job.
 
     ``stage`` is ``build``, ``test``, ``merge`` or ``push``; the emitters

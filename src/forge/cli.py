@@ -20,8 +20,8 @@ import os
 import shlex
 import sys
 import time
-from dataclasses import dataclass
-from pathlib import Path
+from pathlib import Path, PurePosixPath
+from typing import NamedTuple
 
 import yaml
 
@@ -100,8 +100,7 @@ def __getattr__(name: str) -> object:
     return globals()[name]
 
 
-@dataclass
-class GlobalConfig:
+class GlobalConfig(NamedTuple):
     """Layered configuration: flags beat environment beat file beat defaults."""
 
     registry: str = DEFAULT_REGISTRY
@@ -164,7 +163,7 @@ _CONFIG_TABLE = (
 
 
 def load_config(args: argparse.Namespace, workspace_root: Path | None) -> GlobalConfig:
-    cfg = GlobalConfig()
+    values: dict[str, object] = {}
 
     explicit = getattr(args, "config", None)
     if explicit:
@@ -185,29 +184,30 @@ def load_config(args: argparse.Namespace, workspace_root: Path | None) -> Global
             raise ConfigError(f"config file {config_path} must hold a mapping")
         for field_name, key, _, parse in _CONFIG_TABLE:
             if key in doc:
-                setattr(cfg, field_name, parse(doc[key], f"config key {key}"))
+                values[field_name] = parse(doc[key], f"config key {key}")
 
     for field_name, _, var, parse in _CONFIG_TABLE:
         if var in os.environ:
             text = os.environ[var]
             value = [p for p in text.split(os.pathsep) if p] if parse is _parse_paths else text
-            setattr(cfg, field_name, parse(value, var))
+            values[field_name] = parse(value, var)
 
     if getattr(args, "registry", None):
-        cfg.registry = args.registry
+        values["registry"] = args.registry
     # Matrix subcommands reuse --distro as a repeatable filter; only a
     # scalar value is a config override.
     if isinstance(getattr(args, "distro", None), str):
-        cfg.default_distro = args.distro
+        values["default_distro"] = args.distro
     if getattr(args, "rosdep_db", None):
-        cfg.rosdep_db_paths = cfg.rosdep_db_paths + tuple(args.rosdep_db)
+        values["rosdep_db_paths"] = (*values.get("rosdep_db_paths", ()), *args.rosdep_db)
     if getattr(args, "distro_index", None):
-        cfg.distro_index_path = args.distro_index
+        values["distro_index_path"] = args.distro_index
     if getattr(args, "parallelism", None) is not None:
-        cfg.parallelism = args.parallelism
+        values["parallelism"] = args.parallelism
     if getattr(args, "strict", False):
-        cfg.strict = True
+        values["strict"] = True
 
+    cfg = GlobalConfig(**values)
     if not cfg.registry:
         raise ConfigError("registry must be non-empty")
     if cfg.default_distro not in KNOWN_DISTROS:
@@ -220,8 +220,7 @@ def load_config(args: argparse.Namespace, workspace_root: Path | None) -> Global
     return cfg
 
 
-@dataclass
-class WorkspaceAnalysis:
+class WorkspaceAnalysis(NamedTuple):
     """Everything derived from one workspace scan and resolution."""
 
     root: Path
@@ -247,8 +246,8 @@ def cache_dir() -> Path | None:
 def analyze_workspace(
     root: Path,
     cfg: GlobalConfig,
-    repos_paths: tuple[str, ...] = (),
-    write_cache: bool = True,
+    repos_paths: tuple[str, ...],
+    write_cache: bool,
 ) -> WorkspaceAnalysis:
     """Scan and resolve a workspace; ``write_cache=False`` only reads the cache."""
 
@@ -606,8 +605,6 @@ def _split_run_argv(tokens: list[str]) -> tuple[list[str], list[str], list[str]]
 
 
 def cmd_run(args: argparse.Namespace, driver: EngineDriver | None) -> int:
-    import subprocess
-
     _bind("devrun", "engine")
     host = probe_host()
     user_args = UserArgs(
@@ -640,6 +637,8 @@ def cmd_run(args: argparse.Namespace, driver: EngineDriver | None) -> int:
     for command in commands[:-1]:
         execute(command, engine)
     final = commands[-1]
+    import subprocess
+
     completed = subprocess.run([args.engine, *final.argv], check=False)
     return completed.returncode
 
@@ -701,6 +700,12 @@ def _add_workspace_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _container_path(text: str) -> str:
+    """``--workspace-dir``: a path inside the image, without a trailing or doubled ``/``."""
+
+    return str(PurePosixPath(text))
+
+
 def _add_image_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--target", choices=("dev", "run"), default="run", help="image flavor"
@@ -710,7 +715,10 @@ def _add_image_options(parser: argparse.ArgumentParser) -> None:
         "--command", help="deployment launch command (shell-style string)"
     )
     parser.add_argument(
-        "--workspace-dir", default="/ws", help="workspace path inside the image"
+        "--workspace-dir",
+        type=_container_path,
+        default="/ws",
+        help="workspace path inside the image",
     )
     parser.add_argument(
         "--platform", action="append", help="target platform (repeatable)"
@@ -821,7 +829,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--no-workspace", action="store_true", help="do not mount the workspace"
     )
-    p.add_argument("--workspace-dir", default="/ws", help="workspace path in image")
+    p.add_argument(
+        "--workspace-dir", type=_container_path, default="/ws", help="workspace path in image"
+    )
     p.add_argument("--plugin-dir", help="directory of executable run plugins")
     p.set_defaults(handler=cmd_run, passthrough=[], run_command=[])
 

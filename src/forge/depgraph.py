@@ -14,10 +14,9 @@ the content of their documents.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 import yaml
 
@@ -36,23 +35,20 @@ ROSDEP_OS = "ubuntu"
 _INDEX_PACKAGE_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 
 
-@dataclass(frozen=True)
-class RosdepEntry:
+class RosdepEntry(NamedTuple):
     """Resolution record for one key: OS packages or pip packages."""
 
     kind: Literal["system", "python"]
     packages: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class RosdepDatabase:
+class RosdepDatabase(NamedTuple):
     """Key to record mapping for :data:`ROSDEP_OS`."""
 
     entries: dict[str, RosdepEntry]
 
 
-@dataclass(frozen=True)
-class DistroIndex:
+class DistroIndex(NamedTuple):
     """Names of released packages for one ROS distribution."""
 
     distro: str
@@ -60,8 +56,7 @@ class DistroIndex:
     packages: frozenset[str]
 
 
-@dataclass(frozen=True)
-class DeclaredKeys:
+class DeclaredKeys(NamedTuple):
     """Dependency keys aggregated over a workspace, by scope."""
 
     build: frozenset[str]
@@ -81,8 +76,7 @@ class DeclaredKeys:
         return self.build | self.exec
 
 
-@dataclass(frozen=True)
-class ResolvedDependencies:
+class ResolvedDependencies(NamedTuple):
     """Outcome of classifying declared keys.
 
     ``source_keys`` records which declared keys the source repositories
@@ -106,8 +100,8 @@ def distro_package_name(distro: str, key: str) -> str:
 
 def load_rosdep_db(
     documents: Iterable[str],
-    cache_dir: Path | None = None,
-    write_cache: bool = True,
+    cache_dir: Path | None,
+    write_cache: bool,
 ) -> RosdepDatabase:
     """Build a database from YAML documents, later documents winning key-wise.
 
@@ -249,7 +243,7 @@ def resolve(
     db: RosdepDatabase,
     index: DistroIndex,
     internal: set[str] | frozenset[str],
-    repos: Sequence[RepoSpec] = (),
+    repos: Sequence[RepoSpec],
     scope: Literal["all", "exec_only"] = "all",
 ) -> ResolvedDependencies:
     """Classify declared keys into buckets.
@@ -305,7 +299,7 @@ def runtime_subset(
     db: RosdepDatabase,
     index: DistroIndex,
     internal: set[str] | frozenset[str],
-    repos: Sequence[RepoSpec] = (),
+    repos: Sequence[RepoSpec],
 ) -> ResolvedDependencies:
     """Exec-scope re-resolution, for runtime images without build-only deps."""
 

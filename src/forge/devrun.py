@@ -17,11 +17,9 @@ import json
 import os
 import re
 import shutil
-import subprocess
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .engine import (
     ContainerState,
@@ -42,8 +40,7 @@ _NAME_OK_RE = re.compile(r"^[a-zA-Z0-9][a-zA-Z0-9_.-]*$")
 PluginTransform = tuple[str, Callable[[RunInvocation], RunInvocation]]
 
 
-@dataclass(frozen=True)
-class HostEnvironment:
+class HostEnvironment(NamedTuple):
     """Facts about the machine a development container will run on."""
 
     display: str | None
@@ -55,8 +52,7 @@ class HostEnvironment:
     tty_available: bool
 
 
-@dataclass(frozen=True)
-class UserArgs:
+class UserArgs(NamedTuple):
     """What the user asked for on the command line."""
 
     image: str
@@ -73,6 +69,8 @@ def _count_gpus() -> int:
     binary = shutil.which("nvidia-smi")
     if binary is None:
         return 0
+    import subprocess
+
     try:
         completed = subprocess.run(
             [binary, "--list-gpus"],
@@ -131,7 +129,7 @@ def default_container_name(image: str, cwd: Path) -> str:
 
 
 def synthesize_invocation(
-    host: HostEnvironment, args: UserArgs, workspace_dir: str = "/ws"
+    host: HostEnvironment, args: UserArgs, workspace_dir: str
 ) -> RunInvocation:
     """Fold host facts and user wishes into one run invocation.
 
@@ -319,6 +317,8 @@ def invocation_from_doc(doc: dict[str, object]) -> RunInvocation:
 
 def _external_transform(path: Path) -> Callable[[RunInvocation], RunInvocation]:
     def transform(invocation: RunInvocation) -> RunInvocation:
+        import subprocess
+
         payload = json.dumps(invocation_to_doc(invocation))
         try:
             completed = subprocess.run(

@@ -16,8 +16,8 @@ from __future__ import annotations
 import hashlib
 import json
 import shlex
-from dataclasses import dataclass
-from typing import Iterable, Union
+from pathlib import Path
+from typing import Iterable, NamedTuple, Union
 
 from . import KNOWN_DISTROS
 from .depgraph import ResolvedDependencies
@@ -40,39 +40,33 @@ ROS_KEYRING = "/usr/share/keyrings/ros-archive-keyring.gpg"
 # --- semantic instructions -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BuildArg:
+class BuildArg(NamedTuple):
     name: str
     default: str | None = None
 
 
-@dataclass(frozen=True)
-class EnvSet:
+class EnvSet(NamedTuple):
     name: str
     value: str
 
 
-@dataclass(frozen=True)
-class Workdir:
+class Workdir(NamedTuple):
     path: str
 
 
-@dataclass(frozen=True)
-class CopyContext:
+class CopyContext(NamedTuple):
     src: str
     dst: str
     chown: str | None = None
 
 
-@dataclass(frozen=True)
-class CopyFromStage:
+class CopyFromStage(NamedTuple):
     stage: str
     src: str
     dst: str
 
 
-@dataclass(frozen=True)
-class RunShell:
+class RunShell(NamedTuple):
     """One shell command; ``category`` tags its role for plan validation.
 
     ``packages`` carries the OS or pip package set of a transaction so the
@@ -85,18 +79,15 @@ class RunShell:
     packages: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class UserSet:
+class UserSet(NamedTuple):
     user: str
 
 
-@dataclass(frozen=True)
-class Entrypoint:
+class Entrypoint(NamedTuple):
     argv: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class DefaultCommand:
+class DefaultCommand(NamedTuple):
     argv: tuple[str, ...]
 
 
@@ -113,15 +104,13 @@ Instruction = Union[
 ]
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     name: str
     parent: str
     instructions: tuple[Instruction, ...]
 
 
-@dataclass(frozen=True)
-class DockerfilePlan:
+class DockerfilePlan(NamedTuple):
     stages: tuple[Stage, ...]
     base_image: str
     target: str
@@ -135,8 +124,7 @@ class DockerfilePlan:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One broken plan invariant, naming the stage and the rule."""
 
     stage: str
@@ -144,9 +132,11 @@ class Violation:
     detail: str
 
 
-@dataclass
-class ImageSpec:
-    """Everything needed to plan one image build."""
+class ImageSpec(NamedTuple):
+    """Everything needed to plan one image build.
+
+    An empty ``base_image`` means the distro's ``ros:<distro>`` image.
+    """
 
     ros_distro: str
     base_image: str = ""
@@ -165,10 +155,6 @@ class ImageSpec:
     strict: bool = False
     nonroot_run: bool = False
 
-    def __post_init__(self) -> None:
-        if not self.base_image:
-            self.base_image = f"ros:{self.ros_distro}"
-
     @property
     def ros_version(self) -> int:
         return KNOWN_DISTROS[self.ros_distro]
@@ -178,7 +164,7 @@ class ImageSpec:
         return "catkin" if self.ros_version == 1 else "colcon"
 
 
-def _check_spec(spec: ImageSpec, context_root: object = None) -> None:
+def _check_spec(spec: ImageSpec, context_root: Path) -> None:
     if spec.ros_distro not in KNOWN_DISTROS:
         raise InvalidSpec(f"unknown ROS distro {spec.ros_distro!r}")
     if spec.target not in ("dev", "run"):
@@ -195,13 +181,9 @@ def _check_spec(spec: ImageSpec, context_root: object = None) -> None:
     for extra in (*spec.extra_apt, *spec.extra_pip):
         if not extra or any(c.isspace() for c in extra):
             raise InvalidSpec(f"invalid extra package name {extra!r}")
-    if context_root is not None:
-        from pathlib import Path
-
-        root = Path(str(context_root))
-        for script in (spec.custom_script_pre, spec.custom_script_post):
-            if script is not None and not (root / script).is_file():
-                raise InvalidSpec(f"custom script {script!r} not found in build context")
+    for script in (spec.custom_script_pre, spec.custom_script_post):
+        if script is not None and not (context_root / script).is_file():
+            raise InvalidSpec(f"custom script {script!r} not found in build context")
 
 
 def _container_rel_dir(package: PackageManifest) -> str:
@@ -346,14 +328,15 @@ def plan_stages(
     spec: ImageSpec,
     resolved: ResolvedDependencies,
     resolved_exec: ResolvedDependencies,
-    context_root: object = None,
+    context_root: Path,
 ) -> DockerfilePlan:
     """Plan the stage graph for one image build.
 
     With ``slim_runtime`` the shared ``dependencies-install`` stage only
     installs exec-scope dependencies and the ``dev`` stage adds the
     build-only remainder; otherwise the shared stage installs everything
-    and both lineages are identical up to tooling.
+    and both lineages are identical up to tooling. Custom scripts must
+    exist under ``context_root``, the build context.
     """
 
     _check_spec(spec, context_root)
@@ -495,7 +478,7 @@ def plan_stages(
 
     return DockerfilePlan(
         stages=tuple(stages),
-        base_image=spec.base_image,
+        base_image=spec.base_image or f"ros:{spec.ros_distro}",
         target=spec.target,
         workspace_dir=ws,
         slim_runtime=spec.slim_runtime,

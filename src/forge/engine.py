@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import json
 import shutil
-import subprocess
 import threading
-from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 from .errors import (
     EngineUnavailable,
@@ -33,46 +31,45 @@ _VERB_HEADS = {
 }
 
 
-@dataclass(frozen=True)
-class EngineCommand:
-    """One engine CLI invocation, without the engine binary itself."""
-
+class _EngineCommandFields(NamedTuple):
     verb: str
     argv: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if self.verb not in _VERB_HEADS:
-            raise InvalidRequest(f"unknown engine verb {self.verb!r}")
-        if not self.argv or self.argv[0] not in _VERB_HEADS[self.verb]:
+
+class EngineCommand(_EngineCommandFields):
+    """One engine CLI invocation, without the engine binary itself."""
+
+    __slots__ = ()
+
+    def __new__(cls, verb: str, argv: tuple[str, ...]) -> EngineCommand:
+        if verb not in _VERB_HEADS:
+            raise InvalidRequest(f"unknown engine verb {verb!r}")
+        if not argv or argv[0] not in _VERB_HEADS[verb]:
             raise InvalidRequest(
-                f"argv for {self.verb!r} must start with "
-                + " or ".join(_VERB_HEADS[self.verb])
+                f"argv for {verb!r} must start with " + " or ".join(_VERB_HEADS[verb])
             )
+        return super().__new__(cls, verb, argv)
 
 
-@dataclass(frozen=True)
-class EngineResult:
+class EngineResult(NamedTuple):
     exit_code: int
     stdout: str
     stderr: str
 
 
-@dataclass(frozen=True)
-class ContainerState:
+class ContainerState(NamedTuple):
     name: str
     exists: bool
     running: bool
 
 
-@dataclass(frozen=True)
-class Mount:
+class Mount(NamedTuple):
     host: str
     container: str
     mode: str = "rw"
 
 
-@dataclass(frozen=True)
-class RunInvocation:
+class RunInvocation(NamedTuple):
     """A fully synthesized ``run`` request.
 
     ``passthrough`` tokens are forwarded verbatim and contiguously, right
@@ -92,8 +89,7 @@ class RunInvocation:
     command: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class BuildRequest:
+class BuildRequest(NamedTuple):
     context: str
     dockerfile_path: str
     target: str
@@ -169,8 +165,8 @@ def run_argv(invocation: RunInvocation) -> EngineCommand:
 def exec_argv(
     name: str,
     command: Sequence[str],
-    interactive: bool = True,
-    user_map: tuple[int, int] | None = None,
+    interactive: bool,
+    user_map: tuple[int, int] | None,
 ) -> EngineCommand:
     argv: list[str] = ["exec"]
     if interactive:
@@ -197,7 +193,7 @@ class EngineDriver(Protocol):
 class SubprocessDriver:
     """Runs engine commands through the engine's own CLI binary."""
 
-    def __init__(self, binary: str = "docker") -> None:
+    def __init__(self, binary: str) -> None:
         self.binary = binary
 
     def available(self) -> bool:
@@ -206,6 +202,9 @@ class SubprocessDriver:
     def execute(self, command: EngineCommand) -> EngineResult:
         if not self.available():
             raise EngineUnavailable(f"engine binary {self.binary!r} not found on PATH")
+        # Imported here, so commands that spawn nothing do not load it.
+        import subprocess
+
         completed = subprocess.run(
             [self.binary, *command.argv],
             capture_output=True,
@@ -250,7 +249,7 @@ def inspect_container(name: str, driver: EngineDriver) -> ContainerState:
 def run_builds(
     tagged_commands: Sequence[tuple[str, EngineCommand]],
     driver: EngineDriver,
-    max_workers: int = 2,
+    max_workers: int,
 ) -> list[EngineResult]:
     """Execute builds with bounded parallelism, serialized per image tag."""
 

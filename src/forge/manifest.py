@@ -18,8 +18,8 @@ import functools
 import hashlib
 import os
 import re
-from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
+from typing import NamedTuple
 
 from . import __version__
 from .errors import (
@@ -57,12 +57,11 @@ _CONDITION_TOKEN_RE = re.compile(
 )
 
 
-@dataclass
-class PackageManifest:
+class PackageManifest(NamedTuple):
     """One parsed ``package.xml``.
 
-    ``source_dir`` is the package directory relative to the workspace root;
-    a manifest parsed from bare text uses ``.``.
+    ``source_dir`` is the package directory relative to the workspace root,
+    ``.`` for a package at the root.
     """
 
     name: str
@@ -75,15 +74,13 @@ class PackageManifest:
     source_dir: PurePosixPath = PurePosixPath(".")
 
 
-@dataclass
-class Workspace:
+class Workspace(NamedTuple):
     """What a scan found: packages, and directories skipped for an ignore marker."""
 
-    packages: list[PackageManifest] = field(default_factory=list)
-    ignored_dirs: list[Path] = field(default_factory=list)
+    packages: list[PackageManifest]
+    ignored_dirs: list[Path]
 
 
-@dataclass
 class ManifestMemo:
     """Parsed manifests by the sha256 of their text, for :func:`parse_manifest`.
 
@@ -93,9 +90,10 @@ class ManifestMemo:
     whether any of them had to be parsed.
     """
 
-    cached: dict[str, object] = field(default_factory=dict)
-    records: dict[str, object] = field(default_factory=dict)
-    missed: bool = False
+    def __init__(self, cached: dict[str, object]) -> None:
+        self.cached = cached
+        self.records: dict[str, object] = {}
+        self.missed = False
 
 
 def evaluate_condition(expression: str, env: dict[str, str]) -> bool:
@@ -182,9 +180,9 @@ def _condition_holds(expression: str, env_items: tuple[tuple[str, str], ...]) ->
 
 def parse_manifest(
     xml_text: str,
-    condition_env: dict[str, str] | None = None,
-    source_dir: PurePosixPath = PurePosixPath("."),
-    memo: ManifestMemo | None = None,
+    condition_env: dict[str, str],
+    source_dir: PurePosixPath,
+    memo: ManifestMemo | None,
 ) -> PackageManifest:
     """Parse one manifest document into a :class:`PackageManifest`.
 
@@ -194,15 +192,14 @@ def parse_manifest(
     found there stands for the parse, once it passes the same checks.
     """
 
-    env = condition_env or {}
     if memo is None:
-        return _parse_xml(xml_text, env, source_dir)
+        return _parse_xml(xml_text, condition_env, source_dir)
     digest = hashlib.sha256(xml_text.encode("utf-8")).hexdigest()
     record = memo.cached.get(digest)
     manifest = _from_record(record, source_dir)
     if manifest is None:
         memo.missed = True
-        manifest = _parse_xml(xml_text, env, source_dir)
+        manifest = _parse_xml(xml_text, condition_env, source_dir)
         record = [
             manifest.name,
             manifest.version,
@@ -332,9 +329,9 @@ def _is_file(entry: os.DirEntry) -> bool:
 
 def scan_workspace(
     root: Path,
-    condition_env: dict[str, str] | None = None,
-    cache_dir: Path | None = None,
-    write_cache: bool = True,
+    condition_env: dict[str, str],
+    cache_dir: Path | None,
+    write_cache: bool,
 ) -> Workspace:
     """Discover every package under ``root``, as colcon and catkin_pkg do.
 
@@ -360,7 +357,7 @@ def scan_workspace(
 
     memo = memo_path = None
     if cache_dir is not None:
-        env_parts = [part for item in sorted((condition_env or {}).items()) for part in item]
+        env_parts = [part for item in sorted(condition_env.items()) for part in item]
         digest = cache_key(
             f"manifests/{MANIFEST_MEMO_FORMAT}", __version__, os.path.abspath(root), *env_parts
         )
@@ -397,9 +394,7 @@ def scan_workspace(
             ignored.append(Path(directory))
         elif has_manifest:
             try:
-                manifest = parse_manifest(
-                    text, condition_env, PurePosixPath(rel or "."), memo=memo
-                )
+                manifest = parse_manifest(text, condition_env, PurePosixPath(rel or "."), memo)
             except (MalformedManifest, UnsupportedFormat) as exc:
                 raise type(exc)(f"{os.path.join(rel, 'package.xml')}: {exc}") from exc
             packages.append(manifest)

@@ -10,9 +10,8 @@ from code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import yaml
 
@@ -35,8 +34,7 @@ _FLAVOR_SUFFIX = {
 }
 
 
-@dataclass(frozen=True)
-class MatrixEntry:
+class MatrixEntry(NamedTuple):
     """One buildable image: distro, component bundle, ML flavor, arches."""
 
     distro: str
@@ -49,8 +47,7 @@ class MatrixEntry:
         return KNOWN_DISTROS[self.distro]
 
 
-@dataclass(frozen=True)
-class BaseImageTable:
+class BaseImageTable(NamedTuple):
     """Upstream base references per distro: plain OS and accelerator bases."""
 
     os_bases: dict[str, str]
@@ -89,12 +86,12 @@ def _check_values(kind: str, values: Iterable[str], allowed: Sequence[str]) -> t
 
 
 def enumerate_matrix(
-    distros: Iterable[str] | None = None,
-    components: Iterable[str] | None = None,
-    ml_flavors: Iterable[str] | None = None,
-    architectures: Iterable[str] | None = None,
+    distros: Iterable[str] | None,
+    components: Iterable[str] | None,
+    ml_flavors: Iterable[str] | None,
+    architectures: Iterable[str] | None,
 ) -> list[MatrixEntry]:
-    """All matrix entries, optionally restricted per dimension.
+    """All matrix entries, restricted per dimension unless that filter is None.
 
     The order is total and deterministic: distros, components and flavors
     iterate in their canonical declaration order.

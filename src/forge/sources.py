@@ -10,9 +10,8 @@ shows each credential value as ``***``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import PurePosixPath
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import yaml
 
@@ -25,8 +24,7 @@ _PLACEHOLDER_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
 ReposList = tuple["RepoSpec", ...]
 
 
-@dataclass(frozen=True)
-class RepoSpec:
+class RepoSpec(NamedTuple):
     """One repository entry from a ``.repos`` file."""
 
     local_name: str

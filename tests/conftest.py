@@ -16,7 +16,7 @@ GOLDEN_ROOT = Path(__file__).resolve().parent / "goldens"
 
 def analysis_for(name: str, distro: str = "humble") -> WorkspaceAnalysis:
     cfg = GlobalConfig(default_distro=distro)
-    return analyze_workspace(FIXTURE_ROOT / name, cfg)
+    return analyze_workspace(FIXTURE_ROOT / name, cfg, (), True)
 
 
 def image_spec(analysis: WorkspaceAnalysis, **fields) -> ImageSpec:

@@ -17,7 +17,7 @@ from conftest import analysis_for, image_spec
 def _dockerfile(fixture: str, distro: str, **spec_kwargs) -> str:
     analysis = analysis_for(fixture, distro=distro)
     spec = image_spec(analysis, **spec_kwargs)
-    return render(plan_stages(spec, analysis.resolved, analysis.resolved_exec))
+    return render(plan_stages(spec, analysis.resolved, analysis.resolved_exec, analysis.root))
 
 
 def minimal_dev() -> str:

@@ -25,7 +25,7 @@ from forge.manifest import IGNORE_MARKERS, PackageManifest, Workspace, parse_man
 from forge.textio import read_utf8
 
 
-def oracle_scan(root: Path, condition_env: dict[str, str] | None = None) -> Workspace:
+def oracle_scan(root: Path, condition_env: dict[str, str]) -> Workspace:
     root = Path(root)
     if not root.is_dir():
         raise EmptyWorkspace(f"workspace root {root} is not a directory")
@@ -42,7 +42,7 @@ def oracle_scan(root: Path, condition_env: dict[str, str] | None = None) -> Work
             rel = PurePosixPath(directory.relative_to(root).as_posix())
             text = read_utf8(manifest_path, MalformedManifest)
             try:
-                packages.append(parse_manifest(text, condition_env, source_dir=rel))
+                packages.append(parse_manifest(text, condition_env, source_dir=rel, memo=None))
             except (MalformedManifest, UnsupportedFormat) as exc:
                 raise type(exc)(f"{rel / 'package.xml'}: {exc}") from exc
             return

@@ -9,7 +9,6 @@ engine is available.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import random
 import shutil
@@ -95,7 +94,7 @@ def _fail(cid: str, title: str, problems: list[str]) -> None:
 def _run_plan(name: str, distro: str, repos_files: tuple[str, ...], **kwargs):
     analysis = analysis_for(name, distro)
     spec = image_spec(analysis, target="run", repos_files=repos_files, **kwargs)
-    return plan_stages(spec, analysis.resolved, analysis.resolved_exec)
+    return plan_stages(spec, analysis.resolved, analysis.resolved_exec, analysis.root)
 
 
 def _stage_block(dockerfile: str, stage: str) -> str:
@@ -209,7 +208,7 @@ def _oracle_buckets(result) -> dict[str, tuple[str, ...]]:
 @criterion("C4", "resolver matches the brute-force classifier")
 def test_c4_resolver_oracle_equivalence() -> str:
     documents = packaged_rosdep_documents()
-    db = load_rosdep_db(documents)
+    db = load_rosdep_db(documents, None, True)
     index = packaged_distro_index("humble")
     table = load_oracle_db(documents)
     if len(db.entries) != 50:
@@ -272,6 +271,7 @@ def test_c5_determinism() -> str:
             build_spec(first_analysis),
             first_analysis.resolved,
             first_analysis.resolved_exec,
+            first_analysis.root,
         )
     )
 
@@ -281,14 +281,14 @@ def test_c5_determinism() -> str:
             build_spec(second_analysis),
             second_analysis.resolved,
             second_analysis.resolved_exec,
+            second_analysis.root,
         )
     )
     if second != baseline:
         problems.append("two independent runs rendered different bytes")
 
     spec = build_spec(first_analysis)
-    permuted_spec = dataclasses.replace(
-        spec,
+    permuted_spec = spec._replace(
         packages=tuple(reversed(spec.packages)),
         extra_apt=tuple(reversed(spec.extra_apt)),
         extra_pip=tuple(reversed(spec.extra_pip)),
@@ -296,7 +296,10 @@ def test_c5_determinism() -> str:
     if (
         render(
             plan_stages(
-                permuted_spec, first_analysis.resolved, first_analysis.resolved_exec
+                permuted_spec,
+                first_analysis.resolved,
+                first_analysis.resolved_exec,
+                first_analysis.root,
             )
         )
         != baseline
@@ -309,7 +312,7 @@ def test_c5_determinism() -> str:
         items = list(yaml.safe_load(text).items())
         rng.shuffle(items)
         shuffled_documents.append(yaml.safe_dump(dict(items), sort_keys=False))
-    shuffled_db = load_rosdep_db(shuffled_documents)
+    shuffled_db = load_rosdep_db(shuffled_documents, None, True)
 
     repos_doc = yaml.safe_load(
         (FIXTURE_ROOT / "multi_repo" / "deps.repos").read_text(encoding="utf-8")
@@ -338,8 +341,8 @@ def test_c5_determinism() -> str:
         internal,
         permuted_repos,
     )
-    repos_spec = dataclasses.replace(spec, source_repos=tuple(reversed(permuted_repos)))
-    if render(plan_stages(repos_spec, resolved, resolved_exec)) != baseline:
+    repos_spec = spec._replace(source_repos=tuple(reversed(permuted_repos)))
+    if render(plan_stages(repos_spec, resolved, resolved_exec, first_analysis.root)) != baseline:
         problems.append("permuting database and repos documents changed the bytes")
 
     for platform in ("github", "gitlab"):
@@ -413,7 +416,7 @@ def test_c6_runner_flag_soundness() -> str:
     for trial in range(1000):
         host = _random_host(rng)
         args = _random_args(rng)
-        invocation = synthesize_invocation(host, args)
+        invocation = synthesize_invocation(host, args, "/ws")
         argv = run_argv(invocation).argv
 
         x11_expected = host.display is not None and not args.no_x11

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -295,6 +296,20 @@ def test_generate_dockerfile_writes_file(capsys, monkeypatch, tmp_path) -> None:
     assert target.read_text(encoding="utf-8").startswith("# syntax=")
 
 
+def test_custom_scripts_must_be_in_the_build_context(capsys, monkeypatch, tmp_path) -> None:
+    monkeypatch.chdir(tmp_path)
+    root = tmp_path / "ws"
+    shutil.copytree(MINIMAL, root)
+    (root / "pre.sh").write_text("true\n", encoding="utf-8")
+    argv = ["generate", "dockerfile", str(root), "--script-pre", "pre.sh", "-o", "-"]
+    assert main(argv) == 0
+    assert "COPY pre.sh /opt/forge/custom-pre.sh" in capsys.readouterr().out
+    assert main([*argv, "--script-post", "post.sh"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "InvalidSpec: custom script 'post.sh' not found in build context" in captured.err
+
+
 def test_generate_ci_writes_file(capsys, monkeypatch, tmp_path) -> None:
     monkeypatch.chdir(tmp_path)
     out_path = tmp_path / "ci.yml"
@@ -402,6 +417,23 @@ def test_build_clone_log_names_the_dockerfile_clone_path(
                                dockerfile.read_text(encoding="utf-8"))
     assert clone_root == f"{workspace_dir or '/ws'}/src/"
     assert logged == [clone_root + name for name in ("imaging_extras", "private_tools")]
+
+
+def test_trailing_slash_in_workspace_dir_changes_no_output(capsys, monkeypatch, tmp_path) -> None:
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("GIT_TOKEN", "t0ken")
+    outputs = []
+    for workspace_dir in ("/opt/ws", "/opt/ws/"):
+        generated = tmp_path / "generated.Dockerfile"
+        built = tmp_path / "built.Dockerfile"
+        options = [MULTI, "--workspace-dir", workspace_dir]
+        assert main(["generate", "dockerfile", *options, "-o", str(generated)]) == 0
+        assert main(["build", *options, "--dry-run", "--dockerfile-out", str(built)]) == 0
+        clones = re.findall(r"^clone .*$", capsys.readouterr().out, re.M)
+        outputs.append((generated.read_bytes(), built.read_bytes(), clones))
+    assert outputs[1] == outputs[0]
+    assert len(outputs[0][2]) == 2
+    assert b"/opt/ws/src/" in outputs[0][0]
 
 
 # --- matrix ----------------------------------------------------------------
@@ -557,6 +589,17 @@ def test_run_relative_workspace_dir_exits_2(capsys, monkeypatch, tmp_path, fake_
     assert code == 2
     assert captured.out == ""
     assert "forge: error: InvalidArgs: --workspace-dir must be an absolute path" in captured.err
+
+
+def test_run_trailing_slash_in_workspace_dir(capsys, monkeypatch, tmp_path, fake_host) -> None:
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(
+        "forge.cli.probe_host", lambda: fake_host._replace(detected_workspace=tmp_path)
+    )
+    assert main(["run", "--dry-run", "--workspace-dir", "/opt/ws/", "img"]) == 0
+    out = capsys.readouterr().out
+    assert f"--volume {tmp_path}/src:/opt/ws/src:rw " in out
+    assert " --workdir /opt/ws img" in out
 
 
 def test_run_feature_suppression_flags(capsys, monkeypatch, tmp_path, fake_host) -> None:

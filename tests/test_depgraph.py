@@ -53,7 +53,7 @@ distro:
 
 
 def small_db():
-    return load_rosdep_db([DB_DOC])
+    return load_rosdep_db([DB_DOC], None, True)
 
 
 def small_index():
@@ -75,13 +75,13 @@ def test_load_rosdep_db_shapes() -> None:
 
 def test_load_rosdep_db_later_doc_wins() -> None:
     override = "eigen:\n  ubuntu: [libeigen3-newer]\n"
-    db = load_rosdep_db([DB_DOC, override])
+    db = load_rosdep_db([DB_DOC, override], None, True)
     assert db.entries["eigen"].packages == ("libeigen3-newer",)
 
 
 def test_load_rosdep_db_skips_other_os_records() -> None:
     doc = "fedora-only:\n  fedora: [some-pkg]\n"
-    db = load_rosdep_db([DB_DOC, doc])
+    db = load_rosdep_db([DB_DOC, doc], None, True)
     assert "fedora-only" not in db.entries
 
 
@@ -98,7 +98,7 @@ def test_load_rosdep_db_skips_other_os_records() -> None:
 )
 def test_load_rosdep_db_rejects_malformed(doc: str) -> None:
     with pytest.raises(MalformedDatabase):
-        load_rosdep_db([doc])
+        load_rosdep_db([doc], None, True)
 
 
 def test_load_distro_index() -> None:
@@ -144,14 +144,14 @@ def test_precedence_repo_beats_index_and_db() -> None:
 
 def test_precedence_index_beats_db() -> None:
     doc = "rclcpp:\n  ubuntu: [should-not-appear]\n"
-    db = load_rosdep_db([DB_DOC, doc])
-    result = resolve(keys_of("rclcpp"), db, small_index(), set())
+    db = load_rosdep_db([DB_DOC, doc], None, True)
+    result = resolve(keys_of("rclcpp"), db, small_index(), set(), ())
     assert result.ros_distro_pkgs == ("ros-humble-rclcpp",)
     assert result.system_pkgs == ()
 
 
 def test_unresolved_is_data_not_error() -> None:
-    result = resolve(keys_of("no_such_thing"), small_db(), small_index(), set())
+    result = resolve(keys_of("no_such_thing"), small_db(), small_index(), set(), ())
     assert result.unresolved == ("no_such_thing",)
 
 
@@ -160,8 +160,8 @@ def test_runtime_subset_monotonic() -> None:
         build=frozenset({"eigen", "rclcpp", "python3-yaml"}),
         exec=frozenset({"rclcpp"}),
     )
-    full = resolve(keys, small_db(), small_index(), set())
-    slim = runtime_subset(full, keys, small_db(), small_index(), set())
+    full = resolve(keys, small_db(), small_index(), set(), ())
+    slim = runtime_subset(full, keys, small_db(), small_index(), set(), ())
     assert slim.scope == "exec_only"
     assert set(slim.ros_distro_pkgs) <= set(full.ros_distro_pkgs)
     assert set(slim.system_pkgs) <= set(full.system_pkgs)
@@ -171,22 +171,22 @@ def test_runtime_subset_monotonic() -> None:
 
 def test_runtime_subset_requires_all_scope() -> None:
     keys = keys_of("rclcpp")
-    slim = resolve(keys, small_db(), small_index(), set(), scope="exec_only")
+    slim = resolve(keys, small_db(), small_index(), set(), (), scope="exec_only")
     with pytest.raises(ValueError):
-        runtime_subset(slim, keys, small_db(), small_index(), set())
+        runtime_subset(slim, keys, small_db(), small_index(), set(), ())
 
 
 def test_determinism_under_document_key_permutation() -> None:
     doc = yaml.safe_load(DB_DOC)
     rng = random.Random(7)
     keys = keys_of("eigen", "python3-yaml", "protolib", "rclcpp", "missing")
-    baseline = resolve(keys, small_db(), small_index(), set())
+    baseline = resolve(keys, small_db(), small_index(), set(), ())
     for _ in range(10):
         items = list(doc.items())
         rng.shuffle(items)
         shuffled = yaml.safe_dump(dict(items), sort_keys=False)
-        db = load_rosdep_db([shuffled])
-        assert resolve(keys, db, small_index(), set()) == baseline
+        db = load_rosdep_db([shuffled], None, True)
+        assert resolve(keys, db, small_index(), set(), ()) == baseline
 
 
 def test_packaged_data_loads() -> None:
@@ -200,7 +200,7 @@ def test_packaged_data_loads() -> None:
         index = packaged_distro_index(distro)
         assert index.ros_version == version
         assert len(index.packages) >= 30
-    db = load_rosdep_db(packaged_rosdep_documents())
+    db = load_rosdep_db(packaged_rosdep_documents(), None, True)
     assert len(db.entries) == 50
 
 
@@ -234,7 +234,7 @@ def _resolved_as_oracle_buckets(result) -> dict[str, tuple[str, ...]]:
 
 def test_resolver_matches_oracle_on_seeded_trials() -> None:
     documents = packaged_rosdep_documents()
-    db = load_rosdep_db(documents)
+    db = load_rosdep_db(documents, None, True)
     index = packaged_distro_index("humble")
     table = load_oracle_db(documents)
 
@@ -265,7 +265,7 @@ def test_resolver_matches_oracle_on_seeded_trials() -> None:
 
 def test_partition_counts_cover_every_key() -> None:
     documents = packaged_rosdep_documents()
-    db = load_rosdep_db(documents)
+    db = load_rosdep_db(documents, None, True)
     index = packaged_distro_index("humble")
     internal = {"in_ws"}
     rng = random.Random(99)
@@ -273,7 +273,7 @@ def test_partition_counts_cover_every_key() -> None:
     for _ in range(30):
         chosen = set(rng.sample(universe, rng.randint(0, len(universe))))
         keys = DeclaredKeys(build=frozenset(chosen), exec=frozenset(chosen))
-        result = resolve(keys, db, index, internal)
+        result = resolve(keys, db, index, internal, ())
         classified = (
             len(result.internal)
             + len(result.source_keys)
@@ -314,7 +314,7 @@ def cold_cache(tmp_path: Path, documents: list[str]) -> tuple[Path, Path]:
     """A cache directory filled from ``documents``, and its one file."""
 
     cache = tmp_path / "cache"
-    load_rosdep_db(documents, cache_dir=cache)
+    load_rosdep_db(documents, cache, True)
     (path,) = cache_files(cache)
     return cache, path
 
@@ -332,14 +332,14 @@ def test_cache_round_trip_matches_uncached(docs: list[dict]) -> None:
             elif record is not None:
                 expected[key] = RosdepEntry("python", tuple(record["pip"]["packages"]))
 
-    uncached = load_rosdep_db(documents)
+    uncached = load_rosdep_db(documents, None, True)
     assert uncached == RosdepDatabase(expected)
     with tempfile.TemporaryDirectory() as tmp:
         cache = Path(tmp)
-        assert load_rosdep_db(documents, cache_dir=cache) == uncached
+        assert load_rosdep_db(documents, cache, True) == uncached
         assert len(cache_files(cache)) == 1
         with mock.patch("forge.depgraph.safe_load", side_effect=AssertionError("parsed")):
-            assert load_rosdep_db(documents, cache_dir=cache) == uncached
+            assert load_rosdep_db(documents, cache, True) == uncached
 
 
 @pytest.mark.parametrize(
@@ -362,7 +362,7 @@ def test_unusable_cache_file_is_a_rewritten_miss(tmp_path, damage) -> None:
     cache, path = cold_cache(tmp_path, [DB_DOC])
     good = path.read_bytes()
     path.write_bytes(damage(good))
-    assert load_rosdep_db([DB_DOC], cache_dir=cache) == small_db()
+    assert load_rosdep_db([DB_DOC], cache, True) == small_db()
     assert path.read_bytes() == good
 
 
@@ -376,14 +376,14 @@ def test_unwritable_cache_falls_back(tmp_path, monkeypatch) -> None:
         raise PermissionError(13, "Read-only file system")
 
     monkeypatch.setattr(tempfile, "mkstemp", refuse)
-    assert load_rosdep_db([DB_DOC], cache_dir=cache) == small_db()
+    assert load_rosdep_db([DB_DOC], cache, True) == small_db()
     assert cache_files(cache) == []
 
 
 def test_cache_dir_that_is_a_file_falls_back(tmp_path) -> None:
     cache = tmp_path / "cache"
     cache.write_text("", encoding="utf-8")
-    assert load_rosdep_db([DB_DOC], cache_dir=cache) == small_db()
+    assert load_rosdep_db([DB_DOC], cache, True) == small_db()
     assert cache.read_text(encoding="utf-8") == ""
 
 
@@ -392,7 +392,7 @@ def test_read_only_cache_still_hits(tmp_path) -> None:
     cache.chmod(0o555)
     expected = small_db()
     with mock.patch("forge.depgraph.safe_load", side_effect=AssertionError("parsed")):
-        assert load_rosdep_db([DB_DOC], cache_dir=cache) == expected
+        assert load_rosdep_db([DB_DOC], cache, True) == expected
 
 
 def test_no_write_leaves_cache_untouched(tmp_path) -> None:
@@ -406,7 +406,7 @@ def test_malformed_document_is_never_cached(tmp_path) -> None:
     bad = "eigen:\n  ubuntu: [1, 2]\n"
     for _ in range(2):
         with pytest.raises(MalformedDatabase):
-            load_rosdep_db([DB_DOC, bad], cache_dir=cache)
+            load_rosdep_db([DB_DOC, bad], cache, True)
         assert cache_files(cache) == [good]
         assert list(cache.glob(".rosdep-*")) == []
 
@@ -421,18 +421,18 @@ def test_cache_key_covers_order_bytes_boundaries_and_os(tmp_path) -> None:
         [DB_DOC + override],
     ]
     for n, documents in enumerate(variants, start=1):
-        uncached = load_rosdep_db(documents)
-        assert load_rosdep_db(documents, cache_dir=cache) == uncached
+        uncached = load_rosdep_db(documents, None, True)
+        assert load_rosdep_db(documents, cache, True) == uncached
         assert len(cache_files(cache)) == n
     # The key names the one OS forge resolves for, so the file names stay stable.
     digest = cache_key(f"rosdep/{ROSDEP_CACHE_FORMAT}", __version__, "ubuntu", DB_DOC, override)
     assert (cache / f"rosdep-{digest}.json").is_file()
     # Reordered documents give a different database, and each is its own hit.
     with mock.patch("forge.depgraph.safe_load", side_effect=AssertionError("parsed")):
-        assert load_rosdep_db([DB_DOC, override], cache_dir=cache).entries["eigen"].packages == (
+        assert load_rosdep_db([DB_DOC, override], cache, True).entries["eigen"].packages == (
             "libeigen3-newer",
         )
-        assert load_rosdep_db([override, DB_DOC], cache_dir=cache).entries["eigen"].packages == (
+        assert load_rosdep_db([override, DB_DOC], cache, True).entries["eigen"].packages == (
             "libeigen3-dev",
         )
 
@@ -447,10 +447,10 @@ def test_pure_python_yaml_fallback_matches_libyaml(monkeypatch) -> None:
         return real_load(stream, Loader=Loader)
 
     monkeypatch.setattr(yaml, "load", recording_load)
-    with_libyaml = load_rosdep_db(documents)
+    with_libyaml = load_rosdep_db(documents, None, True)
     assert set(loaders) == {getattr(yaml, "CSafeLoader", yaml.SafeLoader)}
 
     loaders.clear()
     monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-    assert load_rosdep_db(documents) == with_libyaml
+    assert load_rosdep_db(documents, None, True) == with_libyaml
     assert set(loaders) == {yaml.SafeLoader}

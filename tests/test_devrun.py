@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import stat
 import sys
@@ -80,51 +79,51 @@ def test_default_container_name() -> None:
 
 def test_synthesize_requires_image() -> None:
     with pytest.raises(InvalidArgs):
-        synthesize_invocation(host(), UserArgs(image=""))
+        synthesize_invocation(host(), UserArgs(image=""), "/ws")
 
 
 def test_synthesize_rejects_bad_name() -> None:
     with pytest.raises(InvalidArgs):
-        synthesize_invocation(host(), UserArgs(image="img", name="-bad name-"))
+        synthesize_invocation(host(), UserArgs(image="img", name="-bad name-"), "/ws")
 
 
 def test_synthesize_x11_wiring() -> None:
-    invocation = synthesize_invocation(host(display=":1"), UserArgs(image="img"))
+    invocation = synthesize_invocation(host(display=":1"), UserArgs(image="img"), "/ws")
     assert ("DISPLAY", ":1") in invocation.env
     assert Mount(X11_SOCKET_DIR, X11_SOCKET_DIR, "rw") in invocation.mounts
     suppressed = synthesize_invocation(
-        host(display=":1"), UserArgs(image="img", no_x11=True)
+        host(display=":1"), UserArgs(image="img", no_x11=True), "/ws"
     )
     assert all(key != "DISPLAY" for key, _ in suppressed.env)
     assert all(m.container != X11_SOCKET_DIR for m in suppressed.mounts)
 
 
 def test_synthesize_gpu_wiring() -> None:
-    assert synthesize_invocation(host(gpu_count=2), UserArgs(image="img")).gpu_all
-    assert not synthesize_invocation(host(gpu_count=0), UserArgs(image="img")).gpu_all
+    assert synthesize_invocation(host(gpu_count=2), UserArgs(image="img"), "/ws").gpu_all
+    assert not synthesize_invocation(host(gpu_count=0), UserArgs(image="img"), "/ws").gpu_all
     assert not synthesize_invocation(
-        host(gpu_count=2), UserArgs(image="img", no_gpu=True)
+        host(gpu_count=2), UserArgs(image="img", no_gpu=True), "/ws"
     ).gpu_all
 
 
 def test_synthesize_user_map_wiring() -> None:
-    mapped = synthesize_invocation(host(uid=1234, gid=99), UserArgs(image="img"))
+    mapped = synthesize_invocation(host(uid=1234, gid=99), UserArgs(image="img"), "/ws")
     assert mapped.user_map == (1234, 99)
-    unmapped = synthesize_invocation(host(), UserArgs(image="img", no_user_map=True))
+    unmapped = synthesize_invocation(host(), UserArgs(image="img", no_user_map=True), "/ws")
     assert unmapped.user_map is None
 
 
 def test_synthesize_workspace_mount(fixture_root) -> None:
     ws = fixture_root / "minimal"
-    mounted = synthesize_invocation(host(detected_workspace=ws), UserArgs(image="img"))
+    mounted = synthesize_invocation(host(detected_workspace=ws), UserArgs(image="img"), "/ws")
     assert Mount(str(ws / "src"), "/ws/src", "rw") in mounted.mounts
     assert mounted.workdir == "/ws"
     skipped = synthesize_invocation(
-        host(detected_workspace=ws), UserArgs(image="img", mount_workspace=False)
+        host(detected_workspace=ws), UserArgs(image="img", mount_workspace=False), "/ws"
     )
     assert all(m.container != "/ws/src" for m in skipped.mounts)
     assert skipped.workdir is None
-    undetected = synthesize_invocation(host(), UserArgs(image="img"))
+    undetected = synthesize_invocation(host(), UserArgs(image="img"), "/ws")
     assert all(m.container != "/ws/src" for m in undetected.mounts)
     elsewhere = synthesize_invocation(
         host(detected_workspace=ws), UserArgs(image="img"), workspace_dir="/opt/ws"
@@ -147,6 +146,7 @@ def test_synthesize_passthrough_and_command_preserved() -> None:
     invocation = synthesize_invocation(
         host(),
         UserArgs(image="img", command=("bash", "-c", "x"), passthrough=("--ipc=host",)),
+        "/ws",
     )
     assert invocation.passthrough == ("--ipc=host",)
     assert invocation.command == ("bash", "-c", "x")
@@ -183,7 +183,7 @@ user_args = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(host=hosts, args=user_args)
 def test_feature_biconditionals(host: HostEnvironment, args: UserArgs) -> None:
-    invocation = synthesize_invocation(host, args)
+    invocation = synthesize_invocation(host, args, "/ws")
     x11_on = any(key == "DISPLAY" for key, _ in invocation.env)
     assert x11_on == (host.display is not None and not args.no_x11)
     assert invocation.gpu_all == (host.gpu_count > 0 and not args.no_gpu)
@@ -214,13 +214,13 @@ def test_check_invocation_problems() -> None:
 
 
 def test_apply_plugins_folds_in_order() -> None:
-    base = synthesize_invocation(host(), UserArgs(image="img"))
+    base = synthesize_invocation(host(), UserArgs(image="img"), "/ws")
 
     def add_env(inv: RunInvocation) -> RunInvocation:
-        return dataclasses.replace(inv, env=inv.env + (("EXTRA", "1"),))
+        return inv._replace(env=inv.env + (("EXTRA", "1"),))
 
     def set_workdir(inv: RunInvocation) -> RunInvocation:
-        return dataclasses.replace(inv, workdir="/elsewhere")
+        return inv._replace(workdir="/elsewhere")
 
     result = apply_plugins(base, [("env", add_env), ("wd", set_workdir)])
     assert ("EXTRA", "1") in result.env
@@ -229,11 +229,11 @@ def test_apply_plugins_folds_in_order() -> None:
 
 
 def test_apply_plugins_rejects_invariant_break() -> None:
-    base = synthesize_invocation(host(), UserArgs(image="img"))
+    base = synthesize_invocation(host(), UserArgs(image="img"), "/ws")
 
     def duplicate_mount(inv: RunInvocation) -> RunInvocation:
         extra = (Mount("/x", "/dup"), Mount("/y", "/dup"))
-        return dataclasses.replace(inv, mounts=inv.mounts + extra)
+        return inv._replace(mounts=inv.mounts + extra)
 
     with pytest.raises(PluginViolation) as excinfo:
         apply_plugins(base, [("bad-plugin", duplicate_mount)])
@@ -242,18 +242,18 @@ def test_apply_plugins_rejects_invariant_break() -> None:
 
 def test_apply_plugins_rejects_passthrough_tampering() -> None:
     base = synthesize_invocation(
-        host(), UserArgs(image="img", passthrough=("--a", "--b"))
+        host(), UserArgs(image="img", passthrough=("--a", "--b")), "/ws"
     )
 
     def reorder(inv: RunInvocation) -> RunInvocation:
-        return dataclasses.replace(inv, passthrough=("--b", "--a"))
+        return inv._replace(passthrough=("--b", "--a"))
 
     with pytest.raises(PluginViolation):
         apply_plugins(base, [("reorder", reorder)])
 
     def extend(inv: RunInvocation) -> RunInvocation:
         # Appending after the existing block keeps the original contiguous.
-        return dataclasses.replace(inv, passthrough=inv.passthrough + ("--c",))
+        return inv._replace(passthrough=inv.passthrough + ("--c",))
 
     extended = apply_plugins(base, [("extend", extend)])
     assert extended.passthrough == ("--a", "--b", "--c")
@@ -263,7 +263,7 @@ def test_apply_plugins_rejects_passthrough_tampering() -> None:
 
 
 def _named_invocation(name: str = "box") -> RunInvocation:
-    return synthesize_invocation(host(), UserArgs(image="img", name=name))
+    return synthesize_invocation(host(), UserArgs(image="img", name=name), "/ws")
 
 
 def test_attach_running_execs() -> None:
@@ -309,6 +309,7 @@ def test_invocation_doc_round_trip() -> None:
     invocation = synthesize_invocation(
         host(display=":1", gpu_count=1),
         UserArgs(image="img", passthrough=("--a",), command=("bash",)),
+        "/ws",
     )
     doc = invocation_to_doc(invocation)
     assert doc["schema"] == SCHEMA_ID

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import re
 
@@ -30,7 +29,7 @@ from conftest import image_spec
 
 def make_plan(analysis, **kwargs) -> DockerfilePlan:
     spec = image_spec(analysis, **kwargs)
-    return plan_stages(spec, analysis.resolved, analysis.resolved_exec)
+    return plan_stages(spec, analysis.resolved, analysis.resolved_exec, analysis.root)
 
 
 def stage_text(dockerfile: str, stage: str) -> str:
@@ -87,16 +86,31 @@ def test_spec_properties() -> None:
     ros2 = ImageSpec(ros_distro="humble")
     assert ros2.ros_version == 2
     assert ros2.build_tool == "colcon"
-    assert ros2.base_image == "ros:humble"
     ros1 = ImageSpec(ros_distro="noetic")
     assert ros1.ros_version == 1
     assert ros1.build_tool == "catkin"
 
 
+@pytest.mark.parametrize(
+    ("fixture", "base", "expected"),
+    [
+        ("minimal_analysis", "", "ros:humble"),
+        ("catkin_analysis", "", "ros:noetic"),
+        ("minimal_analysis", "ubuntu:22.04", "ubuntu:22.04"),
+    ],
+)
+def test_base_image_defaults_to_the_distro_image(request, fixture, base, expected) -> None:
+    analysis = request.getfixturevalue(fixture)
+    text = render(make_plan(analysis, target="run", base_image=base))
+    assert f"\nARG BASE_IMAGE={expected}\n" in text
+
+
 def test_spec_rejects_unknown_distro(minimal_analysis) -> None:
     spec = image_spec(minimal_analysis, ros_distro="navel", target="run")
     with pytest.raises(InvalidSpec):
-        plan_stages(spec, minimal_analysis.resolved, minimal_analysis.resolved_exec)
+        plan_stages(
+            spec, minimal_analysis.resolved, minimal_analysis.resolved_exec, minimal_analysis.root
+        )
 
 
 def test_spec_rejects_unknown_target(minimal_analysis) -> None:
@@ -109,10 +123,10 @@ def test_spec_rejects_unknown_target(minimal_analysis) -> None:
 
 def _replace_stage(plan: DockerfilePlan, name: str, **changes) -> DockerfilePlan:
     stages = tuple(
-        dataclasses.replace(s, **changes) if s.name == name else s
+        s._replace(**changes) if s.name == name else s
         for s in plan.stages
     )
-    return dataclasses.replace(plan, stages=stages)
+    return plan._replace(stages=stages)
 
 
 def _with_instruction(plan: DockerfilePlan, name: str, instruction) -> DockerfilePlan:
@@ -124,7 +138,7 @@ def _with_instruction(plan: DockerfilePlan, name: str, instruction) -> Dockerfil
 
 def test_rule_stage_order(minimal_analysis) -> None:
     plan = make_plan(minimal_analysis, target="run")
-    broken = dataclasses.replace(plan, stages=tuple(reversed(plan.stages)))
+    broken = plan._replace(stages=tuple(reversed(plan.stages)))
     assert [v.rule for v in validate_plan(broken)] == ["stage-order"]
 
 
@@ -250,15 +264,15 @@ def test_render_invariant_under_input_permutation(multi_repo_analysis) -> None:
     spec = image_spec(multi_repo_analysis, target="run")
     assert len(spec.packages) > 1
     assert len(spec.source_repos) > 1
-    permuted = dataclasses.replace(
-        spec,
+    permuted = spec._replace(
         packages=tuple(reversed(spec.packages)),
         source_repos=tuple(reversed(spec.source_repos)),
     )
     resolved = multi_repo_analysis.resolved
     resolved_exec = multi_repo_analysis.resolved_exec
-    assert render(plan_stages(spec, resolved, resolved_exec)) == render(
-        plan_stages(permuted, resolved, resolved_exec)
+    root = multi_repo_analysis.root
+    assert render(plan_stages(spec, resolved, resolved_exec, root)) == render(
+        plan_stages(permuted, resolved, resolved_exec, root)
     )
 
 

@@ -189,7 +189,7 @@ def test_run_argv_passthrough_contiguous_before_image(
 def test_exec_argv_shape() -> None:
     command = exec_argv("box", ("bash",), interactive=True, user_map=(10, 20))
     assert command.argv == ("exec", "-it", "--user", "10:20", "box", "bash")
-    plain = exec_argv("box", ("true",), interactive=False)
+    plain = exec_argv("box", ("true",), interactive=False, user_map=None)
     assert plain.argv == ("exec", "box", "true")
 
 

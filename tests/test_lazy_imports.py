@@ -4,6 +4,9 @@
 short-lived ``forge`` process pays only for the modules its command runs.
 Every subcommand runs here in a fresh interpreter, which also shows a
 missing bind as a failing command.
+
+forge's records are NamedTuples, so no command loads ``dataclasses`` (which
+loads ``inspect``). Only code that spawns a process loads ``subprocess``.
 """
 
 from __future__ import annotations
@@ -88,6 +91,10 @@ def test_command_imports_only_its_layers(tmp_path, argv, unloaded) -> None:
         assert not loaded & {f"forge.{layer}" for layer in unloaded}
     if argv[:2] != ["matrix", "build"]:
         assert "concurrent.futures" not in modules
+    assert not modules & {"dataclasses", "inspect"}
+    # run spawns nvidia-smi to count GPUs on a host that has it.
+    if argv[0] != "run":
+        assert "subprocess" not in modules
 
 
 def test_warm_analyze_loads_no_xml_parser(tmp_path) -> None:

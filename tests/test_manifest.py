@@ -22,6 +22,7 @@ from forge.manifest import (
 )
 
 ENV = {"ROS_VERSION": "2", "ROS_DISTRO": "humble"}
+TOP = PurePosixPath(".")
 
 
 # Hand-computed truth table for the condition subset. Each row was worked
@@ -82,7 +83,7 @@ MINIMAL_XML = """\
 
 
 def test_parse_minimal() -> None:
-    manifest = parse_manifest(MINIMAL_XML, ENV)
+    manifest = parse_manifest(MINIMAL_XML, ENV, TOP, None)
     assert manifest.name == "demo"
     assert manifest.version == "1.0.0"
     assert manifest.manifest_format == 3
@@ -106,7 +107,7 @@ def test_parse_dependency_scopes() -> None:
   <export><build_type>ament_cmake</build_type></export>
 </package>
 """
-    manifest = parse_manifest(text, ENV)
+    manifest = parse_manifest(text, ENV, TOP, None)
     assert manifest.deps_build == frozenset(
         {"both_scope", "build_only", "export_only", "tool_only"}
     )
@@ -124,7 +125,7 @@ def test_parse_conditional_dependency() -> None:
   <export><build_type>ament_cmake</build_type></export>
 </package>
 """
-    manifest = parse_manifest(text, ENV)
+    manifest = parse_manifest(text, ENV, TOP, None)
     assert "only_ros2" in manifest.deps_build
     assert "only_ros1" not in manifest.deps_build
     assert "only_ros1" not in manifest.deps_exec
@@ -137,8 +138,8 @@ def test_build_type_defaults_by_ros_version() -> None:
   <version>0.1.0</version>
 </package>
 """
-    assert parse_manifest(text, {"ROS_VERSION": "1"}).build_type == "catkin"
-    assert parse_manifest(text, {"ROS_VERSION": "2"}).build_type == "ament_cmake"
+    assert parse_manifest(text, {"ROS_VERSION": "1"}, TOP, None).build_type == "catkin"
+    assert parse_manifest(text, {"ROS_VERSION": "2"}, TOP, None).build_type == "ament_cmake"
 
 
 def test_conditional_build_type_export() -> None:
@@ -152,8 +153,8 @@ def test_conditional_build_type_export() -> None:
   </export>
 </package>
 """
-    assert parse_manifest(text, {"ROS_VERSION": "1"}).build_type == "catkin"
-    assert parse_manifest(text, {"ROS_VERSION": "2"}).build_type == "ament_cmake"
+    assert parse_manifest(text, {"ROS_VERSION": "1"}, TOP, None).build_type == "catkin"
+    assert parse_manifest(text, {"ROS_VERSION": "2"}, TOP, None).build_type == "ament_cmake"
 
 
 @pytest.mark.parametrize(
@@ -169,17 +170,17 @@ def test_conditional_build_type_export() -> None:
 def test_parse_rejects_bad_fields(mutation: tuple[str, str]) -> None:
     old, new = mutation
     with pytest.raises(MalformedManifest):
-        parse_manifest(MINIMAL_XML.replace(old, new), ENV)
+        parse_manifest(MINIMAL_XML.replace(old, new), ENV, TOP, None)
 
 
 def test_parse_rejects_unknown_format() -> None:
     with pytest.raises(UnsupportedFormat):
-        parse_manifest(MINIMAL_XML.replace('format="3"', 'format="4"'), ENV)
+        parse_manifest(MINIMAL_XML.replace('format="3"', 'format="4"'), ENV, TOP, None)
 
 
 def test_parse_rejects_invalid_xml() -> None:
     with pytest.raises(MalformedManifest):
-        parse_manifest("<package><name>demo</name>", ENV)
+        parse_manifest("<package><name>demo</name>", ENV, TOP, None)
 
 
 # --- render / parse round trip --------------------------------------------
@@ -241,7 +242,7 @@ def render_manifest(manifest: PackageManifest) -> str:
 @given(manifests())
 def test_render_parse_round_trip(manifest: PackageManifest) -> None:
     text = render_manifest(manifest)
-    parsed = parse_manifest(text, ENV)
+    parsed = parse_manifest(text, ENV, TOP, None)
     assert parsed.name == manifest.name
     assert parsed.version == manifest.version
     assert parsed.manifest_format == manifest.manifest_format
@@ -265,7 +266,7 @@ def _write_pkg(root, rel: str, name: str) -> None:
 def test_scan_finds_nested_packages(tmp_path) -> None:
     _write_pkg(tmp_path, "src/alpha", "alpha")
     _write_pkg(tmp_path, "src/vendor/beta", "beta")
-    workspace = scan_workspace(tmp_path, ENV)
+    workspace = scan_workspace(tmp_path, ENV, None, True)
     assert [p.name for p in workspace.packages] == ["alpha", "beta"]
     assert workspace.packages[0].source_dir == PurePosixPath("src/alpha")
     assert workspace.packages[1].source_dir == PurePosixPath("src/vendor/beta")
@@ -274,7 +275,7 @@ def test_scan_finds_nested_packages(tmp_path) -> None:
 def test_scan_is_sorted_by_name(tmp_path) -> None:
     _write_pkg(tmp_path, "src/zzz", "aaa")
     _write_pkg(tmp_path, "src/aaa", "zzz")
-    workspace = scan_workspace(tmp_path, ENV)
+    workspace = scan_workspace(tmp_path, ENV, None, True)
     assert [p.name for p in workspace.packages] == ["aaa", "zzz"]
 
 
@@ -284,7 +285,7 @@ def test_scan_skips_ignored_subtrees(tmp_path, marker: str) -> None:
     _write_pkg(tmp_path, "src/skipped", "skipped")
     _write_pkg(tmp_path, "src/skipped/inner", "inner")
     (tmp_path / "src/skipped" / marker).write_text("", encoding="utf-8")
-    workspace = scan_workspace(tmp_path, ENV)
+    workspace = scan_workspace(tmp_path, ENV, None, True)
     assert [p.name for p in workspace.packages] == ["kept"]
     assert any("skipped" in str(d) for d in workspace.ignored_dirs)
 
@@ -294,7 +295,7 @@ def test_scan_descends_into_package_dirs(tmp_path) -> None:
     # manifest below another package is not a package of the workspace.
     _write_pkg(tmp_path, "src/outer", "outer")
     _write_pkg(tmp_path, "src/outer/embedded", "embedded")
-    workspace = scan_workspace(tmp_path, ENV)
+    workspace = scan_workspace(tmp_path, ENV, None, True)
     assert [p.name for p in workspace.packages] == ["outer"]
 
 
@@ -302,13 +303,13 @@ def test_scan_duplicate_names(tmp_path) -> None:
     _write_pkg(tmp_path, "src/one", "same")
     _write_pkg(tmp_path, "src/two", "same")
     with pytest.raises(DuplicatePackageName):
-        scan_workspace(tmp_path, ENV)
+        scan_workspace(tmp_path, ENV, None, True)
 
 
 def test_scan_empty_workspace(tmp_path) -> None:
     (tmp_path / "src").mkdir()
     with pytest.raises(EmptyWorkspace):
-        scan_workspace(tmp_path, ENV)
+        scan_workspace(tmp_path, ENV, None, True)
 
 
 def test_scan_rejects_non_utf8_manifest(tmp_path) -> None:
@@ -317,7 +318,7 @@ def test_scan_rejects_non_utf8_manifest(tmp_path) -> None:
     bad.parent.mkdir(parents=True)
     bad.write_bytes(MINIMAL_XML.replace("demo", "bad").encode() + b"<!-- caf\xe9 -->\n")
     with pytest.raises(MalformedManifest, match="not UTF-8") as info:
-        scan_workspace(tmp_path, ENV)
+        scan_workspace(tmp_path, ENV, None, True)
     assert str(bad) in str(info.value)
 
 

@@ -26,14 +26,20 @@ TAG_RE = re.compile(
 )
 
 
+def matrix(distros=None, components=None, ml_flavors=None, architectures=None):
+    """``enumerate_matrix`` with each filter not given left unset."""
+
+    return enumerate_matrix(distros, components, ml_flavors, architectures)
+
+
 def test_full_matrix_cardinality() -> None:
-    entries = enumerate_matrix()
+    entries = matrix()
     assert len(entries) == len(DISTROS) * len(COMPONENTS) * len(ML_FLAVORS)
     assert len(entries) == 180
 
 
 def test_matrix_order_is_canonical() -> None:
-    entries = enumerate_matrix()
+    entries = matrix()
     seen = [(e.distro, e.component, e.ml_flavor) for e in entries]
     expected = [
         (d, c, m) for d in DISTROS for c in COMPONENTS for m in ML_FLAVORS
@@ -42,7 +48,7 @@ def test_matrix_order_is_canonical() -> None:
 
 
 def test_tags_unique_and_well_formed() -> None:
-    tags = [tag_of(entry, "registry.example.com") for entry in enumerate_matrix()]
+    tags = [tag_of(entry, "registry.example.com") for entry in matrix()]
     assert len(set(tags)) == len(tags) == 180
     for tag in tags:
         assert TAG_RE.match(tag), tag
@@ -50,7 +56,7 @@ def test_tags_unique_and_well_formed() -> None:
 
 def test_tag_examples() -> None:
     entries = {
-        (e.distro, e.component, e.ml_flavor): e for e in enumerate_matrix()
+        (e.distro, e.component, e.ml_flavor): e for e in matrix()
     }
     assert tag_of(entries[("noetic", "base", "none")], "reg") == "reg/ros:noetic-base"
     assert tag_of(entries[("humble", "desktop", "none")], "reg") == "reg/ros2:humble-desktop"
@@ -68,7 +74,7 @@ def test_tag_examples() -> None:
 
 
 def test_filters_restrict_entries() -> None:
-    entries = enumerate_matrix(distros=("humble",), ml_flavors=("none", "cuda"))
+    entries = matrix(distros=("humble",), ml_flavors=("none", "cuda"))
     assert len(entries) == len(COMPONENTS) * 2
     assert {e.distro for e in entries} == {"humble"}
 
@@ -84,17 +90,17 @@ def test_filters_restrict_entries() -> None:
 )
 def test_filters_reject_unknown_values(kwargs) -> None:
     with pytest.raises(InvalidSpec):
-        enumerate_matrix(**kwargs)
+        matrix(**kwargs)
 
 
 def test_entries_are_multi_arch_by_default() -> None:
-    for entry in enumerate_matrix():
+    for entry in matrix():
         assert entry.architectures == ARCHITECTURES
 
 
 def test_base_image_table_covers_matrix() -> None:
     table = load_base_image_table()
-    for entry in enumerate_matrix():
+    for entry in matrix():
         args = base_dockerfile_args(entry, table)
         assert args["ROS_DISTRO"] == entry.distro
         if entry.ml_flavor == "none":
@@ -108,14 +114,14 @@ def test_base_image_table_covers_matrix() -> None:
 
 def test_plain_bases_follow_distro_os() -> None:
     table = load_base_image_table()
-    entries = {(e.distro, e.ml_flavor): e for e in enumerate_matrix(components=("core",))}
+    entries = {(e.distro, e.ml_flavor): e for e in matrix(components=("core",))}
     assert base_dockerfile_args(entries[("noetic", "none")], table)["BASE_IMAGE"] == "ubuntu:20.04"
     assert base_dockerfile_args(entries[("humble", "none")], table)["BASE_IMAGE"] == "ubuntu:22.04"
     assert base_dockerfile_args(entries[("rolling", "none")], table)["BASE_IMAGE"] == "ubuntu:24.04"
 
 
 def test_build_plan_document_round_trips() -> None:
-    entries = enumerate_matrix(distros=("humble",), components=("core",))
+    entries = matrix(distros=("humble",), components=("core",))
     table = load_base_image_table()
     text = build_plan_document(entries, "reg", "Dockerfile.base", table)
     doc = yaml.safe_load(text)
@@ -132,7 +138,7 @@ def test_build_plan_document_round_trips() -> None:
 
 
 def test_build_plan_document_deterministic() -> None:
-    entries = enumerate_matrix(distros=("foxy",))
+    entries = matrix(distros=("foxy",))
     table = load_base_image_table()
     first = build_plan_document(entries, "reg", "Dockerfile.base", table)
     second = build_plan_document(entries, "reg", "Dockerfile.base", table)

@@ -1,12 +1,14 @@
 """Every top-level function and class in ``src/forge`` has a caller there,
-and every parameter with a default is passed by one.
+and every parameter with a default is passed by some call there but not by all.
 
 Code that only tests call belongs in ``tests/``. A name counts as used
 when some module in the package refers to it (by name, attribute or
 import) outside its own definition. A parameter counts as used when some
 call in the package to a function of that name passes it, by keyword or
 by position; a default only tests override is a knob with one value in
-use. Dataclass fields are not parameters here.
+use. A default that every call in the package overrides serves only the
+tests that leave it out, so the parameter should be required. Record
+fields are not parameters here.
 """
 
 from __future__ import annotations
@@ -105,7 +107,11 @@ def _passes(call: ast.Call, parameter: str, position: int | None) -> bool:
     return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
 
 
-def test_every_defaulted_parameter_is_passed_in_the_package() -> None:
+def _parameters_and_calls() -> tuple[
+    list[tuple[str, str, str, int | None]], dict[str, list[ast.Call]]
+]:
+    """Defaulted parameters as (module, callee, parameter, position), and calls by callee name."""
+
     parameters: list[tuple[str, str, str, int | None]] = []
     calls: dict[str, list[ast.Call]] = {}
     for path in sorted(SOURCE_DIR.glob("*.py")):
@@ -116,7 +122,11 @@ def test_every_defaulted_parameter_is_passed_in_the_package() -> None:
                 name = _referenced_name(node.func)
                 if name is not None:
                     calls.setdefault(name, []).append(node)
+    return parameters, calls
 
+
+def test_every_defaulted_parameter_is_passed_in_the_package() -> None:
+    parameters, calls = _parameters_and_calls()
     unused = sorted(
         f"{module}:{callee}({parameter})"
         for module, callee, parameter, position in parameters
@@ -126,4 +136,18 @@ def test_every_defaulted_parameter_is_passed_in_the_package() -> None:
     assert not unused, (
         "parameters whose default every call in src/forge relies on; "
         f"drop the parameter or list it as a test seam: {unused}"
+    )
+
+
+def test_no_default_is_overridden_by_every_call_in_the_package() -> None:
+    parameters, calls = _parameters_and_calls()
+    always_passed = sorted(
+        f"{module}:{callee}({parameter})"
+        for module, callee, parameter, position in parameters
+        if calls.get(callee)
+        and all(_passes(call, parameter, position) for call in calls[callee])
+    )
+    assert not always_passed, (
+        "parameters whose default no call in src/forge uses; "
+        f"make them required and pass the value in the tests: {always_passed}"
     )

@@ -136,7 +136,7 @@ def build_workspace(base: Path, tree: dict) -> Path:
 def test_scan_matches_reference_walk(tree: dict) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         root = build_workspace(Path(tmp), tree)
-        assert outcome(scan_workspace, root) == outcome(oracle_scan, root)
+        assert outcome(scan_with(None), root) == outcome(oracle_scan, root)
 
 
 def test_reference_walk_sees_every_rule(tmp_path) -> None:
@@ -169,7 +169,7 @@ def test_reference_walk_sees_every_rule(tmp_path) -> None:
         "f": {"package.xml": ("link", "loop")},
     }
     root = build_workspace(tmp_path, {"src": tree})
-    workspace = scan_workspace(root, ENV)
+    workspace = scan_workspace(root, ENV, None, True)
     assert workspace == oracle_scan(root, ENV)
     assert [(p.name, str(p.source_dir)) for p in workspace.packages] == [
         ("alpha", "src/a"),
@@ -194,7 +194,7 @@ def test_scan_survives_a_tree_deeper_than_the_recursion_limit(tmp_path) -> None:
     (tmp_path / "top").mkdir()
     (tmp_path / "top" / "package.xml").write_text(manifest_xml("top"), encoding="utf-8")
     try:
-        workspace = scan_workspace(tmp_path, ENV)
+        workspace = scan_workspace(tmp_path, ENV, None, True)
         assert [(p.name, p.source_dir) for p in workspace.packages] == [
             ("deep", PurePosixPath("/".join(["d"] * depth))),
             ("top", PurePosixPath("top")),
@@ -213,8 +213,8 @@ def memo_files(cache: Path) -> list[Path]:
     return sorted(cache.glob("manifests-*.json"))
 
 
-def scan_with(cache: Path):
-    return lambda root, env: scan_workspace(root, env, cache)
+def scan_with(cache: Path | None):
+    return lambda root, env: scan_workspace(root, env, cache, True)
 
 
 @settings(max_examples=100, deadline=None)
@@ -223,7 +223,7 @@ def test_cold_and_warm_memo_scan_like_no_memo(tree: dict) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         root = build_workspace(Path(tmp), tree)
         cache = Path(tmp) / "cache"
-        expected = outcome(scan_workspace, root)
+        expected = outcome(scan_with(None), root)
         assert outcome(scan_with(cache), root) == expected
         if expected[0] == "ok":
             with mock.patch("forge.manifest._parse_xml", side_effect=AssertionError("parsed")):
@@ -247,7 +247,7 @@ def _warm(tmp_path: Path) -> tuple[Path, Path, bytes]:
     root = tmp_path / "ws"
     _memo_workspace(root)
     cache = tmp_path / "cache"
-    scan_workspace(root, ENV, cache)
+    scan_workspace(root, ENV, cache, True)
     (path,) = memo_files(cache)
     return root, cache, path.read_bytes()
 
@@ -261,9 +261,9 @@ def test_warm_memo_skips_the_parse_and_the_write(tmp_path) -> None:
     ]
     (path,) = memo_files(cache)
     inode = path.stat().st_ino
-    expected = scan_workspace(root, ENV)
+    expected = scan_workspace(root, ENV, None, True)
     with mock.patch("forge.manifest._parse_xml", side_effect=AssertionError("parsed")):
-        assert scan_workspace(root, ENV, cache) == expected
+        assert scan_workspace(root, ENV, cache, True) == expected
     # A scan without a miss leaves the file alone; a write would replace it.
     assert path.stat().st_ino == inode
 
@@ -305,7 +305,7 @@ def test_damaged_memo_is_a_rewritten_miss(tmp_path, damage) -> None:
     (path,) = memo_files(cache)
     damaged = damage(json.loads(good))
     path.write_text(damaged if isinstance(damaged, str) else json.dumps(damaged), "utf-8")
-    assert scan_workspace(root, ENV, cache) == scan_workspace(root, ENV)
+    assert scan_workspace(root, ENV, cache, True) == scan_workspace(root, ENV, None, True)
     assert path.read_bytes() == good
 
 
@@ -314,7 +314,7 @@ def test_unreadable_memo_is_a_miss(tmp_path) -> None:
     (path,) = memo_files(cache)
     path.unlink()
     path.mkdir()
-    assert scan_workspace(root, ENV, cache) == scan_workspace(root, ENV)
+    assert scan_workspace(root, ENV, cache, True) == scan_workspace(root, ENV, None, True)
     assert path.is_dir()
 
 
@@ -323,11 +323,12 @@ def test_edited_manifest_is_parsed_again_and_replaces_its_record(tmp_path) -> No
     (root / "src" / "beta" / "package.xml").write_text(
         manifest_xml("beta", "<exec_depend>python3</exec_depend>"), encoding="utf-8"
     )
-    workspace = scan_workspace(root, ENV, cache)
+    workspace = scan_workspace(root, ENV, cache, True)
     assert workspace.packages[1].deps_exec == frozenset({"python3"})
     (path,) = memo_files(cache)
     assert len(json.loads(path.read_bytes())) == 2
-    assert scan_workspace(root, ENV, cache) == workspace == scan_workspace(root, ENV)
+    uncached = scan_workspace(root, ENV, None, True)
+    assert scan_workspace(root, ENV, cache, True) == workspace == uncached
 
 
 @pytest.mark.parametrize(
@@ -348,7 +349,7 @@ def test_bad_manifest_raises_the_same_error_and_is_never_stored(
     root, cache, good = _warm(tmp_path)
     (root / "src" / "bad").mkdir()
     (root / "src" / "bad" / "package.xml").write_bytes(content)
-    expected = outcome(scan_workspace, root)
+    expected = outcome(scan_with(None), root)
     assert expected[1] is error and message in expected[2]
     for _ in range(2):
         assert outcome(scan_with(cache), root) == expected
@@ -365,8 +366,8 @@ def test_condition_env_selects_its_own_memo(tmp_path) -> None:
     cache = tmp_path / "cache"
     iron = {**ENV, "ROS_DISTRO": "iron"}
     for _ in range(2):
-        assert scan_workspace(root, ENV, cache).packages[0].deps_exec == {"humble_only"}
-        assert scan_workspace(root, iron, cache).packages[0].deps_exec == frozenset()
+        assert scan_workspace(root, ENV, cache, True).packages[0].deps_exec == {"humble_only"}
+        assert scan_workspace(root, iron, cache, True).packages[0].deps_exec == frozenset()
     assert len(memo_files(cache)) == 2
 
 
@@ -374,7 +375,8 @@ def test_memo_is_not_written_without_write_cache(tmp_path) -> None:
     root = tmp_path / "ws"
     _memo_workspace(root)
     cache = tmp_path / "cache"
-    assert scan_workspace(root, ENV, cache, write_cache=False) == scan_workspace(root, ENV)
+    uncached = scan_workspace(root, ENV, None, True)
+    assert scan_workspace(root, ENV, cache, write_cache=False) == uncached
     assert not cache.exists()
 
 
@@ -408,7 +410,7 @@ def test_scan_errors_name_the_manifest(tmp_path, text: str, error: type, detail:
     (tmp_path / "src" / "bad").mkdir(parents=True)
     (tmp_path / "src" / "bad" / "package.xml").write_text(text, encoding="utf-8")
     with pytest.raises(error) as info:
-        scan_workspace(tmp_path, ENV)
+        scan_workspace(tmp_path, ENV, None, True)
     assert type(info.value) is error
     assert str(info.value).startswith("src/bad/package.xml: ")
     assert detail in str(info.value)
@@ -417,7 +419,7 @@ def test_scan_errors_name_the_manifest(tmp_path, text: str, error: type, detail:
 def test_root_manifest_error_names_package_xml(tmp_path) -> None:
     (tmp_path / "package.xml").write_text("<package>", encoding="utf-8")
     with pytest.raises(MalformedManifest, match=r"^package.xml: not well formed XML"):
-        scan_workspace(tmp_path, ENV)
+        scan_workspace(tmp_path, ENV, None, True)
 
 
 def test_malformed_condition_raises_on_every_scan(tmp_path) -> None:
@@ -427,7 +429,7 @@ def test_malformed_condition_raises_on_every_scan(tmp_path) -> None:
     )
     for _ in range(2):
         with pytest.raises(MalformedManifest, match="truncated condition"):
-            scan_workspace(tmp_path, ENV)
+            scan_workspace(tmp_path, ENV, None, True)
 
 
 def test_cli_names_the_bad_manifest(tmp_path, capsys) -> None:
@@ -462,7 +464,7 @@ def test_unlistable_directory_is_a_user_error(tmp_path, monkeypatch, capsys) -> 
 
     monkeypatch.setattr(os, "scandir", scandir)
     with pytest.raises(UnreadableWorkspace, match=f"cannot read {locked}: Permission denied"):
-        scan_workspace(tmp_path, ENV)
+        scan_workspace(tmp_path, ENV, None, True)
     assert main(["analyze", str(tmp_path)]) == 2
     assert f"UnreadableWorkspace: cannot read {locked}" in capsys.readouterr().err
 
@@ -479,6 +481,6 @@ def test_unreadable_manifest_is_a_user_error(tmp_path, monkeypatch, capsys) -> N
     # textio.read_utf8 reads every manifest through the builtin open.
     monkeypatch.setattr(textio, "open", fake_open, raising=False)
     with pytest.raises(UnreadableWorkspace, match=f"cannot read {locked}: Permission denied"):
-        scan_workspace(tmp_path, ENV)
+        scan_workspace(tmp_path, ENV, None, True)
     assert main(["analyze", str(tmp_path)]) == 2
     assert f"UnreadableWorkspace: cannot read {locked}" in capsys.readouterr().err
