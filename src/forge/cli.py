@@ -452,12 +452,9 @@ def cmd_generate_ci(args: argparse.Namespace, driver: EngineDriver | None) -> in
     return 0
 
 
-def _print_dry_run(
-    commands: list[EngineCommand], binary: str, secrets: tuple[str, ...] = ()
-) -> None:
-    _bind("sources")
+def _print_dry_run(commands: list[EngineCommand], binary: str) -> None:
     for command in commands:
-        print(redact(f"[dry-run] {binary} {shlex.join(command.argv)}", secrets))
+        print(f"[dry-run] {binary} {shlex.join(command)}")
 
 
 def _make_driver(args: argparse.Namespace, driver: EngineDriver | None) -> EngineDriver:
@@ -474,20 +471,12 @@ def cmd_build(args: argparse.Namespace, driver: EngineDriver | None) -> int:
     dockerfile = Path(args.dockerfile_out or root / GENERATED_DIR / "Dockerfile")
     _write_file(dockerfile, text)
 
-    build_args: list[tuple[str, str]] = []
-    secrets: tuple[str, ...] = ()
-    if analysis.repos:
-        needed = required_credential_vars(analysis.repos)
-        missing = [name for name in needed if name not in os.environ]
-        if missing:
-            raise MissingCredential(
-                "credential variables not set: " + ", ".join(missing)
-            )
-        credential_env = {name: os.environ[name] for name in needed}
-        for line in clone_plan(analysis.repos, credential_env, f"{args.workspace_dir}/src"):
-            print(line)
-        build_args = [(name, credential_env[name]) for name in needed]
-        secrets = tuple(credential_env.values())
+    needed = required_credential_vars(analysis.repos)
+    missing = [name for name in needed if name not in os.environ]
+    if missing:
+        raise MissingCredential("credential variables not set: " + ", ".join(missing))
+    for line in clone_plan(analysis.repos, f"{args.workspace_dir}/src"):
+        print(line)
 
     tags = tuple(args.tag or (f"{cfg.registry}/{root.resolve().name}:{args.target}",))
     request = BuildRequest(
@@ -496,24 +485,22 @@ def cmd_build(args: argparse.Namespace, driver: EngineDriver | None) -> int:
         target=args.target,
         tags=tags,
         platforms=tuple(args.platform or ("amd64",)),
-        build_args=tuple(build_args),
+        # By name only: the engine reads each value from its environment.
+        build_args=tuple((name, None) for name in needed),
         push=bool(args.push),
     )
     command = build_argv(request)
 
     if args.dry_run:
-        _print_dry_run([command], args.engine, secrets)
+        _print_dry_run([command], args.engine)
         return 0
     try:
         execute(command, _make_driver(args, driver))
     except NonZeroExit as exc:
-        # The argv carries credential build args and the engine may echo
-        # them; the original exception is dropped so no traceback holds them.
-        raise NonZeroExit(
-            [redact(arg, secrets) for arg in exc.argv],
-            exc.exit_code,
-            redact(exc.stderr, secrets),
-        ) from None
+        # The engine may echo a credential value (in a clone URL, say); the
+        # original exception is dropped so no traceback holds it.
+        secrets = [os.environ[name] for name in needed]
+        raise NonZeroExit(exc.argv, exc.exit_code, redact(exc.stderr, secrets)) from None
     print(f"built {', '.join(tags)}")
     return 0
 
@@ -566,26 +553,25 @@ def cmd_matrix_build(args: argparse.Namespace, driver: EngineDriver | None) -> i
         _write_file(Path(args.plan_out), text)
         print(f"wrote {args.plan_out}")
 
-    tagged: list[tuple[str, EngineCommand]] = []
+    commands: list[EngineCommand] = []
     for entry in entries:
-        tag = tag_of(entry, cfg.registry)
         request = BuildRequest(
             context=args.context,
             dockerfile_path=args.dockerfile,
             target="run",
-            tags=(tag,),
+            tags=(tag_of(entry, cfg.registry),),
             platforms=entry.architectures,
             build_args=tuple(sorted(base_dockerfile_args(entry, table).items())),
             push=bool(args.push),
         )
-        tagged.append((tag, build_argv(request)))
+        commands.append(build_argv(request))
 
     if args.dry_run:
-        _print_dry_run([command for _, command in tagged], args.engine)
+        _print_dry_run(commands, args.engine)
         return 0
     engine = _make_driver(args, driver)
-    run_builds(tagged, engine, max_workers=cfg.parallelism)
-    print(f"built {len(tagged)} images")
+    run_builds(commands, engine, max_workers=cfg.parallelism)
+    print(f"built {len(commands)} images")
     return 0
 
 
@@ -623,14 +609,15 @@ def cmd_run(args: argparse.Namespace, driver: EngineDriver | None) -> int:
         plugins = load_plugins(Path(args.plugin_dir))
         invocation = apply_plugins(invocation, plugins)
 
-    name = invocation.name or ""
+    absent = ContainerState(exists=False, running=False)
     if args.dry_run:
-        state = ContainerState(name=name, exists=False, running=False)
-        _print_dry_run(list(attach_or_run(name, invocation, state)), args.engine)
+        _print_dry_run(list(attach_or_run(invocation, absent)), args.engine)
         return 0
 
     engine = _make_driver(args, driver)
-    commands = attach_or_run(name, invocation, inspect_container(name, engine))
+    # An unnamed invocation is rejected by attach_or_run without asking the engine.
+    state = inspect_container(invocation.name, engine) if invocation.name else absent
+    commands = attach_or_run(invocation, state)
 
     # All but the last command are housekeeping (container removal); the
     # final run/exec inherits this terminal.
@@ -639,7 +626,7 @@ def cmd_run(args: argparse.Namespace, driver: EngineDriver | None) -> int:
     final = commands[-1]
     import subprocess
 
-    completed = subprocess.run([args.engine, *final.argv], check=False)
+    completed = subprocess.run([args.engine, *final], check=False)
     return completed.returncode
 
 
@@ -647,7 +634,7 @@ def cmd_bench_startup(args: argparse.Namespace, driver: EngineDriver | None) -> 
     _bind("engine")
     if args.runs < 1:
         raise InvalidArgs(f"--runs must be at least 1, got {args.runs}")
-    command = EngineCommand(verb="run", argv=("run", "--rm", args.image, "true"))
+    command = ("run", "--rm", args.image, "true")
     if args.dry_run:
         _print_dry_run([command], args.engine)
         return 0

@@ -136,13 +136,16 @@ def synthesize_invocation(
     Feature rules: X11 forwarding iff a display exists and was not
     suppressed; GPU access iff GPUs exist and were not suppressed; user
     mapping unless suppressed; the workspace source mount iff requested
-    and a workspace was detected. ``workspace_dir`` must be absolute.
+    and a workspace was detected. ``workspace_dir`` must be absolute and not
+    the root directory.
     """
 
     if not args.image:
         raise InvalidArgs("an image reference is required")
-    if not workspace_dir.startswith("/"):
-        raise InvalidArgs(f"--workspace-dir must be an absolute path, got {workspace_dir!r}")
+    if not workspace_dir.startswith("/") or not workspace_dir.strip("/"):
+        raise InvalidArgs(
+            f"--workspace-dir must be an absolute path below /, got {workspace_dir!r}"
+        )
     name = args.name or default_container_name(args.image, host.cwd)
     if not _NAME_OK_RE.match(name):
         raise InvalidArgs(f"invalid container name {name!r}")
@@ -231,17 +234,18 @@ def apply_plugins(
 
 
 def attach_or_run(
-    name: str, invocation: RunInvocation, state: ContainerState
+    invocation: RunInvocation, state: ContainerState
 ) -> tuple[EngineCommand, ...]:
-    """Commands realizing the attach decision.
+    """Commands realizing the attach decision for the invocation's container.
 
     Running container: exec an interactive shell under the same user
     mapping. Stopped container of the same name: remove, then run. No
-    container: run.
+    container: run. The invocation must name its container.
     """
 
-    if invocation.name != name or state.name != name:
-        raise InvalidArgs("container name mismatch between invocation and state")
+    name = invocation.name
+    if not name:
+        raise InvalidArgs("the run invocation names no container")
     if state.running:
         return (
             exec_argv(

@@ -176,8 +176,8 @@ def _check_spec(spec: ImageSpec, context_root: Path) -> None:
             raise InvalidSpec(f"unsupported platform {platform!r}")
     if spec.target == "run" and not spec.launch_command:
         raise InvalidSpec("target=run requires a launch command")
-    if not spec.workspace_dir.startswith("/"):
-        raise InvalidSpec("workspace_dir must be an absolute path")
+    if not spec.workspace_dir.startswith("/") or not spec.workspace_dir.strip("/"):
+        raise InvalidSpec("workspace_dir must be an absolute path below /")
     for extra in (*spec.extra_apt, *spec.extra_pip):
         if not extra or any(c.isspace() for c in extra):
             raise InvalidSpec(f"invalid extra package name {extra!r}")

@@ -1,16 +1,19 @@
 """Container engine command synthesis and execution.
 
-Argv construction is pure and fully covered by unit tests; process
-execution sits behind a small driver seam so tests (and ``--dry-run``)
-can record commands instead of spawning anything. The engine binary is
-``docker`` by default but any CLI-compatible engine (podman) works.
+An engine command is just its argv without the engine binary, a tuple
+whose head is a literal written here. Argv construction is pure and fully
+covered by unit tests; process execution sits behind a small driver seam
+so tests (and ``--dry-run``) can record commands instead of spawning
+anything. Credentials are build args passed by name only (``--build-arg
+NAME``), so their values stay in the engine's environment and never
+enter an argv. The engine binary is ``docker`` by default but any
+CLI-compatible engine (podman) works.
 """
 
 from __future__ import annotations
 
 import json
 import shutil
-import threading
 from typing import NamedTuple, Protocol, Sequence
 
 from .errors import (
@@ -20,35 +23,8 @@ from .errors import (
     NonZeroExit,
 )
 
-# Engine verb to acceptable argv[0] values; multi-platform builds go
-# through the buildx subcommand.
-_VERB_HEADS = {
-    "build": ("build", "buildx"),
-    "run": ("run",),
-    "exec": ("exec",),
-    "inspect": ("inspect",),
-    "rm": ("rm",),
-}
-
-
-class _EngineCommandFields(NamedTuple):
-    verb: str
-    argv: tuple[str, ...]
-
-
-class EngineCommand(_EngineCommandFields):
-    """One engine CLI invocation, without the engine binary itself."""
-
-    __slots__ = ()
-
-    def __new__(cls, verb: str, argv: tuple[str, ...]) -> EngineCommand:
-        if verb not in _VERB_HEADS:
-            raise InvalidRequest(f"unknown engine verb {verb!r}")
-        if not argv or argv[0] not in _VERB_HEADS[verb]:
-            raise InvalidRequest(
-                f"argv for {verb!r} must start with " + " or ".join(_VERB_HEADS[verb])
-            )
-        return super().__new__(cls, verb, argv)
+# One engine CLI invocation: its argv without the engine binary itself.
+EngineCommand = tuple[str, ...]
 
 
 class EngineResult(NamedTuple):
@@ -58,7 +34,6 @@ class EngineResult(NamedTuple):
 
 
 class ContainerState(NamedTuple):
-    name: str
     exists: bool
     running: bool
 
@@ -95,7 +70,7 @@ class BuildRequest(NamedTuple):
     target: str
     tags: tuple[str, ...]
     platforms: tuple[str, ...] = ("amd64",)
-    build_args: tuple[tuple[str, str], ...] = ()
+    build_args: tuple[tuple[str, str | None], ...] = ()
     push: bool = False
 
 
@@ -107,8 +82,10 @@ def build_argv(request: BuildRequest) -> EngineCommand:
     """Engine argv for one image build.
 
     Sections are ordered: file, target, platforms, build args (sorted by
-    name), tags, context. Multi-platform requests (and pushes) use the
-    multi-platform builder form.
+    name), tags, context. A build arg whose value is None is passed by
+    name alone, so the engine reads the value from its own environment.
+    Multi-platform requests (and pushes) use the multi-platform builder
+    form.
     """
 
     if not request.tags:
@@ -121,13 +98,13 @@ def build_argv(request: BuildRequest) -> EngineCommand:
     argv += ["--file", request.dockerfile_path, "--target", request.target]
     argv += ["--platform", ",".join(_platform_ref(p) for p in request.platforms)]
     for name, value in sorted(request.build_args):
-        argv += ["--build-arg", f"{name}={value}"]
+        argv += ["--build-arg", name if value is None else f"{name}={value}"]
     for tag in request.tags:
         argv += ["--tag", tag]
     if request.push:
         argv.append("--push")
     argv.append(request.context)
-    return EngineCommand(verb="build", argv=tuple(argv))
+    return tuple(argv)
 
 
 def run_argv(invocation: RunInvocation) -> EngineCommand:
@@ -159,7 +136,7 @@ def run_argv(invocation: RunInvocation) -> EngineCommand:
     argv += list(invocation.passthrough)
     argv.append(invocation.image)
     argv += list(invocation.command)
-    return EngineCommand(verb="run", argv=tuple(argv))
+    return tuple(argv)
 
 
 def exec_argv(
@@ -175,15 +152,15 @@ def exec_argv(
         argv += ["--user", f"{user_map[0]}:{user_map[1]}"]
     argv.append(name)
     argv += list(command)
-    return EngineCommand(verb="exec", argv=tuple(argv))
+    return tuple(argv)
 
 
 def rm_argv(name: str) -> EngineCommand:
-    return EngineCommand(verb="rm", argv=("rm", "-f", name))
+    return ("rm", "-f", name)
 
 
 def inspect_argv(name: str) -> EngineCommand:
-    return EngineCommand(verb="inspect", argv=("inspect", "--type", "container", name))
+    return ("inspect", "--type", "container", name)
 
 
 class EngineDriver(Protocol):
@@ -206,7 +183,7 @@ class SubprocessDriver:
         import subprocess
 
         completed = subprocess.run(
-            [self.binary, *command.argv],
+            [self.binary, *command],
             capture_output=True,
             text=True,
             check=False,
@@ -223,7 +200,7 @@ def execute(command: EngineCommand, driver: EngineDriver) -> EngineResult:
 
     result = driver.execute(command)
     if result.exit_code != 0:
-        raise NonZeroExit(list(command.argv), result.exit_code, result.stderr)
+        raise NonZeroExit(list(command), result.exit_code, result.stderr)
     return result
 
 
@@ -232,39 +209,30 @@ def inspect_container(name: str, driver: EngineDriver) -> ContainerState:
 
     result = driver.execute(inspect_argv(name))
     if result.exit_code != 0:
-        return ContainerState(name=name, exists=False, running=False)
+        return ContainerState(exists=False, running=False)
     try:
         doc = json.loads(result.stdout)
     except json.JSONDecodeError as exc:
         raise MalformedEngineOutput(f"inspect output is not JSON: {exc}") from exc
     if not isinstance(doc, list) or not doc:
-        return ContainerState(name=name, exists=False, running=False)
+        return ContainerState(exists=False, running=False)
     try:
         running = bool(doc[0]["State"]["Running"])
     except (KeyError, TypeError, IndexError) as exc:
         raise MalformedEngineOutput("inspect output lacks State.Running") from exc
-    return ContainerState(name=name, exists=True, running=running)
+    return ContainerState(exists=True, running=running)
 
 
 def run_builds(
-    tagged_commands: Sequence[tuple[str, EngineCommand]],
+    commands: Sequence[EngineCommand],
     driver: EngineDriver,
     max_workers: int,
 ) -> list[EngineResult]:
-    """Execute builds with bounded parallelism, serialized per image tag."""
+    """Execute builds with bounded parallelism; each builds its own tag."""
 
-    locks: dict[str, threading.Lock] = {}
-    for tag, _ in tagged_commands:
-        locks.setdefault(tag, threading.Lock())
-
-    def worker(item: tuple[str, EngineCommand]) -> EngineResult:
-        tag, command = item
-        with locks[tag]:
-            return execute(command, driver)
-
-    if max_workers <= 1 or len(tagged_commands) <= 1:
-        return [worker(item) for item in tagged_commands]
+    if max_workers <= 1 or len(commands) <= 1:
+        return [execute(command, driver) for command in commands]
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(worker, tagged_commands))
+        return list(pool.map(lambda command: execute(command, driver), commands))

@@ -2,20 +2,22 @@
 
 Repository lists follow the vcstool file convention: a ``repositories``
 mapping of local names to ``{type, url, version}`` entries. Only git is
-supported. URLs may embed credential placeholders (``${VAR}``) which are
-substituted from an environment mapping; the clone plan printed to logs
-shows each credential value as ``***``.
+supported. URLs may embed credential placeholders (``${VAR}``). No
+credential value enters a string forge builds: the clone plan shows each
+placeholder as ``***``, and the engine takes each value from its own
+environment, passed by name. Only the engine's own error output can echo
+a value, so :func:`redact` serves that one text.
 """
 
 from __future__ import annotations
 
 import re
 from pathlib import PurePosixPath
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import yaml
 
-from .errors import MalformedReposFile, MissingCredential, UnsupportedVcsType
+from .errors import MalformedReposFile, UnsupportedVcsType
 from .textio import safe_load
 
 _SEGMENT_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
@@ -93,31 +95,13 @@ def combine_repos(lists: Iterable[ReposList]) -> ReposList:
     return tuple(sorted(merged.values(), key=lambda r: r.local_name))
 
 
-def credential_vars(url: str) -> set[str]:
-    """Names of ``${VAR}`` placeholders in a URL."""
-
-    return set(_PLACEHOLDER_RE.findall(url))
-
-
 def required_credential_vars(repos: Sequence[RepoSpec]) -> list[str]:
-    """Sorted credential variable names referenced by any repository."""
+    """Sorted names of the ``${VAR}`` placeholders in any repository URL."""
 
     names: set[str] = set()
     for repo in repos:
-        names.update(credential_vars(repo.url))
+        names.update(_PLACEHOLDER_RE.findall(repo.url))
     return sorted(names)
-
-
-def substitute_url(url: str, credential_env: Mapping[str, str]) -> str:
-    """Replace every placeholder from ``credential_env``; missing is an error."""
-
-    def replace(match: re.Match[str]) -> str:
-        var = match.group(1)
-        if var not in credential_env:
-            raise MissingCredential(f"credential variable {var!r} is not set")
-        return credential_env[var]
-
-    return _PLACEHOLDER_RE.sub(replace, url)
 
 
 def redact(text: str, secrets: Iterable[str]) -> str:
@@ -133,28 +117,17 @@ def redact(text: str, secrets: Iterable[str]) -> str:
     return text
 
 
-def redact_url(url: str, credential_env: Mapping[str, str]) -> str:
-    """Substituted URL with every credential value replaced by ``***``."""
-
-    return redact(substitute_url(url, credential_env), credential_env.values())
-
-
-def clone_plan(
-    repos: Sequence[RepoSpec],
-    credential_env: Mapping[str, str],
-    dest_root: str,
-) -> list[str]:
+def clone_plan(repos: Sequence[RepoSpec], dest_root: str) -> list[str]:
     """One log line per clone of ``repos`` under ``dest_root``, safe to print.
 
-    Each URL has its credentials substituted and then redacted, so a
-    missing credential raises MissingCredential. Order follows the
-    repository list.
+    Each ``${VAR}`` placeholder is shown as ``***``; no credential value
+    is read. Order follows the repository list.
     """
 
     lines = []
     root = PurePosixPath(dest_root)
     for repo in repos:
-        shown = redact_url(repo.url, credential_env)
+        shown = _PLACEHOLDER_RE.sub("***", repo.url)
         version = repo.version or "(default branch)"
         lines.append(f"clone {shown} @ {version} -> {root / repo.local_name}")
     return lines

@@ -11,18 +11,17 @@ from forge.engine import EngineCommand, EngineResult
 class RecordingDriver:
     """Records commands and replays scripted results; default is success.
 
-    ``scripted`` maps an argv prefix (as a tuple) or a verb to the result
-    returned for matching commands; the most specific match wins.
+    ``scripted`` maps an argv prefix (a tuple such as ``("build",)``) to the
+    result returned for matching commands; the longest matching prefix wins.
     """
 
     commands: list[EngineCommand] = field(default_factory=list)
-    scripted: dict[object, EngineResult] = field(default_factory=dict)
+    scripted: dict[EngineCommand, EngineResult] = field(default_factory=dict)
     default: EngineResult = EngineResult(0, "", "")
 
     def execute(self, command: EngineCommand) -> EngineResult:
         self.commands.append(command)
-        for length in range(len(command.argv), 0, -1):
-            key = tuple(command.argv[:length])
-            if key in self.scripted:
-                return self.scripted[key]
-        return self.scripted.get(command.verb, self.default)
+        for length in range(len(command), 0, -1):
+            if command[:length] in self.scripted:
+                return self.scripted[command[:length]]
+        return self.default

@@ -417,7 +417,7 @@ def test_c6_runner_flag_soundness() -> str:
         host = _random_host(rng)
         args = _random_args(rng)
         invocation = synthesize_invocation(host, args, "/ws")
-        argv = run_argv(invocation).argv
+        argv = run_argv(invocation)
 
         x11_expected = host.display is not None and not args.no_x11
         x11_env = any(
@@ -478,17 +478,15 @@ def test_c7_attach_decision_table() -> str:
     problems = []
     shapes: dict[tuple[bool, bool], tuple[str, ...]] = {}
     for combo, result in scripted.items():
-        driver = RecordingDriver(scripted={"inspect": result})
+        driver = RecordingDriver(scripted={("inspect",): result})
         state = inspect_container("devbox", driver)
         if (state.exists, state.running) != combo:
             problems.append(f"inspect mapped {combo} to {state}")
             continue
-        shapes[combo] = tuple(c.verb for c in attach_or_run("devbox", invocation, state))
+        shapes[combo] = tuple(c[0] for c in attach_or_run(invocation, state))
 
-    phantom = ContainerState(name="devbox", exists=False, running=True)
-    shapes[(False, True)] = tuple(
-        c.verb for c in attach_or_run("devbox", invocation, phantom)
-    )
+    phantom = ContainerState(exists=False, running=True)
+    shapes[(False, True)] = tuple(c[0] for c in attach_or_run(invocation, phantom))
 
     expected = {
         (False, False): ("run",),
@@ -499,11 +497,11 @@ def test_c7_attach_decision_table() -> str:
     if shapes != expected:
         problems.append(f"decision shapes {shapes} != {expected}")
 
-    state = ContainerState(name="devbox", exists=True, running=False)
-    composite = attach_or_run("devbox", invocation, state)
-    if composite[0].argv != ("rm", "-f", "devbox"):
+    state = ContainerState(exists=True, running=False)
+    composite = attach_or_run(invocation, state)
+    if composite[0] != ("rm", "-f", "devbox"):
         problems.append("remove half of the composite is not a forced rm")
-    if composite[1].argv[0] != "run" or "dev:latest" not in composite[1].argv:
+    if composite[1][0] != "run" or "dev:latest" not in composite[1]:
         problems.append("run half of the composite does not run the image")
 
     if problems:

@@ -188,7 +188,7 @@ def test_feature_biconditionals(host: HostEnvironment, args: UserArgs) -> None:
     assert x11_on == (host.display is not None and not args.no_x11)
     assert invocation.gpu_all == (host.gpu_count > 0 and not args.no_gpu)
     assert (invocation.user_map is not None) == (not args.no_user_map)
-    argv = run_argv(invocation).argv
+    argv = run_argv(invocation)
     assert ("--gpus" in argv) == invocation.gpu_all
     image_at = argv.index("img")
     assert argv[image_at - len(args.passthrough) : image_at] == args.passthrough
@@ -268,38 +268,37 @@ def _named_invocation(name: str = "box") -> RunInvocation:
 
 def test_attach_running_execs() -> None:
     invocation = _named_invocation()
-    (command,) = attach_or_run("box", invocation, ContainerState("box", True, True))
-    assert command.verb == "exec"
-    assert command.argv[0] == "exec"
-    assert command.argv[-2:] == ("box", "bash")
-    assert "--user" in command.argv
+    (command,) = attach_or_run(invocation, ContainerState(True, True))
+    assert command[0] == "exec"
+    assert command[-2:] == ("box", "bash")
+    assert "--user" in command
 
 
 def test_attach_stopped_removes_then_runs() -> None:
     invocation = _named_invocation()
-    commands = attach_or_run("box", invocation, ContainerState("box", True, False))
-    assert [c.verb for c in commands] == ["rm", "run"]
-    assert commands[0].argv == ("rm", "-f", "box")
-    assert commands[1].argv[-1] == "img"
+    commands = attach_or_run(invocation, ContainerState(True, False))
+    assert [c[0] for c in commands] == ["rm", "run"]
+    assert commands[0] == ("rm", "-f", "box")
+    assert commands[1][-1] == "img"
 
 
 def test_attach_absent_runs() -> None:
     invocation = _named_invocation()
-    (command,) = attach_or_run("box", invocation, ContainerState("box", False, False))
-    assert command.verb == "run"
+    (command,) = attach_or_run(invocation, ContainerState(False, False))
+    assert command[0] == "run"
 
 
 def test_attach_phantom_running_still_execs() -> None:
     # exists=False, running=True cannot really happen; running wins.
     invocation = _named_invocation()
-    (command,) = attach_or_run("box", invocation, ContainerState("box", False, True))
-    assert command.verb == "exec"
+    (command,) = attach_or_run(invocation, ContainerState(False, True))
+    assert command[0] == "exec"
 
 
-def test_attach_name_mismatch() -> None:
-    invocation = _named_invocation("box")
+def test_attach_requires_a_container_name() -> None:
+    invocation = _named_invocation()._replace(name=None)
     with pytest.raises(InvalidArgs):
-        attach_or_run("other", invocation, ContainerState("other", False, False))
+        attach_or_run(invocation, ContainerState(False, False))
 
 
 # --- external plugins ------------------------------------------------------

@@ -66,11 +66,12 @@ def test_every_top_level_name_has_a_caller_in_the_package() -> None:
 TEST_SEAMS = {("main", "argv"), ("main", "driver"), ("load_base_image_table", "text")}
 
 
-def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]:
-    """(callee name, parameter, position or None if keyword-only) per defaulted parameter.
+def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, str, int | None]]:
+    """(call form, callee name, parameter, position or None if keyword-only) per defaulted parameter.
 
-    A method is called by its own name, and ``__init__`` by its class name;
-    neither counts ``self`` or ``cls`` as a position.
+    A method is called as an attribute by its own name, and ``__init__`` by
+    its class name; neither counts ``self`` or ``cls`` as a position. Every
+    other function is called by bare name.
     """
 
     owner: dict[ast.AST, ast.ClassDef] = {}
@@ -82,21 +83,33 @@ def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        callee = node.name
+        form, callee = "name", node.name
         positional = [*node.args.posonlyargs, *node.args.args]
         if node in owner:
             if callee == "__init__":
                 callee = owner[node].name
+            else:
+                form = "attribute"
             decorators = {d.id for d in node.decorator_list if isinstance(d, ast.Name)}
             if "staticmethod" not in decorators:
                 positional = positional[1:]
         defaulted = positional[len(positional) - len(node.args.defaults):]
         for arg in defaulted:
-            found.append((callee, arg.arg, positional.index(arg)))
+            found.append((form, callee, arg.arg, positional.index(arg)))
         for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
             if default is not None:
-                found.append((callee, arg.arg, None))
+                found.append((form, callee, arg.arg, None))
     return found
+
+
+def _call_key(func: ast.expr) -> tuple[str, str] | None:
+    """(call form, callee name) of a call's function expression."""
+
+    if isinstance(func, ast.Name):
+        return ("name", func.id)
+    if isinstance(func, ast.Attribute):
+        return ("attribute", func.attr)
+    return None
 
 
 def _passes(call: ast.Call, parameter: str, position: int | None) -> bool:
@@ -107,32 +120,53 @@ def _passes(call: ast.Call, parameter: str, position: int | None) -> bool:
     return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
 
 
-def _parameters_and_calls() -> tuple[
-    list[tuple[str, str, str, int | None]], dict[str, list[ast.Call]]
-]:
-    """Defaulted parameters as (module, callee, parameter, position), and calls by callee name."""
+def _parameters_and_calls(
+    modules: list[tuple[str, ast.Module]],
+) -> tuple[list[tuple[str, str, str, str, int | None]], dict[tuple[str, str], list[ast.Call]]]:
+    """Defaulted parameters as (module, call form, callee, parameter, position),
+    and calls by (call form, callee name)."""
 
-    parameters: list[tuple[str, str, str, int | None]] = []
-    calls: dict[str, list[ast.Call]] = {}
-    for path in sorted(SOURCE_DIR.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        parameters += [(path.name, *entry) for entry in _defaulted_parameters(tree)]
+    parameters: list[tuple[str, str, str, str, int | None]] = []
+    calls: dict[tuple[str, str], list[ast.Call]] = {}
+    for module, tree in modules:
+        parameters += [(module, *entry) for entry in _defaulted_parameters(tree)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                name = _referenced_name(node.func)
-                if name is not None:
-                    calls.setdefault(name, []).append(node)
+                key = _call_key(node.func)
+                if key is not None:
+                    calls.setdefault(key, []).append(node)
     return parameters, calls
 
 
-def test_every_defaulted_parameter_is_passed_in_the_package() -> None:
-    parameters, calls = _parameters_and_calls()
-    unused = sorted(
+def _defaults_no_call_passes(modules: list[tuple[str, ast.Module]]) -> list[str]:
+    parameters, calls = _parameters_and_calls(modules)
+    return sorted(
         f"{module}:{callee}({parameter})"
-        for module, callee, parameter, position in parameters
+        for module, form, callee, parameter, position in parameters
         if (callee, parameter) not in TEST_SEAMS
-        and not any(_passes(call, parameter, position) for call in calls.get(callee, []))
+        and not any(_passes(call, parameter, position) for call in calls.get((form, callee), []))
     )
+
+
+def _defaults_every_call_passes(modules: list[tuple[str, ast.Module]]) -> list[str]:
+    parameters, calls = _parameters_and_calls(modules)
+    return sorted(
+        f"{module}:{callee}({parameter})"
+        for module, form, callee, parameter, position in parameters
+        if calls.get((form, callee))
+        and all(_passes(call, parameter, position) for call in calls[(form, callee)])
+    )
+
+
+def _package_modules() -> list[tuple[str, ast.Module]]:
+    return [
+        (path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        for path in sorted(SOURCE_DIR.glob("*.py"))
+    ]
+
+
+def test_every_defaulted_parameter_is_passed_in_the_package() -> None:
+    unused = _defaults_no_call_passes(_package_modules())
     assert not unused, (
         "parameters whose default every call in src/forge relies on; "
         f"drop the parameter or list it as a test seam: {unused}"
@@ -140,14 +174,30 @@ def test_every_defaulted_parameter_is_passed_in_the_package() -> None:
 
 
 def test_no_default_is_overridden_by_every_call_in_the_package() -> None:
-    parameters, calls = _parameters_and_calls()
-    always_passed = sorted(
-        f"{module}:{callee}({parameter})"
-        for module, callee, parameter, position in parameters
-        if calls.get(callee)
-        and all(_passes(call, parameter, position) for call in calls[callee])
-    )
+    always_passed = _defaults_every_call_passes(_package_modules())
     assert not always_passed, (
         "parameters whose default no call in src/forge uses; "
         f"make them required and pass the value in the tests: {always_passed}"
     )
+
+
+# A method of the same name as a function must not count as a call to it,
+# nor the function's calls as calls to the method.
+_SAME_NAMED_METHOD = """
+def resolve(keys, repos=()):
+    return keys
+
+class Root:
+    def resolve(self, strict=False, follow=True):
+        return self
+
+resolve(1)
+Root().resolve(True, False)
+Root().resolve()
+"""
+
+
+def test_calls_are_matched_by_call_form() -> None:
+    modules = [("snippet.py", ast.parse(_SAME_NAMED_METHOD))]
+    assert _defaults_no_call_passes(modules) == ["snippet.py:resolve(repos)"]
+    assert _defaults_every_call_passes(modules) == []
