@@ -189,7 +189,7 @@ def _check_spec(spec: ImageSpec, context_root: Path) -> None:
 def _container_rel_dir(package: PackageManifest) -> str:
     """Package directory below the container workspace, always under src/."""
 
-    rel = str(package.source_dir)
+    rel = package.source_dir
     if rel == ".":
         return f"src/{package.name}"
     if rel == "src" or rel.startswith("src/"):
@@ -346,6 +346,8 @@ def plan_stages(
     ws = spec.workspace_dir
     packages = tuple(sorted(spec.packages, key=lambda p: p.name))
     repos = tuple(sorted(spec.source_repos, key=lambda r: r.local_name))
+    # Each package's directory in the build context and below the workspace.
+    package_dirs = [(p.source_dir, _container_rel_dir(p)) for p in packages]
 
     shared = resolved_exec if spec.slim_runtime else resolved
     shared_os = _merged_os_packages(shared, spec.extra_apt)
@@ -369,10 +371,9 @@ def plan_stages(
     # dependencies: manifests and repository lists only, then the three
     # dependency artifact files consumed by dependencies-install.
     dep_instructions: list[Instruction] = [Workdir(ws)]
-    for package in packages:
-        rel = _container_rel_dir(package)
-        src = str(package.source_dir / "package.xml")
-        dep_instructions.append(CopyContext(src=src, dst=f"{ws}/{rel}/package.xml"))
+    for source_dir, rel in package_dirs:
+        src = "package.xml" if source_dir == "." else f"{source_dir}/package.xml"
+        dep_instructions.append(CopyContext(src, f"{ws}/{rel}/package.xml"))
     for repos_file in sorted(spec.repos_files):
         dep_instructions.append(CopyContext(src=repos_file, dst=f"{ws}/{repos_file}"))
     artifact_cmd = (
@@ -429,11 +430,8 @@ def plan_stages(
     dev_instructions.append(
         RunShell(command=_apt_install(" ".join(sorted(tooling))), category="tooling")
     )
-    for package in packages:
-        rel = _container_rel_dir(package)
-        dev_instructions.append(
-            CopyContext(src=f"{package.source_dir}/", dst=f"{ws}/{rel}/", chown="1000:1000")
-        )
+    for source_dir, rel in package_dirs:
+        dev_instructions.append(CopyContext(f"{source_dir}/", f"{ws}/{rel}/", "1000:1000"))
     dev_instructions.append(
         RunShell(
             command=(

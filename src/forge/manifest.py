@@ -7,8 +7,9 @@ test). Elements outside the supported subset are ignored so that newer
 manifest additions do not break scanning.
 
 Parsed manifests can be memoized in a cache directory, keyed by the
-sha256 of their text; XML is parsed, and ``xml.etree`` imported, only for
-manifests the memo does not hold.
+sha256 of each ``package.xml`` file's bytes; the bytes are decoded and the
+XML parsed, and ``xml.etree`` imported, only for manifests the memo does
+not hold.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import functools
 import hashlib
 import os
 import re
-from pathlib import Path, PurePosixPath
+from itertools import repeat
+from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
@@ -29,14 +31,14 @@ from .errors import (
     UnreadableWorkspace,
     UnsupportedFormat,
 )
-from .textio import cache_key, read_json, read_utf8, write_json
+from .textio import cache_key, read_json, write_json
 
 PACKAGE_NAME_RE = re.compile(r"^[a-zA-Z][a-zA-Z0-9_]*$")
 VERSION_RE = re.compile(r"^\d+(\.\d+)*$")
 
 IGNORE_MARKERS = ("AMENT_IGNORE", "CATKIN_IGNORE", "COLCON_IGNORE")
 
-MANIFEST_MEMO_FORMAT = 1
+MANIFEST_MEMO_FORMAT = 2
 """Layout version of memoized manifests; part of every memo key."""
 
 # Dependency tag -> scopes it contributes to. ``depend`` expands to both
@@ -60,8 +62,8 @@ _CONDITION_TOKEN_RE = re.compile(
 class PackageManifest(NamedTuple):
     """One parsed ``package.xml``.
 
-    ``source_dir`` is the package directory relative to the workspace root,
-    ``.`` for a package at the root.
+    ``source_dir`` is the package directory relative to the workspace root
+    as a POSIX path string: ``src/pkg``, or ``.`` for a package at the root.
     """
 
     name: str
@@ -71,7 +73,7 @@ class PackageManifest(NamedTuple):
     deps_build: frozenset[str] = frozenset()
     deps_exec: frozenset[str] = frozenset()
     deps_test: frozenset[str] = frozenset()
-    source_dir: PurePosixPath = PurePosixPath(".")
+    source_dir: str = "."
 
 
 class Workspace(NamedTuple):
@@ -82,7 +84,7 @@ class Workspace(NamedTuple):
 
 
 class ManifestMemo:
-    """Parsed manifests by the sha256 of their text, for :func:`parse_manifest`.
+    """Parsed manifests by the sha256 of their file's bytes, for :func:`parse_manifest`.
 
     ``cached`` holds the records read from a memo file and is only looked
     up. ``records`` gets the record of every manifest parsed through the
@@ -179,27 +181,30 @@ def _condition_holds(expression: str, env_items: tuple[tuple[str, str], ...]) ->
 
 
 def parse_manifest(
-    xml_text: str,
+    data: bytes,
     condition_env: dict[str, str],
-    source_dir: PurePosixPath,
+    source_dir: str,
     memo: ManifestMemo | None,
 ) -> PackageManifest:
-    """Parse one manifest document into a :class:`PackageManifest`.
+    """Parse one ``package.xml`` file's bytes into a :class:`PackageManifest`.
 
+    The bytes are decoded as UTF-8 with newlines translated, as text-mode
+    ``open`` does; bytes that are not UTF-8 raise :class:`UnicodeDecodeError`.
     ``condition_env`` supplies the variables (conventionally ROS_VERSION
     and ROS_DISTRO) against which ``condition`` attributes are evaluated.
     A ``memo`` must only ever be used with one ``condition_env``: a record
-    found there stands for the parse, once it passes the same checks.
+    found there under the sha256 of ``data`` stands for the decode and the
+    parse, once it passes the same checks.
     """
 
     if memo is None:
-        return _parse_xml(xml_text, condition_env, source_dir)
-    digest = hashlib.sha256(xml_text.encode("utf-8")).hexdigest()
+        return _parse_xml(data, condition_env, source_dir)
+    digest = hashlib.sha256(data).hexdigest()
     record = memo.cached.get(digest)
     manifest = _from_record(record, source_dir)
     if manifest is None:
         memo.missed = True
-        manifest = _parse_xml(xml_text, condition_env, source_dir)
+        manifest = _parse_xml(data, condition_env, source_dir)
         record = [
             manifest.name,
             manifest.version,
@@ -213,39 +218,42 @@ def parse_manifest(
     return manifest
 
 
-def _from_record(record: object, source_dir: PurePosixPath) -> PackageManifest | None:
+def _from_record(record: object, source_dir: str) -> PackageManifest | None:
     """The manifest a memo record describes, or None unless it passes the parse checks."""
 
-    if not isinstance(record, list) or len(record) != 7:
+    if type(record) is not list or len(record) != 7:
         return None
-    name, version, manifest_format, build_type, *scopes = record
+    name, version, manifest_format, build_type, build, exec_, test = record
     if not (
-        isinstance(name, str)
+        type(name) is str
         and PACKAGE_NAME_RE.fullmatch(name)
-        and isinstance(version, str)
+        and type(version) is str
         and VERSION_RE.fullmatch(version)
         and type(manifest_format) is int
         and manifest_format in (1, 2, 3)
-        and isinstance(build_type, str)
+        and type(build_type) is str
         and build_type.strip()
-        and all(
-            isinstance(keys, list) and all(isinstance(key, str) and key for key in keys)
-            for keys in scopes
-        )
+        and type(build) is list
+        and type(exec_) is list
+        and type(test) is list
     ):
         return None
-    build, exec_, test = map(frozenset, scopes)
+    # Each key is one word: the joined keys split back into the same list
+    # only if none is empty or holds whitespace. The checks run in C.
+    keys = build + exec_ + test
+    if not all(map(isinstance, keys, repeat(str))) or " ".join(keys).split() != keys:
+        return None
     return PackageManifest(
-        name, version, manifest_format, build_type, build, exec_, test, source_dir
+        name, version, manifest_format, build_type,
+        frozenset(build), frozenset(exec_), frozenset(test), source_dir,
     )
 
 
-def _parse_xml(
-    xml_text: str, env: dict[str, str], source_dir: PurePosixPath
-) -> PackageManifest:
+def _parse_xml(data: bytes, env: dict[str, str], source_dir: str) -> PackageManifest:
     # Imported on first use: a warm memo parses no XML.
     import xml.etree.ElementTree as ET
 
+    xml_text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     env_items = tuple(sorted(env.items()))
 
     def active(element: ET.Element) -> bool:
@@ -289,6 +297,10 @@ def _parse_xml(
         key = (element.text or "").strip()
         if not key:
             raise MalformedManifest(f"package {name!r} has an empty <{element.tag}>")
+        if key.split() != [key]:
+            raise MalformedManifest(
+                f"package {name!r} has whitespace inside a <{element.tag}> key: {key!r}"
+            )
         for scope in targets:
             scopes[scope].add(key)
 
@@ -343,12 +355,15 @@ def scan_workspace(
     children in name order. Packages are returned sorted by name;
     duplicate names and package-less trees are hard errors.
 
-    With ``cache_dir``, parsed manifests are memoized there as
-    ``manifests-<key>.json``, one file per workspace, where the key is a
-    sha256 over the memo format, the forge version, the absolute root and
-    the sorted ``condition_env``. After a scan that parsed any manifest,
-    and only when ``write_cache`` is true, the file is replaced by this
-    scan's manifests. Memo I/O errors fall back silently to parsing.
+    Each live ``package.xml`` is read once, as bytes. With ``cache_dir``,
+    parsed manifests are memoized there as ``manifests-<key>.json``, one
+    file per workspace, where the key is a sha256 over the memo format,
+    the forge version, the absolute root and the sorted ``condition_env``;
+    inside it each record is stored under the sha256 of its manifest
+    file's bytes, so a manifest the memo holds is neither decoded nor
+    parsed. After a scan that parsed any manifest, and only when
+    ``write_cache`` is true, the file is replaced by this scan's
+    manifests. Memo I/O errors fall back silently to parsing.
     """
 
     root = Path(root)
@@ -371,7 +386,8 @@ def scan_workspace(
     stack = [(str(root), "")]
     while stack:
         directory, rel = stack.pop()
-        ignore = has_manifest = False
+        ignore = False
+        manifest_path = None
         children: list[str] = []
         try:
             with os.scandir(directory) as entries:
@@ -381,31 +397,40 @@ def scan_workspace(
                         # A dangling marker symlink does not count.
                         ignore = ignore or os.path.exists(entry.path)
                     elif name == "package.xml" and _is_file(entry):
-                        has_manifest = True
+                        manifest_path = entry.path
                     elif not name.startswith(".") and entry.is_dir(follow_symlinks=False):
                         children.append(name)
-            if has_manifest and not ignore:
-                text = read_utf8(os.path.join(directory, "package.xml"), MalformedManifest)
+            if manifest_path is not None and not ignore:
+                with open(manifest_path, "rb", buffering=0) as handle:
+                    data = handle.read()
         except OSError as exc:
             raise UnreadableWorkspace(
                 f"cannot read {exc.filename or directory}: {exc.strerror}"
             ) from exc
         if ignore:
             ignored.append(Path(directory))
-        elif has_manifest:
+        elif manifest_path is not None:
             try:
-                manifest = parse_manifest(text, condition_env, PurePosixPath(rel or "."), memo)
+                manifest = parse_manifest(data, condition_env, rel or ".", memo)
             except (MalformedManifest, UnsupportedFormat) as exc:
-                raise type(exc)(f"{os.path.join(rel, 'package.xml')}: {exc}") from exc
+                where = f"{rel}/package.xml" if rel else "package.xml"
+                raise type(exc)(f"{where}: {exc}") from exc
+            except UnicodeDecodeError as exc:
+                raise MalformedManifest(
+                    f"{manifest_path} is not UTF-8: {exc.reason} at byte {exc.start}"
+                ) from exc
             packages.append(manifest)
         else:
             children.sort(reverse=True)
-            stack.extend((os.path.join(directory, n), os.path.join(rel, n)) for n in children)
+            # Only a root such as "/" already ends in a slash.
+            head = directory if directory.endswith("/") else directory + "/"
+            rel_head = rel + "/" if rel else ""
+            stack.extend([(head + name, rel_head + name) for name in children])
 
     if not packages:
         raise EmptyWorkspace(f"no package manifests found under {root}")
 
-    seen: dict[str, PurePosixPath] = {}
+    seen: dict[str, str] = {}
     for pkg in packages:
         if pkg.name in seen:
             raise DuplicatePackageName(

@@ -5,9 +5,10 @@ A plain recursive pathlib walk that follows catkin_pkg's
 its directory, a directory holding a ``package.xml`` file is a package
 and is not searched further, and neither dot-directories nor symlinked
 directories are entered. It is kept frozen as the statement of the scan
-rules; change it only if a rule changes. Manifests
-are parsed with ``forge.manifest.parse_manifest``, so the comparison
-covers the walk, not the parser. A parse error is re-raised with the
+rules; change it only if a rule changes. Manifests are read as text, as
+``open`` reads them, and handed to ``forge.manifest.parse_manifest``
+re-encoded, so the comparison covers the walk and the decoding of each
+file's bytes, not the parser. A parse error is re-raised with the
 manifest's workspace-relative path in front, as ``scan_workspace`` does.
 """
 
@@ -42,7 +43,9 @@ def oracle_scan(root: Path, condition_env: dict[str, str]) -> Workspace:
             rel = PurePosixPath(directory.relative_to(root).as_posix())
             text = read_utf8(manifest_path, MalformedManifest)
             try:
-                packages.append(parse_manifest(text, condition_env, source_dir=rel, memo=None))
+                packages.append(
+                    parse_manifest(text.encode(), condition_env, source_dir=str(rel), memo=None)
+                )
             except (MalformedManifest, UnsupportedFormat) as exc:
                 raise type(exc)(f"{rel / 'package.xml'}: {exc}") from exc
             return
@@ -55,7 +58,7 @@ def oracle_scan(root: Path, condition_env: dict[str, str]) -> Workspace:
     if not packages:
         raise EmptyWorkspace(f"no package manifests found under {root}")
 
-    seen: dict[str, PurePosixPath] = {}
+    seen: dict[str, str] = {}
     for pkg in packages:
         if pkg.name in seen:
             raise DuplicatePackageName(

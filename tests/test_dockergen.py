@@ -23,6 +23,7 @@ from forge.dockergen import (
     validate_plan,
 )
 from forge.errors import InvalidSpec, UnresolvedDependencies
+from forge.manifest import PackageManifest
 
 from conftest import image_spec
 
@@ -318,6 +319,29 @@ def test_render_dependencies_stage_copies_manifests_only(multi_repo_analysis) ->
     for line in block.splitlines():
         if line.startswith("COPY "):
             assert line.endswith("package.xml") or ".repos" in line, line
+
+
+@pytest.mark.parametrize(
+    ("name", "source_dir", "manifest_copy", "source_copy"),
+    [
+        ("solo", ".", "COPY package.xml /ws/src/solo/package.xml",
+         "COPY --chown=1000:1000 ./ /ws/src/solo/"),
+        ("core", "src/core", "COPY src/core/package.xml /ws/src/core/package.xml",
+         "COPY --chown=1000:1000 src/core/ /ws/src/core/"),
+        ("pkg", "ros/pkg", "COPY ros/pkg/package.xml /ws/src/ros/pkg/package.xml",
+         "COPY --chown=1000:1000 ros/pkg/ /ws/src/ros/pkg/"),
+    ],
+    ids=["workspace-root", "under-src", "outside-src"],
+)
+def test_render_maps_each_package_directory_below_src(
+    minimal_analysis, name: str, source_dir: str, manifest_copy: str, source_copy: str
+) -> None:
+    package = PackageManifest(name, "1.0.0", source_dir=source_dir)
+    text = render(make_plan(minimal_analysis, target="dev", packages=(package,)))
+    copies = [line for line in text.splitlines() if line.startswith("COPY ")]
+    assert manifest_copy in stage_text(text, "dependencies").splitlines()
+    assert source_copy in stage_text(text, "dev").splitlines()
+    assert [line for line in copies if "--from=" not in line] == [manifest_copy, source_copy]
 
 
 def test_render_zero_dep_workspace_writes_empty_lists(minimal_analysis) -> None:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from pathlib import PurePosixPath
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +20,7 @@ from forge.manifest import (
 )
 
 ENV = {"ROS_VERSION": "2", "ROS_DISTRO": "humble"}
-TOP = PurePosixPath(".")
+TOP = "."
 
 
 # Hand-computed truth table for the condition subset. Each row was worked
@@ -83,7 +81,7 @@ MINIMAL_XML = """\
 
 
 def test_parse_minimal() -> None:
-    manifest = parse_manifest(MINIMAL_XML, ENV, TOP, None)
+    manifest = parse_manifest(MINIMAL_XML.encode(), ENV, TOP, None)
     assert manifest.name == "demo"
     assert manifest.version == "1.0.0"
     assert manifest.manifest_format == 3
@@ -93,7 +91,7 @@ def test_parse_minimal() -> None:
 
 
 def test_parse_dependency_scopes() -> None:
-    text = """\
+    text = b"""\
 <package format="2">
   <name>demo</name>
   <version>0.1.0</version>
@@ -116,7 +114,7 @@ def test_parse_dependency_scopes() -> None:
 
 
 def test_parse_conditional_dependency() -> None:
-    text = """\
+    text = b"""\
 <package format="3">
   <name>demo</name>
   <version>0.1.0</version>
@@ -132,7 +130,7 @@ def test_parse_conditional_dependency() -> None:
 
 
 def test_build_type_defaults_by_ros_version() -> None:
-    text = """\
+    text = b"""\
 <package format="2">
   <name>demo</name>
   <version>0.1.0</version>
@@ -143,7 +141,7 @@ def test_build_type_defaults_by_ros_version() -> None:
 
 
 def test_conditional_build_type_export() -> None:
-    text = """\
+    text = b"""\
 <package format="3">
   <name>demo</name>
   <version>0.1.0</version>
@@ -165,22 +163,23 @@ def test_conditional_build_type_export() -> None:
         ("<version>1.0.0</version>", "<version>v1</version>"),
         ("<name>demo</name>", ""),
         ("<version>1.0.0</version>", ""),
+        ("</version>", "</version><depend>x\r\ny</depend>"),
     ],
 )
 def test_parse_rejects_bad_fields(mutation: tuple[str, str]) -> None:
     old, new = mutation
     with pytest.raises(MalformedManifest):
-        parse_manifest(MINIMAL_XML.replace(old, new), ENV, TOP, None)
+        parse_manifest(MINIMAL_XML.replace(old, new).encode(), ENV, TOP, None)
 
 
 def test_parse_rejects_unknown_format() -> None:
     with pytest.raises(UnsupportedFormat):
-        parse_manifest(MINIMAL_XML.replace('format="3"', 'format="4"'), ENV, TOP, None)
+        parse_manifest(MINIMAL_XML.replace('format="3"', 'format="4"').encode(), ENV, TOP, None)
 
 
 def test_parse_rejects_invalid_xml() -> None:
     with pytest.raises(MalformedManifest):
-        parse_manifest("<package><name>demo</name>", ENV, TOP, None)
+        parse_manifest(b"<package><name>demo</name>", ENV, TOP, None)
 
 
 # --- render / parse round trip --------------------------------------------
@@ -242,7 +241,7 @@ def render_manifest(manifest: PackageManifest) -> str:
 @given(manifests())
 def test_render_parse_round_trip(manifest: PackageManifest) -> None:
     text = render_manifest(manifest)
-    parsed = parse_manifest(text, ENV, TOP, None)
+    parsed = parse_manifest(text.encode(), ENV, TOP, None)
     assert parsed.name == manifest.name
     assert parsed.version == manifest.version
     assert parsed.manifest_format == manifest.manifest_format
@@ -268,8 +267,8 @@ def test_scan_finds_nested_packages(tmp_path) -> None:
     _write_pkg(tmp_path, "src/vendor/beta", "beta")
     workspace = scan_workspace(tmp_path, ENV, None, True)
     assert [p.name for p in workspace.packages] == ["alpha", "beta"]
-    assert workspace.packages[0].source_dir == PurePosixPath("src/alpha")
-    assert workspace.packages[1].source_dir == PurePosixPath("src/vendor/beta")
+    assert workspace.packages[0].source_dir == "src/alpha"
+    assert workspace.packages[1].source_dir == "src/vendor/beta"
 
 
 def test_scan_is_sorted_by_name(tmp_path) -> None:

@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
+import re
 import sys
 import tempfile
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forge import textio
+import forge.manifest
 from forge.cli import main
 from forge.errors import (
     MalformedManifest,
@@ -47,6 +50,16 @@ _BAD = [
     manifest_xml("future").replace('format="3"', 'format="4"').encode(),
     manifest_xml("latin").encode() + b"<!-- caf\xe9 -->\n",
 ]
+# Valid manifests whose bytes differ from the text a text-mode read gives,
+# so the bytes-keyed memo and the decode step see them differently: CRLF
+# and lone-CR line endings, a UTF-8 byte order mark, non-ASCII text.
+_DESCRIPTION = "<description>Café ロボット</description>"
+_ENCODINGS = [
+    lambda xml: xml.replace("><", ">\r\n<").encode(),
+    lambda xml: xml.replace("><", ">\r<").encode(),
+    lambda xml: b"\xef\xbb\xbf" + xml.encode(),
+    lambda xml: xml.replace("</version>", "</version>" + _DESCRIPTION).encode(),
+]
 # Symlink targets: a manifest file and a package directory outside the
 # workspace, a missing path, and the link itself (a loop).
 _LINK_TARGETS = ["store_file", "store_dir", "missing", "loop"]
@@ -65,6 +78,8 @@ def manifest_entries(draw: st.DrawFn):
         return {"package.xml": ("file", manifest_xml("nested").encode())}
     name = draw(st.sampled_from(_PACKAGES))
     extra = CONDITIONAL if draw(st.booleans()) else ""
+    if kind <= 5:
+        return ("file", draw(st.sampled_from(_ENCODINGS))(manifest_xml(name, extra)))
     return ("file", manifest_xml(name, extra).encode())
 
 
@@ -196,8 +211,8 @@ def test_scan_survives_a_tree_deeper_than_the_recursion_limit(tmp_path) -> None:
     try:
         workspace = scan_workspace(tmp_path, ENV, None, True)
         assert [(p.name, p.source_dir) for p in workspace.packages] == [
-            ("deep", PurePosixPath("/".join(["d"] * depth))),
-            ("top", PurePosixPath("top")),
+            ("deep", "/".join(["d"] * depth)),
+            ("top", "top"),
         ]
     finally:
         (bottom / "package.xml").unlink()
@@ -294,11 +309,12 @@ def _set_field(index: int, value: object):
         _set_field(3, ""),
         _set_field(4, [7]),
         _set_field(5, [""]),
+        _set_field(5, ["x\ny"]),
         _set_field(6, "gtest"),
     ],
     ids=["not-json", "not-a-dict", "record-dict", "record-short", "record-string", "bad-name",
          "name-newline", "bad-version", "version-number", "format-4", "format-bool",
-         "empty-build-type", "non-string-dep", "empty-dep", "deps-not-list"],
+         "empty-build-type", "non-string-dep", "empty-dep", "dep-whitespace", "deps-not-list"],
 )
 def test_damaged_memo_is_a_rewritten_miss(tmp_path, damage) -> None:
     root, cache, good = _warm(tmp_path)
@@ -395,6 +411,56 @@ def test_build_dry_run_reads_the_memo_but_never_writes_it(tmp_path, monkeypatch)
     assert path.read_bytes() == good
 
 
+_VALID = manifest_xml("pkg_a", CONDITIONAL + "<test_depend>gtest</test_depend>").encode()
+_TAGS = ["package", "name", "version", "depend", "test_depend", "export", "build_type"]
+
+
+@st.composite
+def mutated_manifests(draw: st.DrawFn) -> bytes:
+    """A valid manifest truncated, with a byte flipped or ``\\xff`` spliced in, or a tag renamed."""
+
+    kind = draw(st.sampled_from(["truncate", "flip", "splice", "rename"]))
+    if kind == "rename":
+        old = draw(st.sampled_from(_TAGS)).encode()
+        new = draw(st.sampled_from([*_TAGS, "exec_depend", "x"])).encode()
+        return re.sub(rb"(</?)" + old + rb"\b", rb"\g<1>" + new, _VALID)
+    offset = draw(st.integers(0, len(_VALID) - 1))
+    if kind == "truncate":
+        return _VALID[:offset]
+    if kind == "splice":
+        return _VALID[:offset] + b"\xff" + _VALID[offset:]
+    flipped = _VALID[offset] ^ draw(st.integers(1, 255))
+    return _VALID[:offset] + bytes([flipped]) + _VALID[offset + 1 :]
+
+
+def _analyze(root: Path) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["analyze", str(root)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_manifests())
+def test_cli_analyze_of_mutated_manifest_bytes_exits_cleanly_cold_and_warm(data: bytes) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "ws"
+        for name, valid in (("mutated", _VALID), ("other", manifest_xml("pkg_b").encode())):
+            (root / "src" / name).mkdir(parents=True)
+            (root / "src" / name / "package.xml").write_bytes(valid)
+        with mock.patch.dict(os.environ, {"XDG_CACHE_HOME": str(Path(tmp) / "cache")}):
+            # The memo first holds the unmutated manifest's record.
+            assert _analyze(root)[0] == 0
+            (root / "src" / "mutated" / "package.xml").write_bytes(data)
+            cold = _analyze(root)
+            warm = _analyze(root)
+        with mock.patch.dict(os.environ, {"XDG_CACHE_HOME": str(Path(tmp) / "empty")}):
+            fresh = _analyze(root)
+    code, _, err = cold
+    assert code == 0 or (code == 2 and err.startswith("forge: error: ")), cold
+    assert warm == cold == fresh
+
+
 # --- errors name the file ----------------------------------------------------
 
 
@@ -404,6 +470,8 @@ def test_build_dry_run_reads_the_memo_but_never_writes_it(tmp_path, monkeypatch)
         ("<package><name>x</name>", MalformedManifest, "not well formed XML"),
         (manifest_xml("x").replace('format="3"', 'format="9"'), UnsupportedFormat, "format 9"),
         (manifest_xml("x", '<depend condition="$A =">k</depend>'), MalformedManifest, "condition"),
+        (manifest_xml("x", "<depend>x\r\ny</depend>"), MalformedManifest,
+         "package 'x' has whitespace inside a <depend> key: 'x\\ny'"),
     ],
 )
 def test_scan_errors_name_the_manifest(tmp_path, text: str, error: type, detail: str) -> None:
@@ -478,8 +546,8 @@ def test_unreadable_manifest_is_a_user_error(tmp_path, monkeypatch, capsys) -> N
             raise PermissionError(13, "Permission denied", str(locked))
         return open(path, *args, **kwargs)
 
-    # textio.read_utf8 reads every manifest through the builtin open.
-    monkeypatch.setattr(textio, "open", fake_open, raising=False)
+    # scan_workspace reads every manifest through the builtin open.
+    monkeypatch.setattr(forge.manifest, "open", fake_open, raising=False)
     with pytest.raises(UnreadableWorkspace, match=f"cannot read {locked}: Permission denied"):
         scan_workspace(tmp_path, ENV, None, True)
     assert main(["analyze", str(tmp_path)]) == 2
