@@ -21,3 +21,7 @@ KNOWN_DISTROS: dict[str, int] = {
     "iron": 2,
     "rolling": 2,
 }
+
+# The image flavors a build can target: the development image, which holds
+# the source, and the deployment image, which holds only the install space.
+TARGETS = ("dev", "run")

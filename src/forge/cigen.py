@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import yaml
 
+from . import TARGETS
 from .errors import InvalidSpec
 
 _IMAGE_NAME_RE = re.compile(r"^[a-z0-9][a-z0-9_.\-/]*$")
@@ -40,7 +41,7 @@ class PipelineSpec(NamedTuple):
     enable_test_stage: bool = False
     push_on_branch: str = "main"
     base_image: str = ""
-    target_stages: tuple[str, ...] = ("dev", "run")
+    target_stages: tuple[str, ...] = TARGETS
 
 
 def default_output_path(platform: str) -> str:
@@ -66,7 +67,7 @@ def _check_spec(spec: PipelineSpec) -> None:
     if not spec.target_stages:
         raise InvalidSpec("at least one target stage is required")
     for stage in spec.target_stages:
-        if stage not in ("dev", "run"):
+        if stage not in TARGETS:
             raise InvalidSpec(f"unsupported target stage {stage!r}")
     if spec.enable_test_stage and "dev" not in spec.target_stages:
         raise InvalidSpec("the test stage runs the dev image; include dev in targets")
@@ -108,7 +109,7 @@ class Job(NamedTuple):
 def _jobs(spec: PipelineSpec) -> list[Job]:
     """The build -> test -> merge -> push graph, in emission order."""
 
-    stages = [stage for stage in ("dev", "run") if stage in spec.target_stages]
+    stages = [stage for stage in TARGETS if stage in spec.target_stages]
     jobs = [
         Job(f"build-{stage}-{arch}", "build", (), (_forge_build_command(spec, stage, arch),), arch)
         for stage in stages

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import yaml
 
-from . import KNOWN_DISTROS, __version__
+from . import KNOWN_DISTROS, TARGETS, __version__
 from .errors import (
     ConfigError,
     ForgeError,
@@ -402,7 +402,7 @@ def _render_for_workspace(
     )
     violations = validate_plan(plan)
     if violations:
-        details = "; ".join(f"{v.stage}: {v.rule}" for v in violations)
+        details = "; ".join(f"{v.stage}: {v.rule}: {v.detail}" for v in violations)
         raise ForgeError(f"generated plan violates its invariants: {details}")
     return render(plan)
 
@@ -446,7 +446,7 @@ def cmd_generate_ci(args: argparse.Namespace, driver: EngineDriver | None) -> in
         enable_test_stage=bool(args.enable_test),
         push_on_branch=args.push_branch,
         base_image=args.base or "",
-        target_stages=tuple(args.targets.split(",")) if args.targets else ("dev", "run"),
+        target_stages=tuple(args.targets.split(",")) if args.targets else TARGETS,
     )
     _write_output(generate_pipeline(spec), args.output or default_output_path(args.platform))
     return 0
@@ -469,7 +469,9 @@ def cmd_build(args: argparse.Namespace, driver: EngineDriver | None) -> int:
 
     root = analysis.root
     dockerfile = Path(args.dockerfile_out or root / GENERATED_DIR / "Dockerfile")
-    _write_file(dockerfile, text)
+    # A dry run writes nothing into the workspace, only to a path the user named.
+    if args.dockerfile_out or not args.dry_run:
+        _write_file(dockerfile, text)
 
     needed = required_credential_vars(analysis.repos)
     missing = [name for name in needed if name not in os.environ]
@@ -695,7 +697,7 @@ def _container_path(text: str) -> str:
 
 def _add_image_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--target", choices=("dev", "run"), default="run", help="image flavor"
+        "--target", choices=TARGETS, default="run", help="image flavor"
     )
     parser.add_argument("--base", help="base image (default: ros:<distro>)")
     parser.add_argument(
@@ -767,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--push-branch", default="main", help="branch that may push")
     p.add_argument("--base", help="base image forwarded to builds")
-    p.add_argument("--targets", help="comma list of target stages (dev,run)")
+    p.add_argument("--targets", help=f"comma list of target stages ({','.join(TARGETS)})")
     p.add_argument("--output", "-o", help="output path ('-' for stdout)")
     p.set_defaults(handler=cmd_generate_ci)
 

@@ -1,11 +1,9 @@
 """Multi-stage container build planning and rendering.
 
 A build is planned as a semantic stage graph first and rendered to
-Dockerfile text second. The graph is fixed: ``base`` (external parent,
-guarded ROS core install), ``dependencies`` (manifests and repository
-lists only, emits dependency artifacts), ``dependencies-install`` (shared
-by development and deployment lineages), ``dev`` (full source), ``build``
-(compiles the workspace), ``run`` (copies only the install space).
+Dockerfile text second. :data:`STAGES` fixes the graph: each stage's
+parent, the targets whose Dockerfile holds it, and what it may copy from
+the build context. :func:`validate_plan` checks a plan against it.
 
 Deployment images therefore never receive the workspace source tree; the
 single cross-stage copy into ``run`` is the compiled install space.
@@ -19,7 +17,7 @@ import shlex
 from pathlib import Path
 from typing import Iterable, NamedTuple, Union
 
-from . import KNOWN_DISTROS
+from . import KNOWN_DISTROS, TARGETS
 from .depgraph import ResolvedDependencies
 from .errors import InvalidSpec, UnresolvedDependencies
 from .manifest import PackageManifest
@@ -30,8 +28,6 @@ APT_LIST = f"{ARTIFACT_DIR}/apt-packages.txt"
 PIP_LIST = f"{ARTIFACT_DIR}/pip-packages.txt"
 REPOS_LIST = f"{ARTIFACT_DIR}/repos.txt"
 ENTRYPOINT_PATH = "/forge-entrypoint.sh"
-
-STAGE_ORDER = ("base", "dependencies", "dependencies-install", "dev", "build", "run")
 
 ROS_APT_KEY_URL = "https://raw.githubusercontent.com/ros/rosdistro/master/ros.key"
 ROS_KEYRING = "/usr/share/keyrings/ros-archive-keyring.gpg"
@@ -104,6 +100,33 @@ Instruction = Union[
 ]
 
 
+class StageRow(NamedTuple):
+    """One stage of the image layout.
+
+    ``context`` is what the stage may copy from the build context: ``any``
+    file, only ``manifests`` (``package.xml`` and ``.repos`` files), or
+    ``none``.
+    """
+
+    name: str
+    parent: str
+    targets: tuple[str, ...]
+    context: str
+
+
+# The image layout, in Dockerfile order. Of the source tree, ``run`` holds
+# only what ``build`` installs: it derives from ``dependencies-install``,
+# which both lineages share, not from ``dev``.
+STAGES = (
+    StageRow("base", "${BASE_IMAGE}", TARGETS, "any"),
+    StageRow("dependencies", "base", TARGETS, "manifests"),
+    StageRow("dependencies-install", "base", TARGETS, "any"),
+    StageRow("dev", "dependencies-install", TARGETS, "any"),
+    StageRow("build", "dev", ("run",), "any"),
+    StageRow("run", "dependencies-install", ("run",), "none"),
+)
+
+
 class Stage(NamedTuple):
     name: str
     parent: str
@@ -167,8 +190,8 @@ class ImageSpec(NamedTuple):
 def _check_spec(spec: ImageSpec, context_root: Path) -> None:
     if spec.ros_distro not in KNOWN_DISTROS:
         raise InvalidSpec(f"unknown ROS distro {spec.ros_distro!r}")
-    if spec.target not in ("dev", "run"):
-        raise InvalidSpec(f"target must be dev or run, not {spec.target!r}")
+    if spec.target not in TARGETS:
+        raise InvalidSpec(f"target must be {' or '.join(TARGETS)}, not {spec.target!r}")
     if not spec.platforms:
         raise InvalidSpec("at least one platform is required")
     for platform in spec.platforms:
@@ -330,7 +353,7 @@ def plan_stages(
     resolved_exec: ResolvedDependencies,
     context_root: Path,
 ) -> DockerfilePlan:
-    """Plan the stage graph for one image build.
+    """Plan the stage graph for one image build: the ``spec.target`` rows of :data:`STAGES`.
 
     With ``slim_runtime`` the shared ``dependencies-install`` stage only
     installs exec-scope dependencies and the ``dev`` stage adds the
@@ -357,16 +380,14 @@ def plan_stages(
     delta_os = tuple(sorted(set(all_os) - set(shared_os)))
     delta_pip = tuple(sorted(set(all_pip) - set(shared_pip)))
 
-    stages: list[Stage] = []
+    instructions: dict[str, tuple[Instruction, ...]] = {}
 
-    # base: external parent plus the guarded ROS core install shared by
-    # every lineage.
-    base_instructions: list[Instruction] = [
+    # base: the guarded ROS core install shared by every lineage.
+    instructions["base"] = (
         BuildArg("ROS_DISTRO", spec.ros_distro),
         EnvSet("ROS_DISTRO", "${ROS_DISTRO}"),
         _ros_core_guard(spec.ros_version),
-    ]
-    stages.append(Stage("base", "${BASE_IMAGE}", tuple(base_instructions)))
+    )
 
     # dependencies: manifests and repository lists only, then the three
     # dependency artifact files consumed by dependencies-install.
@@ -385,7 +406,7 @@ def plan_stages(
         + _write_lines_cmd(REPOS_LIST, _repos_lines(repos))
     )
     dep_instructions.append(RunShell(command=artifact_cmd, category="dep-artifacts"))
-    stages.append(Stage("dependencies", "base", tuple(dep_instructions)))
+    instructions["dependencies"] = tuple(dep_instructions)
 
     # dependencies-install: consume the artifacts; shared by dev and run.
     install_instructions: list[Instruction] = [
@@ -415,7 +436,7 @@ def plan_stages(
             RunShell(command=f"sh {ARTIFACT_DIR}/custom-post.sh", category="custom-script")
         )
     install_instructions.append(_entrypoint_script_cmd(ws))
-    stages.append(Stage("dependencies-install", "base", tuple(install_instructions)))
+    instructions["dependencies-install"] = tuple(install_instructions)
 
     # dev: the build-only dependency remainder (slim mode), build tooling,
     # full source, and a non-root user.
@@ -444,38 +465,40 @@ def plan_stages(
     dev_instructions.append(UserSet("ros"))
     dev_instructions.append(Entrypoint((ENTRYPOINT_PATH,)))
     dev_instructions.append(DefaultCommand(("bash",)))
-    stages.append(Stage("dev", "dependencies-install", tuple(dev_instructions)))
+    instructions["dev"] = tuple(dev_instructions)
 
-    if spec.target == "run":
-        if spec.build_tool == "catkin":
-            build_cmd = (
-                '. "/opt/ros/${ROS_DISTRO}/setup.sh" && '
-                f"catkin_make_isolated --install --install-space {ws}/install"
-            )
-        else:
-            build_cmd = (
-                '. "/opt/ros/${ROS_DISTRO}/setup.sh" && '
-                f"colcon build --install-base {ws}/install"
-            )
-        stages.append(
-            Stage("build", "dev", (RunShell(command=build_cmd, category="build"),))
+    # build and run: the deployment lineage, kept only for the run target.
+    if spec.build_tool == "catkin":
+        build_cmd = (
+            '. "/opt/ros/${ROS_DISTRO}/setup.sh" && '
+            f"catkin_make_isolated --install --install-space {ws}/install"
         )
+    else:
+        build_cmd = (
+            '. "/opt/ros/${ROS_DISTRO}/setup.sh" && '
+            f"colcon build --install-base {ws}/install"
+        )
+    instructions["build"] = (RunShell(command=build_cmd, category="build"),)
 
-        run_instructions: list[Instruction] = [
-            CopyFromStage("build", f"{ws}/install", f"{ws}/install"),
-        ]
-        if spec.nonroot_run:
-            run_instructions.append(_user_setup())
-            run_instructions.append(
-                RunShell(command=f"chown -R 1000:1000 {ws}", category="user-setup")
-            )
-            run_instructions.append(UserSet("ros"))
-        run_instructions.append(Entrypoint((ENTRYPOINT_PATH,)))
-        run_instructions.append(DefaultCommand(spec.launch_command))
-        stages.append(Stage("run", "dependencies-install", tuple(run_instructions)))
+    run_instructions: list[Instruction] = [
+        CopyFromStage("build", f"{ws}/install", f"{ws}/install"),
+    ]
+    if spec.nonroot_run:
+        run_instructions.append(_user_setup())
+        run_instructions.append(
+            RunShell(command=f"chown -R 1000:1000 {ws}", category="user-setup")
+        )
+        run_instructions.append(UserSet("ros"))
+    run_instructions.append(Entrypoint((ENTRYPOINT_PATH,)))
+    run_instructions.append(DefaultCommand(spec.launch_command))
+    instructions["run"] = tuple(run_instructions)
 
     return DockerfilePlan(
-        stages=tuple(stages),
+        stages=tuple(
+            Stage(row.name, row.parent, instructions[row.name])
+            for row in STAGES
+            if spec.target in row.targets
+        ),
         base_image=spec.base_image or f"ros:{spec.ros_distro}",
         target=spec.target,
         workspace_dir=ws,
@@ -484,15 +507,6 @@ def plan_stages(
 
 
 # --- validation ------------------------------------------------------------
-
-_EXPECTED_PARENTS = {
-    "base": "${BASE_IMAGE}",
-    "dependencies": "base",
-    "dependencies-install": "base",
-    "dev": "dependencies-install",
-    "build": "dev",
-    "run": "dependencies-install",
-}
 
 
 def _lineage(plan: DockerfilePlan, name: str) -> list[Stage]:
@@ -520,11 +534,16 @@ def _lineage_packages(plan: DockerfilePlan, name: str, category: str) -> set[str
 
 
 def validate_plan(plan: DockerfilePlan) -> list[Violation]:
-    """Check the stage graph invariants; an empty list means conformant."""
+    """Check the stage graph invariants; an empty list means conformant.
+
+    Stage order, parents and build context copies are checked against the
+    :data:`STAGES` rows of ``plan.target``.
+    """
 
     violations: list[Violation] = []
+    rows = [row for row in STAGES if plan.target in row.targets]
     names = [stage.name for stage in plan.stages]
-    expected = list(STAGE_ORDER[:4]) if plan.target == "dev" else list(STAGE_ORDER)
+    expected = [row.name for row in rows]
     if names != expected:
         violations.append(
             Violation(
@@ -535,26 +554,32 @@ def validate_plan(plan: DockerfilePlan) -> list[Violation]:
         )
         return violations
 
-    for stage in plan.stages:
-        if stage.parent != _EXPECTED_PARENTS[stage.name]:
+    for stage, row in zip(plan.stages, rows):
+        if stage.parent != row.parent:
             violations.append(
                 Violation(
                     stage=stage.name,
                     rule="stage-parent",
-                    detail=f"parent is {stage.parent!r}, expected {_EXPECTED_PARENTS[stage.name]!r}",
+                    detail=f"parent is {stage.parent!r}, expected {row.parent!r}",
                 )
             )
-
-    dependencies = plan.stage("dependencies")
-    for instruction in dependencies.instructions:
-        if isinstance(instruction, CopyContext):
-            if not (
-                instruction.src.endswith("package.xml")
-                or instruction.src.endswith(".repos")
+        for instruction in stage.instructions:
+            if not isinstance(instruction, CopyContext):
+                continue
+            if row.context == "none":
+                violations.append(
+                    Violation(
+                        stage=stage.name,
+                        rule="no-source-leak",
+                        detail=f"copies {instruction.src!r} from the build context",
+                    )
+                )
+            elif row.context == "manifests" and not instruction.src.endswith(
+                ("package.xml", ".repos")
             ):
                 violations.append(
                     Violation(
-                        stage="dependencies",
+                        stage=stage.name,
                         rule="manifests-only",
                         detail=f"copies {instruction.src!r}, not a manifest or repository list",
                     )
@@ -563,15 +588,6 @@ def validate_plan(plan: DockerfilePlan) -> list[Violation]:
     if plan.target == "run":
         run = plan.stage("run")
         cross = [i for i in run.instructions if isinstance(i, CopyFromStage)]
-        context = [i for i in run.instructions if isinstance(i, CopyContext)]
-        for instruction in context:
-            violations.append(
-                Violation(
-                    stage="run",
-                    rule="no-source-leak",
-                    detail=f"copies {instruction.src!r} from the build context",
-                )
-            )
         install_path = f"{plan.workspace_dir}/install"
         if len(cross) != 1 or cross[0].stage != "build" or cross[0].src != install_path:
             violations.append(

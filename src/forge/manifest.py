@@ -2,8 +2,9 @@
 
 A workspace is any directory tree holding one or more ``package.xml``
 manifests. Manifest formats 1 through 3 are accepted uniformly; the
-dependency tags of each format are folded into three scopes (build, exec,
-test). Elements outside the supported subset are ignored so that newer
+dependency tags of each format are folded into two scopes (build and
+exec); test dependencies are checked but kept in neither. Elements outside
+the supported subset, such as ``<export>``, are ignored so that newer
 manifest additions do not break scanning.
 
 Parsed manifests can be memoized in a cache directory, keyed by the
@@ -38,12 +39,13 @@ VERSION_RE = re.compile(r"^\d+(\.\d+)*$")
 
 IGNORE_MARKERS = ("AMENT_IGNORE", "CATKIN_IGNORE", "COLCON_IGNORE")
 
-MANIFEST_MEMO_FORMAT = 2
+MANIFEST_MEMO_FORMAT = 3
 """Layout version of memoized manifests; part of every memo key."""
 
 # Dependency tag -> scopes it contributes to. ``depend`` expands to both
 # build and exec; ``build_export_depend`` and ``buildtool_depend`` count as
 # build-scope because both are needed to compile against the package.
+# Nothing installs test dependencies, so ``test_depend`` adds to no scope.
 _DEP_TAG_SCOPES = {
     "depend": ("build", "exec"),
     "build_depend": ("build",),
@@ -51,7 +53,7 @@ _DEP_TAG_SCOPES = {
     "buildtool_depend": ("build",),
     "exec_depend": ("exec",),
     "run_depend": ("exec",),
-    "test_depend": ("test",),
+    "test_depend": (),
 }
 
 _CONDITION_TOKEN_RE = re.compile(
@@ -67,12 +69,8 @@ class PackageManifest(NamedTuple):
     """
 
     name: str
-    version: str
-    manifest_format: int = 1
-    build_type: str = "ament_cmake"
     deps_build: frozenset[str] = frozenset()
     deps_exec: frozenset[str] = frozenset()
-    deps_test: frozenset[str] = frozenset()
     source_dir: str = "."
 
 
@@ -205,15 +203,7 @@ def parse_manifest(
     if manifest is None:
         memo.missed = True
         manifest = _parse_xml(data, condition_env, source_dir)
-        record = [
-            manifest.name,
-            manifest.version,
-            manifest.manifest_format,
-            manifest.build_type,
-            sorted(manifest.deps_build),
-            sorted(manifest.deps_exec),
-            sorted(manifest.deps_test),
-        ]
+        record = [manifest.name, sorted(manifest.deps_build), sorted(manifest.deps_exec)]
     memo.records[digest] = record
     return manifest
 
@@ -221,32 +211,22 @@ def parse_manifest(
 def _from_record(record: object, source_dir: str) -> PackageManifest | None:
     """The manifest a memo record describes, or None unless it passes the parse checks."""
 
-    if type(record) is not list or len(record) != 7:
+    if type(record) is not list or len(record) != 3:
         return None
-    name, version, manifest_format, build_type, build, exec_, test = record
+    name, build, exec_ = record
     if not (
         type(name) is str
         and PACKAGE_NAME_RE.fullmatch(name)
-        and type(version) is str
-        and VERSION_RE.fullmatch(version)
-        and type(manifest_format) is int
-        and manifest_format in (1, 2, 3)
-        and type(build_type) is str
-        and build_type.strip()
         and type(build) is list
         and type(exec_) is list
-        and type(test) is list
     ):
         return None
     # Each key is one word: the joined keys split back into the same list
     # only if none is empty or holds whitespace. The checks run in C.
-    keys = build + exec_ + test
+    keys = build + exec_
     if not all(map(isinstance, keys, repeat(str))) or " ".join(keys).split() != keys:
         return None
-    return PackageManifest(
-        name, version, manifest_format, build_type,
-        frozenset(build), frozenset(exec_), frozenset(test), source_dir,
-    )
+    return PackageManifest(name, frozenset(build), frozenset(exec_), source_dir)
 
 
 def _parse_xml(data: bytes, env: dict[str, str], source_dir: str) -> PackageManifest:
@@ -289,7 +269,7 @@ def _parse_xml(data: bytes, env: dict[str, str], source_dir: str) -> PackageMani
     if not VERSION_RE.match(version):
         raise MalformedManifest(f"package {name!r} has invalid version {version!r}")
 
-    scopes: dict[str, set[str]] = {"build": set(), "exec": set(), "test": set()}
+    scopes: dict[str, set[str]] = {"build": set(), "exec": set()}
     for element in root:
         targets = _DEP_TAG_SCOPES.get(element.tag)
         if targets is None or not active(element):
@@ -304,23 +284,10 @@ def _parse_xml(data: bytes, env: dict[str, str], source_dir: str) -> PackageMani
         for scope in targets:
             scopes[scope].add(key)
 
-    build_type = None
-    export = root.find("export")
-    if export is not None:
-        for bt in export.findall("build_type"):
-            if active(bt) and (bt.text or "").strip():
-                build_type = (bt.text or "").strip()
-    if build_type is None:
-        build_type = "catkin" if env.get("ROS_VERSION") == "1" else "ament_cmake"
-
     return PackageManifest(
         name=name,
-        version=version,
-        manifest_format=manifest_format,
-        build_type=build_type,
         deps_build=frozenset(scopes["build"]),
         deps_exec=frozenset(scopes["exec"]),
-        deps_test=frozenset(scopes["test"]),
         source_dir=source_dir,
     )
 

@@ -30,7 +30,6 @@ class RepoSpec(NamedTuple):
     """One repository entry from a ``.repos`` file."""
 
     local_name: str
-    vcs_type: str
     url: str
     version: str | None = None
 
@@ -75,7 +74,7 @@ def parse_repos(yaml_text: str) -> ReposList:
         if version is not None:
             if not isinstance(version, str) or not version or re.search(r"\s", version):
                 raise MalformedReposFile(f"repository {name!r} has an invalid version")
-        repos.append(RepoSpec(local_name=name, vcs_type="git", url=url, version=version))
+        repos.append(RepoSpec(local_name=name, url=url, version=version))
 
     repos.sort(key=lambda r: r.local_name)
     return tuple(repos)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from forge import TARGETS
 from forge.cigen import PipelineSpec, generate_pipeline
 from forge.dockergen import plan_stages, render
 
@@ -78,7 +79,7 @@ def _ci_grid_specs() -> list[PipelineSpec]:
     for platform in ("github", "gitlab"):
         for arches in (("amd64",), ("amd64", "arm64")):
             for test in (False, True):
-                for targets in (("dev",), ("run",), ("dev", "run")):
+                for targets in (("dev",), ("run",), TARGETS):
                     if test and "dev" not in targets:
                         continue
                     specs.append(

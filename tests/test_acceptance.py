@@ -37,6 +37,7 @@ from forge.depgraph import (
 )
 from forge.devrun import HostEnvironment, UserArgs, attach_or_run, synthesize_invocation
 from forge.dockergen import (
+    STAGES,
     CopyContext,
     CopyFromStage,
     RunShell,
@@ -146,14 +147,21 @@ def test_c2_no_source_leak() -> str:
     return f"{len(RUN_FIXTURES)} fixture workspaces, zero violations"
 
 
+def _table_lineage(name: str) -> list[str]:
+    """``name`` and its ancestors in the image layout table."""
+
+    parents = {row.name: row.parent for row in STAGES}
+    chain = []
+    while name in parents:
+        chain.append(name)
+        name = parents[name]
+    return chain
+
+
 def _lineage_packages(plan, stage_names) -> set[tuple[str, str]]:
     found: set[tuple[str, str]] = set()
     for stage_name in stage_names:
-        try:
-            stage = plan.stage(stage_name)
-        except KeyError:
-            continue
-        for instruction in stage.instructions:
+        for instruction in plan.stage(stage_name).instructions:
             if isinstance(instruction, RunShell) and instruction.category in (
                 "pkg-os",
                 "pkg-pip",
@@ -173,12 +181,8 @@ def test_c3_dev_run_superset() -> str:
         for slim in (False, True):
             combos += 1
             plan = _run_plan(name, distro, repos_files, slim_runtime=slim)
-            dev_set = _lineage_packages(
-                plan, ("base", "dependencies", "dependencies-install", "dev")
-            )
-            run_set = _lineage_packages(
-                plan, ("base", "dependencies", "dependencies-install", "run")
-            )
+            dev_set = _lineage_packages(plan, _table_lineage("dev"))
+            run_set = _lineage_packages(plan, _table_lineage("run"))
             if not run_set <= dev_set:
                 problems.append(
                     f"{name} slim={slim}: run installs {sorted(run_set - dev_set)} "
@@ -221,7 +225,7 @@ def test_c4_resolver_oracle_equivalence() -> str:
     internal = {"pkg_alpha", "pkg_beta"}
     repo_names = {"cloned_lib", "rclcpp", "eigen"}
     repos = tuple(
-        RepoSpec(name, "git", f"https://h/{name}.git", None)
+        RepoSpec(name, f"https://h/{name}.git", None)
         for name in sorted(repo_names)
     )
     universe = (

@@ -9,6 +9,7 @@ import yaml
 
 from pipeline_graph import job_graph
 
+from forge import TARGETS
 from forge.cigen import TEST_HOOK, PipelineSpec, default_output_path, generate_pipeline
 from forge.errors import InvalidSpec
 
@@ -71,7 +72,7 @@ def test_graph_acyclic_and_push_covers_builds(
     assert push_jobs
     build_jobs = {name for name in graph if name.startswith("build-")}
     assert build_jobs == {
-        f"build-{stage}-{arch}" for stage in ("dev", "run") for arch in platforms
+        f"build-{stage}-{arch}" for stage in TARGETS for arch in platforms
     }
     for push in push_jobs:
         assert build_jobs <= transitive_needs(graph, push)
@@ -85,7 +86,7 @@ def test_merge_jobs_only_for_multi_platform(platform: str) -> None:
         generate_pipeline(spec(platform=platform, platforms=("amd64", "arm64")))
     )
     assert {"merge-dev", "merge-run"} <= set(multi)
-    for stage in ("dev", "run"):
+    for stage in TARGETS:
         assert set(multi[f"merge-{stage}"]) == {
             f"build-{stage}-amd64",
             f"build-{stage}-arm64",

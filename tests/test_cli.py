@@ -353,6 +353,34 @@ def test_build_dry_run_prints_command(capsys, monkeypatch, tmp_path) -> None:
     assert dockerfile.is_file()
 
 
+def test_build_dry_run_writes_nothing_into_the_workspace(capsys, monkeypatch, tmp_path) -> None:
+    monkeypatch.chdir(tmp_path)
+    root = tmp_path / "ws"
+    shutil.copytree(MINIMAL, root)
+    before = sorted(root.rglob("*"))
+    assert main(["build", str(root), "--dry-run"]) == 0
+    assert f"--file {root}/.forge/Dockerfile " in capsys.readouterr().out
+    assert sorted(root.rglob("*")) == before
+
+
+def test_plan_violations_are_printed_with_their_detail(capsys, monkeypatch, tmp_path) -> None:
+    import forge.cli
+
+    plan_stages = forge.cli.plan_stages
+
+    def misparented(*args, **kwargs):
+        plan = plan_stages(*args, **kwargs)
+        stages = tuple(s._replace(parent="dev") if s.name == "run" else s for s in plan.stages)
+        return plan._replace(stages=stages)
+
+    monkeypatch.setattr(forge.cli, "plan_stages", misparented)
+    assert main(["generate", "dockerfile", MINIMAL, "-o", str(tmp_path / "Dockerfile")]) == 1
+    assert capsys.readouterr().err == (
+        "forge: error: ForgeError: generated plan violates its invariants: "
+        "run: stage-parent: parent is 'dev', expected 'dependencies-install'\n"
+    )
+
+
 def test_build_executes_through_driver(capsys, monkeypatch, tmp_path) -> None:
     monkeypatch.chdir(tmp_path)
     driver = RecordingDriver()

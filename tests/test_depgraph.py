@@ -128,7 +128,7 @@ def test_distro_package_name() -> None:
 
 
 def test_precedence_internal_beats_everything() -> None:
-    repos = (RepoSpec("rclcpp", "git", "https://h/r.git", None),)
+    repos = (RepoSpec("rclcpp", "https://h/r.git", None),)
     result = resolve(keys_of("rclcpp"), small_db(), small_index(), {"rclcpp"}, repos)
     assert result.internal == ("rclcpp",)
     assert result.ros_distro_pkgs == ()
@@ -136,7 +136,7 @@ def test_precedence_internal_beats_everything() -> None:
 
 
 def test_precedence_repo_beats_index_and_db() -> None:
-    repos = (RepoSpec("eigen", "git", "https://h/e.git", None),)
+    repos = (RepoSpec("eigen", "https://h/e.git", None),)
     result = resolve(keys_of("eigen"), small_db(), small_index(), set(), repos)
     assert result.source_keys == ("eigen",)
     assert result.system_pkgs == ()
@@ -241,7 +241,7 @@ def test_resolver_matches_oracle_on_seeded_trials() -> None:
     internal = {"my_pkg", "other_pkg"}
     repo_names = {"cloned_lib", "rclcpp", "eigen"}
     repos = tuple(
-        RepoSpec(name, "git", f"https://h/{name}.git", None)
+        RepoSpec(name, f"https://h/{name}.git", None)
         for name in sorted(repo_names)
     )
     universe = (

@@ -9,14 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forge import TARGETS
 from forge.dockergen import (
     APT_LIST,
+    STAGES,
     CopyContext,
     CopyFromStage,
     DockerfilePlan,
     ImageSpec,
     RunShell,
-    STAGE_ORDER,
     _render_run,
     plan_stages,
     render,
@@ -44,20 +45,41 @@ def stage_text(dockerfile: str, stage: str) -> str:
     raise AssertionError(f"stage {stage} not found")
 
 
-def test_run_target_stage_graph(minimal_analysis) -> None:
-    plan = make_plan(minimal_analysis, target="run")
-    assert tuple(s.name for s in plan.stages) == STAGE_ORDER
-    assert plan.stage("base").parent == "${BASE_IMAGE}"
-    assert plan.stage("run").parent == "dependencies-install"
-    assert plan.stage("build").parent == "dev"
+# Spec variants that add or drop instructions in some stage: (fixture,
+# ImageSpec fields). Custom scripts are planned against a context that
+# holds them.
+_GRAPH_VARIANTS = [
+    ("minimal_analysis", {}),
+    ("minimal_analysis", {"slim_runtime": True}),
+    ("minimal_analysis", {"nonroot_run": True}),
+    ("minimal_analysis", {"custom_script_pre": "pre.sh", "custom_script_post": "post.sh"}),
+    ("multi_repo_analysis", {}),
+    ("multi_repo_analysis", {"slim_runtime": True, "nonroot_run": True}),
+]
 
 
-def test_dev_target_stage_graph(minimal_analysis) -> None:
-    plan = make_plan(minimal_analysis, target="dev")
-    assert tuple(s.name for s in plan.stages) == STAGE_ORDER[:4]
+def _assert_stage_graph_follows_the_table(request, tmp_path, target: str) -> None:
+    rows = [(row.name, row.parent) for row in STAGES if target in row.targets]
+    for name in ("pre.sh", "post.sh"):
+        (tmp_path / name).write_text("true\n", encoding="utf-8")
+    for fixture, fields in _GRAPH_VARIANTS:
+        analysis = request.getfixturevalue(fixture)
+        context = tmp_path if "custom_script_pre" in fields else analysis.root
+        spec = image_spec(analysis, target=target, **fields)
+        plan = plan_stages(spec, analysis.resolved, analysis.resolved_exec, context)
+        assert [(s.name, s.parent) for s in plan.stages] == rows, (fixture, fields)
+        assert validate_plan(plan) == [], (fixture, fields)
 
 
-@pytest.mark.parametrize("target", ["dev", "run"])
+def test_run_target_stage_graph(request, tmp_path) -> None:
+    _assert_stage_graph_follows_the_table(request, tmp_path, "run")
+
+
+def test_dev_target_stage_graph(request, tmp_path) -> None:
+    _assert_stage_graph_follows_the_table(request, tmp_path, "dev")
+
+
+@pytest.mark.parametrize("target", TARGETS)
 @pytest.mark.parametrize(
     "fixture", ["minimal_analysis", "multi_repo_analysis", "catkin_analysis"]
 )
@@ -141,26 +163,29 @@ def test_rule_stage_order(minimal_analysis) -> None:
     plan = make_plan(minimal_analysis, target="run")
     broken = plan._replace(stages=tuple(reversed(plan.stages)))
     assert [v.rule for v in validate_plan(broken)] == ["stage-order"]
+    # A dev plan lacks the stages STAGES keeps for the run target.
+    dev_plan = make_plan(minimal_analysis, target="dev")
+    assert [v.rule for v in validate_plan(dev_plan._replace(target="run"))] == ["stage-order"]
 
 
 def test_rule_stage_parent(minimal_analysis) -> None:
     plan = make_plan(minimal_analysis, target="run")
     broken = _replace_stage(plan, "run", parent="dev")
-    assert "stage-parent" in [v.rule for v in validate_plan(broken)]
+    assert [v.rule for v in validate_plan(broken)] == ["stage-parent"]
 
 
 def test_rule_manifests_only(minimal_analysis) -> None:
     plan = make_plan(minimal_analysis, target="run")
     leak = CopyContext(src="src/hello_node/hello_node/main.py", dst="/ws/main.py")
     broken = _with_instruction(plan, "dependencies", leak)
-    assert "manifests-only" in [v.rule for v in validate_plan(broken)]
+    assert [v.rule for v in validate_plan(broken)] == ["manifests-only"]
 
 
 def test_rule_no_source_leak(minimal_analysis) -> None:
     plan = make_plan(minimal_analysis, target="run")
     leak = CopyContext(src="src/", dst="/ws/src/")
     broken = _with_instruction(plan, "run", leak)
-    assert "no-source-leak" in [v.rule for v in validate_plan(broken)]
+    assert [v.rule for v in validate_plan(broken)] == ["no-source-leak"]
 
 
 def test_rule_install_space_copy_missing(minimal_analysis) -> None:
@@ -170,14 +195,14 @@ def test_rule_install_space_copy_missing(minimal_analysis) -> None:
         i for i in run.instructions if not isinstance(i, CopyFromStage)
     )
     broken = _replace_stage(plan, "run", instructions=stripped)
-    assert "install-space-copy" in [v.rule for v in validate_plan(broken)]
+    assert [v.rule for v in validate_plan(broken)] == ["install-space-copy"]
 
 
 def test_rule_install_space_copy_duplicated(minimal_analysis) -> None:
     plan = make_plan(minimal_analysis, target="run")
     extra = CopyFromStage(stage="build", src="/ws/install", dst="/ws/install")
     broken = _with_instruction(plan, "run", extra)
-    assert "install-space-copy" in [v.rule for v in validate_plan(broken)]
+    assert [v.rule for v in validate_plan(broken)] == ["install-space-copy"]
 
 
 def test_rule_install_superset(minimal_analysis) -> None:
@@ -185,16 +210,14 @@ def test_rule_install_superset(minimal_analysis) -> None:
     sneak = RunShell(command="apt-get install -y sneaky", category="pkg-os", packages=("sneaky",))
     broken = _with_instruction(plan, "run", sneak)
     rules = [v.rule for v in validate_plan(broken)]
-    assert "install-superset" in rules
+    assert rules == ["install-superset", "install-equality"]
 
 
 def test_rule_install_equality_without_slim(minimal_analysis) -> None:
     plan = make_plan(minimal_analysis, target="run")
     extra = RunShell(command="apt-get install -y devtool", category="pkg-os", packages=("devtool",))
     broken = _with_instruction(plan, "dev", extra)
-    rules = [v.rule for v in validate_plan(broken)]
-    assert "install-equality" in rules
-    assert "install-superset" not in rules
+    assert [v.rule for v in validate_plan(broken)] == ["install-equality"]
 
 
 def test_slim_dev_carries_build_only_delta(multi_repo_analysis) -> None:
@@ -336,7 +359,7 @@ def test_render_dependencies_stage_copies_manifests_only(multi_repo_analysis) ->
 def test_render_maps_each_package_directory_below_src(
     minimal_analysis, name: str, source_dir: str, manifest_copy: str, source_copy: str
 ) -> None:
-    package = PackageManifest(name, "1.0.0", source_dir=source_dir)
+    package = PackageManifest(name, source_dir=source_dir)
     text = render(make_plan(minimal_analysis, target="dev", packages=(package,)))
     copies = [line for line in text.splitlines() if line.startswith("COPY ")]
     assert manifest_copy in stage_text(text, "dependencies").splitlines()

@@ -82,12 +82,7 @@ MINIMAL_XML = """\
 
 def test_parse_minimal() -> None:
     manifest = parse_manifest(MINIMAL_XML.encode(), ENV, TOP, None)
-    assert manifest.name == "demo"
-    assert manifest.version == "1.0.0"
-    assert manifest.manifest_format == 3
-    assert manifest.build_type == "ament_python"
-    assert manifest.deps_build == frozenset()
-    assert manifest.deps_exec == frozenset()
+    assert manifest == PackageManifest("demo", source_dir=TOP)
 
 
 def test_parse_dependency_scopes() -> None:
@@ -110,7 +105,7 @@ def test_parse_dependency_scopes() -> None:
         {"both_scope", "build_only", "export_only", "tool_only"}
     )
     assert manifest.deps_exec == frozenset({"both_scope", "exec_only", "legacy_exec"})
-    assert manifest.deps_test == frozenset({"test_only"})
+    assert "test_only" not in manifest.deps_build | manifest.deps_exec
 
 
 def test_parse_conditional_dependency() -> None:
@@ -129,30 +124,10 @@ def test_parse_conditional_dependency() -> None:
     assert "only_ros1" not in manifest.deps_exec
 
 
-def test_build_type_defaults_by_ros_version() -> None:
-    text = b"""\
-<package format="2">
-  <name>demo</name>
-  <version>0.1.0</version>
-</package>
-"""
-    assert parse_manifest(text, {"ROS_VERSION": "1"}, TOP, None).build_type == "catkin"
-    assert parse_manifest(text, {"ROS_VERSION": "2"}, TOP, None).build_type == "ament_cmake"
-
-
-def test_conditional_build_type_export() -> None:
-    text = b"""\
-<package format="3">
-  <name>demo</name>
-  <version>0.1.0</version>
-  <export>
-    <build_type condition="$ROS_VERSION == 1">catkin</build_type>
-    <build_type condition="$ROS_VERSION == 2">ament_cmake</build_type>
-  </export>
-</package>
-"""
-    assert parse_manifest(text, {"ROS_VERSION": "1"}, TOP, None).build_type == "catkin"
-    assert parse_manifest(text, {"ROS_VERSION": "2"}, TOP, None).build_type == "ament_cmake"
+def test_export_is_not_read() -> None:
+    export = '<build_type condition="not a condition">catkin</build_type><x/>'
+    text = MINIMAL_XML.replace("<build_type>ament_python</build_type>", export)
+    assert parse_manifest(text.encode(), ENV, TOP, None) == PackageManifest("demo")
 
 
 @pytest.mark.parametrize(
@@ -164,6 +139,9 @@ def test_conditional_build_type_export() -> None:
         ("<name>demo</name>", ""),
         ("<version>1.0.0</version>", ""),
         ("</version>", "</version><depend>x\r\ny</depend>"),
+        ("</version>", "</version><test_depend> </test_depend>"),
+        ("</version>", "</version><test_depend>x y</test_depend>"),
+        ("</version>", '</version><test_depend condition="$ROS_VERSION =">x</test_depend>'),
     ],
 )
 def test_parse_rejects_bad_fields(mutation: tuple[str, str]) -> None:
@@ -190,34 +168,26 @@ _keys = st.frozensets(_name, max_size=5)
 
 
 @st.composite
-def manifests(draw: st.DrawFn) -> PackageManifest:
-    both = draw(_keys)
-    build = draw(_keys) | both
-    execute = draw(_keys) | both
-    return PackageManifest(
-        name=draw(_name),
-        version=draw(_version),
-        manifest_format=draw(st.sampled_from([2, 3])),
-        build_type=draw(st.sampled_from(["ament_cmake", "ament_python", "catkin"])),
-        deps_build=frozenset(build),
-        deps_exec=frozenset(execute),
-        deps_test=draw(_keys),
-    )
-
-
-def render_manifest(manifest: PackageManifest) -> str:
-    """Serialize a manifest back to canonical XML.
+def manifest_documents(draw: st.DrawFn) -> tuple[PackageManifest, str]:
+    """A manifest and canonical XML for it.
 
     Keys in both build and exec scope are emitted as ``<depend>``; the
-    remainder use their narrowest tag. ``parse_manifest`` applied to the
-    output reproduces the input manifest.
+    remainder use their narrowest tag. The format, version, test
+    dependencies and build type are drawn too: ``parse_manifest`` checks
+    them but keeps none of them.
     """
 
+    both = draw(_keys)
+    manifest = PackageManifest(
+        name=draw(_name),
+        deps_build=draw(_keys) | both,
+        deps_exec=draw(_keys) | both,
+    )
     lines = [
         '<?xml version="1.0"?>',
-        f'<package format="{manifest.manifest_format}">',
+        f'<package format="{draw(st.sampled_from([2, 3]))}">',
         f"  <name>{manifest.name}</name>",
-        f"  <version>{manifest.version}</version>",
+        f"  <version>{draw(_version)}</version>",
     ]
     both = sorted(manifest.deps_build & manifest.deps_exec)
     build_only = sorted(manifest.deps_build - manifest.deps_exec)
@@ -228,27 +198,21 @@ def render_manifest(manifest: PackageManifest) -> str:
         lines.append(f"  <build_depend>{key}</build_depend>")
     for key in exec_only:
         lines.append(f"  <exec_depend>{key}</exec_depend>")
-    for key in sorted(manifest.deps_test):
+    for key in sorted(draw(_keys)):
         lines.append(f"  <test_depend>{key}</test_depend>")
+    build_type = draw(st.sampled_from(["ament_cmake", "ament_python", "catkin"]))
     lines.append("  <export>")
-    lines.append(f"    <build_type>{manifest.build_type}</build_type>")
+    lines.append(f"    <build_type>{build_type}</build_type>")
     lines.append("  </export>")
     lines.append("</package>")
-    return "\n".join(lines) + "\n"
+    return manifest, "\n".join(lines) + "\n"
 
 
 @settings(max_examples=150, deadline=None)
-@given(manifests())
-def test_render_parse_round_trip(manifest: PackageManifest) -> None:
-    text = render_manifest(manifest)
-    parsed = parse_manifest(text.encode(), ENV, TOP, None)
-    assert parsed.name == manifest.name
-    assert parsed.version == manifest.version
-    assert parsed.manifest_format == manifest.manifest_format
-    assert parsed.build_type == manifest.build_type
-    assert parsed.deps_build == manifest.deps_build
-    assert parsed.deps_exec == manifest.deps_exec
-    assert parsed.deps_test == manifest.deps_test
+@given(manifest_documents())
+def test_render_parse_round_trip(document: tuple[PackageManifest, str]) -> None:
+    manifest, text = document
+    assert parse_manifest(text.encode(), ENV, TOP, None) == manifest
 
 
 # --- workspace scanning ----------------------------------------------------
@@ -328,5 +292,4 @@ def test_fixture_workspaces_scan(minimal_analysis, multi_repo_analysis) -> None:
         "sensor_common",
     ]
     nav = multi_repo_analysis.workspace.packages[0]
-    assert nav.build_type == "ament_cmake"
     assert "rclcpp_components" in nav.deps_build
