@@ -25,3 +25,6 @@ KNOWN_DISTROS: dict[str, int] = {
 # The image flavors a build can target: the development image, which holds
 # the source, and the deployment image, which holds only the install space.
 TARGETS = ("dev", "run")
+
+# The CPU architectures forge builds images for.
+ARCHITECTURES = ("amd64", "arm64")

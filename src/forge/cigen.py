@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import yaml
 
-from . import TARGETS
+from . import ARCHITECTURES, TARGETS
 from .errors import InvalidSpec
 
 _IMAGE_NAME_RE = re.compile(r"^[a-z0-9][a-z0-9_.\-/]*$")
@@ -62,7 +62,7 @@ def _check_spec(spec: PipelineSpec) -> None:
     if not spec.platforms:
         raise InvalidSpec("at least one platform is required")
     for platform in spec.platforms:
-        if platform not in ("amd64", "arm64"):
+        if platform not in ARCHITECTURES:
             raise InvalidSpec(f"unsupported build platform {platform!r}")
     if not spec.target_stages:
         raise InvalidSpec("at least one target stage is required")

@@ -7,8 +7,9 @@ Subcommands: ``analyze`` (dependency report), ``generate dockerfile`` and
 startup overhead report).
 
 Exit codes: 0 on success, 1 for engine or internal failures, 2 for user
-or input errors. Every subcommand accepts ``--dry-run``, which prints the
-engine commands that would execute and runs nothing.
+or input errors. Each subcommand takes only the options its handler reads.
+``--dry-run`` runs no engine command and writes only the files named on
+the command line.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 import yaml
 
-from . import KNOWN_DISTROS, TARGETS, __version__
+from . import ARCHITECTURES, KNOWN_DISTROS, TARGETS, __version__
 from .errors import (
     ConfigError,
     ForgeError,
@@ -363,40 +364,27 @@ def cmd_analyze(args: argparse.Namespace, driver: EngineDriver | None) -> int:
     return 0
 
 
-def _image_spec_from_args(
+def _render_for_workspace(
     args: argparse.Namespace, analysis: WorkspaceAnalysis, cfg: GlobalConfig
-) -> ImageSpec:
+) -> str:
     _bind("dockergen")
-    launch_command: tuple[str, ...] = ("bash",)
-    if args.command:
-        launch_command = tuple(shlex.split(args.command))
-    return ImageSpec(
+    spec = ImageSpec(
         ros_distro=analysis.index.distro,
         packages=tuple(analysis.workspace.packages),
         base_image=args.base or "",
         target=args.target,
-        launch_command=launch_command,
+        launch_command=tuple(shlex.split(args.command)) if args.command else ("bash",),
         workspace_dir=args.workspace_dir,
-        repos_files=tuple(
-            sorted(p.name for p in analysis.root.glob("*.repos"))
-        ),
+        repos_files=tuple(sorted(p.name for p in analysis.root.glob("*.repos"))),
         source_repos=analysis.repos,
         custom_script_pre=args.script_pre,
         custom_script_post=args.script_post,
         extra_apt=tuple(args.extra_apt or ()),
         extra_pip=tuple(args.extra_pip or ()),
-        platforms=tuple(args.platform or ("amd64",)),
         slim_runtime=args.slim_runtime,
         strict=cfg.strict,
         nonroot_run=args.nonroot_run,
     )
-
-
-def _render_for_workspace(
-    args: argparse.Namespace, analysis: WorkspaceAnalysis, cfg: GlobalConfig
-) -> str:
-    _bind("dockergen")
-    spec = _image_spec_from_args(args, analysis, cfg)
     plan = plan_stages(
         spec, analysis.resolved, analysis.resolved_exec, context_root=analysis.root
     )
@@ -410,7 +398,7 @@ def _render_for_workspace(
 def cmd_generate_dockerfile(args: argparse.Namespace, driver: EngineDriver | None) -> int:
     cfg, analysis = _analyze_args(args)
     text = _render_for_workspace(args, analysis, cfg)
-    _write_output(text, args.output or str(analysis.root / "Dockerfile"))
+    _write_output(text, args.output, str(analysis.root / "Dockerfile"), args.dry_run)
     return 0
 
 
@@ -424,13 +412,19 @@ def _write_file(path: Path, text: str) -> None:
         raise UnwritableOutput(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _write_output(text: str, output: str) -> None:
-    """Print ``text`` for ``-``, else write it to the path ``output``."""
+def _write_output(text: str, output: str | None, default: str, dry_run: bool) -> None:
+    """Print ``text`` for ``-``, else write it to ``output`` or ``default``.
+
+    A dry run writes only a path named on the command line.
+    """
 
     if output == "-":
         print(text, end="")
         return
-    path = Path(output)
+    if dry_run and not output:
+        print(f"[dry-run] would write {default}")
+        return
+    path = Path(output or default)
     _write_file(path, text)
     print(f"wrote {path}")
 
@@ -448,7 +442,8 @@ def cmd_generate_ci(args: argparse.Namespace, driver: EngineDriver | None) -> in
         base_image=args.base or "",
         target_stages=tuple(args.targets.split(",")) if args.targets else TARGETS,
     )
-    _write_output(generate_pipeline(spec), args.output or default_output_path(args.platform))
+    text = generate_pipeline(spec)
+    _write_output(text, args.output, default_output_path(args.platform), args.dry_run)
     return 0
 
 
@@ -654,25 +649,21 @@ def cmd_bench_startup(args: argparse.Namespace, driver: EngineDriver | None) -> 
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="path to a forge.yaml config file")
-    parser.add_argument("--registry", help="registry prefix for image tags")
-    parser.add_argument(
-        "--parallelism", type=int, help="bounded parallelism for matrix builds"
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="fail (exit 2) when any dependency key is unresolved",
-    )
-    parser.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="print the engine commands that would run, execute nothing",
-    )
-    parser.add_argument(
-        "--engine", default="docker", help="container engine binary (default: docker)"
-    )
+# The options several subcommands share, each defined once. A subcommand
+# names the ones its handler reads.
+_SHARED_OPTIONS: dict[str, dict[str, object]] = {
+    "--config": {"help": "path to a forge.yaml config file"},
+    "--registry": {"help": "registry prefix for image tags"},
+    "--parallelism": {"type": int, "help": "bounded parallelism for matrix builds"},
+    "--strict": {"action": "store_true", "help": "exit 2 when any dependency key is unresolved"},
+    "--dry-run": {"action": "store_true", "help": "run no engine command, write only named files"},
+    "--engine": {"default": "docker", "help": "container engine binary (default: docker)"},
+}
+
+
+def _add_shared(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED_OPTIONS[flag])
 
 
 def _add_workspace_options(parser: argparse.ArgumentParser) -> None:
@@ -710,9 +701,6 @@ def _add_image_options(parser: argparse.ArgumentParser) -> None:
         help="workspace path inside the image",
     )
     parser.add_argument(
-        "--platform", action="append", help="target platform (repeatable)"
-    )
-    parser.add_argument(
         "--slim-runtime",
         action="store_true",
         help="install only exec-scope dependencies in the shared stage",
@@ -742,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
 
     p = subparsers.add_parser("analyze", help="report resolved dependencies")
-    _add_common(p)
+    _add_shared(p, "--config", "--strict", "--dry-run")
     _add_workspace_options(p)
     p.add_argument("--format", choices=("table", "json", "yaml"), default="table")
     p.set_defaults(handler=cmd_analyze)
@@ -751,14 +739,14 @@ def build_parser() -> argparse.ArgumentParser:
     generate_sub = generate.add_subparsers(dest="generate_what", required=True)
 
     p = generate_sub.add_parser("dockerfile", help="write a multi-stage Dockerfile")
-    _add_common(p)
+    _add_shared(p, "--config", "--strict", "--dry-run")
     _add_workspace_options(p)
     _add_image_options(p)
     p.add_argument("--output", "-o", help="output path ('-' for stdout)")
     p.set_defaults(handler=cmd_generate_dockerfile)
 
     p = generate_sub.add_parser("ci", help="write a CI pipeline configuration")
-    _add_common(p)
+    _add_shared(p, "--config", "--registry", "--dry-run")
     p.add_argument(
         "--platform", choices=("github", "gitlab"), required=True, help="CI platform"
     )
@@ -774,9 +762,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_generate_ci)
 
     p = subparsers.add_parser("build", help="generate and build an image")
-    _add_common(p)
+    _add_shared(p, "--config", "--registry", "--strict", "--dry-run", "--engine")
     _add_workspace_options(p)
     _add_image_options(p)
+    p.add_argument(
+        "--platform", action="append", choices=ARCHITECTURES, help="target platform (repeatable)"
+    )
     p.add_argument("--tag", action="append", help="image tag (repeatable)")
     p.add_argument("--push", action="store_true", help="push after building")
     p.add_argument("--dockerfile-out", help="where to write the generated Dockerfile")
@@ -786,13 +777,13 @@ def build_parser() -> argparse.ArgumentParser:
     matrix_sub = matrix.add_subparsers(dest="matrix_what", required=True)
 
     p = matrix_sub.add_parser("list", help="list matrix tags")
-    _add_common(p)
+    _add_shared(p, "--config", "--registry")
     _add_matrix_filters(p)
     p.add_argument("--format", choices=("text", "json", "yaml"), default="text")
     p.set_defaults(handler=cmd_matrix_list)
 
     p = matrix_sub.add_parser("build", help="build matrix images")
-    _add_common(p)
+    _add_shared(p, "--config", "--registry", "--parallelism", "--dry-run", "--engine")
     _add_matrix_filters(p)
     p.add_argument(
         "--dockerfile",
@@ -807,7 +798,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser(
         "run", help="run a development container with host integration"
     )
-    _add_common(p)
+    _add_shared(p, "--dry-run", "--engine")
     p.add_argument("image", help="image reference")
     p.add_argument("--name", help="container name (default derived)")
     p.add_argument("--no-x11", action="store_true", help="disable X11 forwarding")
@@ -827,7 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = subparsers.add_parser("bench", help="measurement harnesses")
     bench_sub = bench.add_subparsers(dest="bench_what", required=True)
     p = bench_sub.add_parser("startup", help="report container startup overhead")
-    _add_common(p)
+    _add_shared(p, "--dry-run", "--engine")
     p.add_argument("image", help="image reference")
     p.add_argument("--runs", type=int, default=5, help="number of timed runs")
     p.set_defaults(handler=cmd_bench_startup)

@@ -173,7 +173,6 @@ class ImageSpec(NamedTuple):
     custom_script_post: str | None = None
     extra_apt: tuple[str, ...] = ()
     extra_pip: tuple[str, ...] = ()
-    platforms: tuple[str, ...] = ("amd64",)
     slim_runtime: bool = False
     strict: bool = False
     nonroot_run: bool = False
@@ -192,11 +191,6 @@ def _check_spec(spec: ImageSpec, context_root: Path) -> None:
         raise InvalidSpec(f"unknown ROS distro {spec.ros_distro!r}")
     if spec.target not in TARGETS:
         raise InvalidSpec(f"target must be {' or '.join(TARGETS)}, not {spec.target!r}")
-    if not spec.platforms:
-        raise InvalidSpec("at least one platform is required")
-    for platform in spec.platforms:
-        if platform not in ("amd64", "arm64"):
-            raise InvalidSpec(f"unsupported platform {platform!r}")
     if spec.target == "run" and not spec.launch_command:
         raise InvalidSpec("target=run requires a launch command")
     if not spec.workspace_dir.startswith("/") or not spec.workspace_dir.strip("/"):

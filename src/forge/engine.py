@@ -13,7 +13,6 @@ CLI-compatible engine (podman) works.
 from __future__ import annotations
 
 import json
-import shutil
 from typing import NamedTuple, Protocol, Sequence
 
 from .errors import (
@@ -173,21 +172,19 @@ class SubprocessDriver:
     def __init__(self, binary: str) -> None:
         self.binary = binary
 
-    def available(self) -> bool:
-        return shutil.which(self.binary) is not None
-
     def execute(self, command: EngineCommand) -> EngineResult:
-        if not self.available():
-            raise EngineUnavailable(f"engine binary {self.binary!r} not found on PATH")
         # Imported here, so commands that spawn nothing do not load it.
         import subprocess
 
-        completed = subprocess.run(
-            [self.binary, *command],
-            capture_output=True,
-            text=True,
-            check=False,
-        )
+        try:
+            completed = subprocess.run(
+                [self.binary, *command],
+                capture_output=True,
+                text=True,
+                check=False,
+            )
+        except (FileNotFoundError, PermissionError) as exc:
+            raise EngineUnavailable(f"engine binary {self.binary!r} not found on PATH") from exc
         return EngineResult(
             exit_code=completed.returncode,
             stdout=completed.stdout,

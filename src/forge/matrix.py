@@ -15,14 +15,13 @@ from typing import Iterable, NamedTuple, Sequence
 
 import yaml
 
-from . import KNOWN_DISTROS
+from . import ARCHITECTURES, KNOWN_DISTROS
 from .errors import InvalidSpec, MalformedDatabase
 from .textio import safe_load
 
 DISTROS = ("noetic", "foxy", "humble", "iron", "rolling")
 COMPONENTS = ("core", "base", "robot", "perception", "desktop", "desktop-full")
 ML_FLAVORS = ("none", "cuda", "tf-py", "tf-cpp", "torch-py", "torch-cpp")
-ARCHITECTURES = ("amd64", "arm64")
 
 _FLAVOR_SUFFIX = {
     "none": "",

@@ -1,7 +1,8 @@
-"""A fake engine driver that records commands instead of running them."""
+"""Fake engine drivers that record commands instead of running them."""
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 from forge.engine import EngineCommand, EngineResult
@@ -25,3 +26,33 @@ class RecordingDriver:
             if command[:length] in self.scripted:
                 return self.scripted[command[:length]]
         return self.default
+
+
+@dataclass
+class ConcurrencyDriver(RecordingDriver):
+    """A RecordingDriver that also records the most commands in flight at once.
+
+    The first command waits up to ``wait_s`` for a second one to start, so
+    two workers always overlap and a single worker never does.
+    """
+
+    wait_s: float = 0.5
+    peak: int = 0
+    _started: int = 0
+    _active: int = 0
+    _changed: threading.Condition = field(default_factory=threading.Condition)
+
+    def execute(self, command: EngineCommand) -> EngineResult:
+        with self._changed:
+            first = self._started == 0
+            self._started += 1
+            self._active += 1
+            self.peak = max(self.peak, self._active)
+            self._changed.notify_all()
+            if first:
+                self._changed.wait_for(lambda: self.peak > 1, timeout=self.wait_s)
+        try:
+            return super().execute(command)
+        finally:
+            with self._changed:
+                self._active -= 1

@@ -138,7 +138,7 @@ def test_cli_strict_no_in_config_is_false(capsys, monkeypatch, tmp_path) -> None
 
 def test_cli_parallelism_zero_exits_2(capsys, monkeypatch, tmp_path) -> None:
     monkeypatch.chdir(tmp_path)
-    code = main(["matrix", "list", "--parallelism", "0"])
+    code = main(["matrix", "build", "--dry-run", "--parallelism", "0"])
     assert code == 2
     assert "parallelism must be at least 1" in capsys.readouterr().err
 
@@ -337,6 +337,29 @@ def test_generate_ci_writes_file(capsys, monkeypatch, tmp_path) -> None:
     assert "build-dev-amd64" in doc
 
 
+@pytest.mark.parametrize(
+    ("argv", "default"),
+    [
+        (["generate", "dockerfile", "ws"], "ws/Dockerfile"),
+        (["generate", "ci", "--platform", "github", "--image-name", "app"],
+         ".github/workflows/forge.yml"),
+        (["generate", "ci", "--platform", "gitlab", "--image-name", "app"], ".gitlab-ci.yml"),
+    ],
+    ids=["dockerfile", "ci-github", "ci-gitlab"],
+)
+def test_generate_dry_run_writes_only_a_named_output(capsys, monkeypatch, tmp_path, argv, default) -> None:
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(MINIMAL, tmp_path / "ws")
+    before = sorted(tmp_path.rglob("*"))
+    assert main([*argv, "--dry-run"]) == 0
+    assert capsys.readouterr().out == f"[dry-run] would write {default}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+    assert main([*argv, "--dry-run", "-o", "named/out"]) == 0
+    assert capsys.readouterr().out == "wrote named/out\n"
+    assert (tmp_path / "named" / "out").read_text(encoding="utf-8")
+
+
 # --- build -----------------------------------------------------------------
 
 
@@ -390,6 +413,15 @@ def test_build_executes_through_driver(capsys, monkeypatch, tmp_path) -> None:
     assert len(driver.commands) == 1
     assert driver.commands[0][0] == "build"
     assert "built reg/app:run" in capsys.readouterr().out
+
+
+def test_build_rejects_an_unknown_platform(capsys, monkeypatch, tmp_path) -> None:
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "Dockerfile"
+    code = main(["build", MINIMAL, "--dry-run", "--platform", "s390x", "--dockerfile-out", str(out)])
+    assert code == 2
+    assert "argument --platform: invalid choice: 's390x'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_build_missing_credential_exits_2(capsys, monkeypatch, tmp_path) -> None:
@@ -676,6 +708,12 @@ def test_run_unknown_flags_become_passthrough(capsys, monkeypatch, tmp_path, fak
     assert "--privileged img" in out
 
 
+def test_run_forwards_options_of_other_subcommands(capsys, monkeypatch, tmp_path, fake_host) -> None:
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--dry-run", "--strict", "img"]) == 0
+    assert "--strict img" in capsys.readouterr().out
+
+
 def test_run_relative_workspace_dir_exits_2(capsys, monkeypatch, tmp_path, fake_host) -> None:
     monkeypatch.chdir(tmp_path)
     code = main(["run", "--dry-run", "--workspace-dir", "ws", "img"])
@@ -767,6 +805,21 @@ def test_bench_startup_dry_run(capsys, monkeypatch, tmp_path) -> None:
     out = capsys.readouterr().out
     assert code == 0
     assert "[dry-run] docker run --rm img true" in out
+
+
+@pytest.mark.parametrize("kind", ["missing", "not-executable"])
+def test_unavailable_engine_binary_exits_1(capsys, monkeypatch, tmp_path, kind) -> None:
+    monkeypatch.chdir(tmp_path)
+    engine = str(tmp_path / "engine")
+    if kind == "not-executable":
+        Path(engine).write_text("#!/bin/sh\n", encoding="utf-8")
+    code = main(["bench", "startup", "img", "--runs", "1", "--engine", engine])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        f"forge: error: EngineUnavailable: engine binary {engine!r} not found on PATH\n"
+    )
 
 
 # --- misc ------------------------------------------------------------------

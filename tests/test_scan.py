@@ -1,4 +1,8 @@
-"""Workspace scanning: the reference walk, the manifest memo, depth and errors."""
+"""Workspace scanning: the reference walk, the manifest memo, depth and errors.
+
+Mutated workspace inputs (manifests, ``.repos`` files, ``forge.yaml``) make
+``analyze`` exit 0 or 2, never crash.
+"""
 
 from __future__ import annotations
 
@@ -13,6 +17,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -411,22 +416,28 @@ _VALID = manifest_xml("pkg_a", CONDITIONAL + "<test_depend>gtest</test_depend>")
 _TAGS = ["package", "name", "version", "depend", "test_depend", "export", "build_type"]
 
 
+def _damaged_bytes(draw: st.DrawFn, valid: bytes) -> bytes:
+    """``valid`` truncated, with a byte flipped, or with ``\\xff`` spliced in."""
+
+    kind = draw(st.sampled_from(["truncate", "flip", "splice"]))
+    offset = draw(st.integers(0, len(valid) - 1))
+    if kind == "truncate":
+        return valid[:offset]
+    if kind == "splice":
+        return valid[:offset] + b"\xff" + valid[offset:]
+    flipped = valid[offset] ^ draw(st.integers(1, 255))
+    return valid[:offset] + bytes([flipped]) + valid[offset + 1 :]
+
+
 @st.composite
 def mutated_manifests(draw: st.DrawFn) -> bytes:
-    """A valid manifest truncated, with a byte flipped or ``\\xff`` spliced in, or a tag renamed."""
+    """A valid manifest with damaged bytes or a tag renamed."""
 
-    kind = draw(st.sampled_from(["truncate", "flip", "splice", "rename"]))
-    if kind == "rename":
-        old = draw(st.sampled_from(_TAGS)).encode()
-        new = draw(st.sampled_from([*_TAGS, "exec_depend", "x"])).encode()
-        return re.sub(rb"(</?)" + old + rb"\b", rb"\g<1>" + new, _VALID)
-    offset = draw(st.integers(0, len(_VALID) - 1))
-    if kind == "truncate":
-        return _VALID[:offset]
-    if kind == "splice":
-        return _VALID[:offset] + b"\xff" + _VALID[offset:]
-    flipped = _VALID[offset] ^ draw(st.integers(1, 255))
-    return _VALID[:offset] + bytes([flipped]) + _VALID[offset + 1 :]
+    if draw(st.booleans()):
+        return _damaged_bytes(draw, _VALID)
+    old = draw(st.sampled_from(_TAGS)).encode()
+    new = draw(st.sampled_from([*_TAGS, "exec_depend", "x"])).encode()
+    return re.sub(rb"(</?)" + old + rb"\b", rb"\g<1>" + new, _VALID)
 
 
 def _analyze(root: Path) -> tuple[int, str, str]:
@@ -455,6 +466,68 @@ def test_cli_analyze_of_mutated_manifest_bytes_exits_cleanly_cold_and_warm(data:
     code, _, err = cold
     assert code == 0 or (code == 2 and err.startswith("forge: error: ")), cold
     assert warm == cold == fresh
+
+
+_REPOS = {
+    "repositories": {
+        "tools": {"type": "git", "url": "https://git.example.com/acme/tools.git", "version": "main"}
+    }
+}
+_CONFIG = {
+    "registry": "reg.example",
+    "default_distro": "humble",
+    "rosdep_dbs": [],
+    "parallelism": 3,
+    "strict": True,
+}
+_NODES = [None, 0, True, "x", [], ["x"], {}, {"x": "y"}]
+
+
+def _node_paths(node: object, path: tuple = ()):
+    """The path of every node of a parsed YAML document, the root's first."""
+
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _node_paths(child, (*path, key))
+
+
+def _replaced(node: object, path: tuple, value: object) -> object:
+    if not path:
+        return value
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    copy[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return copy
+
+
+@st.composite
+def mutated_yaml(draw: st.DrawFn, doc: dict) -> bytes:
+    """``doc`` as YAML with damaged bytes or one node swapped for a node of another type."""
+
+    if draw(st.booleans()):
+        return _damaged_bytes(draw, yaml.safe_dump(doc).encode())
+    path = draw(st.sampled_from(list(_node_paths(doc))))
+    return yaml.safe_dump(_replaced(doc, path, draw(st.sampled_from(_NODES)))).encode()
+
+
+@pytest.mark.parametrize(("name", "doc"), [("deps.repos", _REPOS), ("forge.yaml", _CONFIG)])
+def test_cli_analyze_of_mutated_yaml_inputs_exits_cleanly_cold_and_warm(name: str, doc: dict) -> None:
+    @settings(max_examples=100, deadline=None)
+    @given(mutated_yaml(doc))
+    def exits_cleanly(data: bytes) -> None:
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "ws"
+            (root / "src" / "pkg").mkdir(parents=True)
+            (root / "src" / "pkg" / "package.xml").write_bytes(manifest_xml("pkg_a").encode())
+            (root / name).write_bytes(data)
+            with mock.patch.dict(os.environ, {"XDG_CACHE_HOME": str(Path(tmp) / "cache")}):
+                cold = _analyze(root)
+                warm = _analyze(root)
+        code, _, err = cold
+        assert code == 0 or (code == 2 and err.startswith("forge: error: ")), cold
+        assert warm == cold
+
+    exits_cleanly()
 
 
 # --- errors name the file ----------------------------------------------------
