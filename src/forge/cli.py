@@ -40,9 +40,6 @@ from .errors import (
 )
 from .textio import read_utf8, safe_load
 
-DEFAULT_REGISTRY = "localhost"
-DEFAULT_DISTRO = "humble"
-DEFAULT_PARALLELISM = 2
 GENERATED_DIR = ".forge"
 
 # The names this module uses from each layer. So that a command imports only
@@ -104,16 +101,12 @@ def __getattr__(name: str) -> object:
 class GlobalConfig(NamedTuple):
     """Layered configuration: flags beat environment beat file beat defaults."""
 
-    registry: str = DEFAULT_REGISTRY
-    default_distro: str = DEFAULT_DISTRO
+    registry: str = "localhost"
+    default_distro: str = "humble"
     rosdep_db_paths: tuple[str, ...] = ()
     distro_index_path: str | None = None
-    parallelism: int = DEFAULT_PARALLELISM
+    parallelism: int = 2
     strict: bool = False
-
-
-_TRUE_WORDS = ("1", "true", "yes", "on")
-_FALSE_WORDS = ("0", "false", "no", "off", "")
 
 
 def _parse_flag(value: object, name: str) -> bool:
@@ -122,103 +115,93 @@ def _parse_flag(value: object, name: str) -> bool:
     if isinstance(value, bool):
         return value
     word = value.strip().lower() if isinstance(value, str) else None
-    if word in _TRUE_WORDS:
+    if word in ("1", "true", "yes", "on"):
         return True
-    if word in _FALSE_WORDS:
+    if word in ("0", "false", "no", "off", ""):
         return False
     raise ConfigError(f"{name} must be a boolean, got {value!r}")
 
 
-def _parse_int(value: object, name: str) -> int:
-    """An integer, or a string holding one; bools are rejected."""
+def _parse_count(value: object, name: str) -> int:
+    """A positive integer, or a string holding one; bools are rejected."""
 
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise TypeError
+        count = int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if count < 1:
+        raise ConfigError(f"{name} must be at least 1, got {count}")
+    return count
 
 
-def _parse_str(value: object, name: str) -> str:
+def _parse_registry(value: object, name: str) -> str:
+    if not str(value):
+        raise ConfigError(f"{name} must be non-empty")
+    return str(value)
+
+
+def _parse_distro(value: object, name: str) -> str:
+    if str(value) not in KNOWN_DISTROS:
+        raise ConfigError(f"{name}: unknown distro {str(value)!r}")
+    return str(value)
+
+
+def _parse_file(value: object, name: str) -> str:
+    if not Path(str(value)).is_file():
+        raise ConfigError(f"{name}: referenced file {str(value)!r} does not exist")
     return str(value)
 
 
 def _parse_paths(value: object, name: str) -> tuple[str, ...]:
     if not isinstance(value, list):
         raise ConfigError(f"{name} must be a list of paths")
-    return tuple(str(p) for p in value)
+    return tuple(_parse_file(p, name) for p in value)
 
 
-# GlobalConfig field, forge.yaml key, environment variable, parser. A parser
-# takes the YAML value or the variable's text plus the name to report;
-# FORGE_ROSDEP_DBS is split on os.pathsep before parsing.
+# GlobalConfig field, forge.yaml key, environment variable, flag dest, parser.
+# load_config takes each setting from its highest layer (a flag is given when
+# not None) but parses every layer's value, so the first bad value in table
+# order is the error. A parser checks type and range and names the layer;
+# FORGE_ROSDEP_DBS is split on os.pathsep, and --rosdep-db extends the list.
 _CONFIG_TABLE = (
-    ("registry", "registry", "FORGE_REGISTRY", _parse_str),
-    ("default_distro", "default_distro", "FORGE_DISTRO", _parse_str),
-    ("rosdep_db_paths", "rosdep_dbs", "FORGE_ROSDEP_DBS", _parse_paths),
-    ("distro_index_path", "distro_index", "FORGE_DISTRO_INDEX", _parse_str),
-    ("parallelism", "parallelism", "FORGE_PARALLELISM", _parse_int),
-    ("strict", "strict", "FORGE_STRICT", _parse_flag),
+    ("registry", "registry", "FORGE_REGISTRY", "registry", _parse_registry),
+    ("default_distro", "default_distro", "FORGE_DISTRO", "distro", _parse_distro),
+    ("rosdep_db_paths", "rosdep_dbs", "FORGE_ROSDEP_DBS", "rosdep_db", _parse_paths),
+    ("distro_index_path", "distro_index", "FORGE_DISTRO_INDEX", "distro_index", _parse_file),
+    ("parallelism", "parallelism", "FORGE_PARALLELISM", "parallelism", _parse_count),
+    ("strict", "strict", "FORGE_STRICT", "strict", _parse_flag),
 )
 
 
 def load_config(args: argparse.Namespace, workspace_root: Path | None) -> GlobalConfig:
-    values: dict[str, object] = {}
-
     explicit = getattr(args, "config", None)
-    if explicit:
-        config_path = Path(explicit)
-    else:
-        config_path = (workspace_root or Path()) / "forge.yaml"
-    if not config_path.is_file():
-        if explicit:
-            raise ConfigError(f"config file {explicit!r} not found")
-        config_path = None
-
-    if config_path is not None:
+    config_path = Path(explicit) if explicit else (workspace_root or Path()) / "forge.yaml"
+    doc = {}
+    if config_path.is_file():
         try:
             doc = safe_load(read_utf8(config_path, ConfigError)) or {}
         except yaml.YAMLError as exc:
             raise ConfigError(f"config file {config_path} is not valid YAML: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {config_path} must hold a mapping")
-        for field_name, key, _, parse in _CONFIG_TABLE:
-            if key in doc:
-                values[field_name] = parse(doc[key], f"config key {key}")
+    elif explicit:
+        raise ConfigError(f"config file {explicit!r} not found")
 
-    for field_name, _, var, parse in _CONFIG_TABLE:
+    values: dict[str, object] = {}
+    for field, key, var, dest, parse in _CONFIG_TABLE:
+        if key in doc:
+            values[field] = parse(doc[key], f"config key {key}")
         if var in os.environ:
             text = os.environ[var]
             value = [p for p in text.split(os.pathsep) if p] if parse is _parse_paths else text
-            values[field_name] = parse(value, var)
-
-    if getattr(args, "registry", None):
-        values["registry"] = args.registry
-    # Matrix subcommands reuse --distro as a repeatable filter; only a
-    # scalar value is a config override.
-    if isinstance(getattr(args, "distro", None), str):
-        values["default_distro"] = args.distro
-    if getattr(args, "rosdep_db", None):
-        values["rosdep_db_paths"] = (*values.get("rosdep_db_paths", ()), *args.rosdep_db)
-    if getattr(args, "distro_index", None):
-        values["distro_index_path"] = args.distro_index
-    if getattr(args, "parallelism", None) is not None:
-        values["parallelism"] = args.parallelism
-    if getattr(args, "strict", False):
-        values["strict"] = True
-
-    cfg = GlobalConfig(**values)
-    if not cfg.registry:
-        raise ConfigError("registry must be non-empty")
-    if cfg.default_distro not in KNOWN_DISTROS:
-        raise ConfigError(f"unknown distro {cfg.default_distro!r}")
-    if cfg.parallelism < 1:
-        raise ConfigError("parallelism must be at least 1")
-    for path in (*cfg.rosdep_db_paths, cfg.distro_index_path):
-        if path is not None and not Path(path).is_file():
-            raise ConfigError(f"referenced file {path!r} does not exist")
-    return cfg
+            values[field] = parse(value, var)
+        flag = getattr(args, dest, None)
+        if flag is not None:
+            value = parse(flag, "--" + dest.replace("_", "-"))
+            values[field] = (*values.get(field, ()), *value) if parse is _parse_paths else value
+    return GlobalConfig(**values)
 
 
 class WorkspaceAnalysis(NamedTuple):
@@ -505,7 +488,7 @@ def cmd_build(args: argparse.Namespace, driver: EngineDriver | None) -> int:
 def _matrix_entries(args: argparse.Namespace) -> list[MatrixEntry]:
     _bind("matrix")
     return enumerate_matrix(
-        distros=args.distro or None,
+        distros=args.distros or None,
         components=args.component or None,
         ml_flavors=args.ml or None,
         architectures=args.arch or None,
@@ -654,8 +637,12 @@ def cmd_bench_startup(args: argparse.Namespace, driver: EngineDriver | None) -> 
 _SHARED_OPTIONS: dict[str, dict[str, object]] = {
     "--config": {"help": "path to a forge.yaml config file"},
     "--registry": {"help": "registry prefix for image tags"},
-    "--parallelism": {"type": int, "help": "bounded parallelism for matrix builds"},
-    "--strict": {"action": "store_true", "help": "exit 2 when any dependency key is unresolved"},
+    "--parallelism": {"help": "bounded parallelism for matrix builds"},
+    "--strict": {
+        "action": "store_true",
+        "default": None,
+        "help": "exit 2 when any dependency key is unresolved",
+    },
     "--dry-run": {"action": "store_true", "help": "run no engine command, write only named files"},
     "--engine": {"default": "docker", "help": "container engine binary (default: docker)"},
 }
@@ -715,7 +702,7 @@ def _add_image_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_matrix_filters(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--distro", action="append", help="restrict distros")
+    parser.add_argument("--distro", action="append", dest="distros", help="restrict distros")
     parser.add_argument("--component", action="append", help="restrict components")
     parser.add_argument("--ml", action="append", help="restrict ML flavors")
     parser.add_argument("--arch", action="append", help="restrict architectures")
@@ -827,28 +814,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None, driver: EngineDriver | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser()
+    try:
+        code = _main(sys.argv[1:] if argv is None else argv, driver)
+        # A reader that closed early shows here, not in the exit-time flush.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout is gone (``forge ... | head``). Point stdout
+        # at /dev/null so the interpreter's last flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
-    passthrough: list[str] = []
-    run_command: list[str] = []
-    if argv and argv[0] == "run":
-        head, passthrough, run_command = _split_run_argv(argv[1:])
-        argv = ["run", *head]
-        try:
-            args, unknown = parser.parse_known_args(argv)
-        except SystemExit as exc:
-            return int(exc.code or 0)
-        # Unrecognized flags are forwarded to the engine, ahead of the
-        # explicit passthrough section.
-        args.passthrough = [*unknown, *passthrough]
-        args.run_command = run_command
-    else:
-        try:
+
+def _main(argv: list[str], driver: EngineDriver | None) -> int:
+    parser = build_parser()
+    try:
+        if argv and argv[0] == "run":
+            head, passthrough, run_command = _split_run_argv(argv[1:])
+            args, unknown = parser.parse_known_args(["run", *head])
+            # Unrecognized flags are forwarded to the engine, ahead of the
+            # explicit passthrough section.
+            args.passthrough = [*unknown, *passthrough]
+            args.run_command = run_command
+        else:
             args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return int(exc.code or 0)
+    except SystemExit as exc:
+        return int(exc.code or 0)
 
     try:
         return int(args.handler(args, driver))

@@ -106,13 +106,16 @@ def required_credential_vars(repos: Sequence[RepoSpec]) -> list[str]:
 def redact(text: str, secrets: Iterable[str]) -> str:
     """``text`` with every non-empty secret value replaced by ``***``.
 
-    Longer values go first, so a secret that contains another is hidden
-    whole rather than in part.
+    A value is replaced only where no ``[A-Za-z0-9_-]`` character flanks
+    it, so a short credential leaves a word that contains it (``tok`` in
+    ``x-access-token``) alone. Longer values go first, so a secret that
+    contains another is hidden whole rather than in part.
     """
 
     for value in sorted(secrets, key=len, reverse=True):
         if value:
-            text = text.replace(value, "***")
+            pattern = rf"(?<![\w-]){re.escape(value)}(?![\w-])"
+            text = re.sub(pattern, "***", text, flags=re.ASCII)
     return text
 
 

@@ -9,8 +9,10 @@ import json
 import os
 import re
 import shutil
+import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
@@ -18,6 +20,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import forge
 from forge.cli import GlobalConfig, cache_dir, load_config, main
 from forge.devrun import HostEnvironment
 from forge.engine import EngineResult
@@ -29,6 +32,7 @@ from recording_driver import RecordingDriver
 MINIMAL = str(FIXTURE_ROOT / "minimal")
 MULTI = str(FIXTURE_ROOT / "multi_repo")
 UNRESOLVED = str(FIXTURE_ROOT / "unresolved")
+SOURCE_ROOT = str(Path(forge.__file__).resolve().parent.parent)
 
 
 def ns(**kwargs) -> argparse.Namespace:
@@ -148,6 +152,236 @@ def test_cli_non_utf8_config_exits_2(capsys, monkeypatch, tmp_path) -> None:
     (tmp_path / "forge.yaml").write_bytes(b"registry: caf\xe9\n")
     assert main(["matrix", "list", "--config", "forge.yaml"]) == 2
     assert "forge: error: ConfigError" in capsys.readouterr().err
+
+
+# --- every setting, every layer ----------------------------------------------
+
+_LAYERS = ("file", "env", "flag")
+_DB_FILES = ("a.yaml", "b.yaml", "c.yaml")
+_PATHS = st.lists(st.sampled_from(_DB_FILES), min_size=1, max_size=3).map(tuple)
+
+
+def _as_is(values: st.SearchStrategy) -> dict[str, st.SearchStrategy]:
+    """The same values in every layer, each written as it is."""
+
+    pairs = values.map(lambda v: (v, v))
+    return dict.fromkeys(_LAYERS, pairs)
+
+
+class Setting(NamedTuple):
+    field: str
+    key: str
+    var: str
+    flag: str
+    valid: dict[str, st.SearchStrategy]  # layer: (GlobalConfig value, the layer's value)
+    bad: dict[str, st.SearchStrategy]  # layer: a value that layer rejects
+
+
+SETTINGS = (
+    Setting(
+        "registry", "registry", "FORGE_REGISTRY", "--registry",
+        _as_is(st.text("abc.-:/019", min_size=1, max_size=10)),
+        dict.fromkeys(_LAYERS, st.just("")),
+    ),
+    Setting(
+        "default_distro", "default_distro", "FORGE_DISTRO", "--distro",
+        _as_is(st.sampled_from(("noetic", "foxy", "humble", "iron", "rolling"))),
+        dict.fromkeys(_LAYERS, st.sampled_from(("jazzy", ""))),
+    ),
+    Setting(
+        "rosdep_db_paths", "rosdep_dbs", "FORGE_ROSDEP_DBS", "--rosdep-db",
+        {
+            "file": _PATHS.map(lambda p: (p, list(p))),
+            "env": _PATHS.map(lambda p: (p, os.pathsep.join(p))),
+            "flag": _PATHS.map(lambda p: (p, list(p))),
+        },
+        {
+            "file": st.sampled_from(("a.yaml", ["a.yaml", "missing.yaml"])),
+            "env": st.just(os.pathsep.join(("a.yaml", "missing.yaml"))),
+            "flag": st.just(["missing.yaml"]),
+        },
+    ),
+    Setting(
+        "distro_index_path", "distro_index", "FORGE_DISTRO_INDEX", "--distro-index",
+        _as_is(st.sampled_from(_DB_FILES)),
+        dict.fromkeys(_LAYERS, st.sampled_from(("missing.yaml", ""))),
+    ),
+    Setting(
+        "parallelism", "parallelism", "FORGE_PARALLELISM", "--parallelism",
+        {
+            "file": st.integers(1, 64).map(lambda n: (n, n)),
+            "env": st.integers(1, 64).map(lambda n: (n, str(n))),
+            "flag": st.integers(1, 64).map(lambda n: (n, str(n))),
+        },
+        {
+            "file": st.sampled_from((0, -3, "x", True, 1.5)),
+            "env": st.sampled_from(("0", "x", "")),
+            "flag": st.sampled_from(("0", "-1", "x")),
+        },
+    ),
+    Setting(
+        "strict", "strict", "FORGE_STRICT", "--strict",
+        {
+            "file": st.booleans().map(lambda b: (b, b)),
+            "env": st.sampled_from(((True, "yes"), (True, "1"), (False, "off"), (False, ""))),
+            # A store_true flag is True when given.
+            "flag": st.just((True, True)),
+        },
+        {"file": st.sampled_from(("maybe", 1)), "env": st.just("maybe")},
+    ),
+)
+
+
+def _layer_name(setting: Setting, layer: str) -> str:
+    return {"file": f"config key {setting.key}", "env": setting.var, "flag": setting.flag}[layer]
+
+
+def _load_layers(tmp_path: Path, written: dict[str, list[tuple[Setting, object]]]) -> GlobalConfig:
+    """load_config over a forge.yaml, FORGE_* variables and flags holding ``written``."""
+
+    path = tmp_path / "forge.yaml"
+    path.write_text(yaml.safe_dump({s.key: v for s, v in written["file"]}), encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("FORGE_")}
+    env.update({s.var: v for s, v in written["env"]})
+    flags = {s.flag[2:].replace("-", "_"): v for s, v in written["flag"]}
+    with mock.patch.dict(os.environ, env, clear=True):
+        return load_config(ns(config=str(path), **flags), None)
+
+
+def test_each_setting_comes_from_its_highest_layer(monkeypatch, tmp_path) -> None:
+    monkeypatch.chdir(tmp_path)
+    for name in _DB_FILES:
+        (tmp_path / name).write_text("{}\n", encoding="utf-8")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def highest_layer_wins(data: st.DataObject) -> None:
+        written: dict[str, list[tuple[Setting, object]]] = {layer: [] for layer in _LAYERS}
+        expected = {}
+        for setting in SETTINGS:
+            drawn = {layer: data.draw(st.none() | setting.valid[layer]) for layer in _LAYERS}
+            present = [pair[0] for pair in drawn.values() if pair is not None]
+            if setting.field == "rosdep_db_paths":
+                # --rosdep-db extends the environment's or else the file's list.
+                lower = [pair[0] for layer, pair in drawn.items() if layer != "flag" and pair]
+                flag = drawn["flag"][0] if drawn["flag"] else ()
+                present = [(*(lower[-1] if lower else ()), *flag)]
+            if present:
+                expected[setting.field] = present[-1]
+            for layer, pair in drawn.items():
+                if pair is not None:
+                    written[layer].append((setting, pair[1]))
+        assert _load_layers(tmp_path, written) == GlobalConfig(**expected)
+
+    highest_layer_wins()
+
+
+def test_a_bad_value_in_any_layer_is_named(monkeypatch, tmp_path) -> None:
+    monkeypatch.chdir(tmp_path)
+    for name in _DB_FILES:
+        (tmp_path / name).write_text("{}\n", encoding="utf-8")
+    bad_spots = [(s, layer) for s in SETTINGS for layer in s.bad]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def bad_value_is_named(data: st.DataObject) -> None:
+        bad_setting, bad_layer = data.draw(st.sampled_from(bad_spots))
+        written: dict[str, list[tuple[Setting, object]]] = {layer: [] for layer in _LAYERS}
+        for setting in SETTINGS:
+            for layer in _LAYERS:
+                if setting is bad_setting and layer == bad_layer:
+                    written[layer].append((setting, data.draw(setting.bad[layer])))
+                elif data.draw(st.booleans()):
+                    written[layer].append((setting, data.draw(setting.valid[layer])[1]))
+        with pytest.raises(ConfigError) as caught:
+            _load_layers(tmp_path, written)
+        assert re.match(rf"{re.escape(_layer_name(bad_setting, bad_layer))}[ :]", str(caught.value))
+
+    bad_value_is_named()
+
+
+@pytest.mark.parametrize(
+    ("argv", "env", "doc", "message"),
+    [
+        (["matrix", "build", "--dry-run", "--parallelism", "2"], {}, "parallelism: 0\n",
+         "config key parallelism must be at least 1, got 0"),
+        (["analyze", MINIMAL, "--distro", "humble"], {"FORGE_DISTRO": "jazzy"}, "",
+         "FORGE_DISTRO: unknown distro 'jazzy'"),
+        (["matrix", "list", "--registry", "reg.flag"], {"FORGE_REGISTRY": ""}, "",
+         "FORGE_REGISTRY must be non-empty"),
+    ],
+)
+def test_a_bad_lower_layer_is_an_error_under_a_higher_one(
+    capsys, monkeypatch, tmp_path, argv, env, doc, message
+) -> None:
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "forge.yaml").write_text(doc, encoding="utf-8")
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert main([*argv, "--config", "forge.yaml"]) == 2
+    assert capsys.readouterr().err == f"forge: error: ConfigError: {message}\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["matrix", "list", "--registry", ""], "--registry must be non-empty"),
+        (["analyze", MINIMAL, "--distro", ""], "--distro: unknown distro ''"),
+        (["analyze", MINIMAL, "--distro-index", ""], "--distro-index: referenced file '' does not exist"),
+    ],
+)
+def test_an_empty_flag_is_checked_like_an_empty_variable(capsys, monkeypatch, tmp_path, argv, message) -> None:
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"forge: error: ConfigError: {message}\n")
+
+
+def test_cli_parallelism_not_a_number_is_a_config_error(capsys, monkeypatch, tmp_path) -> None:
+    monkeypatch.chdir(tmp_path)
+    assert main(["matrix", "build", "--dry-run", "--parallelism", "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "forge: error: ConfigError: --parallelism must be an integer, got 'x'\n"
+
+
+def test_the_first_bad_setting_in_table_order_is_reported(capsys, monkeypatch, tmp_path) -> None:
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "forge.yaml").write_text('registry: ""\n', encoding="utf-8")
+    monkeypatch.setenv("FORGE_PARALLELISM", "many")
+    assert main(["matrix", "build", "--dry-run", "--config", "forge.yaml"]) == 2
+    assert capsys.readouterr().err == "forge: error: ConfigError: config key registry must be non-empty\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matrix", "list", "--format", "json"],
+        ["matrix", "list", "--format", "yaml"],
+        ["matrix", "list", "--format", "text"],
+        # Output that fits the stdout buffer is written only by the last flush.
+        ["matrix", "list", "--distro", "humble", "--component", "core"],
+        ["--version"],
+    ],
+    ids=" ".join,
+)
+def test_a_closed_stdout_reader_exits_1_without_a_traceback(tmp_path, argv) -> None:
+    read_end, write_end = os.pipe()
+    # The reader is gone before forge writes, as when `head` has had enough.
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        completed = subprocess.run(
+            [sys.executable, "-m", "forge.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            cwd=tmp_path,
+            env={**env, "PYTHONPATH": SOURCE_ROOT},
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (completed.returncode, completed.stderr) == (1, b"")
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import pytest
 
-from forge.cli import build_parser, main
+from forge.cli import _CONFIG_TABLE, GlobalConfig, build_parser, main
 from forge.devrun import HostEnvironment
 
 from recording_driver import ConcurrencyDriver
@@ -176,6 +176,8 @@ INPUTS = {
     ),
 }
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
 # bench startup prints wall times, which differ from run to run.
 _SECONDS = re.compile(r"\d+\.\d+s")
 
@@ -264,3 +266,29 @@ def test_argument_changes_what_forge_does(run_root, row: Row) -> None:
     command = row.subcommand.split()
     without = observe([*command, *base, *row.context], run_root)
     assert observe([*command, *with_value, *row.context], run_root) != without
+
+
+def readme_config_rows() -> list[list[str]]:
+    """The cells of each row of README's Configuration table."""
+
+    section = README.read_text(encoding="utf-8").split("\n## Configuration\n")[1].split("\n## ")[0]
+    lines = [line for line in section.splitlines() if line.startswith("|")]
+    return [[cell.strip() for cell in line.strip("|").split("|")] for line in lines[2:]]
+
+
+def test_readme_configuration_table_matches_the_config_table() -> None:
+    readers: dict[str, list[str]] = {}
+    for sub, parser in _subcommand_parsers(build_parser()):
+        for action in parser._actions:
+            readers.setdefault(action.dest, []).append(sub)
+    expected = []
+    for field, key, var, dest, _ in _CONFIG_TABLE:
+        default = GlobalConfig._field_defaults[field]
+        expected.append([
+            f"`{key}`",
+            f"`{var}`",
+            f"`--{dest.replace('_', '-')}`",
+            "packaged" if default in ((), None) else f"`{str(default).lower()}`",
+            ", ".join(f"`{sub}`" for sub in readers[dest]),
+        ])
+    assert readme_config_rows() == expected
