@@ -136,22 +136,28 @@ def _parse_count(value: object, name: str) -> int:
     return count
 
 
-def _parse_registry(value: object, name: str) -> str:
-    if not str(value):
+def _parse_string(value: object, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _parse_nonempty(value: object, name: str) -> str:
+    if not (text := _parse_string(value, name)):
         raise ConfigError(f"{name} must be non-empty")
-    return str(value)
+    return text
 
 
 def _parse_distro(value: object, name: str) -> str:
-    if str(value) not in KNOWN_DISTROS:
-        raise ConfigError(f"{name}: unknown distro {str(value)!r}")
-    return str(value)
+    if (text := _parse_string(value, name)) not in KNOWN_DISTROS:
+        raise ConfigError(f"{name}: unknown distro {text!r}")
+    return text
 
 
 def _parse_file(value: object, name: str) -> str:
-    if not Path(str(value)).is_file():
-        raise ConfigError(f"{name}: referenced file {str(value)!r} does not exist")
-    return str(value)
+    if not Path(text := _parse_string(value, name)).is_file():
+        raise ConfigError(f"{name}: referenced file {text!r} does not exist")
+    return text
 
 
 def _parse_paths(value: object, name: str) -> tuple[str, ...]:
@@ -166,7 +172,7 @@ def _parse_paths(value: object, name: str) -> tuple[str, ...]:
 # order is the error. A parser checks type and range and names the layer;
 # FORGE_ROSDEP_DBS is split on os.pathsep, and --rosdep-db extends the list.
 _CONFIG_TABLE = (
-    ("registry", "registry", "FORGE_REGISTRY", "registry", _parse_registry),
+    ("registry", "registry", "FORGE_REGISTRY", "registry", _parse_nonempty),
     ("default_distro", "default_distro", "FORGE_DISTRO", "distro", _parse_distro),
     ("rosdep_db_paths", "rosdep_dbs", "FORGE_ROSDEP_DBS", "rosdep_db", _parse_paths),
     ("distro_index_path", "distro_index", "FORGE_DISTRO_INDEX", "distro_index", _parse_file),
@@ -177,7 +183,10 @@ _CONFIG_TABLE = (
 
 def load_config(args: argparse.Namespace, workspace_root: Path | None) -> GlobalConfig:
     explicit = getattr(args, "config", None)
-    config_path = Path(explicit) if explicit else (workspace_root or Path()) / "forge.yaml"
+    if explicit is None:
+        config_path = (workspace_root or Path()) / "forge.yaml"
+    else:
+        config_path = Path(_parse_nonempty(explicit, "--config"))
     doc = {}
     if config_path.is_file():
         try:
@@ -480,7 +489,7 @@ def cmd_build(args: argparse.Namespace, driver: EngineDriver | None) -> int:
         # The engine may echo a credential value (in a clone URL, say); the
         # original exception is dropped so no traceback holds it.
         secrets = [os.environ[name] for name in needed]
-        raise NonZeroExit(exc.argv, exc.exit_code, redact(exc.stderr, secrets)) from None
+        raise NonZeroExit(exc.argv, exc.engine_exit_code, redact(exc.stderr, secrets)) from None
     print(f"built {', '.join(tags)}")
     return 0
 
@@ -586,28 +595,20 @@ def cmd_run(args: argparse.Namespace, driver: EngineDriver | None) -> int:
     invocation = synthesize_invocation(host, user_args, workspace_dir=args.workspace_dir)
 
     if args.plugin_dir:
-        plugins = load_plugins(Path(args.plugin_dir))
-        invocation = apply_plugins(invocation, plugins)
+        invocation = apply_plugins(invocation, load_plugins(Path(args.plugin_dir)))
 
-    absent = ContainerState(exists=False, running=False)
     if args.dry_run:
+        absent = ContainerState(exists=False, running=False)
         _print_dry_run(list(attach_or_run(invocation, absent)), args.engine)
         return 0
 
     engine = _make_driver(args, driver)
-    # An unnamed invocation is rejected by attach_or_run without asking the engine.
-    state = inspect_container(invocation.name, engine) if invocation.name else absent
-    commands = attach_or_run(invocation, state)
-
+    commands = attach_or_run(invocation, inspect_container(invocation.name, engine))
     # All but the last command are housekeeping (container removal); the
     # final run/exec inherits this terminal.
     for command in commands[:-1]:
         execute(command, engine)
-    final = commands[-1]
-    import subprocess
-
-    completed = subprocess.run([args.engine, *final], check=False)
-    return completed.returncode
+    return engine.attach(commands[-1])
 
 
 def cmd_bench_startup(args: argparse.Namespace, driver: EngineDriver | None) -> int:

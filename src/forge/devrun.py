@@ -35,7 +35,7 @@ from .errors import InvalidArgs, PluginViolation
 X11_SOCKET_DIR = "/tmp/.X11-unix"
 SCHEMA_ID = "forge.run-invocation/1"
 
-_NAME_OK_RE = re.compile(r"^[a-zA-Z0-9][a-zA-Z0-9_.-]*$")
+_NAME_OK_RE = re.compile(r"[a-zA-Z0-9][a-zA-Z0-9_.-]*")
 
 PluginTransform = tuple[str, Callable[[RunInvocation], RunInvocation]]
 
@@ -140,15 +140,10 @@ def synthesize_invocation(
     the root directory.
     """
 
-    if not args.image:
-        raise InvalidArgs("an image reference is required")
     if not workspace_dir.startswith("/") or not workspace_dir.strip("/"):
         raise InvalidArgs(
             f"--workspace-dir must be an absolute path below /, got {workspace_dir!r}"
         )
-    name = args.name or default_container_name(args.image, host.cwd)
-    if not _NAME_OK_RE.match(name):
-        raise InvalidArgs(f"invalid container name {name!r}")
 
     env: list[tuple[str, str]] = []
     mounts: list[Mount] = []
@@ -156,60 +151,84 @@ def synthesize_invocation(
 
     if host.display is not None and not args.no_x11:
         env.append(("DISPLAY", host.display))
-        mounts.append(Mount(host=X11_SOCKET_DIR, container=X11_SOCKET_DIR, mode="rw"))
-
-    gpu_all = host.gpu_count > 0 and not args.no_gpu
-    user_map = (host.uid, host.gid) if not args.no_user_map else None
+        mounts.append(Mount(X11_SOCKET_DIR, X11_SOCKET_DIR, "rw"))
 
     if args.mount_workspace and host.detected_workspace is not None:
-        source = host.detected_workspace / "src"
-        mounts.append(
-            Mount(host=str(source), container=f"{workspace_dir}/src", mode="rw")
-        )
+        mounts.append(Mount(str(host.detected_workspace / "src"), f"{workspace_dir}/src", "rw"))
         workdir = workspace_dir
 
-    return RunInvocation(
+    invocation = RunInvocation(
         image=args.image,
-        name=name,
+        name=args.name or default_container_name(args.image, host.cwd),
         env=tuple(sorted(env)),
         mounts=tuple(mounts),
-        gpu_all=gpu_all,
-        user_map=user_map,
+        gpu_all=host.gpu_count > 0 and not args.no_gpu,
+        user_map=None if args.no_user_map else (host.uid, host.gid),
         workdir=workdir,
         interactive_tty=host.tty_available,
         remove_on_exit=True,
         passthrough=tuple(args.passthrough),
         command=tuple(args.command),
     )
+    problems = check_invocation(invocation)
+    if problems:
+        raise InvalidArgs("; ".join(problems))
+    return invocation
+
+
+def _pair_of(value: object, kind: type) -> bool:
+    return isinstance(value, tuple) and len(value) == 2 and all(type(v) is kind for v in value)
 
 
 def check_invocation(invocation: RunInvocation) -> list[str]:
-    """Invariant problems of an invocation; empty means valid."""
+    """Invariant problems of an invocation; empty means valid.
 
+    This is the one check of a run invocation: synthesis ends with it and
+    every plugin result passes it, so a field may hold a value of any type.
+    """
+
+    inv = invocation
     problems: list[str] = []
-    if not invocation.image:
+    if not isinstance(inv.image, str):
+        problems.append(f"image must be a string, got {inv.image!r}")
+    elif not inv.image:
         problems.append("image is empty")
-    if invocation.name is not None and not _NAME_OK_RE.match(invocation.name):
-        problems.append(f"container name {invocation.name!r} is invalid")
-    containers = [mount.container for mount in invocation.mounts]
-    for duplicate in sorted({c for c in containers if containers.count(c) > 1}):
-        problems.append(f"duplicate mount target {duplicate!r}")
-    keys = [key for key, _ in invocation.env]
-    for duplicate in sorted({k for k in keys if keys.count(k) > 1}):
-        problems.append(f"duplicate environment key {duplicate!r}")
-    for mount in invocation.mounts:
-        if mount.mode not in ("rw", "ro"):
-            problems.append(f"invalid mount mode {mount.mode!r}")
+    if not isinstance(inv.name, str) or not _NAME_OK_RE.fullmatch(inv.name):
+        problems.append(f"container name {inv.name!r} is invalid")
+    if not isinstance(inv.env, tuple) or not all(_pair_of(e, str) for e in inv.env):
+        problems.append(f"env must hold pairs of strings, got {inv.env!r}")
+    else:
+        keys = [key for key, _ in inv.env]
+        for duplicate in sorted({k for k in keys if keys.count(k) > 1}):
+            problems.append(f"duplicate environment key {duplicate!r}")
+    if not isinstance(inv.mounts, tuple) or not all(isinstance(m, Mount) for m in inv.mounts):
+        problems.append(f"mounts must hold Mount entries, got {inv.mounts!r}")
+    else:
+        for mount in inv.mounts:
+            if not isinstance(mount.host, str) or not isinstance(mount.container, str):
+                problems.append(f"mount paths must be strings: {mount!r}")
+            if mount.mode not in ("rw", "ro"):
+                problems.append(f"invalid mount mode {mount.mode!r}")
+        targets = [m.container for m in inv.mounts if isinstance(m.container, str)]
+        for duplicate in sorted({t for t in targets if targets.count(t) > 1}):
+            problems.append(f"duplicate mount target {duplicate!r}")
+    if inv.user_map is not None and not _pair_of(inv.user_map, int):
+        problems.append(f"user_map must be null or two integers, got {inv.user_map!r}")
+    if inv.workdir is not None and not isinstance(inv.workdir, str):
+        problems.append(f"workdir must be null or a string, got {inv.workdir!r}")
+    for field in ("gpu_all", "interactive_tty", "remove_on_exit"):
+        if not isinstance(getattr(inv, field), bool):
+            problems.append(f"{field} must be a boolean, got {getattr(inv, field)!r}")
+    for field in ("passthrough", "command"):
+        tokens = getattr(inv, field)
+        if not isinstance(tokens, tuple) or not all(isinstance(t, str) for t in tokens):
+            problems.append(f"{field} must hold strings, got {tokens!r}")
     return problems
 
 
 def _is_contiguous_subsequence(needle: tuple[str, ...], haystack: tuple[str, ...]) -> bool:
-    if not needle:
-        return True
-    for start in range(len(haystack) - len(needle) + 1):
-        if tuple(haystack[start : start + len(needle)]) == needle:
-            return True
-    return False
+    size = len(needle)
+    return any(haystack[at : at + size] == needle for at in range(len(haystack) - size + 1))
 
 
 def apply_plugins(
@@ -225,7 +244,9 @@ def apply_plugins(
     for name, transform in plugins:
         candidate = transform(current)
         problems = check_invocation(candidate)
-        if not _is_contiguous_subsequence(current.passthrough, candidate.passthrough):
+        if not problems and not _is_contiguous_subsequence(
+            current.passthrough, candidate.passthrough
+        ):
             problems.append("passthrough tokens were reordered or rewritten")
         if problems:
             raise PluginViolation(name, problems)
@@ -240,12 +261,10 @@ def attach_or_run(
 
     Running container: exec an interactive shell under the same user
     mapping. Stopped container of the same name: remove, then run. No
-    container: run. The invocation must name its container.
+    container: run. The invocation has passed :func:`check_invocation`.
     """
 
     name = invocation.name
-    if not name:
-        raise InvalidArgs("the run invocation names no container")
     if state.running:
         return (
             exec_argv(
@@ -266,56 +285,33 @@ def attach_or_run(
 def invocation_to_doc(invocation: RunInvocation) -> dict[str, object]:
     """Serialize an invocation to the versioned plugin document."""
 
-    return {
-        "schema": SCHEMA_ID,
-        "image": invocation.image,
-        "name": invocation.name,
-        "env": {key: value for key, value in invocation.env},
-        "mounts": [
-            {"host": m.host, "container": m.container, "mode": m.mode}
-            for m in invocation.mounts
-        ],
-        "gpu_all": invocation.gpu_all,
-        "user_map": list(invocation.user_map) if invocation.user_map else None,
-        "workdir": invocation.workdir,
-        "interactive_tty": invocation.interactive_tty,
-        "remove_on_exit": invocation.remove_on_exit,
-        "passthrough": list(invocation.passthrough),
-        "command": list(invocation.command),
-    }
+    doc = invocation._asdict()
+    doc["env"] = dict(invocation.env)
+    doc["mounts"] = [mount._asdict() for mount in invocation.mounts]
+    return {"schema": SCHEMA_ID, **doc}
 
 
 def invocation_from_doc(doc: dict[str, object]) -> RunInvocation:
-    """Parse the plugin document back into an invocation."""
+    """Map the plugin document back onto an invocation's fields.
+
+    Lists become tuples, the env mapping sorted pairs and each mount
+    mapping a :class:`Mount`; an absent field takes its default. Values
+    are not coerced, :func:`check_invocation` judges them.
+    """
 
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_ID:
         raise InvalidArgs(f"plugin document must declare schema {SCHEMA_ID!r}")
+    fields = {key: doc[key] for key in RunInvocation._fields if key in doc}
+    for key, value in fields.items():
+        if isinstance(value, list):
+            fields[key] = tuple(value)
+    if isinstance(fields.get("env"), dict):
+        fields["env"] = tuple(sorted(fields["env"].items()))
     try:
-        env = doc.get("env") or {}
-        mounts = tuple(
-            Mount(host=m["host"], container=m["container"], mode=m.get("mode", "rw"))
-            for m in doc.get("mounts") or []
-        )
-        user_map_raw = doc.get("user_map")
-        user_map = (
-            (int(user_map_raw[0]), int(user_map_raw[1]))  # type: ignore[index]
-            if user_map_raw is not None
-            else None
-        )
-        return RunInvocation(
-            image=str(doc["image"]),
-            name=doc.get("name"),  # type: ignore[arg-type]
-            env=tuple(sorted((str(k), str(v)) for k, v in env.items())),  # type: ignore[union-attr]
-            mounts=mounts,
-            gpu_all=bool(doc.get("gpu_all", False)),
-            user_map=user_map,
-            workdir=doc.get("workdir"),  # type: ignore[arg-type]
-            interactive_tty=bool(doc.get("interactive_tty", True)),
-            remove_on_exit=bool(doc.get("remove_on_exit", True)),
-            passthrough=tuple(str(t) for t in doc.get("passthrough") or []),  # type: ignore[union-attr]
-            command=tuple(str(t) for t in doc.get("command") or []),  # type: ignore[union-attr]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        if isinstance(fields.get("mounts"), tuple):
+            fields["mounts"] = tuple(Mount(**mount) for mount in fields["mounts"])
+        return RunInvocation(**fields)
+    except TypeError as exc:
         raise InvalidArgs(f"malformed plugin document: {exc}") from exc
 
 

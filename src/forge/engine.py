@@ -2,12 +2,12 @@
 
 An engine command is just its argv without the engine binary, a tuple
 whose head is a literal written here. Argv construction is pure and fully
-covered by unit tests; process execution sits behind a small driver seam
-so tests (and ``--dry-run``) can record commands instead of spawning
-anything. Credentials are build args passed by name only (``--build-arg
-NAME``), so their values stay in the engine's environment and never
-enter an argv. The engine binary is ``docker`` by default but any
-CLI-compatible engine (podman) works.
+covered by unit tests; process execution, captured or on the terminal,
+sits behind a small driver seam so tests (and ``--dry-run``) can record
+commands instead of spawning anything. Credentials are build args passed
+by name only (``--build-arg NAME``), so their values stay in the
+engine's environment and never enter an argv. The engine binary is
+``docker`` by default but any CLI-compatible engine (podman) works.
 """
 
 from __future__ import annotations
@@ -165,6 +165,9 @@ def inspect_argv(name: str) -> EngineCommand:
 class EngineDriver(Protocol):
     def execute(self, command: EngineCommand) -> EngineResult: ...
 
+    # Runs the command on this process's terminal and returns its exit code.
+    def attach(self, command: EngineCommand) -> int: ...
+
 
 class SubprocessDriver:
     """Runs engine commands through the engine's own CLI binary."""
@@ -172,24 +175,23 @@ class SubprocessDriver:
     def __init__(self, binary: str) -> None:
         self.binary = binary
 
-    def execute(self, command: EngineCommand) -> EngineResult:
+    def _spawn(self, command: EngineCommand, capture: bool) -> EngineResult:
         # Imported here, so commands that spawn nothing do not load it.
         import subprocess
 
         try:
             completed = subprocess.run(
-                [self.binary, *command],
-                capture_output=True,
-                text=True,
-                check=False,
+                [self.binary, *command], capture_output=capture, text=True, check=False
             )
         except (FileNotFoundError, PermissionError) as exc:
             raise EngineUnavailable(f"engine binary {self.binary!r} not found on PATH") from exc
-        return EngineResult(
-            exit_code=completed.returncode,
-            stdout=completed.stdout,
-            stderr=completed.stderr,
-        )
+        return EngineResult(completed.returncode, completed.stdout or "", completed.stderr or "")
+
+    def execute(self, command: EngineCommand) -> EngineResult:
+        return self._spawn(command, capture=True)
+
+    def attach(self, command: EngineCommand) -> int:
+        return self._spawn(command, capture=False).exit_code
 
 
 def execute(command: EngineCommand, driver: EngineDriver) -> EngineResult:

@@ -1,9 +1,9 @@
 """Exception hierarchy shared across the package.
 
 Two families matter for the command line frontend: ``UserError`` covers
-bad input (malformed files, impossible requests, missing credentials) and
-maps to exit code 2, while ``EngineError`` covers failures of the
-container engine or of external tooling and maps to exit code 1.
+bad input (malformed files, failing plugins, impossible requests, missing
+credentials) and maps to exit code 2, while ``EngineError`` covers
+failures of the container engine or of external tools and maps to 1.
 """
 
 from __future__ import annotations
@@ -136,8 +136,8 @@ class InvalidArgs(UserError):
     """Command line arguments for a development run or a benchmark are invalid."""
 
 
-class PluginViolation(EngineError):
-    """A run plugin broke an invocation invariant."""
+class PluginViolation(UserError):
+    """A run plugin (user configuration) failed or broke an invocation invariant."""
 
     def __init__(self, plugin: str, problems: list[str]) -> None:
         super().__init__(f"plugin {plugin!r} broke invariants: " + "; ".join(problems))

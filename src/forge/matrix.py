@@ -19,10 +19,6 @@ from . import ARCHITECTURES, KNOWN_DISTROS
 from .errors import InvalidSpec, MalformedDatabase
 from .textio import safe_load
 
-DISTROS = ("noetic", "foxy", "humble", "iron", "rolling")
-COMPONENTS = ("core", "base", "robot", "perception", "desktop", "desktop-full")
-ML_FLAVORS = ("none", "cuda", "tf-py", "tf-cpp", "torch-py", "torch-cpp")
-
 _FLAVOR_SUFFIX = {
     "none": "",
     "cuda": "-cuda",
@@ -31,6 +27,10 @@ _FLAVOR_SUFFIX = {
     "torch-py": "-torch",
     "torch-cpp": "-torch-cpp",
 }
+
+DISTROS = tuple(KNOWN_DISTROS)
+COMPONENTS = ("core", "base", "robot", "perception", "desktop", "desktop-full")
+ML_FLAVORS = tuple(_FLAVOR_SUFFIX)
 
 
 class MatrixEntry(NamedTuple):

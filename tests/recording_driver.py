@@ -14,6 +14,7 @@ class RecordingDriver:
 
     ``scripted`` maps an argv prefix (a tuple such as ``("build",)``) to the
     result returned for matching commands; the longest matching prefix wins.
+    ``attach`` records like ``execute`` and returns the scripted exit code.
     """
 
     commands: list[EngineCommand] = field(default_factory=list)
@@ -26,6 +27,9 @@ class RecordingDriver:
             if command[:length] in self.scripted:
                 return self.scripted[command[:length]]
         return self.default
+
+    def attach(self, command: EngineCommand) -> int:
+        return self.execute(command).exit_code
 
 
 @dataclass

@@ -181,12 +181,16 @@ SETTINGS = (
     Setting(
         "registry", "registry", "FORGE_REGISTRY", "--registry",
         _as_is(st.text("abc.-:/019", min_size=1, max_size=10)),
-        dict.fromkeys(_LAYERS, st.just("")),
+        {"file": st.sampled_from(("", None, 5, ["a", "b"])), "env": st.just(""), "flag": st.just("")},
     ),
     Setting(
         "default_distro", "default_distro", "FORGE_DISTRO", "--distro",
         _as_is(st.sampled_from(("noetic", "foxy", "humble", "iron", "rolling"))),
-        dict.fromkeys(_LAYERS, st.sampled_from(("jazzy", ""))),
+        {
+            "file": st.sampled_from(("jazzy", "", None, ["a"])),
+            "env": st.sampled_from(("jazzy", "")),
+            "flag": st.sampled_from(("jazzy", "")),
+        },
     ),
     Setting(
         "rosdep_db_paths", "rosdep_dbs", "FORGE_ROSDEP_DBS", "--rosdep-db",
@@ -196,7 +200,7 @@ SETTINGS = (
             "flag": _PATHS.map(lambda p: (p, list(p))),
         },
         {
-            "file": st.sampled_from(("a.yaml", ["a.yaml", "missing.yaml"])),
+            "file": st.sampled_from(("a.yaml", ["a.yaml", "missing.yaml"], ["a.yaml", 5], [None])),
             "env": st.just(os.pathsep.join(("a.yaml", "missing.yaml"))),
             "flag": st.just(["missing.yaml"]),
         },
@@ -204,7 +208,11 @@ SETTINGS = (
     Setting(
         "distro_index_path", "distro_index", "FORGE_DISTRO_INDEX", "--distro-index",
         _as_is(st.sampled_from(_DB_FILES)),
-        dict.fromkeys(_LAYERS, st.sampled_from(("missing.yaml", ""))),
+        {
+            "file": st.sampled_from(("missing.yaml", "", None, 5, ["a.yaml"])),
+            "env": st.sampled_from(("missing.yaml", "")),
+            "flag": st.sampled_from(("missing.yaml", "")),
+        },
     ),
     Setting(
         "parallelism", "parallelism", "FORGE_PARALLELISM", "--parallelism",
@@ -335,6 +343,31 @@ def test_an_empty_flag_is_checked_like_an_empty_variable(capsys, monkeypatch, tm
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"forge: error: ConfigError: {message}\n")
+
+
+@pytest.mark.parametrize(
+    ("doc", "message"),
+    [
+        ("registry: null\n", "config key registry must be a string, got None"),
+        ("registry: [a, b]\n", "config key registry must be a string, got ['a', 'b']"),
+        ("default_distro: [a]\n", "config key default_distro must be a string, got ['a']"),
+        ("distro_index: 5\n", "config key distro_index must be a string, got 5"),
+        ("rosdep_dbs: [5]\n", "config key rosdep_dbs must be a string, got 5"),
+    ],
+)
+def test_a_non_string_yaml_setting_is_a_config_error(capsys, monkeypatch, tmp_path, doc, message) -> None:
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "forge.yaml").write_text(doc, encoding="utf-8")
+    assert main(["matrix", "list", "--config", "forge.yaml"]) == 2
+    assert capsys.readouterr() == ("", f"forge: error: ConfigError: {message}\n")
+
+
+def test_an_empty_config_flag_is_an_error(capsys, monkeypatch, tmp_path) -> None:
+    # Not a fall-back to ./forge.yaml, which holds a valid file here.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "forge.yaml").write_text("registry: reg.file\n", encoding="utf-8")
+    assert main(["matrix", "list", "--config", ""]) == 2
+    assert capsys.readouterr() == ("", "forge: error: ConfigError: --config must be non-empty\n")
 
 
 def test_cli_parallelism_not_a_number_is_a_config_error(capsys, monkeypatch, tmp_path) -> None:
@@ -733,6 +766,7 @@ def test_build_failure_exits_1(capsys, monkeypatch, tmp_path) -> None:
     captured = capsys.readouterr()
     assert code == 1
     assert "forge: error: NonZeroExit" in captured.err
+    assert "exit code 125" in captured.err
 
 
 def test_build_failure_redacts_credentials(capsys, monkeypatch, tmp_path) -> None:
@@ -970,8 +1004,82 @@ def test_run_plugin_clearing_the_name_exits_2(capsys, monkeypatch, tmp_path, fak
     driver = RecordingDriver()
     code = main(["run", "--plugin-dir", str(plugin.parent), "img"], driver=driver)
     assert code == 2
-    assert "forge: error: InvalidArgs" in capsys.readouterr().err
+    assert "forge: error: PluginViolation" in capsys.readouterr().err
     assert driver.commands == []
+
+
+@pytest.mark.parametrize(
+    ("inspected", "final", "verbs"),
+    [
+        (EngineResult(1, "", "no such container"), "run", ["inspect", "run"]),
+        (EngineResult(0, '[{"State": {"Running": false}}]', ""), "run", ["inspect", "rm", "run"]),
+        (EngineResult(0, '[{"State": {"Running": true}}]', ""), "exec", ["inspect", "exec"]),
+    ],
+)
+def test_run_attaches_the_final_command_through_the_driver(
+    capsys, monkeypatch, tmp_path, fake_host, inspected, final, verbs
+) -> None:
+    monkeypatch.chdir(tmp_path)
+    driver = RecordingDriver(
+        scripted={("inspect",): inspected, (final,): EngineResult(7, "", "")}
+    )
+    assert main(["run", "--name", "box", "img"], driver=driver) == 7
+    assert [command[0] for command in driver.commands] == verbs
+    assert driver.commands[0] == ("inspect", "--type", "container", "box")
+    assert capsys.readouterr() == ("", "")
+
+
+# A JSON value of any type the plugin document can hold, and some valid ones.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+) | st.sampled_from(
+    ["box", "/w", "rw", [1000, 1000], ["--ipc=host"], {"A": "b"}, [{"host": "/a", "container": "/b"}]]
+)
+_DOC_FIELDS = [
+    "schema", "image", "name", "env", "mounts", "gpu_all", "user_map", "workdir",
+    "interactive_tty", "remove_on_exit", "passthrough", "command",
+]
+
+
+def test_run_with_a_plugin_replacing_a_field_exits_cleanly(monkeypatch, tmp_path, fake_host) -> None:
+    monkeypatch.chdir(tmp_path)
+    change = tmp_path / "change.json"
+    plugin = tmp_path / "plugins" / "10-replace"
+    plugin.parent.mkdir()
+    plugin.write_text(
+        f"#!{sys.executable} -S\nimport json, sys\n"
+        f"field, value = json.load(open({str(change)!r}))\n"
+        "doc = json.load(sys.stdin)\ndoc[field] = value\nprint(json.dumps(doc))\n",
+        encoding="utf-8",
+    )
+    plugin.chmod(0o755)
+    absent = {("inspect",): EngineResult(1, "", "no such container")}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(_DOC_FIELDS), _JSON_VALUES)
+    def exits_cleanly(field: str, value: object) -> None:
+        change.write_text(json.dumps([field, value]), encoding="utf-8")
+        outcomes = []
+        for dry_run in (["--dry-run"], []):
+            out, err = io.StringIO(), io.StringIO()
+            driver = RecordingDriver(scripted=absent)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["run", *dry_run, "--plugin-dir", str(plugin.parent), "img"], driver=driver)
+            assert code in (0, 2), err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            if code == 2:
+                assert err.getvalue().startswith("forge: error: PluginViolation: plugin '10-replace'")
+                assert (out.getvalue(), driver.commands) == ("", [])
+            else:
+                verbs = [command[0] for command in driver.commands]
+                assert verbs == ([] if dry_run else ["inspect", "run"])
+            outcomes.append(code)
+        assert outcomes[0] == outcomes[1]
+
+    exits_cleanly()
 
 
 def test_run_root_workspace_dir_exits_2(capsys, monkeypatch, tmp_path, fake_host) -> None:

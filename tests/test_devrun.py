@@ -210,7 +210,43 @@ def test_check_invocation_problems() -> None:
     assert "duplicate mount target" in joined
     assert "duplicate environment key" in joined
     assert "invalid mount mode" in joined
-    assert check_invocation(RunInvocation(image="img")) == []
+    assert check_invocation(RunInvocation(image="img", name="box")) == []
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [
+        ("image", None),
+        ("image", 5),
+        ("name", None),
+        ("name", 5),
+        ("name", "box\n"),
+        ("env", (("A", 1),)),
+        ("env", (["A", "b"],)),
+        ("env", "AB"),
+        ("mounts", (("/a", "/b", "rw"),)),
+        ("mounts", (Mount(5, "/b"),)),
+        ("mounts", (Mount("/a", None),)),
+        ("mounts", (Mount("/a", "/b", None),)),
+        ("mounts", None),
+        ("user_map", (1,)),
+        ("user_map", (1, True)),
+        ("user_map", ("1", "2")),
+        ("workdir", 5),
+        ("gpu_all", 1),
+        ("interactive_tty", "yes"),
+        ("remove_on_exit", None),
+        ("passthrough", "abc"),
+        ("passthrough", ("--a", 5)),
+        ("command", ["bash"]),
+    ],
+)
+def test_check_invocation_reports_each_ill_typed_field(field: str, value: object) -> None:
+    valid = synthesize_invocation(host(display=":1"), UserArgs(image="img", name="box"), "/ws")
+    problems = check_invocation(valid._replace(**{field: value}))
+    assert len(problems) == 1
+    named = {"name": "container name", "mounts": "mount"}.get(field, field)
+    assert named in problems[0]
 
 
 def test_apply_plugins_folds_in_order() -> None:
@@ -296,9 +332,9 @@ def test_attach_phantom_running_still_execs() -> None:
 
 
 def test_attach_requires_a_container_name() -> None:
+    # attach_or_run takes checked invocations; the check rejects a nameless one.
     invocation = _named_invocation()._replace(name=None)
-    with pytest.raises(InvalidArgs):
-        attach_or_run(invocation, ContainerState(False, False))
+    assert check_invocation(invocation) == ["container name None is invalid"]
 
 
 # --- external plugins ------------------------------------------------------
@@ -318,6 +354,47 @@ def test_invocation_doc_round_trip() -> None:
 def test_invocation_from_doc_rejects_wrong_schema() -> None:
     with pytest.raises(InvalidArgs):
         invocation_from_doc({"schema": "other/9", "image": "img"})
+
+
+def test_invocation_from_doc_maps_fields_without_coercion() -> None:
+    doc = {
+        "schema": SCHEMA_ID,
+        "image": "img",
+        "name": 5,
+        "env": {"B": "2", "A": 1},
+        "mounts": [{"host": "/h", "container": "/c"}],
+        "user_map": [1, 2],
+        "passthrough": "abc",
+        "command": ["bash", 3],
+        "unknown": "ignored",
+    }
+    assert invocation_from_doc(doc) == RunInvocation(
+        image="img",
+        name=5,
+        env=(("A", 1), ("B", "2")),
+        mounts=(Mount("/h", "/c", "rw"),),
+        user_map=(1, 2),
+        passthrough="abc",
+        command=("bash", 3),
+    )
+
+
+def _doc(**changes: object) -> dict[str, object]:
+    return {**invocation_to_doc(_named_invocation()), **changes}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {key: value for key, value in _doc().items() if key != "image"},
+        _doc(mounts=[{"host": "/h", "container": "/c", "size": 1}]),
+        _doc(mounts=[{"host": "/h"}]),
+        _doc(mounts=[5]),
+    ],
+)
+def test_invocation_from_doc_construction_errors_are_invalid_args(doc: dict) -> None:
+    with pytest.raises(InvalidArgs, match="malformed plugin document"):
+        invocation_from_doc(doc)
 
 
 def _write_plugin(directory: Path, name: str, body: str) -> Path:
@@ -362,6 +439,32 @@ def test_external_plugin_bad_json(tmp_path) -> None:
     plugins = load_plugins(tmp_path)
     with pytest.raises(PluginViolation):
         apply_plugins(_named_invocation(), plugins)
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [
+        ("name", 5),
+        ("workdir", 5),
+        ("env", [["A", "b"]]),
+        ("user_map", [1]),
+        ("image", None),
+        ("passthrough", "abc"),
+    ],
+)
+def test_external_plugin_with_an_ill_typed_field_is_named(tmp_path, field: str, value: object) -> None:
+    body = f"""#!{sys.executable}
+import json, sys
+doc = json.load(sys.stdin)
+doc[{field!r}] = json.loads({json.dumps(value)!r})
+print(json.dumps(doc))
+"""
+    _write_plugin(tmp_path, "40-typo", body)
+    with pytest.raises(PluginViolation) as excinfo:
+        apply_plugins(_named_invocation(), load_plugins(tmp_path))
+    assert excinfo.value.exit_code == 2
+    assert "'40-typo'" in str(excinfo.value)
+    assert field in str(excinfo.value)
 
 
 def test_external_plugins_ordered_by_name(tmp_path) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from forge.engine import (
     EngineResult,
     Mount,
     RunInvocation,
+    SubprocessDriver,
     build_argv,
     exec_argv,
     execute,
@@ -23,7 +25,7 @@ from forge.engine import (
     run_argv,
     run_builds,
 )
-from forge.errors import InvalidRequest, MalformedEngineOutput, NonZeroExit
+from forge.errors import EngineUnavailable, InvalidRequest, MalformedEngineOutput, NonZeroExit
 
 from recording_driver import RecordingDriver
 
@@ -252,3 +254,18 @@ def test_scripted_prefix_beats_verb() -> None:
     )
     assert driver.execute(rm_argv("special")).exit_code == 3
     assert driver.execute(rm_argv("other")).exit_code == 0
+
+
+def test_subprocess_driver_captures_execute_and_returns_the_attached_exit_code() -> None:
+    # Any binary stands in for the engine; the argv after it is the command.
+    driver = SubprocessDriver(sys.executable)
+    captured = driver.execute(("-c", "import sys; print('out'); sys.exit(3)"))
+    assert captured == EngineResult(3, "out\n", "")
+    assert driver.attach(("-c", "import sys; sys.exit(7)")) == 7
+
+
+@pytest.mark.parametrize("method", ["execute", "attach"])
+def test_subprocess_driver_without_its_binary_is_engine_unavailable(tmp_path, method: str) -> None:
+    driver = SubprocessDriver(str(tmp_path / "no-engine"))
+    with pytest.raises(EngineUnavailable, match="no-engine"):
+        getattr(driver, method)(("version",))

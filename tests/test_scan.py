@@ -1,7 +1,8 @@
 """Workspace scanning: the reference walk, the manifest memo, depth and errors.
 
-Mutated workspace inputs (manifests, ``.repos`` files, ``forge.yaml``) make
-``analyze`` exit 0 or 2, never crash.
+Mutated workspace inputs (manifests, ``.repos`` files, ``forge.yaml``,
+rosdep databases and distro indexes) make ``analyze`` and ``generate
+dockerfile`` exit 0 or 2, never crash.
 """
 
 from __future__ import annotations
@@ -440,11 +441,15 @@ def mutated_manifests(draw: st.DrawFn) -> bytes:
     return re.sub(rb"(</?)" + old + rb"\b", rb"\g<1>" + new, _VALID)
 
 
-def _analyze(root: Path) -> tuple[int, str, str]:
+def _forge(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["analyze", str(root)])
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def _analyze(root: Path) -> tuple[int, str, str]:
+    return _forge(["analyze", str(root)])
 
 
 @settings(max_examples=100, deadline=None)
@@ -480,6 +485,12 @@ _CONFIG = {
     "parallelism": 3,
     "strict": True,
 }
+_ROSDEP = {
+    "forge_sys": {"ubuntu": ["libforge-dev"], "fedora": ["forge-devel"]},
+    "forge_pip": {"ubuntu": {"pip": {"packages": ["forge-py"]}}},
+    "forge_other_os": {"fedora": ["forge"]},
+}
+_INDEX = {"distro": {"name": "humble", "ros_version": 2, "packages": ["rclcpp", "std_msgs"]}}
 _NODES = [None, 0, True, "x", [], ["x"], {}, {"x": "y"}]
 
 
@@ -510,22 +521,38 @@ def mutated_yaml(draw: st.DrawFn, doc: dict) -> bytes:
     return yaml.safe_dump(_replaced(doc, path, draw(st.sampled_from(_NODES)))).encode()
 
 
-@pytest.mark.parametrize(("name", "doc"), [("deps.repos", _REPOS), ("forge.yaml", _CONFIG)])
-def test_cli_analyze_of_mutated_yaml_inputs_exits_cleanly_cold_and_warm(name: str, doc: dict) -> None:
+@pytest.mark.parametrize(
+    ("name", "doc", "flag", "depends"),
+    [
+        # forge.yaml and .repos files in the workspace root are read without a flag.
+        ("deps.repos", _REPOS, None, ""),
+        ("forge.yaml", _CONFIG, None, ""),
+        ("rosdep.yaml", _ROSDEP, "--rosdep-db", "<depend>forge_sys</depend><exec_depend>forge_pip</exec_depend>"),
+        ("index.yaml", _INDEX, "--distro-index", "<depend>rclcpp</depend><depend>std_msgs</depend>"),
+    ],
+    ids=["deps.repos-doc0", "forge.yaml-doc1", "rosdep.yaml-doc2", "index.yaml-doc3"],
+)
+def test_cli_analyze_of_mutated_yaml_inputs_exits_cleanly_cold_and_warm(
+    name: str, doc: dict, flag: str | None, depends: str
+) -> None:
     @settings(max_examples=100, deadline=None)
     @given(mutated_yaml(doc))
     def exits_cleanly(data: bytes) -> None:
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp) / "ws"
             (root / "src" / "pkg").mkdir(parents=True)
-            (root / "src" / "pkg" / "package.xml").write_bytes(manifest_xml("pkg_a").encode())
+            (root / "src" / "pkg" / "package.xml").write_bytes(manifest_xml("pkg_a", depends).encode())
             (root / name).write_bytes(data)
-            with mock.patch.dict(os.environ, {"XDG_CACHE_HOME": str(Path(tmp) / "cache")}):
-                cold = _analyze(root)
-                warm = _analyze(root)
-        code, _, err = cold
-        assert code == 0 or (code == 2 and err.startswith("forge: error: ")), cold
-        assert warm == cold
+            options = [flag, str(root / name)] if flag else []
+            runs = {}
+            for command in (["analyze"], ["generate", "dockerfile", "-o", "-"]):
+                cache = str(Path(tmp) / "cache" / command[0])
+                with mock.patch.dict(os.environ, {"XDG_CACHE_HOME": cache}):
+                    runs[command[0]] = [_forge([*command, str(root), *options]) for _ in ("cold", "warm")]
+        for command, (cold, warm) in runs.items():
+            code, _, err = cold
+            assert code == 0 or (code == 2 and err.startswith("forge: error: ")), (command, cold)
+            assert warm == cold, command
 
     exits_cleanly()
 
