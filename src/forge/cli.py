@@ -49,7 +49,7 @@ _LAYER_NAMES = {
     "cigen": ("PipelineSpec", "default_output_path", "generate_pipeline"),
     "depgraph": (
         "DeclaredKeys", "DistroIndex", "ResolvedDependencies", "load_distro_index",
-        "load_rosdep_db", "packaged_distro_index", "packaged_rosdep_documents", "resolve",
+        "load_rosdep_db", "packaged_distro_index", "packaged_rosdep_db", "resolve",
         "runtime_subset",
     ),
     "devrun": (
@@ -250,11 +250,12 @@ def analyze_workspace(
     else:
         index = packaged_distro_index(cfg.default_distro)
 
-    documents = packaged_rosdep_documents()
+    documents, names = packaged_rosdep_db()
     for path in cfg.rosdep_db_paths:
         documents.append(read_utf8(Path(path), MalformedDatabase))
+        names.append(path)
     cache = cache_dir()
-    db = load_rosdep_db(documents, cache_dir=cache, write_cache=write_cache)
+    db = load_rosdep_db(documents, names, cache_dir=cache, write_cache=write_cache)
 
     condition_env = {"ROS_VERSION": str(index.ros_version), "ROS_DISTRO": index.distro}
     workspace = scan_workspace(root, condition_env, cache_dir=cache, write_cache=write_cache)

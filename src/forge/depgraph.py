@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Literal, NamedTuple, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import yaml
 
@@ -24,7 +24,7 @@ from . import KNOWN_DISTROS, __version__
 from .errors import MalformedDatabase
 from .manifest import Workspace
 from .sources import RepoSpec
-from .textio import cache_key, read_json, safe_load, write_json
+from .textio import ComposedDocument, cache_key, read_json, safe_load, write_json
 
 ROSDEP_CACHE_FORMAT = 1
 """Layout version of cached rosdep databases; part of every cache key."""
@@ -99,27 +99,33 @@ def distro_package_name(distro: str, key: str) -> str:
 
 
 def load_rosdep_db(
-    documents: Iterable[str],
+    documents: Sequence[str],
+    names: Sequence[str],
     cache_dir: Path | None,
     write_cache: bool,
 ) -> RosdepDatabase:
     """Build a database from YAML documents, later documents winning key-wise.
 
+    ``names[n]`` is the path of ``documents[n]``; every error message
+    starts with it, and a bad record's with its ``path:line:column``.
     Two record shapes are accepted under :data:`ROSDEP_OS`: a bare list of
     OS packages, or ``{pip: {packages: [...]}}`` for pip-installed keys. A
     key without an entry for that OS is skipped (it simply cannot be
     resolved here); any other shape raises :class:`MalformedDatabase`.
+    Each document is composed whole, but only its keys and their
+    :data:`ROSDEP_OS` records are built, so a value that only PyYAML's
+    constructor rejects (``!!int x``) is an error only inside such a record.
 
     With ``cache_dir``, the merged records for that OS are memoized there as
     ``rosdep-<key>.json``, where the key is a sha256 over the cache format,
-    the forge version, :data:`ROSDEP_OS` and the length-prefixed documents.
-    Cached records pass the same record checks as parsed ones; a cache
-    file that cannot be read, decoded or checked is a miss. The cache is
-    written only after a successful parse, and only when ``write_cache``
-    is true. Cache I/O errors fall back silently to parsing.
+    the forge version, :data:`ROSDEP_OS` and the length-prefixed documents;
+    the names are not part of it. Cached records pass the same record
+    checks as parsed ones; a cache file that cannot be read, decoded or
+    checked is a miss. The cache is written only after a successful parse,
+    and only when ``write_cache`` is true. Cache I/O errors fall back
+    silently to parsing.
     """
 
-    documents = list(documents)
     cache_path = None
     if cache_dir is not None:
         digest = cache_key(f"rosdep/{ROSDEP_CACHE_FORMAT}", __version__, ROSDEP_OS, *documents)
@@ -130,30 +136,48 @@ def load_rosdep_db(
 
     records: dict[str, object] = {}
     entries: dict[str, RosdepEntry] = {}
-    for n, text in enumerate(documents):
+    for text, name in zip(documents, names, strict=True):
         try:
-            doc = safe_load(text)
+            _read_records(ComposedDocument(text, name), records, entries)
         except yaml.YAMLError as exc:
-            raise MalformedDatabase(f"database document {n} is not valid YAML: {exc}") from exc
-        if doc is None:
-            continue
-        if not isinstance(doc, dict):
-            raise MalformedDatabase(f"database document {n} is not a mapping")
-        for key, per_os in doc.items():
-            if not isinstance(key, str) or not key:
-                raise MalformedDatabase(f"database document {n} has a non-string key")
-            if per_os is None:
-                continue
-            if not isinstance(per_os, dict):
-                raise MalformedDatabase(f"key {key!r} does not map OS names to records")
-            if ROSDEP_OS not in per_os:
-                continue
-            records[key] = per_os[ROSDEP_OS]
-            entries[key] = _parse_record(key, records[key])
+            raise MalformedDatabase(f"{name}: not valid YAML: {exc}") from exc
 
     if cache_path is not None and write_cache:
         write_json(cache_path, records)
     return RosdepDatabase(entries=entries)
+
+
+def _read_records(
+    doc: ComposedDocument, records: dict[str, object], entries: dict[str, RosdepEntry]
+) -> None:
+    """Add each key's :data:`ROSDEP_OS` record in ``doc`` to ``records`` and ``entries``."""
+
+    if doc.root is None:
+        return
+    keys = doc.mapping(doc.root)
+    if keys is None:
+        if doc.construct(doc.root) is None:
+            return
+        raise MalformedDatabase(f"{doc.position(doc.root)}: the document is not a mapping")
+    for key, node in keys.items():
+        if not isinstance(key, str) or not key:
+            raise MalformedDatabase(f"{doc.name}: key {key!r} must be a non-empty string")
+        per_os = doc.mapping(node)
+        if per_os is None:
+            # Only a mapping node builds a dict, so any other value but null is wrong.
+            if doc.construct(node) is None:
+                continue
+            raise MalformedDatabase(
+                f"{doc.position(node)}: key {key!r} does not map OS names to records"
+            )
+        record = per_os.get(ROSDEP_OS)
+        if record is None:
+            continue
+        records[key] = doc.construct(record)
+        try:
+            entries[key] = _parse_record(key, records[key])
+        except MalformedDatabase as exc:
+            raise MalformedDatabase(f"{doc.position(record)}: {exc}") from None
 
 
 def _read_cached_entries(path: Path) -> dict[str, RosdepEntry] | None:
@@ -230,12 +254,11 @@ def packaged_distro_index(distro: str) -> DistroIndex:
     return load_distro_index(text)
 
 
-def packaged_rosdep_documents() -> list[str]:
-    """YAML text of the rosdep snapshot shipped with this package."""
+def packaged_rosdep_db() -> tuple[list[str], list[str]]:
+    """Texts and resource paths of the rosdep snapshot documents shipped with this package."""
 
-    return [
-        resources.files("forge.data").joinpath("rosdep/base.yaml").read_text("utf-8")
-    ]
+    path = resources.files("forge.data").joinpath("rosdep/base.yaml")
+    return [path.read_text("utf-8")], [str(path)]
 
 
 def resolve(

@@ -223,6 +223,19 @@ def check_invocation(invocation: RunInvocation) -> list[str]:
         tokens = getattr(inv, field)
         if not isinstance(tokens, tuple) or not all(isinstance(t, str) for t in tokens):
             problems.append(f"{field} must hold strings, got {tokens!r}")
+    if not problems:
+        # No process argument can hold a NUL byte; the name's pattern excludes it.
+        texts = {
+            "image": (inv.image,),
+            "env": [text for pair in inv.env for text in pair],
+            "mounts": [path for mount in inv.mounts for path in (mount.host, mount.container)],
+            "workdir": (inv.workdir or "",),
+            "passthrough": inv.passthrough,
+            "command": inv.command,
+        }
+        for field, values in texts.items():
+            if any("\0" in value for value in values):
+                problems.append(f"{field} holds a NUL byte")
     return problems
 
 

@@ -1,9 +1,15 @@
 """Reading input text and keeping JSON cache files.
 
-Every YAML document forge reads goes through :func:`safe_load`, which
-parses with libyaml's ``CSafeLoader`` when PyYAML was built with it and
-with the pure-Python ``SafeLoader`` otherwise. Both build the same plain
-objects; libyaml is several times faster on large rosdep databases.
+Every YAML document forge reads is composed into a node tree by
+:class:`ComposedDocument`, with libyaml's ``CSafeLoader`` when PyYAML was
+built with it and with the pure-Python ``SafeLoader`` otherwise. Both
+build the same plain objects; libyaml is several times faster on large
+rosdep databases. :func:`safe_load` builds a whole document from its
+tree. A rosdep database is read node by node instead, so that only the
+keys and the one OS record per key that forge uses are built. A value
+that PyYAML's constructor fails on with a Python exception rather than a
+YAML error (``!!int abc``, the date ``2020-13-45``) raises
+:class:`yaml.YAMLError` like a syntax error does.
 
 Cache files under forge's cache directory are named by :func:`cache_key`,
 read with :func:`read_json` and replaced with :func:`write_json`. A cache
@@ -14,13 +20,18 @@ that cannot be written is skipped.
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import os
+from collections.abc import Hashable
 from pathlib import Path
 
 import yaml
 
 from .errors import UserError
+
+_MAP_TAG = "tag:yaml.org,2002:map"
+_STR_TAG = "tag:yaml.org,2002:str"
 
 
 def safe_load(text: str) -> object:
@@ -29,8 +40,71 @@ def safe_load(text: str) -> object:
     Raises :class:`yaml.YAMLError` for text that is not valid YAML.
     """
 
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-    return yaml.load(text, Loader=loader)
+    doc = ComposedDocument(text, "<unicode string>")
+    return None if doc.root is None else doc.construct(doc.root)
+
+
+class ComposedDocument:
+    """One YAML document as a node tree; nodes are built only on request.
+
+    ``name`` is the document's path: PyYAML's error marks print it, and
+    :meth:`position` starts with it. ``root`` is None for an empty
+    document. Raises :class:`yaml.YAMLError` for text that is not valid
+    YAML.
+    """
+
+    def __init__(self, text: str, name: str) -> None:
+        stream = io.StringIO(text)
+        stream.name = name
+        self.name = name
+        self._loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)(stream)
+        try:
+            self.root = self._loader.get_single_node()
+        finally:
+            self._loader.dispose()
+
+    def construct(self, node: yaml.Node) -> object:
+        """``node`` and everything below it as plain objects, as ``safe_load`` builds them."""
+
+        try:
+            return self._loader.construct_document(node)
+        # SafeConstructor's own failures on a scalar its tag does not fit: a
+        # month out of range and ``!!int abc`` raise ValueError, ``!!bool abc``
+        # KeyError and ``!!timestamp abc`` AttributeError.
+        except (ValueError, KeyError, AttributeError) as exc:
+            raise yaml.YAMLError(f"cannot construct a value: {exc}") from exc
+
+    def mapping(self, node: yaml.Node) -> dict[object, yaml.Node] | None:
+        """The keys of a plain mapping node, each with its value node; None for any other node.
+
+        Keys are what ``safe_load`` makes of them: ``<<`` merges are
+        flattened as SafeConstructor flattens them, a string key is its
+        text, any other key is built and must be hashable, and a duplicate
+        key's last value wins, in its first place. No value is built.
+        """
+
+        if not isinstance(node, yaml.MappingNode) or node.tag != _MAP_TAG:
+            return None
+        self._loader.flatten_mapping(node)
+        pairs: dict[object, yaml.Node] = {}
+        for key_node, value_node in node.value:
+            if key_node.tag == _STR_TAG and isinstance(key_node, yaml.ScalarNode):
+                key = key_node.value
+            else:
+                key = self.construct(key_node)
+                if not isinstance(key, Hashable):
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        "found unhashable key", key_node.start_mark,
+                    )
+            pairs[key] = value_node
+        return pairs
+
+    def position(self, node: yaml.Node) -> str:
+        """``name:line:column`` of where ``node`` starts, counting from 1."""
+
+        mark = node.start_mark
+        return f"{self.name}:{mark.line + 1}:{mark.column + 1}"
 
 
 def read_utf8(path: str | Path, error: type[UserError]) -> str:

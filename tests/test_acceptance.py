@@ -31,7 +31,7 @@ from forge.depgraph import (
     DeclaredKeys,
     load_rosdep_db,
     packaged_distro_index,
-    packaged_rosdep_documents,
+    packaged_rosdep_db,
     resolve,
     runtime_subset,
 )
@@ -211,8 +211,8 @@ def _oracle_buckets(result) -> dict[str, tuple[str, ...]]:
 
 @criterion("C4", "resolver matches the brute-force classifier")
 def test_c4_resolver_oracle_equivalence() -> str:
-    documents = packaged_rosdep_documents()
-    db = load_rosdep_db(documents, None, True)
+    documents, names = packaged_rosdep_db()
+    db = load_rosdep_db(documents, names, None, True)
     index = packaged_distro_index("humble")
     table = load_oracle_db(documents)
     if len(db.entries) != 50:
@@ -312,11 +312,12 @@ def test_c5_determinism() -> str:
 
     rng = random.Random(5)
     shuffled_documents = []
-    for text in packaged_rosdep_documents():
+    documents, names = packaged_rosdep_db()
+    for text in documents:
         items = list(yaml.safe_load(text).items())
         rng.shuffle(items)
         shuffled_documents.append(yaml.safe_dump(dict(items), sort_keys=False))
-    shuffled_db = load_rosdep_db(shuffled_documents, None, True)
+    shuffled_db = load_rosdep_db(shuffled_documents, names, None, True)
 
     repos_doc = yaml.safe_load(
         (FIXTURE_ROOT / "multi_repo" / "deps.repos").read_text(encoding="utf-8")

@@ -457,6 +457,68 @@ def test_cli_non_utf8_manifest_exits_2(capsys, monkeypatch, tmp_path) -> None:
     assert f"forge: error: MalformedManifest: {manifest} is not UTF-8" in err
 
 
+# Scalars that PyYAML's SafeConstructor fails on with a Python exception.
+_UNCONSTRUCTABLE = ["2020-13-45", "!!int abc", "!!float abc", "!!bool abc", "!!timestamp abc"]
+# Each YAML input: its option, its text around the scalar, its error and the
+# start of the message, in which {path} is the file.
+_YAML_INPUTS = {
+    "rosdep-record": (
+        "--rosdep-db", "eigen:\n  debian: [x]\n  ubuntu: [{value}]\n", "MalformedDatabase",
+        "{path}: not valid YAML: cannot construct a value: ",
+    ),
+    "forge.yaml": (
+        "--config", "registry: {value}\n", "ConfigError",
+        "config file {path} is not valid YAML: cannot construct a value: ",
+    ),
+    "repos": (
+        "--repos",
+        "repositories:\n  tools:\n    type: git\n    url: https://h/t.git\n    version: {value}\n",
+        "MalformedReposFile", "not valid YAML: cannot construct a value: ",
+    ),
+    "distro-index": (
+        "--distro-index",
+        "distro:\n  name: humble\n  ros_version: {value}\n  packages: [rclcpp]\n",
+        "MalformedDatabase", "distro index is not valid YAML: cannot construct a value: ",
+    ),
+}
+
+
+@pytest.mark.parametrize("value", _UNCONSTRUCTABLE)
+@pytest.mark.parametrize("kind", list(_YAML_INPUTS))
+def test_a_yaml_value_that_cannot_be_built_exits_2(capsys, monkeypatch, tmp_path, kind, value) -> None:
+    monkeypatch.chdir(tmp_path)
+    flag, text, error, message = _YAML_INPUTS[kind]
+    path = tmp_path / "input.yaml"
+    path.write_text(text.format(value=value), encoding="utf-8")
+    code = main(["analyze", MINIMAL, flag, str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"forge: error: {error}: {message.format(path=path)}")
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("eigen:\n  debian: [x]\n  ubuntu: []\n", "{path}:3:11: key 'eigen' has an empty package list"),
+        ("eigen:\n  ubuntu: {{apt: [x]}}\n", "{path}:2:11: key 'eigen' has an unsupported record shape"),
+        ("eigen: [x]\n", "{path}:1:8: key 'eigen' does not map OS names to records"),
+        ("- a list\n", "{path}:1:1: the document is not a mapping"),
+        ("7: {{ubuntu: [x]}}\n", "{path}: key 7 must be a non-empty string"),
+        ("eigen: [x\n", '{path}: not valid YAML: while parsing a flow sequence\n  in "{path}", line 1'),
+    ],
+    ids=["empty-list", "bad-shape", "not-per-os", "not-a-mapping", "int-key", "syntax"],
+)
+def test_rosdep_errors_name_the_file_and_position(capsys, monkeypatch, tmp_path, text, message) -> None:
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "db.yaml"
+    path.write_text(text.format(), encoding="utf-8")
+    code = main(["analyze", MINIMAL, "--rosdep-db", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"forge: error: MalformedDatabase: {message.format(path=path)}")
+    assert "<unicode string>" not in err
+
+
 # --- parsed-database cache ---------------------------------------------------
 
 
@@ -1008,6 +1070,24 @@ def test_run_plugin_clearing_the_name_exits_2(capsys, monkeypatch, tmp_path, fak
     assert driver.commands == []
 
 
+def test_run_plugin_writing_a_nul_byte_exits_2(capsys, monkeypatch, tmp_path, fake_host) -> None:
+    monkeypatch.chdir(tmp_path)
+    plugin = tmp_path / "plugins" / "10-nul"
+    plugin.parent.mkdir()
+    plugin.write_text(
+        f"#!{sys.executable}\nimport json, sys\n"
+        "doc = json.load(sys.stdin)\ndoc['command'] = ['a\\u0000b']\nprint(json.dumps(doc))\n",
+        encoding="utf-8",
+    )
+    plugin.chmod(0o755)
+    # No recording driver: the engine would be started for real.
+    code = main(["run", "--engine", "false", "--plugin-dir", str(plugin.parent), "img"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("forge: error: PluginViolation: plugin '10-nul'")
+    assert "command holds a NUL byte" in captured.err
+
+
 @pytest.mark.parametrize(
     ("inspected", "final", "verbs"),
     [
@@ -1036,7 +1116,8 @@ _JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=8), children, max_size=3),
     max_leaves=6,
 ) | st.sampled_from(
-    ["box", "/w", "rw", [1000, 1000], ["--ipc=host"], {"A": "b"}, [{"host": "/a", "container": "/b"}]]
+    ["box", "/w", "rw", [1000, 1000], ["--ipc=host"], {"A": "b"}, [{"host": "/a", "container": "/b"}],
+     "im\0g", ["a\0b"], {"A\0": "b"}, {"A": "\0"}, [{"host": "/a\0", "container": "/b"}]]
 )
 _DOC_FIELDS = [
     "schema", "image", "name", "env", "mounts", "gpu_all", "user_map", "workdir",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import tempfile
 from pathlib import Path
@@ -23,7 +24,7 @@ from forge.depgraph import (
     load_distro_index,
     load_rosdep_db,
     packaged_distro_index,
-    packaged_rosdep_documents,
+    packaged_rosdep_db,
     resolve,
     runtime_subset,
 )
@@ -32,6 +33,7 @@ from forge.sources import RepoSpec
 from forge.textio import cache_key
 
 from resolution_oracle import load_oracle_db, partition
+from rosdep_oracle import load_whole
 
 DB_DOC = """\
 eigen:
@@ -52,8 +54,15 @@ distro:
 """
 
 
+def load(documents: list[str], cache_dir: Path | None = None, write_cache: bool = True):
+    """``load_rosdep_db`` with document ``n`` named ``doc<n>.yaml``."""
+
+    names = [f"doc{n}.yaml" for n in range(len(documents))]
+    return load_rosdep_db(documents, names, cache_dir, write_cache)
+
+
 def small_db():
-    return load_rosdep_db([DB_DOC], None, True)
+    return load([DB_DOC])
 
 
 def small_index():
@@ -75,13 +84,13 @@ def test_load_rosdep_db_shapes() -> None:
 
 def test_load_rosdep_db_later_doc_wins() -> None:
     override = "eigen:\n  ubuntu: [libeigen3-newer]\n"
-    db = load_rosdep_db([DB_DOC, override], None, True)
+    db = load([DB_DOC, override], None, True)
     assert db.entries["eigen"].packages == ("libeigen3-newer",)
 
 
 def test_load_rosdep_db_skips_other_os_records() -> None:
     doc = "fedora-only:\n  fedora: [some-pkg]\n"
-    db = load_rosdep_db([DB_DOC, doc], None, True)
+    db = load([DB_DOC, doc], None, True)
     assert "fedora-only" not in db.entries
 
 
@@ -98,7 +107,7 @@ def test_load_rosdep_db_skips_other_os_records() -> None:
 )
 def test_load_rosdep_db_rejects_malformed(doc: str) -> None:
     with pytest.raises(MalformedDatabase):
-        load_rosdep_db([doc], None, True)
+        load([doc], None, True)
 
 
 def test_load_distro_index() -> None:
@@ -144,7 +153,7 @@ def test_precedence_repo_beats_index_and_db() -> None:
 
 def test_precedence_index_beats_db() -> None:
     doc = "rclcpp:\n  ubuntu: [should-not-appear]\n"
-    db = load_rosdep_db([DB_DOC, doc], None, True)
+    db = load([DB_DOC, doc], None, True)
     result = resolve(keys_of("rclcpp"), db, small_index(), set(), ())
     assert result.ros_distro_pkgs == ("ros-humble-rclcpp",)
     assert result.system_pkgs == ()
@@ -185,7 +194,7 @@ def test_determinism_under_document_key_permutation() -> None:
         items = list(doc.items())
         rng.shuffle(items)
         shuffled = yaml.safe_dump(dict(items), sort_keys=False)
-        db = load_rosdep_db([shuffled], None, True)
+        db = load([shuffled], None, True)
         assert resolve(keys, db, small_index(), set(), ()) == baseline
 
 
@@ -200,7 +209,7 @@ def test_packaged_data_loads() -> None:
         index = packaged_distro_index(distro)
         assert index.ros_version == version
         assert len(index.packages) >= 30
-    db = load_rosdep_db(packaged_rosdep_documents(), None, True)
+    db = load(packaged_rosdep_db()[0], None, True)
     assert len(db.entries) == 50
 
 
@@ -233,8 +242,8 @@ def _resolved_as_oracle_buckets(result) -> dict[str, tuple[str, ...]]:
 
 
 def test_resolver_matches_oracle_on_seeded_trials() -> None:
-    documents = packaged_rosdep_documents()
-    db = load_rosdep_db(documents, None, True)
+    documents = packaged_rosdep_db()[0]
+    db = load(documents, None, True)
     index = packaged_distro_index("humble")
     table = load_oracle_db(documents)
 
@@ -264,8 +273,8 @@ def test_resolver_matches_oracle_on_seeded_trials() -> None:
 
 
 def test_partition_counts_cover_every_key() -> None:
-    documents = packaged_rosdep_documents()
-    db = load_rosdep_db(documents, None, True)
+    documents = packaged_rosdep_db()[0]
+    db = load(documents, None, True)
     index = packaged_distro_index("humble")
     internal = {"in_ws"}
     rng = random.Random(99)
@@ -314,7 +323,7 @@ def cold_cache(tmp_path: Path, documents: list[str]) -> tuple[Path, Path]:
     """A cache directory filled from ``documents``, and its one file."""
 
     cache = tmp_path / "cache"
-    load_rosdep_db(documents, cache, True)
+    load(documents, cache, True)
     (path,) = cache_files(cache)
     return cache, path
 
@@ -332,14 +341,14 @@ def test_cache_round_trip_matches_uncached(docs: list[dict]) -> None:
             elif record is not None:
                 expected[key] = RosdepEntry("python", tuple(record["pip"]["packages"]))
 
-    uncached = load_rosdep_db(documents, None, True)
+    uncached = load(documents, None, True)
     assert uncached == RosdepDatabase(expected)
     with tempfile.TemporaryDirectory() as tmp:
         cache = Path(tmp)
-        assert load_rosdep_db(documents, cache, True) == uncached
+        assert load(documents, cache, True) == uncached
         assert len(cache_files(cache)) == 1
-        with mock.patch("forge.depgraph.safe_load", side_effect=AssertionError("parsed")):
-            assert load_rosdep_db(documents, cache, True) == uncached
+        with mock.patch("forge.depgraph.ComposedDocument", side_effect=AssertionError("parsed")):
+            assert load(documents, cache, True) == uncached
 
 
 @pytest.mark.parametrize(
@@ -362,7 +371,7 @@ def test_unusable_cache_file_is_a_rewritten_miss(tmp_path, damage) -> None:
     cache, path = cold_cache(tmp_path, [DB_DOC])
     good = path.read_bytes()
     path.write_bytes(damage(good))
-    assert load_rosdep_db([DB_DOC], cache, True) == small_db()
+    assert load([DB_DOC], cache, True) == small_db()
     assert path.read_bytes() == good
 
 
@@ -376,14 +385,14 @@ def test_unwritable_cache_falls_back(tmp_path, monkeypatch) -> None:
         raise PermissionError(13, "Read-only file system")
 
     monkeypatch.setattr(tempfile, "mkstemp", refuse)
-    assert load_rosdep_db([DB_DOC], cache, True) == small_db()
+    assert load([DB_DOC], cache, True) == small_db()
     assert cache_files(cache) == []
 
 
 def test_cache_dir_that_is_a_file_falls_back(tmp_path) -> None:
     cache = tmp_path / "cache"
     cache.write_text("", encoding="utf-8")
-    assert load_rosdep_db([DB_DOC], cache, True) == small_db()
+    assert load([DB_DOC], cache, True) == small_db()
     assert cache.read_text(encoding="utf-8") == ""
 
 
@@ -391,13 +400,13 @@ def test_read_only_cache_still_hits(tmp_path) -> None:
     cache, _ = cold_cache(tmp_path, [DB_DOC])
     cache.chmod(0o555)
     expected = small_db()
-    with mock.patch("forge.depgraph.safe_load", side_effect=AssertionError("parsed")):
-        assert load_rosdep_db([DB_DOC], cache, True) == expected
+    with mock.patch("forge.depgraph.ComposedDocument", side_effect=AssertionError("parsed")):
+        assert load([DB_DOC], cache, True) == expected
 
 
 def test_no_write_leaves_cache_untouched(tmp_path) -> None:
     cache = tmp_path / "cache"
-    assert load_rosdep_db([DB_DOC], cache_dir=cache, write_cache=False) == small_db()
+    assert load([DB_DOC], cache_dir=cache, write_cache=False) == small_db()
     assert not cache.exists()
 
 
@@ -406,7 +415,7 @@ def test_malformed_document_is_never_cached(tmp_path) -> None:
     bad = "eigen:\n  ubuntu: [1, 2]\n"
     for _ in range(2):
         with pytest.raises(MalformedDatabase):
-            load_rosdep_db([DB_DOC, bad], cache, True)
+            load([DB_DOC, bad], cache, True)
         assert cache_files(cache) == [good]
         assert list(cache.glob(".rosdep-*")) == []
 
@@ -421,36 +430,212 @@ def test_cache_key_covers_order_bytes_boundaries_and_os(tmp_path) -> None:
         [DB_DOC + override],
     ]
     for n, documents in enumerate(variants, start=1):
-        uncached = load_rosdep_db(documents, None, True)
-        assert load_rosdep_db(documents, cache, True) == uncached
+        uncached = load(documents, None, True)
+        assert load(documents, cache, True) == uncached
         assert len(cache_files(cache)) == n
     # The key names the one OS forge resolves for, so the file names stay stable.
     digest = cache_key(f"rosdep/{ROSDEP_CACHE_FORMAT}", __version__, "ubuntu", DB_DOC, override)
     assert (cache / f"rosdep-{digest}.json").is_file()
     # Reordered documents give a different database, and each is its own hit.
-    with mock.patch("forge.depgraph.safe_load", side_effect=AssertionError("parsed")):
-        assert load_rosdep_db([DB_DOC, override], cache, True).entries["eigen"].packages == (
+    with mock.patch("forge.depgraph.ComposedDocument", side_effect=AssertionError("parsed")):
+        assert load([DB_DOC, override], cache, True).entries["eigen"].packages == (
             "libeigen3-newer",
         )
-        assert load_rosdep_db([override, DB_DOC], cache, True).entries["eigen"].packages == (
+        assert load([override, DB_DOC], cache, True).entries["eigen"].packages == (
             "libeigen3-dev",
         )
 
 
 def test_pure_python_yaml_fallback_matches_libyaml(monkeypatch) -> None:
-    documents = packaged_rosdep_documents() + [DB_DOC]
+    documents = packaged_rosdep_db()[0] + [DB_DOC]
     loaders = []
-    real_load = yaml.load
+    # Record the class of every loader that is created, as the compose path
+    # creates its loader directly rather than through yaml.load.
+    for cls in {getattr(yaml, "CSafeLoader", yaml.SafeLoader), yaml.SafeLoader}:
 
-    def recording_load(stream, Loader):
-        loaders.append(Loader)
-        return real_load(stream, Loader=Loader)
+        def recording_init(self, stream, real_init=cls.__init__):
+            loaders.append(type(self))
+            real_init(self, stream)
 
-    monkeypatch.setattr(yaml, "load", recording_load)
-    with_libyaml = load_rosdep_db(documents, None, True)
+        monkeypatch.setattr(cls, "__init__", recording_init)
+
+    with_libyaml = load(documents, None, True)
     assert set(loaders) == {getattr(yaml, "CSafeLoader", yaml.SafeLoader)}
 
     loaders.clear()
     monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-    assert load_rosdep_db(documents, None, True) == with_libyaml
+    assert load(documents, None, True) == with_libyaml
     assert set(loaders) == {yaml.SafeLoader}
+
+
+# --- compose-and-build-what-is-used loader ------------------------------------
+
+_ROSDEP_KEYS = ["eigen", "boost", "tinyxml"]
+_OS_NAMES = ["ubuntu", "debian", "fedora", "rhel", "arch"]
+_UBUNTU_FORMS = ["ubuntu", "'ubuntu'", '"ubuntu"', "!!str ubuntu"]
+
+
+@st.composite
+def rosdep_texts(draw: st.DrawFn) -> str:
+    """One rosdep document in block style, written out as text.
+
+    Keys come from small pools, so both levels repeat keys; ``ubuntu`` is
+    also written quoted and ``!!str``-tagged. Per-OS mappings and records
+    may carry anchors that later nodes alias, and ``<<`` merges, integer
+    keys and unhashable keys appear at both mapping levels. An unhashable
+    per-OS key sits only in a mapping that no alias, merge or later
+    duplicate key can hide, since forge builds no key of a mapping it does
+    not use; every other value is one PyYAML's constructor accepts.
+    """
+
+    mappings: list[str] = []  # anchors of finished per-OS mappings
+    records: list[str] = []  # anchors of finished records
+
+    def merge() -> str:
+        names = draw(st.lists(st.sampled_from(mappings), min_size=1, max_size=2))
+        return "*" + names[0] if len(names) == 1 else "[" + ", ".join("*" + n for n in names) + "]"
+
+    def record() -> str:
+        kinds = ["list"] * 8 + ["pip"] * 4 + ["empty", "null", "scalar", "int-item"]
+        kinds += ["record-alias"] * bool(records) + ["mapping-alias"] * bool(mappings)
+        kind = draw(st.sampled_from(kinds))
+        if kind == "record-alias":
+            return "*" + draw(st.sampled_from(records))
+        if kind == "mapping-alias":
+            return "*" + draw(st.sampled_from(mappings))
+        packages = draw(st.lists(st.sampled_from(["liba", "libb-dev", "pyc"]), min_size=1, max_size=2))
+        text = {
+            "list": "[" + ", ".join(packages) + "]",
+            "empty": "[]",
+            "pip": "{pip: {packages: [" + ", ".join(packages) + "]}}",
+            "null": "~",
+            "scalar": packages[0],
+            "int-item": "[1]",
+        }[kind]
+        if kind in ("list", "pip") and draw(st.booleans()):
+            records.append(f"r{len(records)}")
+            text = f"&{records[-1]} {text}"
+        return text
+
+    def per_os_lines(used: bool) -> list[str]:
+        lines = []
+        for _ in range(draw(st.integers(1, 6))):
+            kinds = ["os"] * 8 + ["ubuntu-form"] * 2 + ["int-key"] + ["unhashable-key"] * used
+            kind = draw(st.sampled_from(kinds + ["merge"] * bool(mappings)))
+            if kind == "merge":
+                lines.append(f"  <<: {merge()}")
+            elif kind == "unhashable-key":
+                lines += ["  ? [ubuntu]", f"  : {record()}"]
+            else:
+                key = {
+                    "os": lambda: draw(st.sampled_from(_OS_NAMES)),
+                    "ubuntu-form": lambda: draw(st.sampled_from(_UBUNTU_FORMS)),
+                    "int-key": lambda: "8",
+                }[kind]()
+                lines.append(f"  {key}: {record()}")
+        return lines
+
+    shape = draw(st.sampled_from(["mapping"] * 12 + ["empty", "null", "list"]))
+    if shape != "mapping":
+        return {"empty": "", "null": "~\n", "list": "- eigen\n"}[shape]
+    lines = ["# generated rosdep document"]
+    keys = draw(st.lists(st.sampled_from(_ROSDEP_KEYS), max_size=5))
+    for n, name in enumerate(keys):
+        kinds = ["per-os"] * 16 + ["null"] * 2 + ["scalar", "list", "int-key", "unhashable-key"]
+        kinds += ["alias", "alias", "merge"] * bool(mappings)
+        kind = draw(st.sampled_from(kinds))
+        key = draw(st.sampled_from([name, f"'{name}'", f"!!str {name}"]))
+        if kind == "merge":
+            lines.append(f"<<: {merge()}")
+        elif kind == "unhashable-key":
+            lines += ["? [eigen]", ": ~"]
+        elif kind == "int-key":
+            lines.append("7: {ubuntu: [liba]}")
+        elif kind == "per-os":
+            anchor = draw(st.booleans())
+            lines.append(f"{key}: &m{len(mappings)}" if anchor else f"{key}:")
+            lines += per_os_lines(used=not anchor and name not in keys[n + 1 :])
+            if anchor:
+                mappings.append(f"m{len(mappings)}")
+        else:
+            value = {"null": "~", "scalar": "liba", "list": "[liba]"}.get(kind)
+            lines.append(f"{key}: {value or '*' + draw(st.sampled_from(mappings))}")
+    return "\n".join(lines) + "\n"
+
+
+_LOADERS = sorted(
+    {getattr(yaml, "CSafeLoader", yaml.SafeLoader), yaml.SafeLoader}, key=lambda c: c.__name__
+)
+
+
+@pytest.mark.parametrize("loader", _LOADERS, ids=lambda cls: cls.__name__)
+def test_loader_matches_the_whole_document_oracle(loader: type) -> None:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(rosdep_texts(), min_size=1, max_size=3))
+    def same_outcome(documents: list[str]) -> None:
+        try:
+            expected = load_whole(documents, loader)
+        except MalformedDatabase:
+            expected = None
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            yaml, "CSafeLoader", loader, create=True
+        ):
+            try:
+                db = load(documents, Path(tmp), True)
+            except MalformedDatabase:
+                assert expected is None, documents
+                assert cache_files(Path(tmp)) == []
+                return
+            assert expected is not None, documents
+            records, entries = expected
+            assert list(db.entries.items()) == list(entries.items())
+            (path,) = cache_files(Path(tmp))
+            assert path.read_text(encoding="utf-8") == json.dumps(records, separators=(",", ":"))
+
+    same_outcome()
+
+
+@pytest.mark.parametrize(
+    ("doc", "message"),
+    [
+        ("eigen:\n  ubuntu: [1, 2]\n", "db.yaml:2:11: key 'eigen' lists a non-string package"),
+        ("eigen:\n  ubuntu: ~\n", "db.yaml:2:11: key 'eigen' has an unsupported record shape"),
+        ("eigen:\n  debian: [x]\n  ubuntu: [2020-13-45]\n",
+         "db.yaml: not valid YAML: cannot construct a value: month must be in 1..12"),
+        ("eigen: {ubuntu: [x], ? [a] : y}\n", "db.yaml: not valid YAML: while constructing a mapping"),
+        ("eigen: {<<: [x]}\n", "db.yaml: not valid YAML: while constructing a mapping"),
+    ],
+    ids=["bad-item", "null-record", "bad-date", "unhashable-key", "bad-merge"],
+)
+def test_rosdep_errors_start_with_the_document_name(doc: str, message: str) -> None:
+    with pytest.raises(MalformedDatabase) as caught:
+        load_rosdep_db([DB_DOC, doc], ["base.yaml", "db.yaml"], None, True)
+    assert str(caught.value).startswith(message)
+    assert "<unicode string>" not in str(caught.value)
+
+
+def test_values_outside_ubuntu_records_are_never_built() -> None:
+    doc = (
+        "eigen:\n  debian: !!int x\n  fedora: [2020-13-45]\n  ubuntu: [libeigen3-dev]\n"
+        "boost:\n  debian: !!timestamp x\n"
+    )
+    # Building the whole document fails on the debian record.
+    with pytest.raises(ValueError):
+        load_whole([doc], getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    assert load([doc]).entries == {"eigen": RosdepEntry("system", ("libeigen3-dev",))}
+
+
+def test_packaged_snapshot_is_named_by_its_resource_path() -> None:
+    from importlib import resources
+
+    documents, names = packaged_rosdep_db()
+    resource = resources.files("forge.data").joinpath("rosdep/base.yaml")
+    assert names == [str(resource)]
+    assert documents == [resource.read_text("utf-8")]
+
+
+def test_document_names_are_not_part_of_the_cache_key(tmp_path) -> None:
+    cache, _ = cold_cache(tmp_path, [DB_DOC])
+    expected = small_db()
+    with mock.patch("forge.depgraph.ComposedDocument", side_effect=AssertionError("parsed")):
+        assert load_rosdep_db([DB_DOC], ["elsewhere.yaml"], cache, True) == expected

@@ -249,6 +249,29 @@ def test_check_invocation_reports_each_ill_typed_field(field: str, value: object
     assert named in problems[0]
 
 
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [
+        ("image", "im\0g"),
+        ("name", "b\0x"),
+        ("env", (("A\0", "1"),)),
+        ("env", (("A", "1\0"),)),
+        ("mounts", (Mount("/a\0", "/b"),)),
+        ("mounts", (Mount("/a", "/b\0"),)),
+        ("workdir", "/w\0"),
+        ("passthrough", ("--a\0",)),
+        ("command", ("a\0b",)),
+    ],
+)
+def test_check_invocation_reports_a_nul_byte_in_any_string(field: str, value: object) -> None:
+    valid = synthesize_invocation(host(display=":1"), UserArgs(image="img", name="box"), "/ws")
+    problems = check_invocation(valid._replace(**{field: value}))
+    assert len(problems) == 1
+    assert problems[0] == (
+        "container name 'b\\x00x' is invalid" if field == "name" else f"{field} holds a NUL byte"
+    )
+
+
 def test_apply_plugins_folds_in_order() -> None:
     base = synthesize_invocation(host(), UserArgs(image="img"), "/ws")
 

@@ -448,29 +448,29 @@ def _forge(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def _analyze(root: Path) -> tuple[int, str, str]:
-    return _forge(["analyze", str(root)])
-
-
 @settings(max_examples=100, deadline=None)
 @given(mutated_manifests())
 def test_cli_analyze_of_mutated_manifest_bytes_exits_cleanly_cold_and_warm(data: bytes) -> None:
+    runs = {}
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "ws"
-        for name, valid in (("mutated", _VALID), ("other", manifest_xml("pkg_b").encode())):
-            (root / "src" / name).mkdir(parents=True)
-            (root / "src" / name / "package.xml").write_bytes(valid)
-        with mock.patch.dict(os.environ, {"XDG_CACHE_HOME": str(Path(tmp) / "cache")}):
-            # The memo first holds the unmutated manifest's record.
-            assert _analyze(root)[0] == 0
-            (root / "src" / "mutated" / "package.xml").write_bytes(data)
-            cold = _analyze(root)
-            warm = _analyze(root)
-        with mock.patch.dict(os.environ, {"XDG_CACHE_HOME": str(Path(tmp) / "empty")}):
-            fresh = _analyze(root)
-    code, _, err = cold
-    assert code == 0 or (code == 2 and err.startswith("forge: error: ")), cold
-    assert warm == cold == fresh
+        for command in (["analyze"], ["generate", "dockerfile", "-o", "-"]):
+            for name, valid in (("mutated", _VALID), ("other", manifest_xml("pkg_b").encode())):
+                (root / "src" / name).mkdir(parents=True, exist_ok=True)
+                (root / "src" / name / "package.xml").write_bytes(valid)
+            argv = [*command, str(root)]
+            with mock.patch.dict(os.environ, {"XDG_CACHE_HOME": str(Path(tmp) / "cache" / command[0])}):
+                # The memo first holds the unmutated manifest's record.
+                assert _forge(argv)[0] == 0
+                (root / "src" / "mutated" / "package.xml").write_bytes(data)
+                cold = _forge(argv)
+                warm = _forge(argv)
+            with mock.patch.dict(os.environ, {"XDG_CACHE_HOME": str(Path(tmp) / "empty" / command[0])}):
+                runs[command[0]] = (cold, warm, _forge(argv))
+    for command, (cold, warm, fresh) in runs.items():
+        code, _, err = cold
+        assert code == 0 or (code == 2 and err.startswith("forge: error: ")), (command, cold)
+        assert warm == cold == fresh, command
 
 
 _REPOS = {
@@ -511,14 +511,25 @@ def _replaced(node: object, path: tuple, value: object) -> object:
     return copy
 
 
+# Scalars that PyYAML's SafeConstructor fails on with a Python exception;
+# safe_dump never writes them, so they are spliced into its text.
+_UNCONSTRUCTABLE = [b"2020-13-45", b"!!int abc", b"!!float abc", b"!!bool abc", b"!!timestamp abc"]
+_SPLICE = "forge-splice-point"
+
+
 @st.composite
 def mutated_yaml(draw: st.DrawFn, doc: dict) -> bytes:
-    """``doc`` as YAML with damaged bytes or one node swapped for a node of another type."""
+    """``doc`` as YAML with damaged bytes, or one node swapped for a node of another
+    type or for the raw text of a scalar PyYAML cannot build."""
 
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["damage", "swap", "splice"]))
+    if kind == "damage":
         return _damaged_bytes(draw, yaml.safe_dump(doc).encode())
     path = draw(st.sampled_from(list(_node_paths(doc))))
-    return yaml.safe_dump(_replaced(doc, path, draw(st.sampled_from(_NODES)))).encode()
+    if kind == "swap":
+        return yaml.safe_dump(_replaced(doc, path, draw(st.sampled_from(_NODES)))).encode()
+    text = yaml.safe_dump(_replaced(doc, path, _SPLICE)).encode()
+    return text.replace(_SPLICE.encode(), draw(st.sampled_from(_UNCONSTRUCTABLE)))
 
 
 @pytest.mark.parametrize(
@@ -553,6 +564,8 @@ def test_cli_analyze_of_mutated_yaml_inputs_exits_cleanly_cold_and_warm(
             code, _, err = cold
             assert code == 0 or (code == 2 and err.startswith("forge: error: ")), (command, cold)
             assert warm == cold, command
+            if flag == "--rosdep-db" and code == 2:
+                assert str(root / name) in err, (command, cold)
 
     exits_cleanly()
 
