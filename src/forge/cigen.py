@@ -20,7 +20,7 @@ import yaml
 from . import ARCHITECTURES, TARGETS
 from .errors import InvalidSpec
 
-_IMAGE_NAME_RE = re.compile(r"^[a-z0-9][a-z0-9_.\-/]*$")
+_IMAGE_NAME_RE = re.compile(r"[a-z0-9][a-z0-9_.\-/]*")
 
 # The workspace tests inside the development image. The ROS setup script
 # sets ROS_VERSION, so ROS 1 images test with catkin and ROS 2 with colcon.
@@ -45,27 +45,18 @@ class PipelineSpec(NamedTuple):
 
 
 def default_output_path(platform: str) -> str:
-    if platform == "github":
-        return ".github/workflows/forge.yml"
-    if platform == "gitlab":
-        return ".gitlab-ci.yml"
-    raise InvalidSpec(f"unknown CI platform {platform!r}")
+    """Where ``platform`` (``github`` or ``gitlab``) reads its pipeline file."""
+
+    return ".github/workflows/forge.yml" if platform == "github" else ".gitlab-ci.yml"
 
 
 def _check_spec(spec: PipelineSpec) -> None:
-    if spec.platform not in ("github", "gitlab"):
-        raise InvalidSpec(f"unknown CI platform {spec.platform!r}")
-    if not spec.image_name or not _IMAGE_NAME_RE.match(spec.image_name):
+    # The command line checks the platform and registry and fills empty platforms and targets.
+    if not _IMAGE_NAME_RE.fullmatch(spec.image_name):
         raise InvalidSpec(f"invalid image name {spec.image_name!r}")
-    if not spec.registry:
-        raise InvalidSpec("registry must be non-empty")
-    if not spec.platforms:
-        raise InvalidSpec("at least one platform is required")
     for platform in spec.platforms:
         if platform not in ARCHITECTURES:
             raise InvalidSpec(f"unsupported build platform {platform!r}")
-    if not spec.target_stages:
-        raise InvalidSpec("at least one target stage is required")
     for stage in spec.target_stages:
         if stage not in TARGETS:
             raise InvalidSpec(f"unsupported target stage {stage!r}")

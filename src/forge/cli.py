@@ -37,6 +37,7 @@ from .errors import (
     NonZeroExit,
     UnresolvedDependencies,
     UnwritableOutput,
+    shown,
 )
 from .textio import read_utf8, safe_load
 
@@ -119,7 +120,7 @@ def _parse_flag(value: object, name: str) -> bool:
         return True
     if word in ("0", "false", "no", "off", ""):
         return False
-    raise ConfigError(f"{name} must be a boolean, got {value!r}")
+    raise ConfigError(f"{name} must be a boolean, got {shown(value)}")
 
 
 def _parse_count(value: object, name: str) -> int:
@@ -130,7 +131,7 @@ def _parse_count(value: object, name: str) -> int:
             raise TypeError
         count = int(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        raise ConfigError(f"{name} must be an integer, got {shown(value)}") from None
     if count < 1:
         raise ConfigError(f"{name} must be at least 1, got {count}")
     return count
@@ -138,7 +139,7 @@ def _parse_count(value: object, name: str) -> int:
 
 def _parse_string(value: object, name: str) -> str:
     if not isinstance(value, str):
-        raise ConfigError(f"{name} must be a string, got {value!r}")
+        raise ConfigError(f"{name} must be a string, got {shown(value)}")
     return value
 
 
@@ -670,9 +671,12 @@ def _add_workspace_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _container_path(text: str) -> str:
-    """``--workspace-dir``: a path inside the image, without a trailing or doubled ``/``."""
+    """``--workspace-dir``: an absolute path other than ``/``, without a trailing or doubled ``/``."""
 
-    return str(PurePosixPath(text))
+    path = PurePosixPath(text)
+    if not path.is_absolute() or path == path.parent:
+        raise InvalidArgs(f"--workspace-dir must be an absolute path below /, got {text!r}")
+    return str(path)
 
 
 def _add_image_options(parser: argparse.ArgumentParser) -> None:
@@ -840,11 +844,9 @@ def _main(argv: list[str], driver: EngineDriver | None) -> int:
             args.run_command = run_command
         else:
             args = parser.parse_args(argv)
+        return int(args.handler(args, driver))
     except SystemExit as exc:
         return int(exc.code or 0)
-
-    try:
-        return int(args.handler(args, driver))
     except ForgeError as exc:
         print(f"forge: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -21,7 +21,7 @@ from typing import Literal, NamedTuple, Sequence
 import yaml
 
 from . import KNOWN_DISTROS, __version__
-from .errors import MalformedDatabase
+from .errors import MalformedDatabase, shown
 from .manifest import Workspace
 from .sources import RepoSpec
 from .textio import ComposedDocument, cache_key, read_json, safe_load, write_json
@@ -32,7 +32,7 @@ ROSDEP_CACHE_FORMAT = 1
 ROSDEP_OS = "ubuntu"
 """The OS whose rosdep records forge resolves against; part of every cache key."""
 
-_INDEX_PACKAGE_RE = re.compile(r"^[a-z][a-z0-9_]*$")
+_INDEX_PACKAGE_RE = re.compile(r"[a-z][a-z0-9_]*")
 
 
 class RosdepEntry(NamedTuple):
@@ -228,7 +228,7 @@ def load_distro_index(text: str) -> DistroIndex:
     ros_version = body.get("ros_version")
     packages = body.get("packages")
     if not isinstance(name, str) or name not in KNOWN_DISTROS:
-        raise MalformedDatabase(f"unknown distro name {name!r}")
+        raise MalformedDatabase(f"unknown distro name {shown(name)}")
     if ros_version != KNOWN_DISTROS[name]:
         raise MalformedDatabase(
             f"distro {name!r} must declare ros_version {KNOWN_DISTROS[name]}"
@@ -236,22 +236,18 @@ def load_distro_index(text: str) -> DistroIndex:
     if not isinstance(packages, list):
         raise MalformedDatabase(f"distro {name!r} has no package list")
     for pkg in packages:
-        if not isinstance(pkg, str) or not _INDEX_PACKAGE_RE.match(pkg):
-            raise MalformedDatabase(f"distro {name!r} lists invalid package {pkg!r}")
+        if not isinstance(pkg, str) or not _INDEX_PACKAGE_RE.fullmatch(pkg):
+            raise MalformedDatabase(f"distro {name!r} lists invalid package {shown(pkg)}")
     return DistroIndex(
         distro=name, ros_version=ros_version, packages=frozenset(packages)
     )
 
 
 def packaged_distro_index(distro: str) -> DistroIndex:
-    """Load the distro index fixture shipped with this package."""
+    """Load the distro index fixture shipped with this package for a known distro."""
 
-    if distro not in KNOWN_DISTROS:
-        raise MalformedDatabase(f"unknown distro name {distro!r}")
-    text = (
-        resources.files("forge.data").joinpath(f"distros/{distro}.yaml").read_text("utf-8")
-    )
-    return load_distro_index(text)
+    path = resources.files("forge.data").joinpath(f"distros/{distro}.yaml")
+    return load_distro_index(path.read_text("utf-8"))
 
 
 def packaged_rosdep_db() -> tuple[list[str], list[str]]:

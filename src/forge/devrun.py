@@ -136,14 +136,9 @@ def synthesize_invocation(
     Feature rules: X11 forwarding iff a display exists and was not
     suppressed; GPU access iff GPUs exist and were not suppressed; user
     mapping unless suppressed; the workspace source mount iff requested
-    and a workspace was detected. ``workspace_dir`` must be absolute and not
-    the root directory.
+    and a workspace was detected. ``workspace_dir`` is an absolute path
+    other than ``/``.
     """
-
-    if not workspace_dir.startswith("/") or not workspace_dir.strip("/"):
-        raise InvalidArgs(
-            f"--workspace-dir must be an absolute path below /, got {workspace_dir!r}"
-        )
 
     env: list[tuple[str, str]] = []
     mounts: list[Mount] = []
@@ -351,7 +346,7 @@ def _external_transform(path: Path) -> Callable[[RunInvocation], RunInvocation]:
             )
         try:
             doc = json.loads(completed.stdout)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise PluginViolation(path.name, [f"emitted invalid JSON: {exc}"]) from exc
         try:
             return invocation_from_doc(doc)

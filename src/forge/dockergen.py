@@ -187,14 +187,9 @@ class ImageSpec(NamedTuple):
 
 
 def _check_spec(spec: ImageSpec, context_root: Path) -> None:
-    if spec.ros_distro not in KNOWN_DISTROS:
-        raise InvalidSpec(f"unknown ROS distro {spec.ros_distro!r}")
-    if spec.target not in TARGETS:
-        raise InvalidSpec(f"target must be {' or '.join(TARGETS)}, not {spec.target!r}")
+    # The distro index checks the distro, the command line the target and workspace_dir.
     if spec.target == "run" and not spec.launch_command:
         raise InvalidSpec("target=run requires a launch command")
-    if not spec.workspace_dir.startswith("/") or not spec.workspace_dir.strip("/"):
-        raise InvalidSpec("workspace_dir must be an absolute path below /")
     for extra in (*spec.extra_apt, *spec.extra_pip):
         if not extra or any(c.isspace() for c in extra):
             raise InvalidSpec(f"invalid extra package name {extra!r}")

@@ -15,12 +15,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple, Protocol, Sequence
 
-from .errors import (
-    EngineUnavailable,
-    InvalidRequest,
-    MalformedEngineOutput,
-    NonZeroExit,
-)
+from .errors import EngineUnavailable, MalformedEngineOutput, NonZeroExit
 
 # One engine CLI invocation: its argv without the engine binary itself.
 EngineCommand = tuple[str, ...]
@@ -86,11 +81,6 @@ def build_argv(request: BuildRequest) -> EngineCommand:
     Multi-platform requests (and pushes) use the multi-platform builder
     form.
     """
-
-    if not request.tags:
-        raise InvalidRequest("a build request needs at least one tag")
-    if not request.platforms:
-        raise InvalidRequest("a build request needs at least one platform")
 
     multi = len(request.platforms) > 1 or request.push
     argv: list[str] = ["buildx", "build"] if multi else ["build"]

@@ -9,6 +9,15 @@ failures of the container engine or of external tools and maps to 1.
 from __future__ import annotations
 
 
+def shown(value: object) -> str:
+    """``repr(value)`` for an error message; a value nested too deeply to print is named by type."""
+
+    try:
+        return repr(value)
+    except RecursionError:
+        return f"a deeply nested {type(value).__name__}"
+
+
 class ForgeError(Exception):
     """Base class for every error raised by this package."""
 
@@ -102,10 +111,6 @@ class ConfigError(UserError):
 
 
 # --- engine ----------------------------------------------------------------
-
-
-class InvalidRequest(UserError):
-    """An engine command request misses required fields."""
 
 
 class EngineUnavailable(EngineError):

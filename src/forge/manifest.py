@@ -34,8 +34,8 @@ from .errors import (
 )
 from .textio import cache_key, read_json, write_json
 
-PACKAGE_NAME_RE = re.compile(r"^[a-zA-Z][a-zA-Z0-9_]*$")
-VERSION_RE = re.compile(r"^\d+(\.\d+)*$")
+PACKAGE_NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
+VERSION_RE = re.compile(r"\d+(\.\d+)*")
 
 IGNORE_MARKERS = ("AMENT_IGNORE", "CATKIN_IGNORE", "COLCON_IGNORE")
 
@@ -259,14 +259,14 @@ def _parse_xml(data: bytes, env: dict[str, str], source_dir: str) -> PackageMani
     if name_el is None or not (name_el.text or "").strip():
         raise MalformedManifest("manifest has no <name>")
     name = (name_el.text or "").strip()
-    if not PACKAGE_NAME_RE.match(name):
+    if not PACKAGE_NAME_RE.fullmatch(name):
         raise MalformedManifest(f"invalid package name {name!r}")
 
     version_el = root.find("version")
     if version_el is None or not (version_el.text or "").strip():
         raise MalformedManifest(f"package {name!r} has no <version>")
     version = (version_el.text or "").strip()
-    if not VERSION_RE.match(version):
+    if not VERSION_RE.fullmatch(version):
         raise MalformedManifest(f"package {name!r} has invalid version {version!r}")
 
     scopes: dict[str, set[str]] = {"build": set(), "exec": set()}

@@ -128,8 +128,6 @@ def enumerate_matrix(
 def tag_of(entry: MatrixEntry, registry: str) -> str:
     """Registry tag for one entry; injective over the whole matrix."""
 
-    if not registry:
-        raise InvalidSpec("registry must be non-empty")
     family = "ros" if entry.ros_version == 1 else "ros2"
     suffix = _FLAVOR_SUFFIX[entry.ml_flavor]
     return f"{registry}/{family}{suffix}:{entry.distro}-{entry.component}"

@@ -20,7 +20,7 @@ import yaml
 from .errors import MalformedReposFile, UnsupportedVcsType
 from .textio import safe_load
 
-_SEGMENT_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
+_SEGMENT_RE = re.compile(r"[A-Za-z0-9_.-]+")
 _PLACEHOLDER_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
 ReposList = tuple["RepoSpec", ...]
@@ -39,7 +39,7 @@ def _check_local_name(name: str) -> None:
     if not parts or name.startswith("/"):
         raise MalformedReposFile(f"invalid repository name {name!r}")
     for part in parts:
-        if part in (".", "..") or not _SEGMENT_RE.match(part):
+        if part in (".", "..") or not _SEGMENT_RE.fullmatch(part):
             raise MalformedReposFile(f"invalid repository name {name!r}")
 
 

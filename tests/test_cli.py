@@ -519,6 +519,49 @@ def test_rosdep_errors_name_the_file_and_position(capsys, monkeypatch, tmp_path,
     assert "<unicode string>" not in err
 
 
+_DEEP_LIST = "[" * 3000 + "]" * 3000
+
+
+@pytest.mark.parametrize(
+    ("argv", "text", "message"),
+    [
+        (
+            ["generate", "dockerfile", MINIMAL, "--repos", "{path}", "-o", "-"],
+            'repositories:\n  "dep\\n": {type: git, url: "https://h/dep.git"}\n',
+            "MalformedReposFile: invalid repository name 'dep\\n'",
+        ),
+        (
+            ["analyze", MINIMAL, "--distro-index", "{path}"],
+            'distro: {name: humble, ros_version: 2, packages: [rclcpp, "std_msgs\\n"]}\n',
+            "MalformedDatabase: distro 'humble' lists invalid package 'std_msgs\\n'",
+        ),
+        (
+            ["generate", "ci", "--platform", "github", "--image-name", "app\n", "-o", "-"],
+            "",
+            "InvalidSpec: invalid image name 'app\\n'",
+        ),
+        (
+            ["matrix", "list", "--config", "{path}"],
+            f"registry: {_DEEP_LIST}\n",
+            "ConfigError: config key registry must be a string, got a deeply nested list",
+        ),
+        (
+            ["analyze", MINIMAL, "--distro-index", "{path}"],
+            f"distro: {{name: humble, ros_version: 2, packages: [rclcpp, {_DEEP_LIST}]}}\n",
+            "MalformedDatabase: distro 'humble' lists invalid package a deeply nested list",
+        ),
+    ],
+    ids=["repos-name-newline", "index-package-newline", "image-name-newline", "config-deep", "index-deep"],
+)
+def test_a_final_newline_or_deep_nesting_exits_2(capsys, monkeypatch, tmp_path, argv, text, message) -> None:
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "input.yaml"
+    path.write_text(text, encoding="utf-8")
+    code = main([arg.format(path=path) for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"forge: error: {message}\n")
+
+
 # --- parsed-database cache ---------------------------------------------------
 
 
@@ -753,6 +796,34 @@ def test_build_rejects_an_unknown_platform(capsys, monkeypatch, tmp_path) -> Non
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (
+            ["generate", "dockerfile", MINIMAL, "--target", "release"],
+            "argument --target: invalid choice: 'release'",
+        ),
+        (
+            ["generate", "ci", "--platform", "jenkins", "--image-name", "app"],
+            "argument --platform: invalid choice: 'jenkins'",
+        ),
+        (
+            ["analyze", MINIMAL, "--distro-index", "{index}"],
+            "MalformedDatabase: unknown distro name 'navel'",
+        ),
+    ],
+    ids=["target", "ci-platform", "index-distro"],
+)
+def test_a_value_outside_its_known_set_exits_2(capsys, monkeypatch, tmp_path, argv, message) -> None:
+    monkeypatch.chdir(tmp_path)
+    index = tmp_path / "index.yaml"
+    index.write_text("distro: {name: navel, ros_version: 2, packages: []}\n", encoding="utf-8")
+    code = main([arg.format(index=index) for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert message in captured.err
+
+
 def test_build_missing_credential_exits_2(capsys, monkeypatch, tmp_path) -> None:
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("GIT_TOKEN", raising=False)
@@ -888,8 +959,27 @@ def test_generate_dockerfile_root_workspace_dir_exits_2(capsys, monkeypatch, tmp
     code = main(["generate", "dockerfile", MINIMAL, "--workspace-dir", "/", "-o", str(out)])
     captured = capsys.readouterr()
     assert code == 2
-    assert "forge: error: InvalidSpec: workspace_dir must be an absolute path below /" in captured.err
+    message = "forge: error: InvalidArgs: --workspace-dir must be an absolute path below /, got '/'"
+    assert message in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["ws", "", "./ws"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "dockerfile", MINIMAL, "-o", "-"],
+        ["build", MINIMAL, "--dry-run"],
+        ["run", "--dry-run", "img"],
+    ],
+    ids=["generate", "build", "run"],
+)
+def test_a_relative_workspace_dir_exits_2_with_one_message(capsys, monkeypatch, tmp_path, argv, value) -> None:
+    monkeypatch.chdir(tmp_path)
+    code = main([*argv, "--workspace-dir", value])
+    captured = capsys.readouterr()
+    message = f"forge: error: InvalidArgs: --workspace-dir must be an absolute path below /, got {value!r}\n"
+    assert (code, captured.out, captured.err) == (2, "", message)
 
 
 # --- matrix ----------------------------------------------------------------
@@ -1161,6 +1251,26 @@ def test_run_with_a_plugin_replacing_a_field_exits_cleanly(monkeypatch, tmp_path
         assert outcomes[0] == outcomes[1]
 
     exits_cleanly()
+
+
+def test_run_plugin_printing_deeply_nested_json_exits_2(capsys, monkeypatch, tmp_path, fake_host) -> None:
+    monkeypatch.chdir(tmp_path)
+    plugin = tmp_path / "plugins" / "10-deep"
+    plugin.parent.mkdir()
+    plugin.write_text(
+        f"#!{sys.executable}\nimport json, sys\n"
+        "doc = json.dumps(json.load(sys.stdin))\n"
+        "print(doc[:-1] + ', \"command\": ' + '[' * 5000 + ']' * 5000 + '}')\n",
+        encoding="utf-8",
+    )
+    plugin.chmod(0o755)
+    driver = RecordingDriver()
+    code = main(["run", "--plugin-dir", str(plugin.parent), "img"], driver=driver)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "forge: error: PluginViolation: plugin '10-deep' broke invariants: emitted invalid JSON: "
+    )
+    assert driver.commands == []
 
 
 def test_run_root_workspace_dir_exits_2(capsys, monkeypatch, tmp_path, fake_host) -> None:

@@ -132,16 +132,6 @@ def test_synthesize_workspace_mount(fixture_root) -> None:
     assert elsewhere.workdir == "/opt/ws"
 
 
-@pytest.mark.parametrize("workspace_dir", ["ws", "", "./ws"])
-def test_synthesize_rejects_relative_workspace_dir(fixture_root, workspace_dir) -> None:
-    with pytest.raises(InvalidArgs, match="--workspace-dir must be an absolute path"):
-        synthesize_invocation(
-            host(detected_workspace=fixture_root / "minimal"),
-            UserArgs(image="img"),
-            workspace_dir=workspace_dir,
-        )
-
-
 def test_synthesize_passthrough_and_command_preserved() -> None:
     invocation = synthesize_invocation(
         host(),

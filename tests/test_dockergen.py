@@ -23,7 +23,7 @@ from forge.dockergen import (
     render,
     validate_plan,
 )
-from forge.errors import InvalidSpec, UnresolvedDependencies
+from forge.errors import UnresolvedDependencies
 from forge.manifest import PackageManifest
 
 from conftest import image_spec
@@ -126,19 +126,6 @@ def test_base_image_defaults_to_the_distro_image(request, fixture, base, expecte
     analysis = request.getfixturevalue(fixture)
     text = render(make_plan(analysis, target="run", base_image=base))
     assert f"\nARG BASE_IMAGE={expected}\n" in text
-
-
-def test_spec_rejects_unknown_distro(minimal_analysis) -> None:
-    spec = image_spec(minimal_analysis, ros_distro="navel", target="run")
-    with pytest.raises(InvalidSpec):
-        plan_stages(
-            spec, minimal_analysis.resolved, minimal_analysis.resolved_exec, minimal_analysis.root
-        )
-
-
-def test_spec_rejects_unknown_target(minimal_analysis) -> None:
-    with pytest.raises(InvalidSpec):
-        make_plan(minimal_analysis, target="release")
 
 
 # --- mutation tests for each validation rule -------------------------------

@@ -25,7 +25,7 @@ from forge.engine import (
     run_argv,
     run_builds,
 )
-from forge.errors import EngineUnavailable, InvalidRequest, MalformedEngineOutput, NonZeroExit
+from forge.errors import EngineUnavailable, MalformedEngineOutput, NonZeroExit
 
 from recording_driver import RecordingDriver
 
@@ -81,17 +81,6 @@ def test_build_argv_push_uses_buildx() -> None:
     command = build_argv(request)
     assert command[0] == "buildx"
     assert command[-2:] == ("--push", ".")
-
-
-def test_build_argv_requires_tag_and_platform() -> None:
-    with pytest.raises(InvalidRequest):
-        build_argv(BuildRequest(context=".", dockerfile_path="f", target="run", tags=()))
-    with pytest.raises(InvalidRequest):
-        build_argv(
-            BuildRequest(
-                context=".", dockerfile_path="f", target="run", tags=("t",), platforms=()
-            )
-        )
 
 
 def test_run_argv_full_shape() -> None:

@@ -31,6 +31,7 @@ from forge.errors import (
 )
 from forge.manifest import scan_workspace
 
+from dockerfile_syntax import dockerfile_problems
 from scan_oracle import oracle_scan
 
 ENV = {"ROS_VERSION": "2", "ROS_DISTRO": "humble"}
@@ -473,11 +474,9 @@ def test_cli_analyze_of_mutated_manifest_bytes_exits_cleanly_cold_and_warm(data:
         assert warm == cold == fresh, command
 
 
-_REPOS = {
-    "repositories": {
-        "tools": {"type": "git", "url": "https://git.example.com/acme/tools.git", "version": "main"}
-    }
-}
+_REPO = {"type": "git", "url": "https://git.example.com/acme/tools.git", "version": "main"}
+# A name ending in a newline must not reach the Dockerfile's repository list.
+_REPOS = st.sampled_from(["tools", "tools\n"]).map(lambda name: {"repositories": {name: _REPO}})
 _CONFIG = {
     "registry": "reg.example",
     "default_distro": "humble",
@@ -518,10 +517,11 @@ _SPLICE = "forge-splice-point"
 
 
 @st.composite
-def mutated_yaml(draw: st.DrawFn, doc: dict) -> bytes:
-    """``doc`` as YAML with damaged bytes, or one node swapped for a node of another
-    type or for the raw text of a scalar PyYAML cannot build."""
+def mutated_yaml(draw: st.DrawFn, docs: st.SearchStrategy[dict]) -> bytes:
+    """A document drawn from ``docs`` as YAML with damaged bytes, or one node swapped
+    for a node of another type or for the raw text of a scalar PyYAML cannot build."""
 
+    doc = draw(docs)
     kind = draw(st.sampled_from(["damage", "swap", "splice"]))
     if kind == "damage":
         return _damaged_bytes(draw, yaml.safe_dump(doc).encode())
@@ -537,14 +537,17 @@ def mutated_yaml(draw: st.DrawFn, doc: dict) -> bytes:
     [
         # forge.yaml and .repos files in the workspace root are read without a flag.
         ("deps.repos", _REPOS, None, ""),
-        ("forge.yaml", _CONFIG, None, ""),
-        ("rosdep.yaml", _ROSDEP, "--rosdep-db", "<depend>forge_sys</depend><exec_depend>forge_pip</exec_depend>"),
-        ("index.yaml", _INDEX, "--distro-index", "<depend>rclcpp</depend><depend>std_msgs</depend>"),
+        ("forge.yaml", st.just(_CONFIG), None, ""),
+        (
+            "rosdep.yaml", st.just(_ROSDEP), "--rosdep-db",
+            "<depend>forge_sys</depend><exec_depend>forge_pip</exec_depend>",
+        ),
+        ("index.yaml", st.just(_INDEX), "--distro-index", "<depend>rclcpp</depend><depend>std_msgs</depend>"),
     ],
     ids=["deps.repos-doc0", "forge.yaml-doc1", "rosdep.yaml-doc2", "index.yaml-doc3"],
 )
 def test_cli_analyze_of_mutated_yaml_inputs_exits_cleanly_cold_and_warm(
-    name: str, doc: dict, flag: str | None, depends: str
+    name: str, doc: st.SearchStrategy[dict], flag: str | None, depends: str
 ) -> None:
     @settings(max_examples=100, deadline=None)
     @given(mutated_yaml(doc))
@@ -566,6 +569,9 @@ def test_cli_analyze_of_mutated_yaml_inputs_exits_cleanly_cold_and_warm(
             assert warm == cold, command
             if flag == "--rosdep-db" and code == 2:
                 assert str(root / name) in err, (command, cold)
+        code, dockerfile, _ = runs["generate"][0]
+        if code == 0:
+            assert dockerfile_problems(dockerfile) == []
 
     exits_cleanly()
 
