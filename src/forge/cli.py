@@ -18,6 +18,7 @@ import argparse
 import importlib
 import json
 import os
+import re
 import shlex
 import sys
 import time
@@ -39,7 +40,7 @@ from .errors import (
     UnwritableOutput,
     shown,
 )
-from .textio import read_utf8, safe_load
+from .textio import load_yaml, read_utf8
 
 GENERATED_DIR = ".forge"
 
@@ -69,7 +70,7 @@ _LAYER_NAMES = {
     ),
     "sources": (
         "ReposList", "clone_plan", "combine_repos", "parse_repos", "redact",
-        "required_credential_vars",
+        "required_credential_vars", "safe_relative_path",
     ),
 }
 _LAYER_OF = {name: layer for layer, names in _LAYER_NAMES.items() for name in names}
@@ -190,12 +191,9 @@ def load_config(args: argparse.Namespace, workspace_root: Path | None) -> Global
         config_path = Path(_parse_nonempty(explicit, "--config"))
     doc = {}
     if config_path.is_file():
-        try:
-            doc = safe_load(read_utf8(config_path, ConfigError)) or {}
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"config file {config_path} is not valid YAML: {exc}") from exc
+        doc = load_yaml(read_utf8(config_path, ConfigError), config_path, ConfigError) or {}
         if not isinstance(doc, dict):
-            raise ConfigError(f"config file {config_path} must hold a mapping")
+            raise ConfigError(f"{config_path}: the document is not a mapping")
     elif explicit:
         raise ConfigError(f"config file {explicit!r} not found")
 
@@ -220,6 +218,7 @@ class WorkspaceAnalysis(NamedTuple):
     root: Path
     workspace: Workspace
     index: DistroIndex
+    repos_files: tuple[str, ...]  # names of the *.repos files in the workspace root
     repos: ReposList
     resolved: ResolvedDependencies
     resolved_exec: ResolvedDependencies
@@ -247,13 +246,14 @@ def analyze_workspace(
 
     _bind("depgraph", "manifest", "sources")
     if cfg.distro_index_path:
-        index = load_distro_index(read_utf8(Path(cfg.distro_index_path), MalformedDatabase))
+        path = cfg.distro_index_path
+        index = load_distro_index(read_utf8(path, MalformedDatabase), path)
     else:
         index = packaged_distro_index(cfg.default_distro)
 
     documents, names = packaged_rosdep_db()
     for path in cfg.rosdep_db_paths:
-        documents.append(read_utf8(Path(path), MalformedDatabase))
+        documents.append(read_utf8(path, MalformedDatabase))
         names.append(path)
     cache = cache_dir()
     db = load_rosdep_db(documents, names, cache_dir=cache, write_cache=write_cache)
@@ -261,14 +261,11 @@ def analyze_workspace(
     condition_env = {"ROS_VERSION": str(index.ros_version), "ROS_DISTRO": index.distro}
     workspace = scan_workspace(root, condition_env, cache_dir=cache, write_cache=write_cache)
 
-    repo_lists = []
-    for path in [*sorted(root.glob("*.repos")), *map(Path, repos_paths)]:
-        try:
-            text = read_utf8(path, MalformedReposFile)
-        except OSError as exc:
-            raise MalformedReposFile(f"cannot read {path}: {exc.strerror}") from exc
-        repo_lists.append(parse_repos(text))
-    repos = combine_repos(repo_lists)
+    repos_files = sorted(root.glob("*.repos"))
+    repos = combine_repos([
+        parse_repos(read_utf8(path, MalformedReposFile), str(path))
+        for path in [*repos_files, *repos_paths]
+    ])
 
     declared = DeclaredKeys.from_workspace(workspace)
     internal = {pkg.name for pkg in workspace.packages}
@@ -278,6 +275,7 @@ def analyze_workspace(
         root=root,
         workspace=workspace,
         index=index,
+        repos_files=tuple(path.name for path in repos_files),
         repos=repos,
         resolved=resolved,
         resolved_exec=resolved_exec,
@@ -367,9 +365,9 @@ def _render_for_workspace(
         packages=tuple(analysis.workspace.packages),
         base_image=args.base or "",
         target=args.target,
-        launch_command=tuple(shlex.split(args.command)) if args.command else ("bash",),
+        launch_command=args.command or ("bash",),
         workspace_dir=args.workspace_dir,
-        repos_files=tuple(sorted(p.name for p in analysis.root.glob("*.repos"))),
+        repos_files=analysis.repos_files,
         source_repos=analysis.repos,
         custom_script_pre=args.script_pre,
         custom_script_post=args.script_post,
@@ -671,21 +669,40 @@ def _add_workspace_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _container_path(text: str) -> str:
-    """``--workspace-dir``: an absolute path other than ``/``, without a trailing or doubled ``/``."""
+    """``--workspace-dir``: ``/`` and then a path that ``sources.safe_relative_path`` accepts."""
 
-    path = PurePosixPath(text)
-    if not path.is_absolute() or path == path.parent:
+    _bind("sources")
+    if not (text.startswith("/") and safe_relative_path(text[1:])):
         raise InvalidArgs(f"--workspace-dir must be an absolute path below /, got {text!r}")
-    return str(path)
+    return str(PurePosixPath(text))
+
+
+def _image_ref(text: str) -> str:
+    """``--base``: an image reference; a leading ``-`` would be an option in CI ``forge build``."""
+
+    if not re.fullmatch(r"(?:[A-Za-z0-9][A-Za-z0-9_.:/@+-]*)?", text):
+        raise InvalidArgs(f"--base must be an image reference, got {text!r}")
+    return text
+
+
+def _launch_command(text: str) -> tuple[str, ...]:
+    """``--command``: printable shell-style text, split into words."""
+
+    if text.isprintable():
+        try:
+            return tuple(shlex.split(text))
+        except ValueError:  # an unclosed quote or a trailing backslash
+            pass
+    raise InvalidArgs(f"--command must be printable shell-style text, got {text!r}")
 
 
 def _add_image_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--target", choices=TARGETS, default="run", help="image flavor"
     )
-    parser.add_argument("--base", help="base image (default: ros:<distro>)")
+    parser.add_argument("--base", type=_image_ref, help="base image (default: ros:<distro>)")
     parser.add_argument(
-        "--command", help="deployment launch command (shell-style string)"
+        "--command", type=_launch_command, help="launch command (shell-style, default: bash)"
     )
     parser.add_argument(
         "--workspace-dir",
@@ -749,7 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--enable-test", action="store_true", help="run workspace tests in CI"
     )
     p.add_argument("--push-branch", default="main", help="branch that may push")
-    p.add_argument("--base", help="base image forwarded to builds")
+    p.add_argument("--base", type=_image_ref, help="base image forwarded to builds")
     p.add_argument("--targets", help=f"comma list of target stages ({','.join(TARGETS)})")
     p.add_argument("--output", "-o", help="output path ('-' for stdout)")
     p.set_defaults(handler=cmd_generate_ci)

@@ -18,13 +18,11 @@ from importlib import resources
 from pathlib import Path
 from typing import Literal, NamedTuple, Sequence
 
-import yaml
-
 from . import KNOWN_DISTROS, __version__
 from .errors import MalformedDatabase, shown
 from .manifest import Workspace
 from .sources import RepoSpec
-from .textio import ComposedDocument, cache_key, read_json, safe_load, write_json
+from .textio import ComposedDocument, cache_key, load_yaml, read_json, write_json, yaml_errors
 
 ROSDEP_CACHE_FORMAT = 1
 """Layout version of cached rosdep databases; part of every cache key."""
@@ -33,6 +31,7 @@ ROSDEP_OS = "ubuntu"
 """The OS whose rosdep records forge resolves against; part of every cache key."""
 
 _INDEX_PACKAGE_RE = re.compile(r"[a-z][a-z0-9_]*")
+_WHITESPACE = re.compile(r"\s").search
 
 
 class RosdepEntry(NamedTuple):
@@ -137,10 +136,8 @@ def load_rosdep_db(
     records: dict[str, object] = {}
     entries: dict[str, RosdepEntry] = {}
     for text, name in zip(documents, names, strict=True):
-        try:
+        with yaml_errors(name, MalformedDatabase):
             _read_records(ComposedDocument(text, name), records, entries)
-        except yaml.YAMLError as exc:
-            raise MalformedDatabase(f"{name}: not valid YAML: {exc}") from exc
 
     if cache_path is not None and write_cache:
         write_json(cache_path, records)
@@ -211,33 +208,32 @@ def _string_list(key: str, raw: list[object]) -> tuple[str, ...]:
     for item in raw:
         if not isinstance(item, str) or not item:
             raise MalformedDatabase(f"key {key!r} lists a non-string package")
+        if _WHITESPACE(item):
+            raise MalformedDatabase(f"key {key!r} has whitespace inside package {item!r}")
     return tuple(raw)  # type: ignore[arg-type]
 
 
-def load_distro_index(text: str) -> DistroIndex:
-    """Parse a distro index file: ``distro: {name, ros_version, packages}``."""
+def load_distro_index(text: str, path: str) -> DistroIndex:
+    """Parse the distro index file ``path``: ``distro: {name, ros_version, packages}``."""
 
-    try:
-        doc = safe_load(text)
-    except yaml.YAMLError as exc:
-        raise MalformedDatabase(f"distro index is not valid YAML: {exc}") from exc
+    doc = load_yaml(text, path, MalformedDatabase)
     if not isinstance(doc, dict) or not isinstance(doc.get("distro"), dict):
-        raise MalformedDatabase("distro index must be a mapping with a 'distro' entry")
+        raise MalformedDatabase(f"{path}: expected a top-level 'distro' mapping")
     body = doc["distro"]
     name = body.get("name")
     ros_version = body.get("ros_version")
     packages = body.get("packages")
     if not isinstance(name, str) or name not in KNOWN_DISTROS:
-        raise MalformedDatabase(f"unknown distro name {shown(name)}")
+        raise MalformedDatabase(f"{path}: unknown distro name {shown(name)}")
     if ros_version != KNOWN_DISTROS[name]:
         raise MalformedDatabase(
-            f"distro {name!r} must declare ros_version {KNOWN_DISTROS[name]}"
+            f"{path}: distro {name!r} must declare ros_version {KNOWN_DISTROS[name]}"
         )
     if not isinstance(packages, list):
-        raise MalformedDatabase(f"distro {name!r} has no package list")
+        raise MalformedDatabase(f"{path}: distro {name!r} has no package list")
     for pkg in packages:
         if not isinstance(pkg, str) or not _INDEX_PACKAGE_RE.fullmatch(pkg):
-            raise MalformedDatabase(f"distro {name!r} lists invalid package {shown(pkg)}")
+            raise MalformedDatabase(f"{path}: distro {name!r} lists invalid package {shown(pkg)}")
     return DistroIndex(
         distro=name, ros_version=ros_version, packages=frozenset(packages)
     )
@@ -247,7 +243,7 @@ def packaged_distro_index(distro: str) -> DistroIndex:
     """Load the distro index fixture shipped with this package for a known distro."""
 
     path = resources.files("forge.data").joinpath(f"distros/{distro}.yaml")
-    return load_distro_index(path.read_text("utf-8"))
+    return load_distro_index(path.read_text("utf-8"), str(path))
 
 
 def packaged_rosdep_db() -> tuple[list[str], list[str]]:

@@ -137,7 +137,7 @@ def synthesize_invocation(
     suppressed; GPU access iff GPUs exist and were not suppressed; user
     mapping unless suppressed; the workspace source mount iff requested
     and a workspace was detected. ``workspace_dir`` is an absolute path
-    other than ``/``.
+    below ``/`` whose segments are ``[A-Za-z0-9_.-]+``.
     """
 
     env: list[tuple[str, str]] = []

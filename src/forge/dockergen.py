@@ -187,9 +187,8 @@ class ImageSpec(NamedTuple):
 
 
 def _check_spec(spec: ImageSpec, context_root: Path) -> None:
-    # The distro index checks the distro, the command line the target and workspace_dir.
-    if spec.target == "run" and not spec.launch_command:
-        raise InvalidSpec("target=run requires a launch command")
+    # The distro index checks the distro, the command line the target, the
+    # launch command and workspace_dir.
     for extra in (*spec.extra_apt, *spec.extra_pip):
         if not extra or any(c.isspace() for c in extra):
             raise InvalidSpec(f"invalid extra package name {extra!r}")

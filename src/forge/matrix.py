@@ -17,7 +17,7 @@ import yaml
 
 from . import ARCHITECTURES, KNOWN_DISTROS
 from .errors import InvalidSpec, MalformedDatabase
-from .textio import safe_load
+from .textio import load_yaml
 
 _FLAVOR_SUFFIX = {
     "none": "",
@@ -53,27 +53,12 @@ class BaseImageTable(NamedTuple):
     accelerator_bases: dict[str, dict[str, str]]
 
 
-def load_base_image_table(text: str | None = None) -> BaseImageTable:
-    """Load the base reference table, defaulting to the packaged data file."""
+def load_base_image_table() -> BaseImageTable:
+    """The base reference table of the packaged ``ml_bases.yaml``; its shape is checked by tests."""
 
-    if text is None:
-        text = resources.files("forge.data").joinpath("ml_bases.yaml").read_text("utf-8")
-    doc = safe_load(text)
-    if not isinstance(doc, dict):
-        raise MalformedDatabase("base image table must be a mapping")
-    os_bases = doc.get("os_bases")
-    accel = doc.get("accelerator_bases")
-    if not isinstance(os_bases, dict) or not isinstance(accel, dict):
-        raise MalformedDatabase("base image table needs os_bases and accelerator_bases")
-    for distro in DISTROS:
-        if distro not in os_bases:
-            raise MalformedDatabase(f"os_bases is missing distro {distro!r}")
-        row = accel.get(distro)
-        if not isinstance(row, dict) or set(row) != set(ARCHITECTURES):
-            raise MalformedDatabase(
-                f"accelerator_bases[{distro!r}] must map exactly amd64 and arm64"
-            )
-    return BaseImageTable(os_bases=dict(os_bases), accelerator_bases={k: dict(v) for k, v in accel.items()})
+    path = resources.files("forge.data").joinpath("ml_bases.yaml")
+    doc = load_yaml(path.read_text("utf-8"), str(path), MalformedDatabase)
+    return BaseImageTable(os_bases=doc["os_bases"], accelerator_bases=doc["accelerator_bases"])
 
 
 def _check_values(kind: str, values: Iterable[str], allowed: Sequence[str]) -> tuple[str, ...]:

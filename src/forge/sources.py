@@ -15,10 +15,8 @@ import re
 from pathlib import PurePosixPath
 from typing import Iterable, NamedTuple, Sequence
 
-import yaml
-
 from .errors import MalformedReposFile, UnsupportedVcsType
-from .textio import safe_load
+from .textio import load_yaml
 
 _SEGMENT_RE = re.compile(r"[A-Za-z0-9_.-]+")
 _PLACEHOLDER_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
@@ -34,46 +32,39 @@ class RepoSpec(NamedTuple):
     version: str | None = None
 
 
-def _check_local_name(name: str) -> None:
-    parts = PurePosixPath(name).parts
-    if not parts or name.startswith("/"):
-        raise MalformedReposFile(f"invalid repository name {name!r}")
-    for part in parts:
-        if part in (".", "..") or not _SEGMENT_RE.fullmatch(part):
-            raise MalformedReposFile(f"invalid repository name {name!r}")
+def safe_relative_path(text: str) -> bool:
+    """Whether ``text`` is a relative path of ``[A-Za-z0-9_.-]+`` segments, none of them ``..``."""
+
+    parts = PurePosixPath(text).parts  # an absolute path's first part, "/" or "//", fails
+    return bool(parts) and all(part != ".." and _SEGMENT_RE.fullmatch(part) for part in parts)
 
 
-def parse_repos(yaml_text: str) -> ReposList:
-    """Parse one repository list file, sorted by local name."""
+def parse_repos(yaml_text: str, path: str) -> ReposList:
+    """Parse the repository list file ``path``, sorted by local name; errors start with ``path``."""
 
-    try:
-        doc = safe_load(yaml_text)
-    except yaml.YAMLError as exc:
-        raise MalformedReposFile(f"not valid YAML: {exc}") from exc
+    doc = load_yaml(yaml_text, path, MalformedReposFile)
     if not isinstance(doc, dict) or not isinstance(doc.get("repositories"), dict):
-        raise MalformedReposFile("expected a top-level 'repositories' mapping")
+        raise MalformedReposFile(f"{path}: expected a top-level 'repositories' mapping")
 
     repos: list[RepoSpec] = []
     for name, body in doc["repositories"].items():
-        if not isinstance(name, str):
-            raise MalformedReposFile(f"repository name {name!r} is not a string")
-        _check_local_name(name)
+        if not isinstance(name, str) or not safe_relative_path(name):
+            raise MalformedReposFile(f"{path}: invalid repository name {name!r}")
+        where = f"{path}: repository {name!r}"
         if not isinstance(body, dict):
-            raise MalformedReposFile(f"repository {name!r} is not a mapping")
+            raise MalformedReposFile(f"{where} is not a mapping")
         vcs_type = body.get("type")
         if not isinstance(vcs_type, str) or not vcs_type:
-            raise MalformedReposFile(f"repository {name!r} is missing a vcs type")
+            raise MalformedReposFile(f"{where} is missing a vcs type")
         if vcs_type != "git":
-            raise UnsupportedVcsType(
-                f"repository {name!r} uses {vcs_type!r}, only git is supported"
-            )
+            raise UnsupportedVcsType(f"{where} uses {vcs_type!r}, only git is supported")
         url = body.get("url")
         if not isinstance(url, str) or not url or re.search(r"\s", url):
-            raise MalformedReposFile(f"repository {name!r} has an invalid url")
+            raise MalformedReposFile(f"{where} has an invalid url")
         version = body.get("version")
         if version is not None:
             if not isinstance(version, str) or not version or re.search(r"\s", version):
-                raise MalformedReposFile(f"repository {name!r} has an invalid version")
+                raise MalformedReposFile(f"{where} has an invalid version")
         repos.append(RepoSpec(local_name=name, url=url, version=version))
 
     repos.sort(key=lambda r: r.local_name)

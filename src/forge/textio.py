@@ -4,12 +4,13 @@ Every YAML document forge reads is composed into a node tree by
 :class:`ComposedDocument`, with libyaml's ``CSafeLoader`` when PyYAML was
 built with it and with the pure-Python ``SafeLoader`` otherwise. Both
 build the same plain objects; libyaml is several times faster on large
-rosdep databases. :func:`safe_load` builds a whole document from its
-tree. A rosdep database is read node by node instead, so that only the
+rosdep databases. :func:`load_yaml` builds an input file's whole document
+from its tree; a rosdep database is read node by node, so that only the
 keys and the one OS record per key that forge uses are built. A value
-that PyYAML's constructor fails on with a Python exception rather than a
-YAML error (``!!int abc``, the date ``2020-13-45``) raises
-:class:`yaml.YAMLError` like a syntax error does.
+PyYAML's constructor fails on with a Python exception (``!!int abc``)
+raises :class:`yaml.YAMLError` like a syntax error, which
+:func:`yaml_errors` turns into the caller's error naming the file, whose
+path is also the stream name that PyYAML's marks print.
 
 Cache files under forge's cache directory are named by :func:`cache_key`,
 read with :func:`read_json` and replaced with :func:`write_json`. A cache
@@ -23,7 +24,7 @@ import contextlib
 import io
 import json
 import os
-from collections.abc import Hashable
+from collections.abc import Hashable, Iterator
 from pathlib import Path
 
 import yaml
@@ -34,14 +35,22 @@ _MAP_TAG = "tag:yaml.org,2002:map"
 _STR_TAG = "tag:yaml.org,2002:str"
 
 
-def safe_load(text: str) -> object:
-    """Parse one YAML document into plain Python objects.
+def load_yaml(text: str, path: str | Path, error: type[UserError]) -> object:
+    """Plain objects from the YAML ``text`` of ``path``; invalid YAML raises ``error`` naming it."""
 
-    Raises :class:`yaml.YAMLError` for text that is not valid YAML.
-    """
+    with yaml_errors(path, error):
+        doc = ComposedDocument(text, str(path))
+        return None if doc.root is None else doc.construct(doc.root)
 
-    doc = ComposedDocument(text, "<unicode string>")
-    return None if doc.root is None else doc.construct(doc.root)
+
+@contextlib.contextmanager
+def yaml_errors(path: str | Path, error: type[UserError]) -> Iterator[None]:
+    """Raise ``error`` as ``<path>: not valid YAML: ...`` for a YAML error in the block."""
+
+    try:
+        yield
+    except yaml.YAMLError as exc:
+        raise error(f"{path}: not valid YAML: {exc}") from exc
 
 
 class ComposedDocument:
@@ -64,7 +73,7 @@ class ComposedDocument:
             self._loader.dispose()
 
     def construct(self, node: yaml.Node) -> object:
-        """``node`` and everything below it as plain objects, as ``safe_load`` builds them."""
+        """``node`` and everything below it as plain objects, as ``yaml.safe_load`` builds them."""
 
         try:
             return self._loader.construct_document(node)
@@ -77,7 +86,7 @@ class ComposedDocument:
     def mapping(self, node: yaml.Node) -> dict[object, yaml.Node] | None:
         """The keys of a plain mapping node, each with its value node; None for any other node.
 
-        Keys are what ``safe_load`` makes of them: ``<<`` merges are
+        Keys are what ``yaml.safe_load`` makes of them: ``<<`` merges are
         flattened as SafeConstructor flattens them, a string key is its
         text, any other key is built and must be hashable, and a duplicate
         key's last value wins, in its first place. No value is built.
@@ -108,13 +117,15 @@ class ComposedDocument:
 
 
 def read_utf8(path: str | Path, error: type[UserError]) -> str:
-    """Text of ``path``; bytes that are not UTF-8 raise ``error`` naming the file."""
+    """Text of ``path``; a file that cannot be read or is not UTF-8 raises ``error`` naming it."""
 
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from exc
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def cache_key(*parts: str) -> str:

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -21,12 +23,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import forge
-from forge.cli import GlobalConfig, cache_dir, load_config, main
+from forge.cli import GlobalConfig, build_parser, cache_dir, load_config, main
 from forge.devrun import HostEnvironment
 from forge.engine import EngineResult
 from forge.errors import ConfigError
 
 from conftest import FIXTURE_ROOT
+from dockerfile_syntax import dockerfile_problems, instructions
 from recording_driver import RecordingDriver
 
 MINIMAL = str(FIXTURE_ROOT / "minimal")
@@ -459,26 +462,19 @@ def test_cli_non_utf8_manifest_exits_2(capsys, monkeypatch, tmp_path) -> None:
 
 # Scalars that PyYAML's SafeConstructor fails on with a Python exception.
 _UNCONSTRUCTABLE = ["2020-13-45", "!!int abc", "!!float abc", "!!bool abc", "!!timestamp abc"]
-# Each YAML input: its option, its text around the scalar, its error and the
-# start of the message, in which {path} is the file.
+# Each YAML input: its option, its text around the scalar and its error.
 _YAML_INPUTS = {
-    "rosdep-record": (
-        "--rosdep-db", "eigen:\n  debian: [x]\n  ubuntu: [{value}]\n", "MalformedDatabase",
-        "{path}: not valid YAML: cannot construct a value: ",
-    ),
-    "forge.yaml": (
-        "--config", "registry: {value}\n", "ConfigError",
-        "config file {path} is not valid YAML: cannot construct a value: ",
-    ),
+    "rosdep-record": ("--rosdep-db", "eigen:\n  debian: [x]\n  ubuntu: [{value}]\n", "MalformedDatabase"),
+    "forge.yaml": ("--config", "registry: {value}\n", "ConfigError"),
     "repos": (
         "--repos",
         "repositories:\n  tools:\n    type: git\n    url: https://h/t.git\n    version: {value}\n",
-        "MalformedReposFile", "not valid YAML: cannot construct a value: ",
+        "MalformedReposFile",
     ),
     "distro-index": (
         "--distro-index",
         "distro:\n  name: humble\n  ros_version: {value}\n  packages: [rclcpp]\n",
-        "MalformedDatabase", "distro index is not valid YAML: cannot construct a value: ",
+        "MalformedDatabase",
     ),
 }
 
@@ -487,13 +483,50 @@ _YAML_INPUTS = {
 @pytest.mark.parametrize("kind", list(_YAML_INPUTS))
 def test_a_yaml_value_that_cannot_be_built_exits_2(capsys, monkeypatch, tmp_path, kind, value) -> None:
     monkeypatch.chdir(tmp_path)
-    flag, text, error, message = _YAML_INPUTS[kind]
+    flag, text, error = _YAML_INPUTS[kind]
     path = tmp_path / "input.yaml"
     path.write_text(text.format(value=value), encoding="utf-8")
     code = main(["analyze", MINIMAL, flag, str(path)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert captured.err.startswith(f"forge: error: {error}: {message.format(path=path)}")
+    assert captured.err.startswith(f"forge: error: {error}: {path}: not valid YAML: cannot construct a value: ")
+
+
+@pytest.mark.parametrize("kind", list(_YAML_INPUTS))
+def test_a_yaml_syntax_error_names_the_file_in_the_message_and_the_mark(
+    capsys, monkeypatch, tmp_path, kind
+) -> None:
+    monkeypatch.chdir(tmp_path)
+    flag, _, error = _YAML_INPUTS[kind]
+    path = tmp_path / "input.yaml"
+    path.write_text("a: [x\n", encoding="utf-8")
+    code = main(["analyze", MINIMAL, flag, str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(
+        f'forge: error: {error}: {path}: not valid YAML: while parsing a flow sequence\n  in "{path}", line 1'
+    )
+    assert "<unicode string>" not in err
+
+
+@pytest.mark.parametrize("kind", list(_YAML_INPUTS))
+def test_an_input_that_cannot_be_read_exits_2_naming_it(capsys, monkeypatch, tmp_path, kind) -> None:
+    monkeypatch.chdir(tmp_path)
+    flag, _, error = _YAML_INPUTS[kind]
+    path = tmp_path / "input.yaml"
+    path.write_text("{}\n", encoding="utf-8")
+    real_open = open
+
+    def failing_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("forge.textio.open", failing_open, raising=False)
+    code = main(["analyze", MINIMAL, flag, str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"forge: error: {error}: cannot read {path}: {os.strerror(errno.EIO)}\n"
 
 
 @pytest.mark.parametrize(
@@ -528,12 +561,12 @@ _DEEP_LIST = "[" * 3000 + "]" * 3000
         (
             ["generate", "dockerfile", MINIMAL, "--repos", "{path}", "-o", "-"],
             'repositories:\n  "dep\\n": {type: git, url: "https://h/dep.git"}\n',
-            "MalformedReposFile: invalid repository name 'dep\\n'",
+            "MalformedReposFile: {path}: invalid repository name 'dep\\n'",
         ),
         (
             ["analyze", MINIMAL, "--distro-index", "{path}"],
             'distro: {name: humble, ros_version: 2, packages: [rclcpp, "std_msgs\\n"]}\n',
-            "MalformedDatabase: distro 'humble' lists invalid package 'std_msgs\\n'",
+            "MalformedDatabase: {path}: distro 'humble' lists invalid package 'std_msgs\\n'",
         ),
         (
             ["generate", "ci", "--platform", "github", "--image-name", "app\n", "-o", "-"],
@@ -548,7 +581,7 @@ _DEEP_LIST = "[" * 3000 + "]" * 3000
         (
             ["analyze", MINIMAL, "--distro-index", "{path}"],
             f"distro: {{name: humble, ros_version: 2, packages: [rclcpp, {_DEEP_LIST}]}}\n",
-            "MalformedDatabase: distro 'humble' lists invalid package a deeply nested list",
+            "MalformedDatabase: {path}: distro 'humble' lists invalid package a deeply nested list",
         ),
     ],
     ids=["repos-name-newline", "index-package-newline", "image-name-newline", "config-deep", "index-deep"],
@@ -559,7 +592,7 @@ def test_a_final_newline_or_deep_nesting_exits_2(capsys, monkeypatch, tmp_path, 
     path.write_text(text, encoding="utf-8")
     code = main([arg.format(path=path) for arg in argv])
     captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (2, "", f"forge: error: {message}\n")
+    assert (code, captured.out, captured.err) == (2, "", f"forge: error: {message.format(path=path)}\n")
 
 
 # --- parsed-database cache ---------------------------------------------------
@@ -732,6 +765,84 @@ def test_generate_dry_run_writes_only_a_named_output(capsys, monkeypatch, tmp_pa
     assert (tmp_path / "named" / "out").read_text(encoding="utf-8")
 
 
+# Option values that, written unchecked, add a Dockerfile line or split a COPY
+# or a shell word, or that a CI command reads as an option; drawn together with
+# arbitrary text.
+_INJECTIONS = [
+    "ubuntu:22.04\nRUN echo hi", "'a\nb'", "/ws\nRUN echo hi", "/my ws", "/a:b", "/ws/..", "//ws",
+    "x\\", "a;b", "a\u2028b", "'a", "a b", "/ws/\x0bx", "ubuntu:22.04 --pull", "-x", "--push",
+]
+_OPTION_TEXT = st.one_of(
+    st.sampled_from(_INJECTIONS),
+    st.text(alphabet="ab/ .:\\\"'\n\r\t#$;@-\u2028\x85\x00", max_size=12),
+    st.text(max_size=12),
+)
+
+
+def _forge(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _copy_operands(dockerfile: str) -> list[list[str]]:
+    """The words after each COPY and its ``--`` flags."""
+
+    return [
+        [word for word in line.split()[1:] if not word.startswith("--")]
+        for line in instructions(dockerfile)
+        if line.startswith("COPY ")
+    ]
+
+
+def _ci_build_commands(node: object) -> list[list[str]]:
+    """Each ``forge build`` command in a CI document, split into words."""
+
+    if isinstance(node, dict):
+        return [words for value in node.values() for words in _ci_build_commands(value)]
+    if isinstance(node, list):
+        return [words for value in node for words in _ci_build_commands(value)]
+    return [shlex.split(node)] if isinstance(node, str) and node.startswith("forge build") else []
+
+
+def _base_as_parsed(words: list[str]) -> str | None:
+    """The ``--base`` forge's own parser reads from a CI ``forge build`` command; None if none."""
+
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.suppress(SystemExit):
+        return build_parser().parse_args(words[1:]).base
+    return None
+
+
+def test_image_option_text_exits_2_or_changes_no_line(monkeypatch, tmp_path) -> None:
+    monkeypatch.chdir(tmp_path)
+    dockerfile = ["generate", "dockerfile", MULTI, "-o", "-"]
+    ci = ["generate", "ci", "--platform", "gitlab", "--image-name", "app", "-o", "-"]
+    plain = _forge(dockerfile)[1]
+    plain_ci = _ci_build_commands(yaml.safe_load(_forge(ci)[1]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["--base", "--command", "--workspace-dir"]), _OPTION_TEXT)
+    def exits_2_or_changes_no_line(option: str, text: str) -> None:
+        code, out, err = _forge([*dockerfile, f"{option}={text}"])
+        if code == 2:
+            assert (out, err.count("\n")) == ("", 1), err
+            assert err.startswith(f"forge: error: InvalidArgs: {option} "), err
+            return
+        assert code == 0, err
+        assert dockerfile_problems(out) == []
+        assert len(instructions(out)) == len(instructions(plain))
+        assert all(len(operands) == 2 for operands in _copy_operands(out)), _copy_operands(out)
+        if option == "--base" and text:
+            code, out, err = _forge([*ci, f"--base={text}"])
+            assert code == 0, err
+            commands = _ci_build_commands(yaml.safe_load(out))
+            assert [len(words) for words in commands] == [len(words) + 2 for words in plain_ci]
+            assert all(_base_as_parsed(words) == text for words in commands), commands
+
+    exits_2_or_changes_no_line()
+
+
 # --- build -----------------------------------------------------------------
 
 
@@ -809,7 +920,7 @@ def test_build_rejects_an_unknown_platform(capsys, monkeypatch, tmp_path) -> Non
         ),
         (
             ["analyze", MINIMAL, "--distro-index", "{index}"],
-            "MalformedDatabase: unknown distro name 'navel'",
+            "MalformedDatabase: {index}: unknown distro name 'navel'",
         ),
     ],
     ids=["target", "ci-platform", "index-distro"],
@@ -821,7 +932,7 @@ def test_a_value_outside_its_known_set_exits_2(capsys, monkeypatch, tmp_path, ar
     code = main([arg.format(index=index) for arg in argv])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert message in captured.err
+    assert message.format(index=index) in captured.err
 
 
 def test_build_missing_credential_exits_2(capsys, monkeypatch, tmp_path) -> None:

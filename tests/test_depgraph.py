@@ -66,7 +66,7 @@ def small_db():
 
 
 def small_index():
-    return load_distro_index(INDEX_DOC)
+    return load_distro_index(INDEX_DOC, "index.yaml")
 
 
 def keys_of(*names: str) -> DeclaredKeys:
@@ -127,8 +127,8 @@ def test_load_distro_index() -> None:
     ],
 )
 def test_load_distro_index_rejects_malformed(doc: str) -> None:
-    with pytest.raises(MalformedDatabase):
-        load_distro_index(doc)
+    with pytest.raises(MalformedDatabase, match=r"^index\.yaml: "):
+        load_distro_index(doc, "index.yaml")
 
 
 def test_distro_package_name() -> None:
@@ -361,11 +361,12 @@ def test_cache_round_trip_matches_uncached(docs: list[dict]) -> None:
         lambda good: b'["a list"]',
         lambda good: b'{"eigen": {"apt": ["x"]}}',
         lambda good: b'{"eigen": []}',
+        lambda good: b'{"eigen": ["lib foo"]}',
         lambda good: b'{"": ["x"]}',
         lambda good: b"[" * 100_000,
     ],
     ids=["truncated", "empty", "not-json", "not-utf8", "list", "bad-record", "empty-list",
-         "empty-key", "deep"],
+         "space-in-name", "empty-key", "deep"],
 )
 def test_unusable_cache_file_is_a_rewritten_miss(tmp_path, damage) -> None:
     cache, path = cold_cache(tmp_path, [DB_DOC])
@@ -599,13 +600,18 @@ def test_loader_matches_the_whole_document_oracle(loader: type) -> None:
     ("doc", "message"),
     [
         ("eigen:\n  ubuntu: [1, 2]\n", "db.yaml:2:11: key 'eigen' lists a non-string package"),
+        ('eigen:\n  ubuntu: ["libfoo\\nbar"]\n',
+         "db.yaml:2:11: key 'eigen' has whitespace inside package 'libfoo\\nbar'"),
+        ("eigen:\n  ubuntu: {pip: {packages: [libfoo bar]}}\n",
+         "db.yaml:2:11: key 'eigen' has whitespace inside package 'libfoo bar'"),
         ("eigen:\n  ubuntu: ~\n", "db.yaml:2:11: key 'eigen' has an unsupported record shape"),
         ("eigen:\n  debian: [x]\n  ubuntu: [2020-13-45]\n",
          "db.yaml: not valid YAML: cannot construct a value: month must be in 1..12"),
         ("eigen: {ubuntu: [x], ? [a] : y}\n", "db.yaml: not valid YAML: while constructing a mapping"),
         ("eigen: {<<: [x]}\n", "db.yaml: not valid YAML: while constructing a mapping"),
     ],
-    ids=["bad-item", "null-record", "bad-date", "unhashable-key", "bad-merge"],
+    ids=["bad-item", "newline-in-name", "space-in-pip-name", "null-record", "bad-date",
+         "unhashable-key", "bad-merge"],
 )
 def test_rosdep_errors_start_with_the_document_name(doc: str, message: str) -> None:
     with pytest.raises(MalformedDatabase) as caught:

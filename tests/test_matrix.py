@@ -98,6 +98,16 @@ def test_entries_are_multi_arch_by_default() -> None:
         assert entry.architectures == ARCHITECTURES
 
 
+def test_packaged_base_image_table_maps_every_distro_and_architecture() -> None:
+    table = load_base_image_table()
+    assert set(table.os_bases) == set(table.accelerator_bases) == set(DISTROS)
+    for distro in DISTROS:
+        assert isinstance(table.os_bases[distro], str)
+        row = table.accelerator_bases[distro]
+        assert set(row) == set(ARCHITECTURES)
+        assert all(isinstance(base, str) for base in row.values())
+
+
 def test_base_image_table_covers_matrix() -> None:
     table = load_base_image_table()
     for entry in matrix():

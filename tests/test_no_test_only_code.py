@@ -61,9 +61,8 @@ def test_every_top_level_name_has_a_caller_in_the_package() -> None:
 
 
 # Parameters that exist so tests can reach past the process boundary: the
-# argument list and engine driver of the CLI entry point, and the text of the
-# base image table in place of the packaged data file.
-TEST_SEAMS = {("main", "argv"), ("main", "driver"), ("load_base_image_table", "text")}
+# argument list and engine driver of the CLI entry point.
+TEST_SEAMS = {("main", "argv"), ("main", "driver")}
 
 
 def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, str, int | None]]:

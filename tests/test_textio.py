@@ -8,7 +8,14 @@ from pathlib import Path
 import pytest
 import yaml
 
-from forge.textio import ComposedDocument, safe_load
+from forge.errors import UserError
+from forge.textio import ComposedDocument, load_yaml
+
+
+def safe_load(text: str) -> object:
+    """The whole document, as forge builds an input file."""
+
+    return load_yaml(text, "in.yaml", UserError)
 
 SOURCE_DIR = Path(__file__).resolve().parent.parent / "src" / "forge"
 
@@ -66,7 +73,7 @@ def test_only_a_plain_mapping_node_is_read_by_key(text: str) -> None:
     "text", ["? [a]\n: 1\n", "a: 1\n<<: [x]\n", "a: 1\n<<: 5\n", "? !!int x\n: 1\n"]
 )
 def test_a_key_safe_load_rejects_is_a_yaml_error(text: str) -> None:
-    with pytest.raises(yaml.YAMLError):
+    with pytest.raises(UserError, match=r"^in\.yaml: not valid YAML: "):
         safe_load(text)
     doc = ComposedDocument(text, "in.yaml")
     with pytest.raises(yaml.YAMLError):
