@@ -36,6 +36,7 @@ from .errors import (
     MalformedReposFile,
     MissingCredential,
     NonZeroExit,
+    UnreadableWorkspace,
     UnresolvedDependencies,
     UnwritableOutput,
     shown,
@@ -58,7 +59,10 @@ _LAYER_NAMES = {
         "UserArgs", "apply_plugins", "attach_or_run", "load_plugins", "probe_host",
         "synthesize_invocation",
     ),
-    "dockergen": ("ImageSpec", "plan_stages", "render", "validate_plan"),
+    "dockergen": (
+        "ImageSpec", "plan_digest", "plan_stages", "render", "render_dockerignore",
+        "validate_plan",
+    ),
     "engine": (
         "BuildRequest", "ContainerState", "EngineCommand", "EngineDriver", "SubprocessDriver",
         "build_argv", "execute", "inspect_container", "run_builds",
@@ -263,7 +267,7 @@ def analyze_workspace(
 
     repos_files = sorted(root.glob("*.repos"))
     repos = combine_repos([
-        parse_repos(read_utf8(path, MalformedReposFile), str(path))
+        (str(path), parse_repos(read_utf8(path, MalformedReposFile), str(path)))
         for path in [*repos_files, *repos_paths]
     ])
 
@@ -358,7 +362,13 @@ def cmd_analyze(args: argparse.Namespace, driver: EngineDriver | None) -> int:
 
 def _render_for_workspace(
     args: argparse.Namespace, analysis: WorkspaceAnalysis, cfg: GlobalConfig
-) -> str:
+) -> tuple[str, str]:
+    """The Dockerfile text and its ``.dockerignore`` text.
+
+    The workspace's own ``.dockerignore``, which BuildKit skips when the
+    Dockerfile has one of its own, is carried into the latter.
+    """
+
     _bind("dockergen")
     spec = ImageSpec(
         ros_distro=analysis.index.distro,
@@ -384,13 +394,15 @@ def _render_for_workspace(
     if violations:
         details = "; ".join(f"{v.stage}: {v.rule}: {v.detail}" for v in violations)
         raise ForgeError(f"generated plan violates its invariants: {details}")
-    return render(plan)
+    own_ignore = analysis.root / ".dockerignore"
+    workspace_ignore = read_utf8(own_ignore, UnreadableWorkspace) if own_ignore.is_file() else ""
+    return render(plan), render_dockerignore(plan, workspace_ignore)
 
 
 def cmd_generate_dockerfile(args: argparse.Namespace, driver: EngineDriver | None) -> int:
     cfg, analysis = _analyze_args(args)
-    text = _render_for_workspace(args, analysis, cfg)
-    _write_output(text, args.output, str(analysis.root / "Dockerfile"), args.dry_run)
+    text, ignore = _render_for_workspace(args, analysis, cfg)
+    _write_output(text, args.output, str(analysis.root / "Dockerfile"), args.dry_run, ignore)
     return 0
 
 
@@ -404,20 +416,34 @@ def _write_file(path: Path, text: str) -> None:
         raise UnwritableOutput(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _write_output(text: str, output: str | None, default: str, dry_run: bool) -> None:
+def _write_dockerfile(path: Path, text: str, ignore: str) -> None:
+    """Write a Dockerfile and, as ``<path>.dockerignore``, its ignore file."""
+
+    _write_file(path, text)
+    _write_file(Path(f"{path}.dockerignore"), ignore)
+
+
+def _write_output(
+    text: str, output: str | None, default: str, dry_run: bool, ignore: str | None = None
+) -> None:
     """Print ``text`` for ``-``, else write it to ``output`` or ``default``.
 
-    A dry run writes only a path named on the command line.
+    A Dockerfile's ``ignore`` text is written beside it, never printed. A
+    dry run writes only a path named on the command line.
     """
 
     if output == "-":
         print(text, end="")
         return
     if dry_run and not output:
-        print(f"[dry-run] would write {default}")
+        also = "" if ignore is None else f" and {default}.dockerignore"
+        print(f"[dry-run] would write {default}{also}")
         return
     path = Path(output or default)
-    _write_file(path, text)
+    if ignore is None:
+        _write_file(path, text)
+    else:
+        _write_dockerfile(path, text, ignore)
     print(f"wrote {path}")
 
 
@@ -452,13 +478,14 @@ def _make_driver(args: argparse.Namespace, driver: EngineDriver | None) -> Engin
 def cmd_build(args: argparse.Namespace, driver: EngineDriver | None) -> int:
     _bind("engine", "sources")
     cfg, analysis = _analyze_args(args)
-    text = _render_for_workspace(args, analysis, cfg)
+    text, ignore = _render_for_workspace(args, analysis, cfg)
 
     root = analysis.root
     dockerfile = Path(args.dockerfile_out or root / GENERATED_DIR / "Dockerfile")
     # A dry run writes nothing into the workspace, only to a path the user named.
-    if args.dockerfile_out or not args.dry_run:
-        _write_file(dockerfile, text)
+    written = bool(args.dockerfile_out or not args.dry_run)
+    if written:
+        _write_dockerfile(dockerfile, text, ignore)
 
     needed = required_credential_vars(analysis.repos)
     missing = [name for name in needed if name not in os.environ]
@@ -481,6 +508,11 @@ def cmd_build(args: argparse.Namespace, driver: EngineDriver | None) -> int:
     command = build_argv(request)
 
     if args.dry_run:
+        if not written:
+            print(
+                f"[dry-run] would write {dockerfile} and {dockerfile}.dockerignore "
+                f"(plan sha256 {plan_digest(text)})"
+            )
         _print_dry_run([command], args.engine)
         return 0
     try:
@@ -696,6 +728,11 @@ def _launch_command(text: str) -> tuple[str, ...]:
     raise InvalidArgs(f"--command must be printable shell-style text, got {text!r}")
 
 
+_VALUE_CHECKS = (
+    ("base", _image_ref), ("command", _launch_command), ("workspace_dir", _container_path)
+)
+
+
 def _add_image_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--target", choices=TARGETS, default="run", help="image flavor"
@@ -861,6 +898,11 @@ def _main(argv: list[str], driver: EngineDriver | None) -> int:
             args.run_command = run_command
         else:
             args = parser.parse_args(argv)
+        # Python 3.11's argparse reads ``--base=--`` as an empty list that no
+        # type function has seen; check it as the text ``--``.
+        for dest, check in _VALUE_CHECKS:
+            if getattr(args, dest, None) == []:
+                setattr(args, dest, check("--"))
         return int(args.handler(args, driver))
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import posixpath
+import re
 import shlex
 from pathlib import Path
 from typing import Iterable, NamedTuple, Union
@@ -104,8 +106,9 @@ class StageRow(NamedTuple):
     """One stage of the image layout.
 
     ``context`` is what the stage may copy from the build context: ``any``
-    file, only ``manifests`` (``package.xml`` and ``.repos`` files), or
-    ``none``.
+    file, only ``manifests`` (``package.xml`` and ``.repos`` files), only
+    whole source ``roots`` (a top-level directory, or ``./`` for a package
+    at the workspace root), or ``none``.
     """
 
     name: str
@@ -121,7 +124,7 @@ STAGES = (
     StageRow("base", "${BASE_IMAGE}", TARGETS, "any"),
     StageRow("dependencies", "base", TARGETS, "manifests"),
     StageRow("dependencies-install", "base", TARGETS, "any"),
-    StageRow("dev", "dependencies-install", TARGETS, "any"),
+    StageRow("dev", "dependencies-install", TARGETS, "roots"),
     StageRow("build", "dev", ("run",), "any"),
     StageRow("run", "dependencies-install", ("run",), "none"),
 )
@@ -134,11 +137,19 @@ class Stage(NamedTuple):
 
 
 class DockerfilePlan(NamedTuple):
+    """A planned build; ``context_paths`` are what it reads from the build context.
+
+    They are each live package directory, each ``.repos`` file and each
+    custom script, sorted; ``.`` stands for a package at the context root,
+    which is the whole context.
+    """
+
     stages: tuple[Stage, ...]
     base_image: str
     target: str
     workspace_dir: str
     slim_runtime: bool
+    context_paths: tuple[str, ...]
 
     def stage(self, name: str) -> Stage:
         for stage in self.stages:
@@ -186,23 +197,50 @@ class ImageSpec(NamedTuple):
         return "catkin" if self.ros_version == 1 else "colcon"
 
 
-def _check_spec(spec: ImageSpec, context_root: Path) -> None:
+# A path that a Dockerfile COPY and a .dockerignore line cannot both name
+# exactly: one with a control character, or with whitespace at either end,
+# which the ignore file trims. Only a path that holds whitespace or a
+# control character at all can be one.
+_UNNAMEABLE_RE = re.compile(r"[\x00-\x1f\x7f-\x9f]|\A\s|\s\Z")
+_SPACE_OR_CONTROL_RE = re.compile(r"[\s\x00-\x1f\x7f-\x9f]")
+
+
+def _check_spec(spec: ImageSpec, context_root: Path) -> tuple[str, ...]:
+    """Check what the command line does not; return the plan's ``context_paths``."""
+
     # The distro index checks the distro, the command line the target, the
     # launch command and workspace_dir.
     for extra in (*spec.extra_apt, *spec.extra_pip):
         if not extra or any(c.isspace() for c in extra):
             raise InvalidSpec(f"invalid extra package name {extra!r}")
-    for script in (spec.custom_script_pre, spec.custom_script_post):
-        if script is not None and not (context_root / script).is_file():
+    scripts = [s for s in (spec.custom_script_pre, spec.custom_script_post) if s is not None]
+    for script in scripts:
+        if not (context_root / script).is_file():
             raise InvalidSpec(f"custom script {script!r} not found in build context")
+    named = [("package directory", p.source_dir) for p in spec.packages]
+    named += [("repository list", name) for name in spec.repos_files]
+    named += [("custom script", posixpath.normpath(script)) for script in scripts]
+    paths = [path for _, path in named]
+    # One search over all paths in the common case, not one per package.
+    if _SPACE_OR_CONTROL_RE.search("/".join(paths)):
+        for what, path in named:
+            if _UNNAMEABLE_RE.search(path):
+                raise InvalidSpec(
+                    f"{what} {path!r} cannot be named exactly in a Dockerfile COPY "
+                    "and a .dockerignore line"
+                )
+    return tuple(sorted(set(paths)))
 
 
-def _container_rel_dir(package: PackageManifest) -> str:
-    """Package directory below the container workspace, always under src/."""
+def _container_rel_dir(rel: str, name: str) -> str:
+    """Directory ``rel`` of the build context below the container workspace.
 
-    rel = package.source_dir
+    Every path lands under ``src/``; the context root, a package's own
+    directory, becomes ``src/<name>``.
+    """
+
     if rel == ".":
-        return f"src/{package.name}"
+        return f"src/{name}"
     if rel == "src" or rel.startswith("src/"):
         return rel
     return f"src/{rel}"
@@ -350,7 +388,7 @@ def plan_stages(
     exist under ``context_root``, the build context.
     """
 
-    _check_spec(spec, context_root)
+    context_paths = _check_spec(spec, context_root)
     if spec.strict and resolved.unresolved:
         raise UnresolvedDependencies(list(resolved.unresolved))
 
@@ -358,7 +396,7 @@ def plan_stages(
     packages = tuple(sorted(spec.packages, key=lambda p: p.name))
     repos = tuple(sorted(spec.source_repos, key=lambda r: r.local_name))
     # Each package's directory in the build context and below the workspace.
-    package_dirs = [(p.source_dir, _container_rel_dir(p)) for p in packages]
+    package_dirs = [(p.source_dir, _container_rel_dir(p.source_dir, p.name)) for p in packages]
 
     shared = resolved_exec if spec.slim_runtime else resolved
     shared_os = _merged_os_packages(shared, spec.extra_apt)
@@ -439,8 +477,13 @@ def plan_stages(
     dev_instructions.append(
         RunShell(command=_apt_install(" ".join(sorted(tooling))), category="tooling")
     )
-    for source_dir, rel in package_dirs:
-        dev_instructions.append(CopyContext(f"{source_dir}/", f"{ws}/{rel}/", "1000:1000"))
+    # One copy per source root: each top-level directory that holds a
+    # package, or the context root for a package there. The .dockerignore
+    # text keeps all but the package directories out of each.
+    roots = {p.source_dir.split("/", 1)[0]: p.name for p in packages}
+    for root, name in sorted(roots.items()):
+        rel = _container_rel_dir(root, name)
+        dev_instructions.append(CopyContext(f"{root}/", f"{ws}/{rel}/", "1000:1000"))
     dev_instructions.append(
         RunShell(
             command=(
@@ -491,6 +534,7 @@ def plan_stages(
         target=spec.target,
         workspace_dir=ws,
         slim_runtime=spec.slim_runtime,
+        context_paths=context_paths,
     )
 
 
@@ -572,6 +616,16 @@ def validate_plan(plan: DockerfilePlan) -> list[Violation]:
                         detail=f"copies {instruction.src!r}, not a manifest or repository list",
                     )
                 )
+            elif row.context == "roots":
+                head, slash, tail = instruction.src.partition("/")
+                if not slash or tail or head in ("", ".."):
+                    violations.append(
+                        Violation(
+                            stage=stage.name,
+                            rule="source-roots-only",
+                            detail=f"copies {instruction.src!r}, not a whole top-level directory",
+                        )
+                    )
 
     if plan.target == "run":
         run = plan.stage("run")
@@ -643,6 +697,14 @@ def _json_array(argv: tuple[str, ...]) -> str:
     return json.dumps(list(argv))
 
 
+def _copy_operands(src: str, dst: str) -> str:
+    """COPY's operands, in the JSON-array form when one holds whitespace or a control character."""
+
+    if _SPACE_OR_CONTROL_RE.search(src) or _SPACE_OR_CONTROL_RE.search(dst):
+        return json.dumps([src, dst], ensure_ascii=False)
+    return f"{src} {dst}"
+
+
 def _render_instruction(instruction: Instruction) -> list[str]:
     if isinstance(instruction, BuildArg):
         if instruction.default is None:
@@ -654,9 +716,10 @@ def _render_instruction(instruction: Instruction) -> list[str]:
         return [f"WORKDIR {instruction.path}"]
     if isinstance(instruction, CopyContext):
         chown = f"--chown={instruction.chown} " if instruction.chown else ""
-        return [f"COPY {chown}{instruction.src} {instruction.dst}"]
+        return [f"COPY {chown}{_copy_operands(instruction.src, instruction.dst)}"]
     if isinstance(instruction, CopyFromStage):
-        return [f"COPY --from={instruction.stage} {instruction.src} {instruction.dst}"]
+        operands = _copy_operands(instruction.src, instruction.dst)
+        return [f"COPY --from={instruction.stage} {operands}"]
     if isinstance(instruction, RunShell):
         return _render_run(instruction.command)
     if isinstance(instruction, UserSet):
@@ -697,3 +760,44 @@ def render(plan: DockerfilePlan) -> str:
         "# Regenerate instead of editing by hand.\n"
         "\n" + body
     )
+
+
+def plan_digest(dockerfile: str) -> str:
+    """The plan sha256 that :func:`render` names in the header of ``dockerfile``."""
+
+    return dockerfile.split("\n", 2)[1].rpartition(" ")[2].rstrip(")")
+
+
+# The characters a .dockerignore pattern reads as a wildcard or an escape.
+_IGNORE_SPECIAL_RE = re.compile(r"[\\*?[]")
+
+
+def render_dockerignore(plan: DockerfilePlan, workspace_ignore: str) -> str:
+    """The ``.dockerignore`` text for ``plan``'s Dockerfile.
+
+    It leaves out everything, then takes back each of ``plan.context_paths``
+    as a literal pattern, which also takes back all below it. So ``dev``'s
+    copies of whole source roots hold exactly the package directories, and
+    ignored subtrees and files outside every package stay out. With a
+    package at the context root, nothing is left out.
+
+    BuildKit reads this file in place of the context's own ``.dockerignore``,
+    so that file's text, ``workspace_ignore``, follows forge's lines: the
+    last matching line decides, and the user's exclusions still hold.
+    """
+
+    from . import GENERATOR_NAME, __version__
+
+    text = (
+        f"# Generated by {GENERATOR_NAME} {__version__}: only what the Dockerfile of the "
+        "same name reads enters the build context.\n"
+        "# Regenerate instead of editing by hand.\n"
+    )
+    if "." not in plan.context_paths:
+        patterns = "".join(f"!{path}\n" for path in plan.context_paths)
+        text += "*\n" + _IGNORE_SPECIAL_RE.sub(r"\\\g<0>", patterns)
+    if workspace_ignore:
+        text += "# The workspace's own .dockerignore:\n" + workspace_ignore
+        if not workspace_ignore.endswith("\n"):
+            text += "\n"
+    return text

@@ -71,18 +71,19 @@ def parse_repos(yaml_text: str, path: str) -> ReposList:
     return tuple(repos)
 
 
-def combine_repos(lists: Iterable[ReposList]) -> ReposList:
-    """Merge several repository lists; duplicate local names are an error."""
+def combine_repos(lists: Iterable[tuple[str, ReposList]]) -> ReposList:
+    """Merge (path, list) pairs; a local name in two lists is an error naming both paths."""
 
-    merged: dict[str, RepoSpec] = {}
-    for repos in lists:
+    merged: dict[str, tuple[str, RepoSpec]] = {}
+    for path, repos in lists:
         for repo in repos:
             if repo.local_name in merged:
                 raise MalformedReposFile(
-                    f"repository {repo.local_name!r} appears in more than one list"
+                    f"repository {repo.local_name!r} appears in "
+                    f"{merged[repo.local_name][0]} and {path}"
                 )
-            merged[repo.local_name] = repo
-    return tuple(sorted(merged.values(), key=lambda r: r.local_name))
+            merged[repo.local_name] = (path, repo)
+    return tuple(sorted((repo for _, repo in merged.values()), key=lambda r: r.local_name))
 
 
 def required_credential_vars(repos: Sequence[RepoSpec]) -> list[str]:

@@ -10,27 +10,27 @@ from typing import Callable
 
 from forge import TARGETS
 from forge.cigen import PipelineSpec, generate_pipeline
-from forge.dockergen import plan_stages, render
+from forge.dockergen import DockerfilePlan, plan_stages, render, render_dockerignore
 
 from conftest import analysis_for, image_spec
 
 
-def _dockerfile(fixture: str, distro: str, **spec_kwargs) -> str:
+def _plan(fixture: str, distro: str, **spec_kwargs) -> DockerfilePlan:
     analysis = analysis_for(fixture, distro=distro)
     spec = image_spec(analysis, **spec_kwargs)
-    return render(plan_stages(spec, analysis.resolved, analysis.resolved_exec, analysis.root))
+    return plan_stages(spec, analysis.resolved, analysis.resolved_exec, analysis.root)
 
 
-def minimal_dev() -> str:
-    return _dockerfile("minimal", "humble", target="dev")
+def minimal_dev() -> DockerfilePlan:
+    return _plan("minimal", "humble", target="dev")
 
 
-def minimal_run() -> str:
-    return _dockerfile("minimal", "humble", target="run", launch_command=("hello",))
+def minimal_run() -> DockerfilePlan:
+    return _plan("minimal", "humble", target="run", launch_command=("hello",))
 
 
-def multi_repo_run_slim() -> str:
-    return _dockerfile(
+def multi_repo_run_slim() -> DockerfilePlan:
+    return _plan(
         "multi_repo",
         "humble",
         target="run",
@@ -40,8 +40,8 @@ def multi_repo_run_slim() -> str:
     )
 
 
-def catkin_noetic_run() -> str:
-    return _dockerfile(
+def catkin_noetic_run() -> DockerfilePlan:
+    return _plan(
         "catkin_noetic",
         "noetic",
         target="run",
@@ -109,11 +109,15 @@ def ci_grid() -> str:
     return "".join(parts)
 
 
+# Each planned image gives a Dockerfile golden and, beside it, its ignore file.
+_PLANS = (minimal_dev, minimal_run, multi_repo_run_slim, catkin_noetic_run)
+
 CASES: dict[str, Callable[[], str]] = {
-    "minimal_dev.Dockerfile": minimal_dev,
-    "minimal_run.Dockerfile": minimal_run,
-    "multi_repo_run_slim.Dockerfile": multi_repo_run_slim,
-    "catkin_noetic_run.Dockerfile": catkin_noetic_run,
+    **{f"{plan.__name__}.Dockerfile": (lambda plan=plan: render(plan())) for plan in _PLANS},
+    **{
+        f"{plan.__name__}.dockerignore": (lambda plan=plan: render_dockerignore(plan(), ""))
+        for plan in _PLANS
+    },
     "ci_github.yml": ci_github,
     "ci_gitlab.yml": ci_gitlab,
     "ci_grid.yml": ci_grid,

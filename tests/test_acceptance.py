@@ -326,7 +326,7 @@ def test_c5_determinism() -> str:
         "repositories": dict(reversed(list(repos_doc["repositories"].items())))
     }
     permuted_repos = combine_repos(
-        [parse_repos(yaml.safe_dump(reversed_doc, sort_keys=False), "deps.repos")]
+        [("deps.repos", parse_repos(yaml.safe_dump(reversed_doc, sort_keys=False), "deps.repos"))]
     )
 
     declared = DeclaredKeys.from_workspace(first_analysis.workspace)

@@ -29,7 +29,7 @@ from forge.engine import EngineResult
 from forge.errors import ConfigError
 
 from conftest import FIXTURE_ROOT
-from dockerfile_syntax import dockerfile_problems, instructions
+from dockerfile_syntax import copy_operands, dockerfile_problems, ignore_admits, instructions
 from recording_driver import RecordingDriver
 
 MINIMAL = str(FIXTURE_ROOT / "minimal")
@@ -449,6 +449,20 @@ def test_cli_unreadable_repos_file_exits_2(capsys, monkeypatch, tmp_path, name, 
     assert f"forge: error: MalformedReposFile: cannot read {path}: {reason}" in captured.err
 
 
+def test_cli_repository_in_two_lists_names_both_files(capsys, monkeypatch, tmp_path) -> None:
+    monkeypatch.chdir(tmp_path)
+    root = tmp_path / "ws"
+    shutil.copytree(MULTI, root)
+    extra = tmp_path / "extra.repos"
+    shutil.copy(root / "deps.repos", extra)
+    name = sorted(yaml.safe_load(extra.read_text(encoding="utf-8"))["repositories"])[0]
+    assert main(["analyze", str(root), "--repos", str(extra)]) == 2
+    assert capsys.readouterr().err == (
+        f"forge: error: MalformedReposFile: repository {name!r} appears in "
+        f"{root / 'deps.repos'} and {extra}\n"
+    )
+
+
 def test_cli_non_utf8_manifest_exits_2(capsys, monkeypatch, tmp_path) -> None:
     monkeypatch.chdir(tmp_path)
     manifest = tmp_path / "ws" / "src" / "pkg" / "package.xml"
@@ -708,6 +722,100 @@ def test_generate_dockerfile_writes_file(capsys, monkeypatch, tmp_path) -> None:
     assert target.read_text(encoding="utf-8").startswith("# syntax=")
 
 
+_MINIMAL_IGNORE = (FIXTURE_ROOT.parent.parent / "goldens" / "minimal_run.dockerignore").read_text(
+    encoding="utf-8"
+)
+
+
+@pytest.mark.parametrize(
+    ("argv", "written"),
+    [
+        (["generate", "dockerfile", "ws", "-o", "out/Dockerfile"], "out/Dockerfile"),
+        (["generate", "dockerfile", "ws", "-o", "out/Dockerfile", "--dry-run"], "out/Dockerfile"),
+        (["generate", "dockerfile", "ws"], "ws/Dockerfile"),
+        (["build", "ws", "--engine", "true"], "ws/.forge/Dockerfile"),
+        (["build", "ws", "--dockerfile-out", "out/Dockerfile"], "out/Dockerfile"),
+        (["build", "ws", "--dockerfile-out", "out/Dockerfile", "--dry-run"], "out/Dockerfile"),
+        (["generate", "dockerfile", "ws", "-o", "-"], None),
+        (["generate", "dockerfile", "ws", "--dry-run"], None),
+        (["build", "ws", "--dry-run"], None),
+    ],
+)
+def test_the_dockerignore_is_written_exactly_with_its_dockerfile(
+    capsys, monkeypatch, tmp_path, argv: list[str], written: str | None
+) -> None:
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(MINIMAL, tmp_path / "ws")
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv, driver=RecordingDriver()) == 0
+    new = sorted(str(p.relative_to(tmp_path)) for p in set(tmp_path.rglob("*")) - set(before))
+    if written is None:
+        assert new == []
+        return
+    assert [p for p in new if p.endswith(("Dockerfile", ".dockerignore"))] == [
+        written, f"{written}.dockerignore"
+    ]
+    assert (tmp_path / f"{written}.dockerignore").read_text(encoding="utf-8") == _MINIMAL_IGNORE
+    if argv[0] == "generate":
+        assert capsys.readouterr().out == f"wrote {written}\n"
+
+
+@pytest.mark.parametrize(
+    ("package", "extra", "admitted"),
+    [
+        (
+            "src/hello_node",
+            ["src/hello_node/secret.txt", "src/hello_node/data/run.bag", "build/x", ".git/HEAD"],
+            ["src/hello_node/package.xml", "src/hello_node/setup.py"],
+        ),
+        (
+            ".",
+            ["secret.txt", "run.bag", "build/x", ".git/HEAD"],
+            [".dockerignore", "package.xml", "setup.py"],
+        ),
+    ],
+    ids=["under-src", "workspace-root"],
+)
+def test_the_workspace_dockerignore_still_leaves_its_paths_out(
+    capsys, monkeypatch, tmp_path, package: str, extra: list[str], admitted: list[str]
+) -> None:
+    monkeypatch.chdir(tmp_path)
+    root = tmp_path / "ws"
+    (root / package).mkdir(parents=True)
+    for name in ("package.xml", "setup.py"):
+        shutil.copy(FIXTURE_ROOT / "minimal" / "src" / "hello_node" / name, root / package)
+    for name in extra:
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text("x\n", encoding="utf-8")
+    own = "secret.txt\nsrc/hello_node/secret.txt\n**/*.bag\nbuild\n.git\n"
+    (root / ".dockerignore").write_text(own, encoding="utf-8")
+    assert main(["generate", "dockerfile", "ws", "-o", "out/Dockerfile"]) == 0
+    ignore = (tmp_path / "out" / "Dockerfile.dockerignore").read_text(encoding="utf-8")
+    assert ignore.endswith("# The workspace's own .dockerignore:\n" + own)
+    admits = ignore_admits(ignore)
+    context = sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
+    assert [name for name in context if admits(name)] == admitted
+
+
+@pytest.mark.parametrize(
+    ("option", "line"),
+    [
+        ("--base", "InvalidArgs: --base must be an image reference, got '--'"),
+        ("--workspace-dir", "InvalidArgs: --workspace-dir must be an absolute path below /, got '--'"),
+        ("--command", None),
+    ],
+)
+def test_an_option_value_of_two_dashes_is_checked_as_text(
+    capsys, option: str, line: str | None
+) -> None:
+    code = main(["generate", "dockerfile", MINIMAL, "-o", "-", f"{option}=--"])
+    captured = capsys.readouterr()
+    if line is None:
+        assert code == 0 and "\nARG COMMAND=--\n" in captured.out
+    else:
+        assert (code, captured.err) == (2, f"forge: error: {line}\n")
+
+
 def test_custom_scripts_must_be_in_the_build_context(capsys, monkeypatch, tmp_path) -> None:
     monkeypatch.chdir(tmp_path)
     root = tmp_path / "ws"
@@ -743,21 +851,23 @@ def test_generate_ci_writes_file(capsys, monkeypatch, tmp_path) -> None:
 
 
 @pytest.mark.parametrize(
-    ("argv", "default"),
+    ("argv", "would_write"),
     [
-        (["generate", "dockerfile", "ws"], "ws/Dockerfile"),
+        (["generate", "dockerfile", "ws"], "ws/Dockerfile and ws/Dockerfile.dockerignore"),
         (["generate", "ci", "--platform", "github", "--image-name", "app"],
          ".github/workflows/forge.yml"),
         (["generate", "ci", "--platform", "gitlab", "--image-name", "app"], ".gitlab-ci.yml"),
     ],
     ids=["dockerfile", "ci-github", "ci-gitlab"],
 )
-def test_generate_dry_run_writes_only_a_named_output(capsys, monkeypatch, tmp_path, argv, default) -> None:
+def test_generate_dry_run_writes_only_a_named_output(
+    capsys, monkeypatch, tmp_path, argv, would_write
+) -> None:
     monkeypatch.chdir(tmp_path)
     shutil.copytree(MINIMAL, tmp_path / "ws")
     before = sorted(tmp_path.rglob("*"))
     assert main([*argv, "--dry-run"]) == 0
-    assert capsys.readouterr().out == f"[dry-run] would write {default}\n"
+    assert capsys.readouterr().out == f"[dry-run] would write {would_write}\n"
     assert sorted(tmp_path.rglob("*")) == before
 
     assert main([*argv, "--dry-run", "-o", "named/out"]) == 0
@@ -770,7 +880,7 @@ def test_generate_dry_run_writes_only_a_named_output(capsys, monkeypatch, tmp_pa
 # arbitrary text.
 _INJECTIONS = [
     "ubuntu:22.04\nRUN echo hi", "'a\nb'", "/ws\nRUN echo hi", "/my ws", "/a:b", "/ws/..", "//ws",
-    "x\\", "a;b", "a\u2028b", "'a", "a b", "/ws/\x0bx", "ubuntu:22.04 --pull", "-x", "--push",
+    "x\\", "a;b", "a\u2028b", "'a", "a b", "/ws/\x0bx", "ubuntu:22.04 --pull", "-x", "--push", "--",
 ]
 _OPTION_TEXT = st.one_of(
     st.sampled_from(_INJECTIONS),
@@ -786,14 +896,10 @@ def _forge(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def _copy_operands(dockerfile: str) -> list[list[str]]:
-    """The words after each COPY and its ``--`` flags."""
+def _copy_operands(dockerfile: str) -> list[list[str] | None]:
+    """The operands of each COPY after its ``--`` flags."""
 
-    return [
-        [word for word in line.split()[1:] if not word.startswith("--")]
-        for line in instructions(dockerfile)
-        if line.startswith("COPY ")
-    ]
+    return [copy_operands(line) for line in instructions(dockerfile) if line.startswith("COPY ")]
 
 
 def _ci_build_commands(node: object) -> list[list[str]]:
@@ -867,6 +973,23 @@ def test_build_dry_run_writes_nothing_into_the_workspace(capsys, monkeypatch, tm
     assert main(["build", str(root), "--dry-run"]) == 0
     assert f"--file {root}/.forge/Dockerfile " in capsys.readouterr().out
     assert sorted(root.rglob("*")) == before
+
+
+def test_build_dry_run_names_the_files_it_would_write_and_the_plan(
+    capsys, monkeypatch, tmp_path
+) -> None:
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("GIT_TOKEN", "token")
+    assert main(["generate", "dockerfile", MULTI, "-o", "-"]) == 0
+    header = capsys.readouterr().out.splitlines()[1]
+    assert main(["build", MULTI, "--dry-run"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    dockerfile = f"{MULTI}/.forge/Dockerfile"
+    digest = re.fullmatch(r"# Generated by forge \S+ \(plan sha256 ([0-9a-f]{64})\)", header)[1]
+    assert lines[-2] == (
+        f"[dry-run] would write {dockerfile} and {dockerfile}.dockerignore (plan sha256 {digest})"
+    )
+    assert lines[-1].startswith(f"[dry-run] docker build --file {dockerfile} ")
 
 
 def test_plan_violations_are_printed_with_their_detail(capsys, monkeypatch, tmp_path) -> None:

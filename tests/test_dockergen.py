@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,12 +25,16 @@ from forge.dockergen import (
     _render_run,
     plan_stages,
     render,
+    render_dockerignore,
     validate_plan,
 )
+from forge.cli import main
+from forge.depgraph import ResolvedDependencies
 from forge.errors import UnresolvedDependencies
-from forge.manifest import PackageManifest
+from forge.manifest import PackageManifest, scan_workspace
 
 from conftest import image_spec
+from dockerfile_syntax import copy_operands, dockerfile_problems, ignore_admits, instructions
 
 
 def make_plan(analysis, **kwargs) -> DockerfilePlan:
@@ -166,6 +174,13 @@ def test_rule_manifests_only(minimal_analysis) -> None:
     leak = CopyContext(src="src/hello_node/hello_node/main.py", dst="/ws/main.py")
     broken = _with_instruction(plan, "dependencies", leak)
     assert [v.rule for v in validate_plan(broken)] == ["manifests-only"]
+
+
+@pytest.mark.parametrize("src", ["src/hello_node/", "src", "../", "/", "src/hello_node/package.xml"])
+def test_rule_source_roots_only(minimal_analysis, src: str) -> None:
+    plan = make_plan(minimal_analysis, target="dev")
+    broken = _with_instruction(plan, "dev", CopyContext(src=src, dst="/ws/src/x/"))
+    assert [v.rule for v in validate_plan(broken)] == ["source-roots-only"]
 
 
 def test_rule_no_source_leak(minimal_analysis) -> None:
@@ -337,9 +352,9 @@ def test_render_dependencies_stage_copies_manifests_only(multi_repo_analysis) ->
         ("solo", ".", "COPY package.xml /ws/src/solo/package.xml",
          "COPY --chown=1000:1000 ./ /ws/src/solo/"),
         ("core", "src/core", "COPY src/core/package.xml /ws/src/core/package.xml",
-         "COPY --chown=1000:1000 src/core/ /ws/src/core/"),
+         "COPY --chown=1000:1000 src/ /ws/src/"),
         ("pkg", "ros/pkg", "COPY ros/pkg/package.xml /ws/src/ros/pkg/package.xml",
-         "COPY --chown=1000:1000 ros/pkg/ /ws/src/ros/pkg/"),
+         "COPY --chown=1000:1000 ros/ /ws/src/ros/"),
     ],
     ids=["workspace-root", "under-src", "outside-src"],
 )
@@ -363,7 +378,7 @@ def test_render_dev_stage_user(minimal_analysis) -> None:
     block = stage_text(render(make_plan(minimal_analysis, target="dev")), "dev")
     assert "USER ros" in block
     assert "useradd --uid 1000" in block
-    assert "COPY --chown=1000:1000 src/hello_node/ /ws/src/hello_node/" in block
+    assert "COPY --chown=1000:1000 src/ /ws/src/" in block
 
 
 def test_render_catkin_build_command(catkin_analysis) -> None:
@@ -415,3 +430,201 @@ def test_run_wrapping_round_trips(segments: list[str]) -> None:
         for piece in pieces
     )
     assert rebuilt == command
+
+
+# --- source roots and the .dockerignore -------------------------------------
+
+_NO_DEPS = ResolvedDependencies((), (), (), (), (), (), "all")
+
+
+def _forge(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _manifest(name: str) -> str:
+    return f'<package format="3"><name>{name}</name><version>1.0.0</version></package>\n'
+
+
+def test_dockerignore_escapes_wildcards_and_backslashes(minimal_analysis) -> None:
+    package = PackageManifest("odd", source_dir="src/a[1]*?\\b c")
+    plan = make_plan(minimal_analysis, target="dev", packages=(package,))
+    ignore = render_dockerignore(plan, "")
+    assert "!src/a\\[1]\\*\\?\\\\b c\n" in ignore
+    assert ignore_admits(ignore)("src/a[1]*?\\b c/package.xml")
+    assert not ignore_admits(ignore)("src/a1xyb c/package.xml")
+
+
+def test_a_package_at_the_root_leaves_nothing_out(minimal_analysis) -> None:
+    plan = make_plan(minimal_analysis, target="dev", packages=(PackageManifest("solo"),))
+    assert plan.context_paths == (".",)
+    assert ignore_admits(render_dockerignore(plan, ""))("any/file")
+
+
+@pytest.mark.parametrize("name", ["my pkg", "two  spaces", "nb\u00a0pkg"])
+def test_whitespace_in_a_package_path_gives_two_copy_operands(tmp_path, name: str) -> None:
+    (tmp_path / "src" / name).mkdir(parents=True)
+    (tmp_path / "src" / name / "package.xml").write_text(_manifest("spaced"), encoding="utf-8")
+    code, text, err = _forge(["generate", "dockerfile", str(tmp_path), "-o", "-"])
+    assert code == 0, err
+    assert dockerfile_problems(text) == []
+    copies = [copy_operands(line) for line in instructions(text) if line.startswith("COPY ")]
+    assert len(copies) == 4 and all(len(operands) == 2 for operands in copies), copies
+    assert [f"src/{name}/package.xml", f"/ws/src/{name}/package.xml"] in copies
+
+
+@pytest.mark.parametrize(
+    ("path", "script"),
+    [
+        ("src/a\x01b", None),
+        ("src/a\nb", None),
+        ("src/pkg ", None),
+        (" top", None),
+        ("src/pkg", "pre.sh "),
+    ],
+    ids=["control", "newline", "trailing-space", "leading-space", "script"],
+)
+def test_a_path_no_copy_and_ignore_line_can_name_exits_2(tmp_path, path: str, script) -> None:
+    (tmp_path / path).mkdir(parents=True)
+    (tmp_path / path / "package.xml").write_text(_manifest("pkg"), encoding="utf-8")
+    (tmp_path / "pre.sh ").write_text("true\n", encoding="utf-8")
+    options = ["--script-pre", script] if script else []
+    code, out, err = _forge(["generate", "dockerfile", str(tmp_path), "-o", "-", *options])
+    assert (code, out) == (2, "")
+    assert err.startswith("forge: error: InvalidSpec: "), err
+    assert repr(script or path) in err and "cannot be named exactly" in err, err
+
+
+# Package, ignored and loose files of the drawn workspaces.
+_PACKAGE_FILES = [
+    "CMakeLists.txt", "src/main.cpp", ".hidden/notes", "attic/COLCON_IGNORE", "attic/package.xml",
+]
+_LOOSE_FILES = [
+    "README.md", "src/README.md", "src/g1/CMakeLists.txt", "docs/guide.md", ".gitignore",
+    "src/.git/pkg_git/package.xml",
+]
+_GROUPS = ["", "g1", "g2/sub", "my group", "odd[1]*?", "back\\slash"]
+_MARKERS = ["COLCON_IGNORE", "CATKIN_IGNORE", "AMENT_IGNORE"]
+# A workspace's own .dockerignore, and which files it leaves out.
+_OWN_IGNORES = {
+    "": lambda name: False,
+    "**/main.cpp\n": lambda name: name.split("/")[-1] == "main.cpp",
+    "# mine\n.hidden\n**/.hidden\n": lambda name: ".hidden" in name.split("/"),
+}
+
+
+@st.composite
+def workspaces(draw: st.DrawFn) -> dict:
+    """A workspace as files to write, and what of it is live.
+
+    Packages sit under ``src/``, also under a second top-level directory,
+    as that directory itself, or as one package at the root.
+    """
+
+    layout = draw(st.sampled_from(["src", "two", "top", "root"]))
+    count = 1 if layout == "root" else draw(st.integers(1, 300))
+    second = draw(st.sampled_from(["tools", "my tools"]))
+    live: list[str] = []
+    for index in range(count):
+        if layout == "root":
+            live.append(".")
+        elif layout == "top" and index == 0:
+            live.append(second)
+        elif layout == "two" and (index == 0 or draw(st.booleans())):
+            live.append(f"{second}/pkg_{index}")
+        else:
+            group = draw(st.sampled_from(_GROUPS))
+            live.append(f"src/{group}/pkg_{index}".replace("//", "/"))
+    # Every 50th package holds more files than its manifest, which keeps
+    # the file count near the package count.
+    extras = draw(st.sets(st.sampled_from(_PACKAGE_FILES)))
+    files = {}
+    for index, rel in enumerate(live):
+        head = "" if rel == "." else rel + "/"
+        files[f"{head}package.xml"] = _manifest(f"pkg_{index}")
+        if index % 50 == 0:
+            files.update({f"{head}{name}": "x\n" for name in extras})
+    for marker in draw(st.sets(st.sampled_from(_MARKERS))):
+        # An ignored subtree, with a package in it, below a source root and at the top.
+        for attic in (f"src/attic_{marker}", f"legacy_{marker}"):
+            files[f"{attic}/{marker}"] = ""
+            files[f"{attic}/old/package.xml"] = _manifest(f"old_{marker.lower()}")
+            files[f"{attic}/old/main.cpp"] = "x\n"
+    files.update({name: "x\n" for name in draw(st.sets(st.sampled_from(_LOOSE_FILES)))})
+    repos = sorted(draw(st.sets(st.sampled_from(["deps.repos", "more deps.repos"]))))
+    scripts = draw(st.sampled_from([(), ("scripts/pre.sh",), ("scripts/pre.sh", "post.sh")]))
+    files.update({name: "x\n" for name in (*repos, *scripts)})
+    own_ignore = draw(st.sampled_from(sorted(_OWN_IGNORES)))
+    return {
+        "files": files, "live": live, "repos": tuple(repos), "scripts": scripts,
+        "own_ignore": own_ignore,
+    }
+
+
+def _dev_layers(text: str) -> int:
+    return sum(1 for line in instructions(stage_text(text, "dev"))
+               if line.split(" ", 1)[0] in ("RUN", "COPY", "ADD"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(workspaces(), st.sampled_from(TARGETS))
+def test_dev_copies_each_source_root_once_and_the_ignore_file_keeps_the_rest_out(
+    workspace: dict, target: str
+) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for parent in {(root / name).parent for name in workspace["files"]}:
+            parent.mkdir(parents=True, exist_ok=True)
+        for name, text in workspace["files"].items():
+            (root / name).write_text(text, encoding="utf-8")
+        packages = tuple(scan_workspace(root, {}, None, False).packages)
+        scripts = dict(zip(("custom_script_pre", "custom_script_post"), workspace["scripts"]))
+        spec = ImageSpec(
+            ros_distro="humble", target=target, packages=packages,
+            repos_files=workspace["repos"], **scripts,
+        )
+        plan = plan_stages(spec, _NO_DEPS, _NO_DEPS, root)
+        one_per_root = {p.source_dir.split("/")[0]: p for p in packages}
+        small = spec._replace(packages=tuple(one_per_root.values()))
+        small_text = render(plan_stages(small, _NO_DEPS, _NO_DEPS, root))
+
+    assert sorted(p.source_dir for p in packages) == sorted(workspace["live"])
+    assert validate_plan(plan) == []
+    text = render(plan)
+    assert dockerfile_problems(text) == []
+    assert _dev_layers(text) == _dev_layers(small_text) == 3 + len(one_per_root)
+
+    # The live package directory each file lies in, if any.
+    owner = {
+        name: rel for name in workspace["files"] for rel in workspace["live"]
+        if rel == "." or name.startswith(rel + "/")
+    }
+    # The ignore file admits the live packages, .repos files and scripts,
+    # less what the workspace's own .dockerignore leaves out, nothing else.
+    admits = ignore_admits(render_dockerignore(plan, workspace["own_ignore"]))
+    admitted = {name for name in workspace["files"] if admits(name)}
+    left_out = _OWN_IGNORES[workspace["own_ignore"]]
+    wanted = set(owner) | set(workspace["repos"]) | set(workspace["scripts"])
+    assert admitted == {name for name in wanted if not left_out(name)}
+    owner = {name: rel for name, rel in owner.items() if not left_out(name)}
+    copied = [i.src for stage in plan.stages for i in stage.instructions
+              if isinstance(i, CopyContext) and stage.name != "dev"]
+    assert all(admits(src) for src in copied), copied
+
+    # dev holds each live package's files where a per-package copy put them:
+    # below /ws/src/, a package at the root as /ws/src/<name>.
+    names = {p.source_dir: p.name for p in packages}
+    expected = set()
+    for name, rel in owner.items():
+        if rel == ".":
+            expected.add(f"/ws/src/{names[rel]}/{name}")
+        else:
+            expected.add(f"/ws/{rel if rel.startswith('src/') else 'src/' + rel}{name[len(rel):]}")
+    held = set()
+    for copy in plan.stage("dev").instructions:
+        if isinstance(copy, CopyContext):
+            prefix = "" if copy.src == "./" else copy.src
+            held |= {copy.dst + name[len(prefix):] for name in admitted if name.startswith(prefix)}
+    assert held == expected

@@ -67,14 +67,14 @@ def test_parse_repos_rejects_non_git() -> None:
 def test_combine_repos_merges_and_sorts() -> None:
     first = parse_repos("repositories:\n  b:\n    type: git\n    url: https://h/b.git\n", "b.repos")
     second = parse_repos("repositories:\n  a:\n    type: git\n    url: https://h/a.git\n", "a.repos")
-    merged = combine_repos([first, second])
+    merged = combine_repos([("b.repos", first), ("a.repos", second)])
     assert [r.local_name for r in merged] == ["a", "b"]
 
 
 def test_combine_repos_rejects_duplicates() -> None:
     one = parse_repos("repositories:\n  a:\n    type: git\n    url: https://h/a.git\n", "a.repos")
-    with pytest.raises(MalformedReposFile):
-        combine_repos([one, one])
+    with pytest.raises(MalformedReposFile, match=r"^repository 'a' appears in a\.repos and b\.repos$"):
+        combine_repos([("a.repos", one), ("b.repos", one)])
 
 
 def test_credential_vars() -> None:
