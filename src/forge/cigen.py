@@ -15,12 +15,23 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-import yaml
-
 from . import ARCHITECTURES, TARGETS
 from .errors import InvalidSpec
+from .textio import dump_yaml
 
 _IMAGE_NAME_RE = re.compile(r"[a-z0-9][a-z0-9_.\-/]*")
+
+# What makes a push branch unusable: a name ``git check-ref-format --branch``
+# rejects (a control, space or ``~^:?*[\`` character, ``..``, ``@{``, an
+# empty component or one that starts with ``.`` or ends with ``.lock``, a
+# leading ``-`` or ``/``, a trailing ``/`` or ``.``, or ``HEAD``), a
+# quote, which would end the string literal of the platform's condition,
+# or a lone surrogate (a byte that is not UTF-8), which the UTF-8 pipeline
+# file cannot name.
+_BAD_BRANCH_RE = re.compile(
+    r"""[\x00-\x20\x7f~^:?*[\\'"\ud800-\udfff]|\.\.|@\{|//|(?:\A|/)\."""
+    r"|\.lock(?:/|\Z)|\A[-/]|[/.]\Z|\AHEAD\Z"
+)
 
 # The workspace tests inside the development image. The ROS setup script
 # sets ROS_VERSION, so ROS 1 images test with catkin and ROS 2 with colcon.
@@ -62,8 +73,10 @@ def _check_spec(spec: PipelineSpec) -> None:
             raise InvalidSpec(f"unsupported target stage {stage!r}")
     if spec.enable_test_stage and "dev" not in spec.target_stages:
         raise InvalidSpec("the test stage runs the dev image; include dev in targets")
-    if not spec.push_on_branch:
-        raise InvalidSpec("push_on_branch must be non-empty")
+    if not spec.push_on_branch or _BAD_BRANCH_RE.search(spec.push_on_branch):
+        raise InvalidSpec(
+            f"push branch {spec.push_on_branch!r} is not a git branch name without quotes"
+        )
 
 
 def _tag(spec: PipelineSpec, suffix: str) -> str:
@@ -141,7 +154,7 @@ def generate_pipeline(spec: PipelineSpec) -> str:
     _check_spec(spec)
     emit = _github_document if spec.platform == "github" else _gitlab_document
     document = emit(spec, _jobs(spec))
-    return yaml.safe_dump(document, sort_keys=False, default_flow_style=False, width=120)
+    return dump_yaml(document, sort_keys=False, width=120)
 
 
 # --- GitHub Actions --------------------------------------------------------
@@ -160,7 +173,7 @@ def _github_login_step(spec: PipelineSpec) -> dict[str, object]:
 
 
 def _github_job(spec: PipelineSpec, job: Job) -> dict[str, object]:
-    # Every step dict is new: one shared between jobs would make safe_dump
+    # Every step dict is new: one shared between jobs would make dump_yaml
     # emit YAML anchors and aliases.
     steps: list[dict[str, object]] = []
     if job.stage == "build":

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import json
 import os
 import re
 import shlex
@@ -24,8 +23,6 @@ import sys
 import time
 from pathlib import Path, PurePosixPath
 from typing import NamedTuple
-
-import yaml
 
 from . import ARCHITECTURES, KNOWN_DISTROS, TARGETS, __version__
 from .errors import (
@@ -41,7 +38,7 @@ from .errors import (
     UnwritableOutput,
     shown,
 )
-from .textio import load_yaml, read_utf8
+from .textio import dump_yaml, load_yaml, read_utf8
 
 GENERATED_DIR = ".forge"
 
@@ -154,6 +151,22 @@ def _parse_nonempty(value: object, name: str) -> str:
     return text
 
 
+# An image registry as the Docker reference grammar writes the part of a
+# name before the repository: host[:port][/path], where host is a domain
+# name or a bracketed IPv6 address and each path component is lower case.
+_DOMAIN_COMPONENT = r"(?:[a-zA-Z0-9]|[a-zA-Z0-9][a-zA-Z0-9-]*[a-zA-Z0-9])"
+_REGISTRY_RE = re.compile(
+    rf"(?:{_DOMAIN_COMPONENT}(?:\.{_DOMAIN_COMPONENT})*|\[[a-fA-F0-9:]+\])(?::[0-9]+)?"
+    r"(?:/[a-z0-9]+(?:(?:[._]|__|-+)[a-z0-9]+)*)*"
+)
+
+
+def _parse_registry(value: object, name: str) -> str:
+    if not _REGISTRY_RE.fullmatch(text := _parse_nonempty(value, name)):
+        raise ConfigError(f"{name} must be a registry host[:port][/path], got {text!r}")
+    return text
+
+
 def _parse_distro(value: object, name: str) -> str:
     if (text := _parse_string(value, name)) not in KNOWN_DISTROS:
         raise ConfigError(f"{name}: unknown distro {text!r}")
@@ -178,7 +191,7 @@ def _parse_paths(value: object, name: str) -> tuple[str, ...]:
 # order is the error. A parser checks type and range and names the layer;
 # FORGE_ROSDEP_DBS is split on os.pathsep, and --rosdep-db extends the list.
 _CONFIG_TABLE = (
-    ("registry", "registry", "FORGE_REGISTRY", "registry", _parse_nonempty),
+    ("registry", "registry", "FORGE_REGISTRY", "registry", _parse_registry),
     ("default_distro", "default_distro", "FORGE_DISTRO", "distro", _parse_distro),
     ("rosdep_db_paths", "rosdep_dbs", "FORGE_ROSDEP_DBS", "rosdep_db", _parse_paths),
     ("distro_index_path", "distro_index", "FORGE_DISTRO_INDEX", "distro_index", _parse_file),
@@ -333,9 +346,11 @@ def cmd_analyze(args: argparse.Namespace, driver: EngineDriver | None) -> int:
     cfg, analysis = _analyze_args(args)
     resolved = analysis.resolved
     if args.format == "json":
+        import json
+
         print(json.dumps(_resolution_doc(analysis), indent=2, sort_keys=True))
     elif args.format == "yaml":
-        print(yaml.safe_dump(_resolution_doc(analysis), sort_keys=True), end="")
+        print(dump_yaml(_resolution_doc(analysis), sort_keys=True), end="")
     else:
         version = "ROS 1" if analysis.index.ros_version == 1 else "ROS 2"
         print(
@@ -554,9 +569,11 @@ def cmd_matrix_list(args: argparse.Namespace, driver: EngineDriver | None) -> in
             for entry in entries
         ]
         if args.format == "json":
+            import json
+
             print(json.dumps(doc, indent=2))
         else:
-            print(yaml.safe_dump(doc, sort_keys=False), end="")
+            print(dump_yaml(doc, sort_keys=False), end="")
     else:
         for entry in entries:
             print(tag_of(entry, cfg.registry))
@@ -768,31 +785,22 @@ def _add_matrix_filters(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--arch", action="append", help="restrict architectures")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="forge",
-        description="Container images and CI pipelines for ROS workspaces.",
-    )
-    parser.add_argument("--version", action="version", version=f"forge {__version__}")
-    subparsers = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = subparsers.add_parser("analyze", help="report resolved dependencies")
+def _analyze_options(p: argparse.ArgumentParser) -> None:
     _add_shared(p, "--config", "--strict", "--dry-run")
     _add_workspace_options(p)
     p.add_argument("--format", choices=("table", "json", "yaml"), default="table")
     p.set_defaults(handler=cmd_analyze)
 
-    generate = subparsers.add_parser("generate", help="emit files")
-    generate_sub = generate.add_subparsers(dest="generate_what", required=True)
 
-    p = generate_sub.add_parser("dockerfile", help="write a multi-stage Dockerfile")
+def _dockerfile_options(p: argparse.ArgumentParser) -> None:
     _add_shared(p, "--config", "--strict", "--dry-run")
     _add_workspace_options(p)
     _add_image_options(p)
     p.add_argument("--output", "-o", help="output path ('-' for stdout)")
     p.set_defaults(handler=cmd_generate_dockerfile)
 
-    p = generate_sub.add_parser("ci", help="write a CI pipeline configuration")
+
+def _ci_options(p: argparse.ArgumentParser) -> None:
     _add_shared(p, "--config", "--registry", "--dry-run")
     p.add_argument(
         "--platform", choices=("github", "gitlab"), required=True, help="CI platform"
@@ -808,7 +816,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", help="output path ('-' for stdout)")
     p.set_defaults(handler=cmd_generate_ci)
 
-    p = subparsers.add_parser("build", help="generate and build an image")
+
+def _build_options(p: argparse.ArgumentParser) -> None:
     _add_shared(p, "--config", "--registry", "--strict", "--dry-run", "--engine")
     _add_workspace_options(p)
     _add_image_options(p)
@@ -820,16 +829,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dockerfile-out", help="where to write the generated Dockerfile")
     p.set_defaults(handler=cmd_build)
 
-    matrix = subparsers.add_parser("matrix", help="prebuilt base image matrix")
-    matrix_sub = matrix.add_subparsers(dest="matrix_what", required=True)
 
-    p = matrix_sub.add_parser("list", help="list matrix tags")
+def _matrix_list_options(p: argparse.ArgumentParser) -> None:
     _add_shared(p, "--config", "--registry")
     _add_matrix_filters(p)
     p.add_argument("--format", choices=("text", "json", "yaml"), default="text")
     p.set_defaults(handler=cmd_matrix_list)
 
-    p = matrix_sub.add_parser("build", help="build matrix images")
+
+def _matrix_build_options(p: argparse.ArgumentParser) -> None:
     _add_shared(p, "--config", "--registry", "--parallelism", "--dry-run", "--engine")
     _add_matrix_filters(p)
     p.add_argument(
@@ -842,9 +850,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--push", action="store_true", help="push after building")
     p.set_defaults(handler=cmd_matrix_build)
 
-    p = subparsers.add_parser(
-        "run", help="run a development container with host integration"
-    )
+
+def _run_options(p: argparse.ArgumentParser) -> None:
     _add_shared(p, "--dry-run", "--engine")
     p.add_argument("image", help="image reference")
     p.add_argument("--name", help="container name (default derived)")
@@ -862,15 +869,70 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plugin-dir", help="directory of executable run plugins")
     p.set_defaults(handler=cmd_run, passthrough=[], run_command=[])
 
-    bench = subparsers.add_parser("bench", help="measurement harnesses")
-    bench_sub = bench.add_subparsers(dest="bench_what", required=True)
-    p = bench_sub.add_parser("startup", help="report container startup overhead")
+
+def _bench_startup_options(p: argparse.ArgumentParser) -> None:
     _add_shared(p, "--dry-run", "--engine")
     p.add_argument("image", help="image reference")
     p.add_argument("--runs", type=int, default=5, help="number of timed runs")
     p.set_defaults(handler=cmd_bench_startup)
 
+
+# The command table, one row per command: its name, its help, and what it
+# holds. A command holds the function that adds its options and sets its
+# handler; a group holds the dest of its choice and its own rows.
+_COMMANDS = (
+    ("analyze", "report resolved dependencies", _analyze_options),
+    ("generate", "emit files", ("generate_what", (
+        ("dockerfile", "write a multi-stage Dockerfile", _dockerfile_options),
+        ("ci", "write a CI pipeline configuration", _ci_options),
+    ))),
+    ("build", "generate and build an image", _build_options),
+    ("matrix", "prebuilt base image matrix", ("matrix_what", (
+        ("list", "list matrix tags", _matrix_list_options),
+        ("build", "build matrix images", _matrix_build_options),
+    ))),
+    ("run", "run a development container with host integration", _run_options),
+    ("bench", "measurement harnesses", ("bench_what", (
+        ("startup", "report container startup overhead", _bench_startup_options),
+    ))),
+)
+
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """forge's parser for ``argv``: every command's name and help, and the options of argv's own.
+
+    Help, usage lines and "invalid choice" errors read as those of a parser
+    holding every command's options, and ``argv`` parses to the same
+    values; the other commands' options are never built.
+    """
+
+    parser = argparse.ArgumentParser(
+        prog="forge",
+        description="Container images and CI pipelines for ROS workspaces.",
+    )
+    parser.add_argument("--version", action="version", version=f"forge {__version__}")
+    _add_commands(parser, "subcommand", _COMMANDS, argv)
     return parser
+
+
+def _add_commands(
+    parser: argparse.ArgumentParser, dest: str, rows: tuple, argv: list[str]
+) -> None:
+    """Register ``rows`` as ``parser``'s subcommands; build only the one ``argv`` chooses."""
+
+    # A group's own options (-h, --version) take no value, so argparse reads
+    # its first word that is not an option as the choice.
+    index = next((i for i, word in enumerate(argv) if word[:1] != "-" or word == "-"), None)
+    chosen = None if index is None else argv[index]
+    subparsers = parser.add_subparsers(dest=dest, required=True)
+    for name, help_text, holds in rows:
+        sub = subparsers.add_parser(name, help=help_text)
+        if name != chosen:
+            continue
+        if callable(holds):
+            holds(sub)
+        else:
+            _add_commands(sub, *holds, argv[index + 1:])
 
 
 def main(argv: list[str] | None = None, driver: EngineDriver | None = None) -> int:
@@ -887,7 +949,7 @@ def main(argv: list[str] | None = None, driver: EngineDriver | None = None) -> i
 
 
 def _main(argv: list[str], driver: EngineDriver | None) -> int:
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         if argv and argv[0] == "run":
             head, passthrough, run_command = _split_run_argv(argv[1:])

@@ -13,7 +13,6 @@ versioned JSON document on stdin and print the transformed document.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import shutil
@@ -325,6 +324,7 @@ def invocation_from_doc(doc: dict[str, object]) -> RunInvocation:
 
 def _external_transform(path: Path) -> Callable[[RunInvocation], RunInvocation]:
     def transform(invocation: RunInvocation) -> RunInvocation:
+        import json
         import subprocess
 
         payload = json.dumps(invocation_to_doc(invocation))

@@ -198,11 +198,13 @@ class ImageSpec(NamedTuple):
 
 
 # A path that a Dockerfile COPY and a .dockerignore line cannot both name
-# exactly: one with a control character, or with whitespace at either end,
-# which the ignore file trims. Only a path that holds whitespace or a
-# control character at all can be one.
-_UNNAMEABLE_RE = re.compile(r"[\x00-\x1f\x7f-\x9f]|\A\s|\s\Z")
-_SPACE_OR_CONTROL_RE = re.compile(r"[\s\x00-\x1f\x7f-\x9f]")
+# exactly: one with a control character, with whitespace at either end,
+# which the ignore file trims, or with a lone surrogate (what
+# surrogateescape makes of a byte that is not UTF-8), which neither UTF-8
+# file can hold. Only a path that holds whitespace, a control character or
+# a surrogate at all can be one.
+_UNNAMEABLE_RE = re.compile(r"[\x00-\x1f\x7f-\x9f\ud800-\udfff]|\A\s|\s\Z")
+_SPACE_OR_CONTROL_RE = re.compile(r"[\s\x00-\x1f\x7f-\x9f\ud800-\udfff]")
 
 
 def _check_spec(spec: ImageSpec, context_root: Path) -> tuple[str, ...]:
@@ -697,12 +699,45 @@ def _json_array(argv: tuple[str, ...]) -> str:
     return json.dumps(list(argv))
 
 
-def _copy_operands(src: str, dst: str) -> str:
-    """COPY's operands, in the JSON-array form when one holds whitespace or a control character."""
+# An operand BuildKit reads as it is written: no leading ``-``, and no
+# whitespace, control character or character that the rules below escape.
+_PLAIN_OPERAND_RE = re.compile(r"(?!-)[^\s\x00-\x1f\x7f-\x9f\\$'\"*?[]*")
+# BuildKit's shell-word lexer, which reads every COPY operand in either
+# form, takes ``\`` as an escape, ``$`` as a variable and quotes as quoting;
+# a leading ``-`` would make the flag parser read the word as a flag.
+_LEXER_SPECIAL_RE = re.compile(r"[\\$'\"]|\A-")
+# From the first component holding ``*``, ``?`` or ``[`` on, a source is a
+# pattern for Go's filepath.Match, where ``[c]`` is the character c and
+# ``\`` escapes; the components before it are a plain path.
+_WILDCARD_RE = re.compile(r"[*?[]")
+_PATTERN_SPECIAL_RE = re.compile(r"[\\*?[]")
+_PATTERN_LITERAL = {"\\": "\\\\", "*": "[*]", "?": "[?]", "[": "[[]"}
 
-    if _SPACE_OR_CONTROL_RE.search(src) or _SPACE_OR_CONTROL_RE.search(dst):
-        return json.dumps([src, dst], ensure_ascii=False)
-    return f"{src} {dst}"
+
+def _copy_word(path: str, is_source: bool) -> str:
+    """``path`` written so that BuildKit's COPY reads exactly it, as a source or a destination."""
+
+    if is_source and (wildcard := _WILDCARD_RE.search(path)):
+        start = path.rfind("/", 0, wildcard.start()) + 1
+        pattern = _PATTERN_SPECIAL_RE.sub(lambda m: _PATTERN_LITERAL[m[0]], path[start:])
+        path = path[:start] + pattern
+    return _LEXER_SPECIAL_RE.sub(r"\\\g<0>", path)
+
+
+def _copy_operands(src: str, dst: str) -> str:
+    """COPY's operands, each read by BuildKit as exactly that path.
+
+    They are in the JSON-array form when one holds whitespace or a control
+    character, or when the source starts with ``[``, which BuildKit would
+    try to read as that form.
+    """
+
+    if _PLAIN_OPERAND_RE.fullmatch(src) and _PLAIN_OPERAND_RE.fullmatch(dst):
+        return f"{src} {dst}"
+    words = [_copy_word(src, True), _copy_word(dst, False)]
+    if words[0].startswith("[") or _SPACE_OR_CONTROL_RE.search(src + dst):
+        return json.dumps(words, ensure_ascii=False)
+    return " ".join(words)
 
 
 def _render_instruction(instruction: Instruction) -> list[str]:

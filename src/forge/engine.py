@@ -12,7 +12,6 @@ engine's environment and never enter an argv. The engine binary is
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple, Protocol, Sequence
 
 from .errors import EngineUnavailable, MalformedEngineOutput, NonZeroExit
@@ -199,6 +198,8 @@ def inspect_container(name: str, driver: EngineDriver) -> ContainerState:
     result = driver.execute(inspect_argv(name))
     if result.exit_code != 0:
         return ContainerState(exists=False, running=False)
+    import json
+
     try:
         doc = json.loads(result.stdout)
     except json.JSONDecodeError as exc:

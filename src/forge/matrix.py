@@ -13,11 +13,9 @@ from __future__ import annotations
 from importlib import resources
 from typing import Iterable, NamedTuple, Sequence
 
-import yaml
-
 from . import ARCHITECTURES, KNOWN_DISTROS
 from .errors import InvalidSpec, MalformedDatabase
-from .textio import load_yaml
+from .textio import dump_yaml, load_yaml
 
 _FLAVOR_SUFFIX = {
     "none": "",
@@ -169,4 +167,4 @@ def build_plan_document(
             for entry in entries
         ]
     }
-    return yaml.safe_dump(plan, sort_keys=False, default_flow_style=False)
+    return dump_yaml(plan, sort_keys=False)

@@ -1,4 +1,4 @@
-"""Reading input text and keeping JSON cache files.
+"""Reading input text, writing YAML output and keeping JSON cache files.
 
 Every YAML document forge reads is composed into a node tree by
 :class:`ComposedDocument`, with libyaml's ``CSafeLoader`` when PyYAML was
@@ -10,7 +10,9 @@ keys and the one OS record per key that forge uses are built. A value
 PyYAML's constructor fails on with a Python exception (``!!int abc``)
 raises :class:`yaml.YAMLError` like a syntax error, which
 :func:`yaml_errors` turns into the caller's error naming the file, whose
-path is also the stream name that PyYAML's marks print.
+path is also the stream name that PyYAML's marks print. Every YAML
+document forge writes goes through :func:`dump_yaml`, with libyaml's
+``CSafeDumper`` under the same fallback.
 
 Cache files under forge's cache directory are named by :func:`cache_key`,
 read with :func:`read_json` and replaced with :func:`write_json`. A cache
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import json
 import os
 from collections.abc import Hashable, Iterator
 from pathlib import Path
@@ -41,6 +42,27 @@ def load_yaml(text: str, path: str | Path, error: type[UserError]) -> object:
     with yaml_errors(path, error):
         doc = ComposedDocument(text, str(path))
         return None if doc.root is None else doc.construct(doc.root)
+
+
+def dump_yaml(value: object, sort_keys: bool, width: int = 80) -> str:
+    """``value`` as block-style YAML text, lines folded at ``width``.
+
+    For a mapping or a sequence whose strings hold only printable ASCII,
+    newlines and tabs, and whose keys are not empty, the text is byte for
+    byte that of ``yaml.safe_dump``. A string that must be written
+    double-quoted with escapes (a control or non-ASCII character) may be
+    folded at another place, or become an explicit ``?`` key, when libyaml
+    writes it; both texts parse to the same value. libyaml writes UTF-8,
+    which cannot hold a lone surrogate (what ``surrogateescape`` makes of a
+    non-UTF-8 byte in a path), so such a value is written by the
+    pure-Python emitter, which escapes it.
+    """
+
+    options = {"sort_keys": sort_keys, "default_flow_style": False, "width": width}
+    try:
+        return yaml.dump(value, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper), **options)
+    except UnicodeEncodeError:
+        return yaml.dump(value, Dumper=yaml.SafeDumper, **options)
 
 
 @contextlib.contextmanager
@@ -131,8 +153,8 @@ def read_utf8(path: str | Path, error: type[UserError]) -> str:
 def cache_key(*parts: str) -> str:
     """sha256 hex digest over ``parts``, each length-prefixed so none can run into the next."""
 
-    # hashlib and tempfile are imported on use: commands that cache nothing,
-    # such as ``forge --version``, then do not pay for them at startup.
+    # hashlib, json and tempfile are imported on use: commands that cache
+    # nothing, such as ``forge --version``, then do not pay for them at startup.
     import hashlib
 
     digest = hashlib.sha256()
@@ -146,6 +168,8 @@ def cache_key(*parts: str) -> str:
 def read_json(path: Path) -> object:
     """The JSON value stored in ``path``, or None when it cannot be read or decoded."""
 
+    import json
+
     try:
         return json.loads(path.read_bytes())
     except (OSError, ValueError, RecursionError):
@@ -155,6 +179,7 @@ def read_json(path: Path) -> object:
 def write_json(path: Path, value: object) -> None:
     """Replace ``path`` atomically with ``value`` as compact JSON; ignore I/O errors."""
 
+    import json
     import tempfile
 
     # json.dumps runs the C encoder; json.dump streams through the pure-Python one.

@@ -6,8 +6,10 @@ body must pass ``/bin/sh -n``, which parses shell text without running
 it, and every COPY must name at least one source and a destination, in
 the whitespace-separated form or the JSON-array form.
 
-:func:`ignore_admits` models how Docker reads a ``.dockerignore``, for the
-patterns forge writes and those of a workspace's own file.
+:func:`copy_source` and :func:`copy_destination` model how BuildKit reads a
+COPY operand, and :func:`ignore_admits` how Docker reads a
+``.dockerignore``, for the patterns forge writes and those of a
+workspace's own file.
 """
 
 from __future__ import annotations
@@ -56,6 +58,103 @@ def copy_operands(line: str) -> list[str] | None:
     if not isinstance(operands, list) or not all(isinstance(o, str) for o in operands):
         return None
     return operands
+
+
+def shell_word(operand: str) -> str | None:
+    """What BuildKit's shell-word lexer makes of one COPY operand, in either form.
+
+    ``\\`` makes the next character plain. None where an unescaped ``$``
+    would expand a variable or a quote would start quoting, or where the
+    operand ends in a lone ``\\``.
+    """
+
+    out, index = [], 0
+    while index < len(operand):
+        char = operand[index]
+        if char == "\\":
+            index += 1
+            if index == len(operand):
+                return None
+            char = operand[index]
+        elif char in "$'\"":
+            return None
+        out.append(char)
+        index += 1
+    return "".join(out)
+
+
+def _contains_wildcards(component: str) -> bool:
+    """Go's check in BuildKit's copy: ``*``, ``?`` or ``[`` not after a ``\\``."""
+
+    index = 0
+    while index < len(component):
+        if component[index] == "\\":
+            index += 1
+        elif component[index] in "*?[":
+            return True
+        index += 1
+    return False
+
+
+def _match_literal(pattern: str) -> str | None:
+    """The one name Go's ``filepath.Match(pattern, name)`` accepts; None if it
+    accepts any other name, or no name because the pattern is malformed.
+
+    ``\\c`` is c, and a class ``[c]`` or ``[\\c]`` is c; ``*``, ``?``, a
+    negated class, a range and a class of more characters match more.
+    """
+
+    out, index = [], 0
+    while index < len(pattern):
+        char = pattern[index]
+        if char in "*?":
+            return None
+        if char == "\\":
+            index += 1
+            if index == len(pattern):
+                return None
+            char = pattern[index]
+        elif char == "[":
+            member = pattern[index + 1:index + 2]
+            if member in ("", "^", "]", "-"):
+                return None
+            step = 2
+            if member == "\\":
+                member = pattern[index + 2:index + 3]
+                step = 3
+            if not member or pattern[index + step:index + step + 1] != "]":
+                return None
+            char = member
+            index += step
+        out.append(char)
+        index += 1
+    return "".join(out)
+
+
+def copy_source(operand: str) -> str | None:
+    """The one context path a COPY source operand names; None if it names a
+    pattern that other paths match, or expands a variable.
+
+    After the lexer, BuildKit reads the path's components up to the first
+    that holds a wildcard as plain names, and matches the rest with Go's
+    ``filepath.Match``.
+    """
+
+    word = shell_word(operand)
+    if word is None:
+        return None
+    parts = word.split("/")
+    first = next((i for i, part in enumerate(parts) if _contains_wildcards(part)), len(parts))
+    matched = [_match_literal(part) for part in parts[first:]]
+    if None in matched:
+        return None
+    return "/".join([*parts[:first], *matched])
+
+
+def copy_destination(operand: str) -> str | None:
+    """The container path a COPY destination operand names; None if it expands a variable."""
+
+    return shell_word(operand)
 
 
 def dockerfile_problems(text: str) -> list[str]:

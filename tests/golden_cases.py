@@ -6,13 +6,19 @@ Shared by the golden test (byte comparison) and scripts/regen_goldens.py
 
 from __future__ import annotations
 
+import contextlib
+import io
+import os
+import shlex
 from typing import Callable
 
 from forge import TARGETS
 from forge.cigen import PipelineSpec, generate_pipeline
+from forge.cli import main
 from forge.dockergen import DockerfilePlan, plan_stages, render, render_dockerignore
+from forge.matrix import build_plan_document, enumerate_matrix, load_base_image_table
 
-from conftest import analysis_for, image_spec
+from conftest import FIXTURE_ROOT, analysis_for, image_spec
 
 
 def _plan(fixture: str, distro: str, **spec_kwargs) -> DockerfilePlan:
@@ -109,6 +115,73 @@ def ci_grid() -> str:
     return "".join(parts)
 
 
+def _forge(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``forge argv``, run beside the fixture workspaces.
+
+    argparse wraps help text at ``$COLUMNS``, so it is pinned to 80.
+    """
+
+    out, err = io.StringIO(), io.StringIO()
+    columns, cwd = os.environ.get("COLUMNS"), os.getcwd()
+    os.environ["COLUMNS"] = "80"
+    os.chdir(FIXTURE_ROOT)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
+    return code, out.getvalue(), err.getvalue()
+
+
+def analyze_multi_repo() -> str:
+    code, out, err = _forge(["analyze", "multi_repo", "--format", "yaml", "--dry-run"])
+    assert (code, err) == (0, ""), err
+    return out
+
+
+def matrix_plan_humble() -> str:
+    """What ``matrix build --distro humble --plan-out PATH`` writes to PATH."""
+
+    entries = enumerate_matrix(["humble"], None, None, None)
+    return build_plan_document(
+        entries, "localhost", "Dockerfile.base-matrix", load_base_image_table()
+    )
+
+
+def matrix_list_humble_core() -> str:
+    code, out, err = _forge(
+        ["matrix", "list", "--distro", "humble", "--component", "core", "--format", "yaml"]
+    )
+    assert (code, err) == (0, ""), err
+    return out
+
+
+# Help, an unknown subcommand, a missing required option, and an option
+# before the subcommand that takes it.
+_PARSER_ARGVS = (
+    ["-h"],
+    ["generate", "-h"],
+    ["analyze", "-h"],
+    ["deploy", "ws"],
+    ["generate", "ci", "--platform", "github"],
+    ["generate", "--dry-run", "ci", "--platform", "github", "--image-name", "app"],
+)
+
+
+def cli_parser() -> str:
+    parts = []
+    for argv in _PARSER_ARGVS:
+        code, out, err = _forge(argv)
+        parts.append(
+            f"$ forge {shlex.join(argv)}\n# exit {code}\n# stdout\n{out}# stderr\n{err}"
+        )
+    return "".join(parts)
+
+
 # Each planned image gives a Dockerfile golden and, beside it, its ignore file.
 _PLANS = (minimal_dev, minimal_run, multi_repo_run_slim, catkin_noetic_run)
 
@@ -121,4 +194,8 @@ CASES: dict[str, Callable[[], str]] = {
     "ci_github.yml": ci_github,
     "ci_gitlab.yml": ci_gitlab,
     "ci_grid.yml": ci_grid,
+    "analyze_multi_repo.yml": analyze_multi_repo,
+    "matrix_plan_humble.yml": matrix_plan_humble,
+    "matrix_list_humble_core.yml": matrix_list_humble_core,
+    "cli_parser.txt": cli_parser,
 }

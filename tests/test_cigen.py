@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import shutil
 import subprocess
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pipeline_graph import job_graph
 
@@ -198,3 +201,67 @@ def test_tag_grammar_in_output() -> None:
     assert "registry.example.com/group/robot-stack:dev " in text or (
         "registry.example.com/group/robot-stack:dev\n" in text
     )
+
+
+# Characters git treats specially in a branch name, quotes and ordinary ones.
+_BRANCH_TEXT = st.text(alphabet=list("ab./-@{}~^:?*[\\'\" \tHEADlock\x7f\x01\u00e9"), max_size=10)
+_BRANCH_EDGES = [
+    "HEAD", "@", "a.lock", "a.lock/b", ".a", "a/.b", "a..b", "-a", "a/", "/a", "a.", "a//b",
+    "x/HEAD", "feature/x-1", "r\u00e9sum\u00e9", "x' || true || '", 'x" || "1',
+]
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="git is not installed")
+@settings(max_examples=200, deadline=None)
+@given(_BRANCH_TEXT | st.sampled_from(_BRANCH_EDGES))
+def test_a_push_branch_is_a_git_branch_name_without_quotes(tmp_path_factory, branch: str) -> None:
+    git = subprocess.run(
+        ["git", "check-ref-format", "--branch", branch],
+        cwd=tmp_path_factory.getbasetemp(), capture_output=True, check=False,
+    )
+    # git reads @{...} as a reflog expression; forge takes none of them.
+    valid = git.returncode == 0 and not {"'", '"'} & set(branch) and "@{" not in branch
+    try:
+        text = generate_pipeline(spec(push_on_branch=branch, platform="gitlab"))
+    except InvalidSpec as exc:
+        assert not valid, exc
+        assert repr(branch) in str(exc)
+    else:
+        assert valid
+        rule = yaml.safe_load(text)["push"]["rules"][0]["if"]
+        assert rule == f'$CI_COMMIT_BRANCH == "{branch}"'
+
+
+def test_a_quote_in_the_push_branch_cannot_widen_the_condition() -> None:
+    with pytest.raises(InvalidSpec, match="not a git branch name"):
+        generate_pipeline(spec(push_on_branch="x' || true || '"))
+
+
+_PRINTABLE = st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=40)
+
+
+@st.composite
+def pipeline_specs(draw: st.DrawFn) -> PipelineSpec:
+    """Specs generate_pipeline accepts, every value printable ASCII."""
+
+    targets = draw(st.lists(st.sampled_from(TARGETS), min_size=1, unique=True))
+    return PipelineSpec(
+        platform=draw(st.sampled_from(("github", "gitlab"))),
+        image_name=draw(st.from_regex(r"[a-z0-9][a-z0-9_.\-/]{0,30}", fullmatch=True)),
+        registry=draw(_PRINTABLE.filter(bool)),
+        platforms=tuple(draw(st.lists(st.sampled_from(("amd64", "arm64")), min_size=1, unique=True))),
+        enable_test_stage="dev" in targets and draw(st.booleans()),
+        push_on_branch=draw(
+            st.from_regex(r"[a-z0-9]{1,12}(?:[/_-][a-z0-9]{1,12}){0,4}", fullmatch=True)
+        ),
+        base_image=draw(_PRINTABLE),
+        target_stages=tuple(targets),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(pipeline_specs())
+def test_a_pipeline_is_written_as_the_pure_python_emitter_writes_it(pipeline: PipelineSpec) -> None:
+    text = generate_pipeline(pipeline)
+    document = yaml.safe_load(text)
+    assert text == yaml.safe_dump(document, sort_keys=False, default_flow_style=False, width=120)

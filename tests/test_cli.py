@@ -180,11 +180,31 @@ class Setting(NamedTuple):
     bad: dict[str, st.SearchStrategy]  # layer: a value that layer rejects
 
 
+# Registries the Docker reference grammar allows: host[:port][/path].
+_REGISTRIES = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(("localhost", "reg.example", "10.0.0.1", "[::1]", "my-reg.io", "R2")),
+        st.sampled_from(("", ":5000")),
+        st.sampled_from(("", "/acme", "/a.b/c__d", "/g--1")),
+    ),
+)
+# What it does not: a shell word break, a leading or trailing separator, an
+# upper-case path, a port with no digits, whitespace.
+_BAD_REGISTRIES = (
+    "reg.io; touch /tmp/pwned #", "-reg", "reg-", "reg/", "reg/Acme", "reg:", "reg:x", "a b",
+    "reg/a..b", "reg..io",
+)
+
 SETTINGS = (
     Setting(
         "registry", "registry", "FORGE_REGISTRY", "--registry",
-        _as_is(st.text("abc.-:/019", min_size=1, max_size=10)),
-        {"file": st.sampled_from(("", None, 5, ["a", "b"])), "env": st.just(""), "flag": st.just("")},
+        _as_is(_REGISTRIES),
+        {
+            "file": st.sampled_from(("", None, 5, ["a", "b"], *_BAD_REGISTRIES)),
+            "env": st.sampled_from(("", *_BAD_REGISTRIES)),
+            "flag": st.sampled_from(("", *_BAD_REGISTRIES)),
+        },
     ),
     Setting(
         "default_distro", "default_distro", "FORGE_DISTRO", "--distro",
@@ -916,7 +936,7 @@ def _base_as_parsed(words: list[str]) -> str | None:
     """The ``--base`` forge's own parser reads from a CI ``forge build`` command; None if none."""
 
     with contextlib.redirect_stderr(io.StringIO()), contextlib.suppress(SystemExit):
-        return build_parser().parse_args(words[1:]).base
+        return build_parser(words[1:]).parse_args(words[1:]).base
     return None
 
 
@@ -1600,3 +1620,42 @@ def test_version_flag(capsys) -> None:
 
 def test_no_subcommand_exits_2(capsys) -> None:
     assert main([]) == 2
+
+
+def test_a_registry_that_is_not_host_port_path_exits_2(capsys, monkeypatch, tmp_path) -> None:
+    monkeypatch.chdir(tmp_path)
+    registry = "reg.io; touch /tmp/pwned #"
+    code = main([
+        "generate", "ci", "--platform", "github", "--image-name", "a/b", "--registry", registry,
+        "-o", "-",
+    ])
+    assert (code, capsys.readouterr()) == (2, (
+        "",
+        f"forge: error: ConfigError: --registry must be a registry host[:port][/path], "
+        f"got {registry!r}\n",
+    ))
+
+
+def test_a_push_branch_with_a_quote_exits_2(capsys, monkeypatch, tmp_path) -> None:
+    monkeypatch.chdir(tmp_path)
+    branch = "x' || true || '"
+    code = main([
+        "generate", "ci", "--platform", "github", "--image-name", "app", "--push-branch", branch,
+        "-o", "-",
+    ])
+    assert (code, capsys.readouterr()) == (2, (
+        "", f"forge: error: InvalidSpec: push branch {branch!r} is not a git branch name "
+        "without quotes\n",
+    ))
+
+
+def test_a_non_utf8_path_is_escaped_in_yaml(capsys, monkeypatch, tmp_path) -> None:
+    monkeypatch.chdir(tmp_path)
+    # What surrogateescape makes of the byte 0xff in a command-line argument.
+    dockerfile = os.fsdecode(b"base\xff.Dockerfile")
+    argv = ["matrix", "build", "--distro", "humble", "--component", "core", "--ml", "none",
+            "--dockerfile", dockerfile, "--plan-out", "plan.yml"]
+    assert main(argv, driver=RecordingDriver()) == 0
+    text = (tmp_path / "plan.yml").read_text(encoding="utf-8")
+    assert 'dockerfile_path: "base\\uDCFF.Dockerfile"\n' in text
+    assert yaml.safe_load(text)["images"][0]["dockerfile_path"] == dockerfile

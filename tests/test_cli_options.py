@@ -1,6 +1,6 @@
 """Every option of every subcommand changes what forge does.
 
-The table below holds one row for each argument that ``build_parser()``
+The table below holds one row for each argument that ``build_parser``
 gives a subcommand, so an option added without a row fails here. Each row
 runs the subcommand with and without a valid non-default value of its
 argument, in a fresh copy of the same inputs, and requires a difference
@@ -182,12 +182,36 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 _SECONDS = re.compile(r"\d+\.\d+s")
 
 
-def _subcommand_parsers(parser: argparse.ArgumentParser, path: str = ""):
+def _choices(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """The subcommand parsers of ``parser`` by name; empty for a command."""
+
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
-            for name, sub in action.choices.items():
-                yield from _subcommand_parsers(sub, f"{path} {name}".strip())
-            return
+            return action.choices
+    return {}
+
+
+def full_parser(path: tuple[str, ...] = ()) -> argparse.ArgumentParser:
+    """The parser of ``path`` with every command below it built.
+
+    ``build_parser`` builds only the command its argv names, so each
+    command's parser is taken from a ``build_parser`` call naming it.
+    """
+
+    parser = build_parser(list(path))
+    for name in path:
+        parser = _choices(parser)[name]
+    choices = _choices(parser)
+    for name in choices:
+        choices[name] = full_parser((*path, name))
+    return parser
+
+
+def _subcommand_parsers(parser: argparse.ArgumentParser, path: str = ""):
+    if choices := _choices(parser):
+        for name, sub in choices.items():
+            yield from _subcommand_parsers(sub, f"{path} {name}".strip())
+        return
     yield path, parser
 
 
@@ -195,7 +219,7 @@ def parser_arguments() -> set[tuple[str, str]]:
     """(subcommand, argument) for every argument but ``--help``."""
 
     pairs = set()
-    for sub, parser in _subcommand_parsers(build_parser()):
+    for sub, parser in _subcommand_parsers(full_parser()):
         for action in parser._actions:
             if not isinstance(action, argparse._HelpAction):
                 pairs.add((sub, max(action.option_strings, key=len, default=action.dest)))
@@ -268,6 +292,29 @@ def test_argument_changes_what_forge_does(run_root, row: Row) -> None:
     assert observe([*command, *with_value, *row.context], run_root) != without
 
 
+@pytest.mark.parametrize("row", ROWS, ids=[f"{r.subcommand} {r.argument}" for r in ROWS])
+def test_the_command_parser_reads_argv_as_the_full_parser_does(row: Row) -> None:
+    base = BASE[row.subcommand]
+    with_value = [*base, *row.value] if row.argument.startswith("-") else [*row.value, *base[1:]]
+    for rest in (base, with_value):
+        argv = [*row.subcommand.split(), *rest, *row.context]
+        own = build_parser(argv).parse_known_args(argv)
+        assert own == full_parser().parse_known_args(argv)
+        assert own[0].handler.__name__.startswith("cmd_")
+
+
+def test_a_command_parser_builds_only_its_own_command() -> None:
+    parser = build_parser(["generate", "ci", "--platform", "github"])
+    generate = _choices(parser)["generate"]
+    assert [a.dest for a in _choices(generate)["ci"]._actions][:2] == ["help", "config"]
+    assert [a.dest for a in _choices(generate)["dockerfile"]._actions] == ["help"]
+    assert all(
+        [a.dest for a in sub._actions] == ["help"]
+        for name, sub in _choices(parser).items()
+        if name != "generate"
+    )
+
+
 def readme_config_rows() -> list[list[str]]:
     """The cells of each row of README's Configuration table."""
 
@@ -278,7 +325,7 @@ def readme_config_rows() -> list[list[str]]:
 
 def test_readme_configuration_table_matches_the_config_table() -> None:
     readers: dict[str, list[str]] = {}
-    for sub, parser in _subcommand_parsers(build_parser()):
+    for sub, parser in _subcommand_parsers(full_parser()):
         for action in parser._actions:
             readers.setdefault(action.dest, []).append(sub)
     expected = []

@@ -34,7 +34,14 @@ from forge.errors import UnresolvedDependencies
 from forge.manifest import PackageManifest, scan_workspace
 
 from conftest import image_spec
-from dockerfile_syntax import copy_operands, dockerfile_problems, ignore_admits, instructions
+from dockerfile_syntax import (
+    copy_destination,
+    copy_operands,
+    copy_source,
+    dockerfile_problems,
+    ignore_admits,
+    instructions,
+)
 
 
 def make_plan(analysis, **kwargs) -> DockerfilePlan:
@@ -463,6 +470,51 @@ def test_a_package_at_the_root_leaves_nothing_out(minimal_analysis) -> None:
     assert ignore_admits(render_dockerignore(plan, ""))("any/file")
 
 
+# Path components with every character BuildKit's COPY reads specially.
+_COMPONENTS = st.text(alphabet="ab[]*?$'\"\\- {}^!", min_size=1, max_size=6).filter(
+    lambda part: part not in (".", "..") and part == part.strip()
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_COMPONENTS, min_size=1, max_size=3), st.booleans())
+def test_every_copy_operand_names_exactly_its_path(minimal_analysis, parts, below_src) -> None:
+    rel = "/".join(["src", *parts] if below_src else parts)
+    plan = make_plan(minimal_analysis, target="dev", packages=(PackageManifest("odd", source_dir=rel),))
+    text = render(plan)
+    assert dockerfile_problems(text) == []
+    planned = sorted(
+        (i.src, i.dst) for stage in plan.stages for i in stage.instructions
+        if isinstance(i, (CopyContext, CopyFromStage))
+    )
+    read = sorted(
+        (copy_source(operands[0]), copy_destination(operands[1]))
+        for line in instructions(text) if line.startswith("COPY ")
+        for operands in [copy_operands(line)]
+    )
+    assert read == planned
+
+
+@pytest.mark.parametrize(
+    ("path", "copy"),
+    [
+        ("src/odd[1]", "COPY src/odd[[]1]/package.xml /ws/src/odd[1]/package.xml"),
+        ("src/st*r", "COPY src/st[*]r/package.xml /ws/src/st*r/package.xml"),
+        ("src/$HOME", "COPY src/\\$HOME/package.xml /ws/src/\\$HOME/package.xml"),
+        ("src/a\\b/c?", "COPY src/a\\\\b/c[?]/package.xml /ws/src/a\\\\b/c?/package.xml"),
+        ("src/c?/a\\b", "COPY src/c[?]/a\\\\\\\\b/package.xml /ws/src/c?/a\\\\b/package.xml"),
+        ("--from=x", "COPY \\--from=x/package.xml /ws/src/--from=x/package.xml"),
+        ("[x]", 'COPY ["[[]x]/package.xml", "/ws/src/[x]/package.xml"]'),
+        ("src/it's [x]", 'COPY ["src/it\\\\\'s [[]x]/package.xml", "/ws/src/it\\\\\'s [x]/package.xml"]'),
+    ],
+)
+def test_a_copy_operand_escapes_what_buildkit_reads_specially(
+    minimal_analysis, path: str, copy: str
+) -> None:
+    plan = make_plan(minimal_analysis, target="run", packages=(PackageManifest("odd", source_dir=path),))
+    assert copy in render(plan).splitlines()
+
+
 @pytest.mark.parametrize("name", ["my pkg", "two  spaces", "nb\u00a0pkg"])
 def test_whitespace_in_a_package_path_gives_two_copy_operands(tmp_path, name: str) -> None:
     (tmp_path / "src" / name).mkdir(parents=True)
@@ -483,8 +535,9 @@ def test_whitespace_in_a_package_path_gives_two_copy_operands(tmp_path, name: st
         ("src/pkg ", None),
         (" top", None),
         ("src/pkg", "pre.sh "),
+        ("src/a\udcffb", None),
     ],
-    ids=["control", "newline", "trailing-space", "leading-space", "script"],
+    ids=["control", "newline", "trailing-space", "leading-space", "script", "not-utf8"],
 )
 def test_a_path_no_copy_and_ignore_line_can_name_exits_2(tmp_path, path: str, script) -> None:
     (tmp_path / path).mkdir(parents=True)

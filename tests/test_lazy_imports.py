@@ -6,7 +6,8 @@ Every subcommand runs here in a fresh interpreter, which also shows a
 missing bind as a failing command.
 
 forge's records are NamedTuples, so no command loads ``dataclasses`` (which
-loads ``inspect``). Only code that spawns a process loads ``subprocess``.
+loads ``inspect``). Only code that spawns a process loads ``subprocess``,
+and only code that reads or writes JSON loads ``json``.
 """
 
 from __future__ import annotations
@@ -28,34 +29,37 @@ from conftest import FIXTURE_ROOT
 MINIMAL = str(FIXTURE_ROOT / "minimal")
 SOURCE_ROOT = str(Path(forge.__file__).resolve().parent.parent)
 
+# The module list is taken before the script imports json to print it.
 _SCRIPT = """
-import json, sys
+import sys
 import forge.cli
-code = forge.cli.main(json.loads(sys.argv[1]))
-print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+code = forge.cli.main(sys.argv[1:])
+modules = sorted(sys.modules)
+import json
+print(json.dumps({"code": code, "modules": modules}))
 """
 
 # Command id, argv ("{tmp}" is the test's temporary directory), forge layers
-# that must stay unimported.
+# that must stay unimported, and whether the command may load json.
 COMMANDS = [
-    ("version", ["--version"], None),
-    ("analyze", ["analyze", MINIMAL], {"dockergen", "engine", "devrun", "cigen", "matrix"}),
+    ("version", ["--version"], None, False),
+    ("analyze", ["analyze", MINIMAL], {"dockergen", "engine", "devrun", "cigen", "matrix"}, True),
     ("generate-dockerfile", ["generate", "dockerfile", MINIMAL, "-o", "{tmp}/Dockerfile"],
-     {"engine", "devrun", "cigen", "matrix"}),
+     {"engine", "devrun", "cigen", "matrix"}, True),
     ("generate-ci", ["generate", "ci", "--platform", "github", "--image-name", "app",
                      "-o", "{tmp}/ci.yml"],
-     {"depgraph", "manifest", "dockergen", "engine", "devrun", "matrix"}),
+     {"depgraph", "manifest", "dockergen", "engine", "devrun", "matrix"}, False),
     ("build", ["build", MINIMAL, "--dry-run", "--dockerfile-out", "{tmp}/Dockerfile"],
-     {"devrun", "cigen", "matrix"}),
+     {"devrun", "cigen", "matrix"}, True),
     ("matrix-list", ["matrix", "list", "--distro", "humble"],
-     {"depgraph", "manifest", "dockergen", "engine", "devrun", "cigen"}),
+     {"depgraph", "manifest", "dockergen", "engine", "devrun", "cigen"}, False),
     ("matrix-build", ["matrix", "build", "--distro", "noetic", "--component", "core",
                       "--dry-run", "--plan-out", "{tmp}/plan.yml"],
-     {"depgraph", "manifest", "dockergen", "devrun", "cigen"}),
+     {"depgraph", "manifest", "dockergen", "devrun", "cigen"}, False),
     ("run", ["run", "--dry-run", "ros:humble"],
-     {"depgraph", "manifest", "dockergen", "cigen", "matrix"}),
+     {"depgraph", "manifest", "dockergen", "cigen", "matrix"}, False),
     ("bench-startup", ["bench", "startup", "--dry-run", "ros:humble"],
-     {"depgraph", "manifest", "dockergen", "devrun", "cigen", "matrix"}),
+     {"depgraph", "manifest", "dockergen", "devrun", "cigen", "matrix"}, False),
 ]
 
 
@@ -66,7 +70,7 @@ def _modules_after(argv: list[str], tmp_path: Path) -> set[str]:
         "XDG_CACHE_HOME": str(tmp_path / "cache"),
     }
     completed = subprocess.run(
-        [sys.executable, "-c", _SCRIPT, json.dumps(argv)],
+        [sys.executable, "-c", _SCRIPT, *argv],
         cwd=tmp_path,
         env=env,
         capture_output=True,
@@ -80,9 +84,9 @@ def _modules_after(argv: list[str], tmp_path: Path) -> set[str]:
 
 
 @pytest.mark.parametrize(
-    ("argv", "unloaded"), [c[1:] for c in COMMANDS], ids=[c[0] for c in COMMANDS]
+    ("argv", "unloaded", "reads_json"), [c[1:] for c in COMMANDS], ids=[c[0] for c in COMMANDS]
 )
-def test_command_imports_only_its_layers(tmp_path, argv, unloaded) -> None:
+def test_command_imports_only_its_layers(tmp_path, argv, unloaded, reads_json) -> None:
     modules = _modules_after([arg.format(tmp=tmp_path) for arg in argv], tmp_path)
     loaded = {name for name in modules if name.startswith("forge.")}
     if unloaded is None:
@@ -92,6 +96,8 @@ def test_command_imports_only_its_layers(tmp_path, argv, unloaded) -> None:
     if argv[:2] != ["matrix", "build"]:
         assert "concurrent.futures" not in modules
     assert not modules & {"dataclasses", "inspect"}
+    if not reads_json:
+        assert "json" not in modules
     # run spawns nvidia-smi to count GPUs on a host that has it.
     if argv[0] != "run":
         assert "subprocess" not in modules

@@ -1,4 +1,5 @@
-"""YAML reading through one loader class, and the composed-document reader."""
+"""YAML reading through one loader class, the composed-document reader, and
+YAML writing through one dumper class."""
 
 from __future__ import annotations
 
@@ -7,9 +8,11 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forge.errors import UserError
-from forge.textio import ComposedDocument, load_yaml
+from forge.textio import ComposedDocument, dump_yaml, load_yaml
 
 
 def safe_load(text: str) -> object:
@@ -78,3 +81,67 @@ def test_a_key_safe_load_rejects_is_a_yaml_error(text: str) -> None:
     doc = ComposedDocument(text, "in.yaml")
     with pytest.raises(yaml.YAMLError):
         doc.mapping(doc.root)
+
+
+_DUMPER_NAMES = {"CSafeDumper", "SafeDumper", "safe_dump", "dump"}
+
+
+def _dumper_uses(path: Path) -> list[str]:
+    """Each ``yaml.<dumper>`` attribute and dumper name as text in ``path``."""
+
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr in _DUMPER_NAMES:
+            if isinstance(node.value, ast.Name) and node.value.id == "yaml":
+                uses.append(f"yaml.{node.attr}")
+        elif isinstance(node, ast.Constant) and node.value in _DUMPER_NAMES:
+            uses.append(repr(node.value))
+    return [f"{path.name}:{use}" for use in uses]
+
+
+def test_only_textio_picks_a_yaml_dumper() -> None:
+    # libyaml's emitter where PyYAML has it: about three times faster.
+    assert "textio.py:'CSafeDumper'" in _dumper_uses(SOURCE_DIR / "textio.py")
+    paths = sorted(SOURCE_DIR.glob("*.py"))
+    assert [use for path in paths if path.name != "textio.py" for use in _dumper_uses(path)] == []
+
+
+def _documents(text: st.SearchStrategy[str]) -> st.SearchStrategy[object]:
+    """Mappings and sequences as forge writes them: non-empty keys, scalar and nested values."""
+
+    scalars = st.one_of(text, st.integers(), st.booleans(), st.none())
+    keys = text.filter(bool)
+    return st.recursive(
+        st.lists(scalars, max_size=4) | st.dictionaries(keys, scalars, min_size=1, max_size=4),
+        lambda inner: st.lists(inner | scalars, max_size=4)
+        | st.dictionaries(keys, inner | scalars, min_size=1, max_size=4),
+        max_leaves=20,
+    )
+
+
+# Printable ASCII, newline and tab: what the property below holds for.
+_PLAIN_TEXT = st.text(alphabet=[chr(c) for c in range(32, 127)] + ["\n", "\t"], max_size=200)
+_ANY_TEXT = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=200)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents(_PLAIN_TEXT), st.booleans(), st.sampled_from([80, 120]))
+def test_plain_text_is_written_as_safe_dump_writes_it(doc, sort_keys, width) -> None:
+    expected = yaml.safe_dump(doc, sort_keys=sort_keys, default_flow_style=False, width=width)
+    assert dump_yaml(doc, sort_keys=sort_keys, width=width) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents(_ANY_TEXT), st.booleans(), st.sampled_from([80, 120]))
+def test_any_text_parses_back_to_what_safe_dump_writes(doc, sort_keys, width) -> None:
+    # Long double-quoted scalars with escapes may fold at other places.
+    text = dump_yaml(doc, sort_keys=sort_keys, width=width)
+    expected = yaml.safe_dump(doc, sort_keys=sort_keys, default_flow_style=False, width=width)
+    assert yaml.safe_load(text) == yaml.safe_load(expected) == doc
+
+
+def test_a_lone_surrogate_is_escaped_as_safe_dump_escapes_it() -> None:
+    # What surrogateescape makes of the byte 0xff in a path.
+    doc = {"workspace": "ws\udcff", "packages": ["a"]}
+    text = dump_yaml(doc, sort_keys=True)
+    assert text == yaml.safe_dump(doc, sort_keys=True) == 'packages:\n- a\nworkspace: "ws\\uDCFF"\n'
