@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import io
 import os
 import re
 import shlex
@@ -936,6 +937,11 @@ def _add_commands(
 
 
 def main(argv: list[str] | None = None, driver: EngineDriver | None = None) -> int:
+    # A byte of a path that is not UTF-8 reaches forge as a lone surrogate;
+    # print it back as that byte, as stdout does in a UTF-8 locale, also
+    # where PYTHONIOENCODING asks for strict errors.
+    if isinstance(sys.stdout, io.TextIOWrapper) and sys.stdout.errors == "strict":
+        sys.stdout.reconfigure(errors="surrogateescape")
     try:
         code = _main(sys.argv[1:] if argv is None else argv, driver)
         # A reader that closed early shows here, not in the exit-time flush.

@@ -10,7 +10,11 @@ manifest additions do not break scanning.
 Parsed manifests can be memoized in a cache directory, keyed by the
 sha256 of each ``package.xml`` file's bytes; the bytes are decoded and the
 XML parsed, and ``xml.etree`` imported, only for manifests the memo does
-not hold.
+not hold. Beside the records the memo keeps a stat snapshot of the walk
+that wrote it: while every path it watched (see :func:`_walk`) still
+stats the same, a scan builds its result from the snapshot without
+listing a directory, reading a manifest or hashing one (see
+:data:`RACY_MARGIN_NS` for when a snapshot can be trusted).
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ import functools
 import hashlib
 import os
 import re
-from itertools import repeat
+import time
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import __version__
 from .errors import (
@@ -39,8 +43,23 @@ VERSION_RE = re.compile(r"\d+(\.\d+)*")
 
 IGNORE_MARKERS = ("AMENT_IGNORE", "CATKIN_IGNORE", "COLCON_IGNORE")
 
-MANIFEST_MEMO_FORMAT = 3
+MANIFEST_MEMO_FORMAT = 4
 """Layout version of memoized manifests; part of every memo key."""
+
+RACY_MARGIN_NS = 2_000_000_000
+"""How much older than a walk's start each stat time must be for its snapshot to be kept.
+
+Git's racy-clean rule (``Documentation/technical/racy-git.txt`` in git's
+source). File timestamps come from a coarse clock: a jiffy (10 ms at
+most) behind the time of day, whole seconds on ext3 and HFS+, even
+seconds on FAT. A file changed just after the walk read it could keep
+its size and timestamps, unless each was this much older than the walk;
+then any later change gets a newer one. Nothing can set a ctime, so an
+edit that keeps the size and restores the mtime is still seen.
+"""
+
+_ABSENT = (-1, -1, -1, -1, -1)
+"""The stat signature of a path that names nothing."""
 
 # Dependency tag -> scopes it contributes to. ``depend`` expands to both
 # build and exec; ``build_export_depend`` and ``buildtool_depend`` count as
@@ -86,14 +105,14 @@ class ManifestMemo:
 
     ``cached`` holds the records read from a memo file and is only looked
     up. ``records`` gets the record of every manifest parsed through the
-    memo, so it holds exactly one scan's manifests; ``missed`` tells
-    whether any of them had to be parsed.
+    memo, so it holds exactly one scan's manifests, and ``digests`` the
+    digest of each in call order.
     """
 
     def __init__(self, cached: dict[str, object]) -> None:
         self.cached = cached
         self.records: dict[str, object] = {}
-        self.missed = False
+        self.digests: list[str] = []
 
 
 def evaluate_condition(expression: str, env: dict[str, str]) -> bool:
@@ -179,11 +198,11 @@ def _condition_holds(expression: str, env_items: tuple[tuple[str, str], ...]) ->
 
 
 def parse_manifest(
-    data: bytes,
+    data: bytes | str,
     condition_env: dict[str, str],
     source_dir: str,
     memo: ManifestMemo | None,
-) -> PackageManifest:
+) -> PackageManifest | None:
     """Parse one ``package.xml`` file's bytes into a :class:`PackageManifest`.
 
     The bytes are decoded as UTF-8 with newlines translated, as text-mode
@@ -192,19 +211,23 @@ def parse_manifest(
     and ROS_DISTRO) against which ``condition`` attributes are evaluated.
     A ``memo`` must only ever be used with one ``condition_env``: a record
     found there under the sha256 of ``data`` stands for the decode and the
-    parse, once it passes the same checks.
+    parse, once it passes the same checks. With a memo, ``data`` may
+    instead be the hex sha256 of bytes a stat snapshot vouches for; the
+    result is then None unless the memo holds a record for it that passes.
     """
 
     if memo is None:
         return _parse_xml(data, condition_env, source_dir)
-    digest = hashlib.sha256(data).hexdigest()
+    digest = data if type(data) is str else hashlib.sha256(data).hexdigest()
     record = memo.cached.get(digest)
     manifest = _from_record(record, source_dir)
     if manifest is None:
-        memo.missed = True
+        if type(data) is str:
+            return None
         manifest = _parse_xml(data, condition_env, source_dir)
         record = [manifest.name, sorted(manifest.deps_build), sorted(manifest.deps_exec)]
     memo.records[digest] = record
+    memo.digests.append(digest)
     return manifest
 
 
@@ -222,9 +245,13 @@ def _from_record(record: object, source_dir: str) -> PackageManifest | None:
     ):
         return None
     # Each key is one word: the joined keys split back into the same list
-    # only if none is empty or holds whitespace. The checks run in C.
+    # only if none is empty or holds whitespace, and join takes only
+    # strings. The checks run in C.
     keys = build + exec_
-    if not all(map(isinstance, keys, repeat(str))) or " ".join(keys).split() != keys:
+    try:
+        if " ".join(keys).split() != keys:
+            return None
+    except TypeError:
         return None
     return PackageManifest(name, frozenset(build), frozenset(exec_), source_dir)
 
@@ -306,6 +333,19 @@ def _is_file(entry: os.DirEntry) -> bool:
         raise
 
 
+def _signature(path: str | int) -> tuple[int, ...]:
+    """The stat signature of what ``path`` or a file descriptor names, links followed.
+
+    ``_ABSENT`` when that is nothing, or cannot be stat'ed.
+    """
+
+    try:
+        st = os.stat(path)
+    except (OSError, ValueError):
+        return _ABSENT
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+
+
 def scan_workspace(
     root: Path,
     condition_env: dict[str, str],
@@ -325,57 +365,205 @@ def scan_workspace(
     Each live ``package.xml`` is read once, as bytes. With ``cache_dir``,
     parsed manifests are memoized there as ``manifests-<key>.json``, one
     file per workspace, where the key is a sha256 over the memo format,
-    the forge version, the absolute root and the sorted ``condition_env``;
-    inside it each record is stored under the sha256 of its manifest
-    file's bytes, so a manifest the memo holds is neither decoded nor
-    parsed. After a scan that parsed any manifest, and only when
-    ``write_cache`` is true, the file is replaced by this scan's
-    manifests. Memo I/O errors fall back silently to parsing.
+    the forge version, the absolute root and the sorted ``condition_env``.
+    The file holds ``{"records": ..., "snapshot": ...}``. Each record is
+    stored under the sha256 of its manifest file's bytes, so a manifest
+    the memo holds is neither decoded nor parsed. The snapshot is the last
+    walk's, or null (see :func:`_walk` for when a walk stores none); while
+    it holds (see :func:`_from_snapshot`) no directory is listed and no
+    manifest read. Only when ``write_cache`` is true, and only when the
+    records change or the walk stores a snapshot, the file is replaced by
+    this scan's manifests and snapshot. Memo I/O errors fall back silently
+    to walking and parsing.
     """
 
     root = Path(root)
     if not root.is_dir():
         raise EmptyWorkspace(f"workspace root {root} is not a directory")
+    if cache_dir is None:
+        return _walk(root, condition_env, None)[0]
 
-    memo = memo_path = None
-    if cache_dir is not None:
-        env_parts = [part for item in sorted(condition_env.items()) for part in item]
-        digest = cache_key(
-            f"manifests/{MANIFEST_MEMO_FORMAT}", __version__, os.path.abspath(root), *env_parts
-        )
-        memo_path = Path(cache_dir) / f"manifests-{digest}.json"
-        cached = read_json(memo_path)
-        memo = ManifestMemo(cached if isinstance(cached, dict) else {})
+    abs_root = os.path.abspath(root)
+    env_parts = [part for item in sorted(condition_env.items()) for part in item]
+    digest = cache_key(f"manifests/{MANIFEST_MEMO_FORMAT}", __version__, abs_root, *env_parts)
+    memo_path = Path(cache_dir) / f"manifests-{digest}.json"
+    cached = read_json(memo_path)
+    if not isinstance(cached, dict):
+        cached = {}
+    records = cached.get("records")
+    if not isinstance(records, dict):
+        records = {}
+    workspace = _from_snapshot(
+        cached.get("snapshot"), root, abs_root, condition_env, ManifestMemo(records)
+    )
+    if workspace is not None:
+        return workspace
+    memo = ManifestMemo(records)
+    workspace, snapshot = _walk(root, condition_env, memo)
+    content = {"records": memo.records, "snapshot": snapshot and [abs_root, *snapshot]}
+    # A snapshot that failed is left in place, not rewritten as null: that
+    # would write the whole memo to save a failed check, and the next walk
+    # that stores a snapshot replaces it.
+    if write_cache and (snapshot is not None or memo.records != records) and content != cached:
+        write_json(memo_path, content)
+    return workspace
 
+
+def _from_snapshot(
+    snapshot: object,
+    root: Path,
+    abs_root: str,
+    condition_env: dict[str, str],
+    memo: ManifestMemo,
+) -> Workspace | None:
+    """The workspace a memo's snapshot stands for, or None unless it still holds.
+
+    The snapshot must be ``[abs_root, paths, digests, stats]`` as
+    :func:`scan_workspace` stores it for this root (see :func:`_walk`),
+    with no racy time in ``stats``, and every path must still stat to its
+    five ints there. The rows then give the result by the walk's own
+    rules: a row with a digest is a package in the directory that holds
+    the ``package.xml``, whose record must pass :func:`parse_manifest`'s
+    checks, and a present ignore marker ignores its directory. Package
+    names must be unique. A digest is trusted as a record is: only
+    hashing the manifest could check it.
+    """
+
+    if type(snapshot) is not list or len(snapshot) != 4:
+        return None
+    snapshot_root, paths, digests, stats = snapshot
+    if not (
+        snapshot_root == abs_root
+        and set(map(type, snapshot[1:])) == {list}
+        and paths
+        and len(digests) == len(paths)
+        and len(stats) == 5 * len(paths)
+        and set(map(type, paths)) == set(map(type, digests)) == {str}
+        and set(map(type, stats)) == {int}
+        and max(max(stats[3::5]), max(stats[4::5])) < time.time_ns() - RACY_MARGIN_NS
+    ):
+        return None
+    head = _head(str(root))
+    ints = iter(stats)
+    signatures = list(zip(ints, ints, ints, ints, ints))
+    # A miss stops at the first change.
+    for path, signature in zip(paths, signatures):
+        if _signature(head + path) != signature:
+            return None
+
+    packages = []
+    ignored = set()
+    for path, digest, signature in zip(paths, digests, signatures):
+        directory, _, name = path.rpartition("/")
+        if digest:
+            if name != "package.xml":
+                return None
+            manifest = parse_manifest(digest, condition_env, directory or ".", memo)
+            if manifest is None:
+                return None
+            packages.append(manifest)
+        elif name in IGNORE_MARKERS and signature != _ABSENT:
+            ignored.add(directory)
+    if not packages or len({pkg.name for pkg in packages}) != len(packages):
+        return None
+    packages.sort(key=lambda p: p.name)
+    return Workspace(packages, _ignored_dirs(root, ignored))
+
+
+def _head(directory: str) -> str:
+    """``directory`` as a prefix for the names in it.
+
+    Only a root such as "/" already ends in a slash.
+    """
+
+    return directory if directory.endswith("/") else directory + "/"
+
+
+def _ignored_dirs(root: Path, ignored: Iterable[str]) -> list[Path]:
+    return sorted(Path(_head(str(root)) + rel) if rel else root for rel in ignored)
+
+
+def _walk(
+    root: Path, condition_env: dict[str, str], memo: ManifestMemo | None
+) -> tuple[Workspace, list | None]:
+    """List ``root`` for :func:`scan_workspace`; also return the walk's snapshot.
+
+    The snapshot is ``[paths, digests, stats]``, one row per watched path:
+    each directory listed, and each ignore marker and ``package.xml``
+    entry seen, relative to ``root``; the manifest's digest for a
+    ``package.xml`` that was read, else ""; and five stat ints
+    ``(st_dev, st_ino, st_size, st_mtime_ns, st_ctime_ns)`` for each,
+    links followed, ``_ABSENT`` for a name that points nowhere. Of an
+    ignored directory only its present markers are watched, so files
+    written under it do not spoil the snapshot. A directory is stat'ed
+    before it is listed, and a manifest through the open file before it
+    is read, so a change made during the walk shows as a newer time. The
+    snapshot is None when a time in it is racy (see
+    :data:`RACY_MARGIN_NS`), and when the memo held no record: a
+    workspace scanned for the first time, as in every CI job, may never
+    be scanned again, so only its next walk stats its directories.
+    """
+
+    start = time.time_ns()
+    track = memo is not None and bool(memo.cached)
     packages: list[PackageManifest] = []
-    ignored: list[Path] = []
+    ignored: list[str] = []
+    paths: list[str] = []
+    digests: list[str] = []
+    stats: list[int] = []
+
+    def watch(path: str, digest: str, signature: tuple[int, ...]) -> None:
+        paths.append(path)
+        digests.append(digest)
+        stats.extend(signature)
+
     # Directories left to visit as (path, path relative to root), next last.
     stack = [(str(root), "")]
     while stack:
         directory, rel = stack.pop()
-        ignore = False
+        rel_head = rel + "/" if rel else ""
+        rows = len(paths)
+        markers: list[tuple[str, tuple[int, ...]]] = []
         manifest_path = None
         children: list[str] = []
         try:
+            if track:
+                # A directory that cannot be stat'ed cannot be listed either.
+                watch(rel, "", _signature(directory))
             with os.scandir(directory) as entries:
                 for entry in entries:
                     name = entry.name
                     if name in IGNORE_MARKERS:
-                        # A dangling marker symlink does not count.
-                        ignore = ignore or os.path.exists(entry.path)
+                        markers.append((rel_head + name, _signature(entry.path)))
                     elif name == "package.xml" and _is_file(entry):
                         manifest_path = entry.path
-                    elif not name.startswith(".") and entry.is_dir(follow_symlinks=False):
-                        children.append(name)
+                    else:
+                        if track and name == "package.xml":
+                            # A link that names no file can come to name
+                            # one while this directory stays the same.
+                            watch(rel_head + name, "", _signature(entry.path))
+                        if not name.startswith(".") and entry.is_dir(follow_symlinks=False):
+                            children.append(name)
+            # A dangling marker symlink does not count.
+            ignore = any(signature is not _ABSENT for _, signature in markers)
+            if track:
+                if ignore:
+                    # Only a present marker's removal can change that.
+                    del paths[rows:], digests[rows:], stats[5 * rows:]
+                for marker, signature in markers:
+                    if not (ignore and signature is _ABSENT):
+                        watch(marker, "", signature)
             if manifest_path is not None and not ignore:
                 with open(manifest_path, "rb", buffering=0) as handle:
+                    if track:
+                        manifest_signature = _signature(handle.fileno())
                     data = handle.read()
         except OSError as exc:
             raise UnreadableWorkspace(
                 f"cannot read {exc.filename or directory}: {exc.strerror}"
             ) from exc
         if ignore:
-            ignored.append(Path(directory))
+            ignored.append(rel)
         elif manifest_path is not None:
             try:
                 manifest = parse_manifest(data, condition_env, rel or ".", memo)
@@ -387,11 +575,11 @@ def scan_workspace(
                     f"{manifest_path} is not UTF-8: {exc.reason} at byte {exc.start}"
                 ) from exc
             packages.append(manifest)
+            if track:
+                watch(rel_head + "package.xml", memo.digests[-1], manifest_signature)
         else:
             children.sort(reverse=True)
-            # Only a root such as "/" already ends in a slash.
-            head = directory if directory.endswith("/") else directory + "/"
-            rel_head = rel + "/" if rel else ""
+            head = _head(directory)
             stack.extend([(head + name, rel_head + name) for name in children])
 
     if not packages:
@@ -406,6 +594,7 @@ def scan_workspace(
         seen[pkg.name] = pkg.source_dir
 
     packages.sort(key=lambda p: p.name)
-    if memo is not None and memo.missed and write_cache:
-        write_json(memo_path, memo.records)
-    return Workspace(packages=packages, ignored_dirs=sorted(ignored))
+    workspace = Workspace(packages=packages, ignored_dirs=_ignored_dirs(root, ignored))
+    if not track or max(max(stats[3::5]), max(stats[4::5])) >= start - RACY_MARGIN_NS:
+        return workspace, None
+    return workspace, [paths, digests, stats]

@@ -151,7 +151,11 @@ def read_utf8(path: str | Path, error: type[UserError]) -> str:
 
 
 def cache_key(*parts: str) -> str:
-    """sha256 hex digest over ``parts``, each length-prefixed so none can run into the next."""
+    """sha256 hex digest over ``parts``, each length-prefixed so none can run into the next.
+
+    A part is hashed as UTF-8 with ``surrogateescape``, so a path holding a
+    byte that is not UTF-8 is hashed as its bytes on disk.
+    """
 
     # hashlib, json and tempfile are imported on use: commands that cache
     # nothing, such as ``forge --version``, then do not pay for them at startup.
@@ -159,7 +163,7 @@ def cache_key(*parts: str) -> str:
 
     digest = hashlib.sha256()
     for part in parts:
-        data = part.encode("utf-8")
+        data = part.encode("utf-8", "surrogateescape")
         digest.update(len(data).to_bytes(8, "big"))
         digest.update(data)
     return digest.hexdigest()

@@ -1659,3 +1659,18 @@ def test_a_non_utf8_path_is_escaped_in_yaml(capsys, monkeypatch, tmp_path) -> No
     text = (tmp_path / "plan.yml").read_text(encoding="utf-8")
     assert 'dockerfile_path: "base\\uDCFF.Dockerfile"\n' in text
     assert yaml.safe_load(text)["images"][0]["dockerfile_path"] == dockerfile
+
+
+def test_a_non_utf8_path_is_printed_as_its_byte_in_a_dry_run(tmp_path) -> None:
+    # PYTHONIOENCODING=utf-8 makes stdout's errors strict; the byte 0xff of an
+    # argument still comes out as that byte, so the printed command names the file.
+    completed = subprocess.run(
+        [sys.executable, "-m", "forge.cli", "matrix", "build", "--dry-run", "--distro", "humble",
+         "--component", "core", "--ml", "none", "--dockerfile", b"base\xff"],
+        capture_output=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": SOURCE_ROOT, "PYTHONIOENCODING": "utf-8"},
+        timeout=120,
+    )
+    assert (completed.returncode, completed.stderr) == (0, b"")
+    assert b" --file 'base\xff' " in completed.stdout

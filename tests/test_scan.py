@@ -14,12 +14,13 @@ import os
 import re
 import sys
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import forge.manifest
@@ -261,22 +262,53 @@ def _memo_workspace(root: Path) -> None:
             manifest_xml(name, CONDITIONAL + "<test_depend>gtest</test_depend>"),
             encoding="utf-8",
         )
+    (root / "build").mkdir()
+    (root / "build" / "COLCON_IGNORE").touch()
 
 
 def _warm(tmp_path: Path) -> tuple[Path, Path, bytes]:
-    """A workspace, a cache holding its memo, and the memo file's bytes."""
+    """A workspace, a cache holding its memo, and the memo file's bytes.
 
+    The first scan stores the records, the second the snapshot, unless
+    the workspace is too new for one (see ``no_racy_margin``).
+    """
+
+    root = tmp_path / "ws"
+    _memo_workspace(root)
+    cache = tmp_path / "cache"
+    for _ in range(2):
+        scan_workspace(root, ENV, cache, True)
+    (path,) = memo_files(cache)
+    return root, cache, path.read_bytes()
+
+
+def test_a_memo_without_records_gets_its_snapshot_on_the_next_walk(
+    tmp_path, no_racy_margin
+) -> None:
     root = tmp_path / "ws"
     _memo_workspace(root)
     cache = tmp_path / "cache"
     scan_workspace(root, ENV, cache, True)
     (path,) = memo_files(cache)
-    return root, cache, path.read_bytes()
+    assert json.loads(path.read_bytes())["snapshot"] is None
+    scan_workspace(root, ENV, cache, True)
+    assert json.loads(path.read_bytes())["snapshot"] is not None
+
+
+@pytest.fixture
+def no_racy_margin(monkeypatch) -> None:
+    """Keep the snapshot of a workspace written just before the scan.
+
+    Only for tests that change no file of the workspace after its first
+    scan: a change within the timestamp clock's granularity could go unseen.
+    """
+
+    monkeypatch.setattr(forge.manifest, "RACY_MARGIN_NS", 0)
 
 
 def test_warm_memo_skips_the_parse_and_the_write(tmp_path) -> None:
     root, cache, good = _warm(tmp_path)
-    records = json.loads(good)
+    records = json.loads(good)["records"]
     assert sorted(records.values()) == [
         ["alpha", ["rclcpp"], ["rclcpp"]],
         ["beta", ["rclcpp"], ["rclcpp"]],
@@ -299,6 +331,14 @@ def _set_field(index: int, value: object):
     return damage
 
 
+def _damaged_memo(good: bytes, part: str, damage) -> str:
+    """The memo file ``good`` with ``damage`` applied to its ``part``; a string replaces the file."""
+
+    doc = json.loads(good)
+    damaged = damage(doc[part])
+    return damaged if isinstance(damaged, str) else json.dumps({**doc, part: damaged})
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -319,13 +359,314 @@ def _set_field(index: int, value: object):
          "bad-name", "name-newline", "non-string-dep", "empty-dep", "dep-whitespace",
          "deps-not-list"],
 )
-def test_damaged_memo_is_a_rewritten_miss(tmp_path, damage) -> None:
+def test_damaged_memo_is_a_rewritten_miss(tmp_path, no_racy_margin, damage) -> None:
+    # The snapshot holds, so each damaged record is met on the snapshot's
+    # path first, then by the walk it falls back to.
+    root, cache, good = _warm(tmp_path)
+    assert json.loads(good)["snapshot"] is not None
+    (path,) = memo_files(cache)
+    path.write_text(_damaged_memo(good, "records", damage), "utf-8")
+    assert scan_workspace(root, ENV, cache, True) == scan_workspace(root, ENV, None, True)
+    assert json.loads(path.read_bytes())["records"] == json.loads(good)["records"]
+    # A memo that lost every record gets its snapshot back on the next walk.
+    scan_workspace(root, ENV, cache, True)
+    assert path.read_bytes() == good
+
+
+def _set_snapshot_part(index: int, change):
+    def damage(snapshot: list) -> list:
+        snapshot[index] = change(snapshot[index])
+        return snapshot
+
+    return damage
+
+
+def _add_row(path: str, like: str):
+    """Add a row for ``path`` with the digest and stats of the row for ``like``."""
+
+    def damage(snapshot: list) -> list:
+        root, paths, digests, stats = snapshot
+        row = paths.index(like)
+        return [root, [*paths, path], [*digests, digests[row]], stats + stats[5 * row:5 * row + 5]]
+
+    return damage
+
+
+def _rename_rows(renames: dict[str, str]):
+    return _set_snapshot_part(1, lambda paths: [renames.get(path, path) for path in paths])
+
+
+_ALPHA, _BETA = "src/alpha/package.xml", "src/beta/package.xml"
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda snapshot: {"snapshot": snapshot},
+        lambda snapshot: snapshot[:3],
+        _set_snapshot_part(3, lambda stats: stats[:-1]),
+        _set_snapshot_part(3, lambda stats: list(map(str, stats))),
+        _set_snapshot_part(2, lambda digests: [digest and "0" * 64 for digest in digests]),
+        _add_row(_ALPHA, _ALPHA),
+        _set_snapshot_part(0, lambda root: root + "-other"),
+        _rename_rows({_ALPHA: "src/package.xml"}),
+        _rename_rows({_ALPHA: _BETA, _BETA: _ALPHA}),
+        _rename_rows({"build/COLCON_IGNORE": "src/COLCON_IGNORE"}),
+        _add_row("src/alpha/COLCON_IGNORE", "build/COLCON_IGNORE"),
+    ],
+    ids=["not-a-list", "snapshot-short", "stats-short", "non-int-stats", "digest-not-in-records",
+         "duplicate-package", "other-root", "source-dir-changed", "source-dirs-swapped",
+         "ignored-changed", "ignored-added"],
+)
+def test_damaged_snapshot_is_a_rewritten_miss(tmp_path, no_racy_margin, damage) -> None:
     root, cache, good = _warm(tmp_path)
     (path,) = memo_files(cache)
-    damaged = damage(json.loads(good))
-    path.write_text(damaged if isinstance(damaged, str) else json.dumps(damaged), "utf-8")
+    path.write_text(_damaged_memo(good, "snapshot", damage), "utf-8")
     assert scan_workspace(root, ENV, cache, True) == scan_workspace(root, ENV, None, True)
     assert path.read_bytes() == good
+
+
+def test_snapshot_written_for_another_root_is_a_rewritten_miss(tmp_path, no_racy_margin) -> None:
+    # A link to the workspace is another root, with its own memo, whose
+    # snapshot's paths stat the same as the workspace's own.
+    root, cache, good = _warm(tmp_path)
+    other = tmp_path / "link"
+    other.symlink_to(root)
+    scan_workspace(other, ENV, cache, True)
+    (path,) = [memo for memo in memo_files(cache) if memo.read_bytes() == good]
+    (other_path,) = [memo for memo in memo_files(cache) if memo != path]
+    path.write_bytes(other_path.read_bytes())
+    assert scan_workspace(root, ENV, cache, True) == scan_workspace(root, ENV, None, True)
+    assert path.read_bytes() == good
+
+
+def test_snapshot_hit_lists_no_directory_and_reads_no_manifest(
+    tmp_path, monkeypatch, no_racy_margin
+) -> None:
+    root, cache, good = _warm(tmp_path)
+    expected = scan_workspace(root, ENV, None, True)
+    (path,) = memo_files(cache)
+    inode = path.stat().st_ino
+    monkeypatch.setattr(os, "scandir", mock.Mock(side_effect=AssertionError("listed")))
+    monkeypatch.setattr(forge.manifest, "open", mock.Mock(side_effect=AssertionError("read")),
+                        raising=False)
+    monkeypatch.setattr(forge.manifest, "_parse_xml", mock.Mock(side_effect=AssertionError("xml")))
+    assert scan_workspace(root, ENV, cache, True) == expected
+    assert path.stat().st_ino == inode
+
+
+def test_racy_snapshot_is_not_stored(tmp_path) -> None:
+    # The workspace was written just now, well inside the racy margin.
+    root, cache, good = _warm(tmp_path)
+    assert json.loads(good)["snapshot"] is None
+
+
+def test_a_racy_walk_leaves_a_failed_snapshot_in_place(tmp_path) -> None:
+    with mock.patch.object(forge.manifest, "RACY_MARGIN_NS", 0):
+        root, cache, good = _warm(tmp_path)
+    assert json.loads(good)["snapshot"] is not None
+    (path,) = memo_files(cache)
+    inode = path.stat().st_ino
+    # An editor's save next to a manifest: the package directory changes.
+    (root / "src" / "alpha" / "CMakeLists.txt").write_text("project(alpha)\n", "utf-8")
+    expected = scan_workspace(root, ENV, None, True)
+    with mock.patch("forge.manifest._walk", wraps=forge.manifest._walk) as walk:
+        assert scan_workspace(root, ENV, cache, True) == expected
+    assert walk.call_count == 1
+    assert path.stat().st_ino == inode
+
+
+def test_a_file_written_under_an_ignored_directory_keeps_the_snapshot(
+    tmp_path, no_racy_margin
+) -> None:
+    root, cache, good = _warm(tmp_path)
+    (root / "build" / "alpha").mkdir()
+    (root / "build" / "alpha" / "package.xml").write_text(manifest_xml("alpha"), "utf-8")
+    expected = scan_workspace(root, ENV, None, True)
+    assert expected.ignored_dirs == [root / "build"]
+    with mock.patch("forge.manifest._walk", side_effect=AssertionError("walked")):
+        assert scan_workspace(root, ENV, cache, True) == expected
+
+
+def test_non_utf8_workspace_path_round_trips_through_the_memo(tmp_path, no_racy_margin) -> None:
+    root = Path(os.fsdecode(bytes(tmp_path) + b"/ws\xff"))
+    _memo_workspace(root)
+    cache = tmp_path / "cache"
+    expected = scan_workspace(root, ENV, None, True)
+    for _ in range(2):
+        assert scan_workspace(root, ENV, cache, True) == expected
+    (path,) = memo_files(cache)
+    assert json.loads(path.read_bytes())["snapshot"][0] == str(root)
+    with mock.patch("forge.manifest._walk", side_effect=AssertionError("walked")):
+        assert scan_workspace(root, ENV, cache, True) == expected
+    assert main(["analyze", str(root)]) == 0
+
+
+# --- snapshot equivalence under edits ----------------------------------------
+#
+# Each drawn edit changes the workspace after a scan that stored a snapshot;
+# the scan after it must see the change. The margin is kept just above the
+# timestamp clock's granularity, and the first scan waits it out.
+
+_MARGIN_S = 0.05
+
+
+def _entries(root: Path, match) -> list[Path]:
+    """Paths under ``root`` (links not followed) for which ``match`` holds, in order."""
+
+    found = []
+    for directory, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        for name in sorted(dirnames + filenames):
+            path = Path(directory, name)
+            if match(path):
+                found.append(path)
+    return found
+
+
+def _rewrite_same_size(path: Path, data: bytes) -> None:
+    """Replace ``path``'s bytes in place with ``data``, padded to its size, mtime restored."""
+
+    before = path.stat()
+    size = before.st_size
+    path.write_bytes(data[:size].ljust(size, b" "))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+
+
+def _edit_manifest_in_place(draw, root: Path, store: Path) -> None:
+    files = _entries(root, lambda p: p.name == "package.xml" and p.is_file() and not p.is_symlink())
+    if files:
+        path = draw(st.sampled_from(files))
+        data = path.read_bytes()
+        name = draw(st.sampled_from([n for n in _PACKAGES if n.encode() not in data])).encode()
+        data = re.sub(rb"<name>[^<]*</name>", b"<name>" + name + b"</name>", data)
+        _rewrite_same_size(path, data)
+
+
+def _edit_link_target_in_place(draw, root: Path, store: Path) -> None:
+    target = store / draw(st.sampled_from(["store_file", "store_dir/package.xml"]))
+    if target.exists():
+        _rewrite_same_size(target, manifest_xml(draw(st.sampled_from(_PACKAGES))).encode())
+
+
+def _edit_marker(draw, root: Path, store: Path) -> None:
+    directory = draw(st.sampled_from(_entries(root, Path.is_dir) + [root]))
+    marker = directory / draw(st.sampled_from(["AMENT_IGNORE", "CATKIN_IGNORE", "COLCON_IGNORE"]))
+    if marker.is_symlink() or marker.exists():
+        if marker.is_dir() and not marker.is_symlink():
+            return
+        marker.unlink()
+        if draw(st.booleans()):
+            return
+    if draw(st.booleans()):
+        marker.write_bytes(b"")
+    else:
+        marker.symlink_to(store / "missing")
+
+
+def _retarget_manifest_link(draw, root: Path, store: Path) -> None:
+    links = _entries(root, lambda p: p.name == "package.xml" and p.is_symlink())
+    if links:
+        link = draw(st.sampled_from(links))
+        link.unlink()
+        link.symlink_to(store / draw(st.sampled_from(["store_file", "store_dir", "missing"])))
+
+
+def _remove_link_target(draw, root: Path, store: Path) -> None:
+    (store / "store_file").unlink(missing_ok=True)
+
+
+def _create_missing_target(draw, root: Path, store: Path) -> None:
+    # Every dangling link, marker or manifest, comes to name a file.
+    if not (store / "missing").exists():
+        (store / "missing").write_text(manifest_xml(draw(st.sampled_from(_PACKAGES))), "utf-8")
+
+
+def _rename_directory(draw, root: Path, store: Path) -> None:
+    directories = _entries(root, lambda p: p.is_dir() and not p.is_symlink())
+    if directories:
+        directory = draw(st.sampled_from(directories))
+        directory.rename(directory.with_name(draw(st.sampled_from(["a", "b", "c", "d", ".git"]))
+                                             + "_renamed"))
+
+
+def _write_under_ignored_directory(draw, root: Path, store: Path) -> None:
+    def ignored(path: Path) -> bool:
+        markers = forge.manifest.IGNORE_MARKERS
+        return path.is_dir() and any(os.path.exists(path / marker) for marker in markers)
+
+    directories = _entries(root, ignored)
+    if directories:
+        (draw(st.sampled_from(directories)) / "written.log").write_bytes(b"log\n")
+
+
+def _move_package(draw, root: Path, store: Path) -> None:
+    packages = _entries(root, lambda p: (p / "package.xml").is_file() and not p.is_symlink())
+    directories = _entries(root, lambda p: p.is_dir() and not p.is_symlink()) + [root]
+    if packages:
+        package = draw(st.sampled_from(packages))
+        destination = draw(st.sampled_from(directories)) / "moved"
+        if not destination.exists() and package not in destination.parents:
+            package.rename(destination)
+
+
+_EDITS = [
+    _edit_manifest_in_place,
+    _edit_link_target_in_place,
+    _edit_marker,
+    _retarget_manifest_link,
+    _remove_link_target,
+    _create_missing_target,
+    _rename_directory,
+    _write_under_ignored_directory,
+    _move_package,
+]
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        {"a": {"package.xml": ("link", "missing")}},
+        {"a": {"COLCON_IGNORE": ("link", "missing"),
+               "package.xml": ("file", manifest_xml("alpha").encode())}},
+    ],
+    ids=["manifest-link", "marker-link"],
+)
+def test_snapshot_sees_a_dangling_link_come_to_name_a_file(tmp_path, tree: dict) -> None:
+    # Nothing in the workspace changes: the link in "a" names a file only
+    # once its target is created outside it.
+    beta = ("file", manifest_xml("beta").encode())
+    root = build_workspace(tmp_path, {"src": {**tree, "b": {"package.xml": beta}}})
+    cache = tmp_path / "cache"
+    with mock.patch.object(forge.manifest, "RACY_MARGIN_NS", int(_MARGIN_S * 1e9)):
+        time.sleep(_MARGIN_S)
+        for _ in range(2):
+            before = scan_workspace(root, ENV, cache, True)
+        (path,) = memo_files(cache)
+        assert json.loads(path.read_bytes())["snapshot"] is not None
+        (tmp_path / "store" / "missing").write_text(manifest_xml("created"), "utf-8")
+        expected = oracle_scan(root, ENV)
+        assert expected != before
+        assert scan_workspace(root, ENV, cache, True) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees(), st.lists(st.sampled_from(_EDITS), min_size=1, max_size=3), st.data())
+def test_snapshot_scan_sees_every_edit(tree: dict, edits: list, data: st.DataObject) -> None:
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        forge.manifest, "RACY_MARGIN_NS", int(_MARGIN_S * 1e9)
+    ):
+        root = build_workspace(Path(tmp), tree)
+        cache = Path(tmp) / "cache"
+        time.sleep(_MARGIN_S)
+        # The second of two scans that succeed stores a snapshot.
+        assume(outcome(scan_with(cache), root)[0] == "ok")
+        scan_with(cache)(root, ENV)
+        for edit in edits:
+            edit(data.draw, root, Path(tmp) / "store")
+        expected = outcome(scan_with(None), root)
+        assert outcome(oracle_scan, root) == expected
+        assert outcome(scan_with(cache), root) == expected
 
 
 def test_unreadable_memo_is_a_miss(tmp_path) -> None:
@@ -345,7 +686,7 @@ def test_edited_manifest_is_parsed_again_and_replaces_its_record(tmp_path) -> No
     workspace = scan_workspace(root, ENV, cache, True)
     assert workspace.packages[1].deps_exec == frozenset({"python3"})
     (path,) = memo_files(cache)
-    assert len(json.loads(path.read_bytes())) == 2
+    assert len(json.loads(path.read_bytes())["records"]) == 2
     uncached = scan_workspace(root, ENV, None, True)
     assert scan_workspace(root, ENV, cache, True) == workspace == uncached
 
@@ -399,15 +740,26 @@ def test_memo_is_not_written_without_write_cache(tmp_path) -> None:
     assert not cache.exists()
 
 
-def test_build_dry_run_reads_the_memo_but_never_writes_it(tmp_path, monkeypatch) -> None:
+def test_build_dry_run_reads_the_memo_but_never_writes_it(
+    tmp_path, monkeypatch, no_racy_margin
+) -> None:
     root, _, _ = _warm(tmp_path)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     dockerfile = str(tmp_path / "Dockerfile")
     assert main(["build", str(root), "--dry-run", "--dockerfile-out", dockerfile]) == 0
     assert memo_files(tmp_path / "xdg" / "forge") == []
-    assert main(["analyze", str(root)]) == 0
+    for _ in range(2):
+        assert main(["analyze", str(root)]) == 0
     (path,) = memo_files(tmp_path / "xdg" / "forge")
     good = path.read_bytes()
+    assert json.loads(good)["snapshot"] is not None
+    inode = path.stat().st_ino
+    # The snapshot holds: the dry run takes it and writes nothing.
+    with mock.patch("forge.manifest._walk", side_effect=AssertionError("walked")):
+        assert main(["build", str(root), "--dry-run", "--dockerfile-out", dockerfile]) == 0
+    assert path.stat().st_ino == inode
+    # A manifest of another size: the snapshot no longer holds, and the
+    # dry run's walk does not replace it.
     (root / "src" / "beta" / "package.xml").write_text(manifest_xml("beta"), encoding="utf-8")
     assert main(["build", str(root), "--dry-run", "--dockerfile-out", dockerfile]) == 0
     assert memo_files(tmp_path / "xdg" / "forge") == [path]

@@ -4,7 +4,9 @@
 the benchmark's per-layer report needs at least one such span per traced
 run. A warm manifest memo must therefore still send every live manifest
 through that module global. This runs the tracer as the benchmark does,
-twice over one private cache.
+three times over one private cache: the first run parses every manifest,
+the second finds each in the memo and stores a stat snapshot of the
+workspace, and the third takes that snapshot.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import forge
+import forge.manifest
 
 from conftest import FIXTURE_ROOT
 
@@ -44,11 +48,25 @@ def _traced_analyze(workspace: Path, tmp_path: Path, run: int) -> list[dict]:
 
 
 def test_warm_scan_still_traces_one_parse_per_package(tmp_path) -> None:
-    for run in (1, 2):
-        spans = _traced_analyze(FIXTURE_ROOT / "minimal", tmp_path, run)
+    workspace = FIXTURE_ROOT / "minimal"
+    # The second run stores a snapshot only once every file of the workspace
+    # is older than the racy margin; a fresh checkout may not be yet.
+    margin = forge.manifest.RACY_MARGIN_NS
+    stats = [os.lstat(path) for path in [workspace, *workspace.rglob("*")]]
+    newest = max(max(st.st_mtime_ns, st.st_ctime_ns) for st in stats)
+    time.sleep(min(margin, max(0, newest + margin - time.time_ns())) / 1e9)
+    for run in (1, 2, 3):
+        spans = _traced_analyze(workspace, tmp_path, run)
         (scan,) = [span for span in spans if span["name"] == "manifest.scan_workspace"]
         parses = [span for span in spans if span["name"] == "manifest.parse_manifest"]
         assert scan["counts"]["packages"] == 1
         assert len(parses) == 1
         assert all(span["parent"] == scan["id"] for span in parses)
-    assert len(list((tmp_path / "cache" / "forge").glob("manifests-*.json"))) == 1
+        (memo,) = (tmp_path / "cache" / "forge").glob("manifests-*.json")
+    # The snapshot the second run stored holds, so the third run took it.
+    doc = json.loads(memo.read_bytes())
+    taken = forge.manifest._from_snapshot(
+        doc["snapshot"], workspace, os.path.abspath(workspace), {},
+        forge.manifest.ManifestMemo(doc["records"]),
+    )
+    assert taken is not None and len(taken.packages) == 1
