@@ -13,6 +13,7 @@ mechanism and never inlined.
 from __future__ import annotations
 
 import re
+import shlex
 from typing import NamedTuple
 
 from . import ARCHITECTURES, TARGETS
@@ -88,11 +89,11 @@ def _forge_build_command(spec: PipelineSpec, stage: str, arch: str) -> str:
     if spec.base_image:
         parts += ["--base", spec.base_image]
     parts += ["--tag", _tag(spec, f"{stage}-{arch}"), "--push"]
-    return " ".join(parts)
+    return shlex.join(parts)
 
 
 def _imagetools_create(target: str, *sources: str) -> str:
-    return f"docker buildx imagetools create --tag {target} {' '.join(sources)}"
+    return shlex.join(["docker", "buildx", "imagetools", "create", "--tag", target, *sources])
 
 
 class Job(NamedTuple):
@@ -123,7 +124,7 @@ def _jobs(spec: PipelineSpec) -> list[Job]:
 
     if spec.enable_test_stage:
         image = _tag(spec, f"dev-{spec.platforms[0]}")
-        test = f"docker run --rm {image} /bin/sh -c '{TEST_HOOK}'"
+        test = shlex.join(["docker", "run", "--rm", image, "/bin/sh", "-c", TEST_HOOK])
         jobs.append(Job("test", "test", last_layer, (test,)))
         last_layer = ("test",)
 

@@ -483,7 +483,7 @@ def cmd_generate_ci(args: argparse.Namespace, driver: EngineDriver | None) -> in
 
 def _print_dry_run(commands: list[EngineCommand], binary: str) -> None:
     for command in commands:
-        print(f"[dry-run] {binary} {shlex.join(command)}")
+        print(f"[dry-run] {shlex.join([binary, *command])}")
 
 
 def _make_driver(args: argparse.Namespace, driver: EngineDriver | None) -> EngineDriver:

@@ -248,15 +248,11 @@ def _container_rel_dir(rel: str, name: str) -> str:
     return f"src/{rel}"
 
 
-def _q(token: str) -> str:
-    return shlex.quote(token)
-
-
 def _write_lines_cmd(path: str, lines: Iterable[str]) -> str:
     items = list(lines)
     if not items:
         return f": > {path}"
-    return "printf '%s\\n' " + " ".join(_q(line) for line in items) + f" > {path}"
+    return f"printf '%s\\n' {shlex.join(items)} > {path}"
 
 
 def _apt_cleanup() -> str:
@@ -318,7 +314,7 @@ def _os_transaction(packages: tuple[str, ...], list_file: str | None) -> RunShel
     """Install ``packages`` with apt, read from ``list_file`` or, if None, named inline."""
 
     if list_file is None:
-        command = _apt_install(" ".join(packages))
+        command = _apt_install(shlex.join(packages))
     else:
         command = (
             "apt-get update && DEBIAN_FRONTEND=noninteractive "
@@ -334,7 +330,7 @@ def _pip_transaction(packages: tuple[str, ...], list_file: str | None) -> RunShe
     bootstrap = (
         "if ! command -v pip3 >/dev/null; then " + _apt_install("python3-pip") + "; fi"
     )
-    source = " ".join(packages) if list_file is None else f"-r {list_file}"
+    source = shlex.join(packages) if list_file is None else f"-r {list_file}"
     command = bootstrap + " && pip3 install --no-cache-dir " + source
     return RunShell(command=command, category="pkg-pip", packages=packages)
 
@@ -570,33 +566,15 @@ def _lineage_packages(plan: DockerfilePlan, name: str, category: str) -> set[str
 def validate_plan(plan: DockerfilePlan) -> list[Violation]:
     """Check the stage graph invariants; an empty list means conformant.
 
-    Stage order, parents and build context copies are checked against the
-    :data:`STAGES` rows of ``plan.target``.
+    Build context copies are checked against the :data:`STAGES` row of
+    their stage. The stage order and parents are those rows, as
+    :func:`plan_stages` builds them.
     """
 
     violations: list[Violation] = []
-    rows = [row for row in STAGES if plan.target in row.targets]
-    names = [stage.name for stage in plan.stages]
-    expected = [row.name for row in rows]
-    if names != expected:
-        violations.append(
-            Violation(
-                stage=",".join(names),
-                rule="stage-order",
-                detail=f"expected stages {expected}, found {names}",
-            )
-        )
-        return violations
-
-    for stage, row in zip(plan.stages, rows):
-        if stage.parent != row.parent:
-            violations.append(
-                Violation(
-                    stage=stage.name,
-                    rule="stage-parent",
-                    detail=f"parent is {stage.parent!r}, expected {row.parent!r}",
-                )
-            )
+    rows = {row.name: row for row in STAGES}
+    for stage in plan.stages:
+        row = rows[stage.name]
         for instruction in stage.instructions:
             if not isinstance(instruction, CopyContext):
                 continue
@@ -678,25 +656,28 @@ def validate_plan(plan: DockerfilePlan) -> list[Violation]:
 # --- rendering -------------------------------------------------------------
 
 
-def _render_run(command: str) -> list[str]:
-    segments = command.split(" && ")
-    if len(segments) == 1:
-        return [f"RUN {command}"]
-    lines = [f"RUN {segments[0]} && \\"]
-    for segment in segments[1:-1]:
-        lines.append(f"    {segment} && \\")
-    lines.append(f"    {segments[-1]}")
-    return lines
+# Where a RUN body wraps: after each `` && `` outside quotes. Quoted strings
+# and escaped characters are matched whole, so a `` && `` in them is never
+# a match of its own. The shell reads the indentation that BuildKit keeps
+# when it joins the lines as a word separator.
+_RUN_JOINT_RE = re.compile(r"""'[^']*'|"(?:[^"\\]|\\.)*"|\\.| && """, re.S)
 
 
-def _render_value(value: str) -> str:
-    if value == "" or any(c.isspace() for c in value):
-        return '"' + value.replace('"', '\\"') + '"'
-    return value
+# An ARG default BuildKit's shell-word lexer reads as it is written: no
+# whitespace, which ends the word, and no escape, quote or variable.
+_PLAIN_ARG_RE = re.compile(r"[^\s\\\"$']+")
 
 
-def _json_array(argv: tuple[str, ...]) -> str:
-    return json.dumps(list(argv))
+def _arg_value(value: str) -> str:
+    """``value`` written so that BuildKit reads exactly it as an ``ARG`` default.
+
+    Between double quotes BuildKit's lexer reads ``\\`` before ``\\``, ``"``
+    or ``$`` as an escape, and every other character as it is.
+    """
+
+    if _PLAIN_ARG_RE.fullmatch(value):
+        return value
+    return '"' + re.sub(r'[\\"$]', r"\\\g<0>", value) + '"'
 
 
 # An operand BuildKit reads as it is written: no leading ``-``, and no
@@ -710,6 +691,7 @@ _LEXER_SPECIAL_RE = re.compile(r"[\\$'\"]|\A-")
 # pattern for Go's filepath.Match, where ``[c]`` is the character c and
 # ``\`` escapes; the components before it are a plain path.
 _WILDCARD_RE = re.compile(r"[*?[]")
+# What such a pattern, and a .dockerignore pattern, read as a wildcard or an escape.
 _PATTERN_SPECIAL_RE = re.compile(r"[\\*?[]")
 _PATTERN_LITERAL = {"\\": "\\\\", "*": "[*]", "?": "[?]", "[": "[[]"}
 
@@ -744,9 +726,9 @@ def _render_instruction(instruction: Instruction) -> list[str]:
     if isinstance(instruction, BuildArg):
         if instruction.default is None:
             return [f"ARG {instruction.name}"]
-        return [f"ARG {instruction.name}={_render_value(instruction.default)}"]
+        return [f"ARG {instruction.name}={_arg_value(instruction.default)}"]
     if isinstance(instruction, EnvSet):
-        return [f"ENV {instruction.name}={_render_value(instruction.value)}"]
+        return [f"ENV {instruction.name}={instruction.value}"]
     if isinstance(instruction, Workdir):
         return [f"WORKDIR {instruction.path}"]
     if isinstance(instruction, CopyContext):
@@ -756,15 +738,18 @@ def _render_instruction(instruction: Instruction) -> list[str]:
         operands = _copy_operands(instruction.src, instruction.dst)
         return [f"COPY --from={instruction.stage} {operands}"]
     if isinstance(instruction, RunShell):
-        return _render_run(instruction.command)
+        body = _RUN_JOINT_RE.sub(
+            lambda m: " && \\\n    " if m[0] == " && " else m[0], instruction.command
+        )
+        return [f"RUN {body}"]
     if isinstance(instruction, UserSet):
         return [f"USER {instruction.user}"]
     if isinstance(instruction, Entrypoint):
-        return [f"ENTRYPOINT {_json_array(instruction.argv)}"]
+        return [f"ENTRYPOINT {json.dumps(list(instruction.argv))}"]
     if isinstance(instruction, DefaultCommand):
         joined = shlex.join(instruction.argv)
         return [
-            f"ARG COMMAND={_render_value(joined)}",
+            f"ARG COMMAND={_arg_value(joined)}",
             'ENV FORGE_COMMAND="${COMMAND}"',
             "CMD []",
         ]
@@ -781,7 +766,10 @@ def render(plan: DockerfilePlan) -> str:
 
     from . import GENERATOR_NAME, __version__
 
-    lines = [f"ARG BASE_IMAGE={plan.base_image}", f"ARG TARGET={plan.target}"]
+    lines = [
+        f"ARG BASE_IMAGE={_arg_value(plan.base_image)}",
+        f"ARG TARGET={_arg_value(plan.target)}",
+    ]
     for stage in plan.stages:
         lines.append("")
         lines.append(f"FROM {stage.parent} AS {stage.name}")
@@ -801,10 +789,6 @@ def plan_digest(dockerfile: str) -> str:
     """The plan sha256 that :func:`render` names in the header of ``dockerfile``."""
 
     return dockerfile.split("\n", 2)[1].rpartition(" ")[2].rstrip(")")
-
-
-# The characters a .dockerignore pattern reads as a wildcard or an escape.
-_IGNORE_SPECIAL_RE = re.compile(r"[\\*?[]")
 
 
 def render_dockerignore(plan: DockerfilePlan, workspace_ignore: str) -> str:
@@ -830,7 +814,7 @@ def render_dockerignore(plan: DockerfilePlan, workspace_ignore: str) -> str:
     )
     if "." not in plan.context_paths:
         patterns = "".join(f"!{path}\n" for path in plan.context_paths)
-        text += "*\n" + _IGNORE_SPECIAL_RE.sub(r"\\\g<0>", patterns)
+        text += "*\n" + _PATTERN_SPECIAL_RE.sub(r"\\\g<0>", patterns)
     if workspace_ignore:
         text += "# The workspace's own .dockerignore:\n" + workspace_ignore
         if not workspace_ignore.endswith("\n"):

@@ -7,9 +7,11 @@ it, and every COPY must name at least one source and a destination, in
 the whitespace-separated form or the JSON-array form.
 
 :func:`copy_source` and :func:`copy_destination` model how BuildKit reads a
-COPY operand, and :func:`ignore_admits` how Docker reads a
-``.dockerignore``, for the patterns forge writes and those of a
-workspace's own file.
+COPY operand, :func:`arg_default` how it reads an ``ARG`` default, and
+:func:`ignore_admits` how Docker reads a ``.dockerignore``, for the
+patterns forge writes and those of a workspace's own file.
+:func:`shell_words` reads one command line the way a shell does, for the
+``run:`` lines of a CI pipeline.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 import posixpath
 import re
+import shlex
 import subprocess
 from typing import Callable
 
@@ -81,6 +84,65 @@ def shell_word(operand: str) -> str | None:
         out.append(char)
         index += 1
     return "".join(out)
+
+
+# One part of an ARG default: an escaped character, a single-quoted string,
+# a double-quoted string without an unescaped ``$``, or plain characters.
+_ARG_PART_RE = re.compile(r"""\\(.)|'([^']*)'|"((?:[^"\\$]|\\.)*)"|([^\s\\'"$]+)""", re.S)
+
+
+def arg_default(line: str) -> str | None:
+    """The default BuildKit's lexer reads from one ``ARG NAME=value`` instruction.
+
+    Outside quotes ``\\`` makes the next character plain; between single
+    quotes every character is plain; between double quotes ``\\`` escapes
+    only ``\\``, ``"`` and ``$``. None where an unescaped ``$`` would expand
+    a variable, where whitespace outside quotes would end the word, or
+    where a quote is not closed or the value ends in a lone ``\\``.
+    """
+
+    match = re.fullmatch(r"ARG [A-Za-z_][A-Za-z0-9_]*=(.*)", line, re.S)
+    if match is None:
+        return None
+    value, out, index = match[1], [], 0
+    while index < len(value):
+        part = _ARG_PART_RE.match(value, index)
+        if part is None:
+            return None
+        escaped, single, double, plain = part.groups()
+        if double is not None:
+            out.append(re.sub(r'\\([\\"$])', r"\1", double))
+        else:
+            out.append(escaped if escaped is not None else single if single is not None else plain)
+        index = part.end()
+    return "".join(out)
+
+
+# A quoted string or an escaped character: the shell reads the characters
+# in it as they are, except ``$`` and a backquote between double quotes.
+_SHELL_QUOTED_RE = re.compile(r"""'[^']*'|"(?:[^"\\]|\\.)*"|\\.""", re.S)
+# Outside quotes, what the shell reads as more than a character: an
+# expansion, a glob, a brace expansion, an operator, a comment or ``~``.
+_SHELL_SPECIAL_RE = re.compile(r"[$`*?[\]{}~#;&|<>()]")
+
+
+def shell_words(line: str) -> list[str] | None:
+    """The words a shell runs for one command line, as :func:`shlex.split` reads them.
+
+    None where the shell would read a character of the line as more than
+    itself outside quotes, or a ``$`` or backquote between double quotes,
+    or where a quote is not closed.
+    """
+
+    def outside(quoted: re.Match[str]) -> str:
+        return "$" if quoted[0][0] == '"' and re.search("[$`]", quoted[0]) else ""
+
+    if _SHELL_SPECIAL_RE.search(_SHELL_QUOTED_RE.sub(outside, line)):
+        return None
+    try:
+        return shlex.split(line)
+    except ValueError:
+        return None
 
 
 def _contains_wildcards(component: str) -> bool:

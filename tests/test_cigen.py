@@ -7,13 +7,20 @@ import subprocess
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dockerfile_syntax import shell_words
 from pipeline_graph import job_graph
 
 from forge import TARGETS
-from forge.cigen import TEST_HOOK, PipelineSpec, default_output_path, generate_pipeline
+from forge.cigen import (
+    _GITLAB_LOGIN,
+    TEST_HOOK,
+    PipelineSpec,
+    default_output_path,
+    generate_pipeline,
+)
 from forge.errors import InvalidSpec
 
 
@@ -265,3 +272,51 @@ def test_a_pipeline_is_written_as_the_pure_python_emitter_writes_it(pipeline: Pi
     text = generate_pipeline(pipeline)
     document = yaml.safe_load(text)
     assert text == yaml.safe_dump(document, sort_keys=False, default_flow_style=False, width=120)
+
+
+def _engine_commands(pipeline: PipelineSpec) -> list[list[str]]:
+    """The words of each command the pipeline's jobs run besides their setup, in job order."""
+
+    def tag(suffix: str) -> str:
+        return f"{pipeline.registry}/{pipeline.image_name}:{suffix}"
+
+    stages = [stage for stage in TARGETS if stage in pipeline.target_stages]
+    base = ["--base", pipeline.base_image] if pipeline.base_image else []
+    commands = [
+        ["forge", "build", ".", "--target", stage, "--platform", arch, *base,
+         "--tag", tag(f"{stage}-{arch}"), "--push"]
+        for stage in stages for arch in pipeline.platforms
+    ]
+    if pipeline.enable_test_stage:
+        image = tag(f"dev-{pipeline.platforms[0]}")
+        commands.append(["docker", "run", "--rm", image, "/bin/sh", "-c", TEST_HOOK])
+    create = ["docker", "buildx", "imagetools", "create", "--tag"]
+    published = {stage: tag(f"{stage}-{pipeline.platforms[0]}") for stage in stages}
+    if len(pipeline.platforms) > 1:
+        for stage in stages:
+            published[stage] = tag(f"{stage}-candidate")
+            arch_tags = [tag(f"{stage}-{arch}") for arch in pipeline.platforms]
+            commands.append([*create, published[stage], *arch_tags])
+    return commands + [[*create, tag(stage), published[stage]] for stage in stages]
+
+
+_SETUP = {
+    "python3 -m pip install forge", "apk add --no-cache python3 py3-pip", "pip3 install forge",
+    _GITLAB_LOGIN,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(pipeline_specs())
+@example(spec(registry="[::1]:5000", platforms=("amd64", "arm64"), enable_test_stage=True))
+@example(spec(registry="[::1]:5000", platform="gitlab"))
+def test_every_ci_command_runs_the_words_it_was_built_from(pipeline: PipelineSpec) -> None:
+    document = yaml.safe_load(generate_pipeline(pipeline))
+    if pipeline.platform == "github":
+        lines = [step["run"] for job in document["jobs"].values() for step in job["steps"]
+                 if "run" in step]
+    else:
+        lines = [line for job in document.values() if isinstance(job, dict) and "script" in job
+                 for line in job["script"]]
+    read = [shell_words(line) for line in lines if line not in _SETUP]
+    assert read == _engine_commands(pipeline)

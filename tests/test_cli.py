@@ -19,12 +19,13 @@ from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import forge
 from forge.cli import GlobalConfig, build_parser, cache_dir, load_config, main
 from forge.devrun import HostEnvironment
+from forge.dockergen import CopyContext
 from forge.engine import EngineResult
 from forge.errors import ConfigError
 
@@ -1017,16 +1018,20 @@ def test_plan_violations_are_printed_with_their_detail(capsys, monkeypatch, tmp_
 
     plan_stages = forge.cli.plan_stages
 
-    def misparented(*args, **kwargs):
+    def leaky(*args, **kwargs):
         plan = plan_stages(*args, **kwargs)
-        stages = tuple(s._replace(parent="dev") if s.name == "run" else s for s in plan.stages)
+        leak = CopyContext("src/", "/ws/src/")
+        stages = tuple(
+            s._replace(instructions=(*s.instructions, leak)) if s.name == "run" else s
+            for s in plan.stages
+        )
         return plan._replace(stages=stages)
 
-    monkeypatch.setattr(forge.cli, "plan_stages", misparented)
+    monkeypatch.setattr(forge.cli, "plan_stages", leaky)
     assert main(["generate", "dockerfile", MINIMAL, "-o", str(tmp_path / "Dockerfile")]) == 1
     assert capsys.readouterr().err == (
         "forge: error: ForgeError: generated plan violates its invariants: "
-        "run: stage-parent: parent is 'dev', expected 'dependencies-install'\n"
+        "run: no-source-leak: copies 'src/' from the build context\n"
     )
 
 
@@ -1592,6 +1597,42 @@ def test_bench_startup_dry_run(capsys, monkeypatch, tmp_path) -> None:
     out = capsys.readouterr().out
     assert code == 0
     assert "[dry-run] docker run --rm img true" in out
+
+
+# Each engine command: its subcommand words and the rest of its argv.
+_ENGINE_COMMANDS = [
+    (["build"], [MINIMAL, "--tag", "reg/app:run", "--dockerfile-out", "{out}"]),
+    (["matrix", "build"], ["--distro", "humble", "--component", "core"]),
+    (["run"], ["img", "--", "--", "echo", "$HOME"]),
+    (["bench", "startup"], ["img", "--runs", "1"]),
+]
+_HOST = HostEnvironment(
+    display=":1", gpu_count=1, uid=1000, gid=1000, cwd=Path("/home/dev/ws"),
+    detected_workspace=None, tty_available=True,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    binary=st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), min_size=1),
+    command=st.sampled_from(_ENGINE_COMMANDS),
+)
+@example(binary="/opt/my tools/docker", command=_ENGINE_COMMANDS[2])
+def test_every_dry_run_line_splits_into_the_engine_and_the_argv_it_runs(
+    tmp_path_factory, binary, command
+) -> None:
+    head, rest = command
+    rest = [arg.format(out=tmp_path_factory.mktemp("engine") / "Dockerfile") for arg in rest]
+    # The container is absent, as a dry run of run assumes.
+    driver = RecordingDriver(scripted={("inspect",): EngineResult(1, "", "")})
+    with mock.patch("forge.cli.probe_host", lambda: _HOST):
+        assert main([*head, *rest], driver=driver) == 0
+        code, out, err = _forge([*head, "--dry-run", f"--engine={binary}", *rest])
+    assert code == 0, err
+    read = [shlex.split(line[len("[dry-run] "):]) for line in out.splitlines()
+            if line.startswith("[dry-run] ")]
+    ran = [[binary, *argv] for argv in driver.commands if argv[0] != "inspect"]
+    assert sorted(read) == sorted(ran)
 
 
 @pytest.mark.parametrize("kind", ["missing", "not-executable"])

@@ -6,23 +6,26 @@ import contextlib
 import hashlib
 import io
 import re
+import shlex
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forge import TARGETS
 from forge.dockergen import (
     APT_LIST,
+    ARTIFACT_DIR,
+    PIP_LIST,
+    REPOS_LIST,
     STAGES,
     CopyContext,
     CopyFromStage,
     DockerfilePlan,
     ImageSpec,
     RunShell,
-    _render_run,
     plan_stages,
     render,
     render_dockerignore,
@@ -32,9 +35,11 @@ from forge.cli import main
 from forge.depgraph import ResolvedDependencies
 from forge.errors import UnresolvedDependencies
 from forge.manifest import PackageManifest, scan_workspace
+from forge.sources import RepoSpec
 
 from conftest import image_spec
 from dockerfile_syntax import (
+    arg_default,
     copy_destination,
     copy_operands,
     copy_source,
@@ -60,38 +65,30 @@ def stage_text(dockerfile: str, stage: str) -> str:
     raise AssertionError(f"stage {stage} not found")
 
 
-# Spec variants that add or drop instructions in some stage: (fixture,
-# ImageSpec fields). Custom scripts are planned against a context that
-# holds them.
-_GRAPH_VARIANTS = [
-    ("minimal_analysis", {}),
-    ("minimal_analysis", {"slim_runtime": True}),
-    ("minimal_analysis", {"nonroot_run": True}),
-    ("minimal_analysis", {"custom_script_pre": "pre.sh", "custom_script_post": "post.sh"}),
-    ("multi_repo_analysis", {}),
-    ("multi_repo_analysis", {"slim_runtime": True, "nonroot_run": True}),
-]
+# Spec fields that add or drop instructions in some stage. Custom scripts
+# are planned against a context that holds them.
+_GRAPH_FIELDS = st.fixed_dictionaries({}, optional={
+    "slim_runtime": st.booleans(),
+    "nonroot_run": st.booleans(),
+    "custom_script_pre": st.just("pre.sh"),
+    "custom_script_post": st.just("post.sh"),
+})
 
 
-def _assert_stage_graph_follows_the_table(request, tmp_path, target: str) -> None:
-    rows = [(row.name, row.parent) for row in STAGES if target in row.targets]
-    for name in ("pre.sh", "post.sh"):
-        (tmp_path / name).write_text("true\n", encoding="utf-8")
-    for fixture, fields in _GRAPH_VARIANTS:
-        analysis = request.getfixturevalue(fixture)
-        context = tmp_path if "custom_script_pre" in fields else analysis.root
+@settings(max_examples=60, deadline=None)
+@given(fixture=st.sampled_from(range(3)), target=st.sampled_from(TARGETS), fields=_GRAPH_FIELDS)
+def test_every_plan_has_the_stages_and_parents_of_its_target(
+    minimal_analysis, multi_repo_analysis, catkin_analysis, fixture, target, fields
+) -> None:
+    analysis = (minimal_analysis, multi_repo_analysis, catkin_analysis)[fixture]
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("pre.sh", "post.sh"):
+            (Path(tmp) / name).write_text("true\n", encoding="utf-8")
         spec = image_spec(analysis, target=target, **fields)
-        plan = plan_stages(spec, analysis.resolved, analysis.resolved_exec, context)
-        assert [(s.name, s.parent) for s in plan.stages] == rows, (fixture, fields)
-        assert validate_plan(plan) == [], (fixture, fields)
-
-
-def test_run_target_stage_graph(request, tmp_path) -> None:
-    _assert_stage_graph_follows_the_table(request, tmp_path, "run")
-
-
-def test_dev_target_stage_graph(request, tmp_path) -> None:
-    _assert_stage_graph_follows_the_table(request, tmp_path, "dev")
+        plan = plan_stages(spec, analysis.resolved, analysis.resolved_exec, Path(tmp))
+    rows = [(row.name, row.parent) for row in STAGES if target in row.targets]
+    assert [(stage.name, stage.parent) for stage in plan.stages] == rows
+    assert validate_plan(plan) == []
 
 
 @pytest.mark.parametrize("target", TARGETS)
@@ -159,21 +156,6 @@ def _with_instruction(plan: DockerfilePlan, name: str, instruction) -> Dockerfil
     return _replace_stage(
         plan, name, instructions=stage.instructions + (instruction,)
     )
-
-
-def test_rule_stage_order(minimal_analysis) -> None:
-    plan = make_plan(minimal_analysis, target="run")
-    broken = plan._replace(stages=tuple(reversed(plan.stages)))
-    assert [v.rule for v in validate_plan(broken)] == ["stage-order"]
-    # A dev plan lacks the stages STAGES keeps for the run target.
-    dev_plan = make_plan(minimal_analysis, target="dev")
-    assert [v.rule for v in validate_plan(dev_plan._replace(target="run"))] == ["stage-order"]
-
-
-def test_rule_stage_parent(minimal_analysis) -> None:
-    plan = make_plan(minimal_analysis, target="run")
-    broken = _replace_stage(plan, "run", parent="dev")
-    assert [v.rule for v in validate_plan(broken)] == ["stage-parent"]
 
 
 def test_rule_manifests_only(minimal_analysis) -> None:
@@ -409,34 +391,83 @@ def test_fingerprint_tracks_content(minimal_analysis) -> None:
     assert header_digest(base) != header_digest(different)
 
 
-# --- RUN wrapping ----------------------------------------------------------
+# --- ARG defaults and RUN bodies, read back ---------------------------------
 
-_segment = st.from_regex(r"[a-z0-9 _./=-]{1,30}", fullmatch=True).filter(
-    lambda s: " && " not in s and s.strip()
+# Printable text, and printable words: no whitespace.
+_PRINTABLE = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12)
+_WORD = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Z")), min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=_PRINTABLE, argv=st.lists(_PRINTABLE, min_size=1, max_size=4))
+@example(base="", argv=["echo", "$HOME"])
+@example(base="", argv=["echo", "a\\\\b"])
+@example(base="", argv=["a;b"])
+def test_every_arg_default_reads_back_as_planned(minimal_analysis, base, argv) -> None:
+    plan = make_plan(minimal_analysis, target="run", base_image=base, launch_command=tuple(argv))
+    read = [
+        (match[1], arg_default(line)) for line in instructions(render(plan))
+        if (match := re.match(r"ARG (\w+)=", line))
+    ]
+    assert read == [
+        ("BASE_IMAGE", base or "ros:humble"), ("TARGET", "run"), ("ROS_DISTRO", "humble"),
+        ("COMMAND", "bash"), ("COMMAND", shlex.join(argv)),
+    ]
+    # The entrypoint's sh -c runs the words the command was given as.
+    assert shlex.split(read[-1][1]) == argv
+
+
+def _printf_words(path: str, items) -> list[str]:
+    return ["printf", "%s\\n", *items, ">", path] if items else [":", ">", path]
+
+
+_REPOS = st.lists(
+    st.tuples(
+        st.from_regex(r"[A-Za-z0-9_-][A-Za-z0-9_.-]{0,7}", fullmatch=True),
+        _WORD,
+        st.none() | _WORD,
+    ),
+    max_size=4,
+    unique_by=lambda repo: repo[0],
 )
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.lists(_segment, min_size=1, max_size=6))
-def test_run_wrapping_round_trips(segments: list[str]) -> None:
-    command = " && ".join(segments)
-    lines = _render_run(command)
-    assert lines[0].startswith("RUN ")
-    if len(lines) == 1:
-        assert lines[0] == f"RUN {command}"
-        return
-    # Wrapping happens only at " && " joints: strip the continuation
-    # markers and indentation, rejoin, and the command comes back exactly.
-    pieces = [lines[0][len("RUN ") :]] + [
-        line[4:] if line.startswith("    ") else line for line in lines[1:]
-    ]
-    for piece in pieces[:-1]:
-        assert piece.endswith(" && \\")
-    rebuilt = " && ".join(
-        piece[: -len(" && \\")] if piece.endswith(" && \\") else piece
-        for piece in pieces
+@settings(max_examples=150, deadline=None)
+@given(
+    repos=_REPOS,
+    apt=st.lists(_WORD, max_size=3),
+    pip=st.lists(_WORD, max_size=3),
+    build_only=st.lists(_WORD, max_size=3),
+    slim=st.booleans(),
+)
+@example(repos=[("x", "&&", "v1")], apt=[], pip=[], build_only=[], slim=False)
+def test_every_run_body_reads_back_as_planned(repos, apt, pip, build_only, slim) -> None:
+    build_deps = _NO_DEPS._replace(
+        system_pkgs=tuple(sorted(set(build_only))), python_pkgs=tuple(sorted(set(build_only)))
     )
-    assert rebuilt == command
+    spec = ImageSpec(
+        ros_distro="humble", source_repos=tuple(RepoSpec(*repo) for repo in repos),
+        extra_apt=tuple(apt), extra_pip=tuple(pip), slim_runtime=slim,
+    )
+    plan = plan_stages(spec, build_deps, _NO_DEPS, Path("."))
+    planned = [i for stage in plan.stages for i in stage.instructions if isinstance(i, RunShell)]
+    read = [shlex.split(line[4:]) for line in instructions(render(plan)) if line.startswith("RUN ")]
+    assert read == [shlex.split(run.command) for run in planned]
+
+    shared = plan.stage("dependencies-install").instructions
+    installed = {run.category: run.packages for run in planned if run in shared}
+    lines = [" ".join(part for part in repo if part) for repo in sorted(repos)]
+    artifacts = next(words for run, words in zip(planned, read) if run.category == "dep-artifacts")
+    assert artifacts == [
+        "mkdir", "-p", ARTIFACT_DIR,
+        "&&", *_printf_words(APT_LIST, installed.get("pkg-os", ())),
+        "&&", *_printf_words(PIP_LIST, installed.get("pkg-pip", ())),
+        "&&", *_printf_words(REPOS_LIST, lines),
+    ]
+    # In slim mode dev names the build-only remainder in its install commands.
+    for run, words in zip(planned, read):
+        if run in plan.stage("dev").instructions and run.packages:
+            assert set(run.packages) <= set(words), (run.packages, words)
 
 
 # --- source roots and the .dockerignore -------------------------------------

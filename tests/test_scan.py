@@ -586,8 +586,11 @@ def _rename_directory(draw, root: Path, store: Path) -> None:
     directories = _entries(root, lambda p: p.is_dir() and not p.is_symlink())
     if directories:
         directory = draw(st.sampled_from(directories))
-        directory.rename(directory.with_name(draw(st.sampled_from(["a", "b", "c", "d", ".git"]))
-                                             + "_renamed"))
+        destination = directory.with_name(
+            draw(st.sampled_from(["a", "b", "c", "d", ".git"])) + "_renamed"
+        )
+        if not os.path.lexists(destination):
+            directory.rename(destination)
 
 
 def _write_under_ignored_directory(draw, root: Path, store: Path) -> None:
