@@ -7,14 +7,15 @@ Subcommands: ``analyze`` (dependency report), ``generate dockerfile`` and
 startup overhead report).
 
 Exit codes: 0 on success, 1 for engine or internal failures, 2 for user
-or input errors. Each subcommand takes only the options its handler reads.
-``--dry-run`` runs no engine command and writes only the files named on
-the command line.
+or input errors, 130 when interrupted. Each subcommand takes only the
+options its handler reads. ``--dry-run`` runs no engine command and
+writes only the files named on the command line.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import importlib
 import io
 import os
@@ -23,7 +24,7 @@ import shlex
 import sys
 import time
 from pathlib import Path, PurePosixPath
-from typing import NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 from . import ARCHITECTURES, KNOWN_DISTROS, TARGETS, __version__
 from .errors import (
@@ -705,7 +706,7 @@ def _add_shared(parser: argparse.ArgumentParser, *flags: str) -> None:
 
 
 def _add_workspace_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("workspace", help="workspace root directory")
+    parser.add_argument("workspace", type=_PATHS["workspace"], help="workspace root directory")
     parser.add_argument("--distro", help="ROS distro (default from config)")
     parser.add_argument(
         "--rosdep-db",
@@ -746,8 +747,26 @@ def _launch_command(text: str) -> tuple[str, ...]:
     raise InvalidArgs(f"--command must be printable shell-style text, got {text!r}")
 
 
+def _path(name: str) -> Callable[[str], str]:
+    """The type of the path argument ``name``: any path but "", which reads as not given."""
+
+    def check(text: str) -> str:
+        if not text:
+            raise InvalidArgs(f"{name} must be a non-empty path")
+        return text
+
+    return check
+
+
+_PATHS = {dest: _path(name) for dest, name in (
+    ("workspace", "workspace"), ("output", "--output"), ("dockerfile_out", "--dockerfile-out"),
+    ("plan_out", "--plan-out"), ("plugin_dir", "--plugin-dir"), ("dockerfile", "--dockerfile"),
+    ("context", "--context"),
+)}
+
 _VALUE_CHECKS = (
-    ("base", _image_ref), ("command", _launch_command), ("workspace_dir", _container_path)
+    ("base", _image_ref), ("command", _launch_command), ("workspace_dir", _container_path),
+    *_PATHS.items(),
 )
 
 
@@ -797,7 +816,7 @@ def _dockerfile_options(p: argparse.ArgumentParser) -> None:
     _add_shared(p, "--config", "--strict", "--dry-run")
     _add_workspace_options(p)
     _add_image_options(p)
-    p.add_argument("--output", "-o", help="output path ('-' for stdout)")
+    p.add_argument("--output", "-o", type=_PATHS["output"], help="output path ('-' for stdout)")
     p.set_defaults(handler=cmd_generate_dockerfile)
 
 
@@ -814,7 +833,7 @@ def _ci_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--push-branch", default="main", help="branch that may push")
     p.add_argument("--base", type=_image_ref, help="base image forwarded to builds")
     p.add_argument("--targets", help=f"comma list of target stages ({','.join(TARGETS)})")
-    p.add_argument("--output", "-o", help="output path ('-' for stdout)")
+    p.add_argument("--output", "-o", type=_PATHS["output"], help="output path ('-' for stdout)")
     p.set_defaults(handler=cmd_generate_ci)
 
 
@@ -827,7 +846,10 @@ def _build_options(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--tag", action="append", help="image tag (repeatable)")
     p.add_argument("--push", action="store_true", help="push after building")
-    p.add_argument("--dockerfile-out", help="where to write the generated Dockerfile")
+    p.add_argument(
+        "--dockerfile-out", type=_PATHS["dockerfile_out"],
+        help="where to write the generated Dockerfile",
+    )
     p.set_defaults(handler=cmd_build)
 
 
@@ -843,11 +865,16 @@ def _matrix_build_options(p: argparse.ArgumentParser) -> None:
     _add_matrix_filters(p)
     p.add_argument(
         "--dockerfile",
+        type=_PATHS["dockerfile"],
         default="Dockerfile.base-matrix",
         help="generic base image Dockerfile the plan references",
     )
-    p.add_argument("--context", default=".", help="build context for matrix images")
-    p.add_argument("--plan-out", help="also write the machine-readable build plan")
+    p.add_argument(
+        "--context", type=_PATHS["context"], default=".", help="build context for matrix images"
+    )
+    p.add_argument(
+        "--plan-out", type=_PATHS["plan_out"], help="also write the machine-readable build plan"
+    )
     p.add_argument("--push", action="store_true", help="push after building")
     p.set_defaults(handler=cmd_matrix_build)
 
@@ -867,7 +894,9 @@ def _run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--workspace-dir", type=_container_path, default="/ws", help="workspace path in image"
     )
-    p.add_argument("--plugin-dir", help="directory of executable run plugins")
+    p.add_argument(
+        "--plugin-dir", type=_PATHS["plugin_dir"], help="directory of executable run plugins"
+    )
     p.set_defaults(handler=cmd_run, passthrough=[], run_command=[])
 
 
@@ -977,7 +1006,29 @@ def _main(argv: list[str], driver: EngineDriver | None) -> int:
     except ForgeError as exc:
         print(f"forge: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except KeyboardInterrupt:
+        # Ctrl-C. subprocess.run has killed an engine it was waiting for.
+        print("forge: interrupted", file=sys.stderr)
+        return 130
+
+
+def entry() -> NoReturn:
+    """The ``forge`` process: ``main``, then an exit without interpreter teardown.
+
+    When ``main`` returns, forge's files are closed, its threads joined and
+    its child processes waited for. So after the ``atexit`` handlers
+    (coverage's, logging's) and a flush of what they printed, ``os._exit``
+    skips the last garbage collection and the freeing of every module and
+    object, as forked ``multiprocessing`` children do. An exception that
+    escapes ``main`` takes the normal exit path.
+    """
+
+    code = main()
+    atexit._run_exitfuncs()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

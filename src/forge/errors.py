@@ -138,7 +138,7 @@ class MalformedEngineOutput(EngineError):
 
 
 class InvalidArgs(UserError):
-    """Command line arguments for a development run or a benchmark are invalid."""
+    """Command line arguments are invalid."""
 
 
 class PluginViolation(UserError):

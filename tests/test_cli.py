@@ -394,6 +394,42 @@ def test_an_empty_config_flag_is_an_error(capsys, monkeypatch, tmp_path) -> None
     assert capsys.readouterr() == ("", "forge: error: ConfigError: --config must be non-empty\n")
 
 
+@pytest.mark.parametrize(
+    ("argv", "name"),
+    [
+        (["analyze", ""], "workspace"),
+        (["generate", "dockerfile", "ws", "-o", ""], "--output"),
+        (["generate", "ci", "--platform", "github", "--image-name", "app", "-o", ""], "--output"),
+        (["build", "ws", "--dockerfile-out", ""], "--dockerfile-out"),
+        (["matrix", "build", "--dry-run", "--plan-out", ""], "--plan-out"),
+        (["matrix", "build", "--dry-run", "--dockerfile", ""], "--dockerfile"),
+        (["matrix", "build", "--dry-run", "--context", ""], "--context"),
+        (["run", "--dry-run", "--plugin-dir", "", "ros:humble"], "--plugin-dir"),
+    ],
+    ids=[
+        "analyze", "generate-dockerfile", "generate-ci", "build", "matrix-build-plan-out",
+        "matrix-build-dockerfile", "matrix-build-context", "run",
+    ],
+)
+def test_an_empty_path_argument_is_an_error(capsys, monkeypatch, tmp_path, argv, name) -> None:
+    # Not read as "not given", which would scan or write in a default place.
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(MINIMAL, tmp_path / "ws")
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv, driver=RecordingDriver()) == 2
+    assert capsys.readouterr() == ("", f"forge: error: InvalidArgs: {name} must be a non-empty path\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_an_output_of_two_dashes_is_a_file_of_that_name(capsys, monkeypatch, tmp_path) -> None:
+    # Python 3.11's argparse reads ``--output=--`` as an empty list.
+    monkeypatch.chdir(tmp_path)
+    argv = ["generate", "ci", "--platform", "github", "--image-name", "app", "--output=--"]
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("wrote --\n", "")
+    assert [p.name for p in tmp_path.iterdir()] == ["--"]
+
+
 def test_cli_parallelism_not_a_number_is_a_config_error(capsys, monkeypatch, tmp_path) -> None:
     monkeypatch.chdir(tmp_path)
     assert main(["matrix", "build", "--dry-run", "--parallelism", "x"]) == 2
