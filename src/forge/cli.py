@@ -313,17 +313,7 @@ def _analyze_args(args: argparse.Namespace) -> tuple[GlobalConfig, WorkspaceAnal
 
 
 def _resolution_doc(analysis: WorkspaceAnalysis) -> dict[str, object]:
-    def bucket_doc(r: ResolvedDependencies) -> dict[str, object]:
-        return {
-            "internal": list(r.internal),
-            "ros_distro_pkgs": list(r.ros_distro_pkgs),
-            "system_pkgs": list(r.system_pkgs),
-            "python_pkgs": list(r.python_pkgs),
-            "source_keys": list(r.source_keys),
-            "unresolved": list(r.unresolved),
-        }
-
-    return {
+    doc: dict[str, object] = {
         "workspace": str(analysis.root),
         "distro": analysis.index.distro,
         "ros_version": analysis.index.ros_version,
@@ -332,9 +322,12 @@ def _resolution_doc(analysis: WorkspaceAnalysis) -> dict[str, object]:
             {"name": r.local_name, "url": r.url, "version": r.version}
             for r in analysis.repos
         ],
-        "all": bucket_doc(analysis.resolved),
-        "exec_only": bucket_doc(analysis.resolved_exec),
     }
+    # Each bucket under its scope, "all" or "exec_only".
+    for resolved in (analysis.resolved, analysis.resolved_exec):
+        buckets = resolved._asdict()
+        doc[buckets.pop("scope")] = buckets
+    return doc
 
 
 def _print_bucket(label: str, items: tuple[str, ...]) -> None:
@@ -471,7 +464,7 @@ def cmd_generate_ci(args: argparse.Namespace, driver: EngineDriver | None) -> in
         platform=args.platform,
         image_name=args.image_name,
         registry=cfg.registry,
-        platforms=tuple(args.arch or ("amd64",)),
+        platforms=tuple(dict.fromkeys(args.arch or ("amd64",))),
         enable_test_stage=bool(args.enable_test),
         push_on_branch=args.push_branch,
         base_image=args.base or "",
@@ -517,7 +510,7 @@ def cmd_build(args: argparse.Namespace, driver: EngineDriver | None) -> int:
         dockerfile_path=str(dockerfile),
         target=args.target,
         tags=tags,
-        platforms=tuple(args.platform or ("amd64",)),
+        platforms=tuple(dict.fromkeys(args.platform or ("amd64",))),
         # By name only: the engine reads each value from its environment.
         build_args=tuple((name, None) for name in needed),
         push=bool(args.push),
@@ -758,11 +751,18 @@ def _path(name: str) -> Callable[[str], str]:
     return check
 
 
+def _plugin_dir(text: str) -> str:
+    """``--plugin-dir``: a directory; any other path would run no plugin and say nothing."""
+
+    if not os.path.isdir(_path("--plugin-dir")(text)):
+        raise InvalidArgs(f"--plugin-dir {text!r} is not a directory")
+    return text
+
+
 _PATHS = {dest: _path(name) for dest, name in (
     ("workspace", "workspace"), ("output", "--output"), ("dockerfile_out", "--dockerfile-out"),
-    ("plan_out", "--plan-out"), ("plugin_dir", "--plugin-dir"), ("dockerfile", "--dockerfile"),
-    ("context", "--context"),
-)}
+    ("plan_out", "--plan-out"), ("dockerfile", "--dockerfile"), ("context", "--context"),
+)} | {"plugin_dir": _plugin_dir}
 
 _VALUE_CHECKS = (
     ("base", _image_ref), ("command", _launch_command), ("workspace_dir", _container_path),

@@ -359,10 +359,12 @@ def _external_transform(path: Path) -> Callable[[RunInvocation], RunInvocation]:
 def load_plugins(config_dir: Path) -> list[PluginTransform]:
     """Executable plugin files in ``config_dir``, ordered by file name."""
 
-    if not config_dir.is_dir():
-        return []
+    try:
+        paths = sorted(config_dir.iterdir())
+    except OSError as exc:
+        raise InvalidArgs(f"cannot list --plugin-dir {str(config_dir)!r}: {exc.strerror}") from exc
     plugins: list[PluginTransform] = []
-    for path in sorted(config_dir.iterdir()):
+    for path in paths:
         if path.is_file() and os.access(path, os.X_OK):
             plugins.append((path.name, _external_transform(path)))
     return plugins

@@ -5,6 +5,10 @@ Dockerfile text second. :data:`STAGES` fixes the graph: each stage's
 parent, the targets whose Dockerfile holds it, and what it may copy from
 the build context. :func:`validate_plan` checks a plan against it.
 
+An instruction is a record only where a rule reads its fields: the two
+kinds of COPY and each RUN. Every other instruction is planned as its
+Dockerfile line.
+
 Deployment images therefore never receive the workspace source tree; the
 single cross-stage copy into ``run`` is the compiled install space.
 """
@@ -30,26 +34,13 @@ APT_LIST = f"{ARTIFACT_DIR}/apt-packages.txt"
 PIP_LIST = f"{ARTIFACT_DIR}/pip-packages.txt"
 REPOS_LIST = f"{ARTIFACT_DIR}/repos.txt"
 ENTRYPOINT_PATH = "/forge-entrypoint.sh"
+APT_CLEANUP = "rm -rf /var/lib/apt/lists/*"
 
 ROS_APT_KEY_URL = "https://raw.githubusercontent.com/ros/rosdistro/master/ros.key"
 ROS_KEYRING = "/usr/share/keyrings/ros-archive-keyring.gpg"
 
 
 # --- semantic instructions -------------------------------------------------
-
-
-class BuildArg(NamedTuple):
-    name: str
-    default: str | None = None
-
-
-class EnvSet(NamedTuple):
-    name: str
-    value: str
-
-
-class Workdir(NamedTuple):
-    path: str
 
 
 class CopyContext(NamedTuple):
@@ -77,29 +68,7 @@ class RunShell(NamedTuple):
     packages: tuple[str, ...] = ()
 
 
-class UserSet(NamedTuple):
-    user: str
-
-
-class Entrypoint(NamedTuple):
-    argv: tuple[str, ...]
-
-
-class DefaultCommand(NamedTuple):
-    argv: tuple[str, ...]
-
-
-Instruction = Union[
-    BuildArg,
-    EnvSet,
-    Workdir,
-    CopyContext,
-    CopyFromStage,
-    RunShell,
-    UserSet,
-    Entrypoint,
-    DefaultCommand,
-]
+Instruction = Union[CopyContext, CopyFromStage, RunShell, str]
 
 
 class StageRow(NamedTuple):
@@ -255,14 +224,10 @@ def _write_lines_cmd(path: str, lines: Iterable[str]) -> str:
     return f"printf '%s\\n' {shlex.join(items)} > {path}"
 
 
-def _apt_cleanup() -> str:
-    return "rm -rf /var/lib/apt/lists/*"
-
-
 def _apt_install(args: str) -> str:
     return (
         "apt-get update && DEBIAN_FRONTEND=noninteractive "
-        f"apt-get install -y --no-install-recommends {args} && " + _apt_cleanup()
+        f"apt-get install -y --no-install-recommends {args} && {APT_CLEANUP}"
     )
 
 
@@ -301,6 +266,17 @@ def _entrypoint_script_cmd(workspace_dir: str) -> RunShell:
     return RunShell(command=command, category="entrypoint-setup")
 
 
+def _entrypoint_lines(argv: tuple[str, ...]) -> list[str]:
+    """The entrypoint and its default command ``argv``, which ``--build-arg COMMAND`` overrides."""
+
+    return [
+        f"ENTRYPOINT {json.dumps([ENTRYPOINT_PATH])}",
+        f"ARG COMMAND={_arg_value(shlex.join(argv))}",
+        'ENV FORGE_COMMAND="${COMMAND}"',
+        "CMD []",
+    ]
+
+
 def _user_setup() -> RunShell:
     command = (
         "{ getent group ros >/dev/null || groupadd --gid 1000 ros; } && "
@@ -318,8 +294,7 @@ def _os_transaction(packages: tuple[str, ...], list_file: str | None) -> RunShel
     else:
         command = (
             "apt-get update && DEBIAN_FRONTEND=noninteractive "
-            f"xargs -a {list_file} apt-get install -y --no-install-recommends && "
-            + _apt_cleanup()
+            f"xargs -a {list_file} apt-get install -y --no-install-recommends && {APT_CLEANUP}"
         )
     return RunShell(command=command, category="pkg-os", packages=packages)
 
@@ -363,12 +338,13 @@ def _repos_lines(repos: tuple[RepoSpec, ...]) -> list[str]:
     return lines
 
 
-def _merged_os_packages(resolved: ResolvedDependencies, extra: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple(sorted({*resolved.ros_distro_pkgs, *resolved.system_pkgs, *extra}))
+def _merged(resolved: ResolvedDependencies, spec: ImageSpec) -> tuple[tuple[str, ...], ...]:
+    """The OS and the pip packages that ``resolved`` and the spec's extras name, each sorted."""
 
-
-def _merged_pip_packages(resolved: ResolvedDependencies, extra: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple(sorted({*resolved.python_pkgs, *extra}))
+    return (
+        tuple(sorted({*resolved.ros_distro_pkgs, *resolved.system_pkgs, *spec.extra_apt})),
+        tuple(sorted({*resolved.python_pkgs, *spec.extra_pip})),
+    )
 
 
 def plan_stages(
@@ -397,10 +373,8 @@ def plan_stages(
     package_dirs = [(p.source_dir, _container_rel_dir(p.source_dir, p.name)) for p in packages]
 
     shared = resolved_exec if spec.slim_runtime else resolved
-    shared_os = _merged_os_packages(shared, spec.extra_apt)
-    shared_pip = _merged_pip_packages(shared, spec.extra_pip)
-    all_os = _merged_os_packages(resolved, spec.extra_apt)
-    all_pip = _merged_pip_packages(resolved, spec.extra_pip)
+    shared_os, shared_pip = _merged(shared, spec)
+    all_os, all_pip = _merged(resolved, spec)
     delta_os = tuple(sorted(set(all_os) - set(shared_os)))
     delta_pip = tuple(sorted(set(all_pip) - set(shared_pip)))
 
@@ -408,14 +382,14 @@ def plan_stages(
 
     # base: the guarded ROS core install shared by every lineage.
     instructions["base"] = (
-        BuildArg("ROS_DISTRO", spec.ros_distro),
-        EnvSet("ROS_DISTRO", "${ROS_DISTRO}"),
+        f"ARG ROS_DISTRO={_arg_value(spec.ros_distro)}",
+        "ENV ROS_DISTRO=${ROS_DISTRO}",
         _ros_core_guard(spec.ros_version),
     )
 
     # dependencies: manifests and repository lists only, then the three
     # dependency artifact files consumed by dependencies-install.
-    dep_instructions: list[Instruction] = [Workdir(ws)]
+    dep_instructions: list[Instruction] = [f"WORKDIR {ws}"]
     for source_dir, rel in package_dirs:
         src = "package.xml" if source_dir == "." else f"{source_dir}/package.xml"
         dep_instructions.append(CopyContext(src, f"{ws}/{rel}/package.xml"))
@@ -434,7 +408,7 @@ def plan_stages(
 
     # dependencies-install: consume the artifacts; shared by dev and run.
     install_instructions: list[Instruction] = [
-        Workdir(ws),
+        f"WORKDIR {ws}",
         CopyFromStage("dependencies", ARTIFACT_DIR, ARTIFACT_DIR),
     ]
     if shared_os:
@@ -450,7 +424,7 @@ def plan_stages(
         )
     if repos:
         for var in required_credential_vars(repos):
-            install_instructions.append(BuildArg(var))
+            install_instructions.append(f"ARG {var}")
         install_instructions.append(_clone_transaction(ws))
     if spec.custom_script_post is not None:
         install_instructions.append(
@@ -491,23 +465,16 @@ def plan_stages(
             category="user-setup",
         )
     )
-    dev_instructions.append(UserSet("ros"))
-    dev_instructions.append(Entrypoint((ENTRYPOINT_PATH,)))
-    dev_instructions.append(DefaultCommand(("bash",)))
+    dev_instructions += ["USER ros", *_entrypoint_lines(("bash",))]
     instructions["dev"] = tuple(dev_instructions)
 
     # build and run: the deployment lineage, kept only for the run target.
     if spec.build_tool == "catkin":
-        build_cmd = (
-            '. "/opt/ros/${ROS_DISTRO}/setup.sh" && '
-            f"catkin_make_isolated --install --install-space {ws}/install"
-        )
+        build_cmd = f"catkin_make_isolated --install --install-space {ws}/install"
     else:
-        build_cmd = (
-            '. "/opt/ros/${ROS_DISTRO}/setup.sh" && '
-            f"colcon build --install-base {ws}/install"
-        )
-    instructions["build"] = (RunShell(command=build_cmd, category="build"),)
+        build_cmd = f"colcon build --install-base {ws}/install"
+    setup = '. "/opt/ros/${ROS_DISTRO}/setup.sh" && '
+    instructions["build"] = (RunShell(command=setup + build_cmd, category="build"),)
 
     run_instructions: list[Instruction] = [
         CopyFromStage("build", f"{ws}/install", f"{ws}/install"),
@@ -517,9 +484,8 @@ def plan_stages(
         run_instructions.append(
             RunShell(command=f"chown -R 1000:1000 {ws}", category="user-setup")
         )
-        run_instructions.append(UserSet("ros"))
-    run_instructions.append(Entrypoint((ENTRYPOINT_PATH,)))
-    run_instructions.append(DefaultCommand(spec.launch_command))
+        run_instructions.append("USER ros")
+    run_instructions += _entrypoint_lines(spec.launch_command)
     instructions["run"] = tuple(run_instructions)
 
     return DockerfilePlan(
@@ -722,38 +688,19 @@ def _copy_operands(src: str, dst: str) -> str:
     return " ".join(words)
 
 
-def _render_instruction(instruction: Instruction) -> list[str]:
-    if isinstance(instruction, BuildArg):
-        if instruction.default is None:
-            return [f"ARG {instruction.name}"]
-        return [f"ARG {instruction.name}={_arg_value(instruction.default)}"]
-    if isinstance(instruction, EnvSet):
-        return [f"ENV {instruction.name}={instruction.value}"]
-    if isinstance(instruction, Workdir):
-        return [f"WORKDIR {instruction.path}"]
+def _render_instruction(instruction: Instruction) -> str:
+    if isinstance(instruction, str):
+        return instruction
     if isinstance(instruction, CopyContext):
         chown = f"--chown={instruction.chown} " if instruction.chown else ""
-        return [f"COPY {chown}{_copy_operands(instruction.src, instruction.dst)}"]
+        return f"COPY {chown}{_copy_operands(instruction.src, instruction.dst)}"
     if isinstance(instruction, CopyFromStage):
         operands = _copy_operands(instruction.src, instruction.dst)
-        return [f"COPY --from={instruction.stage} {operands}"]
-    if isinstance(instruction, RunShell):
-        body = _RUN_JOINT_RE.sub(
-            lambda m: " && \\\n    " if m[0] == " && " else m[0], instruction.command
-        )
-        return [f"RUN {body}"]
-    if isinstance(instruction, UserSet):
-        return [f"USER {instruction.user}"]
-    if isinstance(instruction, Entrypoint):
-        return [f"ENTRYPOINT {json.dumps(list(instruction.argv))}"]
-    if isinstance(instruction, DefaultCommand):
-        joined = shlex.join(instruction.argv)
-        return [
-            f"ARG COMMAND={_arg_value(joined)}",
-            'ENV FORGE_COMMAND="${COMMAND}"',
-            "CMD []",
-        ]
-    raise TypeError(f"unknown instruction {instruction!r}")
+        return f"COPY --from={instruction.stage} {operands}"
+    body = _RUN_JOINT_RE.sub(
+        lambda m: " && \\\n    " if m[0] == " && " else m[0], instruction.command
+    )
+    return f"RUN {body}"
 
 
 def render(plan: DockerfilePlan) -> str:
@@ -774,7 +721,7 @@ def render(plan: DockerfilePlan) -> str:
         lines.append("")
         lines.append(f"FROM {stage.parent} AS {stage.name}")
         for instruction in stage.instructions:
-            lines.extend(_render_instruction(instruction))
+            lines.append(_render_instruction(instruction))
     body = "\n".join(lines) + "\n"
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     return (

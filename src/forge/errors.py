@@ -93,7 +93,6 @@ class UnresolvedDependencies(UserError):
 
     def __init__(self, keys: list[str]) -> None:
         super().__init__("unresolved dependency keys: " + ", ".join(keys))
-        self.keys = list(keys)
 
 
 # --- output files ----------------------------------------------------------
@@ -146,5 +145,3 @@ class PluginViolation(UserError):
 
     def __init__(self, plugin: str, problems: list[str]) -> None:
         super().__init__(f"plugin {plugin!r} broke invariants: " + "; ".join(problems))
-        self.plugin = plugin
-        self.problems = list(problems)

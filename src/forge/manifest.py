@@ -22,6 +22,7 @@ from __future__ import annotations
 import errno
 import functools
 import hashlib
+import operator
 import os
 import re
 import time
@@ -76,8 +77,17 @@ _DEP_TAG_SCOPES = {
 }
 
 _CONDITION_TOKEN_RE = re.compile(
-    r"\s*(\$\w+|==|!=|\(|\)|'[^']*'|\"[^\"]*\"|[^\s()'\"]+)"
+    r"\s*(\$\w+|[=!<>]=|[<>]|\(|\)|'[^']*'|\"[^\"]*\"|[^\s()'\"=!<>]+)"
 )
+# REP 149's comparisons, which compare the two values as strings.
+_COMPARISONS = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
 class PackageManifest(NamedTuple):
@@ -118,8 +128,9 @@ class ManifestMemo:
 def evaluate_condition(expression: str, env: dict[str, str]) -> bool:
     """Evaluate a manifest ``condition`` attribute.
 
-    Supports ``$VAR == literal`` and ``$VAR != literal`` comparisons joined
-    by ``and`` / ``or`` with optional parentheses. A comparison referencing
+    Supports ``$VAR <op> literal`` comparisons, with ``<op>`` one of ``==``,
+    ``!=``, ``<``, ``<=``, ``>`` and ``>=`` comparing strings, joined by
+    ``and`` / ``or`` with optional parentheses. A comparison referencing
     a variable absent from ``env`` is false. Syntax outside this subset
     raises :class:`MalformedManifest`.
     """
@@ -148,7 +159,7 @@ def evaluate_condition(expression: str, env: dict[str, str]) -> bool:
         if token.startswith("$"):
             var = token[1:]
             return env.get(var, ""), var in env, index + 1
-        if token in ("(", ")", "==", "!=", "and", "or"):
+        if token in ("(", ")", "and", "or") or token in _COMPARISONS:
             raise MalformedManifest(f"invalid condition syntax: {expression!r}")
         return strip_quotes(token), True, index + 1
 
@@ -159,14 +170,14 @@ def evaluate_condition(expression: str, env: dict[str, str]) -> bool:
                 raise MalformedManifest(f"unbalanced parentheses: {expression!r}")
             return value, index + 1
         left, left_defined, index = parse_operand(index)
-        if index >= len(tokens) or tokens[index] not in ("==", "!="):
+        if index >= len(tokens) or tokens[index] not in _COMPARISONS:
             raise MalformedManifest(f"expected comparison in condition: {expression!r}")
         op = tokens[index]
         right, right_defined, index = parse_operand(index + 1)
         # A comparison over an unset variable is false regardless of operator.
         if not (left_defined and right_defined):
             return False, index
-        return (left == right) if op == "==" else (left != right), index
+        return _COMPARISONS[op](left, right), index
 
     def parse_and(index: int) -> tuple[bool, int]:
         value, index = parse_primary(index)

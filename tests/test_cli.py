@@ -421,6 +421,17 @@ def test_an_empty_path_argument_is_an_error(capsys, monkeypatch, tmp_path, argv,
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("path", ["absent", "file", "--"])
+def test_a_plugin_dir_that_is_not_a_directory_is_an_error(capsys, monkeypatch, tmp_path, path) -> None:
+    # Not read as a directory without plugins, which would run none and say nothing.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    argv = ["run", "--dry-run", f"--plugin-dir={path}", "ros:humble"]
+    assert main(argv, driver=RecordingDriver()) == 2
+    message = f"--plugin-dir {path!r} is not a directory"
+    assert capsys.readouterr() == ("", f"forge: error: InvalidArgs: {message}\n")
+
+
 def test_an_output_of_two_dashes_is_a_file_of_that_name(capsys, monkeypatch, tmp_path) -> None:
     # Python 3.11's argparse reads ``--output=--`` as an empty list.
     monkeypatch.chdir(tmp_path)
@@ -1089,6 +1100,25 @@ def test_build_rejects_an_unknown_platform(capsys, monkeypatch, tmp_path) -> Non
     assert code == 2
     assert "argument --platform: invalid choice: 's390x'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("argv", "option"),
+    [
+        (["build", MINIMAL, "--dry-run"], "--platform"),
+        (["generate", "ci", "--platform", "github", "--image-name", "app", "-o", "-"], "--arch"),
+        (["generate", "ci", "--platform", "gitlab", "--image-name", "app", "-o", "-"], "--arch"),
+    ],
+    ids=["build", "ci-github", "ci-gitlab"],
+)
+def test_a_repeated_platform_counts_once(capsys, argv, option) -> None:
+    # Not a second build of the same platform, and not a multi-platform build.
+    def output(*values: str):
+        assert main([*argv, *(word for value in values for word in (option, value))]) == 0
+        return capsys.readouterr()
+
+    assert output("arm64", "amd64", "arm64", "amd64") == output("arm64", "amd64")
+    assert output("amd64", "amd64") == output("amd64")
 
 
 @pytest.mark.parametrize(

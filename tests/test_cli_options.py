@@ -226,8 +226,8 @@ def parser_arguments() -> set[tuple[str, str]]:
     return pairs
 
 
-def observe(argv: list[str], root: Path) -> tuple:
-    """Run ``forge argv`` in a fresh copy of INPUTS at ``root``; what it did."""
+def write_inputs(root: Path) -> None:
+    """A fresh copy of INPUTS at ``root``, which becomes the current directory."""
 
     shutil.rmtree(root, ignore_errors=True)
     root.mkdir()
@@ -236,6 +236,12 @@ def observe(argv: list[str], root: Path) -> tuple:
         (root / name).parent.mkdir(parents=True, exist_ok=True)
         (root / name).write_text(text, encoding="utf-8")
     (root / "plugins" / "10-name").chmod(0o755)
+
+
+def observe(argv: list[str], root: Path) -> tuple:
+    """Run ``forge argv`` in a fresh copy of INPUTS at ``root``; what it did."""
+
+    write_inputs(root)
     # Only matrix build runs engine commands side by side.
     driver = ConcurrencyDriver(wait_s=0.5 if argv[:2] == ["matrix", "build"] else 0.0)
     out, err = io.StringIO(), io.StringIO()
@@ -293,7 +299,9 @@ def test_argument_changes_what_forge_does(run_root, row: Row) -> None:
 
 
 @pytest.mark.parametrize("row", ROWS, ids=[f"{r.subcommand} {r.argument}" for r in ROWS])
-def test_the_command_parser_reads_argv_as_the_full_parser_does(row: Row) -> None:
+def test_the_command_parser_reads_argv_as_the_full_parser_does(run_root, row: Row) -> None:
+    # Among INPUTS, as a parser type such as --plugin-dir's reads the file system.
+    write_inputs(run_root)
     base = BASE[row.subcommand]
     with_value = [*base, *row.value] if row.argument.startswith("-") else [*row.value, *base[1:]]
     for rest in (base, with_value):

@@ -418,7 +418,9 @@ def _write_plugin(directory: Path, name: str, body: str) -> Path:
 
 
 def test_load_plugins_empty_and_missing(tmp_path) -> None:
-    assert load_plugins(tmp_path / "absent") == []
+    # A directory that cannot be listed is an error naming it, not "no plugins".
+    with pytest.raises(InvalidArgs, match="cannot list --plugin-dir .*absent"):
+        load_plugins(tmp_path / "absent")
     assert load_plugins(tmp_path) == []
     (tmp_path / "not-executable").write_text("#!/bin/sh\n", encoding="utf-8")
     assert load_plugins(tmp_path) == []

@@ -43,6 +43,17 @@ CONDITION_CASES = [
     ("$UNSET == 2", False),
     ("$UNSET != 2", False),
     ("$UNSET != 2 or $ROS_VERSION == 2", True),
+    # REP 149's ordering comparisons compare the values as strings.
+    ("$ROS_VERSION >= 2", True),
+    ("$ROS_VERSION>=2", True),
+    ("$ROS_VERSION > 2", False),
+    ("$ROS_VERSION <= 1", False),
+    ("$ROS_VERSION < 3", True),
+    ("$ROS_VERSION < 10", False),
+    ("$ROS_DISTRO < iron", True),
+    ("2<=$ROS_VERSION", True),
+    ("$UNSET < 2", False),
+    ("$UNSET >= 2", False),
 ]
 
 
@@ -58,6 +69,9 @@ def test_condition_truth_table(expression: str, expected: bool) -> None:
         "$ROS_VERSION ==",
         "== 2",
         "$ROS_VERSION = 2",
+        "$ROS_VERSION => 2",
+        "$ROS_VERSION << 2",
+        "$ROS_VERSION >= <",
         "($ROS_VERSION == 2",
         "$ROS_VERSION == 2)",
         "$ROS_VERSION == 2 and",
