@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import gc
 import importlib
 import io
 import os
@@ -1013,8 +1014,11 @@ def _main(argv: list[str], driver: EngineDriver | None) -> int:
 
 
 def entry() -> NoReturn:
-    """The ``forge`` process: ``main``, then an exit without interpreter teardown.
+    """The ``forge`` process: ``main`` without cyclic garbage collection or teardown.
 
+    A command leaves the same few hundred objects in reference cycles
+    whatever the size of its input (``tests/test_entry.py`` checks this),
+    and ``os._exit`` drops them, so the collector stays off during ``main``.
     When ``main`` returns, forge's files are closed, its threads joined and
     its child processes waited for. So after the ``atexit`` handlers
     (coverage's, logging's) and a flush of what they printed, ``os._exit``
@@ -1023,6 +1027,7 @@ def entry() -> NoReturn:
     escapes ``main`` takes the normal exit path.
     """
 
+    gc.disable()
     code = main()
     atexit._run_exitfuncs()
     sys.stdout.flush()

@@ -20,6 +20,8 @@ from .textio import load_yaml
 
 _SEGMENT_RE = re.compile(r"[A-Za-z0-9_.-]+")
 _PLACEHOLDER_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
+# A URL's userinfo, up to the last ``@`` of its authority.
+_USERINFO_RE = re.compile(r"(?<=://)[^\s/?#'\"]+@")
 
 ReposList = tuple["RepoSpec", ...]
 
@@ -96,14 +98,17 @@ def required_credential_vars(repos: Sequence[RepoSpec]) -> list[str]:
 
 
 def redact(text: str, secrets: Iterable[str]) -> str:
-    """``text`` with every non-empty secret value replaced by ``***``.
+    """``text`` with each URL's userinfo and each non-empty secret replaced by ``***``.
 
-    A value is replaced only where no ``[A-Za-z0-9_-]`` character flanks
-    it, so a short credential leaves a word that contains it (``tok`` in
-    ``x-access-token``) alone. Longer values go first, so a secret that
-    contains another is hidden whole rather than in part.
+    ``scheme://userinfo@`` becomes ``scheme://***@`` first, which also hides
+    a credential in the percent-encoded form git prints. Then a value is
+    replaced only where no ``[A-Za-z0-9_-]`` character flanks it, so a short
+    credential leaves a word that contains it (``tok`` in ``x-access-token``)
+    alone. Longer values go first, so a secret that contains another is
+    hidden whole rather than in part.
     """
 
+    text = _USERINFO_RE.sub("***@", text)
     for value in sorted(secrets, key=len, reverse=True):
         if value:
             pattern = rf"(?<![\w-]){re.escape(value)}(?![\w-])"

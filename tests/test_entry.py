@@ -1,15 +1,18 @@
 """The forge process: ``python -m forge.cli`` and the ``forge`` console script.
 
-Both run ``cli.entry``, which ends the process with ``os._exit`` once
-``main`` has returned. Each test here runs a command as that process and,
-where it can, the same command in this interpreter through ``main``, and
-requires the same output: nothing may be lost by skipping interpreter
-teardown.
+Both run ``cli.entry``, which turns the cyclic garbage collector off, runs
+``main`` and ends the process with ``os._exit`` once ``main`` has returned.
+Each test here runs a command as that process and, where it can, the same
+command in this interpreter through ``main``, and requires the same output:
+nothing may be lost by skipping interpreter teardown. The cyclic garbage a
+command leaves must not grow with its workspace, since the process never
+collects it.
 """
 
 from __future__ import annotations
 
 import ast
+import gc
 import os
 import signal
 import subprocess
@@ -143,6 +146,104 @@ def test_exit_handlers_run_and_their_output_is_flushed(capsys, monkeypatch, tmp_
     assert process == (code, out + b"exit handler ran\n", err)
 
 
+def _console_script() -> tuple[str, str]:
+    """Module and function that ``[project.scripts] forge`` names."""
+
+    tomllib = pytest.importorskip("tomllib")
+    with open(SOURCE_ROOT.parent / "pyproject.toml", "rb") as handle:
+        module, function = tomllib.load(handle)["project"]["scripts"]["forge"].split(":")
+    return module, function
+
+
+# Each runs forge after registering a handler that reports, once ``main`` has
+# returned, whether the collector was on while it ran.
+_REPORT_GC = 'import atexit, gc; atexit.register(lambda: print("gc enabled:", gc.isenabled()))\n'
+
+
+def test_the_process_runs_main_without_the_cyclic_collector(tmp_path) -> None:
+    module, function = _console_script()
+    runs = {
+        "python -m": _REPORT_GC + 'import runpy; runpy.run_module("forge.cli", run_name="__main__")',
+        # What an installed ``forge`` script does.
+        "console script": _REPORT_GC + f"import sys, {module}; sys.exit({module}.{function}())",
+    }
+    for how, run in runs.items():
+        code, out, err = _process(["--version"], tmp_path, tmp_path, ("-c", run))
+        assert (code, out.splitlines()[-1], err) == (0, b"gc enabled: False", b""), how
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_main_leaves_the_collector_as_it_found_it(enabled) -> None:
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["--version"]) == 0
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.fixture(scope="module")
+def workspaces(tmp_path_factory) -> dict[int, Path]:
+    return {
+        count: _large_workspace(tmp_path_factory.mktemp(f"ws{count}"), count)
+        for count in (10, 300)
+    }
+
+
+# The commands the benchmark times, as argv for a workspace ``root`` and an
+# output directory ``out``.
+_COMMANDS = {
+    "analyze": lambda root, out: ["analyze", str(root), "--format", "json"],
+    "generate-dockerfile": lambda root, out: [
+        "generate", "dockerfile", str(root), "-o", str(out / "Dockerfile")
+    ],
+    "build-dry-run": lambda root, out: [
+        "build", str(root), "--target", "run", "--dry-run", "--dockerfile-out", str(out / "b")
+    ],
+    "generate-ci": lambda root, out: [
+        "generate", "ci", "--platform", "gitlab", "--image-name", "bench/app",
+        "--arch", "amd64", "--arch", "arm64", "--enable-test", "-o", "-",
+    ],
+    "run-dry-run": lambda root, out: ["run", "--dry-run", "ros:humble"],
+}
+
+
+@pytest.mark.parametrize(
+    ("command", "cache"),
+    [("analyze", "warm"), ("analyze", "cold")] + [(c, "warm") for c in list(_COMMANDS)[1:]],
+    ids=["analyze-warm", "analyze-cold", *list(_COMMANDS)[1:]],
+)
+def test_cyclic_garbage_does_not_grow_with_the_workspace(
+    capsys, monkeypatch, tmp_path, workspaces, command, cache
+) -> None:
+    """``entry`` never collects, so what a command leaves in cycles must stay bounded."""
+
+    def run(root: Path, name: str) -> None:
+        out = tmp_path / name
+        monkeypatch.chdir(root)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(out if cache == "cold" else tmp_path / root.name))
+        assert main(_COMMANDS[command](root, out)) == 0, capsys.readouterr()
+        capsys.readouterr()
+
+    # The first run imports the command's layers and fills caches and memos;
+    # a warm cache is filled for each workspace before it is measured.
+    run(workspaces[10], "warm-up")
+    if cache == "warm":
+        run(workspaces[300], "warm-up-300")
+    garbage = {}
+    was = gc.isenabled()
+    try:
+        for count, root in workspaces.items():
+            gc.collect()
+            gc.disable()
+            run(root, f"measured-{count}")
+            garbage[count] = gc.collect()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert garbage[10] == garbage[300]
+
+
 def test_ctrl_c_exits_130_with_one_line_and_no_traceback(tmp_path) -> None:
     engine = tmp_path / "engine"
     # SIGINT to forge while it waits for the engine, as a terminal's Ctrl-C.
@@ -160,9 +261,7 @@ def test_ctrl_c_exits_130_with_one_line_and_no_traceback(tmp_path) -> None:
 
 
 def test_the_console_script_runs_what_python_m_runs() -> None:
-    tomllib = pytest.importorskip("tomllib")
-    with open(SOURCE_ROOT.parent / "pyproject.toml", "rb") as handle:
-        script = tomllib.load(handle)["project"]["scripts"]["forge"]
+    script = ":".join(_console_script())
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     (block,) = [
         node for node in tree.body
