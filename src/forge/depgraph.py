@@ -7,8 +7,8 @@ then a rosdep-style database, and finally the unresolved remainder.
 
 Both the rosdep snapshot and the distro indexes ship with the package as
 versioned YAML fixtures and can be overridden from the command line.
-Parsed rosdep databases can be memoized in a cache directory, keyed by
-the content of their documents.
+Parsed rosdep databases can be memoized in a cache directory; each cache
+file holds the documents it was parsed from.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from . import KNOWN_DISTROS, __version__
 from .errors import MalformedDatabase, shown
 from .manifest import Workspace
 from .sources import RepoSpec
-from .textio import ComposedDocument, cache_key, load_yaml, read_json, write_json, yaml_errors
+from .textio import ComposedDocument, cache_name, load_yaml, read_cache, write_json, yaml_errors
 
-ROSDEP_CACHE_FORMAT = 1
+ROSDEP_CACHE_FORMAT = 2
 """Layout version of cached rosdep databases; part of every cache key."""
 
 ROSDEP_OS = "ubuntu"
@@ -116,20 +116,20 @@ def load_rosdep_db(
     constructor rejects (``!!int x``) is an error only inside such a record.
 
     With ``cache_dir``, the merged records for that OS are memoized there as
-    ``rosdep-<key>.json``, where the key is a sha256 over the cache format,
-    the forge version, :data:`ROSDEP_OS` and the length-prefixed documents;
-    the names are not part of it. Cached records pass the same record
-    checks as parsed ones; a cache file that cannot be read, decoded or
-    checked is a miss. The cache is written only after a successful parse,
-    and only when ``write_cache`` is true. Cache I/O errors fall back
-    silently to parsing.
+    ``rosdep-<crc>.json``, which holds ``{"key": ..., "records": ...}``. The
+    key is the cache format, the forge version, :data:`ROSDEP_OS` and the
+    documents in order; the names are not part of it. Cached records pass
+    the same record checks as parsed ones; a cache file that cannot be
+    read, decoded or checked, or that holds another key, is a miss. The
+    cache is written only after a successful parse, and only when
+    ``write_cache`` is true. Cache I/O errors fall back silently to parsing.
     """
 
     cache_path = None
     if cache_dir is not None:
-        digest = cache_key(f"rosdep/{ROSDEP_CACHE_FORMAT}", __version__, ROSDEP_OS, *documents)
-        cache_path = Path(cache_dir) / f"rosdep-{digest}.json"
-        cached = _read_cached_entries(cache_path)
+        key = [f"rosdep/{ROSDEP_CACHE_FORMAT}", __version__, ROSDEP_OS, *documents]
+        cache_path = Path(cache_dir) / f"rosdep-{cache_name(key)}.json"
+        cached = _cached_entries(read_cache(cache_path, key))
         if cached is not None:
             return RosdepDatabase(entries=cached)
 
@@ -140,7 +140,7 @@ def load_rosdep_db(
             _read_records(ComposedDocument(text, name), records, entries)
 
     if cache_path is not None and write_cache:
-        write_json(cache_path, records)
+        write_json(cache_path, {"key": key, "records": records})
     return RosdepDatabase(entries=entries)
 
 
@@ -177,10 +177,10 @@ def _read_records(
             raise MalformedDatabase(f"{doc.position(record)}: {exc}") from None
 
 
-def _read_cached_entries(path: Path) -> dict[str, RosdepEntry] | None:
-    """Checked entries from a cache file, or None when it is not usable."""
+def _cached_entries(cached: dict | None) -> dict[str, RosdepEntry] | None:
+    """Checked entries from a cache file's object, or None when it is not usable."""
 
-    records = read_json(path)
+    records = cached and cached.get("records")
     if not isinstance(records, dict) or "" in records:
         return None
     try:

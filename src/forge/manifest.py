@@ -7,21 +7,21 @@ exec); test dependencies are checked but kept in neither. Elements outside
 the supported subset, such as ``<export>``, are ignored so that newer
 manifest additions do not break scanning.
 
-Parsed manifests can be memoized in a cache directory, keyed by the
-sha256 of each ``package.xml`` file's bytes; the bytes are decoded and the
-XML parsed, and ``xml.etree`` imported, only for manifests the memo does
-not hold. Beside the records the memo keeps a stat snapshot of the walk
-that wrote it: while every path it watched (see :func:`_walk`) still
-stats the same, a scan builds its result from the snapshot without
-listing a directory, reading a manifest or hashing one (see
-:data:`RACY_MARGIN_NS` for when a snapshot can be trusted).
+Parsed manifests can be memoized in a cache directory, one file per
+workspace, each record under the sha256 of its ``package.xml`` file's
+bytes; the bytes are decoded and the XML parsed, and ``xml.etree``
+imported, only for manifests the memo does not hold. Beside the records
+the memo keeps a stat snapshot of the walk that wrote it: while every
+path it watched (see :func:`_walk`) still stats the same, a scan builds
+its result from the snapshot without listing a directory, reading a
+manifest or hashing one (see :data:`RACY_MARGIN_NS` for when a snapshot
+can be trusted), so it loads neither ``xml.etree`` nor ``hashlib``.
 """
 
 from __future__ import annotations
 
 import errno
 import functools
-import hashlib
 import operator
 import os
 import re
@@ -37,14 +37,14 @@ from .errors import (
     UnreadableWorkspace,
     UnsupportedFormat,
 )
-from .textio import cache_key, read_json, write_json
+from .textio import cache_name, read_cache, write_json
 
 PACKAGE_NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 VERSION_RE = re.compile(r"\d+(\.\d+)*")
 
 IGNORE_MARKERS = ("AMENT_IGNORE", "CATKIN_IGNORE", "COLCON_IGNORE")
 
-MANIFEST_MEMO_FORMAT = 4
+MANIFEST_MEMO_FORMAT = 5
 """Layout version of memoized manifests; part of every memo key."""
 
 RACY_MARGIN_NS = 2_000_000_000
@@ -76,9 +76,8 @@ _DEP_TAG_SCOPES = {
     "test_depend": (),
 }
 
-_CONDITION_TOKEN_RE = re.compile(
-    r"\s*(\$\w+|[=!<>]=|[<>]|\(|\)|'[^']*'|\"[^\"]*\"|[^\s()'\"=!<>]+)"
-)
+# Compiled on first use (``re`` keeps it): a scan the memo serves evaluates no condition.
+_CONDITION_TOKEN = r"\s*(\$\w+|[=!<>]=|[<>]|\(|\)|'[^']*'|\"[^\"]*\"|[^\s()'\"=!<>]+)"
 # REP 149's comparisons, which compare the two values as strings.
 _COMPARISONS = {
     "==": operator.eq,
@@ -135,10 +134,11 @@ def evaluate_condition(expression: str, env: dict[str, str]) -> bool:
     raises :class:`MalformedManifest`.
     """
 
+    token_re = re.compile(_CONDITION_TOKEN)
     tokens = []
     pos = 0
     while pos < len(expression):
-        match = _CONDITION_TOKEN_RE.match(expression, pos)
+        match = token_re.match(expression, pos)
         if match is None:
             break
         tokens.append(match.group(1))
@@ -229,42 +229,40 @@ def parse_manifest(
 
     if memo is None:
         return _parse_xml(data, condition_env, source_dir)
-    digest = data if type(data) is str else hashlib.sha256(data).hexdigest()
+    if type(data) is str:
+        digest = data
+    else:
+        # Imported here, as it loads OpenSSL: a scan from a snapshot hashes nothing.
+        import hashlib
+
+        digest = hashlib.sha256(data).hexdigest()
     record = memo.cached.get(digest)
     manifest = _from_record(record, source_dir)
     if manifest is None:
         if type(data) is str:
             return None
         manifest = _parse_xml(data, condition_env, source_dir)
-        record = [manifest.name, sorted(manifest.deps_build), sorted(manifest.deps_exec)]
+        scopes = (manifest.deps_build, manifest.deps_exec)
+        record = [manifest.name, *(" ".join(sorted(keys)) for keys in scopes)]
     memo.records[digest] = record
     memo.digests.append(digest)
     return manifest
 
 
 def _from_record(record: object, source_dir: str) -> PackageManifest | None:
-    """The manifest a memo record describes, or None unless it passes the parse checks."""
+    """The manifest a memo record describes, or None unless it passes the parse checks.
+
+    A record is ``[name, build keys, exec keys]``, each scope's keys joined
+    by spaces. ``str.split`` gives no key that is empty or holds whitespace,
+    which is what the parse checks of a key come to.
+    """
 
     if type(record) is not list or len(record) != 3:
         return None
     name, build, exec_ = record
-    if not (
-        type(name) is str
-        and PACKAGE_NAME_RE.fullmatch(name)
-        and type(build) is list
-        and type(exec_) is list
-    ):
+    if not (type(name) is type(build) is type(exec_) is str and PACKAGE_NAME_RE.fullmatch(name)):
         return None
-    # Each key is one word: the joined keys split back into the same list
-    # only if none is empty or holds whitespace, and join takes only
-    # strings. The checks run in C.
-    keys = build + exec_
-    try:
-        if " ".join(keys).split() != keys:
-            return None
-    except TypeError:
-        return None
-    return PackageManifest(name, frozenset(build), frozenset(exec_), source_dir)
+    return PackageManifest(name, frozenset(build.split()), frozenset(exec_.split()), source_dir)
 
 
 def _parse_xml(data: bytes, env: dict[str, str], source_dir: str) -> PackageManifest:
@@ -374,10 +372,11 @@ def scan_workspace(
     duplicate names and package-less trees are hard errors.
 
     Each live ``package.xml`` is read once, as bytes. With ``cache_dir``,
-    parsed manifests are memoized there as ``manifests-<key>.json``, one
-    file per workspace, where the key is a sha256 over the memo format,
-    the forge version, the absolute root and the sorted ``condition_env``.
-    The file holds ``{"records": ..., "snapshot": ...}``. Each record is
+    parsed manifests are memoized there as ``manifests-<crc>.json``, one
+    file per workspace, which holds ``{"key": ..., "records": ...,
+    "snapshot": ...}``. The key is the memo format, the forge version, the
+    absolute root and the sorted ``condition_env``; a file that holds
+    another key is a miss, as one that cannot be read is. Each record is
     stored under the sha256 of its manifest file's bytes, so a manifest
     the memo holds is neither decoded nor parsed. The snapshot is the last
     walk's, or null (see :func:`_walk` for when a walk stores none); while
@@ -394,24 +393,19 @@ def scan_workspace(
     if cache_dir is None:
         return _walk(root, condition_env, None)[0]
 
-    abs_root = os.path.abspath(root)
     env_parts = [part for item in sorted(condition_env.items()) for part in item]
-    digest = cache_key(f"manifests/{MANIFEST_MEMO_FORMAT}", __version__, abs_root, *env_parts)
-    memo_path = Path(cache_dir) / f"manifests-{digest}.json"
-    cached = read_json(memo_path)
-    if not isinstance(cached, dict):
-        cached = {}
+    key = [f"manifests/{MANIFEST_MEMO_FORMAT}", __version__, os.path.abspath(root), *env_parts]
+    memo_path = Path(cache_dir) / f"manifests-{cache_name(key)}.json"
+    cached = read_cache(memo_path, key) or {}
     records = cached.get("records")
     if not isinstance(records, dict):
         records = {}
-    workspace = _from_snapshot(
-        cached.get("snapshot"), root, abs_root, condition_env, ManifestMemo(records)
-    )
+    workspace = _from_snapshot(cached.get("snapshot"), root, condition_env, ManifestMemo(records))
     if workspace is not None:
         return workspace
     memo = ManifestMemo(records)
     workspace, snapshot = _walk(root, condition_env, memo)
-    content = {"records": memo.records, "snapshot": snapshot and [abs_root, *snapshot]}
+    content = {"key": key, "records": memo.records, "snapshot": snapshot}
     # A snapshot that failed is left in place, not rewritten as null: that
     # would write the whole memo to save a failed check, and the next walk
     # that stores a snapshot replaces it.
@@ -421,31 +415,26 @@ def scan_workspace(
 
 
 def _from_snapshot(
-    snapshot: object,
-    root: Path,
-    abs_root: str,
-    condition_env: dict[str, str],
-    memo: ManifestMemo,
+    snapshot: object, root: Path, condition_env: dict[str, str], memo: ManifestMemo
 ) -> Workspace | None:
     """The workspace a memo's snapshot stands for, or None unless it still holds.
 
-    The snapshot must be ``[abs_root, paths, digests, stats]`` as
-    :func:`scan_workspace` stores it for this root (see :func:`_walk`),
-    with no racy time in ``stats``, and every path must still stat to its
-    five ints there. The rows then give the result by the walk's own
-    rules: a row with a digest is a package in the directory that holds
-    the ``package.xml``, whose record must pass :func:`parse_manifest`'s
+    The snapshot must be ``[paths, digests, stats]`` as :func:`_walk`
+    returns it, read from the memo whose key names this root, with no racy
+    time in ``stats``, and every path must still stat to its five ints
+    there. The rows then give the result by the walk's own rules: a row
+    with a digest is a package in the directory that holds the
+    ``package.xml``, whose record must pass :func:`parse_manifest`'s
     checks, and a present ignore marker ignores its directory. Package
     names must be unique. A digest is trusted as a record is: only
     hashing the manifest could check it.
     """
 
-    if type(snapshot) is not list or len(snapshot) != 4:
+    if type(snapshot) is not list or len(snapshot) != 3:
         return None
-    snapshot_root, paths, digests, stats = snapshot
+    paths, digests, stats = snapshot
     if not (
-        snapshot_root == abs_root
-        and set(map(type, snapshot[1:])) == {list}
+        set(map(type, snapshot)) == {list}
         and paths
         and len(digests) == len(paths)
         and len(stats) == 5 * len(paths)

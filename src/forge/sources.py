@@ -15,8 +15,10 @@ import re
 from pathlib import PurePosixPath
 from typing import Iterable, NamedTuple, Sequence
 
+import yaml
+
 from .errors import MalformedReposFile, UnsupportedVcsType
-from .textio import load_yaml
+from .textio import ComposedDocument, yaml_errors
 
 _SEGMENT_RE = re.compile(r"[A-Za-z0-9_.-]+")
 _PLACEHOLDER_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
@@ -42,35 +44,52 @@ def safe_relative_path(text: str) -> bool:
 
 
 def parse_repos(yaml_text: str, path: str) -> ReposList:
-    """Parse the repository list file ``path``, sorted by local name; errors start with ``path``."""
+    """Parse the repository list file ``path``, sorted by local name.
 
-    doc = load_yaml(yaml_text, path, MalformedReposFile)
-    if not isinstance(doc, dict) or not isinstance(doc.get("repositories"), dict):
-        raise MalformedReposFile(f"{path}: expected a top-level 'repositories' mapping")
+    Every error starts with ``path``, and one about an entry or a value
+    with the ``path:line:column`` of its node. Only the names and each
+    entry's ``type``, ``url`` and ``version`` are built as values.
+    """
 
-    repos: list[RepoSpec] = []
-    for name, body in doc["repositories"].items():
-        if not isinstance(name, str) or not safe_relative_path(name):
-            raise MalformedReposFile(f"{path}: invalid repository name {name!r}")
-        where = f"{path}: repository {name!r}"
-        if not isinstance(body, dict):
-            raise MalformedReposFile(f"{where} is not a mapping")
-        vcs_type = body.get("type")
-        if not isinstance(vcs_type, str) or not vcs_type:
-            raise MalformedReposFile(f"{where} is missing a vcs type")
-        if vcs_type != "git":
-            raise UnsupportedVcsType(f"{where} uses {vcs_type!r}, only git is supported")
-        url = body.get("url")
-        if not isinstance(url, str) or not url or re.search(r"\s", url):
-            raise MalformedReposFile(f"{where} has an invalid url")
-        version = body.get("version")
-        if version is not None:
-            if not isinstance(version, str) or not version or re.search(r"\s", version):
-                raise MalformedReposFile(f"{where} has an invalid version")
-        repos.append(RepoSpec(local_name=name, url=url, version=version))
-
+    with yaml_errors(path, MalformedReposFile):
+        doc = ComposedDocument(yaml_text, path)
+        top = doc.mapping(doc.root) or {}
+        entries = doc.mapping(top.get("repositories"))
+        if entries is None:
+            node = top.get("repositories", doc.root)
+            where = path if node is None else doc.position(node)
+            raise MalformedReposFile(f"{where}: expected a top-level 'repositories' mapping")
+        repos = [_repo_spec(doc, name, node) for name, node in entries.items()]
     repos.sort(key=lambda r: r.local_name)
     return tuple(repos)
+
+
+def _repo_spec(doc: ComposedDocument, name: object, node: yaml.Node) -> RepoSpec:
+    """The entry ``name: node``; an error names the bad value's node, or else the entry's."""
+
+    if not isinstance(name, str) or not safe_relative_path(name):
+        raise MalformedReposFile(f"{doc.position(node)}: invalid repository name {name!r}")
+    body = doc.mapping(node)
+    if body is None:
+        raise MalformedReposFile(f"{doc.position(node)}: repository {name!r} is not a mapping")
+
+    # Each value's node, or the entry's for a missing value.
+    at = {key: body.get(key, node) for key in ("type", "url", "version")}
+    vcs_type, url, version = (None if n is node else doc.construct(n) for n in at.values())
+
+    def where(key: str) -> str:
+        return f"{doc.position(at[key])}: repository {name!r}"
+
+    if not isinstance(vcs_type, str) or not vcs_type:
+        raise MalformedReposFile(f"{where('type')} is missing a vcs type")
+    if vcs_type != "git":
+        raise UnsupportedVcsType(f"{where('type')} uses {vcs_type!r}, only git is supported")
+    if not isinstance(url, str) or not url or re.search(r"\s", url):
+        raise MalformedReposFile(f"{where('url')} has an invalid url")
+    if version is not None:
+        if not isinstance(version, str) or not version or re.search(r"\s", version):
+            raise MalformedReposFile(f"{where('version')} has an invalid version")
+    return RepoSpec(local_name=name, url=url, version=version)
 
 
 def combine_repos(lists: Iterable[tuple[str, ReposList]]) -> ReposList:

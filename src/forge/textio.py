@@ -14,14 +14,17 @@ path is also the stream name that PyYAML's marks print. Every YAML
 document forge writes goes through :func:`dump_yaml`, with libyaml's
 ``CSafeDumper`` under the same fallback.
 
-Cache files under forge's cache directory are named by :func:`cache_key`,
-read with :func:`read_json` and replaced with :func:`write_json`. A cache
-file is only ever a shortcut: one that cannot be read is a miss, and one
+A cache file under forge's cache directory is a JSON object that stores
+its own key, a list of strings, under ``"key"``. The file is named by the
+CRC-32 of that key (:func:`cache_name`), read with :func:`read_cache` and
+replaced with :func:`write_json`. A cache file is only ever a shortcut:
+one that cannot be read, or that holds another key, is a miss, and one
 that cannot be written is skipped.
 """
 
 from __future__ import annotations
 
+import binascii
 import contextlib
 import io
 import os
@@ -97,6 +100,8 @@ class ComposedDocument:
     def construct(self, node: yaml.Node) -> object:
         """``node`` and everything below it as plain objects, as ``yaml.safe_load`` builds them."""
 
+        if node.tag == _STR_TAG and isinstance(node, yaml.ScalarNode):
+            return node.value  # what the constructor returns, without its setup
         try:
             return self._loader.construct_document(node)
         # SafeConstructor's own failures on a scalar its tag does not fit: a
@@ -150,34 +155,39 @@ def read_utf8(path: str | Path, error: type[UserError]) -> str:
         raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def cache_key(*parts: str) -> str:
-    """sha256 hex digest over ``parts``, each length-prefixed so none can run into the next.
+def cache_name(key: list[str]) -> str:
+    """Eight hex digits of CRC-32 over ``key``'s parts, each length-prefixed.
 
-    A part is hashed as UTF-8 with ``surrogateescape``, so a path holding a
-    byte that is not UTF-8 is hashed as its bytes on disk.
+    The prefix keeps one part from running into the next. A part is taken
+    as UTF-8 with ``surrogateescape``, so a path holding a byte that is not
+    UTF-8 counts as its bytes on disk. The name only places a file:
+    :func:`read_cache` compares the key stored in it, so two keys with one
+    name take turns in one file.
     """
 
-    # hashlib, json and tempfile are imported on use: commands that cache
-    # nothing, such as ``forge --version``, then do not pay for them at startup.
-    import hashlib
-
-    digest = hashlib.sha256()
-    for part in parts:
+    # A CRC, not a sha256: hashlib would load OpenSSL, binascii comes with yaml.
+    crc = 0
+    for part in key:
         data = part.encode("utf-8", "surrogateescape")
-        digest.update(len(data).to_bytes(8, "big"))
-        digest.update(data)
-    return digest.hexdigest()
+        crc = binascii.crc32(data, binascii.crc32(len(data).to_bytes(8, "big"), crc))
+    return f"{crc:08x}"
 
 
-def read_json(path: Path) -> object:
-    """The JSON value stored in ``path``, or None when it cannot be read or decoded."""
+def read_cache(path: Path, key: list[str]) -> dict | None:
+    """The JSON object stored in ``path`` if its ``"key"`` is ``key``.
 
+    None when it holds another key or value, or cannot be read or decoded.
+    """
+
+    # json and tempfile are imported on use: commands that cache nothing,
+    # such as ``forge --version``, then do not pay for them at startup.
     import json
 
     try:
-        return json.loads(path.read_bytes())
+        value = json.loads(path.read_bytes())
     except (OSError, ValueError, RecursionError):
         return None
+    return value if type(value) is dict and value.get("key") == key else None
 
 
 def write_json(path: Path, value: object) -> None:

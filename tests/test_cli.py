@@ -643,7 +643,7 @@ _DEEP_LIST = "[" * 3000 + "]" * 3000
         (
             ["generate", "dockerfile", MINIMAL, "--repos", "{path}", "-o", "-"],
             'repositories:\n  "dep\\n": {type: git, url: "https://h/dep.git"}\n',
-            "MalformedReposFile: {path}: invalid repository name 'dep\\n'",
+            "MalformedReposFile: {path}:2:12: invalid repository name 'dep\\n'",
         ),
         (
             ["analyze", MINIMAL, "--distro-index", "{path}"],

@@ -30,7 +30,7 @@ from forge.depgraph import (
 )
 from forge.errors import MalformedDatabase
 from forge.sources import RepoSpec
-from forge.textio import cache_key
+from forge.textio import ComposedDocument, cache_name
 
 from resolution_oracle import load_oracle_db, partition
 from rosdep_oracle import load_whole
@@ -351,6 +351,12 @@ def test_cache_round_trip_matches_uncached(docs: list[dict]) -> None:
             assert load(documents, cache, True) == uncached
 
 
+def _records(records: object):
+    """Damage that keeps the file's key and replaces its records with ``records``."""
+
+    return lambda good: json.dumps({**json.loads(good), "records": records}).encode()
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -359,14 +365,15 @@ def test_cache_round_trip_matches_uncached(docs: list[dict]) -> None:
         lambda good: b"not json",
         lambda good: b"\xff\xfe\x00",
         lambda good: b'["a list"]',
-        lambda good: b'{"eigen": {"apt": ["x"]}}',
-        lambda good: b'{"eigen": []}',
-        lambda good: b'{"eigen": ["lib foo"]}',
-        lambda good: b'{"": ["x"]}',
+        _records(["a list"]),
+        _records({"eigen": {"apt": ["x"]}}),
+        _records({"eigen": []}),
+        _records({"eigen": ["lib foo"]}),
+        _records({"": ["x"]}),
         lambda good: b"[" * 100_000,
     ],
-    ids=["truncated", "empty", "not-json", "not-utf8", "list", "bad-record", "empty-list",
-         "space-in-name", "empty-key", "deep"],
+    ids=["truncated", "empty", "not-json", "not-utf8", "list", "records-list", "bad-record",
+         "empty-list", "space-in-name", "empty-key", "deep"],
 )
 def test_unusable_cache_file_is_a_rewritten_miss(tmp_path, damage) -> None:
     cache, path = cold_cache(tmp_path, [DB_DOC])
@@ -435,8 +442,9 @@ def test_cache_key_covers_order_bytes_boundaries_and_os(tmp_path) -> None:
         assert load(documents, cache, True) == uncached
         assert len(cache_files(cache)) == n
     # The key names the one OS forge resolves for, so the file names stay stable.
-    digest = cache_key(f"rosdep/{ROSDEP_CACHE_FORMAT}", __version__, "ubuntu", DB_DOC, override)
-    assert (cache / f"rosdep-{digest}.json").is_file()
+    key = [f"rosdep/{ROSDEP_CACHE_FORMAT}", __version__, "ubuntu", DB_DOC, override]
+    path = cache / f"rosdep-{cache_name(key)}.json"
+    assert json.loads(path.read_bytes())["key"] == key
     # Reordered documents give a different database, and each is its own hit.
     with mock.patch("forge.depgraph.ComposedDocument", side_effect=AssertionError("parsed")):
         assert load([DB_DOC, override], cache, True).entries["eigen"].packages == (
@@ -445,6 +453,38 @@ def test_cache_key_covers_order_bytes_boundaries_and_os(tmp_path) -> None:
         assert load([override, DB_DOC], cache, True).entries["eigen"].packages == (
             "libeigen3-dev",
         )
+
+
+def _colliding_cache(tmp_path: Path) -> tuple[Path, Path, bytes]:
+    """A cache whose file for ``[DB_DOC]`` holds another database's key and records.
+
+    That is what a CRC-32 collision, or a file copied from another cache,
+    looks like: a well-formed file at the computed name.
+    """
+
+    other = "eigen:\n  ubuntu: [libeigen3-other]\n"
+    cache, path = cold_cache(tmp_path, [DB_DOC])
+    (other_path,) = cache_files(cold_cache(tmp_path / "other", [other])[0])
+    path.write_bytes(other_path.read_bytes())
+    return cache, path, other_path.read_bytes()
+
+
+def test_cache_file_holding_another_key_is_a_rewritten_miss(tmp_path) -> None:
+    cache, path, other = _colliding_cache(tmp_path)
+    good = cold_cache(tmp_path / "good", [DB_DOC])[1].read_bytes()
+    expected = small_db()
+    with mock.patch("forge.depgraph.ComposedDocument", wraps=ComposedDocument) as composed:
+        assert load([DB_DOC], cache, True) == expected
+    assert composed.call_count == 1
+    assert path.read_bytes() == good
+    with mock.patch("forge.depgraph.ComposedDocument", side_effect=AssertionError("parsed")):
+        assert load([DB_DOC], cache, True) == expected
+
+
+def test_cache_file_holding_another_key_is_left_without_write_cache(tmp_path) -> None:
+    cache, path, other = _colliding_cache(tmp_path)
+    assert load([DB_DOC], cache, write_cache=False) == small_db()
+    assert path.read_bytes() == other
 
 
 def test_pure_python_yaml_fallback_matches_libyaml(monkeypatch) -> None:
@@ -591,7 +631,9 @@ def test_loader_matches_the_whole_document_oracle(loader: type) -> None:
             records, entries = expected
             assert list(db.entries.items()) == list(entries.items())
             (path,) = cache_files(Path(tmp))
-            assert path.read_text(encoding="utf-8") == json.dumps(records, separators=(",", ":"))
+            key = [f"rosdep/{ROSDEP_CACHE_FORMAT}", __version__, "ubuntu", *documents]
+            stored = json.dumps({"key": key, "records": records}, separators=(",", ":"))
+            assert path.read_text(encoding="utf-8") == stored
 
     same_outcome()
 

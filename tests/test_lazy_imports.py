@@ -8,6 +8,12 @@ missing bind as a failing command.
 forge's records are NamedTuples, so no command loads ``dataclasses`` (which
 loads ``inspect``). Only code that spawns a process loads ``subprocess``,
 and only code that reads or writes JSON loads ``json``.
+
+Only code that computes a sha256 loads ``hashlib``, and with it OpenSSL
+(``_hashlib``): a walk of the workspace, which hashes each manifest it
+reads, and the Dockerfile header of ``generate dockerfile`` and ``build``.
+Cache files are named by CRC-32, so an ``analyze`` whose manifest memo
+holds a snapshot that still matches the workspace loads neither.
 """
 
 from __future__ import annotations
@@ -17,12 +23,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import forge
 import forge.cli as cli
+import forge.manifest
 
 from conftest import FIXTURE_ROOT
 
@@ -108,6 +116,25 @@ def test_warm_analyze_loads_no_xml_parser(tmp_path) -> None:
     # memo hit and no XML is parsed.
     assert "xml.etree.ElementTree" in _modules_after(["analyze", MINIMAL], tmp_path)
     assert "xml.etree.ElementTree" not in _modules_after(["analyze", MINIMAL], tmp_path)
+
+
+def test_analyze_from_a_snapshot_loads_no_openssl(tmp_path) -> None:
+    # The second run stores a snapshot only once every file of the workspace
+    # is older than the racy margin; a fresh checkout may not be yet.
+    margin = forge.manifest.RACY_MARGIN_NS
+    stats = [os.lstat(path) for path in [Path(MINIMAL), *Path(MINIMAL).rglob("*")]]
+    newest = max(max(st.st_mtime_ns, st.st_ctime_ns) for st in stats)
+    time.sleep(min(margin, max(0, newest + margin - time.time_ns())) / 1e9)
+    # The cold run parses and hashes every manifest, the second run's walk
+    # hashes each again to find its record and stores the snapshot, and the
+    # third takes it.
+    for _ in range(2):
+        _modules_after(["analyze", MINIMAL], tmp_path)
+    openssl = {"hashlib", "_hashlib"}
+    assert not openssl & _modules_after(["analyze", MINIMAL], tmp_path)
+    # The header digest still needs sha256, which shows the names are right.
+    dockerfile = ["generate", "dockerfile", MINIMAL, "-o", str(tmp_path / "Dockerfile")]
+    assert openssl <= _modules_after(dockerfile, tmp_path)
 
 
 # --- the lazy-name contract --------------------------------------------------

@@ -295,6 +295,31 @@ def test_a_memo_without_records_gets_its_snapshot_on_the_next_walk(
     assert json.loads(path.read_bytes())["snapshot"] is not None
 
 
+# Every character that ``str.split`` splits at, and a few that it does not.
+_KEY_TEXT = st.text(st.sampled_from(" \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000\u200bab_-"))
+
+
+@given(st.one_of(_KEY_TEXT, st.text()), st.one_of(_KEY_TEXT, st.text()))
+def test_any_memo_key_string_gives_only_words(build: str, exec_: str) -> None:
+    manifest = forge.manifest._from_record(["pkg", build, exec_], ".")
+    for key in manifest.deps_build | manifest.deps_exec:
+        assert key and key.split() == [key]
+
+
+_WORDS = st.frozensets(st.from_regex(r"[A-Za-z0-9_.+é-]+", fullmatch=True), max_size=4)
+
+
+@given(_WORDS, _WORDS)
+def test_memo_record_round_trips_a_parsed_manifest(build: frozenset, exec_: frozenset) -> None:
+    extra = "".join(f"<build_depend>{key}</build_depend>" for key in build)
+    extra += "".join(f"<exec_depend>{key}</exec_depend>" for key in exec_)
+    memo = forge.manifest.ManifestMemo({})
+    parsed = forge.manifest.parse_manifest(manifest_xml("pkg", extra).encode(), ENV, "src/pkg", memo)
+    assert (parsed.deps_build, parsed.deps_exec) == (build, exec_)
+    (record,) = json.loads(json.dumps(list(memo.records.values())))
+    assert forge.manifest._from_record(record, "src/pkg") == parsed
+
+
 @pytest.fixture
 def no_racy_margin(monkeypatch) -> None:
     """Keep the snapshot of a workspace written just before the scan.
@@ -309,10 +334,7 @@ def no_racy_margin(monkeypatch) -> None:
 def test_warm_memo_skips_the_parse_and_the_write(tmp_path) -> None:
     root, cache, good = _warm(tmp_path)
     records = json.loads(good)["records"]
-    assert sorted(records.values()) == [
-        ["alpha", ["rclcpp"], ["rclcpp"]],
-        ["beta", ["rclcpp"], ["rclcpp"]],
-    ]
+    assert sorted(records.values()) == [["alpha", "rclcpp", "rclcpp"], ["beta", "rclcpp", "rclcpp"]]
     (path,) = memo_files(cache)
     inode = path.stat().st_ino
     expected = scan_workspace(root, ENV, None, True)
@@ -346,18 +368,15 @@ def _damaged_memo(good: bytes, part: str, damage) -> str:
         lambda records: list(records.values()),
         lambda records: {digest: dict(enumerate(r)) for digest, r in records.items()},
         lambda records: {digest: r[:2] for digest, r in records.items()},
-        lambda records: {digest: [*r, ["gtest"]] for digest, r in records.items()},
+        lambda records: {digest: [*r, "gtest"] for digest, r in records.items()},
         lambda records: {digest: "".join(map(str, r)) for digest, r in records.items()},
         _set_field(0, "9lives"),
         _set_field(0, "name\n"),
-        _set_field(1, [7]),
-        _set_field(2, [""]),
-        _set_field(2, ["x\ny"]),
-        _set_field(2, "rclcpp"),
+        _set_field(1, 7),
+        _set_field(2, ["rclcpp"]),
     ],
     ids=["not-json", "not-a-dict", "record-dict", "record-short", "record-long", "record-string",
-         "bad-name", "name-newline", "non-string-dep", "empty-dep", "dep-whitespace",
-         "deps-not-list"],
+         "bad-name", "name-newline", "non-string-deps", "deps-list"],
 )
 def test_damaged_memo_is_a_rewritten_miss(tmp_path, no_racy_margin, damage) -> None:
     # The snapshot holds, so each damaged record is met on the snapshot's
@@ -385,15 +404,15 @@ def _add_row(path: str, like: str):
     """Add a row for ``path`` with the digest and stats of the row for ``like``."""
 
     def damage(snapshot: list) -> list:
-        root, paths, digests, stats = snapshot
+        paths, digests, stats = snapshot
         row = paths.index(like)
-        return [root, [*paths, path], [*digests, digests[row]], stats + stats[5 * row:5 * row + 5]]
+        return [[*paths, path], [*digests, digests[row]], stats + stats[5 * row:5 * row + 5]]
 
     return damage
 
 
 def _rename_rows(renames: dict[str, str]):
-    return _set_snapshot_part(1, lambda paths: [renames.get(path, path) for path in paths])
+    return _set_snapshot_part(0, lambda paths: [renames.get(path, path) for path in paths])
 
 
 _ALPHA, _BETA = "src/alpha/package.xml", "src/beta/package.xml"
@@ -403,19 +422,19 @@ _ALPHA, _BETA = "src/alpha/package.xml", "src/beta/package.xml"
     "damage",
     [
         lambda snapshot: {"snapshot": snapshot},
-        lambda snapshot: snapshot[:3],
-        _set_snapshot_part(3, lambda stats: stats[:-1]),
-        _set_snapshot_part(3, lambda stats: list(map(str, stats))),
-        _set_snapshot_part(2, lambda digests: [digest and "0" * 64 for digest in digests]),
+        lambda snapshot: snapshot[:2],
+        _set_snapshot_part(2, lambda stats: stats[:-1]),
+        _set_snapshot_part(2, lambda stats: list(map(str, stats))),
+        _set_snapshot_part(1, lambda digests: [digest and "0" * 64 for digest in digests]),
         _add_row(_ALPHA, _ALPHA),
-        _set_snapshot_part(0, lambda root: root + "-other"),
+        lambda snapshot: [*snapshot, "extra"],
         _rename_rows({_ALPHA: "src/package.xml"}),
         _rename_rows({_ALPHA: _BETA, _BETA: _ALPHA}),
         _rename_rows({"build/COLCON_IGNORE": "src/COLCON_IGNORE"}),
         _add_row("src/alpha/COLCON_IGNORE", "build/COLCON_IGNORE"),
     ],
     ids=["not-a-list", "snapshot-short", "stats-short", "non-int-stats", "digest-not-in-records",
-         "duplicate-package", "other-root", "source-dir-changed", "source-dirs-swapped",
+         "duplicate-package", "snapshot-long", "source-dir-changed", "source-dirs-swapped",
          "ignored-changed", "ignored-added"],
 )
 def test_damaged_snapshot_is_a_rewritten_miss(tmp_path, no_racy_margin, damage) -> None:
@@ -432,11 +451,40 @@ def test_snapshot_written_for_another_root_is_a_rewritten_miss(tmp_path, no_racy
     root, cache, good = _warm(tmp_path)
     other = tmp_path / "link"
     other.symlink_to(root)
-    scan_workspace(other, ENV, cache, True)
+    for _ in range(2):
+        scan_workspace(other, ENV, cache, True)
     (path,) = [memo for memo in memo_files(cache) if memo.read_bytes() == good]
     (other_path,) = [memo for memo in memo_files(cache) if memo != path]
+    assert json.loads(other_path.read_bytes())["snapshot"] == json.loads(good)["snapshot"]
     path.write_bytes(other_path.read_bytes())
-    assert scan_workspace(root, ENV, cache, True) == scan_workspace(root, ENV, None, True)
+    expected = scan_workspace(root, ENV, None, True)
+    with mock.patch("forge.manifest._walk", wraps=forge.manifest._walk) as walk:
+        assert scan_workspace(root, ENV, cache, True) == expected
+    assert walk.call_count == 1
+    # The walk found no record under this root's key, so only the next adds the snapshot.
+    scan_workspace(root, ENV, cache, True)
+    assert path.read_bytes() == good
+
+
+@pytest.mark.parametrize("part", [0, 1, 2, 3], ids=["format", "version", "root", "condition-env"])
+def test_memo_holding_another_key_is_a_rewritten_miss(tmp_path, no_racy_margin, part) -> None:
+    # A well-formed memo at this key's file name: what a CRC-32 collision,
+    # or a file copied from another cache, looks like.
+    root, cache, good = _warm(tmp_path)
+    (path,) = memo_files(cache)
+    doc = json.loads(good)
+    doc["key"][part] += "-other"
+    other = json.dumps(doc).encode()
+    path.write_bytes(other)
+    expected = scan_workspace(root, ENV, None, True)
+    for write_cache in (False, True):
+        with mock.patch("forge.manifest._parse_xml", wraps=forge.manifest._parse_xml) as parsed:
+            assert scan_workspace(root, ENV, cache, write_cache) == expected
+        assert parsed.call_count == 2
+        if not write_cache:
+            assert path.read_bytes() == other
+    assert json.loads(path.read_bytes())["key"] == json.loads(good)["key"]
+    scan_workspace(root, ENV, cache, True)
     assert path.read_bytes() == good
 
 
@@ -496,7 +544,7 @@ def test_non_utf8_workspace_path_round_trips_through_the_memo(tmp_path, no_racy_
     for _ in range(2):
         assert scan_workspace(root, ENV, cache, True) == expected
     (path,) = memo_files(cache)
-    assert json.loads(path.read_bytes())["snapshot"][0] == str(root)
+    assert json.loads(path.read_bytes())["key"][2] == str(root)
     with mock.patch("forge.manifest._walk", side_effect=AssertionError("walked")):
         assert scan_workspace(root, ENV, cache, True) == expected
     assert main(["analyze", str(root)]) == 0

@@ -44,28 +44,44 @@ def test_parse_repos_version_optional() -> None:
     assert repo.version is None
 
 
+_ENTRY = "repositories:\n  a:\n    type: git\n    url: https://h/r.git\n"
+
+
 @pytest.mark.parametrize(
-    "text",
+    ("text", "message"),
     [
-        "notrepositories: {}\n",
-        "repositories: []\n",
-        "repositories:\n  bad:\n    url: https://h/r.git\n",
-        "repositories:\n  bad:\n    type: git\n",
-        "repositories:\n  ../escape:\n    type: git\n    url: https://h/r.git\n",
-        "repositories:\n  /abs:\n    type: git\n    url: https://h/r.git\n",
-        "repositories:\n  sp ace:\n    type: git\n    url: https://h/r.git\n",
-        "repositories:\n  a:\n    type: git\n    url: 'https://h/r git'\n",
-        "repositories:\n  a:\n    type: git\n    url: https://h/r.git\n    version: 'a b'\n",
+        ("", "deps.repos: expected a top-level 'repositories' mapping"),
+        ("notrepositories: {}\n", "deps.repos:1:1: expected a top-level 'repositories' mapping"),
+        ("repositories: []\n", "deps.repos:1:15: expected a top-level 'repositories' mapping"),
+        ("repositories:\n", "deps.repos:1:14: expected a top-level 'repositories' mapping"),
+        (_ENTRY.replace("a:", "../escape:"), "deps.repos:3:5: invalid repository name '../escape'"),
+        (_ENTRY.replace("a:", "/abs:"), "deps.repos:3:5: invalid repository name '/abs'"),
+        (_ENTRY.replace("a:", "sp ace:"), "deps.repos:3:5: invalid repository name 'sp ace'"),
+        ("repositories: {5: {type: git, url: u}}\n", "deps.repos:1:19: invalid repository name 5"),
+        ("repositories:\n  a: [x]\n", "deps.repos:2:6: repository 'a' is not a mapping"),
+        ("repositories:\n  a:\n    url: https://h/r.git\n",
+         "deps.repos:3:5: repository 'a' is missing a vcs type"),
+        (_ENTRY.replace("git\n", "7\n"), "deps.repos:3:11: repository 'a' is missing a vcs type"),
+        ("repositories:\n  a:\n    type: git\n", "deps.repos:3:5: repository 'a' has an invalid url"),
+        (_ENTRY.replace("https://h/r.git", "5"), "deps.repos:4:10: repository 'a' has an invalid url"),
+        (_ENTRY.replace("https://h/r.git", "'https://h/r git'"),
+         "deps.repos:4:10: repository 'a' has an invalid url"),
+        (_ENTRY + "    version: 'a b'\n", "deps.repos:5:14: repository 'a' has an invalid version"),
+        (_ENTRY + "    version: 1.0\n", "deps.repos:5:14: repository 'a' has an invalid version"),
     ],
+    ids=["empty", "no-repositories", "repositories-list", "repositories-null", "name-escape",
+         "name-absolute", "name-space", "name-int", "entry-list", "type-missing", "type-int",
+         "url-missing", "url-int", "url-space", "version-space", "version-float"],
 )
-def test_parse_repos_rejects_malformed(text: str) -> None:
-    with pytest.raises(MalformedReposFile, match=r"^deps\.repos: "):
+def test_parse_repos_rejects_malformed(text: str, message: str) -> None:
+    with pytest.raises(MalformedReposFile) as caught:
         parse_repos(text, "deps.repos")
+    assert str(caught.value) == message
 
 
 def test_parse_repos_rejects_non_git() -> None:
     text = "repositories:\n  a:\n    type: svn\n    url: https://h/r\n"
-    with pytest.raises(UnsupportedVcsType, match=r"^deps\.repos: repository 'a' uses 'svn'"):
+    with pytest.raises(UnsupportedVcsType, match=r"^deps\.repos:3:11: repository 'a' uses 'svn'"):
         parse_repos(text, "deps.repos")
 
 

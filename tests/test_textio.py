@@ -73,6 +73,21 @@ def test_only_a_plain_mapping_node_is_read_by_key(text: str) -> None:
 
 
 @pytest.mark.parametrize(
+    "text", ["!!str 5\n", "'5'\n", "|\n  a\n  b\n", "!!str\n", "!!binary aGk=\n", "0o17\n"]
+)
+def test_a_tagged_or_quoted_scalar_is_built_as_safe_load_builds_it(text: str) -> None:
+    doc = ComposedDocument(text, "in.yaml")
+    assert doc.construct(doc.root) == safe_load(text)
+
+
+@given(st.one_of(st.text(), st.integers(), st.floats(allow_nan=False), st.booleans(), st.none()))
+def test_any_scalar_is_built_as_safe_load_builds_it(value: object) -> None:
+    text = yaml.safe_dump(value)
+    doc = ComposedDocument(text, "in.yaml")
+    assert doc.construct(doc.root) == safe_load(text) == value
+
+
+@pytest.mark.parametrize(
     "text", ["? [a]\n: 1\n", "a: 1\n<<: [x]\n", "a: 1\n<<: 5\n", "? !!int x\n: 1\n"]
 )
 def test_a_key_safe_load_rejects_is_a_yaml_error(text: str) -> None:

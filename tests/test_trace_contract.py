@@ -66,7 +66,6 @@ def test_warm_scan_still_traces_one_parse_per_package(tmp_path) -> None:
     # The snapshot the second run stored holds, so the third run took it.
     doc = json.loads(memo.read_bytes())
     taken = forge.manifest._from_snapshot(
-        doc["snapshot"], workspace, os.path.abspath(workspace), {},
-        forge.manifest.ManifestMemo(doc["records"]),
+        doc["snapshot"], workspace, {}, forge.manifest.ManifestMemo(doc["records"])
     )
     assert taken is not None and len(taken.packages) == 1
