@@ -22,7 +22,7 @@ from . import KNOWN_DISTROS, __version__
 from .errors import MalformedDatabase, shown
 from .manifest import Workspace
 from .sources import RepoSpec
-from .textio import ComposedDocument, cache_name, load_yaml, read_cache, write_json, yaml_errors
+from .textio import ComposedDocument, cache_name, read_cache, write_json, yaml_errors
 
 ROSDEP_CACHE_FORMAT = 2
 """Layout version of cached rosdep databases; part of every cache key."""
@@ -156,9 +156,11 @@ def _read_records(
         if doc.construct(doc.root) is None:
             return
         raise MalformedDatabase(f"{doc.position(doc.root)}: the document is not a mapping")
-    for key, node in keys.items():
+    for key, (key_node, node) in keys.items():
         if not isinstance(key, str) or not key:
-            raise MalformedDatabase(f"{doc.name}: key {key!r} must be a non-empty string")
+            raise MalformedDatabase(
+                f"{doc.position(key_node)}: key {key!r} must be a non-empty string"
+            )
         per_os = doc.mapping(node)
         if per_os is None:
             # Only a mapping node builds a dict, so any other value but null is wrong.
@@ -167,7 +169,7 @@ def _read_records(
             raise MalformedDatabase(
                 f"{doc.position(node)}: key {key!r} does not map OS names to records"
             )
-        record = per_os.get(ROSDEP_OS)
+        _, record = per_os.get(ROSDEP_OS, (None, None))
         if record is None:
             continue
         records[key] = doc.construct(record)
@@ -214,29 +216,44 @@ def _string_list(key: str, raw: list[object]) -> tuple[str, ...]:
 
 
 def load_distro_index(text: str, path: str) -> DistroIndex:
-    """Parse the distro index file ``path``: ``distro: {name, ros_version, packages}``."""
+    """Parse the distro index file ``path``: ``distro: {name, ros_version, packages}``.
 
-    doc = load_yaml(text, path, MalformedDatabase)
-    if not isinstance(doc, dict) or not isinstance(doc.get("distro"), dict):
-        raise MalformedDatabase(f"{path}: expected a top-level 'distro' mapping")
-    body = doc["distro"]
-    name = body.get("name")
-    ros_version = body.get("ros_version")
-    packages = body.get("packages")
+    Every error starts with ``path``, and one about a value with the
+    ``path:line:column`` of its node, or of the ``distro`` mapping for a
+    missing value. Only ``name``, ``ros_version`` and ``packages`` are
+    built as values.
+    """
+
+    with yaml_errors(path, MalformedDatabase):
+        doc = ComposedDocument(text, path)
+        top = doc.mapping(doc.root) or {}
+        _, node = top.get("distro", (None, doc.root))
+        body = doc.mapping(node) if "distro" in top else None
+        if body is None:
+            where = path if node is None else doc.position(node)
+            raise MalformedDatabase(f"{where}: expected a top-level 'distro' mapping")
+        # Each value's node, or the mapping's for a missing value.
+        at = {key: body.get(key, (None, node))[1] for key in ("name", "ros_version", "packages")}
+        name, ros_version, packages = (None if n is node else doc.construct(n) for n in at.values())
     if not isinstance(name, str) or name not in KNOWN_DISTROS:
-        raise MalformedDatabase(f"{path}: unknown distro name {shown(name)}")
-    if ros_version != KNOWN_DISTROS[name]:
+        raise MalformedDatabase(f"{doc.position(at['name'])}: unknown distro name {shown(name)}")
+    # A bool or float equal to the version would reach ROS_VERSION as "True" or "2.0".
+    if type(ros_version) is not int or ros_version != KNOWN_DISTROS[name]:
         raise MalformedDatabase(
-            f"{path}: distro {name!r} must declare ros_version {KNOWN_DISTROS[name]}"
+            f"{doc.position(at['ros_version'])}: distro {name!r} must declare "
+            f"ros_version {KNOWN_DISTROS[name]}"
         )
     if not isinstance(packages, list):
-        raise MalformedDatabase(f"{path}: distro {name!r} has no package list")
-    for pkg in packages:
+        raise MalformedDatabase(
+            f"{doc.position(at['packages'])}: distro {name!r} has no package list"
+        )
+    # Only a sequence node builds a list, one item per node.
+    for pkg, item in zip(packages, at["packages"].value):
         if not isinstance(pkg, str) or not _INDEX_PACKAGE_RE.fullmatch(pkg):
-            raise MalformedDatabase(f"{path}: distro {name!r} lists invalid package {shown(pkg)}")
-    return DistroIndex(
-        distro=name, ros_version=ros_version, packages=frozenset(packages)
-    )
+            raise MalformedDatabase(
+                f"{doc.position(item)}: distro {name!r} lists invalid package {shown(pkg)}"
+            )
+    return DistroIndex(distro=name, ros_version=ros_version, packages=frozenset(packages))
 
 
 def packaged_distro_index(distro: str) -> DistroIndex:

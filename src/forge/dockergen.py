@@ -15,7 +15,6 @@ single cross-stage copy into ``run`` is the compiled install space.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import posixpath
 import re
@@ -28,6 +27,7 @@ from .depgraph import ResolvedDependencies
 from .errors import InvalidSpec, UnresolvedDependencies
 from .manifest import PackageManifest
 from .sources import RepoSpec, required_credential_vars
+from .textio import hex_digest
 
 ARTIFACT_DIR = "/opt/forge"
 APT_LIST = f"{ARTIFACT_DIR}/apt-packages.txt"
@@ -723,7 +723,7 @@ def render(plan: DockerfilePlan) -> str:
         for instruction in stage.instructions:
             lines.append(_render_instruction(instruction))
     body = "\n".join(lines) + "\n"
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    digest = hex_digest("sha256", body.encode("utf-8"))
     return (
         "# syntax=docker/dockerfile:1\n"
         f"# Generated by {GENERATOR_NAME} {__version__} (plan sha256 {digest})\n"

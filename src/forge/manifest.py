@@ -8,14 +8,14 @@ the supported subset, such as ``<export>``, are ignored so that newer
 manifest additions do not break scanning.
 
 Parsed manifests can be memoized in a cache directory, one file per
-workspace, each record under the sha256 of its ``package.xml`` file's
-bytes; the bytes are decoded and the XML parsed, and ``xml.etree``
+workspace, each record under the BLAKE2b-256 digest of its ``package.xml``
+file's bytes; the bytes are decoded and the XML parsed, and ``xml.etree``
 imported, only for manifests the memo does not hold. Beside the records
 the memo keeps a stat snapshot of the walk that wrote it: while every
 path it watched (see :func:`_walk`) still stats the same, a scan builds
 its result from the snapshot without listing a directory, reading a
 manifest or hashing one (see :data:`RACY_MARGIN_NS` for when a snapshot
-can be trusted), so it loads neither ``xml.etree`` nor ``hashlib``.
+can be trusted).
 """
 
 from __future__ import annotations
@@ -37,14 +37,14 @@ from .errors import (
     UnreadableWorkspace,
     UnsupportedFormat,
 )
-from .textio import cache_name, read_cache, write_json
+from .textio import cache_name, hex_digest, read_cache, write_json
 
 PACKAGE_NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 VERSION_RE = re.compile(r"\d+(\.\d+)*")
 
 IGNORE_MARKERS = ("AMENT_IGNORE", "CATKIN_IGNORE", "COLCON_IGNORE")
 
-MANIFEST_MEMO_FORMAT = 5
+MANIFEST_MEMO_FORMAT = 6
 """Layout version of memoized manifests; part of every memo key."""
 
 RACY_MARGIN_NS = 2_000_000_000
@@ -110,7 +110,7 @@ class Workspace(NamedTuple):
 
 
 class ManifestMemo:
-    """Parsed manifests by the sha256 of their file's bytes, for :func:`parse_manifest`.
+    """Parsed manifests by the digest of their file's bytes, for :func:`parse_manifest`.
 
     ``cached`` holds the records read from a memo file and is only looked
     up. ``records`` gets the record of every manifest parsed through the
@@ -221,10 +221,11 @@ def parse_manifest(
     ``condition_env`` supplies the variables (conventionally ROS_VERSION
     and ROS_DISTRO) against which ``condition`` attributes are evaluated.
     A ``memo`` must only ever be used with one ``condition_env``: a record
-    found there under the sha256 of ``data`` stands for the decode and the
-    parse, once it passes the same checks. With a memo, ``data`` may
-    instead be the hex sha256 of bytes a stat snapshot vouches for; the
-    result is then None unless the memo holds a record for it that passes.
+    found there under the BLAKE2b-256 digest of ``data`` (see
+    :func:`~forge.textio.hex_digest`) stands for the decode and the parse,
+    once it passes the same checks. With a memo, ``data`` may instead be
+    the hex digest of bytes a stat snapshot vouches for; the result is
+    then None unless the memo holds a record for it that passes.
     """
 
     if memo is None:
@@ -232,10 +233,7 @@ def parse_manifest(
     if type(data) is str:
         digest = data
     else:
-        # Imported here, as it loads OpenSSL: a scan from a snapshot hashes nothing.
-        import hashlib
-
-        digest = hashlib.sha256(data).hexdigest()
+        digest = hex_digest("blake2b", data)
     record = memo.cached.get(digest)
     manifest = _from_record(record, source_dir)
     if manifest is None:
@@ -377,11 +375,11 @@ def scan_workspace(
     "snapshot": ...}``. The key is the memo format, the forge version, the
     absolute root and the sorted ``condition_env``; a file that holds
     another key is a miss, as one that cannot be read is. Each record is
-    stored under the sha256 of its manifest file's bytes, so a manifest
-    the memo holds is neither decoded nor parsed. The snapshot is the last
-    walk's, or null (see :func:`_walk` for when a walk stores none); while
-    it holds (see :func:`_from_snapshot`) no directory is listed and no
-    manifest read. Only when ``write_cache`` is true, and only when the
+    stored under the BLAKE2b-256 digest of its manifest file's bytes, so a
+    manifest the memo holds is neither decoded nor parsed. The snapshot is
+    the last walk's, or null (see :func:`_walk` for when a walk stores
+    none); while it holds (see :func:`_from_snapshot`) no directory is
+    listed and no manifest read. Only when ``write_cache`` is true, and only when the
     records change or the walk stores a snapshot, the file is replaced by
     this scan's manifests and snapshot. Memo I/O errors fall back silently
     to walking and parsing.

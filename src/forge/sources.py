@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import yaml
 
-from .errors import MalformedReposFile, UnsupportedVcsType
+from .errors import MalformedReposFile, UnsupportedVcsType, shown
 from .textio import ComposedDocument, yaml_errors
 
 _SEGMENT_RE = re.compile(r"[A-Za-z0-9_.-]+")
@@ -46,42 +46,46 @@ def safe_relative_path(text: str) -> bool:
 def parse_repos(yaml_text: str, path: str) -> ReposList:
     """Parse the repository list file ``path``, sorted by local name.
 
-    Every error starts with ``path``, and one about an entry or a value
-    with the ``path:line:column`` of its node. Only the names and each
-    entry's ``type``, ``url`` and ``version`` are built as values.
+    Every error starts with ``path``, and one about a name, an entry or
+    a value with the ``path:line:column`` of its node. Only the names and
+    each entry's ``type``, ``url`` and ``version`` are built as values.
     """
 
     with yaml_errors(path, MalformedReposFile):
         doc = ComposedDocument(yaml_text, path)
         top = doc.mapping(doc.root) or {}
-        entries = doc.mapping(top.get("repositories"))
+        _, node = top.get("repositories", (None, doc.root))
+        entries = doc.mapping(node) if "repositories" in top else None
         if entries is None:
-            node = top.get("repositories", doc.root)
             where = path if node is None else doc.position(node)
             raise MalformedReposFile(f"{where}: expected a top-level 'repositories' mapping")
-        repos = [_repo_spec(doc, name, node) for name, node in entries.items()]
+        repos = [_repo_spec(doc, name, *nodes) for name, nodes in entries.items()]
     repos.sort(key=lambda r: r.local_name)
     return tuple(repos)
 
 
-def _repo_spec(doc: ComposedDocument, name: object, node: yaml.Node) -> RepoSpec:
-    """The entry ``name: node``; an error names the bad value's node, or else the entry's."""
+def _repo_spec(
+    doc: ComposedDocument, name: object, name_node: yaml.Node, node: yaml.Node
+) -> RepoSpec:
+    """The entry ``name: node``; an error names the bad node, or the entry's for a missing value."""
 
     if not isinstance(name, str) or not safe_relative_path(name):
-        raise MalformedReposFile(f"{doc.position(node)}: invalid repository name {name!r}")
+        raise MalformedReposFile(f"{doc.position(name_node)}: invalid repository name {name!r}")
     body = doc.mapping(node)
     if body is None:
         raise MalformedReposFile(f"{doc.position(node)}: repository {name!r} is not a mapping")
 
     # Each value's node, or the entry's for a missing value.
-    at = {key: body.get(key, node) for key in ("type", "url", "version")}
+    at = {key: body.get(key, (None, node))[1] for key in ("type", "url", "version")}
     vcs_type, url, version = (None if n is node else doc.construct(n) for n in at.values())
 
     def where(key: str) -> str:
         return f"{doc.position(at[key])}: repository {name!r}"
 
-    if not isinstance(vcs_type, str) or not vcs_type:
+    if "type" not in body:
         raise MalformedReposFile(f"{where('type')} is missing a vcs type")
+    if not isinstance(vcs_type, str) or not vcs_type:
+        raise MalformedReposFile(f"{where('type')} has an invalid vcs type {shown(vcs_type)}")
     if vcs_type != "git":
         raise UnsupportedVcsType(f"{where('type')} uses {vcs_type!r}, only git is supported")
     if not isinstance(url, str) or not url or re.search(r"\s", url):

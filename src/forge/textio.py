@@ -20,6 +20,9 @@ CRC-32 of that key (:func:`cache_name`), read with :func:`read_cache` and
 replaced with :func:`write_json`. A cache file is only ever a shortcut:
 one that cannot be read, or that holds another key, is a miss, and one
 that cannot be written is skipped.
+
+:func:`hex_digest` hashes with CPython's own hash modules, so no forge
+command loads ``hashlib``, whose import links OpenSSL (``_hashlib``).
 """
 
 from __future__ import annotations
@@ -28,8 +31,10 @@ import binascii
 import contextlib
 import io
 import os
-from collections.abc import Hashable, Iterator
+from collections.abc import Callable, Hashable, Iterator
+from functools import partial
 from pathlib import Path
+from typing import Literal
 
 import yaml
 
@@ -110,20 +115,22 @@ class ComposedDocument:
         except (ValueError, KeyError, AttributeError) as exc:
             raise yaml.YAMLError(f"cannot construct a value: {exc}") from exc
 
-    def mapping(self, node: yaml.Node) -> dict[object, yaml.Node] | None:
-        """The keys of a plain mapping node, each with its value node; None for any other node.
+    def mapping(self, node: yaml.Node | None) -> dict[object, tuple[yaml.Node, yaml.Node]] | None:
+        """The keys of a plain mapping node, each with its key node and value node.
 
-        Keys are what ``yaml.safe_load`` makes of them: ``<<`` merges are
-        flattened as SafeConstructor flattens them, a string key is its
-        text, any other key is built and must be hashable, and a duplicate
-        key's last value wins, in its first place. No value is built.
+        None for any other node. Keys are what ``yaml.safe_load`` makes of
+        them: ``<<`` merges are flattened as SafeConstructor flattens them,
+        a string key is its text, any other key is built and must be
+        hashable, and a duplicate key's last nodes win, in its first place.
+        No value is built.
         """
 
         if not isinstance(node, yaml.MappingNode) or node.tag != _MAP_TAG:
             return None
         self._loader.flatten_mapping(node)
-        pairs: dict[object, yaml.Node] = {}
-        for key_node, value_node in node.value:
+        pairs: dict[object, tuple[yaml.Node, yaml.Node]] = {}
+        for pair in node.value:
+            key_node = pair[0]
             if key_node.tag == _STR_TAG and isinstance(key_node, yaml.ScalarNode):
                 key = key_node.value
             else:
@@ -133,7 +140,7 @@ class ComposedDocument:
                         "while constructing a mapping", node.start_mark,
                         "found unhashable key", key_node.start_mark,
                     )
-            pairs[key] = value_node
+            pairs[key] = pair
         return pairs
 
     def position(self, node: yaml.Node) -> str:
@@ -165,12 +172,39 @@ def cache_name(key: list[str]) -> str:
     name take turns in one file.
     """
 
-    # A CRC, not a sha256: hashlib would load OpenSSL, binascii comes with yaml.
+    # A CRC: binascii comes with yaml, so naming a file imports nothing.
     crc = 0
     for part in key:
         data = part.encode("utf-8", "surrogateescape")
         crc = binascii.crc32(data, binascii.crc32(len(data).to_bytes(8, "big"), crc))
     return f"{crc:08x}"
+
+
+_HASH_MODULES = {"sha256": ("_sha2", "_sha256"), "blake2b": ("_blake2",)}
+_hash_new: dict[str, Callable[[bytes], object]] = {}
+
+
+def hex_digest(name: Literal["sha256", "blake2b"], data: bytes) -> str:
+    """The hex digest of ``data``: SHA-256, or BLAKE2b with a 32-byte digest.
+
+    Each comes from CPython's own module (``_sha2``, or ``_sha256``
+    before 3.12, and ``_blake2``), imported once, on first use. Those
+    modules are private, so an interpreter without them uses ``hashlib``'s
+    constructor of the same name; the digests are the same.
+    """
+
+    new = _hash_new.get(name)
+    if new is None:
+        for module in _HASH_MODULES[name]:
+            with contextlib.suppress(ImportError):
+                new = getattr(__import__(module), name)
+                break
+        else:
+            import hashlib
+
+            new = getattr(hashlib, name)
+        new = _hash_new[name] = partial(new, digest_size=32) if name == "blake2b" else new
+    return new(data).hexdigest()  # type: ignore[attr-defined]
 
 
 def read_cache(path: Path, key: list[str]) -> dict | None:

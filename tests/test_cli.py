@@ -618,7 +618,7 @@ def test_an_input_that_cannot_be_read_exits_2_naming_it(capsys, monkeypatch, tmp
         ("eigen:\n  ubuntu: {{apt: [x]}}\n", "{path}:2:11: key 'eigen' has an unsupported record shape"),
         ("eigen: [x]\n", "{path}:1:8: key 'eigen' does not map OS names to records"),
         ("- a list\n", "{path}:1:1: the document is not a mapping"),
-        ("7: {{ubuntu: [x]}}\n", "{path}: key 7 must be a non-empty string"),
+        ("7: {{ubuntu: [x]}}\n", "{path}:1:1: key 7 must be a non-empty string"),
         ("eigen: [x\n", '{path}: not valid YAML: while parsing a flow sequence\n  in "{path}", line 1'),
     ],
     ids=["empty-list", "bad-shape", "not-per-os", "not-a-mapping", "int-key", "syntax"],
@@ -643,12 +643,12 @@ _DEEP_LIST = "[" * 3000 + "]" * 3000
         (
             ["generate", "dockerfile", MINIMAL, "--repos", "{path}", "-o", "-"],
             'repositories:\n  "dep\\n": {type: git, url: "https://h/dep.git"}\n',
-            "MalformedReposFile: {path}:2:12: invalid repository name 'dep\\n'",
+            "MalformedReposFile: {path}:2:3: invalid repository name 'dep\\n'",
         ),
         (
             ["analyze", MINIMAL, "--distro-index", "{path}"],
             'distro: {name: humble, ros_version: 2, packages: [rclcpp, "std_msgs\\n"]}\n',
-            "MalformedDatabase: {path}: distro 'humble' lists invalid package 'std_msgs\\n'",
+            "MalformedDatabase: {path}:1:59: distro 'humble' lists invalid package 'std_msgs\\n'",
         ),
         (
             ["generate", "ci", "--platform", "github", "--image-name", "app\n", "-o", "-"],
@@ -663,7 +663,7 @@ _DEEP_LIST = "[" * 3000 + "]" * 3000
         (
             ["analyze", MINIMAL, "--distro-index", "{path}"],
             f"distro: {{name: humble, ros_version: 2, packages: [rclcpp, {_DEEP_LIST}]}}\n",
-            "MalformedDatabase: {path}: distro 'humble' lists invalid package a deeply nested list",
+            "MalformedDatabase: {path}:1:59: distro 'humble' lists invalid package a deeply nested list",
         ),
     ],
     ids=["repos-name-newline", "index-package-newline", "image-name-newline", "config-deep", "index-deep"],
@@ -1134,7 +1134,7 @@ def test_a_repeated_platform_counts_once(capsys, argv, option) -> None:
         ),
         (
             ["analyze", MINIMAL, "--distro-index", "{index}"],
-            "MalformedDatabase: {index}: unknown distro name 'navel'",
+            "MalformedDatabase: {index}:1:16: unknown distro name 'navel'",
         ),
     ],
     ids=["target", "ci-platform", "index-distro"],

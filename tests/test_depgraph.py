@@ -118,17 +118,35 @@ def test_load_distro_index() -> None:
 
 
 @pytest.mark.parametrize(
-    "doc",
+    ("doc", "message"),
     [
-        "{}\n",
-        "distro: {name: humble, ros_version: 2}\n",
-        "distro: {name: humble, ros_version: 3, packages: []}\n",
-        "distro: {name: humble, ros_version: 2, packages: [Bad-Name]}\n",
+        ("", "index.yaml: expected a top-level 'distro' mapping"),
+        ("{}\n", "index.yaml:1:1: expected a top-level 'distro' mapping"),
+        ("distro: [humble]\n", "index.yaml:1:9: expected a top-level 'distro' mapping"),
+        ("distro: {name: navel, ros_version: 2, packages: []}\n",
+         "index.yaml:1:16: unknown distro name 'navel'"),
+        ("distro:\n  ros_version: 2\n  packages: []\n", "index.yaml:2:3: unknown distro name None"),
+        ("distro: {name: humble, ros_version: 3, packages: []}\n",
+         "index.yaml:1:37: distro 'humble' must declare ros_version 2"),
+        ("distro: {name: humble, ros_version: 2.0, packages: []}\n",
+         "index.yaml:1:37: distro 'humble' must declare ros_version 2"),
+        ("distro: {name: noetic, ros_version: true, packages: []}\n",
+         "index.yaml:1:37: distro 'noetic' must declare ros_version 1"),
+        ("distro: {name: humble, ros_version: 2}\n",
+         "index.yaml:1:9: distro 'humble' has no package list"),
+        ("distro: {name: humble, ros_version: 2, packages: a}\n",
+         "index.yaml:1:50: distro 'humble' has no package list"),
+        ("distro:\n  name: humble\n  ros_version: 2\n  packages:\n    - rclcpp\n    - Bad-Name\n",
+         "index.yaml:6:7: distro 'humble' lists invalid package 'Bad-Name'"),
     ],
+    ids=["empty", "no-distro", "distro-list", "unknown-name", "name-missing", "ros-version",
+         "ros-version-float", "ros-version-bool", "packages-missing", "packages-scalar",
+         "invalid-package"],
 )
-def test_load_distro_index_rejects_malformed(doc: str) -> None:
-    with pytest.raises(MalformedDatabase, match=r"^index\.yaml: "):
+def test_load_distro_index_rejects_malformed(doc: str, message: str) -> None:
+    with pytest.raises(MalformedDatabase) as raised:
         load_distro_index(doc, "index.yaml")
+    assert str(raised.value) == message
 
 
 def test_distro_package_name() -> None:

@@ -9,11 +9,9 @@ forge's records are NamedTuples, so no command loads ``dataclasses`` (which
 loads ``inspect``). Only code that spawns a process loads ``subprocess``,
 and only code that reads or writes JSON loads ``json``.
 
-Only code that computes a sha256 loads ``hashlib``, and with it OpenSSL
-(``_hashlib``): a walk of the workspace, which hashes each manifest it
-reads, and the Dockerfile header of ``generate dockerfile`` and ``build``.
-Cache files are named by CRC-32, so an ``analyze`` whose manifest memo
-holds a snapshot that still matches the workspace loads neither.
+No command loads ``hashlib``, and with it OpenSSL (``_hashlib``). The
+Dockerfile header's SHA-256 and the manifest memo's BLAKE2b keys come from
+CPython's own hash modules, and cache files are named by CRC-32.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ import forge.manifest
 from conftest import FIXTURE_ROOT
 
 MINIMAL = str(FIXTURE_ROOT / "minimal")
+OPENSSL = {"hashlib", "_hashlib"}
 SOURCE_ROOT = str(Path(forge.__file__).resolve().parent.parent)
 
 # The module list is taken before the script imports json to print it.
@@ -104,6 +103,7 @@ def test_command_imports_only_its_layers(tmp_path, argv, unloaded, reads_json) -
     if argv[:2] != ["matrix", "build"]:
         assert "concurrent.futures" not in modules
     assert not modules & {"dataclasses", "inspect"}
+    assert not modules & OPENSSL
     if not reads_json:
         assert "json" not in modules
     # run spawns nvidia-smi to count GPUs on a host that has it.
@@ -128,13 +128,15 @@ def test_analyze_from_a_snapshot_loads_no_openssl(tmp_path) -> None:
     # The cold run parses and hashes every manifest, the second run's walk
     # hashes each again to find its record and stores the snapshot, and the
     # third takes it.
-    for _ in range(2):
-        _modules_after(["analyze", MINIMAL], tmp_path)
-    openssl = {"hashlib", "_hashlib"}
-    assert not openssl & _modules_after(["analyze", MINIMAL], tmp_path)
-    # The header digest still needs sha256, which shows the names are right.
-    dockerfile = ["generate", "dockerfile", MINIMAL, "-o", str(tmp_path / "Dockerfile")]
-    assert openssl <= _modules_after(dockerfile, tmp_path)
+    for run in range(3):
+        modules = _modules_after(["analyze", MINIMAL], tmp_path)
+        assert not OPENSSL & modules
+        # Both walks hash each manifest; the snapshot hashes none.
+        assert ("_blake2" in modules) == (run < 2)
+    # The names are right: importing hashlib loads them.
+    import hashlib  # noqa: F401
+
+    assert OPENSSL <= set(sys.modules)
 
 
 # --- the lazy-name contract --------------------------------------------------

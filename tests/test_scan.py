@@ -8,6 +8,7 @@ dockerfile`` exit 0 or 2, never crash.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -31,6 +32,7 @@ from forge.errors import (
     UnsupportedFormat,
 )
 from forge.manifest import scan_workspace
+from forge.textio import cache_name
 
 from dockerfile_syntax import dockerfile_problems
 from scan_oracle import oracle_scan
@@ -486,6 +488,37 @@ def test_memo_holding_another_key_is_a_rewritten_miss(tmp_path, no_racy_margin, 
     assert json.loads(path.read_bytes())["key"] == json.loads(good)["key"]
     scan_workspace(root, ENV, cache, True)
     assert path.read_bytes() == good
+
+
+def test_a_format_5_memo_is_a_rewritten_miss(tmp_path, no_racy_margin) -> None:
+    # Format 5 keyed each record by the sha256 of its manifest's bytes;
+    # format 6 keys it by BLAKE2b-256. The old memo is met at its own name
+    # and, as after a CRC-32 collision, at the new one.
+    root, cache, good = _warm(tmp_path)
+    (path,) = memo_files(cache)
+    doc = json.loads(good)
+    manifests = [(root / "src" / name / "package.xml").read_bytes() for name in ("alpha", "beta")]
+    blake2b = {hashlib.blake2b(data, digest_size=32).hexdigest(): data for data in manifests}
+    assert set(doc["records"]) == set(blake2b)
+    sha256 = {digest: hashlib.sha256(data).hexdigest() for digest, data in blake2b.items()}
+    paths, digests, stats = doc["snapshot"]
+    old = {
+        "key": ["manifests/5", *doc["key"][1:]],
+        "records": {sha256[digest]: record for digest, record in doc["records"].items()},
+        "snapshot": [paths, [sha256.get(digest, digest) for digest in digests], stats],
+    }
+    old_path = cache / f"manifests-{cache_name(old['key'])}.json"
+    for memo in (path, old_path):
+        memo.write_text(json.dumps(old), "utf-8")
+    expected = scan_workspace(root, ENV, None, True)
+    with mock.patch("forge.manifest._parse_xml", wraps=forge.manifest._parse_xml) as parsed:
+        assert scan_workspace(root, ENV, cache, True) == expected
+    assert parsed.call_count == 2
+    assert json.loads(path.read_bytes())["key"] == doc["key"]
+    assert json.loads(path.read_bytes())["records"] == doc["records"]
+    scan_workspace(root, ENV, cache, True)
+    assert path.read_bytes() == good
+    assert json.loads(old_path.read_bytes()) == old
 
 
 def test_snapshot_hit_lists_no_directory_and_reads_no_manifest(

@@ -54,14 +54,15 @@ _ENTRY = "repositories:\n  a:\n    type: git\n    url: https://h/r.git\n"
         ("notrepositories: {}\n", "deps.repos:1:1: expected a top-level 'repositories' mapping"),
         ("repositories: []\n", "deps.repos:1:15: expected a top-level 'repositories' mapping"),
         ("repositories:\n", "deps.repos:1:14: expected a top-level 'repositories' mapping"),
-        (_ENTRY.replace("a:", "../escape:"), "deps.repos:3:5: invalid repository name '../escape'"),
-        (_ENTRY.replace("a:", "/abs:"), "deps.repos:3:5: invalid repository name '/abs'"),
-        (_ENTRY.replace("a:", "sp ace:"), "deps.repos:3:5: invalid repository name 'sp ace'"),
-        ("repositories: {5: {type: git, url: u}}\n", "deps.repos:1:19: invalid repository name 5"),
+        (_ENTRY.replace("a:", "../escape:"), "deps.repos:2:3: invalid repository name '../escape'"),
+        (_ENTRY.replace("a:", "/abs:"), "deps.repos:2:3: invalid repository name '/abs'"),
+        (_ENTRY.replace("a:", "sp ace:"), "deps.repos:2:3: invalid repository name 'sp ace'"),
+        ("repositories: {5: {type: git, url: u}}\n", "deps.repos:1:16: invalid repository name 5"),
         ("repositories:\n  a: [x]\n", "deps.repos:2:6: repository 'a' is not a mapping"),
         ("repositories:\n  a:\n    url: https://h/r.git\n",
          "deps.repos:3:5: repository 'a' is missing a vcs type"),
-        (_ENTRY.replace("git\n", "7\n"), "deps.repos:3:11: repository 'a' is missing a vcs type"),
+        (_ENTRY.replace("git\n", "7\n"), "deps.repos:3:11: repository 'a' has an invalid vcs type 7"),
+        (_ENTRY.replace("git\n", "''\n"), "deps.repos:3:11: repository 'a' has an invalid vcs type ''"),
         ("repositories:\n  a:\n    type: git\n", "deps.repos:3:5: repository 'a' has an invalid url"),
         (_ENTRY.replace("https://h/r.git", "5"), "deps.repos:4:10: repository 'a' has an invalid url"),
         (_ENTRY.replace("https://h/r.git", "'https://h/r git'"),
@@ -70,7 +71,7 @@ _ENTRY = "repositories:\n  a:\n    type: git\n    url: https://h/r.git\n"
         (_ENTRY + "    version: 1.0\n", "deps.repos:5:14: repository 'a' has an invalid version"),
     ],
     ids=["empty", "no-repositories", "repositories-list", "repositories-null", "name-escape",
-         "name-absolute", "name-space", "name-int", "entry-list", "type-missing", "type-int",
+         "name-absolute", "name-space", "name-int", "entry-list", "type-missing", "type-int", "type-empty",
          "url-missing", "url-int", "url-space", "version-space", "version-float"],
 )
 def test_parse_repos_rejects_malformed(text: str, message: str) -> None:

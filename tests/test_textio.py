@@ -1,9 +1,11 @@
-"""YAML reading through one loader class, the composed-document reader, and
-YAML writing through one dumper class."""
+"""YAML reading through one loader class, the composed-document reader,
+YAML writing through one dumper class, and digests without OpenSSL."""
 
 from __future__ import annotations
 
 import ast
+import hashlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forge.errors import UserError
-from forge.textio import ComposedDocument, dump_yaml, load_yaml
+import forge.textio
+from forge.textio import ComposedDocument, dump_yaml, hex_digest, load_yaml
 
 
 def safe_load(text: str) -> object:
@@ -59,10 +62,13 @@ def test_mapping_keys_are_what_safe_load_makes_of_them() -> None:
     doc = ComposedDocument(text, "in.yaml")
     top = doc.mapping(doc.root)
     assert list(top) == ["base", "m"]
-    pairs = doc.mapping(top["m"])
-    built = {key: doc.construct(node) for key, node in pairs.items()}
+    pairs = doc.mapping(top["m"][1])
+    built = {key: doc.construct(node) for key, (_, node) in pairs.items()}
     assert built == safe_load(text)["m"]
     assert list(built) == list(safe_load(text)["m"]) == ["x", "y", "q", "t", 8, None]
+    # Each key's node is its last one's, merged keys coming first.
+    positions = [doc.position(key_node) for key_node, _ in pairs.values()]
+    assert positions == [f"in.yaml:{line}:3" for line in (8, 4, 5, 6, 7, 9)]
 
 
 @pytest.mark.parametrize("text", ["[a]\n", "!!set {a, b}\n", "!!omap [a: 1]\n", "a\n", "~\n"])
@@ -160,3 +166,23 @@ def test_a_lone_surrogate_is_escaped_as_safe_dump_escapes_it() -> None:
     doc = {"workspace": "ws\udcff", "packages": ["a"]}
     text = dump_yaml(doc, sort_keys=True)
     assert text == yaml.safe_dump(doc, sort_keys=True) == 'packages:\n- a\nworkspace: "ws\\uDCFF"\n'
+
+
+@pytest.mark.parametrize("hidden", [None, "_sha2", "_sha256", "_blake2"])
+@given(data=st.binary())
+def test_hex_digest_is_hashlibs(hidden: str | None, data: bytes) -> None:
+    # A hidden module cannot be imported, so its name falls back to hashlib.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forge.textio, "_hash_new", {})
+        if hidden:
+            patch.setitem(sys.modules, hidden, None)
+        assert hex_digest("sha256", data) == hashlib.sha256(data).hexdigest()
+        assert hex_digest("blake2b", data) == hashlib.blake2b(data, digest_size=32).hexdigest()
+
+
+def test_hex_digest_loads_each_module_once(monkeypatch) -> None:
+    monkeypatch.setattr(forge.textio, "_hash_new", {})
+    hex_digest("blake2b", b"a")
+    new = forge.textio._hash_new["blake2b"]
+    hex_digest("blake2b", b"b")
+    assert forge.textio._hash_new == {"blake2b": new}
