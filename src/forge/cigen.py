@@ -16,7 +16,7 @@ import re
 import shlex
 from typing import NamedTuple
 
-from . import ARCHITECTURES, TARGETS
+from . import TARGETS
 from .errors import InvalidSpec
 from .textio import dump_yaml
 
@@ -63,15 +63,10 @@ def default_output_path(platform: str) -> str:
 
 
 def _check_spec(spec: PipelineSpec) -> None:
-    # The command line checks the platform and registry and fills empty platforms and targets.
+    # The command line checks the platform, build platforms, targets and
+    # registry, and fills empty build platforms and targets.
     if not _IMAGE_NAME_RE.fullmatch(spec.image_name):
         raise InvalidSpec(f"invalid image name {spec.image_name!r}")
-    for platform in spec.platforms:
-        if platform not in ARCHITECTURES:
-            raise InvalidSpec(f"unsupported build platform {platform!r}")
-    for stage in spec.target_stages:
-        if stage not in TARGETS:
-            raise InvalidSpec(f"unsupported target stage {stage!r}")
     if spec.enable_test_stage and "dev" not in spec.target_stages:
         raise InvalidSpec("the test stage runs the dev image; include dev in targets")
     if not spec.push_on_branch or _BAD_BRANCH_RE.search(spec.push_on_branch):

@@ -69,8 +69,8 @@ _LAYER_NAMES = {
     ),
     "manifest": ("Workspace", "scan_workspace"),
     "matrix": (
-        "MatrixEntry", "build_plan_document", "base_dockerfile_args", "enumerate_matrix",
-        "load_base_image_table", "tag_of",
+        "COMPONENTS", "DISTROS", "ML_FLAVORS", "MatrixEntry", "build_plan_document",
+        "base_dockerfile_args", "enumerate_matrix", "load_base_image_table", "tag_of",
     ),
     "sources": (
         "ReposList", "clone_plan", "combine_repos", "parse_repos", "redact",
@@ -469,7 +469,7 @@ def cmd_generate_ci(args: argparse.Namespace, driver: EngineDriver | None) -> in
         enable_test_stage=bool(args.enable_test),
         push_on_branch=args.push_branch,
         base_image=args.base or "",
-        target_stages=tuple(args.targets.split(",")) if args.targets else TARGETS,
+        target_stages=args.targets or TARGETS,
     )
     text = generate_pipeline(spec)
     _write_output(text, args.output, default_output_path(args.platform), args.dry_run)
@@ -540,10 +540,8 @@ def cmd_build(args: argparse.Namespace, driver: EngineDriver | None) -> int:
 def _matrix_entries(args: argparse.Namespace) -> list[MatrixEntry]:
     _bind("matrix")
     return enumerate_matrix(
-        distros=args.distros or None,
-        components=args.component or None,
-        ml_flavors=args.ml or None,
-        architectures=args.arch or None,
+        distros=args.distros, components=args.component, ml_flavors=args.ml,
+        architectures=args.arch,
     )
 
 
@@ -741,6 +739,15 @@ def _launch_command(text: str) -> tuple[str, ...]:
     raise InvalidArgs(f"--command must be printable shell-style text, got {text!r}")
 
 
+def _targets(text: str) -> tuple[str, ...]:
+    """``--targets``: a comma list of target stages."""
+
+    names = tuple(text.split(","))
+    if not set(names) <= set(TARGETS):
+        raise InvalidArgs(f"--targets must be a comma list of {'/'.join(TARGETS)}, got {text!r}")
+    return names
+
+
 def _path(name: str) -> Callable[[str], str]:
     """The type of the path argument ``name``: any path but "", which reads as not given."""
 
@@ -767,7 +774,7 @@ _PATHS = {dest: _path(name) for dest, name in (
 
 _VALUE_CHECKS = (
     ("base", _image_ref), ("command", _launch_command), ("workspace_dir", _container_path),
-    *_PATHS.items(),
+    ("targets", _targets), *_PATHS.items(),
 )
 
 
@@ -800,10 +807,17 @@ def _add_image_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_matrix_filters(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--distro", action="append", dest="distros", help="restrict distros")
-    parser.add_argument("--component", action="append", help="restrict components")
-    parser.add_argument("--ml", action="append", help="restrict ML flavors")
-    parser.add_argument("--arch", action="append", help="restrict architectures")
+    _bind("matrix")
+    parser.add_argument(
+        "--distro", action="append", dest="distros", choices=DISTROS, help="restrict distros"
+    )
+    parser.add_argument(
+        "--component", action="append", choices=COMPONENTS, help="restrict components"
+    )
+    parser.add_argument("--ml", action="append", choices=ML_FLAVORS, help="restrict ML flavors")
+    parser.add_argument(
+        "--arch", action="append", choices=ARCHITECTURES, help="restrict architectures"
+    )
 
 
 def _analyze_options(p: argparse.ArgumentParser) -> None:
@@ -827,13 +841,17 @@ def _ci_options(p: argparse.ArgumentParser) -> None:
         "--platform", choices=("github", "gitlab"), required=True, help="CI platform"
     )
     p.add_argument("--image-name", required=True, help="image repository name")
-    p.add_argument("--arch", action="append", help="build architecture (repeatable)")
+    p.add_argument(
+        "--arch", action="append", choices=ARCHITECTURES, help="build architecture (repeatable)"
+    )
     p.add_argument(
         "--enable-test", action="store_true", help="run workspace tests in CI"
     )
     p.add_argument("--push-branch", default="main", help="branch that may push")
     p.add_argument("--base", type=_image_ref, help="base image forwarded to builds")
-    p.add_argument("--targets", help=f"comma list of target stages ({','.join(TARGETS)})")
+    p.add_argument(
+        "--targets", type=_targets, help=f"comma list of target stages ({','.join(TARGETS)})"
+    )
     p.add_argument("--output", "-o", type=_PATHS["output"], help="output path ('-' for stdout)")
     p.set_defaults(handler=cmd_generate_ci)
 
@@ -997,10 +1015,14 @@ def _main(argv: list[str], driver: EngineDriver | None) -> int:
         else:
             args = parser.parse_args(argv)
         # Python 3.11's argparse reads ``--base=--`` as an empty list that no
-        # type function has seen; check it as the text ``--``.
+        # type function or choices check has seen; check it as the text ``--``.
+        # A repeatable option, such as ``--arch=--``, appends that list.
         for dest, check in _VALUE_CHECKS:
             if getattr(args, dest, None) == []:
                 setattr(args, dest, check("--"))
+        for dest, value in vars(args).items():
+            if isinstance(value, list) and [] in value:
+                raise InvalidArgs(f"'--' is not a value of the repeatable option {dest!r}")
         return int(args.handler(args, driver))
     except SystemExit as exc:
         return int(exc.code or 0)

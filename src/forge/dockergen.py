@@ -6,8 +6,11 @@ parent, the targets whose Dockerfile holds it, and what it may copy from
 the build context. :func:`validate_plan` checks a plan against it.
 
 An instruction is a record only where a rule reads its fields: the two
-kinds of COPY and each RUN. Every other instruction is planned as its
-Dockerfile line.
+kinds of COPY, :class:`CopyContext` and :class:`CopyFromStage`, and each
+package transaction, :class:`Install`. Every other instruction is planned
+as its Dockerfile line, RUN included, which :func:`_run` writes. A plan
+maps each stage's name to its instructions; its parent is its
+:data:`STAGES` row.
 
 Deployment images therefore never receive the workspace source tree; the
 single cross-stage copy into ``run`` is the compiled install space.
@@ -55,20 +58,20 @@ class CopyFromStage(NamedTuple):
     dst: str
 
 
-class RunShell(NamedTuple):
-    """One shell command; ``category`` tags its role for plan validation.
+class Install(NamedTuple):
+    """One package transaction: ``command`` installs ``packages`` with ``manager``.
 
-    ``packages`` carries the OS or pip package set of a transaction so the
-    development/deployment superset law can be checked on the plan without
+    ``manager`` is ``apt`` or ``pip``. The packages let the
+    development/deployment superset law be checked on the plan without
     re-parsing shell text.
     """
 
+    manager: str
+    packages: tuple[str, ...]
     command: str
-    category: str = "shell"
-    packages: tuple[str, ...] = ()
 
 
-Instruction = Union[CopyContext, CopyFromStage, RunShell, str]
+Instruction = Union[CopyContext, CopyFromStage, Install, str]
 
 
 class StageRow(NamedTuple):
@@ -99,32 +102,25 @@ STAGES = (
 )
 
 
-class Stage(NamedTuple):
-    name: str
-    parent: str
-    instructions: tuple[Instruction, ...]
+_ROWS = {row.name: row for row in STAGES}
 
 
 class DockerfilePlan(NamedTuple):
-    """A planned build; ``context_paths`` are what it reads from the build context.
+    """A planned build.
 
-    They are each live package directory, each ``.repos`` file and each
-    custom script, sorted; ``.`` stands for a package at the context root,
-    which is the whole context.
+    ``stages`` maps the name of each :data:`STAGES` row that the target
+    holds, in table order, to that stage's instructions. ``context_paths``
+    are what the build reads from the build context: each live package
+    directory, each ``.repos`` file and each custom script, sorted; ``.``
+    stands for a package at the context root, which is the whole context.
     """
 
-    stages: tuple[Stage, ...]
+    stages: dict[str, tuple[Instruction, ...]]
     base_image: str
     target: str
     workspace_dir: str
     slim_runtime: bool
     context_paths: tuple[str, ...]
-
-    def stage(self, name: str) -> Stage:
-        for stage in self.stages:
-            if stage.name == name:
-                return stage
-        raise KeyError(name)
 
 
 class Violation(NamedTuple):
@@ -217,6 +213,20 @@ def _container_rel_dir(rel: str, name: str) -> str:
     return f"src/{rel}"
 
 
+# Where a RUN body wraps: after each `` && `` outside quotes. Quoted strings
+# and escaped characters are matched whole, so a `` && `` in them is never
+# a match of its own. The shell reads the indentation that BuildKit keeps
+# when it joins the lines as a word separator.
+_RUN_JOINT_RE = re.compile(r"""'[^']*'|"(?:[^"\\]|\\.)*"|\\.| && """, re.S)
+
+
+def _run(command: str) -> str:
+    """The RUN line of ``command``, wrapped after each `` && `` outside quotes."""
+
+    body = _RUN_JOINT_RE.sub(lambda m: " && \\\n    " if m[0] == " && " else m[0], command)
+    return f"RUN {body}"
+
+
 def _write_lines_cmd(path: str, lines: Iterable[str]) -> str:
     items = list(lines)
     if not items:
@@ -231,14 +241,14 @@ def _apt_install(args: str) -> str:
     )
 
 
-def _ros_core_guard(ros_version: int) -> RunShell:
+def _ros_core_guard(ros_version: int) -> str:
     suite = "ros" if ros_version == 1 else "ros2"
     repo_line = (
         f'echo "deb [signed-by={ROS_KEYRING}] http://packages.ros.org/{suite}/ubuntu '
         '$(. /etc/os-release; echo ${UBUNTU_CODENAME}) main" '
         f"> /etc/apt/sources.list.d/{suite}.list"
     )
-    command = (
+    return _run(
         'if [ ! -d "/opt/ros/${ROS_DISTRO}" ]; then '
         + _apt_install("ca-certificates curl")
         + f" && curl -fsSL {ROS_APT_KEY_URL} -o {ROS_KEYRING}"
@@ -247,10 +257,9 @@ def _ros_core_guard(ros_version: int) -> RunShell:
         + _apt_install("ros-${ROS_DISTRO}-ros-core")
         + "; fi"
     )
-    return RunShell(command=command, category="ros-core-guard")
 
 
-def _entrypoint_script_cmd(workspace_dir: str) -> RunShell:
+def _entrypoint_script_cmd(workspace_dir: str) -> str:
     lines = [
         "#!/bin/sh",
         "set -e",
@@ -260,10 +269,7 @@ def _entrypoint_script_cmd(workspace_dir: str) -> RunShell:
         'if [ -n "${FORGE_COMMAND:-}" ]; then exec /bin/sh -c "${FORGE_COMMAND}"; fi',
         "exec /bin/sh",
     ]
-    command = (
-        _write_lines_cmd(ENTRYPOINT_PATH, lines) + f" && chmod 0755 {ENTRYPOINT_PATH}"
-    )
-    return RunShell(command=command, category="entrypoint-setup")
+    return _run(_write_lines_cmd(ENTRYPOINT_PATH, lines) + f" && chmod 0755 {ENTRYPOINT_PATH}")
 
 
 def _entrypoint_lines(argv: tuple[str, ...]) -> list[str]:
@@ -277,16 +283,14 @@ def _entrypoint_lines(argv: tuple[str, ...]) -> list[str]:
     ]
 
 
-def _user_setup() -> RunShell:
-    command = (
-        "{ getent group ros >/dev/null || groupadd --gid 1000 ros; } && "
-        "{ id -u ros >/dev/null 2>&1 || "
-        "useradd --uid 1000 --gid ros --non-unique --create-home --shell /bin/bash ros; }"
-    )
-    return RunShell(command=command, category="user-setup")
+_USER_SETUP = (
+    "{ getent group ros >/dev/null || groupadd --gid 1000 ros; } && "
+    "{ id -u ros >/dev/null 2>&1 || "
+    "useradd --uid 1000 --gid ros --non-unique --create-home --shell /bin/bash ros; }"
+)
 
 
-def _os_transaction(packages: tuple[str, ...], list_file: str | None) -> RunShell:
+def _os_transaction(packages: tuple[str, ...], list_file: str | None) -> Install:
     """Install ``packages`` with apt, read from ``list_file`` or, if None, named inline."""
 
     if list_file is None:
@@ -296,10 +300,10 @@ def _os_transaction(packages: tuple[str, ...], list_file: str | None) -> RunShel
             "apt-get update && DEBIAN_FRONTEND=noninteractive "
             f"xargs -a {list_file} apt-get install -y --no-install-recommends && {APT_CLEANUP}"
         )
-    return RunShell(command=command, category="pkg-os", packages=packages)
+    return Install("apt", packages, command)
 
 
-def _pip_transaction(packages: tuple[str, ...], list_file: str | None) -> RunShell:
+def _pip_transaction(packages: tuple[str, ...], list_file: str | None) -> Install:
     """Install ``packages`` with pip, read from ``list_file`` or, if None, named inline."""
 
     bootstrap = (
@@ -307,10 +311,10 @@ def _pip_transaction(packages: tuple[str, ...], list_file: str | None) -> RunShe
     )
     source = shlex.join(packages) if list_file is None else f"-r {list_file}"
     command = bootstrap + " && pip3 install --no-cache-dir " + source
-    return RunShell(command=command, category="pkg-pip", packages=packages)
+    return Install("pip", packages, command)
 
 
-def _clone_transaction(workspace_dir: str) -> RunShell:
+def _clone_transaction(workspace_dir: str) -> str:
     bootstrap = (
         "if ! command -v git >/dev/null; then "
         + _apt_install("git ca-certificates")
@@ -325,7 +329,7 @@ def _clone_transaction(workspace_dir: str) -> RunShell:
         "|| exit 1; "
         f"done < {REPOS_LIST}"
     )
-    return RunShell(command=bootstrap + " && " + loop, category="clone")
+    return _run(bootstrap + " && " + loop)
 
 
 def _repos_lines(repos: tuple[RepoSpec, ...]) -> list[str]:
@@ -403,7 +407,7 @@ def plan_stages(
         + " && "
         + _write_lines_cmd(REPOS_LIST, _repos_lines(repos))
     )
-    dep_instructions.append(RunShell(command=artifact_cmd, category="dep-artifacts"))
+    dep_instructions.append(_run(artifact_cmd))
     instructions["dependencies"] = tuple(dep_instructions)
 
     # dependencies-install: consume the artifacts; shared by dev and run.
@@ -419,9 +423,7 @@ def plan_stages(
         install_instructions.append(
             CopyContext(src=spec.custom_script_pre, dst=f"{ARTIFACT_DIR}/custom-pre.sh")
         )
-        install_instructions.append(
-            RunShell(command=f"sh {ARTIFACT_DIR}/custom-pre.sh", category="custom-script")
-        )
+        install_instructions.append(_run(f"sh {ARTIFACT_DIR}/custom-pre.sh"))
     if repos:
         for var in required_credential_vars(repos):
             install_instructions.append(f"ARG {var}")
@@ -430,15 +432,13 @@ def plan_stages(
         install_instructions.append(
             CopyContext(src=spec.custom_script_post, dst=f"{ARTIFACT_DIR}/custom-post.sh")
         )
-        install_instructions.append(
-            RunShell(command=f"sh {ARTIFACT_DIR}/custom-post.sh", category="custom-script")
-        )
+        install_instructions.append(_run(f"sh {ARTIFACT_DIR}/custom-post.sh"))
     install_instructions.append(_entrypoint_script_cmd(ws))
     instructions["dependencies-install"] = tuple(install_instructions)
 
     # dev: the build-only dependency remainder (slim mode), build tooling,
     # full source, and a non-root user.
-    dev_instructions: list[Instruction] = [_user_setup()]
+    dev_instructions: list[Instruction] = [_run(_USER_SETUP)]
     if delta_os:
         dev_instructions.append(_os_transaction(delta_os, None))
     if delta_pip:
@@ -446,9 +446,7 @@ def plan_stages(
     tooling = ["build-essential", "git"]
     if spec.build_tool == "colcon":
         tooling.append("python3-colcon-common-extensions")
-    dev_instructions.append(
-        RunShell(command=_apt_install(" ".join(sorted(tooling))), category="tooling")
-    )
+    dev_instructions.append(_run(_apt_install(" ".join(sorted(tooling)))))
     # One copy per source root: each top-level directory that holds a
     # package, or the context root for a package there. The .dockerignore
     # text keeps all but the package directories out of each.
@@ -457,12 +455,9 @@ def plan_stages(
         rel = _container_rel_dir(root, name)
         dev_instructions.append(CopyContext(f"{root}/", f"{ws}/{rel}/", "1000:1000"))
     dev_instructions.append(
-        RunShell(
-            command=(
-                f"install -d -o 1000 -g 1000 {ws}/build {ws}/install {ws}/log && "
-                f"chown 1000:1000 {ws} {ws}/src"
-            ),
-            category="user-setup",
+        _run(
+            f"install -d -o 1000 -g 1000 {ws}/build {ws}/install {ws}/log && "
+            f"chown 1000:1000 {ws} {ws}/src"
         )
     )
     dev_instructions += ["USER ros", *_entrypoint_lines(("bash",))]
@@ -474,26 +469,18 @@ def plan_stages(
     else:
         build_cmd = f"colcon build --install-base {ws}/install"
     setup = '. "/opt/ros/${ROS_DISTRO}/setup.sh" && '
-    instructions["build"] = (RunShell(command=setup + build_cmd, category="build"),)
+    instructions["build"] = (_run(setup + build_cmd),)
 
     run_instructions: list[Instruction] = [
         CopyFromStage("build", f"{ws}/install", f"{ws}/install"),
     ]
     if spec.nonroot_run:
-        run_instructions.append(_user_setup())
-        run_instructions.append(
-            RunShell(command=f"chown -R 1000:1000 {ws}", category="user-setup")
-        )
-        run_instructions.append("USER ros")
+        run_instructions += [_run(_USER_SETUP), _run(f"chown -R 1000:1000 {ws}"), "USER ros"]
     run_instructions += _entrypoint_lines(spec.launch_command)
     instructions["run"] = tuple(run_instructions)
 
     return DockerfilePlan(
-        stages=tuple(
-            Stage(row.name, row.parent, instructions[row.name])
-            for row in STAGES
-            if spec.target in row.targets
-        ),
+        stages={row.name: instructions[row.name] for row in STAGES if spec.target in row.targets},
         base_image=spec.base_image or f"ros:{spec.ros_distro}",
         target=spec.target,
         workspace_dir=ws,
@@ -505,27 +492,15 @@ def plan_stages(
 # --- validation ------------------------------------------------------------
 
 
-def _lineage(plan: DockerfilePlan, name: str) -> list[Stage]:
-    """Stages from the root of the parent chain down to ``name``."""
+def _lineage_packages(plan: DockerfilePlan, name: str, manager: str) -> set[str]:
+    """What ``manager`` installs in stage ``name`` and the planned stages it derives from."""
 
-    chain: list[Stage] = []
-    by_name = {stage.name: stage for stage in plan.stages}
-    current: str | None = name
-    while current in by_name:
-        stage = by_name[current]
-        chain.append(stage)
-        parent = stage.parent
-        current = parent if parent in by_name else None
-    chain.reverse()
-    return chain
-
-
-def _lineage_packages(plan: DockerfilePlan, name: str, category: str) -> set[str]:
     packages: set[str] = set()
-    for stage in _lineage(plan, name):
-        for instruction in stage.instructions:
-            if isinstance(instruction, RunShell) and instruction.category == category:
+    while name in plan.stages:
+        for instruction in plan.stages[name]:
+            if isinstance(instruction, Install) and instruction.manager == manager:
                 packages.update(instruction.packages)
+        name = _ROWS[name].parent
     return packages
 
 
@@ -533,49 +508,46 @@ def validate_plan(plan: DockerfilePlan) -> list[Violation]:
     """Check the stage graph invariants; an empty list means conformant.
 
     Build context copies are checked against the :data:`STAGES` row of
-    their stage. The stage order and parents are those rows, as
-    :func:`plan_stages` builds them.
+    their stage, and each lineage is read through the rows' parents.
     """
 
     violations: list[Violation] = []
-    rows = {row.name: row for row in STAGES}
-    for stage in plan.stages:
-        row = rows[stage.name]
-        for instruction in stage.instructions:
+    for name, stage in plan.stages.items():
+        context = _ROWS[name].context
+        for instruction in stage:
             if not isinstance(instruction, CopyContext):
                 continue
-            if row.context == "none":
+            if context == "none":
                 violations.append(
                     Violation(
-                        stage=stage.name,
+                        stage=name,
                         rule="no-source-leak",
                         detail=f"copies {instruction.src!r} from the build context",
                     )
                 )
-            elif row.context == "manifests" and not instruction.src.endswith(
+            elif context == "manifests" and not instruction.src.endswith(
                 ("package.xml", ".repos")
             ):
                 violations.append(
                     Violation(
-                        stage=stage.name,
+                        stage=name,
                         rule="manifests-only",
                         detail=f"copies {instruction.src!r}, not a manifest or repository list",
                     )
                 )
-            elif row.context == "roots":
+            elif context == "roots":
                 head, slash, tail = instruction.src.partition("/")
                 if not slash or tail or head in ("", ".."):
                     violations.append(
                         Violation(
-                            stage=stage.name,
+                            stage=name,
                             rule="source-roots-only",
                             detail=f"copies {instruction.src!r}, not a whole top-level directory",
                         )
                     )
 
     if plan.target == "run":
-        run = plan.stage("run")
-        cross = [i for i in run.instructions if isinstance(i, CopyFromStage)]
+        cross = [i for i in plan.stages["run"] if isinstance(i, CopyFromStage)]
         install_path = f"{plan.workspace_dir}/install"
         if len(cross) != 1 or cross[0].stage != "build" or cross[0].src != install_path:
             violations.append(
@@ -590,16 +562,16 @@ def validate_plan(plan: DockerfilePlan) -> list[Violation]:
                 )
             )
 
-        for category in ("pkg-os", "pkg-pip"):
-            dev_packages = _lineage_packages(plan, "dev", category)
-            run_packages = _lineage_packages(plan, "run", category)
+        for manager in ("apt", "pip"):
+            dev_packages = _lineage_packages(plan, "dev", manager)
+            run_packages = _lineage_packages(plan, "run", manager)
             if not dev_packages >= run_packages:
                 violations.append(
                     Violation(
                         stage="dev",
                         rule="install-superset",
                         detail=(
-                            f"{category} packages {sorted(run_packages - dev_packages)} "
+                            f"{manager} packages {sorted(run_packages - dev_packages)} "
                             "in run lineage but not dev lineage"
                         ),
                     )
@@ -610,7 +582,7 @@ def validate_plan(plan: DockerfilePlan) -> list[Violation]:
                         stage="dev",
                         rule="install-equality",
                         detail=(
-                            f"{category} packages differ without slim_runtime: "
+                            f"{manager} packages differ without slim_runtime: "
                             f"{sorted(dev_packages ^ run_packages)}"
                         ),
                     )
@@ -620,13 +592,6 @@ def validate_plan(plan: DockerfilePlan) -> list[Violation]:
 
 
 # --- rendering -------------------------------------------------------------
-
-
-# Where a RUN body wraps: after each `` && `` outside quotes. Quoted strings
-# and escaped characters are matched whole, so a `` && `` in them is never
-# a match of its own. The shell reads the indentation that BuildKit keeps
-# when it joins the lines as a word separator.
-_RUN_JOINT_RE = re.compile(r"""'[^']*'|"(?:[^"\\]|\\.)*"|\\.| && """, re.S)
 
 
 # An ARG default BuildKit's shell-word lexer reads as it is written: no
@@ -697,10 +662,7 @@ def _render_instruction(instruction: Instruction) -> str:
     if isinstance(instruction, CopyFromStage):
         operands = _copy_operands(instruction.src, instruction.dst)
         return f"COPY --from={instruction.stage} {operands}"
-    body = _RUN_JOINT_RE.sub(
-        lambda m: " && \\\n    " if m[0] == " && " else m[0], instruction.command
-    )
-    return f"RUN {body}"
+    return _run(instruction.command)
 
 
 def render(plan: DockerfilePlan) -> str:
@@ -717,11 +679,9 @@ def render(plan: DockerfilePlan) -> str:
         f"ARG BASE_IMAGE={_arg_value(plan.base_image)}",
         f"ARG TARGET={_arg_value(plan.target)}",
     ]
-    for stage in plan.stages:
-        lines.append("")
-        lines.append(f"FROM {stage.parent} AS {stage.name}")
-        for instruction in stage.instructions:
-            lines.append(_render_instruction(instruction))
+    for name, stage in plan.stages.items():
+        lines += ("", f"FROM {_ROWS[name].parent} AS {name}")
+        lines += map(_render_instruction, stage)
     body = "\n".join(lines) + "\n"
     digest = hex_digest("sha256", body.encode("utf-8"))
     return (

@@ -67,10 +67,6 @@ class BuildRequest(NamedTuple):
     push: bool = False
 
 
-def _platform_ref(arch: str) -> str:
-    return arch if "/" in arch else f"linux/{arch}"
-
-
 def build_argv(request: BuildRequest) -> EngineCommand:
     """Engine argv for one image build.
 
@@ -84,7 +80,7 @@ def build_argv(request: BuildRequest) -> EngineCommand:
     multi = len(request.platforms) > 1 or request.push
     argv: list[str] = ["buildx", "build"] if multi else ["build"]
     argv += ["--file", request.dockerfile_path, "--target", request.target]
-    argv += ["--platform", ",".join(_platform_ref(p) for p in request.platforms)]
+    argv += ["--platform", ",".join(f"linux/{p}" for p in request.platforms)]
     for name, value in sorted(request.build_args):
         argv += ["--build-arg", name if value is None else f"{name}={value}"]
     for tag in request.tags:

@@ -11,10 +11,10 @@ from code.
 from __future__ import annotations
 
 from importlib import resources
-from typing import Iterable, NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 from . import ARCHITECTURES, KNOWN_DISTROS
-from .errors import InvalidSpec, MalformedDatabase
+from .errors import MalformedDatabase
 from .textio import dump_yaml, load_yaml
 
 _FLAVOR_SUFFIX = {
@@ -59,53 +59,26 @@ def load_base_image_table() -> BaseImageTable:
     return BaseImageTable(os_bases=doc["os_bases"], accelerator_bases=doc["accelerator_bases"])
 
 
-def _check_values(kind: str, values: Iterable[str], allowed: Sequence[str]) -> tuple[str, ...]:
-    out = tuple(values)
-    for value in out:
-        if value not in allowed:
-            raise InvalidSpec(f"unknown {kind} {value!r}; choose from {', '.join(allowed)}")
-    return out
-
-
 def enumerate_matrix(
-    distros: Iterable[str] | None,
-    components: Iterable[str] | None,
-    ml_flavors: Iterable[str] | None,
-    architectures: Iterable[str] | None,
+    distros: Collection[str] | None,
+    components: Collection[str] | None,
+    ml_flavors: Collection[str] | None,
+    architectures: Collection[str] | None,
 ) -> list[MatrixEntry]:
-    """All matrix entries, restricted per dimension unless that filter is None.
+    """All matrix entries, restricted per dimension unless that filter is empty or None.
 
-    The order is total and deterministic: distros, components and flavors
-    iterate in their canonical declaration order.
+    The command line checks each filter's values. The order is total and
+    deterministic: distros, components and flavors iterate in their
+    canonical declaration order.
     """
 
-    wanted_distros = _check_values("distro", distros or DISTROS, DISTROS)
-    wanted_components = _check_values("component", components or COMPONENTS, COMPONENTS)
-    wanted_flavors = _check_values("ml flavor", ml_flavors or ML_FLAVORS, ML_FLAVORS)
-    wanted_arches = _check_values(
-        "architecture", architectures or ARCHITECTURES, ARCHITECTURES
-    )
-
-    entries: list[MatrixEntry] = []
-    for distro in DISTROS:
-        if distro not in wanted_distros:
-            continue
-        for component in COMPONENTS:
-            if component not in wanted_components:
-                continue
-            for flavor in ML_FLAVORS:
-                if flavor not in wanted_flavors:
-                    continue
-                arches = tuple(a for a in ARCHITECTURES if a in wanted_arches)
-                entries.append(
-                    MatrixEntry(
-                        distro=distro,
-                        component=component,
-                        ml_flavor=flavor,
-                        architectures=arches,
-                    )
-                )
-    return entries
+    arches = tuple(a for a in ARCHITECTURES if not architectures or a in architectures)
+    return [
+        MatrixEntry(distro=distro, component=component, ml_flavor=flavor, architectures=arches)
+        for distro in DISTROS if not distros or distro in distros
+        for component in COMPONENTS if not components or component in components
+        for flavor in ML_FLAVORS if not ml_flavors or flavor in ml_flavors
+    ]
 
 
 def tag_of(entry: MatrixEntry, registry: str) -> str:

@@ -8,9 +8,10 @@ rosdep databases. :func:`load_yaml` builds an input file's whole document
 from its tree; a rosdep database is read node by node, so that only the
 keys and the one OS record per key that forge uses are built. A value
 PyYAML's constructor fails on with a Python exception (``!!int abc``)
-raises :class:`yaml.YAMLError` like a syntax error, which
-:func:`yaml_errors` turns into the caller's error naming the file, whose
-path is also the stream name that PyYAML's marks print. Every YAML
+raises a :class:`yaml.constructor.ConstructorError` marked at the
+innermost node that fails, like a syntax error. :func:`yaml_errors` turns
+either into the caller's error naming the file, whose path is also the
+stream name that PyYAML's marks print. Every YAML
 document forge writes goes through :func:`dump_yaml`, with libyaml's
 ``CSafeDumper`` under the same fallback.
 
@@ -109,11 +110,10 @@ class ComposedDocument:
             return node.value  # what the constructor returns, without its setup
         try:
             return self._loader.construct_document(node)
-        # SafeConstructor's own failures on a scalar its tag does not fit: a
-        # month out of range and ``!!int abc`` raise ValueError, ``!!bool abc``
-        # KeyError and ``!!timestamp abc`` AttributeError.
-        except (ValueError, KeyError, AttributeError) as exc:
-            raise yaml.YAMLError(f"cannot construct a value: {exc}") from exc
+        except _BUILD_ERRORS as exc:
+            raise yaml.constructor.ConstructorError(
+                None, None, f"cannot construct a value: {exc}", _failing(node).start_mark
+            ) from exc
 
     def mapping(self, node: yaml.Node | None) -> dict[object, tuple[yaml.Node, yaml.Node]] | None:
         """The keys of a plain mapping node, each with its key node and value node.
@@ -148,6 +148,34 @@ class ComposedDocument:
 
         mark = node.start_mark
         return f"{self.name}:{mark.line + 1}:{mark.column + 1}"
+
+
+# SafeConstructor's own failures on a scalar its tag does not fit: a month
+# out of range and ``!!int abc`` raise ValueError, ``!!bool abc`` KeyError
+# and ``!!timestamp abc`` AttributeError.
+_BUILD_ERRORS = (ValueError, KeyError, AttributeError)
+
+
+def _failing(node: yaml.Node) -> yaml.Node:
+    """Of ``node``, which fails to build, and the nodes below it, the innermost that fails."""
+
+    seen = set()
+    while True:
+        seen.add(id(node))
+        if isinstance(node, yaml.MappingNode):
+            children = [child for pair in node.value for child in pair]
+        else:
+            children = node.value if isinstance(node, yaml.SequenceNode) else []
+        for child in children:
+            if id(child) in seen:  # an alias of a node that holds it
+                continue
+            try:
+                yaml.constructor.SafeConstructor().construct_document(child)
+            except _BUILD_ERRORS:
+                node = child
+                break
+        else:
+            return node
 
 
 def read_utf8(path: str | Path, error: type[UserError]) -> str:

@@ -47,6 +47,15 @@ def instructions(text: str) -> list[str]:
     return joined
 
 
+def stage_text(dockerfile: str, stage: str) -> str:
+    """The block of a rendered Dockerfile belonging to one stage, from after ``FROM``."""
+
+    for block in dockerfile.split("\nFROM ")[1:]:
+        if block.splitlines()[0].endswith(f" AS {stage}"):
+            return block
+    raise AssertionError(f"stage {stage} not found")
+
+
 def copy_operands(line: str) -> list[str] | None:
     """The operands of one COPY instruction after its ``--`` flags; None if the
     JSON-array form does not parse as a list of strings."""

@@ -20,6 +20,7 @@ import yaml
 
 from acceptance_report import RESULTS, record
 from conftest import FIXTURE_ROOT, GOLDEN_ROOT, analysis_for, image_spec
+from dockerfile_syntax import stage_text
 from golden_cases import CASES
 from pipeline_graph import job_graph
 from recording_driver import RecordingDriver
@@ -40,7 +41,7 @@ from forge.dockergen import (
     STAGES,
     CopyContext,
     CopyFromStage,
-    RunShell,
+    Install,
     plan_stages,
     render,
     validate_plan,
@@ -98,13 +99,6 @@ def _run_plan(name: str, distro: str, repos_files: tuple[str, ...], **kwargs):
     return plan_stages(spec, analysis.resolved, analysis.resolved_exec, analysis.root)
 
 
-def _stage_block(dockerfile: str, stage: str) -> str:
-    for block in dockerfile.split("\nFROM ")[1:]:
-        if block.splitlines()[0].endswith(f" AS {stage}"):
-            return block
-    raise AssertionError(f"stage {stage} not found")
-
-
 @criterion("C1", "image matrix enumerates 180 unique tags")
 def test_c1_matrix_cardinality(capsys) -> str:
     rc = cli.main(["matrix", "list"])
@@ -130,16 +124,15 @@ def test_c2_no_source_leak() -> str:
         if violations:
             problems.append(f"{name}: {len(violations)} plan violations")
             continue
-        run_stage = plan.stage("run")
-        cross = [i for i in run_stage.instructions if isinstance(i, CopyFromStage)]
-        context = [i for i in run_stage.instructions if isinstance(i, CopyContext)]
+        cross = [i for i in plan.stages["run"] if isinstance(i, CopyFromStage)]
+        context = [i for i in plan.stages["run"] if isinstance(i, CopyContext)]
         if context:
             problems.append(f"{name}: run stage copies from the build context")
         if len(cross) != 1 or cross[0].stage != "build":
             problems.append(f"{name}: expected one cross-stage copy from build")
         elif cross[0].src != f"{plan.workspace_dir}/install":
             problems.append(f"{name}: cross-stage copy is not the install space")
-        text_block = _stage_block(render(plan), "run")
+        text_block = stage_text(render(plan), "run")
         if text_block.count("COPY --from=") != 1:
             problems.append(f"{name}: rendered run stage has extra cross-stage copies")
     if problems:
@@ -161,14 +154,9 @@ def _table_lineage(name: str) -> list[str]:
 def _lineage_packages(plan, stage_names) -> set[tuple[str, str]]:
     found: set[tuple[str, str]] = set()
     for stage_name in stage_names:
-        for instruction in plan.stage(stage_name).instructions:
-            if isinstance(instruction, RunShell) and instruction.category in (
-                "pkg-os",
-                "pkg-pip",
-            ):
-                found.update(
-                    (instruction.category, pkg) for pkg in instruction.packages
-                )
+        for instruction in plan.stages[stage_name]:
+            if isinstance(instruction, Install):
+                found.update((instruction.manager, pkg) for pkg in instruction.packages)
     return found
 
 

@@ -544,19 +544,24 @@ def test_cli_non_utf8_manifest_exits_2(capsys, monkeypatch, tmp_path) -> None:
 
 # Scalars that PyYAML's SafeConstructor fails on with a Python exception.
 _UNCONSTRUCTABLE = ["2020-13-45", "!!int abc", "!!float abc", "!!bool abc", "!!timestamp abc"]
-# Each YAML input: its option, its text around the scalar and its error.
+# Each YAML input: its option, its text around the scalar, its error and
+# the line and column of the scalar.
 _YAML_INPUTS = {
-    "rosdep-record": ("--rosdep-db", "eigen:\n  debian: [x]\n  ubuntu: [{value}]\n", "MalformedDatabase"),
-    "forge.yaml": ("--config", "registry: {value}\n", "ConfigError"),
+    "rosdep-record": (
+        "--rosdep-db", "eigen:\n  debian: [x]\n  ubuntu: [{value}]\n", "MalformedDatabase", (3, 12),
+    ),
+    "forge.yaml": ("--config", "registry: {value}\n", "ConfigError", (1, 11)),
     "repos": (
         "--repos",
         "repositories:\n  tools:\n    type: git\n    url: https://h/t.git\n    version: {value}\n",
         "MalformedReposFile",
+        (5, 14),
     ),
     "distro-index": (
         "--distro-index",
         "distro:\n  name: humble\n  ros_version: {value}\n  packages: [rclcpp]\n",
         "MalformedDatabase",
+        (3, 16),
     ),
 }
 
@@ -565,13 +570,14 @@ _YAML_INPUTS = {
 @pytest.mark.parametrize("kind", list(_YAML_INPUTS))
 def test_a_yaml_value_that_cannot_be_built_exits_2(capsys, monkeypatch, tmp_path, kind, value) -> None:
     monkeypatch.chdir(tmp_path)
-    flag, text, error = _YAML_INPUTS[kind]
+    flag, text, error, (line, column) = _YAML_INPUTS[kind]
     path = tmp_path / "input.yaml"
     path.write_text(text.format(value=value), encoding="utf-8")
     code = main(["analyze", MINIMAL, flag, str(path)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith(f"forge: error: {error}: {path}: not valid YAML: cannot construct a value: ")
+    assert re.search(rf'\n  in "{re.escape(str(path))}", line {line}, column {column}\b', captured.err)
 
 
 @pytest.mark.parametrize("kind", list(_YAML_INPUTS))
@@ -579,7 +585,7 @@ def test_a_yaml_syntax_error_names_the_file_in_the_message_and_the_mark(
     capsys, monkeypatch, tmp_path, kind
 ) -> None:
     monkeypatch.chdir(tmp_path)
-    flag, _, error = _YAML_INPUTS[kind]
+    flag, _, error, _ = _YAML_INPUTS[kind]
     path = tmp_path / "input.yaml"
     path.write_text("a: [x\n", encoding="utf-8")
     code = main(["analyze", MINIMAL, flag, str(path)])
@@ -594,7 +600,7 @@ def test_a_yaml_syntax_error_names_the_file_in_the_message_and_the_mark(
 @pytest.mark.parametrize("kind", list(_YAML_INPUTS))
 def test_an_input_that_cannot_be_read_exits_2_naming_it(capsys, monkeypatch, tmp_path, kind) -> None:
     monkeypatch.chdir(tmp_path)
-    flag, _, error = _YAML_INPUTS[kind]
+    flag, _, error, _ = _YAML_INPUTS[kind]
     path = tmp_path / "input.yaml"
     path.write_text("{}\n", encoding="utf-8")
     real_open = open
@@ -1068,11 +1074,7 @@ def test_plan_violations_are_printed_with_their_detail(capsys, monkeypatch, tmp_
     def leaky(*args, **kwargs):
         plan = plan_stages(*args, **kwargs)
         leak = CopyContext("src/", "/ws/src/")
-        stages = tuple(
-            s._replace(instructions=(*s.instructions, leak)) if s.name == "run" else s
-            for s in plan.stages
-        )
-        return plan._replace(stages=stages)
+        return plan._replace(stages={**plan.stages, "run": (*plan.stages["run"], leak)})
 
     monkeypatch.setattr(forge.cli, "plan_stages", leaky)
     assert main(["generate", "dockerfile", MINIMAL, "-o", str(tmp_path / "Dockerfile")]) == 1
@@ -1136,8 +1138,37 @@ def test_a_repeated_platform_counts_once(capsys, argv, option) -> None:
             ["analyze", MINIMAL, "--distro-index", "{index}"],
             "MalformedDatabase: {index}:1:16: unknown distro name 'navel'",
         ),
+        (
+            ["generate", "ci", "--platform", "github", "--image-name", "app", "--arch", "riscv"],
+            "argument --arch: invalid choice: 'riscv'",
+        ),
+        (
+            ["generate", "ci", "--platform", "github", "--image-name", "app", "--targets", ""],
+            "InvalidArgs: --targets must be a comma list of dev/run, got ''\n",
+        ),
+        (
+            ["generate", "ci", "--platform", "github", "--image-name", "app", "--targets", "dev,x"],
+            "InvalidArgs: --targets must be a comma list of dev/run, got 'dev,x'\n",
+        ),
+        (
+            ["generate", "ci", "--platform", "github", "--image-name", "app", "--targets=--"],
+            "InvalidArgs: --targets must be a comma list of dev/run, got '--'\n",
+        ),
+        (
+            ["generate", "ci", "--platform", "github", "--image-name", "app", "--arch=--"],
+            "InvalidArgs: '--' is not a value of the repeatable option 'arch'\n",
+        ),
+        (
+            ["build", MINIMAL, "--dry-run", "--platform=--"],
+            "InvalidArgs: '--' is not a value of the repeatable option 'platform'\n",
+        ),
+        (["matrix", "list", "--ml=--"], "InvalidArgs: '--' is not a value of the repeatable option 'ml'\n"),
     ],
-    ids=["target", "ci-platform", "index-distro"],
+    ids=[
+        "target", "ci-platform", "index-distro", "ci-arch", "ci-targets-empty",
+        "ci-targets-unknown", "ci-targets-dashes", "ci-arch-dashes", "build-platform-dashes",
+        "matrix-ml-dashes",
+    ],
 )
 def test_a_value_outside_its_known_set_exits_2(capsys, monkeypatch, tmp_path, argv, message) -> None:
     monkeypatch.chdir(tmp_path)
@@ -1147,6 +1178,29 @@ def test_a_value_outside_its_known_set_exits_2(capsys, monkeypatch, tmp_path, ar
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert message.format(index=index) in captured.err
+
+
+@pytest.mark.parametrize("layer", ["flag", "environment", "file"])
+def test_a_distro_index_names_the_distro_and_the_default_is_only_checked(
+    capsys, monkeypatch, tmp_path, layer
+) -> None:
+    monkeypatch.chdir(tmp_path)
+    index = tmp_path / "humble.yaml"
+    index.write_text("distro: {name: humble, ros_version: 2, packages: [rclcpp]}\n", encoding="utf-8")
+    config = tmp_path / "forge.yaml"
+    argv = ["analyze", MINIMAL, "--format", "json", "--distro-index", str(index), "--config", str(config)]
+
+    def analyze(distro: str) -> int:
+        config.write_text(f"default_distro: {distro}\n" if layer == "file" else "", encoding="utf-8")
+        if layer == "environment":
+            monkeypatch.setenv("FORGE_DISTRO", distro)
+        return main([*argv, "--distro", distro] if layer == "flag" else argv)
+
+    assert analyze("noetic") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["distro"], report["ros_version"]) == ("humble", 2)
+    assert analyze("jazzy") == 2
+    assert "unknown distro 'jazzy'" in capsys.readouterr().err
 
 
 def test_build_missing_credential_exits_2(capsys, monkeypatch, tmp_path) -> None:
@@ -1368,11 +1422,16 @@ def test_matrix_build_executes(monkeypatch, tmp_path) -> None:
     assert len(driver.commands) == 6
 
 
-def test_matrix_unknown_filter_exits_2(capsys, monkeypatch, tmp_path) -> None:
-    monkeypatch.chdir(tmp_path)
-    code = main(["matrix", "list", "--distro", "jazzy"])
+@pytest.mark.parametrize("command", ["list", "build"])
+@pytest.mark.parametrize(
+    ("option", "value"),
+    [("--distro", "jazzy"), ("--component", "mega"), ("--ml", "jax"), ("--arch", "riscv")],
+)
+def test_matrix_unknown_filter_exits_2(capsys, command, option, value) -> None:
+    dry_run = ["--dry-run"] if command == "build" else []
+    code = main(["matrix", command, *dry_run, option, value])
     assert code == 2
-    assert "InvalidSpec" in capsys.readouterr().err
+    assert f"argument {option}: invalid choice: {value!r}" in capsys.readouterr().err
 
 
 # --- output files ------------------------------------------------------------

@@ -666,7 +666,8 @@ def test_loader_matches_the_whole_document_oracle(loader: type) -> None:
          "db.yaml:2:11: key 'eigen' has whitespace inside package 'libfoo bar'"),
         ("eigen:\n  ubuntu: ~\n", "db.yaml:2:11: key 'eigen' has an unsupported record shape"),
         ("eigen:\n  debian: [x]\n  ubuntu: [2020-13-45]\n",
-         "db.yaml: not valid YAML: cannot construct a value: month must be in 1..12"),
+         'db.yaml: not valid YAML: cannot construct a value: month must be in 1..12\n'
+         '  in "db.yaml", line 3, column 12'),
         ("eigen: {ubuntu: [x], ? [a] : y}\n", "db.yaml: not valid YAML: while constructing a mapping"),
         ("eigen: {<<: [x]}\n", "db.yaml: not valid YAML: while constructing a mapping"),
     ],

@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from forge import TARGETS
@@ -25,7 +25,8 @@ from forge.dockergen import (
     CopyFromStage,
     DockerfilePlan,
     ImageSpec,
-    RunShell,
+    Install,
+    _run,
     plan_stages,
     render,
     render_dockerignore,
@@ -46,23 +47,13 @@ from dockerfile_syntax import (
     dockerfile_problems,
     ignore_admits,
     instructions,
+    stage_text,
 )
 
 
 def make_plan(analysis, **kwargs) -> DockerfilePlan:
     spec = image_spec(analysis, **kwargs)
     return plan_stages(spec, analysis.resolved, analysis.resolved_exec, analysis.root)
-
-
-def stage_text(dockerfile: str, stage: str) -> str:
-    """The block of a rendered Dockerfile belonging to one stage."""
-
-    blocks = dockerfile.split("\nFROM ")
-    for block in blocks[1:]:
-        header = block.splitlines()[0]
-        if header.endswith(f" AS {stage}"):
-            return block
-    raise AssertionError(f"stage {stage} not found")
 
 
 # Spec fields that add or drop instructions in some stage. Custom scripts
@@ -86,8 +77,11 @@ def test_every_plan_has_the_stages_and_parents_of_its_target(
             (Path(tmp) / name).write_text("true\n", encoding="utf-8")
         spec = image_spec(analysis, target=target, **fields)
         plan = plan_stages(spec, analysis.resolved, analysis.resolved_exec, Path(tmp))
-    rows = [(row.name, row.parent) for row in STAGES if target in row.targets]
-    assert [(stage.name, stage.parent) for stage in plan.stages] == rows
+    rows = [row for row in STAGES if target in row.targets]
+    assert list(plan.stages) == [row.name for row in rows]
+    assert [line for line in instructions(render(plan)) if line.startswith("FROM ")] == [
+        f"FROM {row.parent} AS {row.name}" for row in rows
+    ]
     assert validate_plan(plan) == []
 
 
@@ -143,19 +137,12 @@ def test_base_image_defaults_to_the_distro_image(request, fixture, base, expecte
 # --- mutation tests for each validation rule -------------------------------
 
 
-def _replace_stage(plan: DockerfilePlan, name: str, **changes) -> DockerfilePlan:
-    stages = tuple(
-        s._replace(**changes) if s.name == name else s
-        for s in plan.stages
-    )
-    return plan._replace(stages=stages)
+def _replace_stage(plan: DockerfilePlan, name: str, instructions) -> DockerfilePlan:
+    return plan._replace(stages={**plan.stages, name: tuple(instructions)})
 
 
 def _with_instruction(plan: DockerfilePlan, name: str, instruction) -> DockerfilePlan:
-    stage = plan.stage(name)
-    return _replace_stage(
-        plan, name, instructions=stage.instructions + (instruction,)
-    )
+    return _replace_stage(plan, name, (*plan.stages[name], instruction))
 
 
 def test_rule_manifests_only(minimal_analysis) -> None:
@@ -181,11 +168,8 @@ def test_rule_no_source_leak(minimal_analysis) -> None:
 
 def test_rule_install_space_copy_missing(minimal_analysis) -> None:
     plan = make_plan(minimal_analysis, target="run")
-    run = plan.stage("run")
-    stripped = tuple(
-        i for i in run.instructions if not isinstance(i, CopyFromStage)
-    )
-    broken = _replace_stage(plan, "run", instructions=stripped)
+    stripped = [i for i in plan.stages["run"] if not isinstance(i, CopyFromStage)]
+    broken = _replace_stage(plan, "run", stripped)
     assert [v.rule for v in validate_plan(broken)] == ["install-space-copy"]
 
 
@@ -198,7 +182,7 @@ def test_rule_install_space_copy_duplicated(minimal_analysis) -> None:
 
 def test_rule_install_superset(minimal_analysis) -> None:
     plan = make_plan(minimal_analysis, target="run")
-    sneak = RunShell(command="apt-get install -y sneaky", category="pkg-os", packages=("sneaky",))
+    sneak = Install("apt", ("sneaky",), "apt-get install -y sneaky")
     broken = _with_instruction(plan, "run", sneak)
     rules = [v.rule for v in validate_plan(broken)]
     assert rules == ["install-superset", "install-equality"]
@@ -206,44 +190,36 @@ def test_rule_install_superset(minimal_analysis) -> None:
 
 def test_rule_install_equality_without_slim(minimal_analysis) -> None:
     plan = make_plan(minimal_analysis, target="run")
-    extra = RunShell(command="apt-get install -y devtool", category="pkg-os", packages=("devtool",))
+    extra = Install("apt", ("devtool",), "apt-get install -y devtool")
     broken = _with_instruction(plan, "dev", extra)
     assert [v.rule for v in validate_plan(broken)] == ["install-equality"]
 
 
 def test_slim_dev_carries_build_only_delta(multi_repo_analysis) -> None:
     plan = make_plan(multi_repo_analysis, target="run", slim_runtime=True)
-    shared = plan.stage("dependencies-install")
-    dev = plan.stage("dev")
 
-    def pkgs(stage, category):
-        out = set()
-        for i in stage.instructions:
-            if isinstance(i, RunShell) and i.category == category:
-                out.update(i.packages)
-        return out
+    def pkgs(stage, manager):
+        return {
+            package for i in plan.stages[stage] if isinstance(i, Install) and i.manager == manager
+            for package in i.packages
+        }
 
     # eigen is build-only in the fixture, so its OS package must move out
     # of the shared stage and into the dev delta.
-    assert "libeigen3-dev" not in pkgs(shared, "pkg-os")
-    assert "libeigen3-dev" in pkgs(dev, "pkg-os")
+    assert "libeigen3-dev" not in pkgs("dependencies-install", "apt")
+    assert "libeigen3-dev" in pkgs("dev", "apt")
     # transforms3d is exec scope, so it stays shared.
-    assert "transforms3d" in pkgs(shared, "pkg-pip")
+    assert "transforms3d" in pkgs("dependencies-install", "pip")
 
 
 def test_full_runtime_shares_everything(multi_repo_analysis) -> None:
     plan = make_plan(multi_repo_analysis, target="run", slim_runtime=False)
-    shared = plan.stage("dependencies-install")
-    os_pkgs = set()
-    for i in shared.instructions:
-        if isinstance(i, RunShell) and i.category == "pkg-os":
-            os_pkgs.update(i.packages)
+    os_pkgs = {
+        package for i in plan.stages["dependencies-install"]
+        if isinstance(i, Install) and i.manager == "apt" for package in i.packages
+    }
     assert "libeigen3-dev" in os_pkgs
-    dev = plan.stage("dev")
-    assert not any(
-        isinstance(i, RunShell) and i.category in ("pkg-os", "pkg-pip")
-        for i in dev.instructions
-    )
+    assert not any(isinstance(i, Install) for i in plan.stages["dev"])
 
 
 # --- rendering -------------------------------------------------------------
@@ -417,6 +393,38 @@ def test_every_arg_default_reads_back_as_planned(minimal_analysis, base, argv) -
     assert shlex.split(read[-1][1]) == argv
 
 
+# Three ways a shell word is written: single-quoted, double-quoted with
+# ``\``, ``"``, ``$`` and backquote escaped, or with every character
+# that is not a letter or digit escaped.
+_QUOTINGS = {
+    "single": shlex.quote,
+    "double": lambda word: '"' + re.sub(r'[\\"$`]', r"\\\g<0>", word) + '"',
+    "escaped": lambda word: re.sub(r"\W", r"\\\g<0>", word) or "''",
+}
+_SHELL_WORD = st.one_of(_PRINTABLE, st.text(st.sampled_from(" &&\\$\"'`;|x"), max_size=8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(
+    st.lists(st.tuples(st.sampled_from(sorted(_QUOTINGS)), _SHELL_WORD), max_size=4),
+    min_size=1, max_size=4,
+))
+@example([[("escaped", "&& \\")], [("single", "a && b")], [("double", '" && $x')]])
+def test_every_run_line_reads_back_as_its_command(commands) -> None:
+    command = " && ".join(
+        " ".join(["echo", *(_QUOTINGS[quoting](word) for quoting, word in words)])
+        for words in commands
+    )
+    # A Dockerfile line that ends in a backslash goes on in the next; no
+    # command forge plans ends in one.
+    assume(not command.endswith("\\"))
+    line = _run(command)
+    assert line.count("\n") == len(commands) - 1
+    [joined] = instructions(line)
+    assert shlex.split(joined[len("RUN "):]) == shlex.split(command)
+    assert dockerfile_problems(line) == []
+
+
 def _printf_words(path: str, items) -> list[str]:
     return ["printf", "%s\\n", *items, ">", path] if items else [":", ">", path]
 
@@ -450,24 +458,25 @@ def test_every_run_body_reads_back_as_planned(repos, apt, pip, build_only, slim)
         extra_apt=tuple(apt), extra_pip=tuple(pip), slim_runtime=slim,
     )
     plan = plan_stages(spec, build_deps, _NO_DEPS, Path("."))
-    planned = [i for stage in plan.stages for i in stage.instructions if isinstance(i, RunShell)]
     read = [shlex.split(line[4:]) for line in instructions(render(plan)) if line.startswith("RUN ")]
-    assert read == [shlex.split(run.command) for run in planned]
+    for install in (i for stage in plan.stages.values() for i in stage if isinstance(i, Install)):
+        assert shlex.split(install.command) in read
 
-    shared = plan.stage("dependencies-install").instructions
-    installed = {run.category: run.packages for run in planned if run in shared}
+    installed = {
+        i.manager: i.packages for i in plan.stages["dependencies-install"] if isinstance(i, Install)
+    }
     lines = [" ".join(part for part in repo if part) for repo in sorted(repos)]
-    artifacts = next(words for run, words in zip(planned, read) if run.category == "dep-artifacts")
+    artifacts = next(words for words in read if words[:3] == ["mkdir", "-p", ARTIFACT_DIR])
     assert artifacts == [
         "mkdir", "-p", ARTIFACT_DIR,
-        "&&", *_printf_words(APT_LIST, installed.get("pkg-os", ())),
-        "&&", *_printf_words(PIP_LIST, installed.get("pkg-pip", ())),
+        "&&", *_printf_words(APT_LIST, installed.get("apt", ())),
+        "&&", *_printf_words(PIP_LIST, installed.get("pip", ())),
         "&&", *_printf_words(REPOS_LIST, lines),
     ]
     # In slim mode dev names the build-only remainder in its install commands.
-    for run, words in zip(planned, read):
-        if run in plan.stage("dev").instructions and run.packages:
-            assert set(run.packages) <= set(words), (run.packages, words)
+    for install in plan.stages["dev"]:
+        if isinstance(install, Install):
+            assert set(install.packages) <= set(shlex.split(install.command)), install
 
 
 # --- source roots and the .dockerignore -------------------------------------
@@ -515,7 +524,7 @@ def test_every_copy_operand_names_exactly_its_path(minimal_analysis, parts, belo
     text = render(plan)
     assert dockerfile_problems(text) == []
     planned = sorted(
-        (i.src, i.dst) for stage in plan.stages for i in stage.instructions
+        (i.src, i.dst) for stage in plan.stages.values() for i in stage
         if isinstance(i, (CopyContext, CopyFromStage))
     )
     read = sorted(
@@ -693,8 +702,8 @@ def test_dev_copies_each_source_root_once_and_the_ignore_file_keeps_the_rest_out
     wanted = set(owner) | set(workspace["repos"]) | set(workspace["scripts"])
     assert admitted == {name for name in wanted if not left_out(name)}
     owner = {name: rel for name, rel in owner.items() if not left_out(name)}
-    copied = [i.src for stage in plan.stages for i in stage.instructions
-              if isinstance(i, CopyContext) and stage.name != "dev"]
+    copied = [i.src for name, stage in plan.stages.items() for i in stage
+              if isinstance(i, CopyContext) and name != "dev"]
     assert all(admits(src) for src in copied), copied
 
     # dev holds each live package's files where a per-package copy put them:
@@ -707,7 +716,7 @@ def test_dev_copies_each_source_root_once_and_the_ignore_file_keeps_the_rest_out
         else:
             expected.add(f"/ws/{rel if rel.startswith('src/') else 'src/' + rel}{name[len(rel):]}")
     held = set()
-    for copy in plan.stage("dev").instructions:
+    for copy in plan.stages["dev"]:
         if isinstance(copy, CopyContext):
             prefix = "" if copy.src == "./" else copy.src
             held |= {copy.dst + name[len(prefix):] for name in admitted if name.startswith(prefix)}

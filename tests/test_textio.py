@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import re
 import sys
 from pathlib import Path
 
@@ -102,6 +103,23 @@ def test_a_key_safe_load_rejects_is_a_yaml_error(text: str) -> None:
     doc = ComposedDocument(text, "in.yaml")
     with pytest.raises(yaml.YAMLError):
         doc.mapping(doc.root)
+
+
+@pytest.mark.parametrize(
+    ("text", "line", "column"),
+    [
+        ("a: {<<: {x: 1}, y: [1, !!int z]}\n", 1, 24),
+        ("b: &m {k: !!int q}\nc: {<<: *m}\n", 1, 11),
+        ("x: &a [*a, [1, {2020-13-45: v}]]\n", 1, 17),
+        ("m: {ok: 1, !!bool q: 2}\n", 1, 12),
+    ],
+    ids=["merged", "alias", "recursive", "key"],
+)
+def test_a_value_that_cannot_be_built_is_marked_where_it_fails(text: str, line: int, column: int) -> None:
+    with pytest.raises(UserError) as caught:
+        safe_load(text)
+    assert str(caught.value).startswith("in.yaml: not valid YAML: cannot construct a value: ")
+    assert re.search(rf'\n  in "in\.yaml", line {line}, column {column}\b', str(caught.value))
 
 
 _DUMPER_NAMES = {"CSafeDumper", "SafeDumper", "safe_dump", "dump"}
