@@ -616,9 +616,7 @@ def _split_run_argv(tokens: list[str]) -> tuple[list[str], list[str], list[str]]
             sections.append([])
         else:
             sections[-1].append(token)
-    head = sections[0]
-    passthrough = sections[1] if len(sections) > 1 else []
-    command = sections[2] if len(sections) > 2 else []
+    head, passthrough, command = [*sections, [], []][:3]
     return head, passthrough, command
 
 
@@ -676,6 +674,17 @@ def cmd_bench_startup(args: argparse.Namespace, driver: EngineDriver | None) -> 
     return 0
 
 
+def _path(name: str) -> Callable[[str], str]:
+    """The type of the path argument ``name``: any path but "", which reads as not given."""
+
+    def check(text: str) -> str:
+        if not text:
+            raise InvalidArgs(f"{name} must be a non-empty path")
+        return text
+
+    return check
+
+
 # The options several subcommands share, each defined once. A subcommand
 # names the ones its handler reads.
 _SHARED_OPTIONS: dict[str, dict[str, object]] = {
@@ -688,7 +697,11 @@ _SHARED_OPTIONS: dict[str, dict[str, object]] = {
         "help": "exit 2 when any dependency key is unresolved",
     },
     "--dry-run": {"action": "store_true", "help": "run no engine command, write only named files"},
-    "--engine": {"default": "docker", "help": "container engine binary (default: docker)"},
+    "--engine": {
+        "type": _path("--engine"),
+        "default": "docker",
+        "help": "container engine binary (default: docker)",
+    },
 }
 
 
@@ -698,7 +711,7 @@ def _add_shared(parser: argparse.ArgumentParser, *flags: str) -> None:
 
 
 def _add_workspace_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("workspace", type=_PATHS["workspace"], help="workspace root directory")
+    parser.add_argument("workspace", type=_path("workspace"), help="workspace root directory")
     parser.add_argument("--distro", help="ROS distro (default from config)")
     parser.add_argument(
         "--rosdep-db",
@@ -720,12 +733,15 @@ def _container_path(text: str) -> str:
     return str(PurePosixPath(text))
 
 
-def _image_ref(text: str) -> str:
-    """``--base``: an image reference; a leading ``-`` would be an option in CI ``forge build``."""
+def _image_ref(name: str, empty: bool = False) -> Callable[[str], str]:
+    """The type of image option ``name``: "" if ``empty``, or a reference not led by ``-``."""
 
-    if not re.fullmatch(r"(?:[A-Za-z0-9][A-Za-z0-9_.:/@+-]*)?", text):
-        raise InvalidArgs(f"--base must be an image reference, got {text!r}")
-    return text
+    def check(text: str) -> str:
+        if not (empty and not text or re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9_.:/@+-]*", text)):
+            raise InvalidArgs(f"{name} must be an image reference, got {text!r}")
+        return text
+
+    return check
 
 
 def _launch_command(text: str) -> tuple[str, ...]:
@@ -748,17 +764,6 @@ def _targets(text: str) -> tuple[str, ...]:
     return names
 
 
-def _path(name: str) -> Callable[[str], str]:
-    """The type of the path argument ``name``: any path but "", which reads as not given."""
-
-    def check(text: str) -> str:
-        if not text:
-            raise InvalidArgs(f"{name} must be a non-empty path")
-        return text
-
-    return check
-
-
 def _plugin_dir(text: str) -> str:
     """``--plugin-dir``: a directory; any other path would run no plugin and say nothing."""
 
@@ -767,22 +772,13 @@ def _plugin_dir(text: str) -> str:
     return text
 
 
-_PATHS = {dest: _path(name) for dest, name in (
-    ("workspace", "workspace"), ("output", "--output"), ("dockerfile_out", "--dockerfile-out"),
-    ("plan_out", "--plan-out"), ("dockerfile", "--dockerfile"), ("context", "--context"),
-)} | {"plugin_dir": _plugin_dir}
-
-_VALUE_CHECKS = (
-    ("base", _image_ref), ("command", _launch_command), ("workspace_dir", _container_path),
-    ("targets", _targets), *_PATHS.items(),
-)
-
-
 def _add_image_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--target", choices=TARGETS, default="run", help="image flavor"
     )
-    parser.add_argument("--base", type=_image_ref, help="base image (default: ros:<distro>)")
+    parser.add_argument(
+        "--base", type=_image_ref("--base", empty=True), help="base image (default: ros:<distro>)"
+    )
     parser.add_argument(
         "--command", type=_launch_command, help="launch command (shell-style, default: bash)"
     )
@@ -831,7 +827,7 @@ def _dockerfile_options(p: argparse.ArgumentParser) -> None:
     _add_shared(p, "--config", "--strict", "--dry-run")
     _add_workspace_options(p)
     _add_image_options(p)
-    p.add_argument("--output", "-o", type=_PATHS["output"], help="output path ('-' for stdout)")
+    p.add_argument("--output", "-o", type=_path("--output"), help="output path ('-' for stdout)")
     p.set_defaults(handler=cmd_generate_dockerfile)
 
 
@@ -848,11 +844,13 @@ def _ci_options(p: argparse.ArgumentParser) -> None:
         "--enable-test", action="store_true", help="run workspace tests in CI"
     )
     p.add_argument("--push-branch", default="main", help="branch that may push")
-    p.add_argument("--base", type=_image_ref, help="base image forwarded to builds")
+    p.add_argument(
+        "--base", type=_image_ref("--base", empty=True), help="base image forwarded to builds"
+    )
     p.add_argument(
         "--targets", type=_targets, help=f"comma list of target stages ({','.join(TARGETS)})"
     )
-    p.add_argument("--output", "-o", type=_PATHS["output"], help="output path ('-' for stdout)")
+    p.add_argument("--output", "-o", type=_path("--output"), help="output path ('-' for stdout)")
     p.set_defaults(handler=cmd_generate_ci)
 
 
@@ -863,10 +861,12 @@ def _build_options(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--platform", action="append", choices=ARCHITECTURES, help="target platform (repeatable)"
     )
-    p.add_argument("--tag", action="append", help="image tag (repeatable)")
+    p.add_argument(
+        "--tag", action="append", type=_image_ref("--tag"), help="image tag (repeatable)"
+    )
     p.add_argument("--push", action="store_true", help="push after building")
     p.add_argument(
-        "--dockerfile-out", type=_PATHS["dockerfile_out"],
+        "--dockerfile-out", type=_path("--dockerfile-out"),
         help="where to write the generated Dockerfile",
     )
     p.set_defaults(handler=cmd_build)
@@ -884,15 +884,15 @@ def _matrix_build_options(p: argparse.ArgumentParser) -> None:
     _add_matrix_filters(p)
     p.add_argument(
         "--dockerfile",
-        type=_PATHS["dockerfile"],
+        type=_path("--dockerfile"),
         default="Dockerfile.base-matrix",
         help="generic base image Dockerfile the plan references",
     )
     p.add_argument(
-        "--context", type=_PATHS["context"], default=".", help="build context for matrix images"
+        "--context", type=_path("--context"), default=".", help="build context for matrix images"
     )
     p.add_argument(
-        "--plan-out", type=_PATHS["plan_out"], help="also write the machine-readable build plan"
+        "--plan-out", type=_path("--plan-out"), help="also write the machine-readable build plan"
     )
     p.add_argument("--push", action="store_true", help="push after building")
     p.set_defaults(handler=cmd_matrix_build)
@@ -913,9 +913,7 @@ def _run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--workspace-dir", type=_container_path, default="/ws", help="workspace path in image"
     )
-    p.add_argument(
-        "--plugin-dir", type=_PATHS["plugin_dir"], help="directory of executable run plugins"
-    )
+    p.add_argument("--plugin-dir", type=_plugin_dir, help="directory of executable run plugins")
     p.set_defaults(handler=cmd_run, passthrough=[], run_command=[])
 
 
@@ -947,6 +945,16 @@ _COMMANDS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Gives ``--opt=--`` the text ``--`` to check, as Python 3.12 does; 3.11 stores ``[]``."""
+
+    def _get_values(self, action: argparse.Action, arg_strings: list[str]) -> object:
+        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+            self._check_value(action, value := self._get_value(action, "--"))
+            return value
+        return super()._get_values(action, arg_strings)
+
+
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     """forge's parser for ``argv``: every command's name and help, and the options of argv's own.
 
@@ -955,7 +963,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     values; the other commands' options are never built.
     """
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="forge",
         description="Container images and CI pipelines for ROS workspaces.",
     )
@@ -1014,15 +1022,6 @@ def _main(argv: list[str], driver: EngineDriver | None) -> int:
             args.run_command = run_command
         else:
             args = parser.parse_args(argv)
-        # Python 3.11's argparse reads ``--base=--`` as an empty list that no
-        # type function or choices check has seen; check it as the text ``--``.
-        # A repeatable option, such as ``--arch=--``, appends that list.
-        for dest, check in _VALUE_CHECKS:
-            if getattr(args, dest, None) == []:
-                setattr(args, dest, check("--"))
-        for dest, value in vars(args).items():
-            if isinstance(value, list) and [] in value:
-                raise InvalidArgs(f"'--' is not a value of the repeatable option {dest!r}")
         return int(args.handler(args, driver))
     except SystemExit as exc:
         return int(exc.code or 0)

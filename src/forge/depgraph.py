@@ -212,6 +212,8 @@ def _string_list(key: str, raw: list[object]) -> tuple[str, ...]:
             raise MalformedDatabase(f"key {key!r} lists a non-string package")
         if _WHITESPACE(item):
             raise MalformedDatabase(f"key {key!r} has whitespace inside package {item!r}")
+        if item[0] == "-":  # an apt-get or pip option, not a package
+            raise MalformedDatabase(f"key {key!r} lists package {item!r}, which starts with '-'")
     return tuple(raw)  # type: ignore[arg-type]
 
 

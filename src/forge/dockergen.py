@@ -178,10 +178,14 @@ def _check_spec(spec: ImageSpec, context_root: Path) -> tuple[str, ...]:
     # The distro index checks the distro, the command line the target, the
     # launch command and workspace_dir.
     for extra in (*spec.extra_apt, *spec.extra_pip):
-        if not extra or any(c.isspace() for c in extra):
+        # A leading "-" would be an apt-get or pip option.
+        if extra[:1] in ("", "-") or any(c.isspace() for c in extra):
             raise InvalidSpec(f"invalid extra package name {extra!r}")
     scripts = [s for s in (spec.custom_script_pre, spec.custom_script_post) if s is not None]
     for script in scripts:
+        # BuildKit reads a COPY source below the context, also "/x" or "../x".
+        if posixpath.normpath(script).split("/")[0] in ("", ".."):
+            raise InvalidSpec(f"custom script {script!r} is outside the build context")
         if not (context_root / script).is_file():
             raise InvalidSpec(f"custom script {script!r} not found in build context")
     named = [("package directory", p.source_dir) for p in spec.packages]

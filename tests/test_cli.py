@@ -405,10 +405,15 @@ def test_an_empty_config_flag_is_an_error(capsys, monkeypatch, tmp_path) -> None
         (["matrix", "build", "--dry-run", "--dockerfile", ""], "--dockerfile"),
         (["matrix", "build", "--dry-run", "--context", ""], "--context"),
         (["run", "--dry-run", "--plugin-dir", "", "ros:humble"], "--plugin-dir"),
+        (["build", "ws", "--dry-run", "--engine="], "--engine"),
+        (["matrix", "build", "--dry-run", "--engine="], "--engine"),
+        (["run", "--dry-run", "--engine=", "ros:humble"], "--engine"),
+        (["bench", "startup", "--dry-run", "--engine=", "ros:humble"], "--engine"),
     ],
     ids=[
         "analyze", "generate-dockerfile", "generate-ci", "build", "matrix-build-plan-out",
-        "matrix-build-dockerfile", "matrix-build-context", "run",
+        "matrix-build-dockerfile", "matrix-build-context", "run", "build-engine",
+        "matrix-build-engine", "run-engine", "bench-startup-engine",
     ],
 )
 def test_an_empty_path_argument_is_an_error(capsys, monkeypatch, tmp_path, argv, name) -> None:
@@ -621,13 +626,15 @@ def test_an_input_that_cannot_be_read_exits_2_naming_it(capsys, monkeypatch, tmp
     ("text", "message"),
     [
         ("eigen:\n  debian: [x]\n  ubuntu: []\n", "{path}:3:11: key 'eigen' has an empty package list"),
+        ("eigen:\n  ubuntu: [--allow-unauthenticated]\n",
+         "{path}:2:11: key 'eigen' lists package '--allow-unauthenticated', which starts with '-'"),
         ("eigen:\n  ubuntu: {{apt: [x]}}\n", "{path}:2:11: key 'eigen' has an unsupported record shape"),
         ("eigen: [x]\n", "{path}:1:8: key 'eigen' does not map OS names to records"),
         ("- a list\n", "{path}:1:1: the document is not a mapping"),
         ("7: {{ubuntu: [x]}}\n", "{path}:1:1: key 7 must be a non-empty string"),
         ("eigen: [x\n", '{path}: not valid YAML: while parsing a flow sequence\n  in "{path}", line 1'),
     ],
-    ids=["empty-list", "bad-shape", "not-per-os", "not-a-mapping", "int-key", "syntax"],
+    ids=["empty-list", "apt-option", "bad-shape", "not-per-os", "not-a-mapping", "int-key", "syntax"],
 )
 def test_rosdep_errors_name_the_file_and_position(capsys, monkeypatch, tmp_path, text, message) -> None:
     monkeypatch.chdir(tmp_path)
@@ -895,13 +902,39 @@ def test_custom_scripts_must_be_in_the_build_context(capsys, monkeypatch, tmp_pa
     root = tmp_path / "ws"
     shutil.copytree(MINIMAL, root)
     (root / "pre.sh").write_text("true\n", encoding="utf-8")
+    (root / "sub").mkdir()
+    (tmp_path / "outside.sh").write_text("true\n", encoding="utf-8")
     argv = ["generate", "dockerfile", str(root), "--script-pre", "pre.sh", "-o", "-"]
     assert main(argv) == 0
     assert "COPY pre.sh /opt/forge/custom-pre.sh" in capsys.readouterr().out
+    assert main([*argv, "--script-post", "sub/../pre.sh"]) == 0
+    assert "COPY sub/../pre.sh /opt/forge/custom-post.sh" in capsys.readouterr().out
     assert main([*argv, "--script-post", "post.sh"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "InvalidSpec: custom script 'post.sh' not found in build context" in captured.err
+    # Each is a file, but BuildKit would read it below the context.
+    for script in (str(root / "pre.sh"), "/etc/hostname", "../outside.sh", "sub/../../outside.sh"):
+        assert main([*argv, "--script-post", script]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"InvalidSpec: custom script {script!r} is outside the build context" in captured.err
+
+
+@pytest.mark.parametrize("option", ["--extra-apt", "--extra-pip"])
+@pytest.mark.parametrize("name", ["", "-y", "--", "--index-url=https://evil.example/simple", "a b"])
+def test_an_extra_package_name_is_neither_empty_nor_an_option(capsys, option: str, name: str) -> None:
+    # apt-get and pip would read a name with a leading "-" as an option.
+    assert main(["generate", "dockerfile", MINIMAL, "-o", "-", f"{option}={name}"]) == 2
+    assert capsys.readouterr() == ("", f"forge: error: InvalidSpec: invalid extra package name {name!r}\n")
+
+
+@pytest.mark.parametrize("tag", ["", "--", "-x", "a b"])
+def test_a_tag_must_be_an_image_reference(capsys, tag: str) -> None:
+    # A leading "-" would be an engine option; an empty tag is not "not given".
+    assert main(["build", MINIMAL, "--dry-run", f"--tag={tag}"], driver=RecordingDriver()) == 2
+    message = f"forge: error: InvalidArgs: --tag must be an image reference, got {tag!r}\n"
+    assert capsys.readouterr() == ("", message)
 
 
 def test_generate_ci_writes_file(capsys, monkeypatch, tmp_path) -> None:
@@ -1156,13 +1189,13 @@ def test_a_repeated_platform_counts_once(capsys, argv, option) -> None:
         ),
         (
             ["generate", "ci", "--platform", "github", "--image-name", "app", "--arch=--"],
-            "InvalidArgs: '--' is not a value of the repeatable option 'arch'\n",
+            "argument --arch: invalid choice: '--'",
         ),
         (
             ["build", MINIMAL, "--dry-run", "--platform=--"],
-            "InvalidArgs: '--' is not a value of the repeatable option 'platform'\n",
+            "argument --platform: invalid choice: '--'",
         ),
-        (["matrix", "list", "--ml=--"], "InvalidArgs: '--' is not a value of the repeatable option 'ml'\n"),
+        (["matrix", "list", "--ml=--"], "argument --ml: invalid choice: '--'"),
     ],
     ids=[
         "target", "ci-platform", "index-distro", "ci-arch", "ci-targets-empty",

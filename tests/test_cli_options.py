@@ -311,6 +311,31 @@ def test_the_command_parser_reads_argv_as_the_full_parser_does(run_root, row: Ro
         assert own[0].handler.__name__.startswith("cmd_")
 
 
+# The value-taking options for which "--" is a legitimate value: a path of
+# that name, an engine binary of that name, or a launch command of that word.
+DASHES_ARE_A_VALUE = {
+    "--output", "--dockerfile-out", "--plan-out", "--dockerfile", "--context", "--command",
+    "--engine",
+}
+
+VALUE_ROWS = [row for row in ROWS if row.argument.startswith("--") and len(row.value) == 2]
+
+
+@pytest.mark.parametrize("row", VALUE_ROWS, ids=[f"{r.subcommand} {r.argument}" for r in VALUE_ROWS])
+def test_an_option_given_two_dashes_checks_them_as_its_value(run_root, row: Row) -> None:
+    # Python 3.11's argparse alone drops the value of ``--opt=--`` unchecked.
+    parser = dict(_subcommand_parsers(full_parser()))[row.subcommand]
+    (action,) = (a for a in parser._actions if row.argument in a.option_strings)
+    argv = [*row.subcommand.split(), *BASE[row.subcommand], f"{row.argument}=--", *row.context]
+    code, out, err, *_ = observe(argv, run_root)
+    if row.argument in DASHES_ARE_A_VALUE:
+        assert (code, err) == (0, "")
+        return
+    assert code == 2 and err.count("error: ") == 1 and "[]" not in err, err
+    if action.choices:
+        assert f"error: argument {row.argument}: invalid choice: '--'" in err
+
+
 def test_a_command_parser_builds_only_its_own_command() -> None:
     parser = build_parser(["generate", "ci", "--platform", "github"])
     generate = _choices(parser)["generate"]

@@ -387,11 +387,12 @@ def _records(records: object):
         _records({"eigen": {"apt": ["x"]}}),
         _records({"eigen": []}),
         _records({"eigen": ["lib foo"]}),
+        _records({"eigen": ["-y"]}),
         _records({"": ["x"]}),
         lambda good: b"[" * 100_000,
     ],
     ids=["truncated", "empty", "not-json", "not-utf8", "list", "records-list", "bad-record",
-         "empty-list", "space-in-name", "empty-key", "deep"],
+         "empty-list", "space-in-name", "option-name", "empty-key", "deep"],
 )
 def test_unusable_cache_file_is_a_rewritten_miss(tmp_path, damage) -> None:
     cache, path = cold_cache(tmp_path, [DB_DOC])
@@ -664,6 +665,11 @@ def test_loader_matches_the_whole_document_oracle(loader: type) -> None:
          "db.yaml:2:11: key 'eigen' has whitespace inside package 'libfoo\\nbar'"),
         ("eigen:\n  ubuntu: {pip: {packages: [libfoo bar]}}\n",
          "db.yaml:2:11: key 'eigen' has whitespace inside package 'libfoo bar'"),
+        ("eigen:\n  ubuntu: [libfoo, -y]\n",
+         "db.yaml:2:11: key 'eigen' lists package '-y', which starts with '-'"),
+        ("eigen:\n  ubuntu: {pip: {packages: ['--index-url=https://evil.example/simple']}}\n",
+         "db.yaml:2:11: key 'eigen' lists package '--index-url=https://evil.example/simple', "
+         "which starts with '-'"),
         ("eigen:\n  ubuntu: ~\n", "db.yaml:2:11: key 'eigen' has an unsupported record shape"),
         ("eigen:\n  debian: [x]\n  ubuntu: [2020-13-45]\n",
          'db.yaml: not valid YAML: cannot construct a value: month must be in 1..12\n'
@@ -671,7 +677,8 @@ def test_loader_matches_the_whole_document_oracle(loader: type) -> None:
         ("eigen: {ubuntu: [x], ? [a] : y}\n", "db.yaml: not valid YAML: while constructing a mapping"),
         ("eigen: {<<: [x]}\n", "db.yaml: not valid YAML: while constructing a mapping"),
     ],
-    ids=["bad-item", "newline-in-name", "space-in-pip-name", "null-record", "bad-date",
+    ids=["bad-item", "newline-in-name", "space-in-pip-name", "apt-option", "pip-option",
+         "null-record", "bad-date",
          "unhashable-key", "bad-merge"],
 )
 def test_rosdep_errors_start_with_the_document_name(doc: str, message: str) -> None:

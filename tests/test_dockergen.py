@@ -372,6 +372,8 @@ def test_fingerprint_tracks_content(minimal_analysis) -> None:
 # Printable text, and printable words: no whitespace.
 _PRINTABLE = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12)
 _WORD = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Z")), min_size=1, max_size=8)
+# An extra package name: a word that apt-get or pip would not read as an option.
+_EXTRA = _WORD.filter(lambda word: not word.startswith("-"))
 
 
 @settings(max_examples=200, deadline=None)
@@ -443,8 +445,8 @@ _REPOS = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(
     repos=_REPOS,
-    apt=st.lists(_WORD, max_size=3),
-    pip=st.lists(_WORD, max_size=3),
+    apt=st.lists(_EXTRA, max_size=3),
+    pip=st.lists(_EXTRA, max_size=3),
     build_only=st.lists(_WORD, max_size=3),
     slim=st.booleans(),
 )
