@@ -160,12 +160,21 @@ def matrix_list_humble_core() -> str:
     return out
 
 
-# Help, an unknown subcommand, a missing required option, and an option
-# before the subcommand that takes it.
+# Every parser's help, an unknown subcommand, a missing required option, and
+# an option before the subcommand that takes it.
 _PARSER_ARGVS = (
     ["-h"],
     ["generate", "-h"],
     ["analyze", "-h"],
+    ["generate", "dockerfile", "-h"],
+    ["generate", "ci", "-h"],
+    ["build", "-h"],
+    ["matrix", "-h"],
+    ["matrix", "list", "-h"],
+    ["matrix", "build", "-h"],
+    ["run", "-h"],
+    ["bench", "-h"],
+    ["bench", "startup", "-h"],
     ["deploy", "ws"],
     ["generate", "ci", "--platform", "github"],
     ["generate", "--dry-run", "ci", "--platform", "github", "--image-name", "app"],
