@@ -28,3 +28,8 @@ TARGETS = ("dev", "run")
 
 # The CPU architectures forge builds images for.
 ARCHITECTURES = ("amd64", "arm64")
+
+# The component bundles and ML flavors of the prebuilt base image matrix, in
+# the order the matrix enumerates them.
+COMPONENTS = ("core", "base", "robot", "perception", "desktop", "desktop-full")
+ML_FLAVORS = ("none", "cuda", "tf-py", "tf-cpp", "torch-py", "torch-cpp")

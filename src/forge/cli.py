@@ -27,7 +27,7 @@ import time
 from pathlib import Path, PurePosixPath
 from typing import Callable, NamedTuple, NoReturn
 
-from . import ARCHITECTURES, KNOWN_DISTROS, TARGETS, __version__
+from . import ARCHITECTURES, COMPONENTS, KNOWN_DISTROS, ML_FLAVORS, TARGETS, __version__
 from .errors import (
     ConfigError,
     ForgeError,
@@ -69,8 +69,8 @@ _LAYER_NAMES = {
     ),
     "manifest": ("Workspace", "scan_workspace"),
     "matrix": (
-        "COMPONENTS", "DISTROS", "ML_FLAVORS", "MatrixEntry", "build_plan_document",
-        "base_dockerfile_args", "enumerate_matrix", "load_base_image_table", "tag_of",
+        "MatrixEntry", "build_plan_document", "base_dockerfile_args", "enumerate_matrix",
+        "load_base_image_table", "tag_of",
     ),
     "sources": (
         "ReposList", "clone_plan", "combine_repos", "parse_repos", "redact",
@@ -685,45 +685,6 @@ def _path(name: str) -> Callable[[str], str]:
     return check
 
 
-# The options several subcommands share, each defined once. A subcommand
-# names the ones its handler reads.
-_SHARED_OPTIONS: dict[str, dict[str, object]] = {
-    "--config": {"help": "path to a forge.yaml config file"},
-    "--registry": {"help": "registry prefix for image tags"},
-    "--parallelism": {"help": "bounded parallelism for matrix builds"},
-    "--strict": {
-        "action": "store_true",
-        "default": None,
-        "help": "exit 2 when any dependency key is unresolved",
-    },
-    "--dry-run": {"action": "store_true", "help": "run no engine command, write only named files"},
-    "--engine": {
-        "type": _path("--engine"),
-        "default": "docker",
-        "help": "container engine binary (default: docker)",
-    },
-}
-
-
-def _add_shared(parser: argparse.ArgumentParser, *flags: str) -> None:
-    for flag in flags:
-        parser.add_argument(flag, **_SHARED_OPTIONS[flag])
-
-
-def _add_workspace_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("workspace", type=_path("workspace"), help="workspace root directory")
-    parser.add_argument("--distro", help="ROS distro (default from config)")
-    parser.add_argument(
-        "--rosdep-db",
-        action="append",
-        help="additional rosdep database YAML (repeatable, later wins)",
-    )
-    parser.add_argument("--distro-index", help="distro index YAML override")
-    parser.add_argument(
-        "--repos", action="append", help="additional .repos file (repeatable)"
-    )
-
-
 def _container_path(text: str) -> str:
     """``--workspace-dir``: ``/`` and then a path that ``sources.safe_relative_path`` accepts."""
 
@@ -772,177 +733,127 @@ def _plugin_dir(text: str) -> str:
     return text
 
 
-def _add_image_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--target", choices=TARGETS, default="run", help="image flavor"
-    )
-    parser.add_argument(
-        "--base", type=_image_ref("--base", empty=True), help="base image (default: ros:<distro>)"
-    )
-    parser.add_argument(
-        "--command", type=_launch_command, help="launch command (shell-style, default: bash)"
-    )
-    parser.add_argument(
-        "--workspace-dir",
-        type=_container_path,
-        default="/ws",
-        help="workspace path inside the image",
-    )
-    parser.add_argument(
-        "--slim-runtime",
-        action="store_true",
-        help="install only exec-scope dependencies in the shared stage",
-    )
-    parser.add_argument(
-        "--nonroot-run", action="store_true", help="run stage uses the ros user"
-    )
-    parser.add_argument("--extra-apt", action="append", help="extra OS package")
-    parser.add_argument("--extra-pip", action="append", help="extra pip package")
-    parser.add_argument("--script-pre", help="custom script before source clones")
-    parser.add_argument("--script-post", help="custom script after source clones")
+# The commands that take an option; a command is named by its words.
+_WORKSPACE = ("analyze", "generate dockerfile", "build")
+_CONFIGURED = (*_WORKSPACE, "generate ci", "matrix list", "matrix build")
+_IMAGE = ("generate dockerfile", "build")
+_MATRIX = ("matrix list", "matrix build")
+_ENGINE = ("build", "matrix build", "run", "bench startup")
 
-
-def _add_matrix_filters(parser: argparse.ArgumentParser) -> None:
-    _bind("matrix")
-    parser.add_argument(
-        "--distro", action="append", dest="distros", choices=DISTROS, help="restrict distros"
-    )
-    parser.add_argument(
-        "--component", action="append", choices=COMPONENTS, help="restrict components"
-    )
-    parser.add_argument("--ml", action="append", choices=ML_FLAVORS, help="restrict ML flavors")
-    parser.add_argument(
-        "--arch", action="append", choices=ARCHITECTURES, help="restrict architectures"
-    )
-
-
-def _analyze_options(p: argparse.ArgumentParser) -> None:
-    _add_shared(p, "--config", "--strict", "--dry-run")
-    _add_workspace_options(p)
-    p.add_argument("--format", choices=("table", "json", "yaml"), default="table")
-    p.set_defaults(handler=cmd_analyze)
-
-
-def _dockerfile_options(p: argparse.ArgumentParser) -> None:
-    _add_shared(p, "--config", "--strict", "--dry-run")
-    _add_workspace_options(p)
-    _add_image_options(p)
-    p.add_argument("--output", "-o", type=_path("--output"), help="output path ('-' for stdout)")
-    p.set_defaults(handler=cmd_generate_dockerfile)
-
-
-def _ci_options(p: argparse.ArgumentParser) -> None:
-    _add_shared(p, "--config", "--registry", "--dry-run")
-    p.add_argument(
-        "--platform", choices=("github", "gitlab"), required=True, help="CI platform"
-    )
-    p.add_argument("--image-name", required=True, help="image repository name")
-    p.add_argument(
-        "--arch", action="append", choices=ARCHITECTURES, help="build architecture (repeatable)"
-    )
-    p.add_argument(
-        "--enable-test", action="store_true", help="run workspace tests in CI"
-    )
-    p.add_argument("--push-branch", default="main", help="branch that may push")
-    p.add_argument(
-        "--base", type=_image_ref("--base", empty=True), help="base image forwarded to builds"
-    )
-    p.add_argument(
-        "--targets", type=_targets, help=f"comma list of target stages ({','.join(TARGETS)})"
-    )
-    p.add_argument("--output", "-o", type=_path("--output"), help="output path ('-' for stdout)")
-    p.set_defaults(handler=cmd_generate_ci)
-
-
-def _build_options(p: argparse.ArgumentParser) -> None:
-    _add_shared(p, "--config", "--registry", "--strict", "--dry-run", "--engine")
-    _add_workspace_options(p)
-    _add_image_options(p)
-    p.add_argument(
-        "--platform", action="append", choices=ARCHITECTURES, help="target platform (repeatable)"
-    )
-    p.add_argument(
-        "--tag", action="append", type=_image_ref("--tag"), help="image tag (repeatable)"
-    )
-    p.add_argument("--push", action="store_true", help="push after building")
-    p.add_argument(
-        "--dockerfile-out", type=_path("--dockerfile-out"),
-        help="where to write the generated Dockerfile",
-    )
-    p.set_defaults(handler=cmd_build)
-
-
-def _matrix_list_options(p: argparse.ArgumentParser) -> None:
-    _add_shared(p, "--config", "--registry")
-    _add_matrix_filters(p)
-    p.add_argument("--format", choices=("text", "json", "yaml"), default="text")
-    p.set_defaults(handler=cmd_matrix_list)
-
-
-def _matrix_build_options(p: argparse.ArgumentParser) -> None:
-    _add_shared(p, "--config", "--registry", "--parallelism", "--dry-run", "--engine")
-    _add_matrix_filters(p)
-    p.add_argument(
-        "--dockerfile",
-        type=_path("--dockerfile"),
-        default="Dockerfile.base-matrix",
+# The option table, one row per option: the commands that take it, its flags
+# and its add_argument keywords. A command's parser adds its rows in table
+# order, which is the order its help lists them in.
+_OPTIONS = (
+    (_CONFIGURED, "--config", dict(help="path to a forge.yaml config file")),
+    (("generate ci", "build", *_MATRIX), "--registry", dict(help="registry prefix for image tags")),
+    (("matrix build",), "--parallelism", dict(help="bounded parallelism for matrix builds")),
+    (_WORKSPACE, "--strict",
+     dict(action="store_true", default=None, help="exit 2 when any dependency key is unresolved")),
+    ((*_WORKSPACE, "generate ci", "matrix build", "run", "bench startup"), "--dry-run",
+     dict(action="store_true", help="run no engine command, write only named files")),
+    (_ENGINE, "--engine", dict(
+        type=_path("--engine"), default="docker", help="container engine binary (default: docker)"
+    )),
+    (_WORKSPACE, "workspace", dict(type=_path("workspace"), help="workspace root directory")),
+    (("run", "bench startup"), "image", dict(help="image reference")),
+    (_WORKSPACE, "--distro", dict(help="ROS distro (default from config)")),
+    (_WORKSPACE, "--rosdep-db",
+     dict(action="append", help="additional rosdep database YAML (repeatable, later wins)")),
+    (_WORKSPACE, "--distro-index", dict(help="distro index YAML override")),
+    (_WORKSPACE, "--repos", dict(action="append", help="additional .repos file (repeatable)")),
+    (("analyze",), "--format", dict(choices=("table", "json", "yaml"), default="table")),
+    (_IMAGE, "--target", dict(choices=TARGETS, default="run", help="image flavor")),
+    (_IMAGE, "--base",
+     dict(type=_image_ref("--base", empty=True), help="base image (default: ros:<distro>)")),
+    (_IMAGE, "--command",
+     dict(type=_launch_command, help="launch command (shell-style, default: bash)")),
+    (_IMAGE, "--workspace-dir",
+     dict(type=_container_path, default="/ws", help="workspace path inside the image")),
+    (_IMAGE, "--slim-runtime",
+     dict(action="store_true", help="install only exec-scope dependencies in the shared stage")),
+    (_IMAGE, "--nonroot-run", dict(action="store_true", help="run stage uses the ros user")),
+    (_IMAGE, "--extra-apt", dict(action="append", help="extra OS package")),
+    (_IMAGE, "--extra-pip", dict(action="append", help="extra pip package")),
+    (_IMAGE, "--script-pre", dict(help="custom script before source clones")),
+    (_IMAGE, "--script-post", dict(help="custom script after source clones")),
+    (("generate ci",), "--platform",
+     dict(choices=("github", "gitlab"), required=True, help="CI platform")),
+    (("generate ci",), "--image-name", dict(required=True, help="image repository name")),
+    (("generate ci",), "--arch",
+     dict(action="append", choices=ARCHITECTURES, help="build architecture (repeatable)")),
+    (("generate ci",), "--enable-test",
+     dict(action="store_true", help="run workspace tests in CI")),
+    (("generate ci",), "--push-branch", dict(default="main", help="branch that may push")),
+    (("generate ci",), "--base",
+     dict(type=_image_ref("--base", empty=True), help="base image forwarded to builds")),
+    (("generate ci",), "--targets",
+     dict(type=_targets, help=f"comma list of target stages ({','.join(TARGETS)})")),
+    (("generate dockerfile", "generate ci"), "--output -o",
+     dict(type=_path("--output"), help="output path ('-' for stdout)")),
+    (("build",), "--platform",
+     dict(action="append", choices=ARCHITECTURES, help="target platform (repeatable)")),
+    (("build",), "--tag",
+     dict(action="append", type=_image_ref("--tag"), help="image tag (repeatable)")),
+    (_MATRIX, "--distro",
+     dict(action="append", dest="distros", choices=tuple(KNOWN_DISTROS), help="restrict distros")),
+    (_MATRIX, "--component", dict(action="append", choices=COMPONENTS, help="restrict components")),
+    (_MATRIX, "--ml", dict(action="append", choices=ML_FLAVORS, help="restrict ML flavors")),
+    (_MATRIX, "--arch",
+     dict(action="append", choices=ARCHITECTURES, help="restrict architectures")),
+    (("matrix list",), "--format", dict(choices=("text", "json", "yaml"), default="text")),
+    (("matrix build",), "--dockerfile", dict(
+        type=_path("--dockerfile"), default="Dockerfile.base-matrix",
         help="generic base image Dockerfile the plan references",
-    )
-    p.add_argument(
-        "--context", type=_path("--context"), default=".", help="build context for matrix images"
-    )
-    p.add_argument(
-        "--plan-out", type=_path("--plan-out"), help="also write the machine-readable build plan"
-    )
-    p.add_argument("--push", action="store_true", help="push after building")
-    p.set_defaults(handler=cmd_matrix_build)
-
-
-def _run_options(p: argparse.ArgumentParser) -> None:
-    _add_shared(p, "--dry-run", "--engine")
-    p.add_argument("image", help="image reference")
-    p.add_argument("--name", help="container name (default derived)")
-    p.add_argument("--no-x11", action="store_true", help="disable X11 forwarding")
-    p.add_argument("--no-gpu", action="store_true", help="disable GPU access")
-    p.add_argument(
-        "--no-user-map", action="store_true", help="do not map the host user"
-    )
-    p.add_argument(
-        "--no-workspace", action="store_true", help="do not mount the workspace"
-    )
-    p.add_argument(
-        "--workspace-dir", type=_container_path, default="/ws", help="workspace path in image"
-    )
-    p.add_argument("--plugin-dir", type=_plugin_dir, help="directory of executable run plugins")
-    p.set_defaults(handler=cmd_run, passthrough=[], run_command=[])
-
-
-def _bench_startup_options(p: argparse.ArgumentParser) -> None:
-    _add_shared(p, "--dry-run", "--engine")
-    p.add_argument("image", help="image reference")
-    p.add_argument("--runs", type=int, default=5, help="number of timed runs")
-    p.set_defaults(handler=cmd_bench_startup)
+    )),
+    (("matrix build",), "--context",
+     dict(type=_path("--context"), default=".", help="build context for matrix images")),
+    (("matrix build",), "--plan-out",
+     dict(type=_path("--plan-out"), help="also write the machine-readable build plan")),
+    (("build", "matrix build"), "--push", dict(action="store_true", help="push after building")),
+    (("build",), "--dockerfile-out",
+     dict(type=_path("--dockerfile-out"), help="where to write the generated Dockerfile")),
+    (("run",), "--name", dict(help="container name (default derived)")),
+    (("run",), "--no-x11", dict(action="store_true", help="disable X11 forwarding")),
+    (("run",), "--no-gpu", dict(action="store_true", help="disable GPU access")),
+    (("run",), "--no-user-map", dict(action="store_true", help="do not map the host user")),
+    (("run",), "--no-workspace", dict(action="store_true", help="do not mount the workspace")),
+    (("run",), "--workspace-dir",
+     dict(type=_container_path, default="/ws", help="workspace path in image")),
+    (("run",), "--plugin-dir", dict(type=_plugin_dir, help="directory of executable run plugins")),
+    (("bench startup",), "--runs", dict(type=int, default=5, help="number of timed runs")),
+)
 
 
 # The command table, one row per command: its name, its help, and what it
-# holds. A command holds the function that adds its options and sets its
-# handler; a group holds the dest of its choice and its own rows.
+# holds. A command holds its handler; a group holds the dest of its choice
+# and its own rows.
 _COMMANDS = (
-    ("analyze", "report resolved dependencies", _analyze_options),
+    ("analyze", "report resolved dependencies", cmd_analyze),
     ("generate", "emit files", ("generate_what", (
-        ("dockerfile", "write a multi-stage Dockerfile", _dockerfile_options),
-        ("ci", "write a CI pipeline configuration", _ci_options),
+        ("dockerfile", "write a multi-stage Dockerfile", cmd_generate_dockerfile),
+        ("ci", "write a CI pipeline configuration", cmd_generate_ci),
     ))),
-    ("build", "generate and build an image", _build_options),
+    ("build", "generate and build an image", cmd_build),
     ("matrix", "prebuilt base image matrix", ("matrix_what", (
-        ("list", "list matrix tags", _matrix_list_options),
-        ("build", "build matrix images", _matrix_build_options),
+        ("list", "list matrix tags", cmd_matrix_list),
+        ("build", "build matrix images", cmd_matrix_build),
     ))),
-    ("run", "run a development container with host integration", _run_options),
+    ("run", "run a development container with host integration", cmd_run),
     ("bench", "measurement harnesses", ("bench_what", (
-        ("startup", "report container startup overhead", _bench_startup_options),
+        ("startup", "report container startup overhead", cmd_bench_startup),
     ))),
 )
+
+
+def _add_options(parser: argparse.ArgumentParser, command: str, handler: Callable) -> None:
+    """Add the ``_OPTIONS`` rows of ``command`` to its parser, and its handler."""
+
+    for commands, flags, keywords in _OPTIONS:
+        if command in commands:
+            parser.add_argument(*flags.split(), **keywords)
+    # The handler is looked up by name now, not taken as bound at import, so
+    # a wrapper set on this module (a test's monkeypatch, a tracer) runs.
+    parser.set_defaults(handler=globals()[handler.__name__])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -973,9 +884,13 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
 
 
 def _add_commands(
-    parser: argparse.ArgumentParser, dest: str, rows: tuple, argv: list[str]
+    parser: argparse.ArgumentParser, dest: str, rows: tuple, argv: list[str], prefix: str = ""
 ) -> None:
-    """Register ``rows`` as ``parser``'s subcommands; build only the one ``argv`` chooses."""
+    """Register ``rows`` as ``parser``'s subcommands; build only the one ``argv`` chooses.
+
+    ``prefix`` holds the words of the group that ``parser`` parses, each
+    followed by a space.
+    """
 
     # A group's own options (-h, --version) take no value, so argparse reads
     # its first word that is not an option as the choice.
@@ -987,9 +902,9 @@ def _add_commands(
         if name != chosen:
             continue
         if callable(holds):
-            holds(sub)
+            _add_options(sub, prefix + name, holds)
         else:
-            _add_commands(sub, *holds, argv[index + 1:])
+            _add_commands(sub, *holds, argv[index + 1:], f"{prefix}{name} ")
 
 
 def main(argv: list[str] | None = None, driver: EngineDriver | None = None) -> int:

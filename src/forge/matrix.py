@@ -13,22 +13,13 @@ from __future__ import annotations
 from importlib import resources
 from typing import Collection, NamedTuple, Sequence
 
-from . import ARCHITECTURES, KNOWN_DISTROS
+from . import ARCHITECTURES, COMPONENTS, KNOWN_DISTROS, ML_FLAVORS
 from .errors import MalformedDatabase
 from .textio import dump_yaml, load_yaml
 
-_FLAVOR_SUFFIX = {
-    "none": "",
-    "cuda": "-cuda",
-    "tf-py": "-tf",
-    "tf-cpp": "-tf-cpp",
-    "torch-py": "-torch",
-    "torch-cpp": "-torch-cpp",
-}
+_FLAVOR_SUFFIX = dict(zip(ML_FLAVORS, ("", "-cuda", "-tf", "-tf-cpp", "-torch", "-torch-cpp")))
 
 DISTROS = tuple(KNOWN_DISTROS)
-COMPONENTS = ("core", "base", "robot", "perception", "desktop", "desktop-full")
-ML_FLAVORS = tuple(_FLAVOR_SUFFIX)
 
 
 class MatrixEntry(NamedTuple):
