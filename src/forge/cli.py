@@ -41,7 +41,7 @@ from .errors import (
     UnwritableOutput,
     shown,
 )
-from .textio import dump_yaml, load_yaml, read_utf8
+from .textio import ComposedDocument, dump_yaml, read_utf8, yaml_errors
 
 GENERATED_DIR = ".forge"
 
@@ -191,8 +191,9 @@ def _parse_paths(value: object, name: str) -> tuple[str, ...]:
 # GlobalConfig field, forge.yaml key, environment variable, flag dest, parser.
 # load_config takes each setting from its highest layer (a flag is given when
 # not None) but parses every layer's value, so the first bad value in table
-# order is the error. A parser checks type and range and names the layer;
-# FORGE_ROSDEP_DBS is split on os.pathsep, and --rosdep-db extends the list.
+# order is the error. A parser checks type and range and names the layer, a
+# forge.yaml value with its path:line:column; a key not in the table is an
+# error. FORGE_ROSDEP_DBS is split on os.pathsep, and --rosdep-db extends the list.
 _CONFIG_TABLE = (
     ("registry", "registry", "FORGE_REGISTRY", "registry", _parse_registry),
     ("default_distro", "default_distro", "FORGE_DISTRO", "distro", _parse_distro),
@@ -201,6 +202,7 @@ _CONFIG_TABLE = (
     ("parallelism", "parallelism", "FORGE_PARALLELISM", "parallelism", _parse_count),
     ("strict", "strict", "FORGE_STRICT", "strict", _parse_flag),
 )
+_CONFIG_KEYS = {key for _, key, *_ in _CONFIG_TABLE}
 
 
 def load_config(args: argparse.Namespace, workspace_root: Path | None) -> GlobalConfig:
@@ -209,18 +211,27 @@ def load_config(args: argparse.Namespace, workspace_root: Path | None) -> Global
         config_path = (workspace_root or Path()) / "forge.yaml"
     else:
         config_path = Path(_parse_nonempty(explicit, "--config"))
-    doc = {}
+    # Each forge.yaml key's value, and where that value starts.
+    written: dict[object, tuple[object, str]] = {}
     if config_path.is_file():
-        doc = load_yaml(read_utf8(config_path, ConfigError), config_path, ConfigError) or {}
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{config_path}: the document is not a mapping")
+        path = str(config_path)
+        with yaml_errors(path, ConfigError):
+            doc = ComposedDocument(read_utf8(path, ConfigError), path)
+            pairs = {} if doc.root is None else doc.mapping(doc.root)
+            if pairs is None:
+                raise ConfigError(f"{doc.position(doc.root)}: the document is not a mapping")
+            for key, (key_node, node) in pairs.items():
+                if key not in _CONFIG_KEYS:
+                    raise ConfigError(f"{doc.position(key_node)}: unknown config key {shown(key)}")
+                written[key] = (doc.construct(node), doc.position(node))
     elif explicit:
         raise ConfigError(f"config file {explicit!r} not found")
 
     values: dict[str, object] = {}
     for field, key, var, dest, parse in _CONFIG_TABLE:
-        if key in doc:
-            values[field] = parse(doc[key], f"config key {key}")
+        if key in written:
+            value, where = written[key]
+            values[field] = parse(value, f"{where}: config key {key}")
         if var in os.environ:
             text = os.environ[var]
             value = [p for p in text.split(os.pathsep) if p] if parse is _parse_paths else text
@@ -735,23 +746,22 @@ def _plugin_dir(text: str) -> str:
 
 # The commands that take an option; a command is named by its words.
 _WORKSPACE = ("analyze", "generate dockerfile", "build")
-_CONFIGURED = (*_WORKSPACE, "generate ci", "matrix list", "matrix build")
 _IMAGE = ("generate dockerfile", "build")
 _MATRIX = ("matrix list", "matrix build")
-_ENGINE = ("build", "matrix build", "run", "bench startup")
 
 # The option table, one row per option: the commands that take it, its flags
 # and its add_argument keywords. A command's parser adds its rows in table
 # order, which is the order its help lists them in.
 _OPTIONS = (
-    (_CONFIGURED, "--config", dict(help="path to a forge.yaml config file")),
+    ((*_WORKSPACE, "generate ci", *_MATRIX), "--config",
+     dict(help="path to a forge.yaml config file")),
     (("generate ci", "build", *_MATRIX), "--registry", dict(help="registry prefix for image tags")),
     (("matrix build",), "--parallelism", dict(help="bounded parallelism for matrix builds")),
     (_WORKSPACE, "--strict",
      dict(action="store_true", default=None, help="exit 2 when any dependency key is unresolved")),
     ((*_WORKSPACE, "generate ci", "matrix build", "run", "bench startup"), "--dry-run",
      dict(action="store_true", help="run no engine command, write only named files")),
-    (_ENGINE, "--engine", dict(
+    (("build", "matrix build", "run", "bench startup"), "--engine", dict(
         type=_path("--engine"), default="docker", help="container engine binary (default: docker)"
     )),
     (_WORKSPACE, "workspace", dict(type=_path("workspace"), help="workspace root directory")),
@@ -760,7 +770,8 @@ _OPTIONS = (
     (_WORKSPACE, "--rosdep-db",
      dict(action="append", help="additional rosdep database YAML (repeatable, later wins)")),
     (_WORKSPACE, "--distro-index", dict(help="distro index YAML override")),
-    (_WORKSPACE, "--repos", dict(action="append", help="additional .repos file (repeatable)")),
+    (_WORKSPACE, "--repos",
+     dict(action="append", type=_path("--repos"), help="additional .repos file (repeatable)")),
     (("analyze",), "--format", dict(choices=("table", "json", "yaml"), default="table")),
     (_IMAGE, "--target", dict(choices=TARGETS, default="run", help="image flavor")),
     (_IMAGE, "--base",

@@ -153,7 +153,7 @@ def synthesize_invocation(
 
     invocation = RunInvocation(
         image=args.image,
-        name=args.name or default_container_name(args.image, host.cwd),
+        name=default_container_name(args.image, host.cwd) if args.name is None else args.name,
         env=tuple(sorted(env)),
         mounts=tuple(mounts),
         gpu_all=host.gpu_count > 0 and not args.no_gpu,

@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import forge
-from forge.cli import GlobalConfig, build_parser, cache_dir, load_config, main
+from forge.cli import _CONFIG_TABLE, GlobalConfig, build_parser, cache_dir, load_config, main
 from forge.devrun import HostEnvironment
 from forge.dockergen import CopyContext
 from forge.engine import EngineResult
@@ -264,8 +264,14 @@ SETTINGS = (
 )
 
 
-def _layer_name(setting: Setting, layer: str) -> str:
-    return {"file": f"config key {setting.key}", "env": setting.var, "flag": setting.flag}[layer]
+def _layer_pattern(setting: Setting, layer: str, path: Path) -> str:
+    """How an error names ``layer``'s value of ``setting``; a file's value leads with its position."""
+
+    return {
+        "file": rf"{re.escape(str(path))}:\d+:\d+: config key {setting.key}",
+        "env": re.escape(setting.var),
+        "flag": re.escape(setting.flag),
+    }[layer]
 
 
 def _load_layers(tmp_path: Path, written: dict[str, list[tuple[Setting, object]]]) -> GlobalConfig:
@@ -327,7 +333,8 @@ def test_a_bad_value_in_any_layer_is_named(monkeypatch, tmp_path) -> None:
                     written[layer].append((setting, data.draw(setting.valid[layer])[1]))
         with pytest.raises(ConfigError) as caught:
             _load_layers(tmp_path, written)
-        assert re.match(rf"{re.escape(_layer_name(bad_setting, bad_layer))}[ :]", str(caught.value))
+        pattern = _layer_pattern(bad_setting, bad_layer, tmp_path / "forge.yaml")
+        assert re.match(rf"{pattern}[ :]", str(caught.value))
 
     bad_value_is_named()
 
@@ -336,7 +343,7 @@ def test_a_bad_value_in_any_layer_is_named(monkeypatch, tmp_path) -> None:
     ("argv", "env", "doc", "message"),
     [
         (["matrix", "build", "--dry-run", "--parallelism", "2"], {}, "parallelism: 0\n",
-         "config key parallelism must be at least 1, got 0"),
+         "forge.yaml:1:14: config key parallelism must be at least 1, got 0"),
         (["analyze", MINIMAL, "--distro", "humble"], {"FORGE_DISTRO": "jazzy"}, "",
          "FORGE_DISTRO: unknown distro 'jazzy'"),
         (["matrix", "list", "--registry", "reg.flag"], {"FORGE_REGISTRY": ""}, "",
@@ -372,17 +379,49 @@ def test_an_empty_flag_is_checked_like_an_empty_variable(capsys, monkeypatch, tm
 @pytest.mark.parametrize(
     ("doc", "message"),
     [
-        ("registry: null\n", "config key registry must be a string, got None"),
-        ("registry: [a, b]\n", "config key registry must be a string, got ['a', 'b']"),
-        ("default_distro: [a]\n", "config key default_distro must be a string, got ['a']"),
-        ("distro_index: 5\n", "config key distro_index must be a string, got 5"),
-        ("rosdep_dbs: [5]\n", "config key rosdep_dbs must be a string, got 5"),
+        ("registry: null\n", "forge.yaml:1:11: config key registry must be a string, got None"),
+        ("registry: [a, b]\n",
+         "forge.yaml:1:11: config key registry must be a string, got ['a', 'b']"),
+        ("default_distro: [a]\n",
+         "forge.yaml:1:17: config key default_distro must be a string, got ['a']"),
+        ("distro_index: 5\n", "forge.yaml:1:15: config key distro_index must be a string, got 5"),
+        ("rosdep_dbs: [5]\n", "forge.yaml:1:13: config key rosdep_dbs must be a string, got 5"),
     ],
 )
 def test_a_non_string_yaml_setting_is_a_config_error(capsys, monkeypatch, tmp_path, doc, message) -> None:
     monkeypatch.chdir(tmp_path)
     (tmp_path / "forge.yaml").write_text(doc, encoding="utf-8")
     assert main(["matrix", "list", "--config", "forge.yaml"]) == 2
+    assert capsys.readouterr() == ("", f"forge: error: ConfigError: {message}\n")
+
+
+# A bad forge.yaml value of each configuration key, and its error after the position.
+_BAD_CONFIG_VALUES = {
+    "registry": ("reg.io; touch x", " must be a registry host[:port][/path], got 'reg.io; touch x'"),
+    "default_distro": ("jazzy", ": unknown distro 'jazzy'"),
+    "rosdep_dbs": ("db.yaml", " must be a list of paths"),
+    "distro_index": ("absent.yaml", ": referenced file 'absent.yaml' does not exist"),
+    "parallelism": ("many", " must be an integer, got 'many'"),
+    "strict": ("maybe", " must be a boolean, got 'maybe'"),
+}
+
+
+@pytest.mark.parametrize("key", [key for _, key, *_ in _CONFIG_TABLE])
+def test_a_bad_config_value_names_the_file_and_position(capsys, monkeypatch, tmp_path, key) -> None:
+    monkeypatch.chdir(tmp_path)
+    value, problem = _BAD_CONFIG_VALUES[key]
+    (tmp_path / "forge.yaml").write_text(f"# settings\n{key}: {value}\n", encoding="utf-8")
+    assert main(["matrix", "list"]) == 2
+    message = f"forge.yaml:2:{len(key) + 3}: config key {key}{problem}"
+    assert capsys.readouterr() == ("", f"forge: error: ConfigError: {message}\n")
+
+
+def test_an_unknown_config_key_is_an_error(capsys, monkeypatch, tmp_path) -> None:
+    # A misspelt key would otherwise leave its setting at the default unnoticed.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "forge.yaml").write_text("parallelism: 3\nregsitry: x\n", encoding="utf-8")
+    assert main(["matrix", "list"]) == 2
+    message = "forge.yaml:2:1: unknown config key 'regsitry'"
     assert capsys.readouterr() == ("", f"forge: error: ConfigError: {message}\n")
 
 
@@ -398,6 +437,7 @@ def test_an_empty_config_flag_is_an_error(capsys, monkeypatch, tmp_path) -> None
     ("argv", "name"),
     [
         (["analyze", ""], "workspace"),
+        (["analyze", "ws", "--repos="], "--repos"),
         (["generate", "dockerfile", "ws", "-o", ""], "--output"),
         (["generate", "ci", "--platform", "github", "--image-name", "app", "-o", ""], "--output"),
         (["build", "ws", "--dockerfile-out", ""], "--dockerfile-out"),
@@ -411,7 +451,7 @@ def test_an_empty_config_flag_is_an_error(capsys, monkeypatch, tmp_path) -> None
         (["bench", "startup", "--dry-run", "--engine=", "ros:humble"], "--engine"),
     ],
     ids=[
-        "analyze", "generate-dockerfile", "generate-ci", "build", "matrix-build-plan-out",
+        "analyze", "analyze-repos", "generate-dockerfile", "generate-ci", "build", "matrix-build-plan-out",
         "matrix-build-dockerfile", "matrix-build-context", "run", "build-engine",
         "matrix-build-engine", "run-engine", "bench-startup-engine",
     ],
@@ -424,6 +464,52 @@ def test_an_empty_path_argument_is_an_error(capsys, monkeypatch, tmp_path, argv,
     assert main(argv, driver=RecordingDriver()) == 2
     assert capsys.readouterr() == ("", f"forge: error: InvalidArgs: {name} must be a non-empty path\n")
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of ``command``, a command's words."""
+
+    parser = build_parser(command.split())
+    for word in command.split():
+        (group,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = group.choices[word]
+    return parser
+
+
+# Each command with the arguments it needs besides the option under test.
+_EMPTY_VALUE_BASES = {
+    "analyze": ["ws", "--dry-run"],
+    "generate dockerfile": ["ws", "--dry-run"],
+    "generate ci": ["--platform", "github", "--image-name", "app", "--dry-run"],
+    "build": ["ws", "--dry-run"],
+    "matrix list": [],
+    "matrix build": ["--dry-run"],
+    "run": ["--dry-run", "img"],
+    "bench startup": ["--dry-run", "img"],
+}
+# README documents the empty value of these as their default.
+_EMPTY_IS_DEFAULT = {"--base", "--command"}
+_EMPTY_VALUE_CASES = [
+    (command, action.option_strings[0])
+    for command in _EMPTY_VALUE_BASES
+    for action in _command_parser(command)._actions
+    if action.option_strings and action.nargs is None
+    and action.option_strings[0] not in _EMPTY_IS_DEFAULT
+]
+
+
+@pytest.mark.parametrize(
+    ("command", "option"), _EMPTY_VALUE_CASES, ids=[" ".join(case) for case in _EMPTY_VALUE_CASES]
+)
+def test_an_empty_option_value_exits_2(capsys, monkeypatch, tmp_path, command, option) -> None:
+    # Not read as "not given", which would fall back to a default.
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(MINIMAL, tmp_path / "ws")
+    argv = [*command.split(), *_EMPTY_VALUE_BASES[command], f"{option}="]
+    code = main(argv, driver=RecordingDriver())
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert len([line for line in err.splitlines() if "error: " in line]) == 1, err
 
 
 @pytest.mark.parametrize("path", ["absent", "file", "--"])
@@ -459,7 +545,8 @@ def test_the_first_bad_setting_in_table_order_is_reported(capsys, monkeypatch, t
     (tmp_path / "forge.yaml").write_text('registry: ""\n', encoding="utf-8")
     monkeypatch.setenv("FORGE_PARALLELISM", "many")
     assert main(["matrix", "build", "--dry-run", "--config", "forge.yaml"]) == 2
-    assert capsys.readouterr().err == "forge: error: ConfigError: config key registry must be non-empty\n"
+    message = "forge.yaml:1:11: config key registry must be non-empty"
+    assert capsys.readouterr().err == f"forge: error: ConfigError: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -671,7 +758,7 @@ _DEEP_LIST = "[" * 3000 + "]" * 3000
         (
             ["matrix", "list", "--config", "{path}"],
             f"registry: {_DEEP_LIST}\n",
-            "ConfigError: config key registry must be a string, got a deeply nested list",
+            "ConfigError: {path}:1:11: config key registry must be a string, got a deeply nested list",
         ),
         (
             ["analyze", MINIMAL, "--distro-index", "{path}"],
@@ -1547,6 +1634,13 @@ def test_run_unknown_flags_become_passthrough(capsys, monkeypatch, tmp_path, fak
     out = capsys.readouterr().out
     assert code == 0
     assert "--privileged img" in out
+
+
+def test_an_empty_run_name_is_checked_not_derived(capsys, monkeypatch, tmp_path, fake_host) -> None:
+    # Only an absent --name is derived from the image and directory.
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--dry-run", "--name=", "img"]) == 2
+    assert capsys.readouterr() == ("", "forge: error: InvalidArgs: container name '' is invalid\n")
 
 
 def test_run_forwards_options_of_other_subcommands(capsys, monkeypatch, tmp_path, fake_host) -> None:

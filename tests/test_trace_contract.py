@@ -1,4 +1,9 @@
-"""The benchmark's span tracer keeps seeing every manifest parse.
+"""The benchmark's span tracer keeps seeing every handler and manifest parse.
+
+``perfbench/tracer.py`` replaces each command handler on ``forge.cli``
+before forge builds its parser, so the parser must look its handler up
+there when it is built: each traced command then records one
+``cli.handler`` span, inside ``cli.main``.
 
 ``perfbench/tracer.py`` wraps ``forge.manifest.parse_manifest`` by name, and
 the benchmark's per-layer report needs at least one such span per traced
@@ -18,6 +23,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import forge
 import forge.manifest
 
@@ -28,7 +35,7 @@ TRACER = REPO_ROOT / "perfbench" / "tracer.py"
 SOURCE_ROOT = str(Path(forge.__file__).resolve().parent.parent)
 
 
-def _traced_analyze(workspace: Path, tmp_path: Path, run: int) -> list[dict]:
+def _traced(args: list[str], tmp_path: Path, run: int) -> list[dict]:
     spans_path = tmp_path / f"spans-{run}.json"
     env = {
         **os.environ,
@@ -36,7 +43,7 @@ def _traced_analyze(workspace: Path, tmp_path: Path, run: int) -> list[dict]:
         "XDG_CACHE_HOME": str(tmp_path / "cache"),
     }
     completed = subprocess.run(
-        [sys.executable, str(TRACER), str(spans_path), str(run), "--", "analyze", str(workspace)],
+        [sys.executable, str(TRACER), str(spans_path), str(run), "--", *args],
         cwd=tmp_path,
         env=env,
         capture_output=True,
@@ -45,6 +52,26 @@ def _traced_analyze(workspace: Path, tmp_path: Path, run: int) -> list[dict]:
     )
     assert completed.returncode == 0, completed.stderr
     return json.loads(spans_path.read_text(encoding="utf-8"))
+
+
+# The commands whose handler the tracer wraps, as the benchmark runs them.
+TRACED_COMMANDS = {
+    "analyze": ["analyze", "{ws}", "--format", "json"],
+    "generate dockerfile": ["generate", "dockerfile", "{ws}", "-o", "{tmp}/Dockerfile"],
+    "generate ci": ["generate", "ci", "--platform", "github", "--image-name", "app", "-o", "-"],
+    "build": ["build", "{ws}", "--dry-run", "--dockerfile-out", "{tmp}/build.Dockerfile"],
+    "run": ["run", "--dry-run", "ros:humble"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(TRACED_COMMANDS))
+def test_each_traced_command_records_one_handler_span(tmp_path, command: str) -> None:
+    workspace = FIXTURE_ROOT / "minimal"
+    args = [word.format(ws=workspace, tmp=tmp_path) for word in TRACED_COMMANDS[command]]
+    spans = _traced(args, tmp_path, 1)
+    (main,) = [span for span in spans if span["name"] == "cli.main"]
+    handlers = [span for span in spans if span["name"] == "cli.handler"]
+    assert [span["parent"] for span in handlers] == [main["id"]]
 
 
 def test_warm_scan_still_traces_one_parse_per_package(tmp_path) -> None:
@@ -56,7 +83,7 @@ def test_warm_scan_still_traces_one_parse_per_package(tmp_path) -> None:
     newest = max(max(st.st_mtime_ns, st.st_ctime_ns) for st in stats)
     time.sleep(min(margin, max(0, newest + margin - time.time_ns())) / 1e9)
     for run in (1, 2, 3):
-        spans = _traced_analyze(workspace, tmp_path, run)
+        spans = _traced(["analyze", str(workspace)], tmp_path, run)
         (scan,) = [span for span in spans if span["name"] == "manifest.scan_workspace"]
         parses = [span for span in spans if span["name"] == "manifest.parse_manifest"]
         assert scan["counts"]["packages"] == 1
