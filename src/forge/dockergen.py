@@ -23,7 +23,7 @@ import posixpath
 import re
 import shlex
 from pathlib import Path
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from . import KNOWN_DISTROS, TARGETS
 from .depgraph import ResolvedDependencies
@@ -47,9 +47,17 @@ ROS_KEYRING = "/usr/share/keyrings/ros-archive-keyring.gpg"
 
 
 class CopyContext(NamedTuple):
-    src: str
+    """One COPY of ``srcs``, paths in the build context, to ``dst``.
+
+    With ``parents`` (``COPY --parents``) each source lands at its own
+    context path below ``dst``. Without it there is one source, and ``dst``
+    is where that file, or that directory's content, lands.
+    """
+
+    srcs: tuple[str, ...]
     dst: str
     chown: str | None = None
+    parents: bool = False
 
 
 class CopyFromStage(NamedTuple):
@@ -215,6 +223,31 @@ def _container_rel_dir(rel: str, name: str) -> str:
     if rel == "src" or rel.startswith("src/"):
         return rel
     return f"src/{rel}"
+
+
+def _copies(items: Iterable[tuple[str, str]], ws: str, chown: str | None = None) -> list[CopyContext]:
+    """One COPY per destination root for ``items``, pairs of a context path and where it lands.
+
+    An item that lands at its own context path below ``ws/`` or ``ws/src/``
+    joins that root's ``COPY --parents``, so the layer count does not grow
+    with the number of items. A root with one item, and an item that lands
+    elsewhere, gets a plain COPY to where it lands.
+    """
+
+    roots: dict[str, list[str]] = {f"{ws}/": [], f"{ws}/src/": []}
+    copies = []
+    for src, dst in items:
+        root = next((root for root in roots if dst == root + src), None)
+        if root is None:
+            copies.append(CopyContext((src,), dst, chown))
+        else:
+            roots[root].append(src)
+    for root, srcs in roots.items():
+        if len(srcs) == 1:
+            copies.append(CopyContext((srcs[0],), root + srcs[0], chown))
+        elif srcs:
+            copies.append(CopyContext(tuple(srcs), root, chown, parents=True))
+    return copies
 
 
 # Where a RUN body wraps: after each `` && `` outside quotes. Quoted strings
@@ -397,12 +430,12 @@ def plan_stages(
 
     # dependencies: manifests and repository lists only, then the three
     # dependency artifact files consumed by dependencies-install.
-    dep_instructions: list[Instruction] = [f"WORKDIR {ws}"]
-    for source_dir, rel in package_dirs:
-        src = "package.xml" if source_dir == "." else f"{source_dir}/package.xml"
-        dep_instructions.append(CopyContext(src, f"{ws}/{rel}/package.xml"))
-    for repos_file in sorted(spec.repos_files):
-        dep_instructions.append(CopyContext(src=repos_file, dst=f"{ws}/{repos_file}"))
+    manifests = [
+        ("package.xml" if source_dir == "." else f"{source_dir}/package.xml", f"{ws}/{rel}/package.xml")
+        for source_dir, rel in package_dirs
+    ]
+    manifests += [(name, f"{ws}/{name}") for name in sorted(spec.repos_files)]
+    dep_instructions: list[Instruction] = [f"WORKDIR {ws}", *_copies(manifests, ws)]
     artifact_cmd = (
         f"mkdir -p {ARTIFACT_DIR} && "
         + _write_lines_cmd(APT_LIST, shared_os)
@@ -425,7 +458,7 @@ def plan_stages(
         install_instructions.append(_pip_transaction(shared_pip, PIP_LIST))
     if spec.custom_script_pre is not None:
         install_instructions.append(
-            CopyContext(src=spec.custom_script_pre, dst=f"{ARTIFACT_DIR}/custom-pre.sh")
+            CopyContext((spec.custom_script_pre,), f"{ARTIFACT_DIR}/custom-pre.sh")
         )
         install_instructions.append(_run(f"sh {ARTIFACT_DIR}/custom-pre.sh"))
     if repos:
@@ -434,7 +467,7 @@ def plan_stages(
         install_instructions.append(_clone_transaction(ws))
     if spec.custom_script_post is not None:
         install_instructions.append(
-            CopyContext(src=spec.custom_script_post, dst=f"{ARTIFACT_DIR}/custom-post.sh")
+            CopyContext((spec.custom_script_post,), f"{ARTIFACT_DIR}/custom-post.sh")
         )
         install_instructions.append(_run(f"sh {ARTIFACT_DIR}/custom-post.sh"))
     install_instructions.append(_entrypoint_script_cmd(ws))
@@ -451,13 +484,15 @@ def plan_stages(
     if spec.build_tool == "colcon":
         tooling.append("python3-colcon-common-extensions")
     dev_instructions.append(_run(_apt_install(" ".join(sorted(tooling)))))
-    # One copy per source root: each top-level directory that holds a
-    # package, or the context root for a package there. The .dockerignore
-    # text keeps all but the package directories out of each.
+    # The source roots: each top-level directory that holds a package, or
+    # the context root for a package there. The .dockerignore text keeps
+    # all but the package directories out of each.
     roots = {p.source_dir.split("/", 1)[0]: p.name for p in packages}
-    for root, name in sorted(roots.items()):
-        rel = _container_rel_dir(root, name)
-        dev_instructions.append(CopyContext(f"{root}/", f"{ws}/{rel}/", "1000:1000"))
+    dev_instructions += _copies(
+        ((f"{root}/", f"{ws}/{_container_rel_dir(root, name)}/") for root, name in sorted(roots.items())),
+        ws,
+        "1000:1000",
+    )
     dev_instructions.append(
         _run(
             f"install -d -o 1000 -g 1000 {ws}/build {ws}/install {ws}/log && "
@@ -496,16 +531,26 @@ def plan_stages(
 # --- validation ------------------------------------------------------------
 
 
+# Most layers, RUN and COPY instructions, one lineage may hold. Docker's
+# overlay2 driver stacks at most 128 layers, the base image's own included,
+# so forge keeps its share well below that. No plan's count depends on the
+# number of packages; the largest, with every option, holds 18.
+MAX_LINEAGE_LAYERS = 32
+
+
+def _lineage(plan: DockerfilePlan, name: str) -> Iterator[Instruction]:
+    """The instructions of stage ``name`` and of the planned stages it derives from."""
+
+    while name in plan.stages:
+        yield from plan.stages[name]
+        name = _ROWS[name].parent
+
+
 def _lineage_packages(plan: DockerfilePlan, name: str, manager: str) -> set[str]:
     """What ``manager`` installs in stage ``name`` and the planned stages it derives from."""
 
-    packages: set[str] = set()
-    while name in plan.stages:
-        for instruction in plan.stages[name]:
-            if isinstance(instruction, Install) and instruction.manager == manager:
-                packages.update(instruction.packages)
-        name = _ROWS[name].parent
-    return packages
+    installs = [i for i in _lineage(plan, name) if isinstance(i, Install) and i.manager == manager]
+    return {package for install in installs for package in install.packages}
 
 
 def validate_plan(plan: DockerfilePlan) -> list[Violation]:
@@ -518,37 +563,37 @@ def validate_plan(plan: DockerfilePlan) -> list[Violation]:
     violations: list[Violation] = []
     for name, stage in plan.stages.items():
         context = _ROWS[name].context
-        for instruction in stage:
-            if not isinstance(instruction, CopyContext):
-                continue
+        for src in (src for i in stage if isinstance(i, CopyContext) for src in i.srcs):
             if context == "none":
                 violations.append(
                     Violation(
                         stage=name,
                         rule="no-source-leak",
-                        detail=f"copies {instruction.src!r} from the build context",
+                        detail=f"copies {src!r} from the build context",
                     )
                 )
-            elif context == "manifests" and not instruction.src.endswith(
-                ("package.xml", ".repos")
-            ):
+            elif context == "manifests" and not src.endswith(("package.xml", ".repos")):
                 violations.append(
                     Violation(
                         stage=name,
                         rule="manifests-only",
-                        detail=f"copies {instruction.src!r}, not a manifest or repository list",
+                        detail=f"copies {src!r}, not a manifest or repository list",
                     )
                 )
             elif context == "roots":
-                head, slash, tail = instruction.src.partition("/")
+                head, slash, tail = src.partition("/")
                 if not slash or tail or head in ("", ".."):
                     violations.append(
                         Violation(
                             stage=name,
                             rule="source-roots-only",
-                            detail=f"copies {instruction.src!r}, not a whole top-level directory",
+                            detail=f"copies {src!r}, not a whole top-level directory",
                         )
                     )
+        layers = sum(not isinstance(i, str) or i.startswith("RUN ") for i in _lineage(plan, name))
+        if layers > MAX_LINEAGE_LAYERS:
+            detail = f"its lineage holds {layers} layers, more than {MAX_LINEAGE_LAYERS}"
+            violations.append(Violation(stage=name, rule="lineage-layers", detail=detail))
 
     if plan.target == "run":
         cross = [i for i in plan.stages["run"] if isinstance(i, CopyFromStage)]
@@ -641,31 +686,37 @@ def _copy_word(path: str, is_source: bool) -> str:
     return _LEXER_SPECIAL_RE.sub(r"\\\g<0>", path)
 
 
-def _copy_operands(src: str, dst: str) -> str:
-    """COPY's operands, each read by BuildKit as exactly that path.
+def _copy(flags: list[str], srcs: tuple[str, ...], dst: str) -> str:
+    """The COPY of ``srcs`` to ``dst``, each operand read by BuildKit as exactly that path.
 
-    They are in the JSON-array form when one holds whitespace or a control
-    character, or when the source starts with ``[``, which BuildKit would
-    try to read as that form.
+    The operands are in the JSON-array form when one holds whitespace or a
+    control character, or when the first source starts with ``[``, which
+    BuildKit would try to read as that form. A COPY of one source is one
+    line; one of more sources puts each operand on a line of its own, so
+    no line grows with the number of sources.
     """
 
-    if _PLAIN_OPERAND_RE.fullmatch(src) and _PLAIN_OPERAND_RE.fullmatch(dst):
-        return f"{src} {dst}"
-    words = [_copy_word(src, True), _copy_word(dst, False)]
-    if words[0].startswith("[") or _SPACE_OR_CONTROL_RE.search(src + dst):
-        return json.dumps(words, ensure_ascii=False)
-    return " ".join(words)
+    head = " ".join(["COPY", *flags])
+    joint = " " if len(srcs) == 1 else " \\\n    "
+    paths = [*srcs, dst]
+    if all(_PLAIN_OPERAND_RE.fullmatch(path) for path in paths):
+        return joint.join([head, *paths])
+    words = [*(_copy_word(src, True) for src in srcs), _copy_word(dst, False)]
+    if words[0].startswith("[") or _SPACE_OR_CONTROL_RE.search("".join(paths)):
+        return head + joint + json.dumps(words, ensure_ascii=False, separators=("," + joint, ":"))
+    return joint.join([head, *words])
 
 
 def _render_instruction(instruction: Instruction) -> str:
     if isinstance(instruction, str):
         return instruction
     if isinstance(instruction, CopyContext):
-        chown = f"--chown={instruction.chown} " if instruction.chown else ""
-        return f"COPY {chown}{_copy_operands(instruction.src, instruction.dst)}"
+        flags = ["--parents"] if instruction.parents else []
+        if instruction.chown:
+            flags.append(f"--chown={instruction.chown}")
+        return _copy(flags, instruction.srcs, instruction.dst)
     if isinstance(instruction, CopyFromStage):
-        operands = _copy_operands(instruction.src, instruction.dst)
-        return f"COPY --from={instruction.stage} {operands}"
+        return _copy([f"--from={instruction.stage}"], (instruction.src,), instruction.dst)
     return _run(instruction.command)
 
 
@@ -679,17 +730,14 @@ def render(plan: DockerfilePlan) -> str:
 
     from . import GENERATOR_NAME, __version__
 
-    lines = [
-        f"ARG BASE_IMAGE={_arg_value(plan.base_image)}",
-        f"ARG TARGET={_arg_value(plan.target)}",
-    ]
+    lines = [f"ARG BASE_IMAGE={_arg_value(plan.base_image)}"]
     for name, stage in plan.stages.items():
         lines += ("", f"FROM {_ROWS[name].parent} AS {name}")
         lines += map(_render_instruction, stage)
     body = "\n".join(lines) + "\n"
     digest = hex_digest("sha256", body.encode("utf-8"))
     return (
-        "# syntax=docker/dockerfile:1\n"
+        "# syntax=docker/dockerfile:1-labs\n"
         f"# Generated by {GENERATOR_NAME} {__version__} (plan sha256 {digest})\n"
         "# Regenerate instead of editing by hand.\n"
         "\n" + body

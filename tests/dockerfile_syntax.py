@@ -4,10 +4,14 @@ Backslash continuations are joined first. Then every line that is not
 blank or a comment must start with an instruction keyword, every RUN
 body must pass ``/bin/sh -n``, which parses shell text without running
 it, and every COPY must name at least one source and a destination, in
-the whitespace-separated form or the JSON-array form.
+the whitespace-separated form or the JSON-array form. A COPY of several
+sources must go to a directory, and ``COPY --parents`` needs the labs
+channel of the Dockerfile frontend.
 
 :func:`copy_source` and :func:`copy_destination` model how BuildKit reads a
-COPY operand, :func:`arg_default` how it reads an ``ARG`` default, and
+COPY operand, :func:`copy_landings` where each source of a COPY lands,
+:func:`lineage_layers` the layers each stage's image holds,
+:func:`arg_default` how it reads an ``ARG`` default, and
 :func:`ignore_admits` how Docker reads a ``.dockerignore``, for the
 patterns forge writes and those of a workspace's own file.
 :func:`shell_words` reads one command line the way a shell does, for the
@@ -54,6 +58,12 @@ def stage_text(dockerfile: str, stage: str) -> str:
         if block.splitlines()[0].endswith(f" AS {stage}"):
             return block
     raise AssertionError(f"stage {stage} not found")
+
+
+def copy_flags(line: str) -> list[str]:
+    """The ``--`` flags of one COPY instruction."""
+
+    return re.match(r"\s*\S+((?:\s+--\S+)*)", line).group(1).split()
 
 
 def copy_operands(line: str) -> list[str] | None:
@@ -228,6 +238,60 @@ def copy_destination(operand: str) -> str | None:
     return shell_word(operand)
 
 
+def copy_landings(line: str) -> list[tuple[str, str]] | None:
+    """Each context path one COPY instruction names, with the container path it lands at.
+
+    With ``--parents`` each source keeps its context path below the
+    destination (https://docs.docker.com/reference/dockerfile/#copy---parents).
+    Without it a source that ends in ``/``, a directory, lands at the
+    destination, which then holds its content; a file lands there too,
+    or below it under its own name when the destination ends in ``/``.
+    None where an operand names no one path.
+    """
+
+    operands = copy_operands(line)
+    if operands is None or len(operands) < 2:
+        return None
+    sources = [copy_source(operand) for operand in operands[:-1]]
+    destination = copy_destination(operands[-1])
+    if destination is None or None in sources:
+        return None
+    if "--parents" in copy_flags(line):
+        return [(source, posixpath.join(destination, source)) for source in sources]
+    return [
+        (source, destination + posixpath.basename(source)
+         if destination.endswith("/") and not source.endswith("/") else destination)
+        for source in sources
+    ]
+
+
+def lineage_layers(text: str) -> dict[str, int]:
+    """The layers, RUN, COPY and ADD instructions, that each stage's image holds.
+
+    A stage holds its own and those of the stage of the file it derives
+    from through ``FROM``, and so on up; an image from outside the file
+    adds none.
+    """
+
+    parents: dict[str, str] = {}
+    own: dict[str, int] = {}
+    name = ""
+    for line in instructions(text):
+        keyword, _, rest = line.strip().partition(" ")
+        if keyword.upper() == "FROM":
+            parent, _, name = rest.split()
+            parents[name], own[name] = parent, 0
+        elif keyword.upper() in ("RUN", "COPY", "ADD") and name:
+            own[name] += 1
+    layers = {}
+    for stage in own:
+        layers[stage], name = 0, stage
+        while name in own:
+            layers[stage] += own[name]
+            name = parents[name]
+    return layers
+
+
 def dockerfile_problems(text: str) -> list[str]:
     """What makes ``text`` not a well-formed Dockerfile; empty when it is one."""
 
@@ -244,6 +308,13 @@ def dockerfile_problems(text: str) -> list[str]:
             operands = copy_operands(line.strip())
             if operands is None or len(operands) < 2:
                 problems.append(f"COPY without a source and a destination: {line!r}")
+            elif len(operands) > 2 and not operands[-1].endswith("/"):
+                problems.append(f"COPY of several sources not to a directory: {line!r}")
+            # The flag came in the labs channel of the Dockerfile frontend.
+            if "--parents" in copy_flags(line) and not text.startswith(
+                "# syntax=docker/dockerfile:1-labs\n"
+            ):
+                problems.append(f"COPY --parents without the labs syntax line: {line!r}")
     return problems
 
 

@@ -1119,6 +1119,7 @@ def test_image_option_text_exits_2_or_changes_no_line(monkeypatch, tmp_path) -> 
     dockerfile = ["generate", "dockerfile", MULTI, "-o", "-"]
     ci = ["generate", "ci", "--platform", "gitlab", "--image-name", "app", "-o", "-"]
     plain = _forge(dockerfile)[1]
+    plain_operands = [len(operands) for operands in _copy_operands(plain)]
     plain_ci = _ci_build_commands(yaml.safe_load(_forge(ci)[1]))
 
     @settings(max_examples=150, deadline=None)
@@ -1132,7 +1133,7 @@ def test_image_option_text_exits_2_or_changes_no_line(monkeypatch, tmp_path) -> 
         assert code == 0, err
         assert dockerfile_problems(out) == []
         assert len(instructions(out)) == len(instructions(plain))
-        assert all(len(operands) == 2 for operands in _copy_operands(out)), _copy_operands(out)
+        assert [len(operands) for operands in _copy_operands(out)] == plain_operands, _copy_operands(out)
         if option == "--base" and text:
             code, out, err = _forge([*ci, f"--base={text}"])
             assert code == 0, err
@@ -1193,7 +1194,7 @@ def test_plan_violations_are_printed_with_their_detail(capsys, monkeypatch, tmp_
 
     def leaky(*args, **kwargs):
         plan = plan_stages(*args, **kwargs)
-        leak = CopyContext("src/", "/ws/src/")
+        leak = CopyContext(("src/",), "/ws/src/")
         return plan._replace(stages={**plan.stages, "run": (*plan.stages["run"], leak)})
 
     monkeypatch.setattr(forge.cli, "plan_stages", leaky)

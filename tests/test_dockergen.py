@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import re
 import shlex
 import tempfile
@@ -18,6 +19,7 @@ from forge import TARGETS
 from forge.dockergen import (
     APT_LIST,
     ARTIFACT_DIR,
+    MAX_LINEAGE_LAYERS,
     PIP_LIST,
     REPOS_LIST,
     STAGES,
@@ -41,12 +43,12 @@ from forge.sources import RepoSpec
 from conftest import image_spec
 from dockerfile_syntax import (
     arg_default,
-    copy_destination,
+    copy_landings,
     copy_operands,
-    copy_source,
     dockerfile_problems,
     ignore_admits,
     instructions,
+    lineage_layers,
     stage_text,
 )
 
@@ -145,25 +147,56 @@ def _with_instruction(plan: DockerfilePlan, name: str, instruction) -> Dockerfil
     return _replace_stage(plan, name, (*plan.stages[name], instruction))
 
 
-def test_rule_manifests_only(minimal_analysis) -> None:
+_MAIN_PY = "src/hello_node/hello_node/main.py"
+
+
+@pytest.mark.parametrize(
+    "leak",
+    [
+        CopyContext((_MAIN_PY,), "/ws/main.py"),
+        CopyContext(("src/a/package.xml", _MAIN_PY, "deps.repos"), "/ws/", parents=True),
+    ],
+    ids=["one-source", "many-sources"],
+)
+def test_rule_manifests_only(minimal_analysis, leak: CopyContext) -> None:
     plan = make_plan(minimal_analysis, target="run")
-    leak = CopyContext(src="src/hello_node/hello_node/main.py", dst="/ws/main.py")
     broken = _with_instruction(plan, "dependencies", leak)
-    assert [v.rule for v in validate_plan(broken)] == ["manifests-only"]
+    assert [(v.rule, v.detail) for v in validate_plan(broken)] == [
+        ("manifests-only", f"copies {_MAIN_PY!r}, not a manifest or repository list")
+    ]
 
 
 @pytest.mark.parametrize("src", ["src/hello_node/", "src", "../", "/", "src/hello_node/package.xml"])
-def test_rule_source_roots_only(minimal_analysis, src: str) -> None:
+@pytest.mark.parametrize("many", [False, True], ids=["one-source", "many-sources"])
+def test_rule_source_roots_only(minimal_analysis, src: str, many: bool) -> None:
     plan = make_plan(minimal_analysis, target="dev")
-    broken = _with_instruction(plan, "dev", CopyContext(src=src, dst="/ws/src/x/"))
-    assert [v.rule for v in validate_plan(broken)] == ["source-roots-only"]
+    copy = CopyContext(("tools/", src, "ros/"), "/ws/src/", parents=True) if many else (
+        CopyContext((src,), "/ws/src/x/")
+    )
+    broken = _with_instruction(plan, "dev", copy)
+    assert [(v.rule, v.detail) for v in validate_plan(broken)] == [
+        ("source-roots-only", f"copies {src!r}, not a whole top-level directory")
+    ]
 
 
 def test_rule_no_source_leak(minimal_analysis) -> None:
     plan = make_plan(minimal_analysis, target="run")
-    leak = CopyContext(src="src/", dst="/ws/src/")
+    leak = CopyContext(("src/",), "/ws/src/")
     broken = _with_instruction(plan, "run", leak)
     assert [v.rule for v in validate_plan(broken)] == ["no-source-leak"]
+
+
+@pytest.mark.parametrize(("target", "stage"), [("dev", "dev"), ("run", "build"), ("run", "run")])
+def test_rule_lineage_layers(minimal_analysis, target: str, stage: str) -> None:
+    plan = make_plan(minimal_analysis, target=target)
+    room = MAX_LINEAGE_LAYERS - lineage_layers(render(plan))[stage]
+    filled = _replace_stage(plan, stage, (*plan.stages[stage], *["RUN true"] * room))
+    assert validate_plan(filled) == []
+    assert lineage_layers(render(filled))[stage] == MAX_LINEAGE_LAYERS
+    broken = _with_instruction(filled, stage, "RUN true")
+    assert [(v.stage, v.rule, v.detail) for v in validate_plan(broken)] == [
+        (stage, "lineage-layers", f"its lineage holds 33 layers, more than {MAX_LINEAGE_LAYERS}")
+    ]
 
 
 def test_rule_install_space_copy_missing(minimal_analysis) -> None:
@@ -237,7 +270,7 @@ def header_digest(dockerfile: str) -> str:
 def test_render_header_and_syntax(minimal_analysis) -> None:
     text = render(make_plan(minimal_analysis, target="run"))
     lines = text.splitlines(keepends=True)
-    assert lines[0] == "# syntax=docker/dockerfile:1\n"
+    assert lines[0] == "# syntax=docker/dockerfile:1-labs\n"
     assert lines[2:4] == ["# Regenerate instead of editing by hand.\n", "\n"]
     body = "".join(lines[4:])
     assert body.startswith("ARG BASE_IMAGE=ros:humble\n")
@@ -304,11 +337,13 @@ def test_render_credentials_stay_placeholders(multi_repo_analysis) -> None:
 
 
 def test_render_dependencies_stage_copies_manifests_only(multi_repo_analysis) -> None:
-    text = render(make_plan(multi_repo_analysis, target="run"))
-    block = stage_text(text, "dependencies")
-    for line in block.splitlines():
-        if line.startswith("COPY "):
-            assert line.endswith("package.xml") or ".repos" in line, line
+    text = render(make_plan(multi_repo_analysis, target="run", repos_files=("deps.repos",)))
+    copies = [line for line in instructions(stage_text(text, "dependencies")) if line.startswith("COPY ")]
+    assert [copy_landings(line) for line in copies] == [[
+        ("src/nav_core/package.xml", "/ws/src/nav_core/package.xml"),
+        ("src/sensor_common/package.xml", "/ws/src/sensor_common/package.xml"),
+        ("deps.repos", "/ws/deps.repos"),
+    ]]
 
 
 @pytest.mark.parametrize(
@@ -388,7 +423,7 @@ def test_every_arg_default_reads_back_as_planned(minimal_analysis, base, argv) -
         if (match := re.match(r"ARG (\w+)=", line))
     ]
     assert read == [
-        ("BASE_IMAGE", base or "ros:humble"), ("TARGET", "run"), ("ROS_DISTRO", "humble"),
+        ("BASE_IMAGE", base or "ros:humble"), ("ROS_DISTRO", "humble"),
         ("COMMAND", "bash"), ("COMMAND", shlex.join(argv)),
     ]
     # The entrypoint's sh -c runs the words the command was given as.
@@ -518,23 +553,45 @@ _COMPONENTS = st.text(alphabet="ab[]*?$'\"\\- {}^!", min_size=1, max_size=6).fil
 )
 
 
+def _planned_landings(plan: DockerfilePlan) -> list[tuple[str, str]]:
+    """Each planned COPY source with where the plan says it lands."""
+
+    landings = []
+    for copy in (i for stage in plan.stages.values() for i in stage):
+        if isinstance(copy, CopyFromStage):
+            landings.append((copy.src, copy.dst))
+        elif isinstance(copy, CopyContext):
+            landings += [(src, copy.dst + src if copy.parents else copy.dst) for src in copy.srcs]
+    return sorted(landings)
+
+
+def _read_landings(text: str) -> list[tuple[str, str]]:
+    """Each COPY source of ``text`` with where BuildKit lands it."""
+
+    return sorted(
+        landing for line in instructions(text) if line.startswith("COPY ")
+        for landing in copy_landings(line)
+    )
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_COMPONENTS, min_size=1, max_size=3), st.booleans())
-def test_every_copy_operand_names_exactly_its_path(minimal_analysis, parts, below_src) -> None:
-    rel = "/".join(["src", *parts] if below_src else parts)
-    plan = make_plan(minimal_analysis, target="dev", packages=(PackageManifest("odd", source_dir=rel),))
+@given(
+    st.lists(
+        st.tuples(st.lists(_COMPONENTS, min_size=1, max_size=3), st.booleans()),
+        min_size=1, max_size=3, unique_by=lambda package: (package[0][0], package[1]),
+    )
+)
+def test_every_copy_operand_names_exactly_its_path(minimal_analysis, packages) -> None:
+    # Each package its own top-level directory or its own one below src/,
+    # so none lies inside another; several share a COPY of many sources.
+    packages = tuple(
+        PackageManifest(f"odd{index}", source_dir="/".join(["src", *parts] if below_src else parts))
+        for index, (parts, below_src) in enumerate(packages)
+    )
+    plan = make_plan(minimal_analysis, target="dev", packages=packages)
     text = render(plan)
     assert dockerfile_problems(text) == []
-    planned = sorted(
-        (i.src, i.dst) for stage in plan.stages.values() for i in stage
-        if isinstance(i, (CopyContext, CopyFromStage))
-    )
-    read = sorted(
-        (copy_source(operands[0]), copy_destination(operands[1]))
-        for line in instructions(text) if line.startswith("COPY ")
-        for operands in [copy_operands(line)]
-    )
-    assert read == planned
+    assert _read_landings(text) == _planned_landings(plan)
 
 
 @pytest.mark.parametrize(
@@ -557,16 +614,27 @@ def test_a_copy_operand_escapes_what_buildkit_reads_specially(
     assert copy in render(plan).splitlines()
 
 
-@pytest.mark.parametrize("name", ["my pkg", "two  spaces", "nb\u00a0pkg"])
-def test_whitespace_in_a_package_path_gives_two_copy_operands(tmp_path, name: str) -> None:
-    (tmp_path / "src" / name).mkdir(parents=True)
-    (tmp_path / "src" / name / "package.xml").write_text(_manifest("spaced"), encoding="utf-8")
-    code, text, err = _forge(["generate", "dockerfile", str(tmp_path), "-o", "-"])
+def _copy_operand_counts(root: Path, name: str) -> tuple[list[int], str]:
+    """The operand count of each COPY, and the Dockerfile, that forge writes for
+    packages in ``src/<name>``, ``src/plain`` and ``tools``."""
+
+    for rel, package in ((f"src/{name}", "spaced"), ("src/plain", "plain"), ("tools", "tools")):
+        (root / rel).mkdir(parents=True)
+        (root / rel / "package.xml").write_text(_manifest(package), encoding="utf-8")
+    code, text, err = _forge(["generate", "dockerfile", str(root), "-o", "-"])
     assert code == 0, err
+    return [len(copy_operands(line)) for line in instructions(text) if line.startswith("COPY ")], text
+
+
+@pytest.mark.parametrize("name", ["my pkg", "two  spaces", "nb\u00a0pkg"])
+def test_whitespace_in_a_package_path_adds_no_copy_operand(tmp_path, name: str) -> None:
+    counts, text = _copy_operand_counts(tmp_path / "spaced", name)
     assert dockerfile_problems(text) == []
-    copies = [copy_operands(line) for line in instructions(text) if line.startswith("COPY ")]
-    assert len(copies) == 4 and all(len(operands) == 2 for operands in copies), copies
-    assert [f"src/{name}/package.xml", f"/ws/src/{name}/package.xml"] in copies
+    assert counts == _copy_operand_counts(tmp_path / "plain", "pkg")[0]
+    # The manifests below src/ share a COPY in the JSON-array form, one operand a line.
+    manifest = json.dumps(f"src/{name}/package.xml", ensure_ascii=False)
+    assert f'COPY --parents \\\n    ["src/plain/package.xml", \\\n    {manifest}, \\\n' in text
+    assert (f"src/{name}/package.xml", f"/ws/src/{name}/package.xml") in _read_landings(text)
 
 
 @pytest.mark.parametrize(
@@ -615,10 +683,11 @@ def workspaces(draw: st.DrawFn) -> dict:
     """A workspace as files to write, and what of it is live.
 
     Packages sit under ``src/``, also under a second top-level directory,
-    as that directory itself, or as one package at the root.
+    as that directory itself, each as a top-level directory of its own
+    (flat), or as one package at the root.
     """
 
-    layout = draw(st.sampled_from(["src", "two", "top", "root"]))
+    layout = draw(st.sampled_from(["src", "two", "top", "flat", "root"]))
     count = 1 if layout == "root" else draw(st.integers(1, 300))
     second = draw(st.sampled_from(["tools", "my tools"]))
     live: list[str] = []
@@ -627,6 +696,8 @@ def workspaces(draw: st.DrawFn) -> dict:
             live.append(".")
         elif layout == "top" and index == 0:
             live.append(second)
+        elif layout == "flat":
+            live.append(f"pkg_{index}")
         elif layout == "two" and (index == 0 or draw(st.booleans())):
             live.append(f"{second}/pkg_{index}")
         else:
@@ -658,9 +729,31 @@ def workspaces(draw: st.DrawFn) -> dict:
     }
 
 
-def _dev_layers(text: str) -> int:
-    return sum(1 for line in instructions(stage_text(text, "dev"))
-               if line.split(" ", 1)[0] in ("RUN", "COPY", "ADD"))
+def _kind(source_dir: str) -> str:
+    """Where a package directory lies: the context root, below ``src/`` or elsewhere."""
+
+    return "." if source_dir == "." else "src" if source_dir.split("/")[0] == "src" else "other"
+
+
+def _below_ws(rel: str, name: str) -> str:
+    """Where one COPY per item put directory ``rel`` of the context, which holds
+    package ``name`` or is a package directory: below ``/ws/src/``, and the
+    context root as ``/ws/src/<name>``."""
+
+    if rel == ".":
+        return f"/ws/src/{name}"
+    return f"/ws/{rel}" if rel.split("/")[0] == "src" else f"/ws/src/{rel}"
+
+
+def _landings(text: str, stage: str) -> dict[str, str]:
+    """Where each context path that ``stage`` copies lands; each is copied once."""
+
+    pairs = [
+        landing for line in instructions(stage_text(text, stage)) if line.startswith("COPY ")
+        and "--from=" not in line for landing in copy_landings(line)
+    ]
+    assert len(pairs) == len(dict(pairs)), pairs
+    return dict(pairs)
 
 
 @settings(max_examples=25, deadline=None)
@@ -681,15 +774,32 @@ def test_dev_copies_each_source_root_once_and_the_ignore_file_keeps_the_rest_out
             repos_files=workspace["repos"], **scripts,
         )
         plan = plan_stages(spec, _NO_DEPS, _NO_DEPS, root)
-        one_per_root = {p.source_dir.split("/")[0]: p for p in packages}
-        small = spec._replace(packages=tuple(one_per_root.values()))
+        one_per_kind = {_kind(p.source_dir): p for p in packages}
+        small = spec._replace(packages=tuple(one_per_kind.values()))
         small_text = render(plan_stages(small, _NO_DEPS, _NO_DEPS, root))
 
     assert sorted(p.source_dir for p in packages) == sorted(workspace["live"])
     assert validate_plan(plan) == []
     text = render(plan)
     assert dockerfile_problems(text) == []
-    assert _dev_layers(text) == _dev_layers(small_text) == 3 + len(one_per_root)
+    # No lineage's layer count grows with the packages: it is that of one
+    # package of each kind, and under the bound.
+    layers = lineage_layers(text)
+    assert layers == lineage_layers(small_text)
+    assert max(layers.values()) <= MAX_LINEAGE_LAYERS
+
+    # Each manifest, .repos file and source root lands where a COPY of its own put it.
+    names = {p.source_dir: p.name for p in packages}
+    assert _landings(text, "dependencies") == {
+        **{
+            "package.xml" if rel == "." else f"{rel}/package.xml": f"{_below_ws(rel, name)}/package.xml"
+            for rel, name in names.items()
+        },
+        **{name: f"/ws/{name}" for name in workspace["repos"]},
+    }
+    roots = {rel.split("/")[0]: name for rel, name in names.items()}
+    dev = _landings(text, "dev")
+    assert dev == {f"{root}/": f"{_below_ws(root, name)}/" for root, name in roots.items()}
 
     # The live package directory each file lies in, if any.
     owner = {
@@ -704,22 +814,57 @@ def test_dev_copies_each_source_root_once_and_the_ignore_file_keeps_the_rest_out
     wanted = set(owner) | set(workspace["repos"]) | set(workspace["scripts"])
     assert admitted == {name for name in wanted if not left_out(name)}
     owner = {name: rel for name, rel in owner.items() if not left_out(name)}
-    copied = [i.src for name, stage in plan.stages.items() for i in stage
-              if isinstance(i, CopyContext) and name != "dev"]
+    copied = [src for name, stage in plan.stages.items() for i in stage
+              if isinstance(i, CopyContext) and name != "dev" for src in i.srcs]
     assert all(admits(src) for src in copied), copied
 
-    # dev holds each live package's files where a per-package copy put them:
-    # below /ws/src/, a package at the root as /ws/src/<name>.
-    names = {p.source_dir: p.name for p in packages}
-    expected = set()
-    for name, rel in owner.items():
-        if rel == ".":
-            expected.add(f"/ws/src/{names[rel]}/{name}")
-        else:
-            expected.add(f"/ws/{rel if rel.startswith('src/') else 'src/' + rel}{name[len(rel):]}")
-    held = set()
-    for copy in plan.stages["dev"]:
-        if isinstance(copy, CopyContext):
-            prefix = "" if copy.src == "./" else copy.src
-            held |= {copy.dst + name[len(prefix):] for name in admitted if name.startswith(prefix)}
+    # dev holds each live package's files where a per-package copy put them.
+    expected = {
+        f"{_below_ws(rel, names[rel])}/{name if rel == '.' else name[len(rel) + 1:]}"
+        for name, rel in owner.items()
+    }
+    held = {
+        dst + name[len(src) if src != "./" else 0:]
+        for src, dst in dev.items() for name in admitted if src == "./" or name.startswith(src)
+    }
     assert held == expected
+
+
+def test_a_flat_workspace_of_200_packages_stays_under_the_layer_bound(tmp_path) -> None:
+    # Each package a top-level directory, as when a repository is the workspace.
+    for index in range(200):
+        (tmp_path / f"pkg_{index:03}").mkdir()
+        (tmp_path / f"pkg_{index:03}" / "package.xml").write_text(
+            _manifest(f"pkg_{index:03}"), encoding="utf-8"
+        )
+    code, text, err = _forge(["generate", "dockerfile", str(tmp_path), "-o", "-"])
+    assert code == 0, err
+    assert dockerfile_problems(text) == []
+    assert lineage_layers(text) == {
+        "base": 1, "dependencies": 3, "dependencies-install": 3, "dev": 7, "build": 8, "run": 4,
+    }
+    assert _landings(text, "dev") == {
+        f"pkg_{index:03}/": f"/ws/src/pkg_{index:03}/" for index in range(200)
+    }
+    assert max(len(line) for line in text.splitlines() if "pkg_" in line) < 40
+
+
+def test_the_largest_plan_stays_under_the_layer_bound(tmp_path, multi_repo_analysis) -> None:
+    # Every option that adds a layer: custom scripts, credentials, slim
+    # runtime with build-only packages of both managers, a non-root run,
+    # and packages below src/ and below another top-level directory.
+    for name in ("pre.sh", "post.sh"):
+        (tmp_path / name).write_text("true\n", encoding="utf-8")
+    build_only = _NO_DEPS._replace(system_pkgs=("libfoo-dev",), python_pkgs=("foo",))
+    spec = ImageSpec(
+        ros_distro="humble", target="run",
+        packages=(PackageManifest("core", source_dir="src/core"), PackageManifest("tool", source_dir="tools/tool")),
+        repos_files=("deps.repos",), source_repos=multi_repo_analysis.repos,
+        custom_script_pre="pre.sh", custom_script_post="post.sh",
+        slim_runtime=True, nonroot_run=True, extra_apt=("curl",), extra_pip=("requests",),
+    )
+    plan = plan_stages(spec, build_only, _NO_DEPS, tmp_path)
+    text = render(plan)
+    assert "ARG GIT_TOKEN" in text and "USER ros" in stage_text(text, "run")
+    assert validate_plan(plan) == []
+    assert max(lineage_layers(text).values()) == lineage_layers(text)["build"] == 18
