@@ -49,15 +49,14 @@ ROS_KEYRING = "/usr/share/keyrings/ros-archive-keyring.gpg"
 class CopyContext(NamedTuple):
     """One COPY of ``srcs``, paths in the build context, to ``dst``.
 
-    With ``parents`` (``COPY --parents``) each source lands at its own
-    context path below ``dst``. Without it there is one source, and ``dst``
-    is where that file, or that directory's content, lands.
+    One source, a file or a directory's content, lands at ``dst``. Several
+    are written ``COPY --parents``, which lands each at its own context
+    path below ``dst``.
     """
 
     srcs: tuple[str, ...]
     dst: str
     chown: str | None = None
-    parents: bool = False
 
 
 class CopyFromStage(NamedTuple):
@@ -246,7 +245,7 @@ def _copies(items: Iterable[tuple[str, str]], ws: str, chown: str | None = None)
         if len(srcs) == 1:
             copies.append(CopyContext((srcs[0],), root + srcs[0], chown))
         elif srcs:
-            copies.append(CopyContext(tuple(srcs), root, chown, parents=True))
+            copies.append(CopyContext(tuple(srcs), root, chown))
     return copies
 
 
@@ -711,7 +710,7 @@ def _render_instruction(instruction: Instruction) -> str:
     if isinstance(instruction, str):
         return instruction
     if isinstance(instruction, CopyContext):
-        flags = ["--parents"] if instruction.parents else []
+        flags = ["--parents"] if len(instruction.srcs) > 1 else []
         if instruction.chown:
             flags.append(f"--chown={instruction.chown}")
         return _copy(flags, instruction.srcs, instruction.dst)

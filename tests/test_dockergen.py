@@ -154,7 +154,7 @@ _MAIN_PY = "src/hello_node/hello_node/main.py"
     "leak",
     [
         CopyContext((_MAIN_PY,), "/ws/main.py"),
-        CopyContext(("src/a/package.xml", _MAIN_PY, "deps.repos"), "/ws/", parents=True),
+        CopyContext(("src/a/package.xml", _MAIN_PY, "deps.repos"), "/ws/"),
     ],
     ids=["one-source", "many-sources"],
 )
@@ -170,10 +170,8 @@ def test_rule_manifests_only(minimal_analysis, leak: CopyContext) -> None:
 @pytest.mark.parametrize("many", [False, True], ids=["one-source", "many-sources"])
 def test_rule_source_roots_only(minimal_analysis, src: str, many: bool) -> None:
     plan = make_plan(minimal_analysis, target="dev")
-    copy = CopyContext(("tools/", src, "ros/"), "/ws/src/", parents=True) if many else (
-        CopyContext((src,), "/ws/src/x/")
-    )
-    broken = _with_instruction(plan, "dev", copy)
+    srcs, dst = (("tools/", src, "ros/"), "/ws/src/") if many else ((src,), "/ws/src/x/")
+    broken = _with_instruction(plan, "dev", CopyContext(srcs, dst))
     assert [(v.rule, v.detail) for v in validate_plan(broken)] == [
         ("source-roots-only", f"copies {src!r}, not a whole top-level directory")
     ]
@@ -195,7 +193,8 @@ def test_rule_lineage_layers(minimal_analysis, target: str, stage: str) -> None:
     assert lineage_layers(render(filled))[stage] == MAX_LINEAGE_LAYERS
     broken = _with_instruction(filled, stage, "RUN true")
     assert [(v.stage, v.rule, v.detail) for v in validate_plan(broken)] == [
-        (stage, "lineage-layers", f"its lineage holds 33 layers, more than {MAX_LINEAGE_LAYERS}")
+        (stage, "lineage-layers",
+         f"its lineage holds {MAX_LINEAGE_LAYERS + 1} layers, more than {MAX_LINEAGE_LAYERS}")
     ]
 
 
@@ -561,7 +560,7 @@ def _planned_landings(plan: DockerfilePlan) -> list[tuple[str, str]]:
         if isinstance(copy, CopyFromStage):
             landings.append((copy.src, copy.dst))
         elif isinstance(copy, CopyContext):
-            landings += [(src, copy.dst + src if copy.parents else copy.dst) for src in copy.srcs]
+            landings += [(src, copy.dst + src if len(copy.srcs) > 1 else copy.dst) for src in copy.srcs]
     return sorted(landings)
 
 
