@@ -12,27 +12,11 @@ mechanism and never inlined.
 
 from __future__ import annotations
 
-import re
 import shlex
 from typing import NamedTuple
 
 from . import TARGETS
-from .errors import InvalidSpec
 from .textio import dump_yaml
-
-_IMAGE_NAME_RE = re.compile(r"[a-z0-9][a-z0-9_.\-/]*")
-
-# What makes a push branch unusable: a name ``git check-ref-format --branch``
-# rejects (a control, space or ``~^:?*[\`` character, ``..``, ``@{``, an
-# empty component or one that starts with ``.`` or ends with ``.lock``, a
-# leading ``-`` or ``/``, a trailing ``/`` or ``.``, or ``HEAD``), a
-# quote, which would end the string literal of the platform's condition,
-# or a lone surrogate (a byte that is not UTF-8), which the UTF-8 pipeline
-# file cannot name.
-_BAD_BRANCH_RE = re.compile(
-    r"""[\x00-\x20\x7f~^:?*[\\'"\ud800-\udfff]|\.\.|@\{|//|(?:\A|/)\."""
-    r"|\.lock(?:/|\Z)|\A[-/]|[/.]\Z|\AHEAD\Z"
-)
 
 # The workspace tests inside the development image. The ROS setup script
 # sets ROS_VERSION, so ROS 1 images test with catkin and ROS 2 with colcon.
@@ -44,7 +28,7 @@ TEST_HOOK = (
 
 
 class PipelineSpec(NamedTuple):
-    """What to generate: platform, image coordinates, matrix, gating."""
+    """What to generate, as the command line checked it: platform, image, matrix, gating."""
 
     platform: str
     image_name: str
@@ -60,19 +44,6 @@ def default_output_path(platform: str) -> str:
     """Where ``platform`` (``github`` or ``gitlab``) reads its pipeline file."""
 
     return ".github/workflows/forge.yml" if platform == "github" else ".gitlab-ci.yml"
-
-
-def _check_spec(spec: PipelineSpec) -> None:
-    # The command line checks the platform, build platforms, targets and
-    # registry, and fills empty build platforms and targets.
-    if not _IMAGE_NAME_RE.fullmatch(spec.image_name):
-        raise InvalidSpec(f"invalid image name {spec.image_name!r}")
-    if spec.enable_test_stage and "dev" not in spec.target_stages:
-        raise InvalidSpec("the test stage runs the dev image; include dev in targets")
-    if not spec.push_on_branch or _BAD_BRANCH_RE.search(spec.push_on_branch):
-        raise InvalidSpec(
-            f"push branch {spec.push_on_branch!r} is not a git branch name without quotes"
-        )
 
 
 def _tag(spec: PipelineSpec, suffix: str) -> str:
@@ -147,7 +118,6 @@ def generate_pipeline(spec: PipelineSpec) -> str:
     through a YAML parser.
     """
 
-    _check_spec(spec)
     emit = _github_document if spec.platform == "github" else _gitlab_document
     document = emit(spec, _jobs(spec))
     return dump_yaml(document, sort_keys=False, width=120)

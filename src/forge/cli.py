@@ -20,6 +20,7 @@ import gc
 import importlib
 import io
 import os
+import posixpath
 import re
 import shlex
 import sys
@@ -32,6 +33,7 @@ from .errors import (
     ConfigError,
     ForgeError,
     InvalidArgs,
+    InvalidSpec,
     MalformedDatabase,
     MalformedReposFile,
     MissingCredential,
@@ -51,9 +53,9 @@ GENERATED_DIR = ".forge"
 _LAYER_NAMES = {
     "cigen": ("PipelineSpec", "default_output_path", "generate_pipeline"),
     "depgraph": (
-        "DeclaredKeys", "DistroIndex", "ResolvedDependencies", "load_distro_index",
-        "load_rosdep_db", "packaged_distro_index", "packaged_rosdep_db", "resolve",
-        "runtime_subset",
+        "DeclaredKeys", "DistroIndex", "ResolvedDependencies", "is_package_name",
+        "load_distro_index", "load_rosdep_db", "packaged_distro_index", "packaged_rosdep_db",
+        "resolve", "runtime_subset",
     ),
     "devrun": (
         "UserArgs", "apply_plugins", "attach_or_run", "load_plugins", "probe_host",
@@ -154,18 +156,22 @@ def _parse_nonempty(value: object, name: str) -> str:
     return text
 
 
-# An image registry as the Docker reference grammar writes the part of a
-# name before the repository: host[:port][/path], where host is a domain
-# name or a bracketed IPv6 address and each path component is lower case.
+# Docker's image reference grammar, from
+# https://github.com/distribution/reference/blob/main/regexp.go, as pattern
+# text that re compiles on first use, so that importing this module compiles none.
 _DOMAIN_COMPONENT = r"(?:[a-zA-Z0-9]|[a-zA-Z0-9][a-zA-Z0-9-]*[a-zA-Z0-9])"
-_REGISTRY_RE = re.compile(
-    rf"(?:{_DOMAIN_COMPONENT}(?:\.{_DOMAIN_COMPONENT})*|\[[a-fA-F0-9:]+\])(?::[0-9]+)?"
-    r"(?:/[a-z0-9]+(?:(?:[._]|__|-+)[a-z0-9]+)*)*"
-)
+_DOMAIN = rf"(?:{_DOMAIN_COMPONENT}(?:\.{_DOMAIN_COMPONENT})*|\[[a-fA-F0-9:]+\])(?::[0-9]+)?"
+_PATH_COMPONENT = r"[a-z0-9]+(?:(?:[._]|__|-+)[a-z0-9]+)*"
+_REGISTRY = rf"{_DOMAIN}(?:/{_PATH_COMPONENT})*"
+_REPOSITORY = rf"{_PATH_COMPONENT}(?:/{_PATH_COMPONENT})*"
+_DIGEST = r"[A-Za-z][A-Za-z0-9]*(?:[-_+.][A-Za-z][A-Za-z0-9]*)*:[0-9a-fA-F]{32,}"
+# name[:tag], and name[:tag][@digest] or "", which is the default base.
+_TAGGED = rf"(?:{_DOMAIN}/)?{_REPOSITORY}(?::[A-Za-z0-9_][A-Za-z0-9_.-]{{0,127}})?"
+_BASE = rf"(?:{_TAGGED}(?:@{_DIGEST})?)?"
 
 
 def _parse_registry(value: object, name: str) -> str:
-    if not _REGISTRY_RE.fullmatch(text := _parse_nonempty(value, name)):
+    if not re.fullmatch(_REGISTRY, text := _parse_nonempty(value, name)):
         raise ConfigError(f"{name} must be a registry host[:port][/path], got {text!r}")
     return text
 
@@ -377,21 +383,30 @@ def cmd_analyze(args: argparse.Namespace, driver: EngineDriver | None) -> int:
             )
         _print_bucket("unresolved", resolved.unresolved)
 
-    if cfg.strict and resolved.unresolved:
-        raise UnresolvedDependencies(list(resolved.unresolved))
+    _check_strict(cfg, resolved)
     return 0
 
 
+def _check_strict(cfg: GlobalConfig, resolved: ResolvedDependencies) -> None:
+    if cfg.strict and resolved.unresolved:
+        raise UnresolvedDependencies(list(resolved.unresolved))
+
+
 def _render_for_workspace(
-    args: argparse.Namespace, analysis: WorkspaceAnalysis, cfg: GlobalConfig
-) -> tuple[str, str]:
-    """The Dockerfile text and its ``.dockerignore`` text.
+    args: argparse.Namespace,
+) -> tuple[GlobalConfig, WorkspaceAnalysis, str, str]:
+    """Config, analysis, and the Dockerfile text and its ``.dockerignore`` text.
 
     The workspace's own ``.dockerignore``, which BuildKit skips when the
     Dockerfile has one of its own, is carried into the latter.
     """
 
     _bind("dockergen")
+    for script in (args.script_pre, args.script_post):
+        if script is not None and not Path(args.workspace, script).is_file():
+            raise InvalidSpec(f"custom script {script!r} not found in build context")
+    cfg, analysis = _analyze_args(args)
+    _check_strict(cfg, analysis.resolved)
     spec = ImageSpec(
         ros_distro=analysis.index.distro,
         packages=tuple(analysis.workspace.packages),
@@ -406,24 +421,20 @@ def _render_for_workspace(
         extra_apt=tuple(args.extra_apt or ()),
         extra_pip=tuple(args.extra_pip or ()),
         slim_runtime=args.slim_runtime,
-        strict=cfg.strict,
         nonroot_run=args.nonroot_run,
     )
-    plan = plan_stages(
-        spec, analysis.resolved, analysis.resolved_exec, context_root=analysis.root
-    )
+    plan = plan_stages(spec, analysis.resolved, analysis.resolved_exec)
     violations = validate_plan(plan)
     if violations:
         details = "; ".join(f"{v.stage}: {v.rule}: {v.detail}" for v in violations)
         raise ForgeError(f"generated plan violates its invariants: {details}")
     own_ignore = analysis.root / ".dockerignore"
     workspace_ignore = read_utf8(own_ignore, UnreadableWorkspace) if own_ignore.is_file() else ""
-    return render(plan), render_dockerignore(plan, workspace_ignore)
+    return cfg, analysis, render(plan), render_dockerignore(plan, workspace_ignore)
 
 
 def cmd_generate_dockerfile(args: argparse.Namespace, driver: EngineDriver | None) -> int:
-    cfg, analysis = _analyze_args(args)
-    text, ignore = _render_for_workspace(args, analysis, cfg)
+    _, analysis, text, ignore = _render_for_workspace(args)
     _write_output(text, args.output, str(analysis.root / "Dockerfile"), args.dry_run, ignore)
     return 0
 
@@ -471,16 +482,18 @@ def _write_output(
 
 def cmd_generate_ci(args: argparse.Namespace, driver: EngineDriver | None) -> int:
     _bind("cigen")
+    if args.enable_test and "dev" not in args.targets:
+        raise InvalidSpec("the test stage runs the dev image; include dev in targets")
     cfg = load_config(args, None)
     spec = PipelineSpec(
         platform=args.platform,
         image_name=args.image_name,
         registry=cfg.registry,
         platforms=tuple(dict.fromkeys(args.arch or ("amd64",))),
-        enable_test_stage=bool(args.enable_test),
+        enable_test_stage=args.enable_test,
         push_on_branch=args.push_branch,
         base_image=args.base or "",
-        target_stages=args.targets or TARGETS,
+        target_stages=args.targets,
     )
     text = generate_pipeline(spec)
     _write_output(text, args.output, default_output_path(args.platform), args.dry_run)
@@ -499,24 +512,22 @@ def _make_driver(args: argparse.Namespace, driver: EngineDriver | None) -> Engin
 
 def cmd_build(args: argparse.Namespace, driver: EngineDriver | None) -> int:
     _bind("engine", "sources")
-    cfg, analysis = _analyze_args(args)
-    text, ignore = _render_for_workspace(args, analysis, cfg)
-
+    cfg, analysis, text, ignore = _render_for_workspace(args)
     root = analysis.root
+    needed = required_credential_vars(analysis.repos)
+    missing = [name for name in needed if name not in os.environ]
+    if missing:
+        raise MissingCredential("credential variables not set: " + ", ".join(missing))
+    tags = tuple(args.tag or (_default_tag(cfg.registry, root, args.target),))
+
     dockerfile = Path(args.dockerfile_out or root / GENERATED_DIR / "Dockerfile")
     # A dry run writes nothing into the workspace, only to a path the user named.
     written = bool(args.dockerfile_out or not args.dry_run)
     if written:
         _write_dockerfile(dockerfile, text, ignore)
-
-    needed = required_credential_vars(analysis.repos)
-    missing = [name for name in needed if name not in os.environ]
-    if missing:
-        raise MissingCredential("credential variables not set: " + ", ".join(missing))
     for line in clone_plan(analysis.repos, f"{args.workspace_dir}/src"):
         print(line)
 
-    tags = tuple(args.tag or (f"{cfg.registry}/{root.resolve().name}:{args.target}",))
     request = BuildRequest(
         context=str(root),
         dockerfile_path=str(dockerfile),
@@ -546,6 +557,18 @@ def cmd_build(args: argparse.Namespace, driver: EngineDriver | None) -> int:
         raise NonZeroExit(exc.argv, exc.engine_exit_code, redact(exc.stderr, secrets)) from None
     print(f"built {', '.join(tags)}")
     return 0
+
+
+def _default_tag(registry: str, root: Path, target: str) -> str:
+    """``build``'s tag without ``--tag``: the workspace directory's name made a path component."""
+
+    directory = root.resolve().name
+    name = directory.lower()
+    if not re.fullmatch(_PATH_COMPONENT, name):
+        name = re.sub(r"[^a-z0-9]+", "-", name).strip("-")
+    if not name:
+        raise InvalidArgs(f"workspace directory {directory!r} gives no image name; give --tag")
+    return f"{registry}/{name}:{target}"
 
 
 def _matrix_entries(args: argparse.Namespace) -> list[MatrixEntry]:
@@ -665,8 +688,6 @@ def cmd_run(args: argparse.Namespace, driver: EngineDriver | None) -> int:
 
 def cmd_bench_startup(args: argparse.Namespace, driver: EngineDriver | None) -> int:
     _bind("engine")
-    if args.runs < 1:
-        raise InvalidArgs(f"--runs must be at least 1, got {args.runs}")
     command = ("run", "--rm", args.image, "true")
     if args.dry_run:
         _print_dry_run([command], args.engine)
@@ -705,15 +726,62 @@ def _container_path(text: str) -> str:
     return str(PurePosixPath(text))
 
 
-def _image_ref(name: str, empty: bool = False) -> Callable[[str], str]:
-    """The type of image option ``name``: "" if ``empty``, or a reference not led by ``-``."""
+def _image_ref(name: str, pattern: str, what: str = "an image reference") -> Callable[[str], str]:
+    """The type of image option ``name``: text of the reference grammar's form ``pattern``."""
 
     def check(text: str) -> str:
-        if not (empty and not text or re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9_.:/@+-]*", text)):
-            raise InvalidArgs(f"{name} must be an image reference, got {text!r}")
+        if not re.fullmatch(pattern, text):
+            raise InvalidArgs(f"{name} must be {what}, got {text!r}")
         return text
 
     return check
+
+
+def _extra_package(text: str) -> str:
+    """``--extra-apt`` and ``--extra-pip``: a name that ``is_package_name`` accepts."""
+
+    _bind("depgraph")
+    if not is_package_name(text):
+        raise InvalidSpec(f"invalid extra package name {text!r}")
+    return text
+
+
+def _script(text: str) -> str:
+    """``--script-pre`` and ``--script-post``: a path below the build context, as BuildKit reads."""
+
+    if posixpath.normpath(text).split("/")[0] in ("", ".."):
+        raise InvalidSpec(f"custom script {text!r} is outside the build context")
+    return text
+
+
+# What makes a push branch unusable: a name ``git check-ref-format --branch``
+# rejects (a control, space or ``~^:?*[\`` character, ``..``, ``@{``, an
+# empty component or one that starts with ``.`` or ends with ``.lock``, a
+# leading ``-`` or ``/``, a trailing ``/`` or ``.``, or ``HEAD``), a
+# quote, which would end the string literal of the platform's condition,
+# or a lone surrogate (a byte that is not UTF-8), which the UTF-8 pipeline
+# file cannot name.
+_BAD_BRANCH = (
+    r"""[\x00-\x20\x7f~^:?*[\\'"\ud800-\udfff]|\.\.|@\{|//|(?:\A|/)\."""
+    r"|\.lock(?:/|\Z)|\A[-/]|[/.]\Z|\AHEAD\Z"
+)
+
+
+def _push_branch(text: str) -> str:
+    """``--push-branch``: a git branch name that the push condition can quote."""
+
+    if not text or re.search(_BAD_BRANCH, text):
+        raise InvalidSpec(f"push branch {text!r} is not a git branch name without quotes")
+    return text
+
+
+def _runs(text: str) -> int:
+    """``--runs``: a count by the rule of the ``parallelism`` setting, as an ``InvalidArgs``."""
+
+    try:
+        return _parse_count(text, "--runs")
+    except ConfigError as exc:
+        raise InvalidArgs(str(exc)) from None
 
 
 def _launch_command(text: str) -> tuple[str, ...]:
@@ -775,7 +843,7 @@ _OPTIONS = (
     (("analyze",), "--format", dict(choices=("table", "json", "yaml"), default="table")),
     (_IMAGE, "--target", dict(choices=TARGETS, default="run", help="image flavor")),
     (_IMAGE, "--base",
-     dict(type=_image_ref("--base", empty=True), help="base image (default: ros:<distro>)")),
+     dict(type=_image_ref("--base", _BASE), help="base image (default: ros:<distro>)")),
     (_IMAGE, "--command",
      dict(type=_launch_command, help="launch command (shell-style, default: bash)")),
     (_IMAGE, "--workspace-dir",
@@ -783,28 +851,32 @@ _OPTIONS = (
     (_IMAGE, "--slim-runtime",
      dict(action="store_true", help="install only exec-scope dependencies in the shared stage")),
     (_IMAGE, "--nonroot-run", dict(action="store_true", help="run stage uses the ros user")),
-    (_IMAGE, "--extra-apt", dict(action="append", help="extra OS package")),
-    (_IMAGE, "--extra-pip", dict(action="append", help="extra pip package")),
-    (_IMAGE, "--script-pre", dict(help="custom script before source clones")),
-    (_IMAGE, "--script-post", dict(help="custom script after source clones")),
+    (_IMAGE, "--extra-apt", dict(action="append", type=_extra_package, help="extra OS package")),
+    (_IMAGE, "--extra-pip", dict(action="append", type=_extra_package, help="extra pip package")),
+    (_IMAGE, "--script-pre", dict(type=_script, help="custom script before source clones")),
+    (_IMAGE, "--script-post", dict(type=_script, help="custom script after source clones")),
     (("generate ci",), "--platform",
      dict(choices=("github", "gitlab"), required=True, help="CI platform")),
-    (("generate ci",), "--image-name", dict(required=True, help="image repository name")),
+    (("generate ci",), "--image-name",
+     dict(type=_image_ref("--image-name", _REPOSITORY, "an image repository"), required=True,
+          help="image repository name")),
     (("generate ci",), "--arch",
      dict(action="append", choices=ARCHITECTURES, help="build architecture (repeatable)")),
     (("generate ci",), "--enable-test",
      dict(action="store_true", help="run workspace tests in CI")),
-    (("generate ci",), "--push-branch", dict(default="main", help="branch that may push")),
+    (("generate ci",), "--push-branch",
+     dict(type=_push_branch, default="main", help="branch that may push")),
     (("generate ci",), "--base",
-     dict(type=_image_ref("--base", empty=True), help="base image forwarded to builds")),
-    (("generate ci",), "--targets",
-     dict(type=_targets, help=f"comma list of target stages ({','.join(TARGETS)})")),
+     dict(type=_image_ref("--base", _BASE), help="base image forwarded to builds")),
+    (("generate ci",), "--targets", dict(
+        type=_targets, default=TARGETS, help=f"comma list of target stages ({','.join(TARGETS)})"
+    )),
     (("generate dockerfile", "generate ci"), "--output -o",
      dict(type=_path("--output"), help="output path ('-' for stdout)")),
     (("build",), "--platform",
      dict(action="append", choices=ARCHITECTURES, help="target platform (repeatable)")),
     (("build",), "--tag",
-     dict(action="append", type=_image_ref("--tag"), help="image tag (repeatable)")),
+     dict(action="append", type=_image_ref("--tag", _TAGGED), help="image tag (repeatable)")),
     (_MATRIX, "--distro",
      dict(action="append", dest="distros", choices=tuple(KNOWN_DISTROS), help="restrict distros")),
     (_MATRIX, "--component", dict(action="append", choices=COMPONENTS, help="restrict components")),
@@ -831,7 +903,7 @@ _OPTIONS = (
     (("run",), "--workspace-dir",
      dict(type=_container_path, default="/ws", help="workspace path in image")),
     (("run",), "--plugin-dir", dict(type=_plugin_dir, help="directory of executable run plugins")),
-    (("bench startup",), "--runs", dict(type=int, default=5, help="number of timed runs")),
+    (("bench startup",), "--runs", dict(type=_runs, default=5, help="number of timed runs")),
 )
 
 

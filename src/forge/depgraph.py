@@ -32,6 +32,9 @@ ROSDEP_OS = "ubuntu"
 
 _INDEX_PACKAGE_RE = re.compile(r"[a-z][a-z0-9_]*")
 _WHITESPACE = re.compile(r"\s").search
+# A name that apt-get and pip read as one package: no whitespace, and no
+# leading "-", which would make it an option.
+is_package_name = re.compile(r"(?!-)\S+").fullmatch
 
 
 class RosdepEntry(NamedTuple):
@@ -210,10 +213,11 @@ def _string_list(key: str, raw: list[object]) -> tuple[str, ...]:
     for item in raw:
         if not isinstance(item, str) or not item:
             raise MalformedDatabase(f"key {key!r} lists a non-string package")
-        if _WHITESPACE(item):
-            raise MalformedDatabase(f"key {key!r} has whitespace inside package {item!r}")
-        if item[0] == "-":  # an apt-get or pip option, not a package
-            raise MalformedDatabase(f"key {key!r} lists package {item!r}, which starts with '-'")
+        if not is_package_name(item):
+            raise MalformedDatabase(
+                f"key {key!r} has whitespace inside package {item!r}" if _WHITESPACE(item)
+                else f"key {key!r} lists package {item!r}, which starts with '-'"
+            )
     return tuple(raw)  # type: ignore[arg-type]
 
 

@@ -22,12 +22,11 @@ import json
 import posixpath
 import re
 import shlex
-from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Union
 
 from . import KNOWN_DISTROS, TARGETS
 from .depgraph import ResolvedDependencies
-from .errors import InvalidSpec, UnresolvedDependencies
+from .errors import InvalidSpec
 from .manifest import PackageManifest
 from .sources import RepoSpec, required_credential_vars
 from .textio import hex_digest
@@ -139,7 +138,7 @@ class Violation(NamedTuple):
 
 
 class ImageSpec(NamedTuple):
-    """Everything needed to plan one image build.
+    """Everything needed to plan one image build, as the command line checked it.
 
     An empty ``base_image`` means the distro's ``ros:<distro>`` image.
     """
@@ -157,7 +156,6 @@ class ImageSpec(NamedTuple):
     extra_apt: tuple[str, ...] = ()
     extra_pip: tuple[str, ...] = ()
     slim_runtime: bool = False
-    strict: bool = False
     nonroot_run: bool = False
 
     @property
@@ -179,22 +177,10 @@ _UNNAMEABLE_RE = re.compile(r"[\x00-\x1f\x7f-\x9f\ud800-\udfff]|\A\s|\s\Z")
 _SPACE_OR_CONTROL_RE = re.compile(r"[\s\x00-\x1f\x7f-\x9f\ud800-\udfff]")
 
 
-def _check_spec(spec: ImageSpec, context_root: Path) -> tuple[str, ...]:
-    """Check what the command line does not; return the plan's ``context_paths``."""
+def _check_spec(spec: ImageSpec) -> tuple[str, ...]:
+    """Check that a COPY and an ignore line can name each context path; return them sorted."""
 
-    # The distro index checks the distro, the command line the target, the
-    # launch command and workspace_dir.
-    for extra in (*spec.extra_apt, *spec.extra_pip):
-        # A leading "-" would be an apt-get or pip option.
-        if extra[:1] in ("", "-") or any(c.isspace() for c in extra):
-            raise InvalidSpec(f"invalid extra package name {extra!r}")
     scripts = [s for s in (spec.custom_script_pre, spec.custom_script_post) if s is not None]
-    for script in scripts:
-        # BuildKit reads a COPY source below the context, also "/x" or "../x".
-        if posixpath.normpath(script).split("/")[0] in ("", ".."):
-            raise InvalidSpec(f"custom script {script!r} is outside the build context")
-        if not (context_root / script).is_file():
-            raise InvalidSpec(f"custom script {script!r} not found in build context")
     named = [("package directory", p.source_dir) for p in spec.packages]
     named += [("repository list", name) for name in spec.repos_files]
     named += [("custom script", posixpath.normpath(script)) for script in scripts]
@@ -388,23 +374,17 @@ def _merged(resolved: ResolvedDependencies, spec: ImageSpec) -> tuple[tuple[str,
 
 
 def plan_stages(
-    spec: ImageSpec,
-    resolved: ResolvedDependencies,
-    resolved_exec: ResolvedDependencies,
-    context_root: Path,
+    spec: ImageSpec, resolved: ResolvedDependencies, resolved_exec: ResolvedDependencies
 ) -> DockerfilePlan:
     """Plan the stage graph for one image build: the ``spec.target`` rows of :data:`STAGES`.
 
     With ``slim_runtime`` the shared ``dependencies-install`` stage only
     installs exec-scope dependencies and the ``dev`` stage adds the
     build-only remainder; otherwise the shared stage installs everything
-    and both lineages are identical up to tooling. Custom scripts must
-    exist under ``context_root``, the build context.
+    and both lineages are identical up to tooling.
     """
 
-    context_paths = _check_spec(spec, context_root)
-    if spec.strict and resolved.unresolved:
-        raise UnresolvedDependencies(list(resolved.unresolved))
+    context_paths = _check_spec(spec)
 
     ws = spec.workspace_dir
     packages = tuple(sorted(spec.packages, key=lambda p: p.name))

@@ -85,7 +85,7 @@ class MissingCredential(UserError):
 
 
 class InvalidSpec(UserError):
-    """An ImageSpec or PipelineSpec violates its own constraints."""
+    """An image or pipeline option, or a path the Dockerfile names, violates its constraints."""
 
 
 class UnresolvedDependencies(UserError):

@@ -24,7 +24,7 @@ from conftest import FIXTURE_ROOT, analysis_for, image_spec
 def _plan(fixture: str, distro: str, **spec_kwargs) -> DockerfilePlan:
     analysis = analysis_for(fixture, distro=distro)
     spec = image_spec(analysis, **spec_kwargs)
-    return plan_stages(spec, analysis.resolved, analysis.resolved_exec, analysis.root)
+    return plan_stages(spec, analysis.resolved, analysis.resolved_exec)
 
 
 def minimal_dev() -> DockerfilePlan:

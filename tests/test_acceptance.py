@@ -96,7 +96,7 @@ def _fail(cid: str, title: str, problems: list[str]) -> None:
 def _run_plan(name: str, distro: str, repos_files: tuple[str, ...], **kwargs):
     analysis = analysis_for(name, distro)
     spec = image_spec(analysis, target="run", repos_files=repos_files, **kwargs)
-    return plan_stages(spec, analysis.resolved, analysis.resolved_exec, analysis.root)
+    return plan_stages(spec, analysis.resolved, analysis.resolved_exec)
 
 
 @criterion("C1", "image matrix enumerates 180 unique tags")
@@ -263,7 +263,6 @@ def test_c5_determinism() -> str:
             build_spec(first_analysis),
             first_analysis.resolved,
             first_analysis.resolved_exec,
-            first_analysis.root,
         )
     )
 
@@ -273,7 +272,6 @@ def test_c5_determinism() -> str:
             build_spec(second_analysis),
             second_analysis.resolved,
             second_analysis.resolved_exec,
-            second_analysis.root,
         )
     )
     if second != baseline:
@@ -291,7 +289,6 @@ def test_c5_determinism() -> str:
                 permuted_spec,
                 first_analysis.resolved,
                 first_analysis.resolved_exec,
-                first_analysis.root,
             )
         )
         != baseline
@@ -335,7 +332,7 @@ def test_c5_determinism() -> str:
         permuted_repos,
     )
     repos_spec = spec._replace(source_repos=tuple(reversed(permuted_repos)))
-    if render(plan_stages(repos_spec, resolved, resolved_exec, first_analysis.root)) != baseline:
+    if render(plan_stages(repos_spec, resolved, resolved_exec)) != baseline:
         problems.append("permuting database and repos documents changed the bytes")
 
     for platform in ("github", "gitlab"):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import shutil
 import subprocess
 
@@ -21,7 +23,7 @@ from forge.cigen import (
     default_output_path,
     generate_pipeline,
 )
-from forge.errors import InvalidSpec
+from forge.cli import main
 
 
 def spec(**kwargs) -> PipelineSpec:
@@ -32,6 +34,16 @@ def spec(**kwargs) -> PipelineSpec:
     )
     defaults.update(kwargs)
     return PipelineSpec(**defaults)
+
+
+def forge_ci(*argv: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``forge generate ci -o -``, with ``argv`` last."""
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["generate", "ci", "--platform", "github", "--image-name", "robot-stack",
+                     "-o", "-", *argv])
+    return code, out.getvalue(), err.getvalue()
 
 
 def assert_acyclic(graph: dict[str, list[str]]) -> None:
@@ -144,10 +156,10 @@ def test_test_hook_picks_the_build_tool_by_ros_version(tmp_path, ros_version, ca
 
 
 def test_test_stage_requires_dev_target() -> None:
-    with pytest.raises(InvalidSpec):
-        generate_pipeline(
-            spec(enable_test_stage=True, target_stages=("run",))
-        )
+    message = "the test stage runs the dev image; include dev in targets"
+    assert forge_ci("--enable-test", "--targets", "run") == (
+        2, "", f"forge: error: InvalidSpec: {message}\n"
+    )
 
 
 def test_github_uses_secret_references_only() -> None:
@@ -228,20 +240,19 @@ def test_a_push_branch_is_a_git_branch_name_without_quotes(tmp_path_factory, bra
     )
     # git reads @{...} as a reflog expression; forge takes none of them.
     valid = git.returncode == 0 and not {"'", '"'} & set(branch) and "@{" not in branch
-    try:
-        text = generate_pipeline(spec(push_on_branch=branch, platform="gitlab"))
-    except InvalidSpec as exc:
-        assert not valid, exc
-        assert repr(branch) in str(exc)
-    else:
-        assert valid
-        rule = yaml.safe_load(text)["push"]["rules"][0]["if"]
+    code, out, err = forge_ci("--platform=gitlab", f"--push-branch={branch}")
+    if valid:
+        assert code == 0, err
+        rule = yaml.safe_load(out)["push"]["rules"][0]["if"]
         assert rule == f'$CI_COMMIT_BRANCH == "{branch}"'
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith("forge: error: InvalidSpec: ") and repr(branch) in err, err
 
 
 def test_a_quote_in_the_push_branch_cannot_widen_the_condition() -> None:
-    with pytest.raises(InvalidSpec, match="not a git branch name"):
-        generate_pipeline(spec(push_on_branch="x' || true || '"))
+    code, out, err = forge_ci("--push-branch", "x' || true || '")
+    assert (code, out) == (2, "") and "not a git branch name" in err
 
 
 _PRINTABLE = st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=40)

@@ -753,7 +753,7 @@ _DEEP_LIST = "[" * 3000 + "]" * 3000
         (
             ["generate", "ci", "--platform", "github", "--image-name", "app\n", "-o", "-"],
             "",
-            "InvalidSpec: invalid image name 'app\\n'",
+            "InvalidArgs: --image-name must be an image repository, got 'app\\n'",
         ),
         (
             ["matrix", "list", "--config", "{path}"],
@@ -1332,6 +1332,20 @@ def test_build_missing_credential_exits_2(capsys, monkeypatch, tmp_path) -> None
     assert code == 2
     assert "MissingCredential" in captured.err
     assert "GIT_TOKEN" in captured.err
+
+
+@pytest.mark.parametrize("dry_run", [False, True])
+def test_a_missing_credential_fails_the_build_before_it_writes(
+    capsys, monkeypatch, tmp_path, dry_run: bool
+) -> None:
+    monkeypatch.delenv("GIT_TOKEN", raising=False)
+    root = tmp_path / "ws"
+    shutil.copytree(MULTI, root)
+    listing = sorted(root.rglob("*"))
+    options = ["--dry-run", "--dockerfile-out", str(root / "out" / "Dockerfile")] if dry_run else []
+    assert main(["build", str(root), *options], driver=RecordingDriver()) == 2
+    assert "MissingCredential" in capsys.readouterr().err
+    assert sorted(root.rglob("*")) == listing
 
 
 def test_build_dry_run_redacts_credentials(capsys, monkeypatch, tmp_path) -> None:

@@ -36,11 +36,10 @@ from forge.dockergen import (
 )
 from forge.cli import main
 from forge.depgraph import ResolvedDependencies
-from forge.errors import UnresolvedDependencies
 from forge.manifest import PackageManifest, scan_workspace
 from forge.sources import RepoSpec
 
-from conftest import image_spec
+from conftest import FIXTURE_ROOT, image_spec
 from dockerfile_syntax import (
     arg_default,
     copy_landings,
@@ -55,11 +54,10 @@ from dockerfile_syntax import (
 
 def make_plan(analysis, **kwargs) -> DockerfilePlan:
     spec = image_spec(analysis, **kwargs)
-    return plan_stages(spec, analysis.resolved, analysis.resolved_exec, analysis.root)
+    return plan_stages(spec, analysis.resolved, analysis.resolved_exec)
 
 
-# Spec fields that add or drop instructions in some stage. Custom scripts
-# are planned against a context that holds them.
+# Spec fields that add or drop instructions in some stage.
 _GRAPH_FIELDS = st.fixed_dictionaries({}, optional={
     "slim_runtime": st.booleans(),
     "nonroot_run": st.booleans(),
@@ -74,11 +72,8 @@ def test_every_plan_has_the_stages_and_parents_of_its_target(
     minimal_analysis, multi_repo_analysis, catkin_analysis, fixture, target, fields
 ) -> None:
     analysis = (minimal_analysis, multi_repo_analysis, catkin_analysis)[fixture]
-    with tempfile.TemporaryDirectory() as tmp:
-        for name in ("pre.sh", "post.sh"):
-            (Path(tmp) / name).write_text("true\n", encoding="utf-8")
-        spec = image_spec(analysis, target=target, **fields)
-        plan = plan_stages(spec, analysis.resolved, analysis.resolved_exec, Path(tmp))
+    spec = image_spec(analysis, target=target, **fields)
+    plan = plan_stages(spec, analysis.resolved, analysis.resolved_exec)
     rows = [row for row in STAGES if target in row.targets]
     assert list(plan.stages) == [row.name for row in rows]
     assert [line for line in instructions(render(plan)) if line.startswith("FROM ")] == [
@@ -102,10 +97,16 @@ def test_validate_passes_with_slim_runtime(multi_repo_analysis) -> None:
     assert validate_plan(plan) == []
 
 
-def test_strict_mode_rejects_unresolved(unresolved_analysis) -> None:
-    with pytest.raises(UnresolvedDependencies) as excinfo:
-        make_plan(unresolved_analysis, target="run", strict=True)
-    assert "no_such_thing" in str(excinfo.value)
+@pytest.mark.parametrize(
+    "argv", [["generate", "dockerfile", "-o"], ["build", "--dry-run", "--dockerfile-out"]]
+)
+def test_strict_mode_rejects_unresolved(tmp_path, argv: list[str]) -> None:
+    # The check comes before planning, so no Dockerfile is written.
+    dockerfile = tmp_path / "Dockerfile"
+    code, out, err = _forge([*argv, str(dockerfile), str(FIXTURE_ROOT / "unresolved"), "--strict"])
+    assert (code, out) == (2, "")
+    assert err.startswith("forge: error: UnresolvedDependencies: ") and "no_such_thing" in err
+    assert not dockerfile.exists()
 
 
 def test_lenient_mode_tolerates_unresolved(unresolved_analysis) -> None:
@@ -293,9 +294,8 @@ def test_render_invariant_under_input_permutation(multi_repo_analysis) -> None:
     )
     resolved = multi_repo_analysis.resolved
     resolved_exec = multi_repo_analysis.resolved_exec
-    root = multi_repo_analysis.root
-    assert render(plan_stages(spec, resolved, resolved_exec, root)) == render(
-        plan_stages(permuted, resolved, resolved_exec, root)
+    assert render(plan_stages(spec, resolved, resolved_exec)) == render(
+        plan_stages(permuted, resolved, resolved_exec)
     )
 
 
@@ -493,7 +493,7 @@ def test_every_run_body_reads_back_as_planned(repos, apt, pip, build_only, slim)
         ros_distro="humble", source_repos=tuple(RepoSpec(*repo) for repo in repos),
         extra_apt=tuple(apt), extra_pip=tuple(pip), slim_runtime=slim,
     )
-    plan = plan_stages(spec, build_deps, _NO_DEPS, Path("."))
+    plan = plan_stages(spec, build_deps, _NO_DEPS)
     read = [shlex.split(line[4:]) for line in instructions(render(plan)) if line.startswith("RUN ")]
     for install in (i for stage in plan.stages.values() for i in stage if isinstance(i, Install)):
         assert shlex.split(install.command) in read
@@ -772,10 +772,10 @@ def test_dev_copies_each_source_root_once_and_the_ignore_file_keeps_the_rest_out
             ros_distro="humble", target=target, packages=packages,
             repos_files=workspace["repos"], **scripts,
         )
-        plan = plan_stages(spec, _NO_DEPS, _NO_DEPS, root)
+        plan = plan_stages(spec, _NO_DEPS, _NO_DEPS)
         one_per_kind = {_kind(p.source_dir): p for p in packages}
         small = spec._replace(packages=tuple(one_per_kind.values()))
-        small_text = render(plan_stages(small, _NO_DEPS, _NO_DEPS, root))
+        small_text = render(plan_stages(small, _NO_DEPS, _NO_DEPS))
 
     assert sorted(p.source_dir for p in packages) == sorted(workspace["live"])
     assert validate_plan(plan) == []
@@ -848,12 +848,10 @@ def test_a_flat_workspace_of_200_packages_stays_under_the_layer_bound(tmp_path) 
     assert max(len(line) for line in text.splitlines() if "pkg_" in line) < 40
 
 
-def test_the_largest_plan_stays_under_the_layer_bound(tmp_path, multi_repo_analysis) -> None:
+def test_the_largest_plan_stays_under_the_layer_bound(multi_repo_analysis) -> None:
     # Every option that adds a layer: custom scripts, credentials, slim
     # runtime with build-only packages of both managers, a non-root run,
     # and packages below src/ and below another top-level directory.
-    for name in ("pre.sh", "post.sh"):
-        (tmp_path / name).write_text("true\n", encoding="utf-8")
     build_only = _NO_DEPS._replace(system_pkgs=("libfoo-dev",), python_pkgs=("foo",))
     spec = ImageSpec(
         ros_distro="humble", target="run",
@@ -862,7 +860,7 @@ def test_the_largest_plan_stays_under_the_layer_bound(tmp_path, multi_repo_analy
         custom_script_pre="pre.sh", custom_script_post="post.sh",
         slim_runtime=True, nonroot_run=True, extra_apt=("curl",), extra_pip=("requests",),
     )
-    plan = plan_stages(spec, build_only, _NO_DEPS, tmp_path)
+    plan = plan_stages(spec, build_only, _NO_DEPS)
     text = render(plan)
     assert "ARG GIT_TOKEN" in text and "USER ros" in stage_text(text, "run")
     assert validate_plan(plan) == []

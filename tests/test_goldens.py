@@ -44,7 +44,7 @@ def test_the_well_formed_check_finds_a_line_a_newline_split(minimal_analysis) ->
     analysis = minimal_analysis
     repo = RepoSpec("dep\n", "https://git.example.com/dep.git", "main")
     spec = image_spec(analysis, source_repos=(repo,))
-    plan = plan_stages(spec, analysis.resolved, analysis.resolved_exec, analysis.root)
+    plan = plan_stages(spec, analysis.resolved, analysis.resolved_exec)
     problems = dockerfile_problems(render(plan))
     assert len(problems) == 2
     assert problems[0].startswith("RUN body is not shell")
