@@ -26,7 +26,7 @@ import shlex
 import sys
 import time
 from pathlib import Path, PurePosixPath
-from typing import Callable, NamedTuple, NoReturn
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 from . import ARCHITECTURES, COMPONENTS, KNOWN_DISTROS, ML_FLAVORS, TARGETS, __version__
 from .errors import (
@@ -43,7 +43,7 @@ from .errors import (
     UnwritableOutput,
     shown,
 )
-from .textio import ComposedDocument, dump_yaml, read_utf8, yaml_errors
+from .textio import ComposedDocument, dump_yaml, read_utf8
 
 GENERATED_DIR = ".forge"
 
@@ -173,6 +173,8 @@ _BASE = rf"(?:{_TAGGED}(?:@{_DIGEST})?)?"
 def _parse_registry(value: object, name: str) -> str:
     if not re.fullmatch(_REGISTRY, text := _parse_nonempty(value, name)):
         raise ConfigError(f"{name} must be a registry host[:port][/path], got {text!r}")
+    if re.match(_PATH_BRACKET, text):
+        raise ConfigError(f"{name} {_BRACKETED}, got {text!r}")
     return text
 
 
@@ -221,15 +223,14 @@ def load_config(args: argparse.Namespace, workspace_root: Path | None) -> Global
     written: dict[object, tuple[object, str]] = {}
     if config_path.is_file():
         path = str(config_path)
-        with yaml_errors(path, ConfigError):
-            doc = ComposedDocument(read_utf8(path, ConfigError), path)
-            pairs = {} if doc.root is None else doc.mapping(doc.root)
-            if pairs is None:
-                raise ConfigError(f"{doc.position(doc.root)}: the document is not a mapping")
-            for key, (key_node, node) in pairs.items():
-                if key not in _CONFIG_KEYS:
-                    raise ConfigError(f"{doc.position(key_node)}: unknown config key {shown(key)}")
-                written[key] = (doc.construct(node), doc.position(node))
+        doc = ComposedDocument(read_utf8(path, ConfigError), path, ConfigError)
+        pairs = {} if doc.root is None else doc.mapping(doc.root)
+        if pairs is None:
+            doc.fail(doc.root, "the document is not a mapping")
+        for key, (key_node, node) in pairs.items():
+            if key not in _CONFIG_KEYS:
+                doc.fail(key_node, f"unknown config key {shown(key)}")
+            written[key] = (doc.construct(node), doc.position(node))
     elif explicit:
         raise ConfigError(f"config file {explicit!r} not found")
 
@@ -307,7 +308,7 @@ def analyze_workspace(
     declared = DeclaredKeys.from_workspace(workspace)
     internal = {pkg.name for pkg in workspace.packages}
     resolved = resolve(declared, db, index, internal, repos)
-    resolved_exec = runtime_subset(resolved, declared, db, index, internal, repos)
+    resolved_exec = runtime_subset(declared, db, index, internal, repos)
     return WorkspaceAnalysis(
         root=root,
         workspace=workspace,
@@ -348,7 +349,7 @@ def _resolution_doc(analysis: WorkspaceAnalysis) -> dict[str, object]:
     return doc
 
 
-def _print_bucket(label: str, items: tuple[str, ...]) -> None:
+def _print_bucket(label: str, items: Sequence[str]) -> None:
     if items:
         print(f"{label} ({len(items)}): " + ", ".join(items))
     else:
@@ -377,10 +378,7 @@ def cmd_analyze(args: argparse.Namespace, driver: EngineDriver | None) -> int:
         _print_bucket("python packages", resolved.python_pkgs)
         _print_bucket("source-satisfied keys", resolved.source_keys)
         if analysis.repos:
-            print(
-                f"source repos ({len(analysis.repos)}): "
-                + ", ".join(r.local_name for r in analysis.repos)
-            )
+            _print_bucket("source repos", [r.local_name for r in analysis.repos])
         _print_bucket("unresolved", resolved.unresolved)
 
     _check_strict(cfg, resolved)
@@ -485,6 +483,7 @@ def cmd_generate_ci(args: argparse.Namespace, driver: EngineDriver | None) -> in
     if args.enable_test and "dev" not in args.targets:
         raise InvalidSpec("the test stage runs the dev image; include dev in targets")
     cfg = load_config(args, None)
+    _docker_ref(f"{cfg.registry}/{args.image_name}", f"--image-name under {cfg.registry!r}")
     spec = PipelineSpec(
         platform=args.platform,
         image_name=args.image_name,
@@ -568,7 +567,7 @@ def _default_tag(registry: str, root: Path, target: str) -> str:
         name = re.sub(r"[^a-z0-9]+", "-", name).strip("-")
     if not name:
         raise InvalidArgs(f"workspace directory {directory!r} gives no image name; give --tag")
-    return f"{registry}/{name}:{target}"
+    return _docker_ref(f"{registry}/{name}:{target}", f"the default tag of {directory!r}")
 
 
 def _matrix_entries(args: argparse.Namespace) -> list[MatrixEntry]:
@@ -726,15 +725,46 @@ def _container_path(text: str) -> str:
     return str(PurePosixPath(text))
 
 
-def _image_ref(name: str, pattern: str, what: str = "an image reference") -> Callable[[str], str]:
-    """The type of image option ``name``: text of the reference grammar's form ``pattern``."""
+def _image_ref(
+    name: str, pattern: str, what: str = "an image reference", docker: bool = True
+) -> Callable[[str], str]:
+    """The type of image option ``name``: the grammar's form ``pattern``, and with ``docker``
+    a reference that docker takes."""
 
     def check(text: str) -> str:
         if not re.fullmatch(pattern, text):
             raise InvalidArgs(f"{name} must be {what}, got {text!r}")
-        return text
+        return _docker_ref(text, name) if docker else text
 
     return check
+
+
+# Docker reads a bracketed host without ":" or A-F ("[0]/a") as a path, which "[" cannot start.
+_PATH_BRACKET = r"\[[0-9a-f]+\](?:/|$)"
+_BRACKETED = "must not start with a bracketed host without ':', which docker reads as a path"
+
+
+def _docker_ref(ref: str, what: str) -> str:
+    """``ref``, which the grammar accepts, if docker's ``ParseNormalizedNamed`` takes it too.
+
+    That refuses 64 lower-case hex digits, an image ID, and a repository path (the name
+    after its domain) over 255 characters once normalize.go has given a one-part name on
+    the default domain its ``library/``: https://github.com/distribution/reference
+    """
+
+    if re.fullmatch(r"[a-f0-9]{64}", ref):
+        raise InvalidArgs(f"{what} must not be 64 hex digits, which docker reads as an image ID")
+    if re.match(_PATH_BRACKET, ref):
+        raise InvalidArgs(f"{what} {_BRACKETED}, got {ref!r}")
+    name = re.fullmatch(r"(.*?)(?::[\w.-]+)?(?:@.*)?", ref)[1]  # without tag and digest
+    domain, _, path = name.partition("/")
+    if not (path and (domain == "localhost" or re.search("[.:A-Z]", domain))):
+        domain, path = "docker.io", name
+    if domain in ("docker.io", "index.docker.io") and "/" not in path:
+        path = f"library/{path}"
+    if len(path) > 255:
+        raise InvalidArgs(f"{what} must be a docker repository of at most 255 characters: {path!r}")
+    return ref
 
 
 def _extra_package(text: str) -> str:
@@ -857,9 +887,10 @@ _OPTIONS = (
     (_IMAGE, "--script-post", dict(type=_script, help="custom script after source clones")),
     (("generate ci",), "--platform",
      dict(choices=("github", "gitlab"), required=True, help="CI platform")),
-    (("generate ci",), "--image-name",
-     dict(type=_image_ref("--image-name", _REPOSITORY, "an image repository"), required=True,
-          help="image repository name")),
+    (("generate ci",), "--image-name", dict(
+        type=_image_ref("--image-name", _REPOSITORY, "an image repository", docker=False),
+        required=True, help="image repository name",
+    )),
     (("generate ci",), "--arch",
      dict(action="append", choices=ARCHITECTURES, help="build architecture (repeatable)")),
     (("generate ci",), "--enable-test",

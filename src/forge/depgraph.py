@@ -22,7 +22,7 @@ from . import KNOWN_DISTROS, __version__
 from .errors import MalformedDatabase, shown
 from .manifest import Workspace
 from .sources import RepoSpec
-from .textio import ComposedDocument, cache_name, read_cache, write_json, yaml_errors
+from .textio import ComposedDocument, cache_name, read_cache, write_json
 
 ROSDEP_CACHE_FORMAT = 2
 """Layout version of cached rosdep databases; part of every cache key."""
@@ -139,8 +139,7 @@ def load_rosdep_db(
     records: dict[str, object] = {}
     entries: dict[str, RosdepEntry] = {}
     for text, name in zip(documents, names, strict=True):
-        with yaml_errors(name, MalformedDatabase):
-            _read_records(ComposedDocument(text, name), records, entries)
+        _read_records(ComposedDocument(text, name, MalformedDatabase), records, entries)
 
     if cache_path is not None and write_cache:
         write_json(cache_path, {"key": key, "records": records})
@@ -152,26 +151,20 @@ def _read_records(
 ) -> None:
     """Add each key's :data:`ROSDEP_OS` record in ``doc`` to ``records`` and ``entries``."""
 
-    if doc.root is None:
-        return
     keys = doc.mapping(doc.root)
     if keys is None:
-        if doc.construct(doc.root) is None:
+        if doc.root is None or doc.construct(doc.root) is None:
             return
-        raise MalformedDatabase(f"{doc.position(doc.root)}: the document is not a mapping")
+        doc.fail(doc.root, "the document is not a mapping")
     for key, (key_node, node) in keys.items():
         if not isinstance(key, str) or not key:
-            raise MalformedDatabase(
-                f"{doc.position(key_node)}: key {key!r} must be a non-empty string"
-            )
+            doc.fail(key_node, f"key {key!r} must be a non-empty string")
         per_os = doc.mapping(node)
         if per_os is None:
             # Only a mapping node builds a dict, so any other value but null is wrong.
             if doc.construct(node) is None:
                 continue
-            raise MalformedDatabase(
-                f"{doc.position(node)}: key {key!r} does not map OS names to records"
-            )
+            doc.fail(node, f"key {key!r} does not map OS names to records")
         _, record = per_os.get(ROSDEP_OS, (None, None))
         if record is None:
             continue
@@ -179,7 +172,7 @@ def _read_records(
         try:
             entries[key] = _parse_record(key, records[key])
         except MalformedDatabase as exc:
-            raise MalformedDatabase(f"{doc.position(record)}: {exc}") from None
+            doc.fail(record, str(exc))
 
 
 def _cached_entries(cached: dict | None) -> dict[str, RosdepEntry] | None:
@@ -230,35 +223,22 @@ def load_distro_index(text: str, path: str) -> DistroIndex:
     built as values.
     """
 
-    with yaml_errors(path, MalformedDatabase):
-        doc = ComposedDocument(text, path)
-        top = doc.mapping(doc.root) or {}
-        _, node = top.get("distro", (None, doc.root))
-        body = doc.mapping(node) if "distro" in top else None
-        if body is None:
-            where = path if node is None else doc.position(node)
-            raise MalformedDatabase(f"{where}: expected a top-level 'distro' mapping")
-        # Each value's node, or the mapping's for a missing value.
-        at = {key: body.get(key, (None, node))[1] for key in ("name", "ros_version", "packages")}
-        name, ros_version, packages = (None if n is node else doc.construct(n) for n in at.values())
+    doc = ComposedDocument(text, path, MalformedDatabase)
+    node, body = doc.section("distro")
+    (name, name_at), (ros_version, version_at), (packages, packages_at) = doc.fields(
+        node, body, ("name", "ros_version", "packages")
+    )
     if not isinstance(name, str) or name not in KNOWN_DISTROS:
-        raise MalformedDatabase(f"{doc.position(at['name'])}: unknown distro name {shown(name)}")
+        doc.fail(name_at, f"unknown distro name {shown(name)}")
     # A bool or float equal to the version would reach ROS_VERSION as "True" or "2.0".
     if type(ros_version) is not int or ros_version != KNOWN_DISTROS[name]:
-        raise MalformedDatabase(
-            f"{doc.position(at['ros_version'])}: distro {name!r} must declare "
-            f"ros_version {KNOWN_DISTROS[name]}"
-        )
+        doc.fail(version_at, f"distro {name!r} must declare ros_version {KNOWN_DISTROS[name]}")
     if not isinstance(packages, list):
-        raise MalformedDatabase(
-            f"{doc.position(at['packages'])}: distro {name!r} has no package list"
-        )
+        doc.fail(packages_at, f"distro {name!r} has no package list")
     # Only a sequence node builds a list, one item per node.
-    for pkg, item in zip(packages, at["packages"].value):
+    for pkg, item in zip(packages, packages_at.value):
         if not isinstance(pkg, str) or not _INDEX_PACKAGE_RE.fullmatch(pkg):
-            raise MalformedDatabase(
-                f"{doc.position(item)}: distro {name!r} lists invalid package {shown(pkg)}"
-            )
+            doc.fail(item, f"distro {name!r} lists invalid package {shown(pkg)}")
     return DistroIndex(distro=name, ros_version=ros_version, packages=frozenset(packages))
 
 
@@ -332,7 +312,6 @@ def resolve(
 
 
 def runtime_subset(
-    resolved: ResolvedDependencies,
     keys: DeclaredKeys,
     db: RosdepDatabase,
     index: DistroIndex,
@@ -341,6 +320,4 @@ def runtime_subset(
 ) -> ResolvedDependencies:
     """Exec-scope re-resolution, for runtime images without build-only deps."""
 
-    if resolved.scope != "all":
-        raise ValueError("runtime_subset expects an all-scope resolution")
     return resolve(keys, db, index, internal, repos, scope="exec_only")

@@ -44,7 +44,7 @@ VERSION_RE = re.compile(r"\d+(\.\d+)*")
 
 IGNORE_MARKERS = ("AMENT_IGNORE", "CATKIN_IGNORE", "COLCON_IGNORE")
 
-MANIFEST_MEMO_FORMAT = 6
+MANIFEST_MEMO_FORMAT = 7
 """Layout version of memoized manifests; part of every memo key."""
 
 RACY_MARGIN_NS = 2_000_000_000
@@ -63,14 +63,16 @@ _ABSENT = (-1, -1, -1, -1, -1)
 """The stat signature of a path that names nothing."""
 
 # Dependency tag -> scopes it contributes to. ``depend`` expands to both
-# build and exec; ``build_export_depend`` and ``buildtool_depend`` count as
-# build-scope because both are needed to compile against the package.
-# Nothing installs test dependencies, so ``test_depend`` adds to no scope.
+# build and exec; the build, build-export and buildtool tags (REP 149) count
+# as build-scope because each is needed to compile against the package.
+# Nothing installs test dependencies, so ``test_depend`` adds to no scope;
+# ``doc_depend``, which rosdep leaves out by default, is not read at all.
 _DEP_TAG_SCOPES = {
     "depend": ("build", "exec"),
     "build_depend": ("build",),
     "build_export_depend": ("build",),
     "buildtool_depend": ("build",),
+    "buildtool_export_depend": ("build",),
     "exec_depend": ("exec",),
     "run_depend": ("exec",),
     "test_depend": (),

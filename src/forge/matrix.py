@@ -15,7 +15,7 @@ from typing import Collection, NamedTuple, Sequence
 
 from . import ARCHITECTURES, COMPONENTS, KNOWN_DISTROS, ML_FLAVORS
 from .errors import MalformedDatabase
-from .textio import dump_yaml, load_yaml
+from .textio import ComposedDocument, dump_yaml
 
 _FLAVOR_SUFFIX = dict(zip(ML_FLAVORS, ("", "-cuda", "-tf", "-tf-cpp", "-torch", "-torch-cpp")))
 
@@ -46,8 +46,9 @@ def load_base_image_table() -> BaseImageTable:
     """The base reference table of the packaged ``ml_bases.yaml``; its shape is checked by tests."""
 
     path = resources.files("forge.data").joinpath("ml_bases.yaml")
-    doc = load_yaml(path.read_text("utf-8"), str(path), MalformedDatabase)
-    return BaseImageTable(os_bases=doc["os_bases"], accelerator_bases=doc["accelerator_bases"])
+    doc = ComposedDocument(path.read_text("utf-8"), str(path), MalformedDatabase)
+    table = doc.construct(doc.root)
+    return BaseImageTable(os_bases=table["os_bases"], accelerator_bases=table["accelerator_bases"])
 
 
 def enumerate_matrix(

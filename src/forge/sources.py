@@ -15,10 +15,8 @@ import re
 from pathlib import PurePosixPath
 from typing import Iterable, NamedTuple, Sequence
 
-import yaml
-
 from .errors import MalformedReposFile, UnsupportedVcsType, shown
-from .textio import ComposedDocument, yaml_errors
+from .textio import ComposedDocument, Node
 
 _SEGMENT_RE = re.compile(r"[A-Za-z0-9_.-]+")
 _PLACEHOLDER_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
@@ -51,48 +49,38 @@ def parse_repos(yaml_text: str, path: str) -> ReposList:
     each entry's ``type``, ``url`` and ``version`` are built as values.
     """
 
-    with yaml_errors(path, MalformedReposFile):
-        doc = ComposedDocument(yaml_text, path)
-        top = doc.mapping(doc.root) or {}
-        _, node = top.get("repositories", (None, doc.root))
-        entries = doc.mapping(node) if "repositories" in top else None
-        if entries is None:
-            where = path if node is None else doc.position(node)
-            raise MalformedReposFile(f"{where}: expected a top-level 'repositories' mapping")
-        repos = [_repo_spec(doc, name, *nodes) for name, nodes in entries.items()]
+    doc = ComposedDocument(yaml_text, path, MalformedReposFile)
+    _, entries = doc.section("repositories")
+    repos = [_repo_spec(doc, name, *nodes) for name, nodes in entries.items()]
     repos.sort(key=lambda r: r.local_name)
     return tuple(repos)
 
 
-def _repo_spec(
-    doc: ComposedDocument, name: object, name_node: yaml.Node, node: yaml.Node
-) -> RepoSpec:
+def _repo_spec(doc: ComposedDocument, name: object, name_node: Node, node: Node) -> RepoSpec:
     """The entry ``name: node``; an error names the bad node, or the entry's for a missing value."""
 
     if not isinstance(name, str) or not safe_relative_path(name):
-        raise MalformedReposFile(f"{doc.position(name_node)}: invalid repository name {name!r}")
+        doc.fail(name_node, f"invalid repository name {name!r}")
     body = doc.mapping(node)
     if body is None:
-        raise MalformedReposFile(f"{doc.position(node)}: repository {name!r} is not a mapping")
-
-    # Each value's node, or the entry's for a missing value.
-    at = {key: body.get(key, (None, node))[1] for key in ("type", "url", "version")}
-    vcs_type, url, version = (None if n is node else doc.construct(n) for n in at.values())
-
-    def where(key: str) -> str:
-        return f"{doc.position(at[key])}: repository {name!r}"
-
+        doc.fail(node, f"repository {name!r} is not a mapping")
+    (vcs_type, type_at), (url, url_at), (version, version_at) = doc.fields(
+        node, body, ("type", "url", "version")
+    )
+    entry = f"repository {name!r}"
     if "type" not in body:
-        raise MalformedReposFile(f"{where('type')} is missing a vcs type")
+        doc.fail(type_at, f"{entry} is missing a vcs type")
     if not isinstance(vcs_type, str) or not vcs_type:
-        raise MalformedReposFile(f"{where('type')} has an invalid vcs type {shown(vcs_type)}")
+        doc.fail(type_at, f"{entry} has an invalid vcs type {shown(vcs_type)}")
     if vcs_type != "git":
-        raise UnsupportedVcsType(f"{where('type')} uses {vcs_type!r}, only git is supported")
+        raise UnsupportedVcsType(
+            f"{doc.position(type_at)}: {entry} uses {vcs_type!r}, only git is supported"
+        )
     if not isinstance(url, str) or not url or re.search(r"\s", url):
-        raise MalformedReposFile(f"{where('url')} has an invalid url")
+        doc.fail(url_at, f"{entry} has an invalid url")
     if version is not None:
         if not isinstance(version, str) or not version or re.search(r"\s", version):
-            raise MalformedReposFile(f"{where('version')} has an invalid version")
+            doc.fail(version_at, f"{entry} has an invalid version")
     return RepoSpec(local_name=name, url=url, version=version)
 
 

@@ -4,15 +4,14 @@ Every YAML document forge reads is composed into a node tree by
 :class:`ComposedDocument`, with libyaml's ``CSafeLoader`` when PyYAML was
 built with it and with the pure-Python ``SafeLoader`` otherwise. Both
 build the same plain objects; libyaml is several times faster on large
-rosdep databases. :func:`load_yaml` builds an input file's whole document
-from its tree; a rosdep database is read node by node, so that only the
-keys and the one OS record per key that forge uses are built. A value
-PyYAML's constructor fails on with a Python exception (``!!int abc``)
-raises a :class:`yaml.constructor.ConstructorError` marked at the
-innermost node that fails, like a syntax error. :func:`yaml_errors` turns
-either into the caller's error naming the file, whose path is also the
-stream name that PyYAML's marks print. Every YAML
-document forge writes goes through :func:`dump_yaml`, with libyaml's
+rosdep databases. Only the nodes forge uses are built: of a rosdep
+database, the keys and the one OS record per key. A document raises its
+input's own error class, as ``<path>: not valid YAML: ...`` for text that
+is not valid YAML, a merge or key ``yaml.safe_load`` rejects, or a value
+PyYAML's constructor fails on (``!!int abc``, marked at the innermost node
+that fails), and at a node's ``path:line:column`` from
+:meth:`ComposedDocument.fail`. No other module imports ``yaml``. Every
+YAML document forge writes goes through :func:`dump_yaml`, with libyaml's
 ``CSafeDumper`` under the same fallback.
 
 A cache file under forge's cache directory is a JSON object that stores
@@ -32,10 +31,10 @@ import binascii
 import contextlib
 import io
 import os
-from collections.abc import Callable, Hashable, Iterator
+from collections.abc import Callable, Hashable, Sequence
 from functools import partial
 from pathlib import Path
-from typing import Literal
+from typing import Literal, NoReturn
 
 import yaml
 
@@ -44,13 +43,8 @@ from .errors import UserError
 _MAP_TAG = "tag:yaml.org,2002:map"
 _STR_TAG = "tag:yaml.org,2002:str"
 
-
-def load_yaml(text: str, path: str | Path, error: type[UserError]) -> object:
-    """Plain objects from the YAML ``text`` of ``path``; invalid YAML raises ``error`` naming it."""
-
-    with yaml_errors(path, error):
-        doc = ComposedDocument(text, str(path))
-        return None if doc.root is None else doc.construct(doc.root)
+Node = yaml.Node
+Pairs = dict[object, tuple[Node, Node]]
 
 
 def dump_yaml(value: object, sort_keys: bool, width: int = 80) -> str:
@@ -74,48 +68,44 @@ def dump_yaml(value: object, sort_keys: bool, width: int = 80) -> str:
         return yaml.dump(value, Dumper=yaml.SafeDumper, **options)
 
 
-@contextlib.contextmanager
-def yaml_errors(path: str | Path, error: type[UserError]) -> Iterator[None]:
-    """Raise ``error`` as ``<path>: not valid YAML: ...`` for a YAML error in the block."""
-
-    try:
-        yield
-    except yaml.YAMLError as exc:
-        raise error(f"{path}: not valid YAML: {exc}") from exc
-
-
 class ComposedDocument:
     """One YAML document as a node tree; nodes are built only on request.
 
     ``name`` is the document's path: PyYAML's error marks print it, and
     :meth:`position` starts with it. ``root`` is None for an empty
-    document. Raises :class:`yaml.YAMLError` for text that is not valid
-    YAML.
+    document. Every error about the document, from composing it, reading a
+    mapping or building a value, is an ``error``.
     """
 
-    def __init__(self, text: str, name: str) -> None:
+    def __init__(self, text: str, name: str, error: type[UserError]) -> None:
         stream = io.StringIO(text)
         stream.name = name
-        self.name = name
+        self.name, self.error = name, error
         self._loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)(stream)
         try:
             self.root = self._loader.get_single_node()
+        except yaml.YAMLError as exc:
+            raise self._invalid(exc) from exc
         finally:
             self._loader.dispose()
 
-    def construct(self, node: yaml.Node) -> object:
+    def construct(self, node: Node) -> object:
         """``node`` and everything below it as plain objects, as ``yaml.safe_load`` builds them."""
 
         if node.tag == _STR_TAG and isinstance(node, yaml.ScalarNode):
             return node.value  # what the constructor returns, without its setup
         try:
-            return self._loader.construct_document(node)
-        except _BUILD_ERRORS as exc:
-            raise yaml.constructor.ConstructorError(
-                None, None, f"cannot construct a value: {exc}", _failing(node).start_mark
-            ) from exc
+            try:
+                return self._loader.construct_document(node)
+            except _BUILD_ERRORS as exc:
+                # Finding the failing node may build one that raises a YAMLError.
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"cannot construct a value: {exc}", _failing(node).start_mark
+                ) from exc
+        except yaml.YAMLError as exc:
+            raise self._invalid(exc) from exc
 
-    def mapping(self, node: yaml.Node | None) -> dict[object, tuple[yaml.Node, yaml.Node]] | None:
+    def mapping(self, node: Node | None) -> Pairs | None:
         """The keys of a plain mapping node, each with its key node and value node.
 
         None for any other node. Keys are what ``yaml.safe_load`` makes of
@@ -127,27 +117,53 @@ class ComposedDocument:
 
         if not isinstance(node, yaml.MappingNode) or node.tag != _MAP_TAG:
             return None
-        self._loader.flatten_mapping(node)
-        pairs: dict[object, tuple[yaml.Node, yaml.Node]] = {}
-        for pair in node.value:
-            key_node = pair[0]
-            if key_node.tag == _STR_TAG and isinstance(key_node, yaml.ScalarNode):
-                key = key_node.value
-            else:
-                key = self.construct(key_node)
-                if not isinstance(key, Hashable):
+        pairs: Pairs = {}
+        try:
+            self._loader.flatten_mapping(node)
+            for pair in node.value:
+                key_node = pair[0]
+                if key_node.tag == _STR_TAG and isinstance(key_node, yaml.ScalarNode):
+                    key = key_node.value
+                elif not isinstance(key := self.construct(key_node), Hashable):
                     raise yaml.constructor.ConstructorError(
                         "while constructing a mapping", node.start_mark,
                         "found unhashable key", key_node.start_mark,
                     )
-            pairs[key] = pair
+                pairs[key] = pair
+        except yaml.YAMLError as exc:
+            raise self._invalid(exc) from exc
         return pairs
 
-    def position(self, node: yaml.Node) -> str:
+    def section(self, key: str) -> tuple[Node, Pairs]:
+        """The node and keys of the top-level ``key``'s mapping; anything else is an error."""
+
+        top = self.mapping(self.root) or {}
+        _, node = top.get(key, (None, self.root))
+        pairs = self.mapping(node) if key in top else None
+        if pairs is None:
+            where = self.name if node is None else self.position(node)
+            raise self.error(f"{where}: expected a top-level {key!r} mapping")
+        return node, pairs
+
+    def fields(self, node: Node, pairs: Pairs, names: Sequence[str]) -> list[tuple[object, Node]]:
+        """Each of ``names`` in the mapping ``node``: its value and node, or None and ``node``."""
+
+        at = [pairs.get(name, (None, node))[1] for name in names]
+        return [(None if n is node else self.construct(n), n) for n in at]
+
+    def position(self, node: Node) -> str:
         """``name:line:column`` of where ``node`` starts, counting from 1."""
 
         mark = node.start_mark
         return f"{self.name}:{mark.line + 1}:{mark.column + 1}"
+
+    def fail(self, node: Node, message: str) -> NoReturn:
+        """Raise the document's error with ``message`` at ``node``'s position."""
+
+        raise self.error(f"{self.position(node)}: {message}")
+
+    def _invalid(self, exc: yaml.YAMLError) -> UserError:
+        return self.error(f"{self.name}: not valid YAML: {exc}")
 
 
 # SafeConstructor's own failures on a scalar its tag does not fit: a month
@@ -156,7 +172,7 @@ class ComposedDocument:
 _BUILD_ERRORS = (ValueError, KeyError, AttributeError)
 
 
-def _failing(node: yaml.Node) -> yaml.Node:
+def _failing(node: Node) -> Node:
     """Of ``node``, which fails to build, and the nodes below it, the innermost that fails."""
 
     seen = set()

@@ -324,7 +324,6 @@ def test_c5_determinism() -> str:
         permuted_repos,
     )
     resolved_exec = runtime_subset(
-        resolved,
         declared,
         shuffled_db,
         first_analysis.index,

@@ -188,19 +188,12 @@ def test_runtime_subset_monotonic() -> None:
         exec=frozenset({"rclcpp"}),
     )
     full = resolve(keys, small_db(), small_index(), set(), ())
-    slim = runtime_subset(full, keys, small_db(), small_index(), set(), ())
+    slim = runtime_subset(keys, small_db(), small_index(), set(), ())
     assert slim.scope == "exec_only"
     assert set(slim.ros_distro_pkgs) <= set(full.ros_distro_pkgs)
     assert set(slim.system_pkgs) <= set(full.system_pkgs)
     assert slim.system_pkgs == ()
     assert slim.python_pkgs == ()
-
-
-def test_runtime_subset_requires_all_scope() -> None:
-    keys = keys_of("rclcpp")
-    slim = resolve(keys, small_db(), small_index(), set(), (), scope="exec_only")
-    with pytest.raises(ValueError):
-        runtime_subset(slim, keys, small_db(), small_index(), set(), ())
 
 
 def test_determinism_under_document_key_permutation() -> None:

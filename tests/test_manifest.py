@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forge.cli import main
 from forge.errors import (
     DuplicatePackageName,
     EmptyWorkspace,
@@ -108,6 +111,7 @@ def test_parse_dependency_scopes() -> None:
   <build_depend>build_only</build_depend>
   <build_export_depend>export_only</build_export_depend>
   <buildtool_depend>tool_only</buildtool_depend>
+  <buildtool_export_depend>tool_export_only</buildtool_export_depend>
   <exec_depend>exec_only</exec_depend>
   <run_depend>legacy_exec</run_depend>
   <test_depend>test_only</test_depend>
@@ -116,10 +120,23 @@ def test_parse_dependency_scopes() -> None:
 """
     manifest = parse_manifest(text, ENV, TOP, None)
     assert manifest.deps_build == frozenset(
-        {"both_scope", "build_only", "export_only", "tool_only"}
+        {"both_scope", "build_only", "export_only", "tool_only", "tool_export_only"}
     )
     assert manifest.deps_exec == frozenset({"both_scope", "exec_only", "legacy_exec"})
     assert "test_only" not in manifest.deps_build | manifest.deps_exec
+
+
+def test_analyze_resolves_a_buildtool_export_key(capsys, tmp_path) -> None:
+    # A key only this tag names reaches a bucket, here the rosdep snapshot's.
+    xml = MINIMAL_XML.replace(
+        "</version>", "</version>\n  <buildtool_export_depend>yaml-cpp</buildtool_export_depend>"
+    )
+    (tmp_path / "demo").mkdir()
+    (tmp_path / "demo" / "package.xml").write_text(xml, encoding="utf-8")
+    assert main(["analyze", str(tmp_path), "--format", "json", "--dry-run"]) == 0
+    buckets = json.loads(capsys.readouterr().out)
+    assert buckets["all"]["system_pkgs"] == ["libyaml-cpp-dev"]
+    assert buckets["exec_only"]["system_pkgs"] == []
 
 
 def test_parse_conditional_dependency() -> None:
@@ -156,6 +173,7 @@ def test_export_is_not_read() -> None:
         ("</version>", "</version><test_depend> </test_depend>"),
         ("</version>", "</version><test_depend>x y</test_depend>"),
         ("</version>", '</version><test_depend condition="$ROS_VERSION =">x</test_depend>'),
+        ("</version>", "</version><buildtool_export_depend/>"),
     ],
 )
 def test_parse_rejects_bad_fields(mutation: tuple[str, str]) -> None:
@@ -179,6 +197,9 @@ def test_parse_rejects_invalid_xml() -> None:
 _name = st.from_regex(r"[a-z][a-z0-9_]{0,12}", fullmatch=True)
 _version = st.from_regex(r"[0-9]{1,2}(\.[0-9]{1,2}){0,2}", fullmatch=True)
 _keys = st.frozensets(_name, max_size=5)
+_BUILD_TAGS = st.sampled_from(
+    ["build_depend", "build_export_depend", "buildtool_depend", "buildtool_export_depend"]
+)
 
 
 @st.composite
@@ -186,9 +207,9 @@ def manifest_documents(draw: st.DrawFn) -> tuple[PackageManifest, str]:
     """A manifest and canonical XML for it.
 
     Keys in both build and exec scope are emitted as ``<depend>``; the
-    remainder use their narrowest tag. The format, version, test
-    dependencies and build type are drawn too: ``parse_manifest`` checks
-    them but keeps none of them.
+    remainder use their narrowest tag, a build-only key any of REP 149's
+    four build tags. The format, version, test and doc dependencies and
+    the build type are drawn too: ``parse_manifest`` keeps none of them.
     """
 
     both = draw(_keys)
@@ -209,11 +230,14 @@ def manifest_documents(draw: st.DrawFn) -> tuple[PackageManifest, str]:
     for key in both:
         lines.append(f"  <depend>{key}</depend>")
     for key in build_only:
-        lines.append(f"  <build_depend>{key}</build_depend>")
+        tag = draw(_BUILD_TAGS)
+        lines.append(f"  <{tag}>{key}</{tag}>")
     for key in exec_only:
         lines.append(f"  <exec_depend>{key}</exec_depend>")
     for key in sorted(draw(_keys)):
         lines.append(f"  <test_depend>{key}</test_depend>")
+    for key in sorted(draw(_keys)):
+        lines.append(f"  <doc_depend>{key}</doc_depend>")
     build_type = draw(st.sampled_from(["ament_cmake", "ament_python", "catkin"]))
     lines.append("  <export>")
     lines.append(f"    <build_type>{build_type}</build_type>")

@@ -874,7 +874,7 @@ def mutated_manifests(draw: st.DrawFn) -> bytes:
     if draw(st.booleans()):
         return _damaged_bytes(draw, _VALID)
     old = draw(st.sampled_from(_TAGS)).encode()
-    new = draw(st.sampled_from([*_TAGS, "exec_depend", "x"])).encode()
+    new = draw(st.sampled_from([*_TAGS, "exec_depend", "buildtool_export_depend", "x"])).encode()
     return re.sub(rb"(</?)" + old + rb"\b", rb"\g<1>" + new, _VALID)
 
 

@@ -16,13 +16,14 @@ from hypothesis import strategies as st
 
 from forge.errors import UserError
 import forge.textio
-from forge.textio import ComposedDocument, dump_yaml, hex_digest, load_yaml
+from forge.textio import ComposedDocument, dump_yaml, hex_digest
 
 
 def safe_load(text: str) -> object:
-    """The whole document, as forge builds an input file."""
+    """The whole document, built from its tree."""
 
-    return load_yaml(text, "in.yaml", UserError)
+    doc = ComposedDocument(text, "in.yaml", UserError)
+    return None if doc.root is None else doc.construct(doc.root)
 
 SOURCE_DIR = Path(__file__).resolve().parent.parent / "src" / "forge"
 
@@ -49,10 +50,29 @@ def _loader_uses(path: Path) -> list[str]:
     return [f"{path.name}:{use}" for use in uses]
 
 
+def _yaml_uses(path: Path) -> list[str]:
+    """Each import of ``yaml`` (or a submodule) in ``path``, and each name ``YAMLError``."""
+
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            uses += [f"import {a.name}" for a in node.names if a.name.split(".")[0] == "yaml"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "yaml":
+            uses.append(f"from {node.module} import")
+        elif isinstance(node, ast.Name) and node.id == "YAMLError":
+            uses.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr == "YAMLError":
+            uses.append(node.attr)
+    return [f"{path.name}:{use}" for use in uses]
+
+
 def test_only_textio_picks_a_yaml_loader() -> None:
     paths = sorted(SOURCE_DIR.glob("*.py"))
     assert _loader_uses(SOURCE_DIR / "textio.py")
     assert [use for path in paths if path.name != "textio.py" for use in _loader_uses(path)] == []
+    # Only textio reads YAML and turns its errors into each input's own.
+    assert "textio.py:import yaml" in _yaml_uses(SOURCE_DIR / "textio.py")
+    assert [use for path in paths if path.name != "textio.py" for use in _yaml_uses(path)] == []
 
 
 def test_mapping_keys_are_what_safe_load_makes_of_them() -> None:
@@ -60,7 +80,7 @@ def test_mapping_keys_are_what_safe_load_makes_of_them() -> None:
         "base: &b {x: 1, y: 2}\n"
         "m:\n  <<: *b\n  y: 3\n  'q': 4\n  !!str t: 5\n  8: 6\n  x: 7\n  ~: 8\n"
     )
-    doc = ComposedDocument(text, "in.yaml")
+    doc = ComposedDocument(text, "in.yaml", UserError)
     top = doc.mapping(doc.root)
     assert list(top) == ["base", "m"]
     pairs = doc.mapping(top["m"][1])
@@ -74,7 +94,7 @@ def test_mapping_keys_are_what_safe_load_makes_of_them() -> None:
 
 @pytest.mark.parametrize("text", ["[a]\n", "!!set {a, b}\n", "!!omap [a: 1]\n", "a\n", "~\n"])
 def test_only_a_plain_mapping_node_is_read_by_key(text: str) -> None:
-    doc = ComposedDocument(text, "in.yaml")
+    doc = ComposedDocument(text, "in.yaml", UserError)
     assert doc.mapping(doc.root) is None
     assert doc.construct(doc.root) == safe_load(text)
 
@@ -83,14 +103,14 @@ def test_only_a_plain_mapping_node_is_read_by_key(text: str) -> None:
     "text", ["!!str 5\n", "'5'\n", "|\n  a\n  b\n", "!!str\n", "!!binary aGk=\n", "0o17\n"]
 )
 def test_a_tagged_or_quoted_scalar_is_built_as_safe_load_builds_it(text: str) -> None:
-    doc = ComposedDocument(text, "in.yaml")
+    doc = ComposedDocument(text, "in.yaml", UserError)
     assert doc.construct(doc.root) == safe_load(text)
 
 
 @given(st.one_of(st.text(), st.integers(), st.floats(allow_nan=False), st.booleans(), st.none()))
 def test_any_scalar_is_built_as_safe_load_builds_it(value: object) -> None:
     text = yaml.safe_dump(value)
-    doc = ComposedDocument(text, "in.yaml")
+    doc = ComposedDocument(text, "in.yaml", UserError)
     assert doc.construct(doc.root) == safe_load(text) == value
 
 
@@ -100,8 +120,8 @@ def test_any_scalar_is_built_as_safe_load_builds_it(value: object) -> None:
 def test_a_key_safe_load_rejects_is_a_yaml_error(text: str) -> None:
     with pytest.raises(UserError, match=r"^in\.yaml: not valid YAML: "):
         safe_load(text)
-    doc = ComposedDocument(text, "in.yaml")
-    with pytest.raises(yaml.YAMLError):
+    doc = ComposedDocument(text, "in.yaml", UserError)
+    with pytest.raises(UserError, match=r"^in\.yaml: not valid YAML: "):
         doc.mapping(doc.root)
 
 
@@ -120,6 +140,17 @@ def test_a_value_that_cannot_be_built_is_marked_where_it_fails(text: str, line: 
         safe_load(text)
     assert str(caught.value).startswith("in.yaml: not valid YAML: cannot construct a value: ")
     assert re.search(rf'\n  in "in\.yaml", line {line}, column {column}\b', str(caught.value))
+
+
+def test_a_tag_without_a_constructor_below_a_value_that_fails_is_the_documents_error() -> None:
+    # PyYAML builds the mapping last, so !!int fails first and the search
+    # for the failing node then meets !foo.
+    with pytest.raises(UserError) as caught:
+        safe_load("[{a: !foo x}, !!int y]\n")
+    assert str(caught.value) == (
+        "in.yaml: not valid YAML: could not determine a constructor for the tag '!foo'\n"
+        '  in "in.yaml", line 1, column 6'
+    )
 
 
 _DUMPER_NAMES = {"CSafeDumper", "SafeDumper", "safe_dump", "dump"}
