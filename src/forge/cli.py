@@ -425,7 +425,10 @@ def _render_for_workspace(
     violations = validate_plan(plan)
     if violations:
         details = "; ".join(f"{v.stage}: {v.rule}: {v.detail}" for v in violations)
-        raise ForgeError(f"generated plan violates its invariants: {details}")
+        # A RUN body too long for the kernel comes of the input's dependency
+        # set; every other broken invariant is forge's own fault.
+        error = InvalidSpec if all(v.rule == "run-length" for v in violations) else ForgeError
+        raise error(f"generated plan violates its invariants: {details}")
     own_ignore = analysis.root / ".dockerignore"
     workspace_ignore = read_utf8(own_ignore, UnreadableWorkspace) if own_ignore.is_file() else ""
     return cfg, analysis, render(plan), render_dockerignore(plan, workspace_ignore)
@@ -570,18 +573,23 @@ def _default_tag(registry: str, root: Path, target: str) -> str:
     return _docker_ref(f"{registry}/{name}:{target}", f"the default tag of {directory!r}")
 
 
-def _matrix_entries(args: argparse.Namespace) -> list[MatrixEntry]:
+def _matrix_entries(args: argparse.Namespace, registry: str) -> list[MatrixEntry]:
+    """The matrix the filters select, once docker takes the longest tag under ``registry``."""
+
     _bind("matrix")
-    return enumerate_matrix(
+    entries = enumerate_matrix(
         distros=args.distros, components=args.component, ml_flavors=args.ml,
         architectures=args.arch,
     )
+    longest = max((tag_of(entry, registry) for entry in entries), key=len)
+    _docker_ref(longest, f"a matrix tag under --registry {registry!r}")
+    return entries
 
 
 def cmd_matrix_list(args: argparse.Namespace, driver: EngineDriver | None) -> int:
     _bind("matrix")
     cfg = load_config(args, None)
-    entries = _matrix_entries(args)
+    entries = _matrix_entries(args, cfg.registry)
     if args.format in ("json", "yaml"):
         table = load_base_image_table()
         doc = [
@@ -610,7 +618,7 @@ def cmd_matrix_list(args: argparse.Namespace, driver: EngineDriver | None) -> in
 def cmd_matrix_build(args: argparse.Namespace, driver: EngineDriver | None) -> int:
     _bind("matrix", "engine")
     cfg = load_config(args, None)
-    entries = _matrix_entries(args)
+    entries = _matrix_entries(args, cfg.registry)
     table = load_base_image_table()
 
     if args.plan_out:

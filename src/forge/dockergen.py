@@ -516,6 +516,13 @@ def plan_stages(
 # number of packages; the largest, with every option, holds 18.
 MAX_LINEAGE_LAYERS = 32
 
+# Most bytes one RUN body, continuations joined, may hold. A shell-form RUN
+# runs ``/bin/sh -c BODY``, and Linux refuses an argument longer than
+# MAX_ARG_STRLEN, 131,072 bytes with its NUL, with E2BIG (execve(2)); the
+# bound leaves 1 KiB below it. The largest body grows with the number of
+# distinct packages: 124,226 bytes for 3000 packages and a 10k-key database.
+MAX_RUN_BYTES = 130_048
+
 
 def _lineage(plan: DockerfilePlan, name: str) -> Iterator[Instruction]:
     """The instructions of stage ``name`` and of the planned stages it derives from."""
@@ -569,6 +576,11 @@ def validate_plan(plan: DockerfilePlan) -> list[Violation]:
                             detail=f"copies {src!r}, not a whole top-level directory",
                         )
                     )
+        for line in (_render_instruction(i) for i in stage if isinstance(i, (Install, str))):
+            size = len(line.replace("\\\n", "").encode(errors="surrogatepass")) - len("RUN ")
+            if line.startswith("RUN ") and size > MAX_RUN_BYTES:
+                detail = f"a RUN body of {size} bytes is longer than {MAX_RUN_BYTES}"
+                violations.append(Violation(stage=name, rule="run-length", detail=detail))
         layers = sum(not isinstance(i, str) or i.startswith("RUN ") for i in _lineage(plan, name))
         if layers > MAX_LINEAGE_LAYERS:
             detail = f"its lineage holds {layers} layers, more than {MAX_LINEAGE_LAYERS}"

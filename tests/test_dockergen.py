@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
 import re
 import shlex
+import subprocess
 import tempfile
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from forge.dockergen import (
     APT_LIST,
     ARTIFACT_DIR,
     MAX_LINEAGE_LAYERS,
+    MAX_RUN_BYTES,
     PIP_LIST,
     REPOS_LIST,
     STAGES,
@@ -197,6 +200,49 @@ def test_rule_lineage_layers(minimal_analysis, target: str, stage: str) -> None:
         (stage, "lineage-layers",
          f"its lineage holds {MAX_LINEAGE_LAYERS + 1} layers, more than {MAX_LINEAGE_LAYERS}")
     ]
+
+
+def test_rule_run_length(minimal_analysis) -> None:
+    plan = make_plan(minimal_analysis, target="run")
+    # Joined at its continuations, as the Dockerfile parser joins them, the
+    # body is exactly the bound, and it reaches the shell.
+    body = "true && \\\n    printf '%s\\n' "
+    body += "a" * (MAX_RUN_BYTES - len(body) + len("\\\n"))
+    joined = body.replace("\\\n", "")
+    assert len(joined.encode()) == MAX_RUN_BYTES
+    assert subprocess.run(["/bin/sh", "-c", f"exit 0; {joined}"], check=False).returncode == 0
+    # One byte past MAX_ARG_STRLEN, NUL included, never reaches it.
+    with pytest.raises(OSError) as refused:
+        subprocess.run(["/bin/sh", "-c", "a" * 131_072], check=False)
+    assert refused.value.errno == errno.E2BIG
+    assert validate_plan(_with_instruction(plan, "dev", f"RUN {body}")) == []
+    broken = _with_instruction(plan, "dev", f"RUN {body}a")
+    assert [(v.stage, v.rule, v.detail) for v in validate_plan(broken)] == [
+        ("dev", "run-length",
+         f"a RUN body of {MAX_RUN_BYTES + 1} bytes is longer than {MAX_RUN_BYTES}")
+    ]
+
+
+def test_a_dependency_list_too_long_for_one_run_is_refused(tmp_path, capsys) -> None:
+    (tmp_path / "ws" / "big").mkdir(parents=True)
+    (tmp_path / "ws" / "big" / "package.xml").write_text(
+        '<package format="3"><name>big</name><version>1.0.0</version>'
+        "<exec_depend>huge</exec_depend></package>\n",
+        encoding="utf-8",
+    )
+    names = [f"python3-generated-package-{i:05d}" for i in range(5000)]
+    db = tmp_path / "huge.yaml"
+    db.write_text(f"huge:\n  ubuntu: [{', '.join(names)}]\n", encoding="utf-8")
+    assert db.stat().st_size > 150_000
+    argv = ["generate", "dockerfile", str(tmp_path / "ws"), "--rosdep-db", str(db), "-o", "-"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(
+        r"forge: error: InvalidSpec: generated plan violates its invariants: "
+        rf"dependencies: run-length: a RUN body of \d+ bytes is longer than {MAX_RUN_BYTES}\n",
+        err,
+    ), err
 
 
 def test_rule_install_space_copy_missing(minimal_analysis) -> None:

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 import forge.cli
 from forge import ARCHITECTURES, TARGETS
 from forge.cli import main
+from forge.matrix import enumerate_matrix, tag_of
 
 from conftest import FIXTURE_ROOT
 from recording_driver import RecordingDriver
@@ -195,10 +196,31 @@ def test_every_matrix_tag_is_a_reference(registry: str) -> None:
     code, out, err = _forge(["matrix", "list", f"--registry={registry}"])
     if _refuses_the_registry(registry, code, out, err):
         return
+    if not all(map(docker_takes, _matrix_tags(registry))):
+        assert (code, out) == (2, "") and "InvalidArgs: a matrix tag under --registry" in err
+        return
     assert code == 0, err
     tags = out.splitlines()
     assert len(tags) == 180
     assert all(TAGGED.fullmatch(tag) for tag in tags), tags
+
+
+def _matrix_tags(registry: str) -> list[str]:
+    return [tag_of(entry, registry) for entry in enumerate_matrix(None, None, None, None)]
+
+
+@pytest.mark.parametrize("argv", [["matrix", "list"], ["matrix", "build", "--dry-run"]])
+def test_matrix_tags_too_long_for_docker_are_refused(argv) -> None:
+    # The longest repository path is the registry's then "/ros2-torch-cpp".
+    suffix = "/ros2-torch-cpp"
+    assert max(len(tag.partition(":")[0]) for tag in _matrix_tags("r")) == len("r" + suffix)
+    fits = "ghcr.io/" + "a" * (255 - len(suffix))
+    assert _forge([*argv, f"--registry={fits}"])[0] == 0
+    registry = "ghcr.io/" + "a" * 253
+    assert _forge([*argv, f"--registry={registry}"]) == (
+        2, "", f"forge: error: InvalidArgs: a matrix tag under --registry {registry!r} must be "
+        f"a docker repository of at most 255 characters: {'a' * 253 + suffix!r}\n"
+    )
 
 
 def _tags(document: object) -> list[str]:

@@ -13,6 +13,7 @@ import io
 import json
 import os
 import re
+import signal
 import sys
 import tempfile
 import time
@@ -21,7 +22,7 @@ from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import forge.manifest
@@ -51,6 +52,8 @@ CONDITIONAL = (
     '<depend condition="$ROS_VERSION == 2">rclcpp</depend>'
     '<depend condition="$ROS_VERSION == 1">roscpp</depend>'
 )
+# Keys of one scope each, so that a record with its scopes swapped shows.
+SCOPED = "<build_depend>ament_cmake</build_depend><exec_depend>python3-yaml</exec_depend>"
 
 # Package names: a pool small enough that duplicates turn up.
 _PACKAGES = [f"pkg_{letter}" for letter in "abcdefghijkl"]
@@ -87,7 +90,7 @@ def manifest_entries(draw: st.DrawFn):
     if kind == 3:
         return {"package.xml": ("file", manifest_xml("nested").encode())}
     name = draw(st.sampled_from(_PACKAGES))
-    extra = CONDITIONAL if draw(st.booleans()) else ""
+    extra = draw(st.sampled_from(["", CONDITIONAL, SCOPED]))
     if kind <= 5:
         return ("file", draw(st.sampled_from(_ENCODINGS))(manifest_xml(name, extra)))
     return ("file", manifest_xml(name, extra).encode())
@@ -1104,3 +1107,197 @@ def test_unreadable_manifest_is_a_user_error(tmp_path, monkeypatch, capsys) -> N
         scan_workspace(tmp_path, ENV, None, True)
     assert main(["analyze", str(tmp_path)]) == 2
     assert f"UnreadableWorkspace: cannot read {locked}" in capsys.readouterr().err
+
+
+# --- the parse of memo misses split over processes ---------------------------
+
+
+@pytest.fixture
+def split_parse(monkeypatch) -> list[int]:
+    """Split the parse of two or more memo misses over three processes.
+
+    Returns the pid of each child forked, which the scan must have reaped.
+    """
+
+    monkeypatch.setattr(forge.manifest, "MIN_MISSES_PER_PROCESS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    forked: list[int] = []
+    real_fork = os.fork
+
+    def fork() -> int:
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forked
+
+
+def _serial_outcome(root: Path, cache: Path) -> tuple:
+    with mock.patch.object(forge.manifest, "MIN_MISSES_PER_PROCESS", 10**9):
+        return outcome(scan_with(cache), root)
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(trees())
+def test_split_parse_gives_the_serial_scan_and_memo(split_parse, tree: dict) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = build_workspace(Path(tmp), tree)
+        serial = _serial_outcome(root, Path(tmp) / "serial")
+        assert outcome(oracle_scan, root) == serial
+        assert outcome(scan_with(None), root) == serial
+        assert outcome(scan_with(Path(tmp) / "split"), root) == serial
+        assert_no_child_left()
+        assert [path.read_bytes() for path in memo_files(Path(tmp) / "split")] == [
+            path.read_bytes() for path in memo_files(Path(tmp) / "serial")
+        ]
+
+
+def _numbered_workspace(root: Path, manifests: list[bytes]) -> None:
+    for index, data in enumerate(manifests):
+        (root / "src" / f"p{index:02d}").mkdir(parents=True)
+        (root / "src" / f"p{index:02d}" / "package.xml").write_bytes(data)
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    st.lists(st.one_of(st.sampled_from(_BAD), mutated_manifests(), st.none()), min_size=2,
+             max_size=8),
+    st.none() | st.integers(0, 7),
+)
+def test_split_parse_raises_the_serial_error(split_parse, drawn: list, locked: int | None) -> None:
+    # None draws a good manifest of its own name; ``locked`` names a
+    # directory that cannot be listed: the first fault in walk order wins.
+    manifests = [manifest_xml(f"p{i}").encode() if data is None else data
+                 for i, data in enumerate(drawn)]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "ws"
+        _numbered_workspace(root, manifests)
+        real_scandir = os.scandir
+        locked_dir = str(root / "src" / f"p{locked:02d}") if locked is not None else None
+
+        def scandir(path):
+            if os.fspath(path) == locked_dir:
+                raise PermissionError(13, "Permission denied", locked_dir)
+            return real_scandir(path)
+
+        with mock.patch.object(os, "scandir", scandir):
+            serial = _serial_outcome(root, Path(tmp) / "serial")
+            assert outcome(scan_with(Path(tmp) / "split"), root) == serial
+        assert_no_child_left()
+
+
+def test_a_malformed_manifest_before_an_unlistable_directory_wins(
+    tmp_path, monkeypatch, split_parse
+) -> None:
+    manifests = [manifest_xml(f"p{i}").encode() for i in range(4)]
+    manifests[1] = _BAD[0]
+    _numbered_workspace(tmp_path, manifests)
+    locked = str(tmp_path / "src" / "p03")
+    real_scandir = os.scandir
+
+    def scandir(path):
+        if os.fspath(path) == locked:
+            raise PermissionError(13, "Permission denied", locked)
+        return real_scandir(path)
+
+    monkeypatch.setattr(os, "scandir", scandir)
+    for cache in (None, tmp_path / "cache"):
+        with pytest.raises(MalformedManifest, match=r"^src/p01/package.xml: not well formed"):
+            scan_workspace(tmp_path, ENV, cache, True)
+    assert len(split_parse) == 2 * 2
+    assert_no_child_left()
+    (tmp_path / "src" / "p01" / "package.xml").write_bytes(manifest_xml("p1").encode())
+    with pytest.raises(UnreadableWorkspace, match=f"cannot read {locked}: Permission denied"):
+        scan_workspace(tmp_path, ENV, None, True)
+    assert_no_child_left()
+
+
+def _no_fallback(monkeypatch) -> None:
+    pass
+
+
+def _fallback_fork_fails(monkeypatch) -> None:
+    monkeypatch.setattr(os, "fork", mock.Mock(side_effect=OSError(11, "Resource unavailable")))
+
+
+def _fallback_one_cpu(monkeypatch) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")))
+
+
+def _in_child(monkeypatch, action) -> None:
+    """Run ``action`` in each child before it parses its share."""
+
+    parent = os.getpid()
+    real_records = forge.manifest._records
+
+    def records(misses, env):
+        if os.getpid() != parent:
+            action()
+        return real_records(misses, env)
+
+    monkeypatch.setattr(forge.manifest, "_records", records)
+
+
+def _fallback_child_exits_non_zero(monkeypatch) -> None:
+    _in_child(monkeypatch, lambda: 1 / 0)
+
+
+def _fallback_child_killed(monkeypatch) -> None:
+    _in_child(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+
+
+def _fallback_child_writes_no_record(monkeypatch) -> None:
+    # A child whose share all fails to parse sends no record for it.
+    real_parse = forge.manifest._parse_xml
+    parent = os.getpid()
+
+    def parse(data, env, source_dir):
+        if os.getpid() != parent:
+            raise MalformedManifest("injected")
+        return real_parse(data, env, source_dir)
+
+    monkeypatch.setattr(forge.manifest, "_parse_xml", parse)
+
+
+@pytest.mark.parametrize(
+    "fallback",
+    [
+        _no_fallback,
+        _fallback_fork_fails,
+        _fallback_one_cpu,
+        _fallback_child_exits_non_zero,
+        _fallback_child_killed,
+        _fallback_child_writes_no_record,
+    ],
+    ids=["none", "fork-fails", "one-cpu", "child-exits-1", "child-killed", "child-parses-nothing"],
+)
+@pytest.mark.parametrize("bad", [None, 5], ids=["ok", "malformed"])
+def test_split_parse_and_each_fallback_give_the_serial_scan(
+    tmp_path, monkeypatch, split_parse, fallback, bad: int | None
+) -> None:
+    manifests = [manifest_xml(f"p{i}", CONDITIONAL + SCOPED).encode() for i in range(9)]
+    if bad is not None:
+        manifests[bad] = _BAD[1]
+    root = tmp_path / "ws"
+    _numbered_workspace(root, manifests)
+    serial = _serial_outcome(root, tmp_path / "serial")
+    assert serial[0] == ("ok" if bad is None else "error")
+    fallback(monkeypatch)
+    assert outcome(scan_with(tmp_path / "split"), root) == serial
+    assert len(split_parse) == (0 if fallback in (_fallback_fork_fails, _fallback_one_cpu) else 2)
+    assert_no_child_left()
+    assert [path.read_bytes() for path in memo_files(tmp_path / "split")] == [
+        path.read_bytes() for path in memo_files(tmp_path / "serial")
+    ]
