@@ -196,6 +196,14 @@ def _parse_paths(value: object, name: str) -> tuple[str, ...]:
     return tuple(_parse_file(p, name) for p in value)
 
 
+def _beside(config_path: Path, value: object) -> object:
+    """A path ``value`` read from ``config_path``, joined to that file's directory; else ``value``."""
+
+    if isinstance(value, str) and value:
+        return os.path.join(os.path.dirname(config_path), value)
+    return value
+
+
 # GlobalConfig field, forge.yaml key, environment variable, flag dest, parser.
 # load_config takes each setting from its highest layer (a flag is given when
 # not None) but parses every layer's value, so the first bad value in table
@@ -238,6 +246,11 @@ def load_config(args: argparse.Namespace, workspace_root: Path | None) -> Global
     for field, key, var, dest, parse in _CONFIG_TABLE:
         if key in written:
             value, where = written[key]
+            # A relative path in forge.yaml names a file beside it.
+            if parse is _parse_file:
+                value = _beside(config_path, value)
+            elif parse is _parse_paths and isinstance(value, list):
+                value = [_beside(config_path, item) for item in value]
             values[field] = parse(value, f"{where}: config key {key}")
         if var in os.environ:
             text = os.environ[var]

@@ -2,8 +2,8 @@
 
 Two families matter for the command line frontend: ``UserError`` covers
 bad input (malformed files, failing plugins, impossible requests, missing
-credentials) and maps to exit code 2, while ``EngineError`` covers
-failures of the container engine or of external tools and maps to 1.
+credentials) and maps to exit code 2; every other ``ForgeError``, such as
+a failure of the container engine, maps to 1.
 """
 
 from __future__ import annotations
@@ -28,12 +28,6 @@ class UserError(ForgeError):
     """Invalid input supplied by the caller."""
 
     exit_code = 2
-
-
-class EngineError(ForgeError):
-    """The container engine is unavailable or misbehaved."""
-
-    exit_code = 1
 
 
 # --- workspace manifests ---------------------------------------------------
@@ -112,11 +106,11 @@ class ConfigError(UserError):
 # --- engine ----------------------------------------------------------------
 
 
-class EngineUnavailable(EngineError):
+class EngineUnavailable(ForgeError):
     """No container engine binary could be found."""
 
 
-class NonZeroExit(EngineError):
+class NonZeroExit(ForgeError):
     """The engine returned a non-zero exit code."""
 
     def __init__(self, argv: list[str], exit_code: int, stderr: str) -> None:
@@ -129,7 +123,7 @@ class NonZeroExit(EngineError):
         self.stderr = stderr
 
 
-class MalformedEngineOutput(EngineError):
+class MalformedEngineOutput(ForgeError):
     """The engine produced output that could not be parsed."""
 
 

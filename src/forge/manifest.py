@@ -127,8 +127,9 @@ class Workspace(NamedTuple):
 class ManifestMemo:
     """Parsed manifests by the digest of their file's bytes, for :func:`parse_manifest`.
 
-    ``cached`` holds the records read from a memo file and is only looked
-    up. ``records`` gets the record of every manifest parsed through the
+    ``cached`` holds the records read from a memo file, to which
+    :func:`_walk` adds those its split parse made, and is only looked up.
+    ``records`` gets the record of every manifest that passes through the
     memo, so it holds exactly one scan's manifests.
     """
 
@@ -222,36 +223,29 @@ def _condition_holds(expression: str, env_items: tuple[tuple[str, str], ...]) ->
 
 
 def parse_manifest(
-    data: bytes | str,
+    digest: str,
+    data: bytes | None,
     condition_env: dict[str, str],
     source_dir: str,
-    memo: ManifestMemo | None,
+    memo: ManifestMemo,
 ) -> PackageManifest | None:
-    """Parse one ``package.xml`` file's bytes into a :class:`PackageManifest`.
+    """The :class:`PackageManifest` of the ``package.xml`` file whose bytes have ``digest``.
 
-    The bytes are decoded as UTF-8 with newlines translated, as text-mode
-    ``open`` does; bytes that are not UTF-8 raise :class:`UnicodeDecodeError`.
-    ``condition_env`` supplies the variables (conventionally ROS_VERSION
-    and ROS_DISTRO) against which ``condition`` attributes are evaluated.
-    A ``memo`` must only ever be used with one ``condition_env``: a record
-    found there under the BLAKE2b-256 digest of ``data`` (see
-    :func:`~forge.textio.hex_digest`) stands for the decode and the parse,
-    once it passes the same checks. With a memo, ``data`` may instead be
-    the hex digest of bytes a stat snapshot vouches for, or that a walk
-    has just hashed; the result is then None unless the memo holds a
-    record for it that passes.
+    ``digest`` is the BLAKE2b-256 digest of those bytes (see
+    :func:`~forge.textio.hex_digest`); a record ``memo`` holds under it
+    stands for their decode and parse once it passes the same checks.
+    Else ``data``, the bytes, are decoded as UTF-8 with newlines translated,
+    as text-mode ``open`` does (else :class:`UnicodeDecodeError`), and
+    parsed; with no ``data``, as for a stat snapshot's row, the result is
+    None. ``condition_env`` supplies the variables (conventionally
+    ROS_VERSION and ROS_DISTRO) that ``condition`` attributes are evaluated
+    against; a ``memo`` must only ever be used with one ``condition_env``.
     """
 
-    if memo is None:
-        return _parse_xml(data, condition_env, source_dir)
-    if type(data) is str:
-        digest = data
-    else:
-        digest = hex_digest("blake2b", data)
     record = memo.cached.get(digest)
     manifest = _from_record(record, source_dir)
     if manifest is None:
-        if type(data) is str:
+        if data is None:
             return None
         manifest = _parse_xml(data, condition_env, source_dir)
         record = _record(manifest)
@@ -553,7 +547,7 @@ def _from_snapshot(
         if digest:
             if name != "package.xml":
                 return None
-            manifest = parse_manifest(digest, condition_env, directory or ".", memo)
+            manifest = parse_manifest(digest, None, condition_env, directory or ".", memo)
             if manifest is None:
                 return None
             packages.append(manifest)
@@ -681,11 +675,8 @@ def _walk(
         memo.cached = {**memo.cached, **parsed}
     packages: list[PackageManifest] = []
     for rel, manifest_path, data, digest in found:
-        source_dir = rel or "."
         try:
-            manifest = parse_manifest(
-                digest if digest in memo.cached else data, condition_env, source_dir, memo
-            ) or parse_manifest(data, condition_env, source_dir, memo)
+            manifest = parse_manifest(digest, data, condition_env, rel or ".", memo)
         except (MalformedManifest, UnsupportedFormat) as exc:
             where = f"{rel}/package.xml" if rel else "package.xml"
             raise type(exc)(f"{where}: {exc}") from exc

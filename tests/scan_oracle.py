@@ -6,10 +6,11 @@ its directory, a directory holding a ``package.xml`` file is a package
 and is not searched further, and neither dot-directories nor symlinked
 directories are entered. It is kept frozen as the statement of the scan
 rules; change it only if a rule changes. Manifests are read as text, as
-``open`` reads them, and handed to ``forge.manifest.parse_manifest``
-re-encoded, so the comparison covers the walk and the decoding of each
-file's bytes, not the parser. A parse error is re-raised with the
-manifest's workspace-relative path in front, as ``scan_workspace`` does.
+``open`` reads them, and handed re-encoded to :func:`parse_bytes`, which
+parses them through ``forge.manifest.parse_manifest`` with an empty memo,
+so the comparison covers the walk and the decoding of each file's bytes,
+not the parser. A parse error is re-raised with the manifest's
+workspace-relative path in front, as ``scan_workspace`` does.
 """
 
 from __future__ import annotations
@@ -22,8 +23,23 @@ from forge.errors import (
     MalformedManifest,
     UnsupportedFormat,
 )
-from forge.manifest import IGNORE_MARKERS, PackageManifest, Workspace, parse_manifest
-from forge.textio import read_utf8
+from forge.manifest import (
+    IGNORE_MARKERS,
+    ManifestMemo,
+    PackageManifest,
+    Workspace,
+    parse_manifest,
+)
+from forge.textio import hex_digest, read_utf8
+
+
+def parse_bytes(
+    data: bytes, condition_env: dict[str, str], source_dir: str, memo: ManifestMemo | None = None
+) -> PackageManifest:
+    """``parse_manifest`` of a manifest's bytes under their digest, through ``memo`` or an empty one."""
+
+    memo = ManifestMemo({}) if memo is None else memo
+    return parse_manifest(hex_digest("blake2b", data), data, condition_env, source_dir, memo)
 
 
 def oracle_scan(root: Path, condition_env: dict[str, str]) -> Workspace:
@@ -43,9 +59,7 @@ def oracle_scan(root: Path, condition_env: dict[str, str]) -> Workspace:
             rel = PurePosixPath(directory.relative_to(root).as_posix())
             text = read_utf8(manifest_path, MalformedManifest)
             try:
-                packages.append(
-                    parse_manifest(text.encode(), condition_env, source_dir=str(rel), memo=None)
-                )
+                packages.append(parse_bytes(text.encode(), condition_env, str(rel)))
             except (MalformedManifest, UnsupportedFormat) as exc:
                 raise type(exc)(f"{rel / 'package.xml'}: {exc}") from exc
             return

@@ -264,6 +264,10 @@ SETTINGS = (
 )
 
 
+# The settings whose values are paths.
+_PATH_FIELDS = ("rosdep_db_paths", "distro_index_path")
+
+
 def _layer_pattern(setting: Setting, layer: str, path: Path) -> str:
     """How an error names ``layer``'s value of ``setting``; a file's value leads with its position."""
 
@@ -298,6 +302,13 @@ def test_each_setting_comes_from_its_highest_layer(monkeypatch, tmp_path) -> Non
         expected = {}
         for setting in SETTINGS:
             drawn = {layer: data.draw(st.none() | setting.valid[layer]) for layer in _LAYERS}
+            if drawn["file"] and setting.field in _PATH_FIELDS:
+                # A relative path in forge.yaml names a file beside it.
+                value, text = drawn["file"]
+                if isinstance(value, str):
+                    drawn["file"] = (str(tmp_path / value), text)
+                else:
+                    drawn["file"] = (tuple(str(tmp_path / path) for path in value), text)
             present = [pair[0] for pair in drawn.values() if pair is not None]
             if setting.field == "rosdep_db_paths":
                 # --rosdep-db extends the environment's or else the file's list.
@@ -1322,6 +1333,37 @@ def test_a_distro_index_names_the_distro_and_the_default_is_only_checked(
     assert (report["distro"], report["ros_version"]) == ("humble", 2)
     assert analyze("jazzy") == 2
     assert "unknown distro 'jazzy'" in capsys.readouterr().err
+
+
+def test_a_relative_path_in_forge_yaml_names_a_file_beside_it(capsys, monkeypatch, tmp_path) -> None:
+    ws = tmp_path / "ws"
+    (ws / "demo").mkdir(parents=True)
+    (ws / "demo" / "package.xml").write_text(
+        '<package format="3"><name>demo</name><version>1.0.0</version>'
+        "<depend>beside_key</depend><depend>beside_ros</depend></package>\n",
+        encoding="utf-8",
+    )
+    (ws / "extra.yaml").write_text("beside_key:\n  ubuntu: [libbeside-dev]\n", encoding="utf-8")
+    (ws / "index.yaml").write_text(
+        "distro: {name: humble, ros_version: 2, packages: [beside_ros]}\n", encoding="utf-8"
+    )
+    (ws / "forge.yaml").write_text(
+        "rosdep_dbs: [extra.yaml]\ndistro_index: index.yaml\n", encoding="utf-8"
+    )
+    monkeypatch.chdir(tmp_path)
+    assert main(["analyze", "ws", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["all"]["system_pkgs"] == ["libbeside-dev"]
+    assert report["all"]["ros_distro_pkgs"] == ["ros-humble-beside-ros"]
+    # A variable or a flag still names a path from the current directory.
+    monkeypatch.setenv("FORGE_ROSDEP_DBS", "extra.yaml")
+    assert main(["analyze", "ws"]) == 2
+    message = "FORGE_ROSDEP_DBS: referenced file 'extra.yaml' does not exist"
+    assert capsys.readouterr().err == f"forge: error: ConfigError: {message}\n"
+    monkeypatch.delenv("FORGE_ROSDEP_DBS")
+    assert main(["analyze", "ws", "--distro-index", "index.yaml"]) == 2
+    message = "--distro-index: referenced file 'index.yaml' does not exist"
+    assert capsys.readouterr().err == f"forge: error: ConfigError: {message}\n"
 
 
 def test_build_missing_credential_exits_2(capsys, monkeypatch, tmp_path) -> None:

@@ -18,9 +18,10 @@ from forge.errors import (
 from forge.manifest import (
     PackageManifest,
     evaluate_condition,
-    parse_manifest,
     scan_workspace,
 )
+
+from scan_oracle import parse_bytes
 
 ENV = {"ROS_VERSION": "2", "ROS_DISTRO": "humble"}
 TOP = "."
@@ -98,7 +99,7 @@ MINIMAL_XML = """\
 
 
 def test_parse_minimal() -> None:
-    manifest = parse_manifest(MINIMAL_XML.encode(), ENV, TOP, None)
+    manifest = parse_bytes(MINIMAL_XML.encode(), ENV, TOP)
     assert manifest == PackageManifest("demo", source_dir=TOP)
 
 
@@ -118,7 +119,7 @@ def test_parse_dependency_scopes() -> None:
   <export><build_type>ament_cmake</build_type></export>
 </package>
 """
-    manifest = parse_manifest(text, ENV, TOP, None)
+    manifest = parse_bytes(text, ENV, TOP)
     assert manifest.deps_build == frozenset(
         {"both_scope", "build_only", "export_only", "tool_only", "tool_export_only"}
     )
@@ -149,7 +150,7 @@ def test_parse_conditional_dependency() -> None:
   <export><build_type>ament_cmake</build_type></export>
 </package>
 """
-    manifest = parse_manifest(text, ENV, TOP, None)
+    manifest = parse_bytes(text, ENV, TOP)
     assert "only_ros2" in manifest.deps_build
     assert "only_ros1" not in manifest.deps_build
     assert "only_ros1" not in manifest.deps_exec
@@ -158,7 +159,7 @@ def test_parse_conditional_dependency() -> None:
 def test_export_is_not_read() -> None:
     export = '<build_type condition="not a condition">catkin</build_type><x/>'
     text = MINIMAL_XML.replace("<build_type>ament_python</build_type>", export)
-    assert parse_manifest(text.encode(), ENV, TOP, None) == PackageManifest("demo")
+    assert parse_bytes(text.encode(), ENV, TOP) == PackageManifest("demo")
 
 
 @pytest.mark.parametrize(
@@ -179,17 +180,17 @@ def test_export_is_not_read() -> None:
 def test_parse_rejects_bad_fields(mutation: tuple[str, str]) -> None:
     old, new = mutation
     with pytest.raises(MalformedManifest):
-        parse_manifest(MINIMAL_XML.replace(old, new).encode(), ENV, TOP, None)
+        parse_bytes(MINIMAL_XML.replace(old, new).encode(), ENV, TOP)
 
 
 def test_parse_rejects_unknown_format() -> None:
     with pytest.raises(UnsupportedFormat):
-        parse_manifest(MINIMAL_XML.replace('format="3"', 'format="4"').encode(), ENV, TOP, None)
+        parse_bytes(MINIMAL_XML.replace('format="3"', 'format="4"').encode(), ENV, TOP)
 
 
 def test_parse_rejects_invalid_xml() -> None:
     with pytest.raises(MalformedManifest):
-        parse_manifest(b"<package><name>demo</name>", ENV, TOP, None)
+        parse_bytes(b"<package><name>demo</name>", ENV, TOP)
 
 
 # --- render / parse round trip --------------------------------------------
@@ -250,7 +251,7 @@ def manifest_documents(draw: st.DrawFn) -> tuple[PackageManifest, str]:
 @given(manifest_documents())
 def test_render_parse_round_trip(document: tuple[PackageManifest, str]) -> None:
     manifest, text = document
-    assert parse_manifest(text.encode(), ENV, TOP, None) == manifest
+    assert parse_bytes(text.encode(), ENV, TOP) == manifest
 
 
 # --- workspace scanning ----------------------------------------------------

@@ -36,7 +36,7 @@ from forge.manifest import scan_workspace
 from forge.textio import cache_name
 
 from dockerfile_syntax import dockerfile_problems
-from scan_oracle import oracle_scan
+from scan_oracle import oracle_scan, parse_bytes
 
 ENV = {"ROS_VERSION": "2", "ROS_DISTRO": "humble"}
 
@@ -319,7 +319,7 @@ def test_memo_record_round_trips_a_parsed_manifest(build: frozenset, exec_: froz
     extra = "".join(f"<build_depend>{key}</build_depend>" for key in build)
     extra += "".join(f"<exec_depend>{key}</exec_depend>" for key in exec_)
     memo = forge.manifest.ManifestMemo({})
-    parsed = forge.manifest.parse_manifest(manifest_xml("pkg", extra).encode(), ENV, "src/pkg", memo)
+    parsed = parse_bytes(manifest_xml("pkg", extra).encode(), ENV, "src/pkg", memo)
     assert (parsed.deps_build, parsed.deps_exec) == (build, exec_)
     (record,) = json.loads(json.dumps(list(memo.records.values())))
     assert forge.manifest._from_record(record, "src/pkg") == parsed
@@ -1301,3 +1301,43 @@ def test_split_parse_and_each_fallback_give_the_serial_scan(
     assert [path.read_bytes() for path in memo_files(tmp_path / "split")] == [
         path.read_bytes() for path in memo_files(tmp_path / "serial")
     ]
+
+
+@pytest.mark.parametrize(
+    "packages", [8, 4 * forge.manifest.MIN_MISSES_PER_PROCESS], ids=["serial", "split"]
+)
+def test_a_scan_hashes_each_manifest_it_reads_once(
+    tmp_path, monkeypatch, no_racy_margin, packages: int
+) -> None:
+    # Two CPUs, so that the larger workspace splits its cold parse on any host.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forked: list[int] = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or real_fork())
+    hashed: list[str] = []
+    real_hex_digest = forge.manifest.hex_digest
+
+    def hex_digest(name: str, data: bytes) -> str:
+        hashed.append(name)
+        return real_hex_digest(name, data)
+
+    monkeypatch.setattr(forge.manifest, "hex_digest", hex_digest)
+    root = tmp_path / "ws"
+    _numbered_workspace(root, [manifest_xml(f"p{i}").encode() for i in range(packages)])
+    cache = tmp_path / "cache"
+
+    def hashes() -> int:
+        hashed.clear()
+        assert len(scan_workspace(root, ENV, cache, True).packages) == packages
+        return len(hashed)
+
+    assert hashes() == packages  # cold: the memo stores records and no snapshot
+    assert hashes() == packages  # a walk, since there is no snapshot to take
+    assert hashes() == 0  # the snapshot holds
+    (path,) = memo_files(cache)
+    moved = _set_snapshot_part(2, lambda stats: [stats[0] + 1, *stats[1:]])
+    path.write_text(_damaged_memo(path.read_bytes(), "snapshot", moved), "utf-8")
+    assert hashes() == packages  # the snapshot fails: a walk finds every record
+    # Only the cold scan had misses to split.
+    assert len(forked) == (packages >= forge.manifest.MIN_MISSES_PER_PROCESS)
+    assert_no_child_left()
