@@ -10,8 +10,7 @@ manifest additions do not break scanning.
 Parsed manifests can be memoized in a cache directory, one file per
 workspace, each record under the BLAKE2b-256 digest of its ``package.xml``
 file's bytes; the bytes are decoded and the XML parsed, and ``xml.etree``
-imported, only for manifests the memo does not hold, and enough of those
-are parsed on every CPU (see :func:`_parse_misses`). Beside the records
+imported, only for manifests the memo does not hold. Beside the records
 the memo keeps a stat snapshot of the walk that wrote it: while every
 path it watched (see :func:`_walk`) still stats the same, a scan builds
 its result from the snapshot without listing a directory, reading a
@@ -26,7 +25,6 @@ import functools
 import operator
 import os
 import re
-import sys
 import time
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -59,17 +57,6 @@ seconds on FAT. A file changed just after the walk read it could keep
 its size and timestamps, unless each was this much older than the walk;
 then any later change gets a newer one. Nothing can set a ctime, so an
 edit that keeps the size and restores the mtime is still seen.
-"""
-
-MIN_MISSES_PER_PROCESS = 256
-"""Fewest memo misses :func:`_parse_misses` gives each process when it splits their parse.
-
-On 2 vCPUs with Python 3.11, forking and reaping a child took about 1.6
-ms and :func:`_parse_xml` about 40 µs a manifest, but each process then
-also faults on each page it first writes to, and the parent's half ran
-about 50% slower than alone. Split in two, 256 misses took about as long
-as in one process, 512 about 20% less and 1000 about 25% less. So a cold
-scan's 10 or 100 misses are parsed in one process, and 1000 split.
 """
 
 _ABSENT = (-1, -1, -1, -1, -1)
@@ -127,8 +114,7 @@ class Workspace(NamedTuple):
 class ManifestMemo:
     """Parsed manifests by the digest of their file's bytes, for :func:`parse_manifest`.
 
-    ``cached`` holds the records read from a memo file, to which
-    :func:`_walk` adds those its split parse made, and is only looked up.
+    ``cached`` holds the records read from a memo file and is only looked up.
     ``records`` gets the record of every manifest that passes through the
     memo, so it holds exactly one scan's manifests.
     """
@@ -234,12 +220,13 @@ def parse_manifest(
     ``digest`` is the BLAKE2b-256 digest of those bytes (see
     :func:`~forge.textio.hex_digest`); a record ``memo`` holds under it
     stands for their decode and parse once it passes the same checks.
-    Else ``data``, the bytes, are decoded as UTF-8 with newlines translated,
-    as text-mode ``open`` does (else :class:`UnicodeDecodeError`), and
-    parsed; with no ``data``, as for a stat snapshot's row, the result is
-    None. ``condition_env`` supplies the variables (conventionally
-    ROS_VERSION and ROS_DISTRO) that ``condition`` attributes are evaluated
-    against; a ``memo`` must only ever be used with one ``condition_env``.
+    Else ``data``, the bytes, are decoded as UTF-8 (else
+    :class:`UnicodeDecodeError`) and parsed; the XML parser translates
+    newlines as text-mode ``open`` does (XML 1.0 §2.11). With no
+    ``data``, as for a stat snapshot's row, the result is None.
+    ``condition_env`` supplies the variables (conventionally ROS_VERSION
+    and ROS_DISTRO) that ``condition`` attributes are evaluated against; a
+    ``memo`` must only ever be used with one ``condition_env``.
     """
 
     record = memo.cached.get(digest)
@@ -280,7 +267,7 @@ def _parse_xml(data: bytes, env: dict[str, str], source_dir: str) -> PackageMani
     # Imported on first use: a warm memo parses no XML.
     import xml.etree.ElementTree as ET
 
-    xml_text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    xml_text = data.decode("utf-8")
     env_items = tuple(sorted(env.items()))
 
     def active(element: ET.Element) -> bool:
@@ -337,84 +324,6 @@ def _parse_xml(data: bytes, env: dict[str, str], source_dir: str) -> PackageMani
         deps_exec=frozenset(scopes["exec"]),
         source_dir=source_dir,
     )
-
-
-def _records(misses: list[tuple[str, bytes]], env: dict[str, str]) -> dict[str, list[str]]:
-    """The memo record of each ``(digest, bytes)`` manifest that parses; its error is not kept."""
-
-    records = {}
-    for digest, data in misses:
-        try:
-            records[digest] = _record(_parse_xml(data, env, "."))
-        except Exception:
-            continue
-    return records
-
-
-def _parse_misses(misses: list[tuple[str, bytes]], env: dict[str, str]) -> dict[str, list[str]]:
-    """:func:`_records` of ``misses``, split over the CPUs this process may run on.
-
-    Each process, this one included, gets every n-th miss, and at least
-    :data:`MIN_MISSES_PER_PROCESS` of them. Else, or without ``os.fork``,
-    or with another thread running, nothing is parsed here and the result
-    is empty. A child writes its records as JSON to a pipe and leaves
-    through ``os._exit``, so it runs no ``atexit`` handler and flushes
-    none of this process's buffers. The records of a child that fails, or
-    cannot be started, are left out. Each pipe is closed before its child
-    is waited for, so a child still writing when this process is
-    interrupted ends too.
-    """
-
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    processes = min(cpus or 1, len(misses) // MIN_MISSES_PER_PROCESS)
-    threading = sys.modules.get("threading")
-    if processes < 2 or not hasattr(os, "fork") or (threading and threading.active_count() > 1):
-        return {}
-    # Imported here: most scans fork nothing.
-    import json
-    import signal
-
-    parent = os.getpid()
-    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
-    outputs: dict[int, bytes] = {}
-    try:
-        for share in range(1, processes):
-            read_end, write_end = os.pipe()
-            # An interrupt waits until the child's pid is kept, so that it is reaped.
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
-            try:
-                pid = os.fork()
-            except OSError:
-                pid = -1
-            if pid:
-                os.close(write_end)
-                if pid > 0:
-                    children.append((pid, read_end))
-                else:
-                    os.close(read_end)
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            if pid < 0:
-                break
-            if pid == 0:
-                os.close(read_end)
-                with open(write_end, "wb") as pipe:
-                    pipe.write(json.dumps(_records(misses[share::processes], env)).encode())
-                os._exit(0)
-        records = _records(misses[::processes], env)
-        for pid, fd in children:
-            with open(fd, "rb", closefd=False) as pipe:
-                outputs[pid] = pipe.read()
-    finally:
-        if os.getpid() != parent:
-            os._exit(1)
-        for pid, fd in children:
-            os.close(fd)
-            if os.waitpid(pid, 0)[1]:
-                outputs.pop(pid, None)
-    # A child that exited 0 wrote its whole document.
-    for output in outputs.values():
-        records.update(json.loads(output))
-    return records
 
 
 def _is_file(entry: os.DirEntry) -> bool:
@@ -664,15 +573,6 @@ def _walk(
             head = _head(directory)
             stack.extend([(head + name, rel_head + name) for name in children])
 
-    # What the memo lacks may be parsed first, on every CPU. Those records
-    # then count as memo hits, so each manifest still passes parse_manifest
-    # in walk order, and the first fault in walk order is the one raised.
-    parsed = _parse_misses(
-        list({digest: data for *_, data, digest in found if digest not in memo.cached}.items()),
-        condition_env,
-    )
-    if parsed:
-        memo.cached = {**memo.cached, **parsed}
     packages: list[PackageManifest] = []
     for rel, manifest_path, data, digest in found:
         try:

@@ -17,14 +17,12 @@ import os
 import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
 import forge
 import forge.cli as cli
-import forge.manifest
 from forge.cli import main
 
 from conftest import FIXTURE_ROOT
@@ -260,31 +258,6 @@ def test_ctrl_c_exits_130_with_one_line_and_no_traceback(tmp_path) -> None:
         preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
     assert (code, err) == (130, b"forge: interrupted\n")
-
-    if len(os.sched_getaffinity(0)) < 2:
-        return  # a cold scan forks no parse process on one CPU
-    # A terminal's Ctrl-C signals its whole foreground process group: here,
-    # a cold analyze while it has children parsing its manifests.
-    root = _large_workspace(tmp_path / "ws", 4 * forge.manifest.MIN_MISSES_PER_PROCESS)
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env.update(PYTHONPATH=str(SOURCE_ROOT), XDG_CACHE_HOME=str(tmp_path / "cold-cache"))
-    process = subprocess.Popen(
-        [sys.executable, "-m", "forge.cli", "analyze", str(root)],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-        start_new_session=True,
-        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
-    )
-    children = Path(f"/proc/{process.pid}/task/{process.pid}/children")
-    while process.poll() is None and not children.read_text():
-        time.sleep(0.001)
-    assert process.poll() is None, "the scan ended before it forked"
-    os.killpg(process.pid, signal.SIGINT)
-    out, err = process.communicate(timeout=60)
-    assert (process.returncode, out, err) == (130, b"", b"forge: interrupted\n")
-    with pytest.raises(ProcessLookupError):
-        os.killpg(process.pid, 0)
 
 
 def test_the_console_script_runs_what_python_m_runs() -> None:

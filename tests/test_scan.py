@@ -13,7 +13,7 @@ import io
 import json
 import os
 import re
-import signal
+import shutil
 import sys
 import tempfile
 import time
@@ -22,12 +22,13 @@ from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import forge.manifest
 from forge.cli import main
 from forge.errors import (
+    DuplicatePackageName,
     MalformedManifest,
     UnreadableWorkspace,
     UnsupportedFormat,
@@ -1075,17 +1076,34 @@ def _two_packages(root: Path) -> None:
         (root / "src" / name / "package.xml").write_text(manifest_xml(name), encoding="utf-8")
 
 
+def _refuse_listing(*paths: str | None):
+    """``os.scandir``, but refused for ``paths`` as for directories without read permission."""
+
+    real_scandir = os.scandir
+
+    def scandir(directory):
+        if os.fspath(directory) in paths:
+            raise PermissionError(13, "Permission denied", os.fspath(directory))
+        return real_scandir(directory)
+
+    return scandir
+
+
+def _refuse_reading(*paths: str):
+    """The builtin ``open``, but refused for ``paths`` as for files without read permission."""
+
+    def fake_open(path, *args, **kwargs):
+        if os.fspath(path) in paths:
+            raise PermissionError(13, "Permission denied", os.fspath(path))
+        return open(path, *args, **kwargs)
+
+    return fake_open
+
+
 def test_unlistable_directory_is_a_user_error(tmp_path, monkeypatch, capsys) -> None:
     _two_packages(tmp_path)
     locked = str(tmp_path / "src" / "locked")
-    real_scandir = os.scandir
-
-    def scandir(path):
-        if os.fspath(path) == locked:
-            raise PermissionError(13, "Permission denied", locked)
-        return real_scandir(path)
-
-    monkeypatch.setattr(os, "scandir", scandir)
+    monkeypatch.setattr(os, "scandir", _refuse_listing(locked))
     with pytest.raises(UnreadableWorkspace, match=f"cannot read {locked}: Permission denied"):
         scan_workspace(tmp_path, ENV, None, True)
     assert main(["analyze", str(tmp_path)]) == 2
@@ -1095,70 +1113,15 @@ def test_unlistable_directory_is_a_user_error(tmp_path, monkeypatch, capsys) -> 
 def test_unreadable_manifest_is_a_user_error(tmp_path, monkeypatch, capsys) -> None:
     _two_packages(tmp_path)
     locked = tmp_path / "src" / "locked" / "package.xml"
-
-    def fake_open(path, *args, **kwargs):
-        if os.fspath(path) == str(locked):
-            raise PermissionError(13, "Permission denied", str(locked))
-        return open(path, *args, **kwargs)
-
     # scan_workspace reads every manifest through the builtin open.
-    monkeypatch.setattr(forge.manifest, "open", fake_open, raising=False)
+    monkeypatch.setattr(forge.manifest, "open", _refuse_reading(str(locked)), raising=False)
     with pytest.raises(UnreadableWorkspace, match=f"cannot read {locked}: Permission denied"):
         scan_workspace(tmp_path, ENV, None, True)
     assert main(["analyze", str(tmp_path)]) == 2
     assert f"UnreadableWorkspace: cannot read {locked}" in capsys.readouterr().err
 
 
-# --- the parse of memo misses split over processes ---------------------------
-
-
-@pytest.fixture
-def split_parse(monkeypatch) -> list[int]:
-    """Split the parse of two or more memo misses over three processes.
-
-    Returns the pid of each child forked, which the scan must have reaped.
-    """
-
-    monkeypatch.setattr(forge.manifest, "MIN_MISSES_PER_PROCESS", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    forked: list[int] = []
-    real_fork = os.fork
-
-    def fork() -> int:
-        pid = real_fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return forked
-
-
-def _serial_outcome(root: Path, cache: Path) -> tuple:
-    with mock.patch.object(forge.manifest, "MIN_MISSES_PER_PROCESS", 10**9):
-        return outcome(scan_with(cache), root)
-
-
-def assert_no_child_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@settings(
-    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
-)
-@given(trees())
-def test_split_parse_gives_the_serial_scan_and_memo(split_parse, tree: dict) -> None:
-    with tempfile.TemporaryDirectory() as tmp:
-        root = build_workspace(Path(tmp), tree)
-        serial = _serial_outcome(root, Path(tmp) / "serial")
-        assert outcome(oracle_scan, root) == serial
-        assert outcome(scan_with(None), root) == serial
-        assert outcome(scan_with(Path(tmp) / "split"), root) == serial
-        assert_no_child_left()
-        assert [path.read_bytes() for path in memo_files(Path(tmp) / "split")] == [
-            path.read_bytes() for path in memo_files(Path(tmp) / "serial")
-        ]
+# --- the first fault in walk order ------------------------------------------
 
 
 def _numbered_workspace(root: Path, manifests: list[bytes]) -> None:
@@ -1167,153 +1130,115 @@ def _numbered_workspace(root: Path, manifests: list[bytes]) -> None:
         (root / "src" / f"p{index:02d}" / "package.xml").write_bytes(data)
 
 
-@settings(
-    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
-)
+@settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.one_of(st.sampled_from(_BAD), mutated_manifests(), st.none()), min_size=2,
              max_size=8),
     st.none() | st.integers(0, 7),
 )
-def test_split_parse_raises_the_serial_error(split_parse, drawn: list, locked: int | None) -> None:
+def test_a_scan_raises_the_first_fault_in_walk_order(drawn: list, locked: int | None) -> None:
     # None draws a good manifest of its own name; ``locked`` names a
-    # directory that cannot be listed: the first fault in walk order wins.
+    # directory that cannot be listed. The walk visits src/p00, src/p01, …
+    # in turn and reaches no directory after the locked one.
     manifests = [manifest_xml(f"p{i}").encode() if data is None else data
                  for i, data in enumerate(drawn)]
+    if locked is not None and locked >= len(manifests):
+        locked = None
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "ws"
         _numbered_workspace(root, manifests)
-        real_scandir = os.scandir
         locked_dir = str(root / "src" / f"p{locked:02d}") if locked is not None else None
+        with mock.patch.object(os, "scandir", _refuse_listing(locked_dir)):
+            scans = [outcome(scan_with(cache), root) for cache in (None, Path(tmp) / "cache")]
+        # The reference walk lists no directory it can be refused, so it
+        # walks what the scan reached: a manifest fault there comes first,
+        # and else the locked directory is the fault.
+        for index in range(len(manifests) if locked is None else locked, len(manifests)):
+            shutil.rmtree(root / "src" / f"p{index:02d}")
+        expected = outcome(oracle_scan, root)
+        if locked is not None and expected[1] not in (MalformedManifest, UnsupportedFormat):
+            expected = ("error", UnreadableWorkspace, f"cannot read {locked_dir}: Permission denied")
+        assert scans == [expected, expected]
 
-        def scandir(path):
-            if os.fspath(path) == locked_dir:
-                raise PermissionError(13, "Permission denied", locked_dir)
-            return real_scandir(path)
 
-        with mock.patch.object(os, "scandir", scandir):
-            serial = _serial_outcome(root, Path(tmp) / "serial")
-            assert outcome(scan_with(Path(tmp) / "split"), root) == serial
-        assert_no_child_left()
-
-
-def test_a_malformed_manifest_before_an_unlistable_directory_wins(
-    tmp_path, monkeypatch, split_parse
-) -> None:
+def test_a_malformed_manifest_before_an_unlistable_directory_wins(tmp_path, monkeypatch) -> None:
     manifests = [manifest_xml(f"p{i}").encode() for i in range(4)]
     manifests[1] = _BAD[0]
     _numbered_workspace(tmp_path, manifests)
     locked = str(tmp_path / "src" / "p03")
-    real_scandir = os.scandir
-
-    def scandir(path):
-        if os.fspath(path) == locked:
-            raise PermissionError(13, "Permission denied", locked)
-        return real_scandir(path)
-
-    monkeypatch.setattr(os, "scandir", scandir)
+    monkeypatch.setattr(os, "scandir", _refuse_listing(locked))
     for cache in (None, tmp_path / "cache"):
         with pytest.raises(MalformedManifest, match=r"^src/p01/package.xml: not well formed"):
             scan_workspace(tmp_path, ENV, cache, True)
-    assert len(split_parse) == 2 * 2
-    assert_no_child_left()
     (tmp_path / "src" / "p01" / "package.xml").write_bytes(manifest_xml("p1").encode())
     with pytest.raises(UnreadableWorkspace, match=f"cannot read {locked}: Permission denied"):
         scan_workspace(tmp_path, ENV, None, True)
-    assert_no_child_left()
 
 
-def _no_fallback(monkeypatch) -> None:
-    pass
+# Each fault a package can carry, with the error a scan raises for it. The
+# first four are in the manifest's bytes ("duplicate" repeats src/p00's
+# name); the last two refuse to read the manifest or list its directory.
+_FAULT_ERRORS = {
+    "malformed": MalformedManifest,
+    "unsupported": UnsupportedFormat,
+    "not-utf8": MalformedManifest,
+    "duplicate": DuplicatePackageName,
+    "unreadable": UnreadableWorkspace,
+    "unlistable": UnreadableWorkspace,
+}
+_FAULT_BYTES = {
+    "malformed": _BAD[0],
+    "unsupported": _BAD[1],
+    "not-utf8": _BAD[2],
+    "duplicate": manifest_xml("p0").encode(),
+}
 
 
-def _fallback_fork_fails(monkeypatch) -> None:
-    monkeypatch.setattr(os, "fork", mock.Mock(side_effect=OSError(11, "Resource unavailable")))
+def _scan_with_faults(root: Path, faults: dict[int, str], cache: Path | None) -> tuple:
+    """The outcome of scanning packages src/p00 to src/p03, each good unless ``faults`` names it."""
+
+    refused: dict[str, list[str]] = {"unlistable": [], "unreadable": []}
+    for index in range(4):
+        directory = root / "src" / f"p{index:02d}"
+        directory.mkdir(parents=True, exist_ok=True)
+        fault = faults.get(index)
+        (directory / "package.xml").write_bytes(
+            _FAULT_BYTES.get(fault, manifest_xml(f"p{index}").encode())
+        )
+        if fault == "unlistable":
+            refused[fault].append(str(directory))
+        elif fault == "unreadable":
+            refused[fault].append(str(directory / "package.xml"))
+    with (
+        mock.patch.object(os, "scandir", _refuse_listing(*refused["unlistable"])),
+        mock.patch.object(
+            forge.manifest, "open", _refuse_reading(*refused["unreadable"]), create=True
+        ),
+    ):
+        return outcome(scan_with(cache), root)
 
 
-def _fallback_one_cpu(monkeypatch) -> None:
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")))
-
-
-def _in_child(monkeypatch, action) -> None:
-    """Run ``action`` in each child before it parses its share."""
-
-    parent = os.getpid()
-    real_records = forge.manifest._records
-
-    def records(misses, env):
-        if os.getpid() != parent:
-            action()
-        return real_records(misses, env)
-
-    monkeypatch.setattr(forge.manifest, "_records", records)
-
-
-def _fallback_child_exits_non_zero(monkeypatch) -> None:
-    _in_child(monkeypatch, lambda: 1 / 0)
-
-
-def _fallback_child_killed(monkeypatch) -> None:
-    _in_child(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
-
-
-def _fallback_child_writes_no_record(monkeypatch) -> None:
-    # A child whose share all fails to parse sends no record for it.
-    real_parse = forge.manifest._parse_xml
-    parent = os.getpid()
-
-    def parse(data, env, source_dir):
-        if os.getpid() != parent:
-            raise MalformedManifest("injected")
-        return real_parse(data, env, source_dir)
-
-    monkeypatch.setattr(forge.manifest, "_parse_xml", parse)
-
-
-@pytest.mark.parametrize(
-    "fallback",
-    [
-        _no_fallback,
-        _fallback_fork_fails,
-        _fallback_one_cpu,
-        _fallback_child_exits_non_zero,
-        _fallback_child_killed,
-        _fallback_child_writes_no_record,
-    ],
-    ids=["none", "fork-fails", "one-cpu", "child-exits-1", "child-killed", "child-parses-nothing"],
-)
-@pytest.mark.parametrize("bad", [None, 5], ids=["ok", "malformed"])
-def test_split_parse_and_each_fallback_give_the_serial_scan(
-    tmp_path, monkeypatch, split_parse, fallback, bad: int | None
+@pytest.mark.parametrize("second", _FAULT_ERRORS)
+@pytest.mark.parametrize("first", _FAULT_ERRORS)
+def test_of_two_faults_a_scan_raises_the_first_in_walk_order(
+    tmp_path, first: str, second: str
 ) -> None:
-    manifests = [manifest_xml(f"p{i}", CONDITIONAL + SCOPED).encode() for i in range(9)]
-    if bad is not None:
-        manifests[bad] = _BAD[1]
+    # src/p01 carries the first fault and src/p02 the second. A duplicate
+    # name is found only once every manifest has parsed, so any other
+    # fault wins over it, wherever it lies.
     root = tmp_path / "ws"
-    _numbered_workspace(root, manifests)
-    serial = _serial_outcome(root, tmp_path / "serial")
-    assert serial[0] == ("ok" if bad is None else "error")
-    fallback(monkeypatch)
-    assert outcome(scan_with(tmp_path / "split"), root) == serial
-    assert len(split_parse) == (0 if fallback in (_fallback_fork_fails, _fallback_one_cpu) else 2)
-    assert_no_child_left()
-    assert [path.read_bytes() for path in memo_files(tmp_path / "split")] == [
-        path.read_bytes() for path in memo_files(tmp_path / "serial")
-    ]
+    both = [_scan_with_faults(root, {1: first, 2: second}, cache)
+            for cache in (None, tmp_path / "cache")]
+    index, winner = (2, second) if first == "duplicate" != second else (1, first)
+    alone = _scan_with_faults(root, {index: winner}, None)
+    assert alone[:2] == ("error", _FAULT_ERRORS[winner])
+    assert both == [alone, alone]
 
 
-@pytest.mark.parametrize(
-    "packages", [8, 4 * forge.manifest.MIN_MISSES_PER_PROCESS], ids=["serial", "split"]
-)
+@pytest.mark.parametrize("packages", [8, 1024])
 def test_a_scan_hashes_each_manifest_it_reads_once(
     tmp_path, monkeypatch, no_racy_margin, packages: int
 ) -> None:
-    # Two CPUs, so that the larger workspace splits its cold parse on any host.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    forked: list[int] = []
-    real_fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or real_fork())
     hashed: list[str] = []
     real_hex_digest = forge.manifest.hex_digest
 
@@ -1338,6 +1263,3 @@ def test_a_scan_hashes_each_manifest_it_reads_once(
     moved = _set_snapshot_part(2, lambda stats: [stats[0] + 1, *stats[1:]])
     path.write_text(_damaged_memo(path.read_bytes(), "snapshot", moved), "utf-8")
     assert hashes() == packages  # the snapshot fails: a walk finds every record
-    # Only the cold scan had misses to split.
-    assert len(forked) == (packages >= forge.manifest.MIN_MISSES_PER_PROCESS)
-    assert_no_child_left()
